@@ -189,6 +189,93 @@ def run_interleave_plan(
 _C6_PRE_BATCHING_RATIO = 9094.144
 
 
+def _numpy_probe(rows: int, width: int, rounds: int):
+    """A fixed repro-free NumPy loop: ``rounds`` rounds of a 16x16
+    complex matmul over a (rows, width, 16) array, a transposing copy
+    and an elementwise phase.
+
+    The emu-sv kernel is bound by BLAS and by NumPy call overhead, which
+    the pure-python ``_probe_ms`` does not track from one machine (or
+    NumPy build) to the next; this probe does the same kind of work, so
+    the kernel/probe ratio is what stays put.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    unitary = np.linalg.qr(rng.standard_normal((16, 16)))[0].astype(np.complex128)
+    phase = np.exp(1j * rng.standard_normal(rows * width * 16))
+
+    def probe() -> None:
+        state = np.ones(rows * width * 16, dtype=np.complex128)
+        for _ in range(rounds):
+            lead = state.reshape(rows, width, 16) @ unitary
+            state = lead.transpose(0, 2, 1).reshape(-1) * phase
+
+    return probe
+
+
+def _paired_ratio(call, probe, repeats: int) -> tuple[float, float, float]:
+    """Median over ``repeats`` back-to-back (call, probe) pairs of the
+    wall-time ratio call/probe, after a warm-up, plus the best wall ms
+    of each.  Each pair sees the same stretch of machine load, so the
+    median ratio holds still while the raw times swing."""
+    import statistics
+    import time
+
+    call()
+    probe()
+    times: list[list[float]] = [[], []]
+    for _ in range(repeats):
+        for fn, spent in zip((call, probe), times, strict=True):
+            t0 = time.perf_counter()
+            fn()
+            spent.append(time.perf_counter() - t0)
+    ratio = statistics.median(c / p for c, p in zip(*times, strict=True))
+    return ratio, min(times[0]) * 1e3, min(times[1]) * 1e3
+
+
+def run_emulator_rows() -> dict:
+    """Wall cost of the ``emu-sv`` Strang kernel over a same-machine
+    NumPy probe of matching shape, for one 12-qubit noiseless 60-step
+    ``evolve`` (``dense_*``) and one pass of 2-5-atom noisy 32-step
+    ``evolve_many`` batches of R=4 realizations (``noisy_small_*``):
+    the paired ratio plus the best kernel and probe wall ms."""
+    import numpy as np
+
+    from repro.emulators import StateVectorEmulator
+    from repro.qpu import ConstantWaveform, DriveSegment, RampWaveform, Register, RydbergHamiltonian
+
+    def ham(n: int, duration: float) -> RydbergHamiltonian:
+        seg = DriveSegment(
+            ConstantWaveform(duration, 5.0), RampWaveform(duration, -4.0, 4.0), phase=0.3
+        )
+        return RydbergHamiltonian(Register.chain(n, spacing=6.0), [seg], dt=0.01)
+
+    emu = StateVectorEmulator()
+    dense_ham = ham(12, 0.6)
+    small = [ham(n, 0.32) for n in range(2, 6)]
+    rng = np.random.default_rng(0)
+    scales = 1.0 + 0.03 * rng.standard_normal(4)
+    offsets = 0.1 * rng.standard_normal(4)
+
+    def noisy_pass() -> None:
+        for h in small:
+            emu.evolve_many(h, scales, offsets)
+
+    # 60 steps x 3 qubit groups on a 2^12 state; and about as many
+    # NumPy calls on tiny arrays as the 4 x 32-step noisy pass
+    dense = _paired_ratio(lambda: emu.evolve(dense_ham), _numpy_probe(1, 256, 180), 15)
+    noisy = _paired_ratio(noisy_pass, _numpy_probe(4, 1, 512), 40)
+    return {
+        "dense_ratio": dense[0],
+        "dense_ms": dense[1],
+        "dense_probe_ms": dense[2],
+        "noisy_small_ratio": noisy[0],
+        "noisy_small_ms": noisy[1],
+        "noisy_probe_ms": noisy[2],
+    }
+
+
 def bench_regression_suite() -> dict:
     """Run the federation + malleable + accounting ablation benches;
     returns ``{"mode": ..., "metrics": {name: value}}``."""
@@ -365,6 +452,11 @@ def bench_regression_suite() -> dict:
     broker_loop = run_broker_loop()
     metrics["makespan_c7leg_broker_s"] = round(broker_loop["makespan"], 3)
     metrics["throughput_c7leg_broker_jobs"] = float(broker_loop["completed"])
+    # emulator layer: the emu-sv kernel on the dev-loop (12 q noiseless)
+    # and qpu-shared (2-5 atoms, noisy) shapes, over a NumPy probe
+    emu = run_emulator_rows()
+    metrics["walltime_emu_sv_dense_ratio"] = round(emu["dense_ratio"], 4)
+    metrics["walltime_emu_sv_noisy_small_ratio"] = round(emu["noisy_small_ratio"], 4)
     mode = "smoke" if os.environ.get("BENCH_SMOKE", "") not in ("", "0") else "full"
     return {"mode": mode, "metrics": metrics}
 

@@ -5,16 +5,19 @@ Hamiltonian using second-order Strang splitting:
 
     U(dt) ~= D(dt/2) * R(dt) * D(dt/2)
 
-* ``D`` — the diagonal part (interactions + detuning): one elementwise
-  complex phase over the 2^n amplitudes, with the interaction energies
-  and per-state occupation counts precomputed once,
-* ``R`` — the global drive: the same 2x2 rotation applied to every
-  qubit axis (the single-qubit terms commute), implemented as n
-  reshaped matmuls.
+* ``D`` — the diagonal part, factored as exp(-i dt/2 E_int), one 2^n
+  phase per step length, times exp(+i dt/2 delta_k popcount), which has
+  only n+1 distinct values per (realization, step) and so is a gather,
+* ``R`` — the global drive: the same 2x2 rotation ``u`` on every qubit
+  (the single-qubit terms commute).  The register splits into
+  ceil(n/``_GROUP``) groups of g <= ``_GROUP`` qubits; the Kronecker
+  power ``⊗^g u`` acts on each in one batched matmul that also cycles
+  the group to the back of the register, so the qubit order is restored
+  after the last group.
 
-Everything in the inner loop is vectorized; the only Python loop is
-over time steps and qubit axes (per the hpc-parallel guide: no
-per-amplitude Python work).
+One kernel evolves every coherent-noise realization at once; the only
+Python loops are over time steps and qubit groups (no per-amplitude
+Python work).
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ from .noise import NoiseModel
 from .sampling import counts_from_samples, sample_bitstrings
 
 __all__ = ["StateVectorEmulator"]
+
+#: qubits per drive-rotation group: one (2^g x 2^g) matmul per group
+#: replaces g single-qubit ones
+_GROUP = 4
+#: complex values the per-chunk step tables may hold
+_TABLE_BUDGET = 1 << 22
 
 
 class StateVectorEmulator(EmulatorBackend):
@@ -54,31 +63,7 @@ class StateVectorEmulator(EmulatorBackend):
     ) -> np.ndarray:
         """Final state vector from |00...0>, optionally with coherent
         noise (scaled Rabi amplitude, shifted detuning)."""
-        self.check_size(ham)
-        n = ham.num_qubits
-        dim = 1 << n
-        psi = np.zeros(dim, dtype=np.complex128)
-        psi[0] = 1.0
-
-        e_int = ham.diagonal_energies()
-        # popcount per basis state for the detuning term.
-        occ_count = ham.occupation_counts()
-
-        omega = ham.omega * rabi_scale
-        delta = ham.delta + detuning_offset
-        phase = ham.phase
-        steps = ham.steps
-
-        for k in range(ham.num_steps):
-            dt = steps[k]
-            diag = e_int - delta[k] * occ_count
-            half = np.exp(-0.5j * dt * diag)
-            psi *= half
-            theta = omega[k] * dt
-            if theta != 0.0:
-                psi = _apply_global_rotation(psi, n, theta, phase[k])
-            psi *= half
-        return psi
+        return self.evolve_many(ham, [rabi_scale], [detuning_offset])[0]
 
     def probabilities(
         self,
@@ -98,12 +83,11 @@ class StateVectorEmulator(EmulatorBackend):
         """Evolve one state per (rabi_scale, detuning_offset) pair in a
         single batched pass; returns an (R, 2^n) array of final states.
 
-        All realizations share the time grid, so the diagonal half-step
-        phases for every (realization, step) land in one ``exp`` call
-        and the per-step drive rotations become batched 2x2 matmuls —
-        the per-realization Python round-trip the coherent-noise path
-        used to pay is gone.  Numerically identical to calling
-        :meth:`evolve` per pair.
+        All realizations share the time grid, so every Strang step is a
+        handful of NumPy calls over the whole (R, 2^n) batch.  The step
+        tables (detuning phases, drive Kronecker powers) are built per
+        chunk of steps, so they stay within ``_TABLE_BUDGET`` complex
+        values however many realizations and steps there are.
         """
         self.check_size(ham)
         scales = np.atleast_1d(np.asarray(rabi_scales, dtype=np.float64))
@@ -116,47 +100,45 @@ class StateVectorEmulator(EmulatorBackend):
         n = ham.num_qubits
         dim = 1 << n
         reals = scales.shape[0]
-        num_steps = ham.num_steps
         steps = ham.steps
 
         e_int = ham.diagonal_energies()
-        occ_count = ham.occupation_counts()
+        occ = ham.occupation_counts()
         delta = ham.delta[None, :] + offsets[:, None]            # (R, K)
         theta = np.outer(scales, ham.omega) * steps[None, :]     # (R, K)
         rotate = np.any(theta != 0.0, axis=0)                    # per step
-
-        # drive rotations for every (realization, step) up front
-        c = np.cos(0.5 * theta)
-        s = np.sin(0.5 * theta)
-        eip = np.exp(1j * ham.phase)
-        u = np.empty((reals, num_steps, 2, 2), dtype=np.complex128)
-        u[..., 0, 0] = c
-        u[..., 1, 1] = c
-        u[..., 0, 1] = (-1j * eip)[None, :] * s
-        u[..., 1, 0] = (-1j * eip.conj())[None, :] * s
+        # ceil(n / _GROUP) groups of near-equal size, largest first
+        groups = -(-n // _GROUP)
+        sizes = [n // groups + (g < n % groups) for g in range(groups)]
+        # a quarter of the budget per chunk: the previous chunk's tables
+        # are still alive while the next chunk's are built
+        chunk = max(1, _TABLE_BUDGET // (4 * reals * 4 ** sizes[0]))
 
         psi = np.zeros((reals, dim), dtype=np.complex128)
         psi[:, 0] = 1.0
-        # all (R, K, dim) half-step diagonal phases in one exp when the
-        # block is small; stream per step otherwise to bound memory
-        bulk = reals * num_steps * dim <= (1 << 22)
-        if bulk:
-            halves = np.exp(
-                (-0.5j * steps)[None, :, None]
-                * (e_int[None, None, :] - delta[:, :, None] * occ_count[None, None, :])
-            )
-        for k in range(num_steps):
-            if bulk:
-                half = halves[:, k, :]
-            else:
-                diag = e_int[None, :] - delta[:, k, None] * occ_count[None, :]
-                half = np.exp(-0.5j * steps[k] * diag)
+        dt = None
+        for k in range(ham.num_steps):
+            j = k % chunk
+            if j == 0:
+                window = slice(k, k + chunk)
+                # exp(+i dt/2 delta c) for every popcount c = 0..n
+                detuning = np.exp(
+                    (0.5j * steps[window] * delta[:, window])[..., None]
+                    * np.arange(n + 1)
+                )
+                kron = _drive_kron_powers(theta[:, window], ham.phase[window], sizes)
+            if steps[k] != dt:
+                dt = steps[k]
+                interaction = np.exp(-0.5j * dt * e_int)
+            half = detuning[:, j].take(occ, axis=1)
+            half *= interaction
             psi *= half
             if rotate[k]:
-                uk = u[:, k][:, None]  # (R, 1, 2, 2) broadcast over axes
-                for qubit in range(n):
-                    shaped = psi.reshape(reals, 1 << qubit, 2, 1 << (n - qubit - 1))
-                    psi = np.matmul(uk, shaped).reshape(reals, dim)
+                for size in sizes:
+                    # (R, M, 2^size) @ (⊗^size u)^T: rotates the leading
+                    # group and cycles it to the back in one matmul
+                    lead = psi.reshape(reals, 1 << size, -1).transpose(0, 2, 1)
+                    psi = np.matmul(lead, kron[size][:, j]).reshape(reals, dim)
             psi *= half
         return psi
 
@@ -224,24 +206,31 @@ class StateVectorEmulator(EmulatorBackend):
         return self._last_fidelity
 
 
-def _apply_global_rotation(psi: np.ndarray, n: int, theta: float, phi: float) -> np.ndarray:
-    """Apply exp(-i (theta/2) (cos(phi) X - sin(phi) Y)) to every qubit.
+def _drive_kron_powers(theta: np.ndarray, phase: np.ndarray, sizes: list[int]) -> dict:
+    """Transposed Kronecker powers ``(⊗^m u)^T`` of the drive rotation
+    exp(-i (theta/2) (cos(phi) X - sin(phi) Y)) per (realization, step),
+    for each group size m in ``sizes``; entry m has shape (R, K, 2^m, 2^m).
 
-    The matrix is su(2):  [[cos(t/2), -i e^{i phi} sin(t/2)],
-                           [-i e^{-i phi} sin(t/2), cos(t/2)]].
-    Applied axis-by-axis via reshape to (left, 2, right) and one matmul.
+    u is su(2):  [[c, x], [y, c]] = [[cos(t/2), -i e^{i phi} sin(t/2)],
+                                     [-i e^{-i phi} sin(t/2), cos(t/2)]],
+    so entry (a, b) of ``⊗^m u`` is c^(m-p-q) x^p y^q, with p (q) the
+    number of qubits where a has 0 (1) and b has 1 (0): a gather from
+    the (m+1)^2 such products instead of m-1 outer products.
     """
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    u = np.array(
-        [
-            [c, -1j * np.exp(1j * phi) * s],
-            [-1j * np.exp(-1j * phi) * s, c],
-        ],
-        dtype=np.complex128,
-    )
-    for qubit in range(n):
-        # qubit 0 is the MSB: axis of size 2 at position `qubit` of shape (2,)*n.
-        shaped = psi.reshape((1 << qubit), 2, (1 << (n - qubit - 1)))
-        psi = np.einsum("ab,ibj->iaj", u, shaped).reshape(-1)
-    return psi
+    c = np.cos(0.5 * theta)[..., None, None]
+    s = np.sin(0.5 * theta)[..., None, None]
+    eip = np.exp(1j * phase)[:, None, None]
+    x = -1j * eip * s
+    y = -1j * eip.conj() * s
+    powers = {}
+    for m in set(sizes):
+        e = np.arange(m + 1)
+        p, q = e[:, None], e[None, :]
+        table = c ** np.maximum(m - p - q, 0) * x**p * y**q
+        bits = (np.arange(1 << m)[:, None] >> e[:m]) & 1
+        # transposed: entry (a, b) of (⊗u)^T is entry (b, a) of ⊗u
+        p_ab = (bits[:, None, :] & (1 - bits[None, :, :])).sum(axis=-1)
+        q_ab = ((1 - bits[:, None, :]) & bits[None, :, :]).sum(axis=-1)
+        flat = table.reshape(theta.shape + ((m + 1) ** 2,))
+        powers[m] = flat.take(p_ab * (m + 1) + q_ab, axis=-1)
+    return powers

@@ -92,8 +92,15 @@ class RydbergHamiltonian:
         for segment in self.segments:
             n_steps = max(1, int(round(segment.duration / dt)))
             step = segment.duration / n_steps
-            omega_chunks.append(segment.omega.samples(step))
-            delta_chunks.append(segment.delta.samples(step))
+            omega = segment.omega.samples(step)
+            delta = segment.delta.samples(step)
+            if len(omega) != n_steps or len(delta) != n_steps:
+                raise PulseError(
+                    f"segment sampled to {len(omega)} omega and {len(delta)} "
+                    f"delta values for {n_steps} steps"
+                )
+            omega_chunks.append(omega)
+            delta_chunks.append(delta)
             phase_chunks.append(np.full(n_steps, segment.phase))
             step_chunks.append(np.full(n_steps, step))
         #: Per-step arrays over the whole schedule.
@@ -149,10 +156,11 @@ class RydbergHamiltonian:
         return ((states[:, None] >> shifts[None, :]) & 1).astype(np.float64)
 
     def occupation_counts(self) -> np.ndarray:
-        """popcount per basis state (length 2^n), cached — the detuning
-        term's coefficient in the dense backend's diagonal phases."""
+        """Integer popcount per basis state (length 2^n), cached — the
+        detuning term's coefficient in the dense backend's diagonal
+        phases, and its index into the per-popcount phase table."""
         if self._occ_cache is None:
-            self._occ_cache = self.occupation_table().sum(axis=1)
+            self._occ_cache = self.occupation_table().sum(axis=1).astype(np.intp)
         return self._occ_cache
 
     # -- helpers for the MPS backend ---------------------------------------

@@ -46,9 +46,16 @@ class Waveform:
         dt = self.duration / 1000.0 if self.duration > 0 else 1.0
         return float(self.samples(dt).sum() * dt)
 
-    def max_abs(self) -> float:
+    def extrema(self) -> tuple[float, float]:
+        """(min, max) of the waveform over its whole duration, on no
+        particular time grid; default via fine sampling."""
         dt = self.duration / 1000.0 if self.duration > 0 else 1.0
-        return float(np.abs(self.samples(dt)).max())
+        values = self.samples(dt)
+        return float(values.min()), float(values.max())
+
+    def max_abs(self) -> float:
+        low, high = self.extrema()
+        return max(-low, high)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -87,8 +94,8 @@ class ConstantWaveform(Waveform):
     def integral(self) -> float:
         return self.value * self.duration
 
-    def max_abs(self) -> float:
-        return abs(self.value)
+    def extrema(self) -> tuple[float, float]:
+        return self.value, self.value
 
     def to_dict(self) -> dict:
         return {"kind": "constant", "duration": self.duration, "value": self.value}
@@ -113,8 +120,8 @@ class RampWaveform(Waveform):
     def integral(self) -> float:
         return 0.5 * (self.start + self.stop) * self.duration
 
-    def max_abs(self) -> float:
-        return max(abs(self.start), abs(self.stop))
+    def extrema(self) -> tuple[float, float]:
+        return min(self.start, self.stop), max(self.start, self.stop)
 
     def to_dict(self) -> dict:
         return {
@@ -187,6 +194,9 @@ class InterpolatedWaveform(Waveform):
     def samples(self, dt: float) -> np.ndarray:
         return np.interp(self._grid(dt), self.times, self.values)
 
+    def extrema(self) -> tuple[float, float]:
+        return float(self.values.min()), float(self.values.max())
+
     def to_dict(self) -> dict:
         return {
             "kind": "interpolated",
@@ -210,18 +220,29 @@ class CompositeWaveform(Waveform):
         self.duration = sum(p.duration for p in parts)
 
     def samples(self, dt: float) -> np.ndarray:
-        # Sample each part on its own aligned sub-grid, then concatenate.
-        chunks = []
-        for part in self.parts:
-            n = max(1, int(round(part.duration / dt)))
-            chunks.append(part.samples(part.duration / n))
+        # Each part gets the whole steps between its rounded start and
+        # end on the composite grid and is sampled on that sub-grid, so
+        # the total is the composite's own step count even when parts
+        # are not whole multiples of dt (a part under half a step gets
+        # no sample).
+        n = len(self._grid(dt))
+        ends = np.cumsum([0.0] + [part.duration for part in self.parts])
+        counts = np.diff(np.rint(ends * (n / self.duration)).astype(int))
+        chunks = [
+            part.samples(part.duration / count)
+            for part, count in zip(self.parts, counts, strict=True)
+            if count > 0
+        ]
         return np.concatenate(chunks)
 
     def integral(self) -> float:
         return sum(p.integral() for p in self.parts)
 
-    def max_abs(self) -> float:
-        return max(p.max_abs() for p in self.parts)
+    def extrema(self) -> tuple[float, float]:
+        # from the parts, not from samples: a part shorter than half a
+        # step has no sample on a coarse grid but still drives the atoms
+        lows, highs = zip(*(p.extrema() for p in self.parts), strict=True)
+        return min(lows), max(highs)
 
     def to_dict(self) -> dict:
         return {"kind": "composite", "parts": [p.to_dict() for p in self.parts]}

@@ -80,10 +80,9 @@ class DeviceSpecs:
                     f"segment {idx}: Rabi amplitude {omega_max:.2f} exceeds "
                     f"max {self.max_rabi} rad/us"
                 )
-            # sample the detuning envelope for range checks
-            dt = max(seg.duration / 100.0, 1e-6)
-            delta = seg.delta.samples(dt)
-            if delta.max() > self.max_detuning + 1e-9 or delta.min() < self.min_detuning - 1e-9:
+            # the envelope's range, independent of any sampling grid
+            delta_min, delta_max = seg.delta.extrema()
+            if delta_max > self.max_detuning + 1e-9 or delta_min < self.min_detuning - 1e-9:
                 violations.append(
                     f"segment {idx}: detuning outside "
                     f"[{self.min_detuning}, {self.max_detuning}] rad/us"

@@ -7,6 +7,7 @@ from repro.errors import DeviceError, ValidationError
 from repro.simkernel import Simulator, RngRegistry
 from repro.qpu import (
     CalibrationState,
+    CompositeWaveform,
     ConstantWaveform,
     DeviceSpecs,
     DriftModel,
@@ -51,6 +52,16 @@ class TestDeviceSpecs:
         specs = DeviceSpecs(max_rabi=2.0)
         _, segs = simple_program(omega=5.0)
         assert any("Rabi" in v for v in specs.validate_schedule(segs))
+
+    def test_short_composite_part_out_of_detuning_range(self):
+        # the -1000 rad/us part is under half a step of a 100-step grid
+        # but a fine Hamiltonian grid still drives the atoms with it
+        specs = DeviceSpecs()
+        delta = CompositeWaveform(ConstantWaveform(0.003, -1000.0), ConstantWaveform(0.997, 0.0))
+        segs = [DriveSegment(ConstantWaveform(1.0, 1.0), delta)]
+        assert any("detuning" in v for v in specs.validate_schedule(segs))
+        with pytest.raises(ValidationError):
+            specs.check(Register.chain(2, spacing=6.0), segs, shots=10)
 
     def test_duration_limit(self):
         specs = DeviceSpecs(max_sequence_duration=0.5)

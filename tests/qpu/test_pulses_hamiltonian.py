@@ -62,6 +62,25 @@ class TestWaveforms:
         assert wf.duration == 2.0
         assert wf.integral() == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("dt", [0.01, 0.02, 0.002, 0.03])
+    def test_composite_misaligned_parts_fill_the_grid(self, dt):
+        quarter = 0.075  # not a whole number of steps at any of the dts
+        wf = CompositeWaveform(
+            RampWaveform(quarter, 0.0, 5.0),
+            ConstantWaveform(2 * quarter, 5.0),
+            RampWaveform(quarter, 5.0, 0.0),
+        )
+        assert len(wf.samples(dt)) == max(1, round(wf.duration / dt))
+
+    def test_extrema_cover_every_part(self):
+        wf = CompositeWaveform(
+            ConstantWaveform(0.003, -1000.0),
+            RampWaveform(0.5, -2.0, 7.0),
+            InterpolatedWaveform(0.497, [1.0, 9.0, 3.0]),
+        )
+        assert wf.extrema() == (-1000.0, 9.0)
+        assert wf.max_abs() == 1000.0
+
     def test_composite_needs_parts(self):
         with pytest.raises(PulseError):
             CompositeWaveform()
@@ -100,6 +119,17 @@ class TestDriveSegment:
         again = DriveSegment.from_dict(seg.to_dict())
         assert again.phase == 0.3
         assert again.duration == 1.0
+
+
+class TestHamiltonianSampling:
+    def test_short_waveform_sampling_rejected(self):
+        class Short(ConstantWaveform):
+            def samples(self, dt):
+                return super().samples(dt)[:-1]
+
+        seg = DriveSegment(Short(0.3, 5.0), ConstantWaveform(0.3, 0.0))
+        with pytest.raises(PulseError):
+            RydbergHamiltonian(Register.chain(2, spacing=6.0), [seg], dt=0.01)
 
 
 class TestInteractionMatrix:
