@@ -19,15 +19,13 @@ drives a 10,000-job arrival sweep (plus a malleable mix) over an
 * **per-phase tick profile** — the held/fixed/malleable/observe wall
   split from ``broker.last_reconcile`` and the per-step cost of the
   simulation kernel itself (``sim.enable_profiling``),
-* **instrumentation overhead** — the sweep runs in five flavors:
-  ``plain`` (poll-mode broker, the gated baseline), ``events``
-  (lifecycle bus attached), ``batched`` (lifecycle bus in coalesced
-  batch-delivery mode — the raw-speed tentpole), ``traced`` (full span
-  pipeline), and ``profiled`` (continuous scope profiler +
-  phase-profile store + SLO tracker).  Scheduling is bit-identical
-  across all five — the DES outputs must not move — and
-  ``traced``/``profiled`` wall time over the cheaper flavors is the
-  advertised instrumentation overhead.
+* **instrumentation overhead** — the sweep runs in three flavors:
+  ``plain`` (the push-tracking broker alone, the gated baseline),
+  ``traced`` (full span pipeline), and ``profiled`` (continuous scope
+  profiler + phase-profile store + SLO tracker).  Scheduling is
+  bit-identical across all three — the DES outputs must not move — and
+  ``traced``/``profiled`` wall time over ``plain`` is the advertised
+  instrumentation overhead.
 
 ``python -m benchmarks.bench_ablation_scale`` prints the table;
 ``--profile out.prof`` additionally runs the sweep under cProfile and
@@ -113,24 +111,17 @@ def _probe_ms() -> float:
     return best * 1e3
 
 
-def run_c6(
-    traced: str = "plain",
-    _capture: dict | None = None,
-    profile: bool = False,
-) -> dict:
+def run_c6(traced: str = "plain", _capture: dict | None = None) -> dict:
     """One instrumented sweep; returns the tick-cost metrics.
 
-    ``traced`` selects the observability flavor: ``"plain"`` (poll-mode
-    broker), ``"events"`` (lifecycle bus attached), ``"batched"``
-    (lifecycle bus in coalesced batch-delivery mode), ``"traced"``
-    (full span pipeline), or ``"profiled"`` (scope profiler +
-    phase-profile store + SLO tracker).  ``profile=True`` additionally
-    attaches the scope profiler to any flavor (used for the batched
-    profile artifact).  ``_capture``, when given, receives the
+    ``traced`` selects the observability flavor: ``"plain"`` (the
+    broker's own lifecycle bus only), ``"traced"`` (full span
+    pipeline), or ``"profiled"`` (scope profiler + phase-profile store
+    + SLO tracker).  ``_capture``, when given, receives the
     tracer/profiler/profiles/slo and the submitted job ids for
     test/export introspection.
     """
-    if traced not in ("plain", "events", "batched", "traced", "profiled"):
+    if traced not in ("plain", "traced", "profiled"):
         raise ValueError(f"unknown C6 flavor {traced!r}")
     sim, registry, broker, sites = build_federation_stack(
         n_sites=N_SITES,
@@ -139,11 +130,7 @@ def run_c6(
         heartbeat_interval=TICK_INTERVAL_S,
     )
     tracer = profiler = profiles = slo = None
-    if traced == "events":
-        broker.attach_events()
-    elif traced == "batched":
-        broker.attach_events(batch=True)
-    elif traced == "traced":
+    if traced == "traced":
         tracer = broker.attach_tracer()
     elif traced == "profiled":
         from repro.observability import SLOTracker
@@ -152,8 +139,6 @@ def run_c6(
         profiles = broker.attach_profiles()
         slo = SLOTracker()
         slo.attach_bus(broker.events)
-    if profile and profiler is None:
-        profiler = broker.attach_profiler()
     step_profile = sim.enable_profiling()
     # the bench owns the housekeeping loop (instead of
     # spawn_housekeeping) so it can time each reconcile individually
@@ -260,9 +245,6 @@ def run_c6(
         if profiles is not None:
             out["profiled_signatures"] = float(len(profiles.signatures()))
             out["profiled_jobs"] = float(profiles.summary()["jobs_profiled"])
-    if traced == "batched":
-        out["bus_flushes"] = float(broker.events.flushes)
-        out["bus_coalesced"] = float(broker.events.coalesced)
     if _capture is not None:
         _capture["tracer"] = tracer
         _capture["profiler"] = profiler
@@ -333,17 +315,16 @@ def test_c6_tick_cost_tracks_live_work(benchmark):
 
 
 def test_c6_tracing_is_invisible_to_scheduling():
-    """Acceptance for the tracing plane: attaching the bus or the full
-    span pipeline must not move a single deterministic DES output, every
-    traced job must yield its complete span tree, and the traced sweep's
-    wall cost over the events-only sweep stays within a loose overhead
-    bound (the precise ratio is reported by the regression suite)."""
+    """Acceptance for the tracing plane: the full span pipeline must not
+    move a single deterministic DES output, every traced job must yield
+    its complete span tree, and the traced sweep's wall cost over the
+    plain sweep stays within a loose overhead bound (the precise ratio
+    is reported by the regression suite)."""
     capture: dict = {}
     plain = run_c6()
-    events = run_c6(traced="events")
     traced = run_c6(traced="traced", _capture=capture)
     for key in DETERMINISTIC_KEYS:
-        assert plain[key] == events[key] == traced[key], key
+        assert plain[key] == traced[key], key
 
     tracer, job_ids = capture["tracer"], capture["job_ids"]
     root = tracer.job_root(job_ids[0])
@@ -354,28 +335,9 @@ def test_c6_tracing_is_invisible_to_scheduling():
     assert traced["spans_closed"] >= len(TRACE_STAGES) * traced["jobs"]
     assert traced["stage_execute_sim_mean_s"] > 0.0
 
-    overhead = traced["total_wall_s"] / events["total_wall_s"]
-    print(f"tracing overhead: {overhead:.3f}x over events-only")
+    overhead = traced["total_wall_s"] / plain["total_wall_s"]
+    print(f"tracing overhead: {overhead:.3f}x over plain")
     assert overhead < 1.25
-
-
-def test_c6_batched_delivery_is_invisible_to_scheduling():
-    """Acceptance for the batched core: coalesced bus delivery (plus
-    the kernel's same-timestamp batch dispatch underneath every flavor)
-    must not move a single deterministic DES output, the bus must
-    actually run in batch mode (flush barriers fired), and the batched
-    sweep must not be slower than the events flavor it supersedes
-    beyond noise (the real speedup is gated by the regression suite
-    against the pre-batching baseline)."""
-    plain = run_c6()
-    events = run_c6(traced="events")
-    batched = run_c6(traced="batched")
-    for key in DETERMINISTIC_KEYS:
-        assert plain[key] == events[key] == batched[key], key
-    assert batched["bus_flushes"] > 0
-    overhead = batched["total_wall_s"] / events["total_wall_s"]
-    print(f"batched bus wall cost: {overhead:.3f}x of events flavor")
-    assert overhead < 1.15
 
 
 def test_c6_profiling_is_invisible_to_scheduling():
@@ -444,12 +406,6 @@ def main(argv=None) -> int:
         default=None,
         help="run a profiled sweep and write the SLO + phase-profile summary JSON to PATH",
     )
-    parser.add_argument(
-        "--batched-profile-report",
-        metavar="PATH",
-        default=None,
-        help="run a batched sweep under the scope profiler and write the top-N + flame report to PATH",
-    )
     args = parser.parse_args(argv)
     if args.profile:
         import cProfile
@@ -464,22 +420,8 @@ def main(argv=None) -> int:
         stats = pstats.Stats(profiler)
         stats.sort_stats("cumulative").print_stats(15)
         print(f"profile written to {args.profile}")
-    elif not (
-        args.trace_out or args.profile_report or args.slo_out
-        or args.batched_profile_report
-    ):
+    elif not (args.trace_out or args.profile_report or args.slo_out):
         _print_report(run_c6())
-    if args.batched_profile_report:
-        capture: dict = {}
-        out = run_c6(traced="batched", _capture=capture, profile=True)
-        _print_report(out, flavor="batched")
-        profiler = capture["profiler"]
-        report = (
-            profiler.report_top(20) + "\n\n" + profiler.render_flame() + "\n"
-        )
-        path = pathlib.Path(args.batched_profile_report)
-        path.write_text(report)
-        print(f"batched profile report written to {path}")
     if args.profile_report or args.slo_out:
         capture: dict = {}
         out = run_c6(traced="profiled", _capture=capture)

@@ -184,8 +184,8 @@ def run_interleave_plan(
 
 
 #: full-mode C6 total-wall/probe ratio of the last pre-batching core
-#: (committed baseline before the batch-oriented kernel + coalesced bus
-#: delivery landed) — the >=1.8x speed contract is measured against it
+#: (committed baseline before the batch-oriented kernel landed) — the
+#: >=1.8x speed contract is measured against it
 _C6_PRE_BATCHING_RATIO = 9094.144
 
 
@@ -349,23 +349,19 @@ def bench_regression_suite() -> dict:
         metrics[f"latency_c6_{pct}_ratio"] = round(
             c6[f"latency_{pct}_ratio"], 4
         )
-    # instrumentation overhead: the same sweep with the lifecycle bus
-    # attached (events), with the full span pipeline (traced), and with
-    # the continuous profiling plane (profiled).  Scheduling must be
-    # bit-identical across all four flavors — a drift here is an
-    # instrumentation bug, not a regression to tolerate.
-    c6_events = run_c6(traced="events")
+    # instrumentation overhead: the same sweep with the full span
+    # pipeline (traced) and with the continuous profiling plane
+    # (profiled).  Scheduling must be bit-identical across all three
+    # flavors — a drift here is an instrumentation bug, not a
+    # regression to tolerate.
     c6_traced = run_c6(traced="traced")
     c6_profiled = run_c6(traced="profiled")
-    for key in (
-        "completed", "failed", "scanned_per_tick_mean",
-        "scanned_per_tick_max", "scanned_final_tick",
-    ):
-        if not (c6[key] == c6_events[key] == c6_traced[key] == c6_profiled[key]):
+    for key in DETERMINISTIC_KEYS:
+        if not (c6[key] == c6_traced[key] == c6_profiled[key]):
             raise RuntimeError(
                 f"C6 {key} drifted under instrumentation: "
-                f"plain={c6[key]} events={c6_events[key]} "
-                f"traced={c6_traced[key]} profiled={c6_profiled[key]}"
+                f"plain={c6[key]} traced={c6_traced[key]} "
+                f"profiled={c6_profiled[key]}"
             )
     profile_overhead = c6_profiled["total_wall_s"] / c6["total_wall_s"]
     if profile_overhead > 1.6:
@@ -375,9 +371,6 @@ def bench_regression_suite() -> dict:
             f"C6 profiling overhead {profile_overhead:.2f}x exceeds the "
             "1.6x contract"
         )
-    metrics["walltime_c6_events_total_s"] = round(
-        c6_events["total_wall_s"], 3
-    )
     metrics["walltime_c6_traced_total_s"] = round(
         c6_traced["total_wall_s"], 3
     )
@@ -385,7 +378,7 @@ def bench_regression_suite() -> dict:
         c6_profiled["total_wall_s"], 3
     )
     metrics["walltime_c6_trace_overhead_ratio"] = round(
-        c6_traced["total_wall_s"] / c6_events["total_wall_s"], 4
+        c6_traced["total_wall_s"] / c6["total_wall_s"], 4
     )
     # self-calibrated walltime ratios (the ROADMAP "raw speed" gates):
     # wall cost over same-machine probe cost survives a runner change,
@@ -398,34 +391,15 @@ def bench_regression_suite() -> dict:
     metrics["walltime_c6_drained_tick_ratio"] = round(
         c6["drained_tick_ms"] / c6["probe_ms"], 4
     )
-    # batched flavor — the raw-speed tentpole.  Coalesced bus delivery
-    # rides on the same-timestamp kernel batching; scheduling decisions
-    # must be bit-identical to the plain flavor, enforced as a hard stop
-    # (a drift here is a delivery-semantics bug, never a number to
-    # re-baseline).
-    c6_batched = run_c6(traced="batched")
-    for key in DETERMINISTIC_KEYS:
-        if c6[key] != c6_batched[key]:
-            raise RuntimeError(
-                f"C6 {key} drifted under batched bus delivery: "
-                f"plain={c6[key]} batched={c6_batched[key]}"
-            )
-    metrics["walltime_c6_batched_total_s"] = round(
-        c6_batched["total_wall_s"], 3
-    )
-    metrics["walltime_c6_batched_total_ratio"] = round(
-        c6_batched["total_wall_s"] * 1e3 / c6_batched["probe_ms"], 4
-    )
     # the batched-core speed contract: before the batch-oriented core
     # landed, the committed full-mode baseline ran C6 at a total/probe
     # ratio of ~9094.  The contract is a >= 1.8x improvement, held as a
     # hard ceiling independent of re-baselining (smoke runs sit far
     # below it by construction).
-    if metrics["walltime_c6_batched_total_ratio"] > _C6_PRE_BATCHING_RATIO / 1.8:
+    if metrics["walltime_c6_total_ratio"] > _C6_PRE_BATCHING_RATIO / 1.8:
         raise RuntimeError(
-            f"C6 batched total ratio "
-            f"{metrics['walltime_c6_batched_total_ratio']:.1f} breaks the "
-            f">=1.8x speed contract over the pre-batching core "
+            f"C6 total ratio {metrics['walltime_c6_total_ratio']:.1f} "
+            f"breaks the >=1.8x speed contract over the pre-batching core "
             f"(ceiling {_C6_PRE_BATCHING_RATIO / 1.8:.1f})"
         )
     # C7 — the scheduling-algorithm sweep.  Every registered algorithm

@@ -7,8 +7,8 @@ queue-wait, execute, dispatch, and result-fetch stages each append
 child spans — on the simulated clock AND the wall clock.  This demo:
 
 1. wires a two-site federation behind a ``Session`` and calls
-   ``attach_tracer()`` (which also flips the broker to push-based
-   lifecycle events — span boundaries ARE bus transitions),
+   ``attach_tracer()``, which subscribes the tracer to the broker's
+   lifecycle bus — span boundaries ARE bus transitions,
 2. submits a fixed job and a malleable multi-unit job,
 3. renders the span-tree timeline with the critical path marked,
 4. shows the bus-derived per-stage latency histograms, and

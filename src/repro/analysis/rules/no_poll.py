@@ -1,14 +1,11 @@
-"""no-poll: the broker's reconcile paths must not resurrect polling.
+"""no-poll: the federation learns task state only from the bus.
 
-PR 5 replaced the per-job/per-unit ``task_status`` sweep with the
-:class:`~repro.federation.events.LifecycleBus` push plane — sites
-publish transitions, the refresh paths consume what was pushed.  A
-reintroduced poll call site costs O(live placements) daemon round trips
-per tick and silently diverges from the event-driven flavors the C6
-bench holds bit-identical.  The one sanctioned exception is the legacy
-non-push fallback kept for brokers that never called
-``attach_events()``; those sites carry inline suppressions with that
-justification.
+Sites publish every task transition onto the
+:class:`~repro.federation.events.LifecycleBus` and the broker and the
+malleable resize loop consume what was pushed.  A ``task_status`` call
+anywhere under ``federation/`` would bring back a second tracking path:
+O(live placements) daemon round trips per tick that can disagree with
+the pushed stream.  There is no sanctioned exception.
 """
 
 from __future__ import annotations
@@ -19,23 +16,20 @@ from ..engine import FileContext, Rule
 
 __all__ = ["NoPollRule"]
 
-#: the reconcile-path modules where a task_status call means polling
-POLL_SCOPED_FILES = (
-    "federation/broker.py",
-    "federation/malleable.py",
-)
+#: the package where a task_status call means polling
+POLL_SCOPED_DIR = "federation/"
 
 
 class NoPollRule(Rule):
     id = "no-poll"
     description = (
-        "broker/malleable reconcile paths consume pushed lifecycle "
-        "events — task_status polling is banned there"
+        "federation code consumes pushed lifecycle events — task_status "
+        "polling is banned in every federation/ module"
     )
     interests = (ast.Call,)
 
     def visit(self, ctx: FileContext, node: ast.AST) -> None:
-        if ctx.arch_path not in POLL_SCOPED_FILES:
+        if not ctx.arch_path.startswith(POLL_SCOPED_DIR):
             return
         assert isinstance(node, ast.Call)
         func = node.func
@@ -43,7 +37,6 @@ class NoPollRule(Rule):
             self.emit(
                 ctx,
                 node,
-                "task_status poll in a reconcile path — task transitions "
-                "arrive on the LifecycleBus (attach_events); polling "
-                "belongs only behind the legacy non-push fallback",
+                "task_status poll in federation code — task transitions "
+                "arrive on the LifecycleBus (FederationBroker.events)",
             )

@@ -171,16 +171,13 @@ class FederationBroker:
         self._reroutes = 0  # maintained: sum over jobs of attempts - 1
         self._id_counter = itertools.count(1)
         self._malleable = None  # lazily-built MalleableManager
-        #: the broker always owns a lifecycle bus — its own publishes
-        #: (placements, outcomes, admissions, resizes) flow to it from
-        #: the first submission, which is what lets FederationMetrics
-        #: derive every counter from subscriptions instead of record_*
-        #: call sites.  :meth:`attach_events` additionally wires *sites*
-        #: onto it and flips :attr:`_push` (push-based task tracking).
+        #: the broker's lifecycle bus — the only way it learns task
+        #: state.  Every current and future site publishes its task
+        #: transitions here, next to the broker's own publishes
+        #: (placements, outcomes, admissions, resizes), which is what
+        #: lets FederationMetrics derive every counter from
+        #: subscriptions instead of record_* call sites.
         self.events: LifecycleBus = LifecycleBus()
-        #: True once :meth:`attach_events` ran: task transitions arrive
-        #: as events and the refresh paths stop polling ``task_status``
-        self._push = False
         #: optional :class:`~repro.observability.tracing.Tracer` (see
         #: :meth:`attach_tracer`); ``None`` skips all span bookkeeping
         self.tracer: Tracer | None = None
@@ -191,7 +188,11 @@ class FederationBroker:
         #: optional :class:`~repro.observability.profiles.ProfileStore`
         #: (see :meth:`attach_profiles`)
         self.profiles: ProfileStore | None = None
-        self._wire_bus(self.events)
+        self.metrics.attach_bus(self.events)
+        self.events.subscribe(self._on_site_event)
+        for name in registry.names():
+            registry.site(name).attach_bus(self.events)
+        registry.on_register(lambda site: site.attach_bus(self.events))
         #: live placement index: (site, task_id) -> federated job id,
         #: maintained by _place/_abandon/_fail/completion so pushed site
         #: events resolve to the owning job without a scan
@@ -248,67 +249,16 @@ class FederationBroker:
 
     # -- lifecycle events ------------------------------------------------------
 
-    def _wire_bus(self, bus: LifecycleBus) -> None:
-        bus.subscribe(self.metrics._on_event, batch=self.metrics.deliver_batch)
-        bus.subscribe(self._on_site_event, batch=self._on_site_events)
-
-    def _enable_batched_bus(self) -> None:
-        if not self.events.batching:
-            self.events.enable_batching()
-            # end-of-timestamp flush barrier: every same-tick batch the
-            # simulator dispatches ends with a bus flush, so no event
-            # outlives the simulated instant it was published at
-            self.sim.add_flush_hook(self.events.flush)
-
-    def attach_events(
-        self, bus: LifecycleBus | None = None, batch: bool = False
-    ) -> LifecycleBus:
-        """Switch the broker to push-based lifecycle tracking.
-
-        Wires the broker's lifecycle bus (or ``bus``, which replaces it)
-        onto every registered site — and, via the registry hook, every
-        future joiner — so task state transitions arrive as events
-        instead of being polled: the fixed-size ``_refresh`` and the
-        malleable resize loop stop calling ``task_status`` per job/unit
-        per tick.  Idempotent; returns the active bus.  Attach *before*
-        submitting work — transitions that happened pre-attach were
-        never published.
-
-        ``batch=True`` turns on coalesced bus delivery: events buffer
-        per simulated tick and subscribers hear them at the flush
-        barriers (end of each simulator timestamp batch, top of every
-        reconcile) — see :class:`~repro.federation.events.LifecycleBus`.
-        """
-        if self._push:
-            if batch:
-                self._enable_batched_bus()
-            return self.events
-        if bus is not None and bus is not self.events:
-            # external bus: re-point broker publishes and subscribers at
-            # it; the internal bus (and anything it recorded) is dropped
-            self._wire_bus(bus)
-            if self.tracer is not None:
-                self.tracer.attach_bus(bus)
-            self.events = bus
-        self._push = True
-        for name in self.registry.names():
-            self.registry.site(name).attach_bus(self.events)
-        self.registry.on_register(lambda site: site.attach_bus(self.events))
-        if batch:
-            self._enable_batched_bus()
-        return self.events
-
     def attach_tracer(self, tracer: Tracer | None = None) -> Tracer:
-        """Trace every job end-to-end: switches to push-based events
-        (span boundaries are bus transitions), subscribes the tracer,
-        and instruments every site daemon's scheduler — current and
+        """Trace every job end-to-end: subscribes the tracer to the
+        lifecycle bus (span boundaries are bus transitions) and
+        instruments every site daemon's scheduler — current and
         future joiners — so dispatch spans nest under execute spans.
         Idempotent; returns the active tracer.
         """
         if self.tracer is not None:
             return self.tracer
         self.tracer = tracer if tracer is not None else Tracer()
-        self.attach_events()
         self.tracer.attach_bus(self.events)
         for name in self.registry.names():
             instrument_scheduler(
@@ -349,8 +299,8 @@ class FederationBroker:
         return self.profiler
 
     def attach_profiles(self, store: ProfileStore | None = None) -> ProfileStore:
-        """Collect per-workload phase signatures: switches to push-based
-        events and feeds a :class:`ProfileStore` from the lifecycle bus.
+        """Collect per-workload phase signatures: feeds a
+        :class:`ProfileStore` from the lifecycle bus.
         The store's summary appears in :meth:`stats`; site daemons also
         expose their own stores via ``GET /profiles``.  Idempotent;
         returns the active store.
@@ -358,7 +308,6 @@ class FederationBroker:
         if self.profiles is not None:
             return self.profiles
         self.profiles = store if store is not None else ProfileStore()
-        self.attach_events()
         self.profiles.attach_bus(self.events)
         return self.profiles
 
@@ -388,14 +337,6 @@ class FederationBroker:
             return
         if event.kind in TERMINAL_TASK_KINDS:
             self._pushed_tasks[key] = dict(event.payload)
-
-    def _on_site_events(self, events: list[JobEvent]) -> None:
-        """Batched-bus delivery: the broker's own task tracking is
-        latest-state per placement (``_pushed_tasks`` / the malleable
-        per-unit index), so replaying the stream in publish order is
-        exactly the synchronous outcome."""
-        for event in events:
-            self._on_site_event(event)
 
     def _track_placement(self, job: FederatedJob) -> None:
         placement = job.placements[-1]
@@ -914,28 +855,11 @@ class FederationBroker:
             self._abandon_and_reroute(job, f"site {placement.site} unhealthy")
             return
         site = self.registry.site(placement.site)
-        if self._push:
-            # push path: the site already told us about every terminal
-            # transition — nothing pushed means the task is still live,
-            # so there is nothing to poll
-            status = self._pushed_tasks.pop(
-                (placement.site, placement.task_id), None
-            )
-            if status is None:
-                return
-        else:
-            try:
-                # archlint: disable=no-poll -- legacy fallback for brokers that never called attach_events(); the poll-spy test proves push-mode runs never reach it
-                status = site.task_status(job.owner, placement.task_id)
-            except Exception as err:
-                # the site answers but won't serve us (e.g. our session
-                # idle-expired and the reopened one no longer owns the
-                # task): treat like a lost placement, never crash the
-                # reconcile sweep that failover depends on
-                self._abandon_and_reroute(
-                    job, f"query failed on {placement.site}: {err}"
-                )
-                return
+        # the site already pushed every terminal transition — nothing
+        # pushed means the task is still live
+        status = self._pushed_tasks.pop((placement.site, placement.task_id), None)
+        if status is None:
+            return
         if status["state"] == "completed":
             fetch_span = None
             if self.tracer is not None:
@@ -945,6 +869,10 @@ class FederationBroker:
             try:
                 job.result = site.task_result(job.owner, placement.task_id)
             except Exception as err:
+                # the site answers but won't serve us (e.g. our session
+                # idle-expired and the reopened one no longer owns the
+                # task): treat like a lost placement, never crash the
+                # reconcile sweep that failover depends on
                 if fetch_span is not None:
                     self.tracer.end_span(fetch_span, now, status="error")
                 self._abandon_and_reroute(
@@ -1044,11 +972,6 @@ class FederationBroker:
 
     def _reconcile(self) -> None:
         started = time.perf_counter()
-        if self.events.batching:
-            # flush barrier: scheduling decisions must see every task
-            # transition published earlier in this simulated instant,
-            # exactly as synchronous delivery would have shown them
-            self.events.flush()
         scanned = len(self._by_state[JobState.HELD])
         if self.accounting is not None:
             self._release_held({})
@@ -1260,6 +1183,8 @@ class FederationBroker:
             "malleable_jobs": n_malleable,
             "resize_events": resize_events,
             "evicted": self._evicted,
+            # bus subscriber callbacks that raised (isolated, counted)
+            "bus_dropped": self.events.dropped,
             "sites": self.registry.names(),
             "profiles": (
                 self.profiles.summary() if self.profiles is not None else None

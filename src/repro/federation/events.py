@@ -1,16 +1,13 @@
 """Push-based lifecycle events: the federation's nervous system.
 
-Every status poll the stack used to run — the broker's per-job
-``task_status`` sweep, the malleable manager's per-unit refresh, user
-code's ``while state not in _TERMINAL`` loops — existed because task
-state only moved when somebody asked.  :class:`LifecycleBus` inverts
-that: the *producers* of state transitions (each site's middleware
-queue, the broker itself, the resize loop) publish a
-:class:`JobEvent` at the simulated instant the transition happens, and
-consumers subscribe.
+The *producers* of state transitions (each site's middleware queue,
+the broker itself, the resize loop) publish a :class:`JobEvent` onto a
+:class:`LifecycleBus` at the simulated instant the transition happens,
+and consumers subscribe.  Nothing in the federation asks a site for
+task status.
 
-Publishers wired in by :meth:`FederationBroker.attach_events
-<repro.federation.broker.FederationBroker.attach_events>`:
+Publishers wired in by :class:`FederationBroker
+<repro.federation.broker.FederationBroker>` at construction:
 
 * **site task transitions** — each :class:`~repro.federation.site.FederatedSite`
   forwards its daemon queue's QUEUED -> RUNNING -> COMPLETED/FAILED/
@@ -21,29 +18,22 @@ Publishers wired in by :meth:`FederationBroker.attach_events
 * **resize decisions** — kind ``resize`` with the action
   (grow/shrink/retire/reclaim) in the payload.
 
-Dispatch is synchronous and deterministic (subscriber order =
-subscription order) so event-driven runs replay bit-for-bit like the
-polling runs they replace.  Subscriber exceptions are swallowed and
-counted (:attr:`LifecycleBus.dropped`): a broken observer must never
-break the scheduler hot path.
-
-**Batched delivery** (:meth:`LifecycleBus.enable_batching`): events
-accumulate per simulated tick and every subscriber receives its
-matching events at the next :meth:`LifecycleBus.flush` barrier — the
-simulator calls it after each same-timestamp event batch, the broker
-at the top of every reconcile so scheduling decisions still see every
-transition that preceded them.  Each subscriber's stream stays in
-publish order, so consumers that fold over every event (metrics
-counters, profile EWMAs) observe the exact sequence synchronous
-delivery would have produced.  Subscribers that only need the latest
-state per task (session wake-ups, snapshot invalidation) can opt into
-``coalesce=True`` and superseded same-tick transitions are dropped
-from their stream.
+**Delivery contract** (the only one): every event reaches every
+matching subscriber in global publish order, run to completion.  A
+publish appends to the pending queue and, unless a drain is already
+running, drains it at once; an event published from inside a
+subscriber joins the running drain, so it is delivered after the event
+being handled has reached all of its subscribers, never in between.
+Subscriber order per event is subscription order (wildcards first, then
+job-filtered), so runs replay bit-for-bit.  Subscriber exceptions are
+isolated and counted in :attr:`LifecycleBus.dropped`: a broken observer
+must never break the scheduler hot path.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -127,11 +117,6 @@ class _Subscription:
     job_id: str | None
     kinds: tuple[str, ...] | None
     site: str | None
-    #: one-call-per-flush handler (``deliver_batch(events)``); falls
-    #: back to per-event ``callback`` when absent
-    batch: Callable[[list[JobEvent]], None] | None = None
-    #: drop superseded same-flush transitions (latest-state consumers)
-    coalesce: bool = False
 
     def matches(self, event: JobEvent) -> bool:
         if self.job_id is not None and event.job_id != self.job_id:
@@ -144,7 +129,7 @@ class _Subscription:
 
 
 class LifecycleBus:
-    """Synchronous pub/sub over :class:`JobEvent`.
+    """Run-to-completion pub/sub over :class:`JobEvent`.
 
     Job-filtered subscriptions are indexed by job id so a busy
     federation dispatches each event to the subscribers that asked for
@@ -158,19 +143,16 @@ class LifecycleBus:
         #: job-filtered subscribers, indexed by job id
         self._by_job: dict[str, list[_Subscription]] = {}
         self._where: dict[int, str | None] = {}  # handle -> index key
-        #: events delivered so far
+        #: events published so far
         self.published = 0
         #: subscriber callbacks that raised (isolated, never re-raised)
         self.dropped = 0
-        #: superseded transitions dropped from coalescing subscribers
-        self.coalesced = 0
-        #: flush barriers that delivered at least one event
-        self.flushes = 0
         #: optional bounded ring of recent events (observability aid)
         self._history_cap = history
         self._history: list[JobEvent] = []
-        self._batching = False
-        self._pending: list[JobEvent] = []
+        #: published events not yet delivered (non-empty only mid-drain)
+        self._pending: deque[JobEvent] = deque()
+        self._draining = False
 
     # -- subscription ---------------------------------------------------------
 
@@ -180,9 +162,6 @@ class LifecycleBus:
         job_id: str | None = None,
         kinds: tuple[str, ...] | None = None,
         site: str | None = None,
-        *,
-        batch: Callable[[list[JobEvent]], None] | None = None,
-        coalesce: bool = False,
     ) -> int:
         """Register ``callback`` for events matching the filters;
         returns the handle :meth:`unsubscribe` takes.
@@ -191,19 +170,8 @@ class LifecycleBus:
         numbers its tasks ``mw-task-N``), so a task-transition
         subscription on a bus fed by several sites must also pass
         ``site=`` — a bare ``job_id`` filter would hear every
-        same-numbered task in the federation.
-
-        ``batch`` is an optional ``deliver_batch(events)`` handler: in
-        batched mode the subscriber's whole per-flush stream arrives in
-        one call instead of one call per event (``callback`` remains
-        the synchronous-mode path).  ``coalesce=True`` marks a
-        latest-state-only consumer: superseded same-flush transitions
-        for the same ``(job_id, site, task_id)`` are dropped from its
-        stream (a no-op in synchronous mode)."""
-        sub = _Subscription(
-            next(self._handles), callback, job_id, kinds, site,
-            batch=batch, coalesce=coalesce,
-        )
+        same-numbered task in the federation."""
+        sub = _Subscription(next(self._handles), callback, job_id, kinds, site)
         if job_id is None:
             self._wildcard.append(sub)
         else:
@@ -224,100 +192,40 @@ class LifecycleBus:
     # -- publication ----------------------------------------------------------
 
     def publish(self, event: JobEvent) -> None:
-        """Deliver ``event`` to every matching subscriber, in
-        subscription order (wildcards first, then job-filtered).  In
-        batched mode the event is buffered until the next
-        :meth:`flush` barrier instead."""
+        """Queue ``event`` and deliver it via :meth:`flush` — at once,
+        or after the events ahead of it when a subscriber publishes
+        from inside a running drain."""
         self.published += 1
         if self._history_cap:
             self._history.append(event)
             if len(self._history) > self._history_cap:
                 del self._history[: -self._history_cap]
-        if self._batching:
-            self._pending.append(event)
-            return
-        targets = list(self._wildcard)
-        targets.extend(self._by_job.get(event.job_id, ()))
-        for sub in targets:
-            if not sub.matches(event):
-                continue
-            try:
-                sub.callback(event)
-            except Exception:
-                self.dropped += 1
-
-    # -- batched delivery -----------------------------------------------------
-
-    @property
-    def batching(self) -> bool:
-        return self._batching
-
-    def pending_count(self) -> int:
-        """Events buffered and awaiting the next flush barrier."""
-        return len(self._pending)
-
-    def enable_batching(self) -> None:
-        """Buffer published events until :meth:`flush`."""
-        self._batching = True
-
-    def disable_batching(self) -> None:
-        """Return to synchronous delivery (buffered events flush first)."""
+        self._pending.append(event)
         self.flush()
-        self._batching = False
 
-    def flush(self) -> int:
-        """Deliver every buffered event; returns the count delivered.
-
-        Subscribers may publish during delivery — those events join the
-        same barrier (the loop drains until quiescent), mirroring the
-        reentrancy of synchronous dispatch."""
-        delivered = 0
-        while self._pending:
-            batch, self._pending = self._pending, []
-            delivered += len(batch)
-            self._deliver_batch(batch)
-        if delivered:
-            self.flushes += 1
-        return delivered
-
-    def _deliver_batch(self, batch: list[JobEvent]) -> None:
-        # Per-subscriber streams are each in publish order; wildcards
-        # drain before job-filtered subscribers, matching the per-event
-        # targets order of synchronous publish.
-        for sub in list(self._wildcard):
-            self._dispatch(sub, [e for e in batch if sub.matches(e)])
-        if self._by_job:
-            by_job: dict[str, list[JobEvent]] = {}
-            for event in batch:
-                by_job.setdefault(event.job_id, []).append(event)
-            for job_id, events in by_job.items():
-                for sub in list(self._by_job.get(job_id, ())):
-                    self._dispatch(sub, [e for e in events if sub.matches(e)])
-
-    def _dispatch(self, sub: _Subscription, events: list[JobEvent]) -> None:
-        if not events:
+    def flush(self) -> None:
+        """Drain the pending queue: each event goes to every matching
+        subscriber (wildcards first, then job-filtered, each in
+        subscription order) before the next event is touched.  A no-op
+        inside a running drain, which picks new events up itself."""
+        if self._draining:
             return
-        if sub.coalesce and len(events) > 1:
-            latest: dict[tuple[str, str, str], JobEvent] = {}
-            for event in events:
-                latest[(event.job_id, event.site, event.task_id)] = event
-            if len(latest) < len(events):
-                self.coalesced += len(events) - len(latest)
-                events = [
-                    e for e in events
-                    if latest[(e.job_id, e.site, e.task_id)] is e
-                ]
-        if sub.batch is not None:
-            try:
-                sub.batch(events)
-            except Exception:
-                self.dropped += 1
-            return
-        for event in events:
-            try:
-                sub.callback(event)
-            except Exception:
-                self.dropped += 1
+        self._draining = True
+        pending = self._pending
+        try:
+            while pending:
+                event = pending.popleft()
+                targets = list(self._wildcard)
+                targets.extend(self._by_job.get(event.job_id, ()))
+                for sub in targets:
+                    if not sub.matches(event):
+                        continue
+                    try:
+                        sub.callback(event)
+                    except Exception:
+                        self.dropped += 1
+        finally:
+            self._draining = False
 
     def recent(self) -> list[JobEvent]:
         """The retained event tail (empty unless ``history`` was set)."""

@@ -528,50 +528,29 @@ class MalleableManager:
         return True
 
     def _refresh(self, job: MalleableJob) -> None:
-        """Advance in-flight units from their sites' task states.
-
-        With the broker's lifecycle bus attached this drains only the
-        *pushed* transitions (O(transitions since last tick)); without
-        it, every in-flight unit is polled (O(in-flight))."""
+        """Advance in-flight units from the task transitions their
+        sites pushed since the last tick (O(transitions), not
+        O(in-flight))."""
         now = self.broker.sim.now
         placement = job.placement
-        if self.broker._push:
-            pending = self._unit_events.pop(job.job_id, None) or {}
-            work = [
-                (unit, pending[unit])
-                for unit in sorted(pending)
-                if unit in placement.dispatches
-            ]
-        else:
-            work = [
-                (unit, None) for unit in list(placement.dispatches)
-            ]
-        for unit, pushed in work:
+        pending = self._unit_events.pop(job.job_id, None) or {}
+        work = [
+            (unit, pending[unit])
+            for unit in sorted(pending)
+            if unit in placement.dispatches
+        ]
+        for unit, status in work:
             if job.state is not JobState.PLACED:
                 return  # a prior unit exhausted its retries mid-sweep
             dispatch = placement.dispatches.get(unit)
             if dispatch is None:
                 continue  # dropped by a retire/cancel earlier this sweep
-            if pushed is not None:
-                if pushed.get("task_id") != dispatch.task_id:
-                    continue  # stale: the unit was redispatched since
-                status = pushed
-                result = None
-                if status["state"] == "completed":
-                    try:
-                        result = self._fetch_result(job, dispatch)
-                    except Exception as err:
-                        self._abandon_unit(job, unit, f"query failed: {err}")
-                        continue
-            else:
+            if status.get("task_id") != dispatch.task_id:
+                continue  # stale: the unit was redispatched since
+            result = None
+            if status["state"] == "completed":
                 try:
-                    site = self.broker.registry.site(dispatch.site)
-                    # archlint: disable=no-poll -- legacy fallback for non-push brokers; push-mode sweeps take the pushed branch above (poll-spy tested)
-                    status = site.task_status(job.owner, dispatch.task_id)
-                    if status["state"] == "completed":
-                        result = self._fetch_result(job, dispatch)
-                    else:
-                        result = None
+                    result = self._fetch_result(job, dispatch)
                 except Exception as err:
                     # deregistered site / refused session: lost placement
                     self._abandon_unit(job, unit, f"query failed: {err}")

@@ -156,14 +156,7 @@ class FederationMetrics:
 
     def attach_bus(self, bus) -> None:
         """Derive every counter from the event stream of ``bus``."""
-        bus.subscribe(self._on_event, batch=self.deliver_batch)
-
-    def deliver_batch(self, events) -> None:
-        """Batched-bus delivery: counters and stage-latency histograms
-        fold over *every* transition, so the batch handler replays the
-        stream in publish order — never coalesce this subscriber."""
-        for event in events:
-            self._on_event(event)
+        bus.subscribe(self._on_event)
 
     def _on_event(self, event) -> None:
         kind = event.kind

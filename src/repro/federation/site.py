@@ -172,17 +172,14 @@ class FederatedSite:
     def attach_bus(self, bus) -> None:
         """Publish every task state transition of this site's daemon
         onto ``bus`` (a :class:`~repro.federation.events.LifecycleBus`),
-        tagged with the site name — the push path that lets the broker
-        and resize loop stop polling task status.  Idempotent; a second
-        bus replaces the first."""
-        if self._bus is bus:
-            return
+        tagged with the site name — the only way the broker and the
+        resize loop learn task state.  Idempotent; a second bus replaces
+        the first."""
+        if self._bus is None:
+            self.daemon.queue.add_transition_listener(self._publish_transition)
         self._bus = bus
-        self.daemon.queue.add_transition_listener(self._publish_transition)
 
     def _publish_transition(self, task, old, new) -> None:
-        if self._bus is None:
-            return
         from .events import publish_task_transition
 
         publish_task_transition(self._bus, self.daemon.now, self.name, task, new)
@@ -200,12 +197,6 @@ class FederatedSite:
         )
         task = self.daemon.submit_task(token, program, resource, shots=shots)
         return task.task_id
-
-    def task_status(self, owner: str, task_id: str) -> dict[str, Any]:
-        token = ensure_session(
-            self.daemon, self._sessions, f"fed:{owner}", self.priority_class
-        )
-        return self.daemon.task_status(token, task_id)
 
     def task_result(self, owner: str, task_id: str) -> Any:
         token = ensure_session(

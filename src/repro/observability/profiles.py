@@ -135,14 +135,7 @@ class ProfileStore:
     def attach_bus(self, bus: Any) -> None:
         """Subscribe to a federation lifecycle bus (idempotent per
         store-and-bus pair is not tracked — subscribe once)."""
-        bus.subscribe(self._on_event, batch=self.deliver_batch)
-
-    def deliver_batch(self, events: list[Any]) -> None:
-        """Batched-bus delivery: EWMA phase estimates fold over every
-        observation, so the whole per-flush stream replays in publish
-        order — never coalesce this subscriber."""
-        for event in events:
-            self._on_event(event)
+        bus.subscribe(self._on_event)
 
     def _on_event(self, event: Any) -> None:
         kind = event.kind

@@ -128,13 +128,7 @@ class SLOTracker:
                 )
 
     def attach_bus(self, bus: Any) -> None:
-        bus.subscribe(self._on_event, batch=self.deliver_batch)
-
-    def deliver_batch(self, events: list[Any]) -> None:
-        """Batched-bus delivery: burn-rate windows classify every
-        stage-latency sample, so the stream replays in publish order."""
-        for event in events:
-            self._on_event(event)
+        bus.subscribe(self._on_event)
 
     def _on_event(self, event: Any) -> None:
         kind = event.kind

@@ -352,13 +352,7 @@ class Tracer:
         if any(existing is bus for existing in self._attached_buses):
             return
         self._attached_buses.append(bus)
-        bus.subscribe(self._on_event, batch=self.deliver_batch)
-
-    def deliver_batch(self, events: list[Any]) -> None:
-        """Batched-bus delivery: span open/close pairs need every
-        transition, in publish order — never coalesce this subscriber."""
-        for event in events:
-            self._on_event(event)
+        bus.subscribe(self._on_event)
 
     def _on_event(self, event: Any) -> None:
         kind = event.kind

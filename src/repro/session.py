@@ -18,10 +18,10 @@ qualified ``site/resource`` target) goes to the federation; a plain
 spec goes to the local daemon when one is wired, else the federation,
 else the cloud gateway.  ``backend=`` overrides.
 
-With :meth:`Session.attach_events` the session joins the push-based
-lifecycle plane: every backend's state transitions land on one
-:class:`~repro.federation.events.LifecycleBus`, ``JobHandle.wait()``
-wakes on the pushed terminal event instead of polling status, and
+A session joins the push-based lifecycle plane when it is built: every
+backend's state transitions land on one
+:class:`~repro.federation.events.LifecycleBus` (:attr:`Session.events`),
+``JobHandle.wait()`` wakes on the pushed terminal event, and
 ``JobHandle.on(...)`` delivers per-job callbacks.
 
 With :meth:`Session.attach_tracer` each submission additionally opens
@@ -47,7 +47,7 @@ from .federation.events import (
 )
 from .runtime.backend_select import select_resource, spec_request
 from .runtime.results import RunResult
-from .simkernel import Event, Timeout
+from .simkernel import Event
 from .spec import JobSpec
 
 __all__ = ["JobHandle", "Session"]
@@ -106,35 +106,24 @@ class JobHandle:
         return TERMINAL_TASK_KINDS
 
     def on(self, callback, kinds: tuple[str, ...] | None = None) -> int:
-        """Subscribe ``callback(event)`` to this job's lifecycle events
-        (requires :meth:`Session.attach_events`); returns the handle for
-        ``session.events.unsubscribe``."""
-        bus = self._session.events
-        if bus is None:
-            raise DaemonError(
-                "no lifecycle bus: call Session.attach_events() first"
-            )
+        """Subscribe ``callback(event)`` to this job's lifecycle events;
+        returns the handle for ``session.events.unsubscribe``."""
         job_id, site = self._event_filter()
-        return bus.subscribe(callback, job_id=job_id, kinds=kinds, site=site)
+        return self._session.events.subscribe(
+            callback, job_id=job_id, kinds=kinds, site=site
+        )
 
     def wait(self, poll_interval: float = 5.0):
         """Generator form: yield it from a simulated process; returns
         the :class:`~repro.runtime.results.RunResult`.
 
-        Without a lifecycle bus this polls status every
-        ``poll_interval`` simulated seconds.  With one
-        (:meth:`Session.attach_events`), it sleeps until the backend
-        *pushes* the terminal transition — ``poll_interval`` degrades
-        into a liveness heartbeat that keeps the simulation loop fed.
+        It sleeps until the backend *pushes* the terminal transition;
+        ``poll_interval`` is only a liveness heartbeat that keeps the
+        simulation loop fed.
         """
         bus = self._session.events
-        while True:
-            if self.status()["state"] in ("completed", "failed", "cancelled"):
-                break
-            if bus is None:
-                yield Timeout(poll_interval)
-            else:
-                yield self._armed_wake(bus, poll_interval)
+        while self.status()["state"] not in ("completed", "failed", "cancelled"):
+            yield self._armed_wake(bus, poll_interval)
         return self.result()
 
     def _armed_wake(self, bus: LifecycleBus, heartbeat: float) -> Event:
@@ -155,13 +144,7 @@ class JobHandle:
 
         job_id, site = self._event_filter()
         handle.append(
-            # latest-state-only consumer: the wake fires on the job's
-            # terminal transition, so superseded same-tick transitions
-            # may be coalesced away under batched delivery
-            bus.subscribe(
-                fire, job_id=job_id, kinds=self._terminal_kinds(), site=site,
-                coalesce=True,
-            )
+            bus.subscribe(fire, job_id=job_id, kinds=self._terminal_kinds(), site=site)
         )
         # the heartbeat pop also retires the subscription so abandoned
         # waiters don't accumulate on the bus
@@ -197,7 +180,6 @@ class Session:
         self.cloud = cloud
         self.cloud_api_key = cloud_api_key
         self.user = user
-        self.events: LifecycleBus | None = None
         self.tracer = None
         self._daemon_client = None
         self._fed_client = None
@@ -214,6 +196,19 @@ class Session:
             and cloud.daemon.queue is daemon.queue
         ):
             self._site_labels["cloud"] = "local"
+        #: the one lifecycle bus: the broker's when there is a
+        #: federation (keeping every publisher on one plane), else a
+        #: fresh one; the local daemon's and cloud gateway's task
+        #: transitions join it here
+        self.events: LifecycleBus = (
+            federation.events if federation is not None else LifecycleBus()
+        )
+        for queue_daemon, backend in self._queue_daemons():
+            queue_daemon.queue.add_transition_listener(
+                self._queue_publisher(
+                    queue_daemon, self._site_label(backend), self.events
+                )
+            )
 
     def _site_label(self, backend: str) -> str:
         return self._site_labels[backend]
@@ -229,35 +224,26 @@ class Session:
             return self.daemon.sim
         return self.cloud.daemon.sim
 
-    def attach_events(self, bus: LifecycleBus | None = None) -> LifecycleBus:
-        """Join the push-based lifecycle plane: one bus carries the
-        federation's job events plus the local daemon's and cloud
-        gateway's task transitions.  Idempotent; returns the bus."""
-        if self.events is not None:
-            return self.events
-        if self.federation is not None:
-            # the broker owns an always-on bus; joining it instead of
-            # minting a fresh one keeps every publisher on one plane
-            bus = self.federation.attach_events(bus)
-        elif bus is None:
-            bus = LifecycleBus()
-        seen: list = []
+    def _queue_daemons(self) -> list[tuple[Any, str]]:
+        """(daemon, backend) per distinct middleware queue behind this
+        session — one shared daemon must not publish or be traced twice."""
+        out: list[tuple[Any, str]] = []
         for daemon, backend in (
             (self.daemon, "daemon"),
             (self.cloud.daemon if self.cloud is not None else None, "cloud"),
         ):
-            if daemon is None or any(daemon.queue is q for q in seen):
-                continue  # one shared daemon must not publish twice
-            seen.append(daemon.queue)
-            daemon.queue.add_transition_listener(
-                self._queue_publisher(daemon, self._site_label(backend), bus)
-            )
-        self.events = bus
-        return bus
+            if daemon is not None and not any(daemon.queue is d.queue for d, _ in out):
+                out.append((daemon, backend))
+        return out
+
+    def attach_events(self) -> LifecycleBus:
+        """The session's lifecycle bus (:attr:`events`), which every
+        backend publishes onto from construction on."""
+        return self.events
 
     def attach_tracer(self, tracer=None):
-        """Join the tracing plane (implies :meth:`attach_events`): wire
-        a :class:`~repro.observability.tracing.Tracer` into the bus,
+        """Join the tracing plane: wire a
+        :class:`~repro.observability.tracing.Tracer` into the bus,
         the federation broker, and every local daemon scheduler, so
         each submission from here on yields a complete span tree.
         Idempotent; returns the tracer."""
@@ -266,18 +252,10 @@ class Session:
         from .observability.tracing import Tracer, instrument_scheduler
 
         tracer = tracer if tracer is not None else Tracer()
-        bus = self.attach_events()
-        tracer.attach_bus(bus)
+        tracer.attach_bus(self.events)
         if self.federation is not None:
             self.federation.attach_tracer(tracer)
-        seen: list = []
-        for daemon, backend in (
-            (self.daemon, "daemon"),
-            (self.cloud.daemon if self.cloud is not None else None, "cloud"),
-        ):
-            if daemon is None or any(daemon.queue is q for q in seen):
-                continue
-            seen.append(daemon.queue)
+        for daemon, backend in self._queue_daemons():
             instrument_scheduler(
                 daemon.scheduler, tracer, self._site_label(backend)
             )

@@ -223,15 +223,6 @@ class Simulator:
         self._processes: list[Process] = []
         self._profile: dict[str, float] | None = None
         self._scope_profiler = None
-        self._flush_hooks: list[Callable[[], None]] = []
-
-    def add_flush_hook(self, hook: Callable[[], None]) -> None:
-        """Register a callable invoked after each dispatched timestamp
-        batch (and after every single :meth:`step`).  The batched
-        :class:`~repro.federation.events.LifecycleBus` uses this as its
-        end-of-tick flush barrier."""
-        if hook not in self._flush_hooks:
-            self._flush_hooks.append(hook)
 
     def enable_scope_profiling(self, profiler) -> None:
         """Wrap every event dispatch in a ``sim.step`` profiler scope so
@@ -331,8 +322,6 @@ class Simulator:
         if not event.triggered:
             event.trigger(None)
         event.run_callbacks()
-        for hook in self._flush_hooks:
-            hook()
         if sprof is not None:
             sprof.pop()
         if profile is not None:
@@ -396,8 +385,6 @@ class Simulator:
         finally:
             if i < n:
                 events.requeue(batch[i:])
-            for hook in self._flush_hooks:
-                hook()
             if sprof is not None:
                 sprof.pop()
             if profile is not None:

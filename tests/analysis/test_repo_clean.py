@@ -37,10 +37,9 @@ class TestTreeClean:
         assert len(report.rule_ids) == 7
 
     def test_suppressions_stay_rare_and_known(self, report):
-        # the two legacy non-push poll fallbacks are the only sanctioned
-        # suppressions; a third is a conversation, not a habit
-        assert len(report.suppressed) <= 2
-        assert all(f.rule == "no-poll" for f in report.suppressed)
+        # the tree carries no suppression at all; the first one is a
+        # conversation, not a habit
+        assert report.suppressed == []
 
 
 class TestBaselineGrowthForbidden:

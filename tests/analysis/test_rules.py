@@ -116,6 +116,22 @@ class TestNoPoll:
         )
         assert len(rules_of(report, "no-poll")) == 1
 
+    def test_bad_poll_anywhere_in_federation(self, lint):
+        report = lint(
+            {
+                "repro/federation/site.py": """
+                    def status(self, token, task_id):
+                        return self.daemon.task_status(token, task_id)
+                """,
+                "repro/federation/client.py": """
+                    def status(self, site, task_id):
+                        return site.task_status("owner", task_id)
+                """,
+            },
+            [NoPollRule()],
+        )
+        assert len(rules_of(report, "no-poll")) == 2
+
     def test_good_push_consumption(self, lint):
         report = lint(
             {
@@ -123,7 +139,7 @@ class TestNoPoll:
                     def refresh(self):
                         return self._drain_pushed()
                 """,
-                # same call outside the reconcile-path modules is fine
+                # same call outside federation/ is fine
                 "repro/daemon/client.py": """
                     def check(self, site, task_id):
                         return site.task_status("owner", task_id)

@@ -1,22 +1,10 @@
-"""LifecycleBus: push-based task tracking replaces status polling."""
+"""LifecycleBus: push-based task tracking and its one delivery contract."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedutil import build_federation, make_program
-
 from repro.federation.events import JobEvent, LifecycleBus
-
-
-def spy_task_status(sites):
-    """Wrap every site's task_status with a call counter."""
-    counts = {name: 0 for name in sites}
-    for name, site in sites.items():
-        original = site.task_status
-
-        def counted(owner, task_id, _name=name, _orig=original):
-            counts[_name] += 1
-            return _orig(owner, task_id)
-
-        site.task_status = counted
-    return counts
 
 
 class TestBusUnit:
@@ -44,7 +32,7 @@ class TestBusUnit:
         assert len(seen) == 4
         assert bus.published == 4
 
-    def test_subscriber_exceptions_are_isolated(self):
+    def test_subscriber_exceptions_are_isolated(self, bus_drops):
         bus = LifecycleBus()
         seen = []
 
@@ -56,6 +44,7 @@ class TestBusUnit:
         bus.publish(self._event())
         assert seen == ["completed"]
         assert bus.dropped == 1
+        bus_drops(bus, 1)
 
     def test_history_ring(self):
         bus = LifecycleBus(history=2)
@@ -67,7 +56,7 @@ class TestBusUnit:
 class TestSitePublishing:
     def test_task_transitions_flow_onto_bus(self):
         sim, registry, broker, sites = build_federation(n_sites=2)
-        bus = broker.attach_events()
+        bus = broker.events
         kinds = []
         bus.subscribe(lambda ev: kinds.append((ev.site, ev.kind)))
         job_id = broker.submit(make_program(shots=30), shots=30)
@@ -82,7 +71,7 @@ class TestSitePublishing:
 
     def test_broker_job_lifecycle_events(self):
         sim, registry, broker, sites = build_federation(n_sites=2)
-        bus = broker.attach_events()
+        bus = broker.events
         seen = []
         job_id = broker.submit(make_program(shots=30), shots=30)
         bus.subscribe(lambda ev: seen.append(ev.kind), job_id=job_id)
@@ -93,9 +82,10 @@ class TestSitePublishing:
         from repro.federation import FederatedSite
 
         sim, registry, broker, sites = build_federation(n_sites=1)
-        bus = broker.attach_events()
-        assert broker.attach_events() is bus
-        # a site registered after attach publishes too
+        bus = broker.events
+        # re-attaching a site to the same bus must not double-publish
+        sites["site-0"].attach_bus(bus)
+        # a site registered after the broker was built publishes too
         from repro.daemon import MiddlewareDaemon
         from repro.qpu import QPUDevice, ShotClock
         from repro.qrmi import OnPremQPUResource
@@ -112,68 +102,19 @@ class TestSitePublishing:
         late = FederatedSite("late-site", daemon, max_queue_depth=4)
         registry.register(late, now=sim.now)
         seen = []
-        bus.subscribe(lambda ev: seen.append(ev.site))
+        bus.subscribe(lambda ev: seen.append((ev.site, ev.kind)))
         broker.submit(make_program(shots=10), shots=10, pin="late-site/onprem")
+        broker.submit(make_program(shots=10), shots=10, pin="site-0/onprem")
         sim.run(until=120.0)
-        assert "late-site" in seen
+        assert ("late-site", "completed") in seen
+        assert seen.count(("site-0", "queued")) == 1
 
 
 class TestPushReplacesPolling:
-    def test_fixed_jobs_never_poll_with_bus_attached(self):
-        sim, registry, broker, sites = build_federation(n_sites=2)
-        broker.attach_events()
-        counts = spy_task_status(sites)
-        job_id = broker.submit(make_program(shots=40), shots=40)
-        sim.run(until=300.0)
-        assert broker.status(job_id)["state"] == "completed"
-        assert broker.result(job_id) is not None
-        assert sum(counts.values()) == 0
-
-    def test_malleable_refresh_never_polls_with_bus_attached(self):
-        """The acceptance spy: with the event bus attached, the resize
-        loop's _refresh consumes pushed transitions — zero per-unit
-        task_status polls across the whole job."""
-        sim, registry, broker, sites = build_federation(n_sites=3)
-        broker.attach_events()
-        counts = spy_task_status(sites)
-        job_id = broker.submit_malleable(
-            make_program(shots=20), 9, shots=20
-        )
-        sim.run(until=1200.0)
-        status = broker.malleable_status(job_id)
-        assert status["state"] == "completed"
-        assert status["completed_units"] == 9
-        assert sum(counts.values()) == 0
-
-    def test_polling_baseline_proves_the_spy_works(self):
-        sim, registry, broker, sites = build_federation(n_sites=3)
-        counts = spy_task_status(sites)  # no bus: the old polling path
-        job_id = broker.submit_malleable(make_program(shots=20), 9, shots=20)
-        sim.run(until=1200.0)
-        assert broker.malleable_status(job_id)["state"] == "completed"
-        assert sum(counts.values()) > 0
-
-    def test_push_and_poll_reach_identical_outcomes(self):
-        def outcome(attach):
-            sim, registry, broker, sites = build_federation(n_sites=3)
-            if attach:
-                broker.attach_events()
-            fixed = [
-                broker.submit(make_program(shots=30), shots=30) for _ in range(4)
-            ]
-            malleable = broker.submit_malleable(make_program(shots=20), 8, shots=20)
-            sim.run(until=1200.0)
-            states = [broker.status(j)["state"] for j in fixed]
-            mstatus = broker.malleable_status(malleable)
-            return states, mstatus["state"], mstatus["completions_by_site"]
-
-        assert outcome(attach=False) == outcome(attach=True)
-
     def test_failover_still_works_under_push(self):
         sim, registry, broker, sites = build_federation(
             n_sites=2, heartbeat_expiry=40.0
         )
-        broker.attach_events()
         # saturate nothing; kill the site the job lands on mid-flight
         job_id = broker.submit(make_program(shots=400), shots=400)
         first_site = broker.job(job_id).current.site
@@ -183,3 +124,93 @@ class TestPushReplacesPolling:
         job = broker.job(job_id)
         assert job.state.value == "completed"
         assert job.current.site != first_site
+
+
+class TestDeliveryOrder:
+    def test_reentrant_publish_is_delivered_in_publish_order(self):
+        """A subscriber publishing while it handles e1 must not let its
+        e2 overtake e1 at a later subscriber: B hears [e1, e2]."""
+        bus = LifecycleBus()
+        e1 = JobEvent(time=0.0, kind="queued", job_id="j")
+        e2 = JobEvent(time=0.0, kind="running", job_id="j")
+        seen_by_b = []
+
+        def a(event):
+            if event is e1:
+                bus.publish(e2)
+
+        bus.subscribe(a)
+        bus.subscribe(seen_by_b.append)
+        bus.publish(e1)
+        assert seen_by_b == [e1, e2]
+
+
+_events = st.lists(
+    st.builds(
+        JobEvent,
+        time=st.just(0.0),
+        kind=st.sampled_from(("queued", "running", "completed", "job_placed")),
+        job_id=st.sampled_from(("job-a", "job-b", "job-c")),
+        site=st.sampled_from(("", "site-0", "site-1")),
+        task_id=st.sampled_from(("", "t-1", "t-2")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+#: the four subscriber filter classes
+_FILTERS = {
+    "wildcard": {},
+    "by_job": {"job_id": "job-a"},
+    "by_kind": {"kinds": ("completed", "job_placed")},
+    "by_site": {"job_id": "job-b", "site": "site-0"},
+}
+
+
+def _matches(event, job_id=None, kinds=None, site=None):
+    return (
+        (job_id is None or event.job_id == job_id)
+        and (kinds is None or event.kind in kinds)
+        and (site is None or event.site == site)
+    )
+
+
+@settings(max_examples=150)
+@given(_events, st.sampled_from(sorted(_FILTERS)))
+def test_every_subscriber_hears_its_events_in_global_publish_order(
+    events, echo_after
+):
+    """Random events, the four filter classes, and one re-entrant
+    publisher that answers each ``queued`` with a ``running`` for the
+    same task: every subscriber receives exactly its matching events,
+    in global publish order."""
+    bus = LifecycleBus()
+    published: list[JobEvent] = []
+    received = {name: [] for name in _FILTERS}
+
+    def echo(event):
+        if event.kind == "queued":
+            publish(
+                JobEvent(
+                    time=event.time, kind="running", job_id=event.job_id,
+                    site=event.site, task_id=event.task_id,
+                )
+            )
+
+    def publish(event):
+        published.append(event)
+        bus.publish(event)
+
+    # the echo sits between subscribers, so some hear each event
+    # before it publishes and some after
+    for name in sorted(_FILTERS):
+        bus.subscribe(received[name].append, **_FILTERS[name])
+        if name == echo_after:
+            bus.subscribe(echo)
+    for event in events:
+        publish(event)
+
+    assert bus.published == len(published)
+    for name, filters in _FILTERS.items():
+        expected = [e for e in published if _matches(e, **filters)]
+        assert [id(e) for e in received[name]] == [id(e) for e in expected], name

@@ -42,7 +42,7 @@ class TestFixedToMalleableConversion:
     def test_saturated_federation_converts_fixed_spec(self):
         sim, broker, sites = self._build()
         events = []
-        broker.attach_events().subscribe(
+        broker.events.subscribe(
             lambda ev: events.append(ev), kinds=("job_converted",)
         )
         _saturate(broker, sites, per_site=2)
@@ -137,7 +137,7 @@ class TestAgreementElasticArbitration:
         same 3:1 weighted split the central arbiter would grant."""
         sim, broker, _ = self._build()
         agreed = []
-        broker.attach_events().subscribe(
+        broker.events.subscribe(
             lambda ev: agreed.append(ev), kinds=("slots_agreed",)
         )
         a = broker.submit_spec(self._elastic_spec("alpha"))

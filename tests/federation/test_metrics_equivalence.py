@@ -5,7 +5,7 @@ counter now derives from the :class:`~repro.federation.events.LifecycleBus`
 stream.  These tests re-derive each counter independently from the
 broker's own job records — placements lists, terminal states, share
 ledgers — on a mixed trace (fixed jobs, failover, a malleable job,
-eviction) and require exact agreement, in both poll and push mode.
+eviction) and require exact agreement.
 """
 
 from fedutil import build_federation, make_program
@@ -14,14 +14,12 @@ from repro.accounting import FederationAccounting
 from repro.federation.broker import JobState
 
 
-def run_mixed_trace(push: bool):
+def run_mixed_trace():
     """Fixed jobs + a malleable job + one site outage + eviction, on a
     3-site federation; returns (broker, fixed_ids, malleable_id,
     evicted_count)."""
     sim, registry, broker, sites = build_federation(n_sites=3, seed=7)
     broker.accounting = FederationAccounting()  # unbudgeted -> admit
-    if push:
-        broker.attach_events()
     fixed = [
         broker.submit_spec(make_spec(shots=120 + 40 * i)) for i in range(4)
     ]
@@ -45,8 +43,8 @@ def make_spec(shots=100, **kwargs):
 
 
 class TestCounterEquivalence:
-    def check(self, push: bool):
-        broker, fixed, mjob, evicted = run_mixed_trace(push)
+    def test_push_mode(self):
+        broker, fixed, mjob, evicted = run_mixed_trace()
         metrics = broker.metrics
         assert all(j.state is JobState.COMPLETED for j in fixed)
         assert mjob.state is JobState.COMPLETED
@@ -111,32 +109,12 @@ class TestCounterEquivalence:
         assert evicted == 5
         assert metrics.evictions.value() == evicted
 
-    def test_poll_mode(self):
-        """Without attach_events the sites are silent, but the broker's
-        own publishes still drive every job-level counter."""
-        self.check(push=False)
-
-    def test_push_mode(self):
-        self.check(push=True)
-
     def test_push_mode_populates_stage_latency(self):
-        broker, *_ = run_mixed_trace(push=True)
+        broker, *_ = run_mixed_trace()
         flat = broker.metrics.registry.snapshot()
         for stage in ("queue-wait", "execute", "job"):
             key = f"federation_stage_latency_seconds_count{{stage={stage}}}"
             assert flat[key] > 0, stage
-
-    def test_poll_mode_has_no_task_stage_latency(self):
-        broker, *_ = run_mixed_trace(push=False)
-        histogram = broker.metrics.stage_latency
-        samples = {
-            labels["stage"]
-            for suffix, labels, _ in histogram.samples()
-            if suffix == "_count"
-        }
-        # job-level latency flows from broker publishes either way;
-        # task stages need the sites on the bus
-        assert samples == {"job"}
 
 
 class TestSnapshotCacheCounter:

@@ -153,13 +153,3 @@ def test_step_batch_skips_entries_cancelled_mid_batch():
     sim.run()
     assert log == ["assassin"]
     assert len(sim.events) == 0
-
-
-def test_step_batch_fires_flush_hooks_once_per_timestamp():
-    sim = Simulator()
-    flushes = []
-    sim.add_flush_hook(lambda: flushes.append(sim.now))
-    for t in (1.0, 1.0, 1.0, 2.0, 2.0, 3.0):
-        sim.call_at(t, lambda: None)
-    sim.run()
-    assert flushes == [1.0, 2.0, 3.0]

@@ -201,12 +201,18 @@ class TestPushWait:
         assert handle.done()
         assert "job_completed" in seen
 
-    def test_on_requires_bus(self):
+    def test_on_needs_no_attach_events(self):
+        """A session joins its bus at construction: handles subscribe
+        without any opt-in call."""
         sim, daemon, broker, gateway, key = build_three_backends()
         session = Session(federation=broker)
+        assert session.events is broker.events
+        assert session.attach_events() is session.events
         handle = session.submit(JobSpec(program=make_program()))
-        with pytest.raises(DaemonError, match="attach_events"):
-            handle.on(lambda ev: None)
+        seen = []
+        handle.on(lambda ev: seen.append(ev.kind), kinds=("job_completed",))
+        sim.run(until=300.0)
+        assert seen == ["job_completed"]
 
     def test_task_id_collisions_across_daemons_stay_separated(self):
         """Every daemon numbers tasks mw-task-N; a handle's
