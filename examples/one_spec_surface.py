@@ -86,7 +86,7 @@ bus.subscribe(
 
 for backend in ("daemon", "federation", "cloud"):
     handle = session.submit(spec, backend=backend)
-    result = sim.run_until_process(sim.spawn(handle.wait(poll_interval=600.0)))
+    result = sim.run_until_process(sim.spawn(handle.wait()))
     print(f"[{backend:10s}] job={handle.job_id:12s} backend={result.backend:8s} "
           f"shots={result.shots} counts={dict(sorted(result.counts.items()))}")
 

@@ -63,7 +63,7 @@ elastic = session.submit(
             iterations=4, sites=("alpine", "fjord"))
 )
 for handle in (fixed, elastic):
-    sim.run_until_process(sim.spawn(handle.wait(poll_interval=600.0)))
+    sim.run_until_process(sim.spawn(handle.wait()))
 
 # --- the span tree, by job id ------------------------------------------------
 root = tracer.job_root(fixed.job_id)

@@ -1,11 +1,12 @@
-"""no-poll: the federation learns task state only from the bus.
+"""no-poll: task state is pushed, once per queue, and never polled.
 
-Sites publish every task transition onto the
-:class:`~repro.federation.events.LifecycleBus` and the broker and the
-malleable resize loop consume what was pushed.  A ``task_status`` call
-anywhere under ``federation/`` would bring back a second tracking path:
-O(live placements) daemon round trips per tick that can disagree with
-the pushed stream.  There is no sanctioned exception.
+Each daemon publishes its queue's transitions onto the
+:class:`~repro.federation.events.LifecycleBus`; the broker, the resize
+loop, and every session consume what was pushed.  A ``task_status``
+call anywhere under ``federation/`` would bring back polling (daemon
+round trips per tick that can disagree with the pushed stream), and an
+``add_transition_listener`` call outside ``daemon/`` a second publisher
+of the same queue.  There is no sanctioned exception.
 """
 
 from __future__ import annotations
@@ -18,25 +19,35 @@ __all__ = ["NoPollRule"]
 
 #: the package where a task_status call means polling
 POLL_SCOPED_DIR = "federation/"
+#: the package that owns a queue's one transition publisher
+PUBLISHER_DIR = "daemon/"
 
 
 class NoPollRule(Rule):
     id = "no-poll"
     description = (
-        "federation code consumes pushed lifecycle events — task_status "
-        "polling is banned in every federation/ module"
+        "lifecycle state is pushed once per queue — task_status polling "
+        "in federation/ and queue transition listeners outside daemon/ "
+        "are banned"
     )
     interests = (ast.Call,)
 
     def visit(self, ctx: FileContext, node: ast.AST) -> None:
-        if not ctx.arch_path.startswith(POLL_SCOPED_DIR):
-            return
         assert isinstance(node, ast.Call)
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "task_status":
+        if not isinstance(func, ast.Attribute):
+            return
+        if func.attr == "task_status" and ctx.arch_path.startswith(POLL_SCOPED_DIR):
             self.emit(
                 ctx,
                 node,
                 "task_status poll in federation code — task transitions "
                 "arrive on the LifecycleBus (FederationBroker.events)",
+            )
+        elif func.attr == "add_transition_listener" and not ctx.arch_path.startswith(PUBLISHER_DIR):
+            self.emit(
+                ctx,
+                node,
+                "queue transition listener outside daemon/ — a second publisher; "
+                "subscribe to MiddlewareDaemon.events or move it with attach_bus",
             )

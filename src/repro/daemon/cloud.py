@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import AuthError, DaemonError
+from ..errors import AuthError, DaemonError, SessionError
 from .queue import PriorityClass
 from .service import MiddlewareDaemon
 
@@ -54,7 +54,7 @@ def ensure_session(
         try:
             daemon.resolve_session(token)
             return token
-        except Exception:
+        except SessionError:
             pass  # expired: open a fresh one
     session = daemon.create_session(owner, priority_class)
     cache[owner] = session.token

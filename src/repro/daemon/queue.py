@@ -154,23 +154,17 @@ class MiddlewareQueue:
         # state transition: scheduling algorithms read the eligible set
         # per selection, which must not scan the terminal-task table
         self._queued: dict[str, QueuedTask] = {}
-        # push-based lifecycle: external observers (federated sites,
-        # session facades) register here and hear every task state
-        # transition at the simulated instant it happens — the hook
-        # that replaces status polling
+        # push-based lifecycle: the owning daemon registers here (its
+        # profile store and its one lifecycle-bus publisher) and hears
+        # every task state transition at the simulated instant it
+        # happens — the hook that replaces status polling
         self._transition_listeners: list = []
 
     def add_transition_listener(self, callback) -> None:
         """Register ``callback(task, old_state, new_state)`` for every
         task state transition (including the initial ``None -> QUEUED``
-        at submit).  Idempotent per callback object."""
-        if callback not in self._transition_listeners:
-            self._transition_listeners.append(callback)
-
-    def remove_transition_listener(self, callback) -> None:
-        self._transition_listeners = [
-            cb for cb in self._transition_listeners if cb != callback
-        ]
+        at submit)."""
+        self._transition_listeners.append(callback)
 
     def _on_task_state(
         self, task: QueuedTask, old: TaskState | None, new: TaskState

@@ -101,6 +101,22 @@ class MiddlewareDaemon:
         #: (served raw by ``GET /profiles``)
         self.profiles = ProfileStore()
         self.queue.add_transition_listener(self.profiles.queue_listener())
+        # deferred: repro.federation imports this package at import time
+        from ..federation.events import LifecycleBus, publish_task_transition
+
+        #: the bus this daemon's queue publishes onto (see
+        #: :meth:`attach_bus`), the site label its events carry, and the
+        #: bus it was built with
+        self.events = self.home_events = LifecycleBus()
+        self.site = "local"
+        self.events.publishers[self.site] = self
+
+        def publish(task: QueuedTask, old: TaskState | None, new: TaskState) -> None:
+            now = self.sim.now
+            self.sessions.task_transition(task.session_id, old, new, now)
+            publish_task_transition(self.events, now, self.site, task, new)
+
+        self.queue.add_transition_listener(publish)
         #: optional :class:`~repro.observability.slo.SLOTracker` — when a
         #: deployment declares objectives (``daemon.slo = SLOTracker(...)``),
         #: its burn rates render in ``/metrics``
@@ -126,6 +142,19 @@ class MiddlewareDaemon:
         self.scraper.start()
         self.admin_ops = AdminOperations(self)
         self.admin_token = self.tokens.issue("site-admin", Role.ADMIN)
+
+    # -- lifecycle events -------------------------------------------------------
+
+    def attach_bus(self, bus, site: str) -> None:
+        """Publish this daemon's task transitions once, onto ``bus``
+        instead of its current bus, labelled ``site``.  Idempotent.
+        Every daemon numbers its tasks ``mw-task-N``, so a label another
+        daemon already publishes under on ``bus`` is refused."""
+        if bus.publishers.setdefault(site, self) is not self:
+            raise DaemonError(f"site label {site!r} is taken on this lifecycle bus")
+        if (bus, site) != (self.events, self.site):
+            del self.events.publishers[self.site]
+        self.events, self.site = bus, site
 
     # -- time -----------------------------------------------------------------
 

@@ -4,7 +4,8 @@ Paper §3.3: "As the user part of the runtime environment connects to
 the middleware, a unique session is created, and a session token is
 returned."  Sessions carry the user identity, the priority class
 (defaulting from the Slurm partition the job runs in), and the task
-ids submitted through them.  Idle sessions expire.
+ids submitted through them.  Idle sessions expire; a session that owns
+a queued or running task is never idle.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from dataclasses import dataclass, field
 
 from ..errors import SessionError
 from .auth import Role, TokenStore
-from .queue import PriorityClass
+from .queue import PriorityClass, TaskState
 
 __all__ = ["Session", "SessionManager"]
+
+#: task states that keep their owning session from going idle
+_LIVE_TASK_STATES = (TaskState.QUEUED, TaskState.RUNNING, TaskState.PREEMPTED)
 
 
 @dataclass
@@ -26,10 +30,17 @@ class Session:
     token: str
     priority_class: PriorityClass
     created_at: float
+    #: the later of the last request and the last transition of a task
+    #: submitted through this session — idle time counts from here
     last_active_at: float
     slurm_job_id: int | None = None
     task_ids: list[str] = field(default_factory=list)
     closed: bool = False
+    #: tasks of this session still queued or running
+    live_tasks: int = 0
+
+    def idle(self, now: float, timeout: float) -> bool:
+        return self.live_tasks == 0 and now - self.last_active_at > timeout
 
 
 class SessionManager:
@@ -73,7 +84,7 @@ class SessionManager:
         session = self._sessions[self._by_token[token]]
         if session.closed:
             raise SessionError(f"session {session.session_id} is closed")
-        if now - session.last_active_at > self.idle_timeout:
+        if session.idle(now, self.idle_timeout):
             self.close(session.session_id)
             raise SessionError(f"session {session.session_id} expired")
         session.last_active_at = now
@@ -96,11 +107,19 @@ class SessionManager:
         expired = [
             s.session_id
             for s in self._sessions.values()
-            if not s.closed and now - s.last_active_at > self.idle_timeout
+            if not s.closed and s.idle(now, self.idle_timeout)
         ]
         for session_id in expired:
             self.close(session_id)
         return expired
+
+    def task_transition(self, session_id: str, old: TaskState | None, new: TaskState, now: float) -> None:
+        """Account one task transition to its owning session."""
+        session = self._sessions.get(session_id)
+        if session is None:
+            return
+        session.live_tasks += (new in _LIVE_TASK_STATES) - (old in _LIVE_TASK_STATES)
+        session.last_active_at = max(session.last_active_at, now)
 
     def active(self) -> list[Session]:
         return [s for s in self._sessions.values() if not s.closed]

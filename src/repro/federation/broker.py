@@ -4,7 +4,8 @@ Lifts the paper's second-level-scheduling idea one level up: where the
 daemon schedules *tasks within a site*, the broker schedules *jobs
 across sites*.  A submitted job gets a federation-stable ID, is placed
 on a site chosen by the active routing policy, and is tracked until its
-result is fetched.  Placement respects:
+result is fetched, at the instant the site pushes the task's terminal
+transition.  Placement respects:
 
 * **health** — only sites with fresh heartbeats are candidates,
 * **capability** — the site must export a resource that can take the
@@ -197,9 +198,6 @@ class FederationBroker:
         #: maintained by _place/_abandon/_fail/completion so pushed site
         #: events resolve to the owning job without a scan
         self._task_to_job: dict[tuple[str, str], str] = {}
-        #: pushed-but-unprocessed terminal task payloads, drained by the
-        #: event-driven _refresh; one entry max per live placement
-        self._pushed_tasks: dict[tuple[str, str], dict] = {}
         #: terminal records dropped by :meth:`evict_terminal`
         self._evicted = 0
         #: summary of the last reconcile sweep — ``jobs_scanned`` counts
@@ -332,11 +330,11 @@ class FederationBroker:
             return
         if self._malleable is not None and self._malleable.consume_task_event(event):
             return
-        key = (event.site, event.task_id)
-        if key not in self._task_to_job:
-            return
-        if event.kind in TERMINAL_TASK_KINDS:
-            self._pushed_tasks[key] = dict(event.payload)
+        job_id = self._task_to_job.get((event.site, event.task_id))
+        if job_id is not None and event.kind in TERMINAL_TASK_KINDS:
+            # advance the job at the pushed instant, sweep or no sweep:
+            # waiters wake on the job_* event this publishes
+            self._refresh(self._jobs[job_id], event.payload)
 
     def _track_placement(self, job: FederatedJob) -> None:
         placement = job.placements[-1]
@@ -346,9 +344,7 @@ class FederationBroker:
         if not job.placements:
             return
         placement = job.placements[-1]
-        key = (placement.site, placement.task_id)
-        self._task_to_job.pop(key, None)
-        self._pushed_tasks.pop(key, None)
+        self._task_to_job.pop((placement.site, placement.task_id), None)
 
     # -- intake ---------------------------------------------------------------
 
@@ -842,8 +838,10 @@ class FederationBroker:
 
     # -- tracking --------------------------------------------------------------
 
-    def _refresh(self, job: FederatedJob) -> None:
-        """Advance one job's state from its current placement."""
+    def _refresh(self, job: FederatedJob, status: dict | None = None) -> None:
+        """Advance one job's state from its current placement: reroute
+        off an unhealthy site, then apply ``status``, the terminal task
+        payload its site pushed (``None`` while the task is live)."""
         if job.state is not JobState.PLACED:
             return
         placement = job.current
@@ -854,12 +852,9 @@ class FederationBroker:
         if self.registry.health_of(placement.site, now) is SiteHealth.UNHEALTHY:
             self._abandon_and_reroute(job, f"site {placement.site} unhealthy")
             return
-        site = self.registry.site(placement.site)
-        # the site already pushed every terminal transition — nothing
-        # pushed means the task is still live
-        status = self._pushed_tasks.pop((placement.site, placement.task_id), None)
         if status is None:
             return
+        site = self.registry.site(placement.site)
         if status["state"] == "completed":
             fetch_span = None
             if self.tracer is not None:

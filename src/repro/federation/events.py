@@ -1,17 +1,18 @@
 """Push-based lifecycle events: the federation's nervous system.
 
-The *producers* of state transitions (each site's middleware queue,
-the broker itself, the resize loop) publish a :class:`JobEvent` onto a
+The *producers* of state transitions (each middleware queue, the
+broker itself, the resize loop) publish a :class:`JobEvent` onto a
 :class:`LifecycleBus` at the simulated instant the transition happens,
 and consumers subscribe.  Nothing in the federation asks a site for
 task status.
 
-Publishers wired in by :class:`FederationBroker
-<repro.federation.broker.FederationBroker>` at construction:
+Publishers on a :class:`FederationBroker
+<repro.federation.broker.FederationBroker>`'s bus:
 
-* **site task transitions** — each :class:`~repro.federation.site.FederatedSite`
-  forwards its daemon queue's QUEUED -> RUNNING -> COMPLETED/FAILED/
-  CANCELLED transitions (kind = the state name), tagged with the site,
+* **site task transitions** — each site's daemon is the one publisher
+  of its queue's QUEUED -> RUNNING -> COMPLETED/FAILED/CANCELLED
+  transitions (kind = the state name), tagged with the site; one
+  daemon per site label (:attr:`LifecycleBus.publishers`),
 * **broker job lifecycle** — ``job_submitted`` / ``job_held`` /
   ``job_placed`` / ``job_completed`` / ``job_failed``, keyed by the
   federation-stable job id,
@@ -44,7 +45,6 @@ __all__ = [
     "LifecycleBus",
     "TERMINAL_JOB_KINDS",
     "TERMINAL_TASK_KINDS",
-    "kind_for_task_state",
     "publish_task_transition",
 ]
 
@@ -147,6 +147,9 @@ class LifecycleBus:
         self.published = 0
         #: subscriber callbacks that raised (isolated, never re-raised)
         self.dropped = 0
+        #: site label -> the daemon publishing task transitions under it
+        #: (one per label; see ``MiddlewareDaemon.attach_bus``)
+        self.publishers: dict[str, Any] = {}
         #: optional bounded ring of recent events (observability aid)
         self._history_cap = history
         self._history: list[JobEvent] = []
@@ -232,23 +235,16 @@ class LifecycleBus:
         return list(self._history)
 
 
-def kind_for_task_state(state: Any) -> str:
-    """Map a :class:`~repro.daemon.queue.TaskState` to its event kind
-    (the state's string value: ``queued``/``running``/...)."""
-    return state.value
-
-
 def publish_task_transition(
     bus: LifecycleBus, now: float, site: str, task: Any, new_state: Any
 ) -> None:
     """The one way a middleware-queue task transition becomes a
-    :class:`JobEvent` — shared by every queue publisher (federated
-    sites, session-attached local daemons) so the event shape cannot
-    drift between them."""
+    :class:`JobEvent` (kind = the state's value), called by each
+    daemon's one queue publisher."""
     bus.publish(
         JobEvent(
             time=now,
-            kind=kind_for_task_state(new_state),
+            kind=new_state.value,
             job_id=task.task_id,
             site=site,
             task_id=task.task_id,

@@ -45,9 +45,6 @@ class FederatedSite:
         self.priority_class = priority_class
         self.alive = True
         self._sessions: dict[str, str] = {}  # session owner -> token
-        #: lifecycle bus this site publishes task transitions onto
-        #: (see :meth:`attach_bus`); None keeps the site silent
-        self._bus = None
         # catalog/capacity caches keyed on the daemon's (name, resource
         # identity) pairs: exported types and max-qubit capacities are
         # static per resource object, but the placement path asks for
@@ -170,19 +167,10 @@ class FederatedSite:
     # -- lifecycle events -----------------------------------------------------
 
     def attach_bus(self, bus) -> None:
-        """Publish every task state transition of this site's daemon
-        onto ``bus`` (a :class:`~repro.federation.events.LifecycleBus`),
-        tagged with the site name — the only way the broker and the
-        resize loop learn task state.  Idempotent; a second bus replaces
-        the first."""
-        if self._bus is None:
-            self.daemon.queue.add_transition_listener(self._publish_transition)
-        self._bus = bus
-
-    def _publish_transition(self, task, old, new) -> None:
-        from .events import publish_task_transition
-
-        publish_task_transition(self._bus, self.daemon.now, self.name, task, new)
+        """Move this site's daemon's publisher onto ``bus`` under the
+        site name — the only way the broker and the resize loop learn
+        task state.  Idempotent; a second bus replaces the first."""
+        self.daemon.attach_bus(bus, self.name)
 
     # -- intake (brokered jobs) ---------------------------------------------
 

@@ -18,10 +18,10 @@ qualified ``site/resource`` target) goes to the federation; a plain
 spec goes to the local daemon when one is wired, else the federation,
 else the cloud gateway.  ``backend=`` overrides.
 
-A session joins the push-based lifecycle plane when it is built: every
-backend's state transitions land on one
-:class:`~repro.federation.events.LifecycleBus` (:attr:`Session.events`),
-``JobHandle.wait()`` wakes on the pushed terminal event, and
+A session listens on one :class:`~repro.federation.events.LifecycleBus`
+(:attr:`Session.events`), onto which each backend daemon publishes its
+queue's transitions once, however many sessions share it.
+``JobHandle.wait()`` wakes on the pushed terminal event and
 ``JobHandle.on(...)`` delivers per-job callbacks.
 
 With :meth:`Session.attach_tracer` each submission additionally opens
@@ -37,13 +37,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any
 
-from .errors import DaemonError, SpecError
+from .errors import DaemonError, SessionError, SpecError
 from .federation.events import (
     TERMINAL_JOB_KINDS,
     TERMINAL_TASK_KINDS,
     JobEvent,
     LifecycleBus,
-    publish_task_transition,
 )
 from .runtime.backend_select import select_resource, spec_request
 from .runtime.results import RunResult
@@ -82,7 +81,7 @@ class JobHandle:
         return self._session._backend_status(self)
 
     def done(self) -> bool:
-        return self.status()["state"] in ("completed", "failed", "cancelled")
+        return self.status()["state"] in TERMINAL_TASK_KINDS
 
     def result(self) -> RunResult:
         """The uniform result, whichever backend executed the job."""
@@ -95,15 +94,12 @@ class JobHandle:
         are tracked by broker-level ``job_*`` events (federation-unique
         ids, no site filter); daemon/cloud tasks by the queue's own task
         transitions — those ids are only unique per daemon, so the
-        subscription is pinned to the publishing site label."""
+        subscription is pinned to the label its daemon publishes under."""
         if self.backend == "federation":
             return self.job_id, None
-        return self.job_id, self._session._site_label(self.backend)
-
-    def _terminal_kinds(self) -> tuple[str, ...]:
-        if self.backend == "federation":
-            return TERMINAL_JOB_KINDS
-        return TERMINAL_TASK_KINDS
+        session = self._session
+        daemon = session.daemon if self.backend == "daemon" else session.cloud.daemon
+        return self.job_id, daemon.site
 
     def on(self, callback, kinds: tuple[str, ...] | None = None) -> int:
         """Subscribe ``callback(event)`` to this job's lifecycle events;
@@ -113,43 +109,46 @@ class JobHandle:
             callback, job_id=job_id, kinds=kinds, site=site
         )
 
-    def wait(self, poll_interval: float = 5.0):
+    def wait(self):
         """Generator form: yield it from a simulated process; returns
         the :class:`~repro.runtime.results.RunResult`.
 
-        It sleeps until the backend *pushes* the terminal transition;
-        ``poll_interval`` is only a liveness heartbeat that keeps the
-        simulation loop fed.
+        It reads the status once; a job not yet terminal is then waited
+        for on the *pushed* terminal transition alone, with no timer and
+        no further status read.  The broker finishes a fixed-size job at
+        its task's pushed transition; a budget-held job is released,
+        and a malleable job resized, only by its housekeeping sweep
+        (:meth:`~repro.federation.FederationBroker.spawn_housekeeping`).
         """
-        bus = self._session.events
-        while self.status()["state"] not in ("completed", "failed", "cancelled"):
-            yield self._armed_wake(bus, poll_interval)
+        if self.status()["state"] not in TERMINAL_TASK_KINDS:
+            yield from self._terminal_wake()
         return self.result()
 
-    def _armed_wake(self, bus: LifecycleBus, heartbeat: float) -> Event:
-        """An event that fires the instant this job's terminal
-        transition is published — with a foreground heartbeat fallback
-        so the simulator never deadlocks on background-only queues."""
-        sim = self._session.sim
+    def _terminal_wake(self):
+        """Suspend until this job's terminal transition is published,
+        holding the simulator's foreground count (see
+        :meth:`~repro.simkernel.EventQueue.hold`) until it fires or the
+        waiting process is interrupted."""
+        session = self._session
+        bus, queue = session.events, session.sim.events
         wake = Event(name=f"wait-{self.job_id}")
-        entry = sim.schedule(wake, delay=heartbeat)
-        handle: list[int] = []
 
         def fire(event: JobEvent) -> None:
-            bus.unsubscribe(handle[0])
-            if not wake.triggered:
-                sim.events.cancel(entry)
-                wake.trigger(event)
-                sim.schedule_triggered(wake)
+            bus.unsubscribe(handle)
+            wake.trigger(event)
+            session.sim.schedule_triggered(wake)
+            queue.release()
 
         job_id, site = self._event_filter()
-        handle.append(
-            bus.subscribe(fire, job_id=job_id, kinds=self._terminal_kinds(), site=site)
-        )
-        # the heartbeat pop also retires the subscription so abandoned
-        # waiters don't accumulate on the bus
-        wake.callbacks.append(lambda ev: bus.unsubscribe(handle[0]))
-        return wake
+        kinds = TERMINAL_JOB_KINDS if site is None else TERMINAL_TASK_KINDS
+        handle = bus.subscribe(fire, job_id=job_id, kinds=kinds, site=site)
+        queue.hold()
+        try:
+            yield wake
+        finally:
+            if not wake.triggered:  # interrupted while armed
+                bus.unsubscribe(handle)
+                queue.release()
 
 
 class Session:
@@ -187,31 +186,25 @@ class Session:
         #: the daemon session, so specs of different classes cannot
         #: share one (the first submission's class would silently win)
         self._daemon_tokens: dict[str, str] = {}
-        #: backend -> site label its queue publishes under (a cloud
-        #: gateway sharing the local daemon publishes once, as "local")
-        self._site_labels = {"daemon": "local", "cloud": "cloud"}
-        if (
-            cloud is not None
-            and daemon is not None
-            and cloud.daemon.queue is daemon.queue
-        ):
-            self._site_labels["cloud"] = "local"
-        #: the one lifecycle bus: the broker's when there is a
-        #: federation (keeping every publisher on one plane), else a
-        #: fresh one; the local daemon's and cloud gateway's task
-        #: transitions join it here
-        self.events: LifecycleBus = (
-            federation.events if federation is not None else LifecycleBus()
-        )
-        for queue_daemon, backend in self._queue_daemons():
-            queue_daemon.queue.add_transition_listener(
-                self._queue_publisher(
-                    queue_daemon, self._site_label(backend), self.events
-                )
-            )
+        # other backend daemons move onto this session's bus; one already
+        # on it keeps its label.  Only a daemon alone on the bus it was
+        # built with moves: moving one that others use strands their waits
+        bus = self.events
+        for backend_daemon, label in ((daemon, "local"), (cloud and cloud.daemon, "cloud")):
+            if backend_daemon is None or backend_daemon.events is bus:
+                continue
+            if backend_daemon.events is not backend_daemon.home_events or backend_daemon.events.subscriber_count():
+                raise DaemonError(f"the {label} daemon publishes onto a lifecycle bus others use; it cannot join this one")
+            backend_daemon.attach_bus(bus, label)
 
-    def _site_label(self, backend: str) -> str:
-        return self._site_labels[backend]
+    @property
+    def events(self) -> LifecycleBus:
+        """The broker's bus, else the daemon's, else the gateway's."""
+        if self.federation is not None:
+            return self.federation.events
+        if self.daemon is not None:
+            return self.daemon.events
+        return self.cloud.daemon.events
 
     # -- wiring ---------------------------------------------------------------
 
@@ -223,18 +216,6 @@ class Session:
         if self.daemon is not None:
             return self.daemon.sim
         return self.cloud.daemon.sim
-
-    def _queue_daemons(self) -> list[tuple[Any, str]]:
-        """(daemon, backend) per distinct middleware queue behind this
-        session — one shared daemon must not publish or be traced twice."""
-        out: list[tuple[Any, str]] = []
-        for daemon, backend in (
-            (self.daemon, "daemon"),
-            (self.cloud.daemon if self.cloud is not None else None, "cloud"),
-        ):
-            if daemon is not None and not any(daemon.queue is d.queue for d, _ in out):
-                out.append((daemon, backend))
-        return out
 
     def attach_events(self) -> LifecycleBus:
         """The session's lifecycle bus (:attr:`events`), which every
@@ -255,19 +236,11 @@ class Session:
         tracer.attach_bus(self.events)
         if self.federation is not None:
             self.federation.attach_tracer(tracer)
-        for daemon, backend in self._queue_daemons():
-            instrument_scheduler(
-                daemon.scheduler, tracer, self._site_label(backend)
-            )
+        for daemon in (self.daemon, self.cloud and self.cloud.daemon):
+            if daemon is not None:
+                instrument_scheduler(daemon.scheduler, tracer, daemon.site)
         self.tracer = tracer
         return tracer
-
-    @staticmethod
-    def _queue_publisher(daemon, site: str, bus: LifecycleBus):
-        def publish(task, old, new) -> None:
-            publish_task_transition(bus, daemon.now, site, task, new)
-
-        return publish
 
     # -- backend choice --------------------------------------------------------
 
@@ -339,8 +312,7 @@ class Session:
                 # race-free — the scheduler runs in a simulated process
                 # that cannot have advanced yet.
                 self.tracer.bind_task(
-                    self._site_label("daemon"), job_id, root,
-                    self.sim.now, close_root=True,
+                    self.daemon.site, job_id, root, self.sim.now, close_root=True
                 )
         return JobHandle(self, spec, job_id, backend, token=token)
 
@@ -371,7 +343,7 @@ class Session:
             try:
                 self.daemon.resolve_session(token)
                 return token
-            except Exception:
+            except SessionError:
                 pass  # idle-expired: open a fresh one
         client = self._client()
         client.token = ""

@@ -100,8 +100,8 @@ class EventQueue:
     """Deterministic time-ordered event heap with lazy cancellation.
 
     Cancellation marks entries dead in O(1) and prunes them lazily when
-    they surface at the heap top.  Timeout-heavy workloads (sessions
-    racing heartbeats against completions) can accumulate dead entries
+    they surface at the heap top.  Timeout-heavy workloads (timers
+    cancelled by the completions they guard) can accumulate dead entries
     deep in the heap, so when more than half the resident entries are
     cancelled the heap is compacted in one pass.  Compaction preserves
     the (time, priority, seq) total order exactly — ``seq`` is unique,
@@ -126,6 +126,17 @@ class EventQueue:
 
     def foreground_count(self) -> int:
         return self._foreground
+
+    def hold(self) -> None:
+        """Count a wake armed outside the heap (a lifecycle-bus
+        subscription) as foreground work until :meth:`release`, so an
+        unbounded run keeps stepping the background work that may fire
+        it.  An empty heap still ends the run."""
+        self._foreground += 1
+
+    def release(self) -> None:
+        """Drop one :meth:`hold`."""
+        self._foreground -= 1
 
     def push(
         self, time: float, event: Event, priority: int = 0, background: bool = False

@@ -5,6 +5,9 @@ import pytest
 from repro.accounting import BudgetAction, UsageKind
 from repro.errors import BudgetExceededError, DaemonError
 from repro.federation import JobState, RoundRobinPolicy
+from repro.session import Session
+from repro.simkernel import Interrupt
+from repro.spec import JobSpec
 
 from acctutil import build_accounted_federation, make_accounting, make_program
 
@@ -160,6 +163,51 @@ class TestHoldAdmission:
         status = broker.status(job_id)
         assert status["state"] == "held"
         assert status["site"] is None
+
+
+class TestHeldJobWait:
+    """A held job is released only by the broker's background
+    housekeeping.  ``JobHandle.wait()`` arms no timer, so its armed
+    wake alone must keep the simulator stepping that housekeeping."""
+
+    def held(self, grant=5.0):
+        accounting = make_accounting()
+        accounting.set_budget("alpha", 0.0, action=BudgetAction.HOLD)
+        sim, _, broker, _ = build_accounted_federation(accounting=accounting)
+        session = Session(federation=broker, user="alpha")
+        handle = session.submit(JobSpec(program=make_program(shots=50), shots=50))
+        assert broker.job(handle.job_id).state is JobState.HELD
+        if grant:
+            accounting.budgets.grant("alpha", grant)
+        return sim, broker, session, handle
+
+    def test_wait_completes_under_run_until_process(self):
+        sim, broker, _, handle = self.held()
+        result = sim.run_until_process(sim.spawn(handle.wait()))
+        assert result.shots == 50
+        assert broker.job(handle.job_id).state is JobState.COMPLETED
+
+    def test_unbounded_run_does_not_stop_early_and_releases_the_hold(self):
+        sim, broker, _, handle = self.held()
+        waiter = sim.spawn(handle.wait())
+        sim.run(max_events=100_000)
+        assert not waiter.alive and waiter.error is None
+        assert waiter.return_value.shots == 50
+        assert sim.events.foreground_count() == 0
+
+    def test_interrupting_the_waiter_releases_the_hold(self):
+        sim, broker, session, handle = self.held(grant=0.0)
+        subscribers = session.events.subscriber_count()
+        waiter = sim.spawn(handle.wait())
+        sim.run(until=100.0)
+        assert sim.events.foreground_count() == 1  # the armed wake
+        assert session.events.subscriber_count() == subscribers + 1
+        waiter.interrupt("give up")
+        sim.run(until=200.0)
+        assert isinstance(waiter.error, Interrupt)
+        assert sim.events.foreground_count() == 0
+        assert session.events.subscriber_count() == subscribers
+        assert broker.job(handle.job_id).state is JobState.HELD
 
 
 class TestRetryMetering:

@@ -132,6 +132,33 @@ class TestNoPoll:
         )
         assert len(rules_of(report, "no-poll")) == 2
 
+    def test_bad_second_queue_publisher_outside_daemon(self, lint):
+        """Both pre-one-publisher call sites: the session facade and the
+        federated site each added their own queue listener."""
+        report = lint(
+            {
+                "repro/session.py": """
+                    def join(self, daemon, publish):
+                        daemon.queue.add_transition_listener(publish)
+                """,
+                "repro/federation/site.py": """
+                    def attach_bus(self, bus):
+                        self.daemon.queue.add_transition_listener(self._publish)
+                """,
+                # the daemon owning its queue is the one publisher
+                "repro/daemon/service.py": """
+                    def __init__(self, publish):
+                        self.queue.add_transition_listener(publish)
+                """,
+            },
+            [NoPollRule()],
+        )
+        found = rules_of(report, "no-poll")
+        assert sorted(f.file.rsplit("/", 1)[-1] for f in found) == [
+            "session.py",
+            "site.py",
+        ]
+
     def test_good_push_consumption(self, lint):
         report = lint(
             {

@@ -213,7 +213,7 @@ class TestReviewRegressions:
     def test_reconcile_survives_poisoned_status_query(self):
         """A site that answers but refuses our session must trigger
         failover, not crash the sweep.  Task state arrives pushed, so
-        the one remaining query is the result fetch."""
+        the one remaining query is the result fetch, made at the push."""
         sim, registry, broker, sites = build_federation(n_sites=2)
         job_id = broker.submit(make_program(shots=10), shots=10)
         bad_site = broker.job(job_id).current.site
@@ -223,11 +223,10 @@ class TestReviewRegressions:
 
         sites[bad_site].task_result = explode
         sim.run(until=5.0)  # the task finishes and pushes "completed"
-        assert broker.job(job_id).state is JobState.PLACED
-        broker.reconcile()  # must not raise
         first = broker.job(job_id).placements[0]
         assert first.site == bad_site and first.abandoned
         assert "query failed" in first.abandon_reason
         assert broker.job(job_id).current.site != bad_site
+        broker.reconcile()  # must not raise
         sim.run(until=300.0)
         assert broker.job(job_id).state is JobState.COMPLETED

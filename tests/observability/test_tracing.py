@@ -80,7 +80,7 @@ class TestSessionAcceptance:
         handle = session.submit(
             JobSpec(program=make_program(shots=30)), backend="federation"
         )
-        result = drive(sim, handle.wait(poll_interval=10_000.0))
+        result = drive(sim, handle.wait())
         assert result.shots == 30
 
         root = tracer.job_root(handle.job_id)
@@ -120,7 +120,7 @@ class TestSessionAcceptance:
         sim, session, tracer, broker = traced_session()
         handle = session.submit(JobSpec(program=make_program(shots=20)))
         assert handle.backend == "daemon"
-        drive(sim, handle.wait(poll_interval=10_000.0))
+        drive(sim, handle.wait())
         root = tracer.job_root(handle.job_id)
         assert not root.open and root.status == "ok"
         names = {s.name for s in tracer.job_spans(handle.job_id)}
@@ -135,7 +135,7 @@ class TestSessionAcceptance:
                 iterations=4,
             )
         )
-        drive(sim, handle.wait(poll_interval=10_000.0))
+        drive(sim, handle.wait())
         root = tracer.job_root(handle.job_id)
         assert not root.open and root.status == "ok"
         spans = tracer.job_spans(handle.job_id)
@@ -154,7 +154,7 @@ class TestSessionAcceptance:
         sim.run(until=2.0)
         placed_on = broker.job(handle.job_id).placements[-1].site
         sites[placed_on].kill()
-        drive(sim, handle.wait(poll_interval=10_000.0))
+        drive(sim, handle.wait())
         spans = tracer.job_spans(handle.job_id)
         names = [s.name for s in spans]
         assert "reroute" in names
@@ -165,7 +165,7 @@ class TestSessionAcceptance:
         sim, daemon, broker, gateway, key = build_three_backends()
         session = Session(daemon=daemon, federation=broker)
         handle = session.submit(JobSpec(program=make_program(shots=10)))
-        drive(sim, handle.wait(poll_interval=5.0))
+        drive(sim, handle.wait())
         assert session.tracer is None
         assert broker.tracer is None
 
@@ -176,7 +176,7 @@ class TestQueriesAndExport:
         handle = session.submit(
             JobSpec(program=make_program(shots=30)), backend="federation"
         )
-        drive(sim, handle.wait(poll_interval=10_000.0))
+        drive(sim, handle.wait())
         return sim, tracer, handle
 
     def test_stage_durations_and_critical_path(self):

@@ -252,3 +252,39 @@ def test_timeout_event_helper():
     sim.spawn(proc())
     sim.run()
     assert got == [(2.5, "tick")]
+
+
+def test_hold_keeps_run_stepping_background_work_until_released():
+    """A held wake has no heap entry; only background housekeeping can
+    produce the push that ends it, so run() must keep stepping that
+    housekeeping instead of stopping at zero foreground entries."""
+    sim = Simulator()
+    released_at = []
+
+    def housekeeping():
+        while True:
+            yield Timeout(10.0)
+            if sim.now == 50.0:
+                sim.events.release()
+                released_at.append(sim.now)
+
+    sim.spawn(housekeeping(), background=True)
+    sim.events.hold()
+    assert sim.events.foreground_count() == 1
+    sim.run()
+    assert released_at == [50.0]
+    assert sim.now == 50.0
+    assert sim.events.foreground_count() == 0
+
+
+def test_hold_with_empty_heap_still_deadlocks():
+    sim = Simulator()
+
+    def stuck():
+        yield Wait(Event("pushed-never"))
+
+    proc = sim.spawn(stuck())
+    sim.events.hold()
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run_until_process(proc)
+    assert sim.run() == 0.0  # an empty heap ends an unbounded run too

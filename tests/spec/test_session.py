@@ -1,11 +1,13 @@
 """Session facade: one JobSpec through every backend, push-based waits."""
 
 import pytest
-from specutil import build_three_backends, make_program
+from specutil import build_federation, build_three_backends, make_daemon, make_program
 
+from repro.daemon.cloud import CloudGateway
 from repro.errors import DaemonError, SpecError
 from repro.runtime.results import RunResult
 from repro.session import Session
+from repro.simkernel import RngRegistry
 from repro.spec import JobSpec
 
 
@@ -69,7 +71,7 @@ class TestOneSpecThreeBackends:
             session.submit(spec, backend=backend)
             for backend in ("daemon", "federation", "cloud")
         ]
-        results = [drive(sim, h.wait(poll_interval=2.0)) for h in handles]
+        results = [drive(sim, h.wait()) for h in handles]
         for handle, result in zip(handles, results, strict=True):
             assert isinstance(result, RunResult)
             assert result.shots == 60
@@ -93,7 +95,7 @@ class TestOneSpecThreeBackends:
         handle = session.submit(spec)
         assert handle.backend == "federation"
         assert handle.job_id.startswith("fed-mjob-")
-        result = drive(sim, handle.wait(poll_interval=2.0))
+        result = drive(sim, handle.wait())
         assert result.shots == 4 * 20
         assert handle.status()["state"] == "completed"
 
@@ -175,20 +177,37 @@ class TestPushWait:
         session.attach_events()
         spec = JobSpec(program=make_program(shots=30))
         handle = session.submit(spec, backend="federation")
-        # huge heartbeat: only the pushed terminal event can wake this
-        result = drive(sim, handle.wait(poll_interval=10_000.0))
+        reads = []
+        status = handle.status
+        handle.status = lambda: reads.append(sim.now) or status()
+        result = drive(sim, handle.wait())
         assert result.shots == 30
-        # and the wake really was event-time, not heartbeat-time
-        assert sim.now < 10_000.0
+        # one read at the start; only the pushed terminal event woke it
+        assert reads == [0.0]
+        job = broker.job(handle.job_id)
+        site_daemon = broker.registry.site(job.current.site).daemon
+        task = site_daemon.queue.get(job.current.task_id)
+        assert job.finished_at == task.finished_at == sim.now
+
+    def test_federated_wait_completes_at_the_push_without_housekeeping(self):
+        """No reconcile sweep runs: the pushed terminal task transition
+        itself completes the fixed-size job and wakes the waiter."""
+        sim, registry, broker, sites = build_federation(housekeeping=None)
+        session = Session(federation=broker)
+        handle = session.submit(JobSpec(program=make_program(shots=30)))
+        assert drive(sim, handle.wait()).shots == 30
+        job = broker.job(handle.job_id)
+        task = sites[job.current.site].daemon.queue.get(job.current.task_id)
+        assert job.finished_at == task.finished_at == sim.now
 
     def test_daemon_backend_push_wait(self):
         sim, daemon, broker, gateway, key = build_three_backends()
         session = Session(daemon=daemon)
         session.attach_events()
         handle = session.submit(JobSpec(program=make_program(shots=30)))
-        result = drive(sim, handle.wait(poll_interval=10_000.0))
+        result = drive(sim, handle.wait())
         assert result.shots == 30
-        assert sim.now < 10_000.0
+        assert handle.status()["finished_at"] == sim.now
 
     def test_on_delivers_job_events(self):
         sim, daemon, broker, gateway, key = build_three_backends()
@@ -249,3 +268,123 @@ class TestPushWait:
         sim.run(until=60.0)
         queued = [e for e in events if e.kind == "queued" and e.job_id == handle.job_id]
         assert len(queued) == 1
+
+
+class TestOnePublisherPerDaemon:
+    """Each daemon publishes its queue's transitions once, onto the one
+    bus its sessions listen on, whatever the number of sessions."""
+
+    @staticmethod
+    def record(bus):
+        events = []
+        bus.subscribe(events.append)
+        return events
+
+    def test_sixteen_sessions_on_one_daemon_publish_each_transition_once(self):
+        sim, daemon, *_ = build_three_backends()
+        sessions = [Session(daemon=daemon, user=f"user-{u:02d}") for u in range(16)]
+        buses = {id(s.events): s.events for s in sessions}
+        assert list(buses.values()) == [daemon.events]
+        events = self.record(daemon.events)
+        handles = [
+            s.submit(JobSpec(program=make_program(shots=10))) for s in sessions
+        ]
+        results = [drive(sim, h.wait()) for h in handles]
+        assert all(r.shots == 10 for r in results)
+        for handle in handles:
+            kinds = [e.kind for e in events if e.job_id == handle.job_id]
+            assert kinds.count("queued") == 1
+            assert kinds[-1] == "completed"
+        # queued, running, completed: the shot-cap daemon never preempts
+        transitions = 3 * len(handles)
+        assert daemon.events.published == transitions == len(events)
+
+    def test_federation_session_moves_its_local_daemon_onto_the_broker_bus(self):
+        sim, daemon, broker, *_ = build_three_backends()
+        session = Session(daemon=daemon, federation=broker)
+        assert session.events is broker.events is daemon.events
+        assert daemon.site == "local"
+        events = self.record(broker.events)
+        local = session.submit(JobSpec(program=make_program(shots=10)))
+        fed = session.submit(
+            JobSpec(program=make_program(shots=10)), backend="federation"
+        )
+        drive(sim, local.wait())
+        drive(sim, fed.wait())
+        local_kinds = [
+            e.kind for e in events if e.site == "local" and e.job_id == local.job_id
+        ]
+        assert local_kinds == ["queued", "running", "completed"]
+        assert [e.kind for e in events if e.job_id == fed.job_id][-1] == "job_completed"
+        # a second session over the same pair relabels nothing
+        Session(daemon=daemon, federation=broker)
+        assert daemon.events is broker.events and daemon.site == "local"
+
+    def test_a_federated_site_daemon_keeps_its_site_label(self):
+        sim, _, broker, *_ = build_three_backends()
+        site_daemon = broker.registry.site("site-0").daemon
+        session = Session(daemon=site_daemon, federation=broker)
+        assert site_daemon.site == "site-0"
+        handle = session.submit(JobSpec(program=make_program(shots=10)))
+        seen = []
+        handle.on(lambda ev: seen.append((ev.site, ev.kind)), kinds=("completed",))
+        assert drive(sim, handle.wait()).shots == 10
+        assert seen == [("site-0", "completed")]
+
+    def test_shared_local_and_cloud_daemon_publishes_once_under_one_label(self):
+        sim, _, broker, gateway, key = build_three_backends()
+        shared = gateway.daemon
+        session = Session(
+            daemon=shared, federation=broker, cloud=gateway, cloud_api_key=key
+        )
+        assert shared.events is broker.events and shared.site == "local"
+        events = self.record(broker.events)
+        local = session.submit(JobSpec(program=make_program(shots=10)))
+        cloud = session.submit(
+            JobSpec(program=make_program(shots=10)), backend="cloud"
+        )
+        drive(sim, local.wait())
+        drive(sim, cloud.wait())
+        for handle in (local, cloud):
+            queued = [
+                e for e in events if e.kind == "queued" and e.job_id == handle.job_id
+            ]
+            assert [e.site for e in queued] == ["local"]
+
+    def test_a_daemon_others_listen_on_is_never_pulled_onto_another_bus(self):
+        sim, daemon, broker, *_ = build_three_backends()
+        site_daemon = broker.registry.site("site-1").daemon
+        gateway = CloudGateway(site_daemon)
+        key = gateway.provision_tenant("lab")
+        with pytest.raises(DaemonError, match="others use"):
+            Session(daemon=daemon, cloud=gateway, cloud_api_key=key)
+        assert site_daemon.events is broker.events
+        assert site_daemon.site == "site-1"
+
+    def test_two_local_daemons_never_share_a_label_on_one_broker(self):
+        """Every daemon numbers its tasks mw-task-N: a second daemon
+        under "local" on the broker's bus would wake the first one's
+        waiters."""
+        sim, daemon, broker, *_ = build_three_backends()
+        other = make_daemon(sim, RngRegistry(1), "other")
+        Session(daemon=daemon, federation=broker)
+        with pytest.raises(DaemonError, match="'local' is taken"):
+            Session(daemon=other, federation=broker)
+        assert other.events is other.home_events and other.site == "local"
+        assert broker.events.publishers == {
+            "site-0": broker.registry.site("site-0").daemon,
+            "site-1": broker.registry.site("site-1").daemon,
+            "local": daemon,
+        }
+
+    def test_a_gateway_daemon_another_session_moved_stays_on_that_bus(self):
+        sim, daemon, broker, gateway, key = build_three_backends()
+        first = Session(daemon=daemon, cloud=gateway, cloud_api_key=key)
+        assert gateway.daemon.events is daemon.events
+        assert gateway.daemon.site == "cloud"
+        other = make_daemon(sim, RngRegistry(1), "other")
+        with pytest.raises(DaemonError, match="others use"):
+            Session(daemon=other, cloud=gateway, cloud_api_key=key)
+        assert gateway.daemon.events is daemon.events
+        handle = first.submit(JobSpec(program=make_program(shots=10)), backend="cloud")
+        assert drive(sim, handle.wait()).shots == 10
