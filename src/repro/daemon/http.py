@@ -70,11 +70,9 @@ class _Route:
         self.segments = [s for s in template.split("/") if s]
         self.handler = handler
 
-    def match_path(self, path: str) -> dict[str, str] | None:
-        """Template match ignoring the method (for 404-vs-405)."""
-        parts = [s for s in path.split("/") if s]
-        if len(parts) != len(self.segments):
-            return None
+    def match(self, parts: list[str]) -> dict[str, str] | None:
+        """Template parameters for a split path of this route's length,
+        ignoring the method (for 404-vs-405); ``None`` on a mismatch."""
         params: dict[str, str] = {}
         for seg, part in zip(self.segments, parts, strict=True):
             if seg.startswith("{") and seg.endswith("}"):
@@ -83,23 +81,26 @@ class _Route:
                 return None
         return params
 
-    def match(self, method: str, path: str) -> dict[str, str] | None:
-        if method.upper() != self.method:
-            return None
-        return self.match_path(path)
-
 
 class Router:
-    """Ordered route table with template parameters."""
+    """Ordered route table with template parameters.
+
+    Routes are bucketed by segment count, in registration order within a
+    bucket: a request path is split once and matched only against the
+    routes of its length.
+    """
 
     def __init__(self) -> None:
         self._routes: list[_Route] = []
+        self._by_length: dict[int, list[_Route]] = {}
 
     def add(self, method: str, template: str, handler: Handler) -> None:
         for route in self._routes:
             if route.method == method.upper() and route.template == template:
                 raise DaemonError(f"route {method} {template} already registered")
-        self._routes.append(_Route(method, template, handler))
+        route = _Route(method, template, handler)
+        self._routes.append(route)
+        self._by_length.setdefault(len(route.segments), []).append(route)
 
     def routes(self) -> list[tuple[str, str]]:
         return [(r.method, r.template) for r in self._routes]
@@ -109,13 +110,15 @@ class Router:
 
         Unknown path -> 404; known path with the wrong method -> 405.
         """
+        parts = [s for s in request.path.split("/") if s]
+        method = request.method.upper()
         matched_path = False
-        for route in self._routes:
-            if route.match_path(request.path) is None:
+        for route in self._by_length.get(len(parts), ()):
+            params = route.match(parts)
+            if params is None:
                 continue
             matched_path = True
-            params = route.match(request.method, request.path)
-            if params is None:
+            if route.method != method:
                 continue
             request.params = params
             try:

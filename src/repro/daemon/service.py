@@ -269,9 +269,7 @@ class MiddlewareDaemon:
                     f"spec names no resource; available: {sorted(self.resources)}"
                 )
             resource = next(iter(self.resources))
-        task = self.submit_task(
-            token, spec.program.to_dict(), resource, shots=spec.shots
-        )
+        task = self.submit_task(token, spec.program, resource, shots=spec.shots)
         task.metadata.update(spec.metadata)
         task.metadata["tenant"] = spec.tenant
         if spec.algorithm is not None:
@@ -279,11 +277,8 @@ class MiddlewareDaemon:
         return task
 
     def _validate_against_target(self, program: AnalogProgram, resource: str) -> None:
-        from ..qpu.specs import DeviceSpecs
-
-        target = self.resources[resource].target()
-        specs = DeviceSpecs.from_dict(target)
-        specs.check(program.register, list(program.segments), program.shots)
+        specs = self.resources[resource].specs()
+        specs.admit(program.register, program.segments, program.shots)
 
     def task_status(self, token: str, task_id: str) -> dict[str, Any]:
         session = self.resolve_session(token)

@@ -137,9 +137,7 @@ class FederatedSite:
             cached = (
                 key,
                 {
-                    name: int(
-                        self.daemon.resources[name].target().get("max_qubits", 0)
-                    )
+                    name: self.daemon.resources[name].specs().max_qubits
                     for name in self.catalog()
                 },
             )
@@ -147,7 +145,7 @@ class FederatedSite:
         return cached[1]
 
     def resource_capacity(self) -> dict[str, int]:
-        """max_qubits per exported resource (from its target doc)."""
+        """max_qubits per exported resource (from its specs)."""
         return dict(self._capacities())
 
     def capable_catalog(self, n_qubits: int = 0) -> dict[str, str]:

@@ -9,9 +9,17 @@ twin), but differs in exactly the ways real hardware differs:
   a simulation this is simulated time via :meth:`execute_process`,
 * results carry noise derived from the *current* calibration state,
   which drifts (§2.1),
-* programs are validated against the device's :class:`DeviceSpecs`
-  at the point of execution,
+* programs are validated at the point of execution: every run is
+  checked against the device's *current* :class:`DeviceSpecs` object.
+  That object remembers the program contents it has passed
+  (:meth:`DeviceSpecs.admit`), so a content is checked once per specs
+  object, and shots on every run.  Drift replaces the object, so a
+  program admitted under old specs is checked again under the new,
 * every execution is recorded in telemetry counters.
+
+A Hamiltonian is a pure function of the program content, the device's
+``dt`` and the specs' C6 coefficient, so the device builds it once per
+(:func:`program_hash`, C6) and reuses it for every run of that content.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from ..emulators.statevector import StateVectorEmulator
 from ..simkernel import Simulator, Timeout, TraceRecorder
 from .calibration import CalibrationState
 from .geometry import Register
-from .hamiltonian import RydbergHamiltonian
+from .hamiltonian import RydbergHamiltonian, program_hash
 from .pulses import DriveSegment
 from .shots import ShotClock
 from .specs import DeviceSpecs
@@ -60,13 +68,7 @@ class QPUDevice:
         self._sv = StateVectorEmulator(max_qubits=sv_cutoff_qubits)
         self._mps = MPSEmulator(max_bond_dim=twin_bond_dim, max_qubits=self.specs.max_qubits)
         self._maintenance = False
-        # Hot-path caches: schedulers execute the same program object
-        # thousands of times, and the Hamiltonian's grid sampling +
-        # interaction matrix are pure functions of (register, segments,
-        # dt, c6).  Keyed by object identity with strong references
-        # held, so ids cannot be recycled while a key is live.
-        self._ham_cache: dict[tuple, RydbergHamiltonian] = {}
-        self._ham_cache_refs: list[tuple] = []
+        self._ham_cache: dict[tuple[str, float], RydbergHamiltonian] = {}
         self._noise_cache: tuple[int, object] | None = None
         # telemetry counters
         self.shots_served = 0
@@ -104,17 +106,14 @@ class QPUDevice:
         return self._sv if num_qubits <= self._sv.max_qubits else self._mps
 
     def _hamiltonian(self, register: Register, segments: list[DriveSegment]) -> RydbergHamiltonian:
-        key = (id(register), tuple(map(id, segments)))
+        c6 = self.specs.c6_coefficient
+        key = (program_hash(register, segments), c6)
         ham = self._ham_cache.get(key)
         if ham is None:
-            ham = RydbergHamiltonian(
-                register, segments, dt=self.dt, c6=self.specs.c6_coefficient
-            )
+            ham = RydbergHamiltonian(register, segments, dt=self.dt, c6=c6)
             if len(self._ham_cache) >= 64:
                 self._ham_cache.clear()
-                self._ham_cache_refs.clear()
             self._ham_cache[key] = ham
-            self._ham_cache_refs.append((register, tuple(segments)))
         return ham
 
     def _noise_model(self):
@@ -151,7 +150,7 @@ class QPUDevice:
         applies calibration noise and updates telemetry counters."""
         if self._maintenance:
             raise DeviceError(f"device {self.specs.name!r} is under maintenance")
-        self.specs.check(register, segments, shots)
+        self.specs.admit(register, segments, shots)
         result = self._compute_counts(register, segments, shots)
         elapsed = self.estimate_execution_time(segments, shots, batched)
         self._account(result, elapsed, task_id)
@@ -174,7 +173,7 @@ class QPUDevice:
         """
         if self._maintenance:
             raise DeviceError(f"device {self.specs.name!r} is under maintenance")
-        self.specs.check(register, segments, shots)
+        self.specs.admit(register, segments, shots)
         elapsed = self.estimate_execution_time(segments, shots, batched)
         self.current_task = task_id or "anonymous"
         self.trace.emit(

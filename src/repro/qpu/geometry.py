@@ -15,6 +15,8 @@ square and triangular lattices.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from ..errors import RegisterError
@@ -131,6 +133,15 @@ class Register:
             "positions": self._positions.tolist(),
             "labels": list(self.labels),
         }
+
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as sorted-key JSON, encoded once: the register
+        is immutable, so every program hash and cache key that covers
+        it reuses the string."""
+        cached = getattr(self, "_json", None)
+        if cached is None:
+            cached = self._json = json.dumps(self.to_dict(), sort_keys=True)
+        return cached
 
     @classmethod
     def from_dict(cls, data: dict) -> "Register":

@@ -11,6 +11,9 @@ Fresnel-like value of 5.42e6 rad/us * um^6.
 The module exposes:
 
 * :func:`interaction_matrix` — the pairwise U_ij = C6/r^6 couplings,
+* :func:`program_hash` — the digest of the physics content a
+  Hamiltonian is built from (register + drive schedule), the key of
+  every per-program cache,
 * :class:`RydbergHamiltonian` — grid-sampled coefficients + helper
   arrays consumed by both emulators (dense diagonal for the state
   vector backend, per-bond couplings for the MPS backend).
@@ -24,16 +27,35 @@ to every qubit axis (fully vectorized).
 
 from __future__ import annotations
 
+import hashlib
+from collections.abc import Iterable
+
 import numpy as np
 
 from ..errors import PulseError, RegisterError
 from .geometry import Register
 from .pulses import DriveSegment
 
-__all__ = ["DEFAULT_C6", "RydbergHamiltonian", "interaction_matrix", "rydberg_blockade_radius"]
+__all__ = [
+    "DEFAULT_C6",
+    "RydbergHamiltonian",
+    "interaction_matrix",
+    "program_hash",
+    "rydberg_blockade_radius",
+]
 
 #: Default C6 coefficient, rad/us * um^6 (Rb 60S-like).
 DEFAULT_C6 = 5.42e6
+
+
+def program_hash(register: Register, segments: Iterable[DriveSegment]) -> str:
+    """SHA-256 of the sorted-key JSON of ``{"register": ..., "segments":
+    [...]}`` -- the physics content, without shots or names.  Assembled
+    from the parts' memoized :meth:`~Register.canonical_json`, so a
+    program's parts are encoded once however often it is hashed."""
+    body = ", ".join(seg.canonical_json() for seg in segments)
+    blob = f'{{"register": {register.canonical_json()}, "segments": [{body}]}}'
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def interaction_matrix(register: Register, c6: float = DEFAULT_C6) -> np.ndarray:

@@ -9,6 +9,7 @@ loops in the inner path, per the hpc-parallel guide).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,6 +288,15 @@ class DriveSegment:
             "delta": self.delta.to_dict(),
             "phase": self.phase,
         }
+
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as sorted-key JSON, encoded once per (frozen)
+        segment; never part of ``==``, ``replace`` or ``to_dict``."""
+        cached = getattr(self, "_json", None)
+        if cached is None:
+            cached = json.dumps(self.to_dict(), sort_keys=True)
+            object.__setattr__(self, "_json", cached)
+        return cached
 
     @classmethod
     def from_dict(cls, data: dict) -> "DriveSegment":

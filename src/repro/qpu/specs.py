@@ -6,6 +6,11 @@ becomes a key requirement", with specs fetched fresh because analog
 devices drift.  A :class:`DeviceSpecs` document is what the runtime
 fetches (from the daemon or QRMI) and validates programs against; it is
 serializable so the daemon can serve it over REST.
+
+A document is frozen: drift replaces it (:meth:`DeviceSpecs.bumped`)
+rather than mutating it.  So :meth:`DeviceSpecs.admit` can remember
+which program contents passed the register and schedule checks of one
+document, and a drifted document starts with an empty memory.
 """
 
 from __future__ import annotations
@@ -15,10 +20,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 from ..errors import ValidationError
 from .geometry import Register
-from .hamiltonian import DEFAULT_C6
+from .hamiltonian import DEFAULT_C6, program_hash
 from .pulses import DriveSegment
 
 __all__ = ["DeviceSpecs"]
+
+#: program contents one specs document remembers before starting over
+ADMITTED_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,14 @@ class DeviceSpecs:
     """Capabilities + constraints of one device (QPU or emulator).
 
     Units: um, rad/us, us.
+
+    :meth:`check` validates a program in full.  :meth:`admit` is
+    the entry point of the submit and execution paths: it runs
+    :meth:`check` once per program content (see :func:`program_hash`)
+    and remembers the contents that passed, while the shot count is
+    still checked on every call.  Failed checks are not remembered.
+    The memory belongs to this object and never appears in
+    :meth:`to_dict`, ``==`` or ``replace``.
     """
 
     name: str = "fresnel-sim"
@@ -100,11 +116,29 @@ class DeviceSpecs:
 
     def check(self, register: Register, segments: list[DriveSegment], shots: int) -> None:
         """Raise :class:`ValidationError` listing every violation."""
-        violations = (
+        self._raise_for(
             self.validate_register(register)
             + self.validate_schedule(segments)
             + self.validate_shots(shots)
         )
+
+    def admit(self, register: Register, segments: list[DriveSegment], shots: int) -> None:
+        """:meth:`check`, with the register and schedule checked once per
+        program content on this document."""
+        admitted = getattr(self, "_admitted", None)
+        if admitted is None:
+            admitted = set()
+            object.__setattr__(self, "_admitted", admitted)
+        key = program_hash(register, segments)
+        if key in admitted:
+            self._raise_for(self.validate_shots(shots))
+            return
+        self.check(register, segments, shots)
+        if len(admitted) >= ADMITTED_LIMIT:
+            admitted.clear()
+        admitted.add(key)
+
+    def _raise_for(self, violations: list[str]) -> None:
         if violations:
             raise ValidationError(
                 f"program invalid for device {self.name!r} "

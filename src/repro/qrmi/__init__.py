@@ -12,8 +12,9 @@ The trait surface (:class:`QuantumResource`):
 ``task_start(program) -> task_id``, ``task_status``, ``task_stop``,
 ``task_result``
     asynchronous task lifecycle,
-``target()``
-    current device specification document (for validation),
+``specs()`` / ``target()``
+    current device specifications (the :class:`~repro.qpu.DeviceSpecs`
+    object validation runs against) and their document form,
 ``metadata()``
     resource type, locality, connectivity info.
 

@@ -17,6 +17,7 @@ from ..emulators.base import EmulationResult, EmulatorBackend
 from ..emulators.resources import make_emulator
 from ..errors import QRMIError
 from ..qpu.device import QPUDevice
+from ..qpu.specs import DeviceSpecs
 from ..sdk.ir import AnalogProgram
 from ..sdk.translate import lower_to_hamiltonian
 from ..simkernel import Simulator, Timeout
@@ -53,6 +54,13 @@ class LocalEmulatorResource(QuantumResource):
         self.engine: EmulatorBackend = make_emulator(emulator, **emulator_overrides)
         self.rng = np.random.default_rng(seed)
         self.dt = dt
+        self._specs = DeviceSpecs(
+            name=name,
+            max_qubits=self.engine.max_qubits,
+            is_hardware=False,
+            shot_rate_hz=1e9,  # emulators have no shot clock
+            max_shots_per_task=1_000_000,
+        )
 
     def _execute(self, program: AnalogProgram) -> EmulationResult:
         ham = lower_to_hamiltonian(program, dt=self.dt)
@@ -61,17 +69,8 @@ class LocalEmulatorResource(QuantumResource):
         result.metadata["fidelity_estimate"] = self.engine.fidelity_estimate()
         return result
 
-    def target(self) -> dict:
-        from ..qpu.specs import DeviceSpecs
-
-        specs = DeviceSpecs(
-            name=self.name,
-            max_qubits=self.engine.max_qubits,
-            is_hardware=False,
-            shot_rate_hz=1e9,  # emulators have no shot clock
-            max_shots_per_task=1_000_000,
-        )
-        return specs.to_dict()
+    def specs(self) -> DeviceSpecs:
+        return self._specs
 
     def metadata(self) -> dict:
         meta = super().metadata()
@@ -151,8 +150,10 @@ class OnPremQPUResource(QuantumResource):
             list(program.segments), program.shots, batched=batched
         )
 
-    def target(self) -> dict:
-        return self.device.fetch_specs().to_dict()
+    def specs(self) -> DeviceSpecs:
+        """The device's own specs object: daemon admission and device
+        execution share its memory of admitted programs."""
+        return self.device.fetch_specs()
 
     def metadata(self) -> dict:
         meta = super().metadata()

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import AcquisitionError, TaskError
+from ..qpu.specs import DeviceSpecs
 from ..sdk.ir import AnalogProgram
 
 __all__ = ["QRMITask", "QuantumResource", "TaskStatus"]
@@ -135,9 +136,16 @@ class QuantumResource:
 
     # -- introspection ---------------------------------------------------
 
-    def target(self) -> dict:
-        """Current device specification document (validation input)."""
+    def specs(self) -> DeviceSpecs:
+        """Current device specifications (validation input).  Drift
+        replaces the object rather than mutating it, so validating
+        against the object returned here is validating against the
+        device as it is now."""
         raise NotImplementedError
+
+    def target(self) -> dict:
+        """:meth:`specs` as a document (the REST form)."""
+        return self.specs().to_dict()
 
     def metadata(self) -> dict:
         return {

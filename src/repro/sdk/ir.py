@@ -14,13 +14,12 @@ zero bytes of the program.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..errors import IRError
 from ..qpu.geometry import Register
+from ..qpu.hamiltonian import program_hash
 from ..qpu.pulses import DriveSegment
 
 __all__ = ["AnalogProgram"]
@@ -53,10 +52,13 @@ class AnalogProgram:
 
     def with_shots(self, shots: int) -> "AnalogProgram":
         """Same program, different shot budget (the only knob schedulers
-        may touch — e.g. the daemon capping dev-queue shots)."""
-        from dataclasses import replace
-
-        return replace(self, shots=shots)
+        may touch — e.g. the daemon capping dev-queue shots).  Shots are
+        not physics content, so the copy keeps the content-hash memo."""
+        program = replace(self, shots=shots)
+        cached = getattr(self, "_content_hash", None)
+        if cached is not None:
+            object.__setattr__(program, "_content_hash", cached)
+        return program
 
     # -- serialization ------------------------------------------------------
 
@@ -87,13 +89,16 @@ class AnalogProgram:
     def content_hash(self) -> str:
         """Stable digest of the physics content (register + schedule),
         excluding shots/metadata.  Used by the portability checks to
-        prove the *same* program ran in every environment (Figure 1)."""
-        payload = {
-            "register": self.register.to_dict(),
-            "segments": [seg.to_dict() for seg in self.segments],
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        prove the *same* program ran in every environment (Figure 1); the
+        same value (:func:`~repro.qpu.hamiltonian.program_hash`) keys the
+        device's per-program checks and Hamiltonians.  Computed once per
+        (frozen) instance; the memo never appears in ``to_dict``, ``==``
+        or ``replace``."""
+        cached = getattr(self, "_content_hash", None)
+        if cached is None:
+            cached = program_hash(self.register, self.segments)
+            object.__setattr__(self, "_content_hash", cached)
+        return cached
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnalogProgram):

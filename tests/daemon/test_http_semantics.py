@@ -34,6 +34,43 @@ class Test404vs405:
         assert router.dispatch(Request("GET", "/things/9/")).body["id"] == "9"
 
 
+class TestRouteIndex:
+    """Routes are bucketed by segment count; registration order still
+    decides between routes of one length."""
+
+    def build(self):
+        router = Router()
+        router.add("GET", "/tasks/stats", lambda req: Response(body={"route": "stats"}))
+        router.add("GET", "/tasks/{id}", lambda req: Response(body={"id": req.params["id"]}))
+        router.add("GET", "/tasks/{id}/result", lambda req: Response(body={"of": req.params["id"]}))
+        router.add("DELETE", "/admin/tasks/{id}", lambda req: Response(status=204))
+        return router
+
+    def test_templated_route_binds_params(self):
+        router = self.build()
+        assert router.dispatch(Request("GET", "/tasks/mw-task-3")).body == {"id": "mw-task-3"}
+        assert router.dispatch(Request("GET", "/tasks/t9/result")).body == {"of": "t9"}
+
+    def test_first_registered_route_wins_within_a_length(self):
+        router = self.build()
+        assert router.dispatch(Request("GET", "/tasks/stats")).body == {"route": "stats"}
+
+    def test_404_and_405_per_length(self):
+        router = self.build()
+        assert router.dispatch(Request("GET", "/admin/tasks/7")).status == 405
+        assert router.dispatch(Request("POST", "/tasks/7/result")).status == 405
+        assert router.dispatch(Request("GET", "/admin/jobs/7")).status == 404
+        assert router.dispatch(Request("GET", "/tasks/7/result/extra")).status == 404
+        assert router.dispatch(Request("GET", "/")).status == 404
+
+    def test_handler_error_after_index_lookup_is_500(self):
+        router = Router()
+        router.add("GET", "/things/{id}", lambda req: 1 / 0)
+        response = router.dispatch(Request("GET", "/things/1"))
+        assert response.status == 500
+        assert "ZeroDivisionError" in response.body["error"]
+
+
 class TestClientErrorMapping:
     def test_validation_error_carries_violations(self):
         from repro.runtime import DaemonClient

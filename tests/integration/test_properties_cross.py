@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) on cross-layer invariants."""
 
+import hashlib
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from repro.cluster import JobSpec, Node, Partition, SlurmController
 from repro.daemon.queue import MiddlewareQueue, PriorityClass
 from repro.observability import TimeSeriesDB
-from repro.qpu import ConstantWaveform, Register
+from repro.qpu import ConstantWaveform, DriveSegment, RampWaveform, Register
 from repro.sdk import AnalogProgram, Pulse, Sequence
 from repro.simkernel import Simulator
 
@@ -122,6 +125,48 @@ class TestIRInvariants:
         again = AnalogProgram.from_dict(program.to_dict())
         assert again.content_hash() == program.content_hash()
         assert again.shots == shots
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.floats(min_value=4.0, max_value=12.0),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.05, max_value=2.0),     # duration
+                st.floats(min_value=0.0, max_value=12.0),     # omega
+                st.floats(min_value=-50.0, max_value=50.0),   # detuning start
+                st.floats(min_value=-50.0, max_value=50.0),   # detuning stop
+                st.floats(min_value=-3.0, max_value=3.0),     # phase
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(min_value=1, max_value=5000),
+    )
+    def test_memoized_content_hash_equals_a_fresh_computation(
+        self, n, spacing, parts, shots
+    ):
+        """The memo (on the program and on its register and segments) is
+        invisible: every path gives the digest of the sorted-key JSON of
+        the physics content."""
+        segments = tuple(
+            DriveSegment(
+                ConstantWaveform(duration, omega),
+                RampWaveform(duration, start, stop),
+                phase=phase,
+            )
+            for duration, omega, start, stop, phase in parts
+        )
+        program = AnalogProgram(Register.chain(n, spacing=spacing), segments, shots=7)
+        payload = {
+            "register": program.register.to_dict(),
+            "segments": [seg.to_dict() for seg in segments],
+        }
+        fresh = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert program.content_hash() == fresh
+        assert program.with_shots(shots).content_hash() == fresh
+        assert AnalogProgram.from_dict(program.to_dict()).content_hash() == fresh
+        assert program.with_shots(shots).to_dict() == {**program.to_dict(), "shots": shots}
 
 
 class TestPhysicsInvariants:

@@ -294,18 +294,21 @@ class TestQAJob:
 
 
 class TestHotPathCaches:
-    def test_hamiltonian_cached_per_program_identity(self):
+    def test_hamiltonian_cached_per_program_content(self):
         device = QPUDevice(rng=np.random.default_rng(0))
         reg, segs = simple_program()
         first = device._hamiltonian(reg, segs)
         assert device._hamiltonian(reg, segs) is first
-        # a different register object is a different key, same values or not
+        # equal content under new objects is the same key
         reg2, segs2 = simple_program()
-        assert device._hamiltonian(reg2, segs2) is not first
+        assert device._hamiltonian(reg2, segs2) is first
+        # different content is a different key
+        reg3, segs3 = simple_program(spacing=7.0)
+        assert device._hamiltonian(reg3, segs3) is not first
 
     def test_hamiltonian_cache_bounded(self):
         device = QPUDevice(rng=np.random.default_rng(0))
-        programs = [simple_program() for _ in range(70)]
+        programs = [simple_program(spacing=6.0 + 0.1 * i) for i in range(70)]
         for reg, segs in programs:
             device._hamiltonian(reg, segs)
         assert len(device._ham_cache) <= 64
