@@ -237,13 +237,23 @@ def _paired_ratio(call, probe, repeats: int) -> tuple[float, float, float]:
 def run_emulator_rows() -> dict:
     """Wall cost of the ``emu-sv`` Strang kernel over a same-machine
     NumPy probe of matching shape, for one 12-qubit noiseless 60-step
-    ``evolve`` (``dense_*``) and one pass of 2-5-atom noisy 32-step
-    ``evolve_many`` batches of R=4 realizations (``noisy_small_*``):
-    the paired ratio plus the best kernel and probe wall ms."""
+    ``evolve`` (``dense_*``), one pass of 2-5-atom noisy 32-step
+    ``evolve_many`` batches of R=4 realizations (``noisy_small_*``), and
+    one pass of whole noisy ``run`` calls on the same shapes under the
+    QPU's nominal calibration noise -- evolution, multinomial, SPAM and
+    histogram (``run_small_*``): the paired ratio plus the best kernel
+    and probe wall ms."""
     import numpy as np
 
     from repro.emulators import StateVectorEmulator
-    from repro.qpu import ConstantWaveform, DriveSegment, RampWaveform, Register, RydbergHamiltonian
+    from repro.qpu import (
+        CalibrationState,
+        ConstantWaveform,
+        DriveSegment,
+        RampWaveform,
+        Register,
+        RydbergHamiltonian,
+    )
 
     def ham(n: int, duration: float) -> RydbergHamiltonian:
         seg = DriveSegment(
@@ -262,10 +272,18 @@ def run_emulator_rows() -> dict:
         for h in small:
             emu.evolve_many(h, scales, offsets)
 
+    noise = CalibrationState().to_noise_model()
+    shots_rng = np.random.default_rng(1)
+
+    def run_pass() -> None:
+        for h in small:
+            emu.run(h, 100, shots_rng, noise=noise)
+
     # 60 steps x 3 qubit groups on a 2^12 state; and about as many
     # NumPy calls on tiny arrays as the 4 x 32-step noisy pass
     dense = _paired_ratio(lambda: emu.evolve(dense_ham), _numpy_probe(1, 256, 180), 15)
     noisy = _paired_ratio(noisy_pass, _numpy_probe(4, 1, 512), 40)
+    run = _paired_ratio(run_pass, _numpy_probe(4, 1, 512), 40)
     return {
         "dense_ratio": dense[0],
         "dense_ms": dense[1],
@@ -273,6 +291,8 @@ def run_emulator_rows() -> dict:
         "noisy_small_ratio": noisy[0],
         "noisy_small_ms": noisy[1],
         "noisy_probe_ms": noisy[2],
+        "run_small_ratio": run[0],
+        "run_small_ms": run[1],
     }
 
 
@@ -427,10 +447,12 @@ def bench_regression_suite() -> dict:
     metrics["makespan_c7leg_broker_s"] = round(broker_loop["makespan"], 3)
     metrics["throughput_c7leg_broker_jobs"] = float(broker_loop["completed"])
     # emulator layer: the emu-sv kernel on the dev-loop (12 q noiseless)
-    # and qpu-shared (2-5 atoms, noisy) shapes, over a NumPy probe
+    # and qpu-shared (2-5 atoms, noisy) shapes, and the whole noisy run()
+    # on the qpu-shared shapes, each over a NumPy probe
     emu = run_emulator_rows()
     metrics["walltime_emu_sv_dense_ratio"] = round(emu["dense_ratio"], 4)
     metrics["walltime_emu_sv_noisy_small_ratio"] = round(emu["noisy_small_ratio"], 4)
+    metrics["walltime_emu_sv_run_small_ratio"] = round(emu["run_small_ratio"], 4)
     mode = "smoke" if os.environ.get("BENCH_SMOKE", "") not in ("", "0") else "full"
     return {"mode": mode, "metrics": metrics}
 

@@ -58,9 +58,12 @@ class EmulationResult:
 class EmulatorBackend:
     """Abstract emulator: evolve a Rydberg Hamiltonian and sample.
 
-    Subclasses implement :meth:`final_state_probabilities` (or override
-    :meth:`run` wholesale for backends that sample without forming the
-    full distribution, like the MPS emulator).
+    Subclasses set :attr:`name` and :attr:`max_qubits` and implement
+    :meth:`run`: evolve, draw ``shots`` bitstrings, apply the noise
+    model, return the counts.  The state-vector emulator forms the full
+    2^n distribution; the MPS emulator samples the chain site by site
+    without it.  Backends that truncate also override
+    :meth:`fidelity_estimate`.
     """
 
     name = "abstract"

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import EmulatorError
 
 __all__ = ["bits_to_strings", "counts_from_samples", "sample_bitstrings"]
+
+#: largest register histogrammed by ``bincount`` over all 2^n outcomes
+#: (emu-sv's limit); wider samples are deduplicated by ``np.unique``
+_BINCOUNT_MAX_QUBITS = 14
 
 
 def sample_bitstrings(
@@ -49,14 +55,27 @@ def bits_to_strings(samples: np.ndarray) -> list[str]:
     return [row.tobytes().decode("ascii") for row in chars]
 
 
+@functools.cache
+def _labels(n: int) -> list[str]:
+    """The n-bit string of every basis index, 0 .. 2^n - 1."""
+    return [format(key, f"0{n}b") for key in range(1 << n)]
+
+
 def counts_from_samples(samples: np.ndarray) -> dict[str, int]:
-    """Histogram an (shots, n) bit array into a counts dict."""
+    """Histogram an (shots, n) bit array into a counts dict, keys in
+    ascending bitstring order."""
     if samples.shape[0] == 0:
         return {}
+    n = samples.shape[1]
+    if n <= _BINCOUNT_MAX_QUBITS:
+        keys = samples @ (1 << np.arange(n - 1, -1, -1))
+        hist = np.bincount(keys, minlength=1 << n)
+        seen = np.flatnonzero(hist)
+        labels = _labels(n)
+        return dict(zip([labels[k] for k in seen.tolist()], hist[seen].tolist(), strict=True))
     # Pack rows into integers for fast unique counting.  A plain Python
     # ``1 << 63`` cast through int64 would overflow, so the weights are
     # built in uint64 from the start; that covers exactly n <= 64.
-    n = samples.shape[1]
     if n <= 64:
         weights = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
         keys = samples.astype(np.uint64) @ weights

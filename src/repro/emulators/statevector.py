@@ -1,19 +1,47 @@
 """Dense state-vector emulator (EMU-SV analogue).
 
 Numerically exact (up to Trotter error) evolution of the Rydberg
-Hamiltonian using second-order Strang splitting:
+Hamiltonian using second-order Strang splitting, one step per grid
+interval k:
 
-    U(dt) ~= D(dt/2) * R(dt) * D(dt/2)
+    U(dt_k) ~= D_k^1/2 * R_k * D_k^1/2
 
-* ``D`` — the diagonal part, factored as exp(-i dt/2 E_int), one 2^n
-  phase per step length, times exp(+i dt/2 delta_k popcount), which has
-  only n+1 distinct values per (realization, step) and so is a gather,
-* ``R`` — the global drive: the same 2x2 rotation ``u`` on every qubit
-  (the single-qubit terms commute).  The register splits into
+* ``D_k^1/2 = exp(-i dt_k/2 (E_int - delta_k popcount))`` — the
+  diagonal part,
+* ``R_k`` — the global drive: the same 2x2 rotation ``u`` on every
+  qubit (the single-qubit terms commute).  The register splits into
   ceil(n/``_GROUP``) groups of g <= ``_GROUP`` qubits; the Kronecker
   power ``⊗^g u`` acts on each in one batched matmul that also cycles
-  the group to the back of the register, so the qubit order is restored
-  after the last group.
+  the group to the back of the register, so the qubit order is
+  restored after the last group.
+
+**Fused diagonals.**  Adjacent half-diagonals of consecutive steps
+merge, so the evolution is
+
+    F_{K-1} R_{K-1} ... F_1 R_1 F_0 R_0 D_0^1/2 |0...0>,
+    F_k = D_k^1/2 D_{k+1}^1/2,   F_{K-1} = D_{K-1}^1/2,
+
+one diagonal per step instead of two.  ``D_0^1/2`` is the identity on
+|0...0> (zero interaction energy, zero popcount), so it is never
+applied.  ``F_k`` factors into a program-static interaction phase
+exp(-i (dt_k + dt_{k+1})/2 E_int) -- one 2^n row per distinct
+step-length sum, built once per Hamiltonian by
+``RydbergHamiltonian.fused_diagonals`` -- times a detuning phase that
+depends only on the popcount, so it has n+1 values per (realization,
+step).
+
+**Step operators per chunk.**  The Kronecker powers and detuning phases
+are built vectorised over a chunk of steps, capped at ``_TABLE_BUDGET``
+complex values.  The detuning phase factors over the groups (the
+popcount is a sum over groups), so each group's share is folded into
+the columns of its matrix:
+
+* a single-group register (n <= ``_GROUP``) folds the whole of ``F_k``,
+  the interaction phase too, into its matrix: a step is one batched
+  matmul;
+* a larger register rotates its groups and then multiplies by the
+  shared interaction phase row: g matmuls and one multiply per step,
+  and no table that grows with 2^n per step.
 
 One kernel evolves every coherent-noise realization at once; the only
 Python loops are over time steps and qubit groups (no per-amplitude
@@ -21,6 +49,8 @@ Python work).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -83,11 +113,11 @@ class StateVectorEmulator(EmulatorBackend):
         """Evolve one state per (rabi_scale, detuning_offset) pair in a
         single batched pass; returns an (R, 2^n) array of final states.
 
-        All realizations share the time grid, so every Strang step is a
-        handful of NumPy calls over the whole (R, 2^n) batch.  The step
-        tables (detuning phases, drive Kronecker powers) are built per
-        chunk of steps, so they stay within ``_TABLE_BUDGET`` complex
-        values however many realizations and steps there are.
+        All realizations share the time grid, so every Strang step is
+        one to four batched matmuls and at most one multiply over the
+        whole (R, 2^n) batch.  The step tables are built per chunk of
+        steps, so they stay within ``_TABLE_BUDGET`` complex values
+        however many realizations and steps there are.
         """
         self.check_size(ham)
         scales = np.atleast_1d(np.asarray(rabi_scales, dtype=np.float64))
@@ -100,47 +130,46 @@ class StateVectorEmulator(EmulatorBackend):
         n = ham.num_qubits
         dim = 1 << n
         reals = scales.shape[0]
-        steps = ham.steps
-
-        e_int = ham.diagonal_energies()
-        occ = ham.occupation_counts()
-        delta = ham.delta[None, :] + offsets[:, None]            # (R, K)
-        theta = np.outer(scales, ham.omega) * steps[None, :]     # (R, K)
-        rotate = np.any(theta != 0.0, axis=0)                    # per step
-        # ceil(n / _GROUP) groups of near-equal size, largest first
-        groups = -(-n // _GROUP)
-        sizes = [n // groups + (g < n % groups) for g in range(groups)]
+        fused = ham.fused_diagonals()
+        sizes = _group_sizes(n)
+        theta = np.outer(ham.omega * ham.steps, scales)                           # (K, R)
+        weight = 0.5 * (fused.weighted[:, None] + np.outer(fused.sums, offsets))  # (K, R)
+        popcounts = np.arange(sizes[0] + 1)
         # a quarter of the budget per chunk: the previous chunk's tables
         # are still alive while the next chunk's are built
         chunk = max(1, _TABLE_BUDGET // (4 * reals * 4 ** sizes[0]))
 
-        psi = np.zeros((reals, dim), dtype=np.complex128)
-        psi[:, 0] = 1.0
-        dt = None
-        for k in range(ham.num_steps):
-            j = k % chunk
-            if j == 0:
-                window = slice(k, k + chunk)
-                # exp(+i dt/2 delta c) for every popcount c = 0..n
-                detuning = np.exp(
-                    (0.5j * steps[window] * delta[:, window])[..., None]
-                    * np.arange(n + 1)
-                )
-                kron = _drive_kron_powers(theta[:, window], ham.phase[window], sizes)
-            if steps[k] != dt:
-                dt = steps[k]
-                interaction = np.exp(-0.5j * dt * e_int)
-            half = detuning[:, j].take(occ, axis=1)
-            half *= interaction
-            psi *= half
-            if rotate[k]:
-                for size in sizes:
-                    # (R, M, 2^size) @ (⊗^size u)^T: rotates the leading
-                    # group and cycles it to the back in one matmul
-                    lead = psi.reshape(reals, 1 << size, -1).transpose(0, 2, 1)
-                    psi = np.matmul(lead, kron[size][:, j]).reshape(reals, dim)
-            psi *= half
-        return psi
+        interaction = fused.interaction.reshape(-1, dim >> sizes[-1], 1 << sizes[-1])
+        psi = np.zeros((reals, 1, dim), dtype=np.complex128)
+        psi[..., 0] = 1.0
+        for start in range(0, ham.num_steps, chunk):
+            window = slice(start, start + chunk)
+            # exp(+i/2 (weighted + sums offset) c) for popcounts c = 0..g: (steps, R, g+1)
+            detuning = _cis(weight[window, :, None] * popcounts)
+            ops = _drive_kron_powers(theta[window], ham.phase[window], sizes)
+            if len(sizes) == 1:
+                # fold all of F_k into the columns of (⊗u)^T: a step is one matmul
+                diag = detuning.take(ham.occupation_counts(), axis=-1)
+                diag *= fused.interaction[fused.index[window], None, :]
+                ops[n] *= diag[:, :, None, :]
+                for op in ops[n]:
+                    psi = np.matmul(psi, op)
+            else:
+                # the detuning phase factors over the groups: fold each
+                # group's share into its matrix, leaving the shared
+                # interaction phase as the one multiply per step
+                for size, op in ops.items():
+                    op *= detuning.take(_popcount(size), axis=-1)[:, :, None, :]
+                for j, row in enumerate(fused.index[window]):
+                    for size in sizes:
+                        # (R, M, 2^size) @ (⊗^size u)^T: rotates the leading
+                        # group and cycles it to the back in one matmul
+                        lead = psi.reshape(reals, 1 << size, -1).transpose(0, 2, 1)
+                        psi = np.matmul(lead, ops[size][j])
+                    # the last matmul restored the qubit order: psi is
+                    # (R, 2^(n - last), 2^last), like ``interaction``'s rows
+                    psi *= interaction[row]
+        return psi.reshape(reals, dim)
 
     def probabilities_many(
         self,
@@ -160,6 +189,8 @@ class StateVectorEmulator(EmulatorBackend):
         rng: np.random.Generator,
         noise: NoiseModel | None = None,
     ) -> EmulationResult:
+        if shots < 0:
+            raise EmulatorError(f"shots must be >= 0, got {shots}")
         self.check_size(ham)
         n = ham.num_qubits
         if noise is None or noise.is_trivial:
@@ -206,31 +237,67 @@ class StateVectorEmulator(EmulatorBackend):
         return self._last_fidelity
 
 
-def _drive_kron_powers(theta: np.ndarray, phase: np.ndarray, sizes: list[int]) -> dict:
+def _cis(x: np.ndarray) -> np.ndarray:
+    """exp(i x) for real x, from one cos and one sin (cheaper than the
+    complex exp, and the same values)."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+@functools.cache
+def _group_sizes(n: int) -> tuple[int, ...]:
+    """ceil(n / ``_GROUP``) drive groups of near-equal size, largest first."""
+    groups = -(-n // _GROUP)
+    return tuple(n // groups + (g < n % groups) for g in range(groups))
+
+
+@functools.cache
+def _popcount(m: int) -> np.ndarray:
+    """Popcount of each m-bit basis index, 0 .. 2^m - 1."""
+    return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).sum(axis=1)
+
+
+@functools.cache
+def _kron_index(m: int) -> np.ndarray:
+    """(2^m, 2^m) gather index of entry (a, b) of ``(⊗^m u)^T`` into the
+    flattened (m+1, 2m+1) table of c^(m-w) (-i s)^w e^(i phi d), with
+    w = p + q and d = p - q; p (q) counts the qubits where a has 1 (0)
+    and b has 0 (1)."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    p = (bits[:, None, :] & (1 - bits[None, :, :])).sum(axis=-1)
+    q = ((1 - bits[:, None, :]) & bits[None, :, :]).sum(axis=-1)
+    return (p + q) * (2 * m + 1) + (p - q + m)
+
+
+#: (-i)^w for w = 0.._GROUP
+_MINUS_I_POWERS = (-1j) ** np.arange(_GROUP + 1)
+
+
+def _drive_kron_powers(theta: np.ndarray, phase: np.ndarray, sizes: tuple[int, ...]) -> dict:
     """Transposed Kronecker powers ``(⊗^m u)^T`` of the drive rotation
-    exp(-i (theta/2) (cos(phi) X - sin(phi) Y)) per (realization, step),
-    for each group size m in ``sizes``; entry m has shape (R, K, 2^m, 2^m).
+    exp(-i (theta/2) (cos(phi) X - sin(phi) Y)) per (step, realization),
+    for each group size m in ``sizes``; entry m has shape (K, R, 2^m, 2^m).
 
     u is su(2):  [[c, x], [y, c]] = [[cos(t/2), -i e^{i phi} sin(t/2)],
                                      [-i e^{-i phi} sin(t/2), cos(t/2)]],
-    so entry (a, b) of ``⊗^m u`` is c^(m-p-q) x^p y^q, with p (q) the
-    number of qubits where a has 0 (1) and b has 1 (0): a gather from
-    the (m+1)^2 such products instead of m-1 outer products.
+    so entry (a, b) of ``⊗^m u`` is c^(m-p-q) x^p y^q
+    = c^(m-p-q) (-i s)^(p+q) e^(i phi (p-q)), with p (q) the number of
+    qubits where a has 0 (1) and b has 1 (0): a gather from the
+    (m+1)(2m+1) products of an amplitude and a phase power instead of
+    m-1 outer products.
     """
-    c = np.cos(0.5 * theta)[..., None, None]
-    s = np.sin(0.5 * theta)[..., None, None]
-    eip = np.exp(1j * phase)[:, None, None]
-    x = -1j * eip * s
-    y = -1j * eip.conj() * s
+    top = sizes[0]
+    e = np.arange(top + 1)
+    cos = np.cos(0.5 * theta)[..., None] ** e                     # (K, R, top+1)
+    sin = np.sin(0.5 * theta)[..., None] ** e
+    turns = _cis(phase[:, None] * np.arange(-top, top + 1))       # (K, 2top+1)
     powers = {}
     for m in set(sizes):
-        e = np.arange(m + 1)
-        p, q = e[:, None], e[None, :]
-        table = c ** np.maximum(m - p - q, 0) * x**p * y**q
-        bits = (np.arange(1 << m)[:, None] >> e[:m]) & 1
-        # transposed: entry (a, b) of (⊗u)^T is entry (b, a) of ⊗u
-        p_ab = (bits[:, None, :] & (1 - bits[None, :, :])).sum(axis=-1)
-        q_ab = ((1 - bits[:, None, :]) & bits[None, :, :]).sum(axis=-1)
-        flat = table.reshape(theta.shape + ((m + 1) ** 2,))
-        powers[m] = flat.take(p_ab * (m + 1) + q_ab, axis=-1)
+        w = e[: m + 1]
+        amp = cos[..., m - w] * sin[..., w] * _MINUS_I_POWERS[w]
+        table = amp[..., :, None] * turns[:, None, None, top - m : top + m + 1]
+        flat = table.reshape(theta.shape + (-1,))
+        powers[m] = flat.take(_kron_index(m), axis=-1)
     return powers

@@ -15,8 +15,10 @@ The module exposes:
   Hamiltonian is built from (register + drive schedule), the key of
   every per-program cache,
 * :class:`RydbergHamiltonian` — grid-sampled coefficients + helper
-  arrays consumed by both emulators (dense diagonal for the state
-  vector backend, per-bond couplings for the MPS backend).
+  arrays consumed by both emulators (dense diagonal and the
+  program-static parts of the fused Strang diagonals,
+  :class:`FusedDiagonals`, for the state vector backend, per-bond
+  couplings for the MPS backend).
 
 Note the structure exploited by the emulators: the interaction +
 detuning part is *diagonal* in the computational basis, while the drive
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .pulses import DriveSegment
 
 __all__ = [
     "DEFAULT_C6",
+    "FusedDiagonals",
     "RydbergHamiltonian",
     "interaction_matrix",
     "program_hash",
@@ -73,6 +77,25 @@ def rydberg_blockade_radius(omega_max: float, c6: float = DEFAULT_C6) -> float:
     if omega_max <= 0:
         raise PulseError("omega_max must be positive")
     return float((c6 / omega_max) ** (1.0 / 6.0))
+
+
+class FusedDiagonals(NamedTuple):
+    """Program-static parts of the dense backend's fused Strang
+    diagonals ``F_k = D_k^1/2 D_{k+1}^1/2`` (``F_{K-1} = D_{K-1}^1/2``),
+    where ``D_k^1/2 = exp(-i dt_k/2 (E_int - delta_k popcount))``.
+
+    ``F_k`` is ``interaction[index[k]]`` times exp(+i/2 (weighted[k] +
+    sums[k] * offset) popcount) for a detuning offset.
+    """
+
+    #: (K,) dt_k + dt_{k+1}, with dt_K = 0
+    sums: np.ndarray
+    #: (K,) dt_k delta_k + dt_{k+1} delta_{k+1}, with dt_K = 0
+    weighted: np.ndarray
+    #: (K,) row of ``interaction`` that step k uses
+    index: np.ndarray
+    #: (S, 2^n) exp(-i s/2 E_int), one row per distinct step-length sum s
+    interaction: np.ndarray
 
 
 class RydbergHamiltonian:
@@ -136,6 +159,7 @@ class RydbergHamiltonian:
         # fixed at construction, so these never need invalidation)
         self._diag_cache: np.ndarray | None = None
         self._occ_cache: np.ndarray | None = None
+        self._fused_cache: FusedDiagonals | None = None
 
     @property
     def num_qubits(self) -> int:
@@ -184,6 +208,27 @@ class RydbergHamiltonian:
         if self._occ_cache is None:
             self._occ_cache = self.occupation_table().sum(axis=1).astype(np.intp)
         return self._occ_cache
+
+    def fused_diagonals(self) -> FusedDiagonals:
+        """The step-length sums, dt-weighted detunings and interaction
+        phases of the fused Strang diagonals, cached."""
+        if self._fused_cache is None:
+            steps = np.append(self.steps, 0.0)
+            weighted = np.append(self.steps * self.delta, 0.0)
+            sums = steps[:-1] + steps[1:]
+            distinct, index = np.unique(sums, return_inverse=True)
+            # exp(i angle) from cos and sin: the same values, cheaper
+            angle = -0.5 * distinct[:, None] * self.diagonal_energies()
+            interaction = np.empty(angle.shape, dtype=np.complex128)
+            np.cos(angle, out=interaction.real)
+            np.sin(angle, out=interaction.imag)
+            self._fused_cache = FusedDiagonals(
+                sums=sums,
+                weighted=weighted[:-1] + weighted[1:],
+                index=index,
+                interaction=interaction,
+            )
+        return self._fused_cache
 
     # -- helpers for the MPS backend ---------------------------------------
 

@@ -98,6 +98,16 @@ class TestRun:
         with pytest.raises(EmulatorError):
             emu.run(ham, shots=1, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "noise",
+        [None, NoiseModel(detection_epsilon=0.02), NoiseModel(amplitude_rel_std=0.01)],
+        ids=["noiseless", "spam-only", "coherent"],
+    )
+    def test_negative_shots_rejected(self, noise):
+        ham = make_ham(n=2, omega=2.0, duration=0.1, dt=0.01)
+        with pytest.raises(EmulatorError, match="shots must be >= 0"):
+            StateVectorEmulator().run(ham, -3, np.random.default_rng(0), noise=noise)
+
     def test_spam_noise_flips_bits(self):
         """Ground-state atoms with strong detection epsilon read as excited."""
         ham = make_ham(n=2, omega=0.0, duration=0.1)  # stays in |00>

@@ -5,6 +5,7 @@ schedules end to end."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +129,71 @@ class TestStepTableBudget:
         for r in (0, reals // 2, reals - 1):
             single = emu.evolve(ham, scales[r], offsets[r])
             np.testing.assert_allclose(batched[r], single, atol=1e-10)
+
+
+def _zigzag(n: int) -> Register:
+    """An asymmetric n-atom register (see ``_schedules``)."""
+    xs = np.cumsum([0.0] + [5.5 + 0.7 * (i % 3) for i in range(n - 1)])
+    ys = [0.9 * ((-1) ** i) * (i % 2) for i in range(n)]
+    return Register.from_coordinates(list(zip(xs, ys, strict=True)))
+
+
+def _uneven_segments() -> list[DriveSegment]:
+    """Three segments off the 0.01 us grid (steps of 0.025/3, 0.01 and
+    0.035/4 us), with zero drive on the first and last segments."""
+    return [
+        DriveSegment(ConstantWaveform(0.025, 0.0), RampWaveform(0.025, -3.0, -1.0), phase=0.4),
+        DriveSegment(RampWaveform(0.05, 2.0, 7.0), RampWaveform(0.05, -1.0, 4.0), phase=-0.8),
+        DriveSegment(ConstantWaveform(0.035, 0.0), ConstantWaveform(0.035, 4.0), phase=1.1),
+    ]
+
+
+def _assert_matches_reference(ham, scales, offsets):
+    batched = StateVectorEmulator().evolve_many(ham, scales, offsets)
+    for r in range(len(scales)):
+        expected = _dense_reference(ham, scales[r], offsets[r])
+        np.testing.assert_allclose(batched[r], expected, atol=1e-10)
+
+
+_SCALES = np.array([1.0, 0.93, 1.08])
+_OFFSETS = np.array([0.0, 0.4, -0.7])
+
+
+class TestKernelEdges:
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+    def test_one_step_schedule(self, n):
+        # F_0 = D_0^1/2 is the whole diagonal after the only rotation
+        seg = DriveSegment(ConstantWaveform(0.01, 6.0), ConstantWaveform(0.01, 2.5), phase=0.7)
+        ham = RydbergHamiltonian(_zigzag(n), [seg], dt=0.01)
+        assert ham.num_steps == 1
+        _assert_matches_reference(ham, _SCALES, _OFFSETS)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 9])
+    def test_zero_drive_first_and_last_steps(self, n):
+        ham = RydbergHamiltonian(_zigzag(n), _uneven_segments(), dt=0.01)
+        assert ham.omega[0] == 0.0 and ham.omega[-1] == 0.0
+        _assert_matches_reference(ham, _SCALES, _OFFSETS)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_single_and_multi_group_share_uneven_steps(self, n):
+        # n = 4 folds the whole diagonal into one matmul per step; n = 7
+        # rotates two groups and multiplies the interaction phase
+        ham = RydbergHamiltonian(_zigzag(n), _uneven_segments(), dt=0.01)
+        assert len(np.unique(ham.steps)) == 3
+        _assert_matches_reference(ham, _SCALES, _OFFSETS)
+
+    def test_fused_diagonals_share_rows_per_step_length_sum(self):
+        ham = RydbergHamiltonian(_zigzag(3), _uneven_segments(), dt=0.01)
+        fused = ham.fused_diagonals()
+        assert ham.fused_diagonals() is fused
+        steps = np.append(ham.steps, 0.0)
+        np.testing.assert_array_equal(fused.sums, steps[:-1] + steps[1:])
+        # 3 in-segment sums, 2 segment boundaries and the final half step
+        assert len(fused.interaction) == len(np.unique(fused.sums)) == 6
+        np.testing.assert_allclose(
+            fused.interaction[fused.index],
+            np.exp(-0.5j * fused.sums[:, None] * ham.diagonal_energies()),
+        )
 
 
 def _misaligned_ham() -> RydbergHamiltonian:
