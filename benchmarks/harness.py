@@ -296,6 +296,42 @@ def run_emulator_rows() -> dict:
     }
 
 
+def _numpy_split_probe(rounds: int):
+    """A fixed repro-free NumPy loop: ``rounds`` rounds of a 32x32
+    complex Gram matmul, its ``eigh`` and a QR of the same matrix.
+
+    These are the emu-mps bond split's calls at chi=16, so the
+    evolve/probe ratio holds still where LAPACK speed differs from one
+    machine (or NumPy build) to the next.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    theta = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+
+    def probe() -> None:
+        for _ in range(rounds):
+            np.linalg.eigh(theta @ theta.conj().T)
+            np.linalg.qr(theta)
+
+    return probe
+
+
+def run_emu_mps_row() -> dict:
+    """Wall cost of one 20-qubit chi=16 60-step ``emu-mps`` ``evolve``
+    (the dev-loop shape: 616 truncating bond splits) over a
+    same-machine NumPy probe: the paired ratio plus the best evolve and
+    probe wall ms."""
+    from repro.emulators import MPSEmulator
+    from repro.qpu import ConstantWaveform, DriveSegment, RampWaveform, Register, RydbergHamiltonian
+
+    seg = DriveSegment(ConstantWaveform(0.6, 5.0), RampWaveform(0.6, -4.0, 4.0), phase=0.3)
+    ham = RydbergHamiltonian(Register.chain(20, spacing=6.0), [seg], dt=0.01)
+    emu = MPSEmulator(max_bond_dim=16)
+    ratio, evolve_ms, probe_ms = _paired_ratio(lambda: emu.evolve(ham), _numpy_split_probe(450), 9)
+    return {"ratio": ratio, "evolve_ms": evolve_ms, "probe_ms": probe_ms}
+
+
 def bench_regression_suite() -> dict:
     """Run the federation + malleable + accounting ablation benches;
     returns ``{"mode": ..., "metrics": {name: value}}``."""
@@ -453,6 +489,8 @@ def bench_regression_suite() -> dict:
     metrics["walltime_emu_sv_dense_ratio"] = round(emu["dense_ratio"], 4)
     metrics["walltime_emu_sv_noisy_small_ratio"] = round(emu["noisy_small_ratio"], 4)
     metrics["walltime_emu_sv_run_small_ratio"] = round(emu["run_small_ratio"], 4)
+    # the emu-mps canonical TEBD sweep on the dev-loop's 20-qubit shape
+    metrics["walltime_emu_mps_ratio"] = round(run_emu_mps_row()["ratio"], 4)
     mode = "smoke" if os.environ.get("BENCH_SMOKE", "") not in ("", "0") else "full"
     return {"mode": mode, "metrics": metrics}
 

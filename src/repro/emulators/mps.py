@@ -14,20 +14,45 @@ Approximations (documented, and measured by
 ``benchmarks/bench_ablation_bond_dimension.py``):
 
 1. bond-dimension truncation (tracked as accumulated discarded weight,
-   reported via :meth:`fidelity_estimate`),
+   reported via :meth:`MPSEmulator.fidelity_estimate`),
 2. interactions are kept only between atoms *adjacent in the MPS
    ordering* (atoms sorted by position); longer-range tails of the
    1/r^6 potential are dropped.  For chain registers this keeps the
    dominant nearest-neighbour blockade physics.
 
-Algorithm per Trotter step (second order):
+Algorithm (second-order Trotter).  Step k is ``h_k B_k h_k``: ``h_k``
+is the exact 2x2 exponential of ``(Omega/2)(cos phi X - sin phi Y) -
+delta n`` over dt/2 on every site, and ``B_k`` is the product of the
+diagonal bond gates ``exp(-i dt U_j n_j n_{j+1})``, which commute, so
+bonds may be visited in any order.  Consecutive half-steps fuse: the
+gate closing step k is ``c_k = h_{k+1} h_k`` (``c_{K-1} = h_{K-1}``),
+and the state starts as the product state ``h_0|0...0>``.
 
-    U1(dt/2) on every site  ->  diagonal bond gates (dt)  ->  U1(dt/2)
+* **Canonical sweeps.**  The MPS stays in mixed canonical form.  Even
+  steps visit bonds left to right, odd steps right to left, so each
+  bond holds the orthogonality centre and hands it on one site in the
+  sweep direction.
+* **One fused operator per bond.**  A bond applies one 4x4 operator:
+  its phase ``diag(1, 1, 1, e^{-i dt U_j})`` followed by ``c_k`` on the
+  site the bond finishes (the left site going right, the right site
+  going left, both at the sweep's last bond).  The tables behind them
+  (half-steps, closings, left/right/both operators, bond phases) are
+  built once per call, vectorised over the K steps.
+* **QR or eigh split.**  When ``min(2 D_left, 2 D_right) <= chi``
+  nothing can be truncated and the split is an exact QR (going right)
+  or LQ (going left); where the isometry's side is the narrower one,
+  the identity serves as the isometry.  Otherwise the kept isometry is
+  the top-chi eigenvectors of the reduced density matrix
+  ``theta theta^dagger`` (going right) or ``theta^dagger theta``
+  (going left), and the new centre is theta projected on it,
+  renormalised.
 
-where ``U1 = exp(-i dt (Omega/2 (cos phi X - sin phi Y) - delta n))`` is
-an exact 2x2 exponential and the bond gates
-``exp(-i dt U_ij n (x) n)`` are diagonal, hence mutually commuting — no
-even/odd sublattice split is needed.
+Every truncation happens at the orthogonality centre, so its discarded
+weight ``(|theta|^2 - |centre|^2) / |theta|^2`` is the exact local
+error.  :meth:`MPSEmulator.fidelity_estimate` is ``exp(-sum of those
+weights)``, which tracks the squared overlap with the untruncated
+Trotter state; noisy runs report the shot-weighted mean over their
+realizations.
 """
 
 from __future__ import annotations
@@ -58,14 +83,7 @@ class MPSEmulator(EmulatorBackend):
         self.max_qubits = max_qubits
         self._last_discarded_weight = 0.0
 
-    # -- state initialisation ------------------------------------------------
-
-    @staticmethod
-    def _initial_state(n: int) -> list[np.ndarray]:
-        """Product state |0...0> as trivial chi=1 MPS."""
-        tensor = np.zeros((1, 2, 1), dtype=np.complex128)
-        tensor[0, 0, 0] = 1.0
-        return [tensor.copy() for _ in range(n)]
+    # -- chain layout --------------------------------------------------------
 
     @staticmethod
     def _site_order(ham: "RydbergHamiltonian") -> np.ndarray:
@@ -81,65 +99,7 @@ class MPSEmulator(EmulatorBackend):
 
     def _bond_strengths(self, ham: "RydbergHamiltonian", order: np.ndarray) -> np.ndarray:
         """U_{k,k+1} between MPS-adjacent atoms."""
-        n = ham.num_qubits
-        strengths = np.empty(max(0, n - 1))
-        for k in range(n - 1):
-            strengths[k] = ham.interactions[order[k], order[k + 1]]
-        return strengths
-
-    # -- gates -----------------------------------------------------------------
-
-    @staticmethod
-    def _single_site_gate(omega: float, delta: float, phase: float, dt: float) -> np.ndarray:
-        """Exact 2x2 exponential of the single-site generator.
-
-        H1 = (omega/2)(cos(phi) X - sin(phi) Y) - delta n
-           = -delta/2 I + hx X + hy Y + (delta/2) Z  with
-        hx = (omega/2) cos(phi), hy = -(omega/2) sin(phi).
-        exp(-i dt H1) computed from the su(2) decomposition.
-        """
-        hx = 0.5 * omega * np.cos(phase)
-        hy = -0.5 * omega * np.sin(phase)
-        hz = 0.5 * delta
-        h0 = -0.5 * delta
-        r = np.sqrt(hx * hx + hy * hy + hz * hz)
-        if r < 1e-300:
-            return np.exp(-1j * dt * h0) * np.eye(2, dtype=np.complex128)
-        c = np.cos(r * dt)
-        s = np.sin(r * dt) / r
-        x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-        z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-        u = c * np.eye(2) - 1j * s * (hx * x + hy * y + hz * z)
-        return np.exp(-1j * dt * h0) * u
-
-    def _apply_single_site(self, mps: list[np.ndarray], gate: np.ndarray) -> None:
-        for k, tensor in enumerate(mps):
-            mps[k] = np.einsum("ab,ibj->iaj", gate, tensor)
-
-    def _apply_bond_gate(
-        self, mps: list[np.ndarray], k: int, coupling: float, dt: float
-    ) -> None:
-        """Apply exp(-i dt U n(x)n) to sites (k, k+1) with SVD truncation."""
-        a, b = mps[k], mps[k + 1]
-        dl, _, dm = a.shape
-        _, _, dr = b.shape
-        theta = np.einsum("iaj,jbk->iabk", a, b)
-        # Diagonal gate: phase only on the |11> component.
-        theta[:, 1, 1, :] *= np.exp(-1j * dt * coupling)
-        matrix = theta.reshape(dl * 2, 2 * dr)
-        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-        keep = min(self.max_bond_dim, s.shape[0])
-        total = float((s**2).sum())
-        discarded = float((s[keep:] ** 2).sum())
-        if total > 0:
-            self._last_discarded_weight += discarded / total
-        u, s, vh = u[:, :keep], s[:keep], vh[:keep]
-        norm = np.sqrt(float((s**2).sum()))
-        if norm > 0:
-            s = s / norm
-        mps[k] = u.reshape(dl, 2, keep)
-        mps[k + 1] = (s[:, None] * vh).reshape(keep, 2, dr)
+        return ham.interactions[order[:-1], order[1:]]
 
     # -- evolution -----------------------------------------------------------
 
@@ -153,25 +113,41 @@ class MPSEmulator(EmulatorBackend):
         self.check_size(ham)
         n = ham.num_qubits
         order = self._site_order(ham)
-        bonds = self._bond_strengths(ham, order)
-        mps = self._initial_state(n)
+        dt = ham.steps
+        half = _half_step_gates(
+            ham.omega * rabi_scale, ham.delta + detuning_offset, ham.phase, 0.5 * dt
+        )
+        closing = half.copy()
+        closing[:-1] = half[1:] @ half[:-1]
         self._last_discarded_weight = 0.0
+        if n == 1:
+            psi = half[0, :, 0]
+            for gate in closing:
+                psi = gate @ psi
+            return [psi.reshape(1, 2, 1)], order
 
-        omega = ham.omega * rabi_scale
-        delta = ham.delta + detuning_offset
-        phase = ham.phase
-        steps = ham.steps
-        for step_idx in range(ham.num_steps):
-            dt = steps[step_idx]
-            half = self._single_site_gate(
-                omega[step_idx], delta[step_idx], phase[step_idx], dt / 2.0
-            )
-            self._apply_single_site(mps, half)
-            for k in range(n - 1):
-                if bonds[k] != 0.0:
-                    self._apply_bond_gate(mps, k, bonds[k], dt)
-            self._apply_single_site(mps, half)
-        _normalize(mps)
+        # per step: the closing gate on the left, right or both sites of
+        # a bond (even steps sweep right, odd steps left), and every
+        # bond's phase on its |11> input column
+        eye = np.eye(2)
+        left, right = np.kron(closing, eye), np.kron(eye, closing)
+        kinds = np.stack([left, right, left @ right], axis=1)
+        phases = np.exp(-1j * dt[:, None] * self._bond_strengths(ham, order)[None, :])
+        patterns = ([0] * (n - 2) + [2], [2] + [1] * (n - 2))
+        sweeps = (range(n - 1), range(n - 2, -1, -1))
+
+        chi = self.max_bond_dim
+        mps = [half[0, :, :1].reshape(1, 2, 1).copy() for _ in range(n)]
+        discarded = 0.0
+        for k in range(len(dt)):
+            ops = kinds[k][patterns[k % 2]]
+            ops[:, :, 3] *= phases[k][:, None]
+            for j in sweeps[k % 2]:
+                mps[j], mps[j + 1], lost = _bond_step(mps[j], mps[j + 1], ops[j], chi, k % 2 == 0)
+                discarded += lost
+        self._last_discarded_weight = discarded
+        centre = n - 1 if len(dt) % 2 else 0
+        mps[centre] = mps[centre] / np.linalg.norm(mps[centre])
         return mps, order
 
     # -- sampling ------------------------------------------------------------
@@ -203,8 +179,8 @@ class MPSEmulator(EmulatorBackend):
             v1 = v @ tensor[:, 1, :]
             r = right_env[k + 1]
             # P(prefix + b) = v_b R v_b^dagger per shot (rows of v_b).
-            p0 = np.einsum("si,ij,sj->s", v0, r, v0.conj()).real
-            p1 = np.einsum("si,ij,sj->s", v1, r, v1.conj()).real
+            p0 = ((v0 @ r) * v0.conj()).sum(axis=1).real
+            p1 = ((v1 @ r) * v1.conj()).sum(axis=1).real
             total = p0 + p1
             ok = total > 0
             bit = np.zeros(shots, dtype=bool)
@@ -239,13 +215,17 @@ class MPSEmulator(EmulatorBackend):
             reals = min(noise.noise_realizations, max(1, shots))
             base, extra = divmod(shots, reals)
             chunks = []
+            weighted = 0.0
             for r in range(reals):
                 chunk_shots = base + (1 if r < extra else 0)
                 if chunk_shots == 0:
                     continue
                 scale, offset = noise.draw_realization(rng)
                 mps, order = self.evolve(ham, scale, offset)
+                weighted += chunk_shots * self._last_discarded_weight
                 chunks.append(self.sample(mps, order, chunk_shots, rng))
+            # report the shot-weighted mean over the realizations that ran
+            self._last_discarded_weight = weighted / shots if shots else 0.0
             samples = (
                 np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.uint8)
             )
@@ -264,7 +244,10 @@ class MPSEmulator(EmulatorBackend):
         )
 
     def fidelity_estimate(self) -> float:
-        """Crude fidelity proxy: product of kept weights across truncations."""
+        """exp(-total discarded weight) of the last run.  Every weight
+        is taken at the orthogonality centre, so this tracks the squared
+        overlap with the untruncated Trotter state; a noisy run uses the
+        shot-weighted mean of its realizations' totals."""
         return float(np.exp(-self._last_discarded_weight))
 
 
@@ -278,16 +261,78 @@ def _right_environments(mps: list[np.ndarray]) -> list[np.ndarray]:
     envs[n] = np.ones((1, 1), dtype=np.complex128)
     for k in range(n - 1, -1, -1):
         tensor = mps[k]
-        r = envs[k + 1]
+        dl, _, dr = tensor.shape
         # sum over physical index: (Dl,2,Dr) x (Dr,Dr') x conj(Dl',2,Dr')
-        tmp = np.einsum("ibj,jk->ibk", tensor, r)
-        envs[k] = np.einsum("ibk,lbk->il", tmp, tensor.conj())
+        tmp = (tensor.reshape(2 * dl, dr) @ envs[k + 1]).reshape(dl, 2 * dr)
+        envs[k] = tmp @ tensor.reshape(dl, 2 * dr).conj().T
     return envs
 
 
-def _normalize(mps: list[np.ndarray]) -> None:
-    """Scale the MPS to unit norm (global factor on the first tensor)."""
-    env = _right_environments(mps)[0]
-    norm2 = float(np.real(env[0, 0])) if env.size else 1.0
-    if norm2 > 0:
-        mps[0] = mps[0] / np.sqrt(norm2)
+def _half_step_gates(
+    omega: np.ndarray, delta: np.ndarray, phase: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """(K, 2, 2) exact exponentials exp(-i tau H1) of the single-site
+    generator, one per step.
+
+    H1 = (omega/2)(cos(phi) X - sin(phi) Y) - delta n
+       = -delta/2 I + hx X + hy Y + hz Z  with
+    hx = (omega/2) cos(phi), hy = -(omega/2) sin(phi), hz = delta/2,
+    so exp(-i tau H1) = e^{i tau delta/2} (cos(r tau) I - i sin(r tau)/r
+    (hx X + hy Y + hz Z)) with r = |(hx, hy, hz)|.
+    """
+    hx = 0.5 * omega * np.cos(phase)
+    hy = -0.5 * omega * np.sin(phase)
+    hz = 0.5 * delta
+    r = np.sqrt(hx * hx + hy * hy + hz * hz)
+    c = np.cos(r * tau)
+    # sin(r tau) / r, tending to tau as r -> 0
+    s = np.where(r > 1e-300, np.sin(r * tau) / np.maximum(r, 1e-300), tau)
+    gates = np.empty((len(tau), 2, 2), dtype=np.complex128)
+    gates[:, 0, 0] = c - 1j * s * hz
+    gates[:, 0, 1] = -s * (hy + 1j * hx)
+    gates[:, 1, 0] = s * (hy - 1j * hx)
+    gates[:, 1, 1] = c + 1j * s * hz
+    return gates * np.exp(0.5j * tau * delta)[:, None, None]
+
+
+def _bond_step(
+    a: np.ndarray, b: np.ndarray, op: np.ndarray, chi: int, rightward: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Apply the 4x4 ``op`` to sites (a, b), one of which holds the
+    orthogonality centre, and split them again with the centre moved to
+    ``b`` (``rightward``) or to ``a``.  Returns the two tensors and the
+    discarded weight of the split."""
+    dl, dr = a.shape[0], b.shape[2]
+    theta = a.reshape(2 * dl, -1) @ b.reshape(-1, 2 * dr)
+    theta = np.matmul(op, theta.reshape(dl, 4, dr)).reshape(2 * dl, 2 * dr)
+    if min(2 * dl, 2 * dr) <= chi:
+        # nothing to truncate: an exact gauge move.  Where the isometry's
+        # side is the narrower one, the identity is the isometry (Q = I,
+        # R = theta); elsewhere QR going right, LQ going left
+        if rightward and dl <= dr:
+            eye = np.eye(2 * dl, dtype=np.complex128)
+            return eye.reshape(dl, 2, 2 * dl), theta.reshape(2 * dl, 2, dr), 0.0
+        if rightward:
+            q, r = np.linalg.qr(theta)
+            return q.reshape(dl, 2, -1), r.reshape(-1, 2, dr), 0.0
+        if dr <= dl:
+            eye = np.eye(2 * dr, dtype=np.complex128)
+            return theta.reshape(dl, 2, 2 * dr), eye.reshape(2 * dr, 2, dr), 0.0
+        q, r = np.linalg.qr(theta.conj().T)
+        return r.conj().T.reshape(dl, 2, -1), q.conj().T.reshape(-1, 2, dr), 0.0
+    # keep the top-chi eigenvectors of the reduced density matrix
+    if rightward:
+        iso = np.linalg.eigh(theta @ theta.conj().T)[1][:, -chi:]
+        centre = iso.conj().T @ theta
+        iso = iso.reshape(dl, 2, chi)
+    else:
+        iso = np.linalg.eigh(theta.conj().T @ theta)[1][:, -chi:]
+        centre = theta @ iso
+        iso = iso.conj().T.reshape(chi, 2, dr)
+    total = np.vdot(theta, theta).real
+    kept = np.vdot(centre, centre).real
+    centre /= np.sqrt(kept)
+    lost = max(0.0, (total - kept) / total)
+    if rightward:
+        return iso, centre.reshape(chi, 2, dr), lost
+    return centre.reshape(dl, 2, chi), iso, lost

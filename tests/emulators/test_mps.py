@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BondDimensionError
-from repro.emulators import MPSEmulator, StateVectorEmulator, make_emulator
+from repro.emulators import MPSEmulator, NoiseModel, StateVectorEmulator, make_emulator
 from repro.qpu import (
     BlackmanWaveform,
     ConstantWaveform,
@@ -20,6 +20,56 @@ def make_ham(n, omega=2.0, delta=0.0, duration=1.0, dt=0.005, spacing=6.0):
     reg = Register.chain(n, spacing=spacing)
     seg = DriveSegment(ConstantWaveform(duration, omega), ConstantWaveform(duration, delta))
     return RydbergHamiltonian(reg, [seg], dt=dt)
+
+
+def sweep_ham(n, duration=0.6, dt=0.01, spacing=5.0):
+    """The developer-loop shape: drive on, detuning ramped through zero."""
+    reg = Register.chain(n, spacing=spacing)
+    seg = DriveSegment(
+        ConstantWaveform(duration, 6.0), RampWaveform(duration, -4.0, 4.0), phase=0.4
+    )
+    return RydbergHamiltonian(reg, [seg], dt=dt)
+
+
+def mps_to_dense(mps):
+    """Contract an MPS (list of (Dl, 2, Dr) tensors) to a dense state,
+    site 0 most significant."""
+    psi = mps[0]
+    for tensor in mps[1:]:
+        psi = np.tensordot(psi, tensor, axes=([-1], [0]))
+    return psi.reshape(-1)
+
+
+def strang_nearest_neighbour(ham, order):
+    """Dense second-order Trotter reference of the model the MPS
+    emulates: per step, the exact single-site half-step on every site,
+    the MPS-neighbour bond phases, the half-step again."""
+    n = ham.num_qubits
+    bonds = ham.interactions[order[:-1], order[1:]]
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
+    bond_energy = (bits[:, :-1] * bits[:, 1:]) @ bonds
+    x = np.array([[0, 1], [1, 0]])
+    y = np.array([[0, -1j], [1j, 0]])
+    occ = np.diag([0.0, 1.0])
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0] = 1.0
+
+    def on_every_site(gate, psi):
+        psi = psi.reshape([2] * n)
+        for q in range(n):
+            psi = np.moveaxis(np.tensordot(gate, psi, axes=([1], [q])), 0, q)
+        return psi.reshape(-1)
+
+    for k, dt in enumerate(ham.steps):
+        h1 = 0.5 * ham.omega[k] * (
+            np.cos(ham.phase[k]) * x - np.sin(ham.phase[k]) * y
+        ) - ham.delta[k] * occ
+        w, v = np.linalg.eigh(h1)
+        half = (v * np.exp(-0.5j * dt * w)) @ v.conj().T
+        psi = on_every_site(half, psi)
+        psi = psi * np.exp(-1j * dt * bond_energy)
+        psi = on_every_site(half, psi)
+    return psi
 
 
 def occupations_from_probs(probs, n):
@@ -68,6 +118,68 @@ class TestMPSvsExact:
         )
         top = result.most_frequent()
         assert top in ("101010", "010101", "100101", "101001")
+
+
+class TestCanonicalTEBD:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("duration", [0.01, 0.05, 0.06])
+    def test_untruncated_state_matches_dense_strang(self, n, duration):
+        """With chi >= 2^(n/2) nothing is truncated, and the fused
+        operators and gauge moves reproduce the dense Trotter state.
+        One step, an odd and an even step count end the last sweep with
+        the centre at either end of the chain."""
+        ham = sweep_ham(n, duration=duration, spacing=5.5)
+        emu = MPSEmulator(max_bond_dim=2 ** (n // 2))
+        mps, order = emu.evolve(ham)
+        np.testing.assert_allclose(
+            mps_to_dense(mps), strang_nearest_neighbour(ham, order), rtol=0, atol=1e-10
+        )
+        assert emu.fidelity_estimate() == 1.0
+
+    @pytest.mark.parametrize("n", [10, 12, 14])
+    def test_fidelity_estimate_tracks_true_fidelity(self, n):
+        """Truncating at the orthogonality centre makes the discarded
+        weight the true local error, so fidelity_estimate() tracks the
+        overlap with an untruncated run."""
+        ham = sweep_ham(n)
+        exact = mps_to_dense(MPSEmulator(max_bond_dim=2 ** (n // 2)).evolve(ham)[0])
+        emu = MPSEmulator(max_bond_dim=4)
+        truncated = mps_to_dense(emu.evolve(ham)[0])
+        fidelity = abs(np.vdot(exact, truncated)) ** 2
+        assert fidelity < 0.9999  # chi=4 does truncate here
+        assert abs(emu.fidelity_estimate() - fidelity) <= 0.02
+
+    def test_chi_one_stays_a_product_state(self):
+        ham = sweep_ham(6)
+        emu = MPSEmulator(max_bond_dim=1)
+        mps, _ = emu.evolve(ham)
+        assert [t.shape for t in mps] == [(1, 2, 1)] * 6
+        result = emu.run(ham, shots=20, rng=np.random.default_rng(0))
+        assert result.metadata["product_state_mode"] is True
+        assert 0.0 < emu.fidelity_estimate() < 1.0
+
+    def test_noisy_run_reports_mean_over_realizations(self, monkeypatch):
+        """A coherent-noise run evolves once per realization; its
+        discarded weight is the shot-weighted mean over them, not the
+        last realization's value."""
+        ham = make_ham(8, omega=3.0, duration=1.5, dt=0.01)
+        emu = MPSEmulator(max_bond_dim=2)
+        per_realization = []
+        evolve = emu.evolve
+
+        def recording_evolve(*args):
+            out = evolve(*args)
+            per_realization.append(-np.log(emu.fidelity_estimate()))
+            return out
+
+        monkeypatch.setattr(emu, "evolve", recording_evolve)
+        noise = NoiseModel(amplitude_rel_std=0.2, detuning_std=1.0, noise_realizations=4)
+        result = emu.run(ham, shots=40, rng=np.random.default_rng(0), noise=noise)
+        assert len(per_realization) == 4
+        assert np.ptp(per_realization) > 0.0  # the realizations differ
+        mean = float(np.mean(per_realization))  # 10 shots each
+        assert result.metadata["discarded_weight"] == pytest.approx(mean, rel=1e-12)
+        assert emu.fidelity_estimate() == pytest.approx(np.exp(-mean), rel=1e-12)
 
 
 class TestBondDimension:
