@@ -43,7 +43,7 @@ import time
 
 import numpy as np
 
-from benchmarks.harness import build_federation_stack
+from benchmarks.harness import _python_probe, build_federation_stack
 from repro.analysis import format_table
 from repro.qpu import Register
 from repro.sdk import AnalogCircuit
@@ -101,12 +101,11 @@ def _probe_ms() -> float:
     Minimum of five repeats, so a scheduler hiccup during calibration
     cannot inflate every gated ratio of the run.
     """
+    probe = _python_probe(50_000)
     best = float("inf")
     for _ in range(5):
-        acc = 0
         t0 = time.perf_counter()
-        for i in range(50_000):
-            acc += i ^ (i >> 3)
+        probe()
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
 

@@ -332,6 +332,60 @@ def run_emu_mps_row() -> dict:
     return {"ratio": ratio, "evolve_ms": evolve_ms, "probe_ms": probe_ms}
 
 
+def _python_probe(iterations: int):
+    """A fixed repro-free pure-Python loop: ``iterations`` rounds of
+    integer xor/shift accumulation (C6 times 50,000 of them).
+
+    The broker's placement path is interpreter-bound -- dict, tuple and
+    attribute traffic, no NumPy -- so a pure-Python probe is the one
+    whose speed moves with it from one machine to the next.
+    """
+
+    def probe() -> None:
+        acc = 0
+        for i in range(iterations):
+            acc += i ^ (i >> 3)
+
+    return probe
+
+
+def run_federation_place_row(burst: int = 96, repeats: int = 15) -> dict:
+    """Wall cost of a 4-site broker placing a burst of ``burst``
+    fixed-size 2-qubit jobs over a same-machine pure-Python probe: the
+    paired ratio plus the best burst and probe wall ms.
+
+    The simulation never runs, so every job queues at its site: each
+    placement reads the four site snapshots, and each submit moves one
+    site's queue depth.  At 12 queue slots per site the last 48 jobs of
+    the default burst spill onto saturated sites.  Every burst gets a
+    fresh federation, built before the timed region.
+    """
+    import numpy as np
+
+    from repro.qpu import Register
+    from repro.sdk import AnalogCircuit
+    from repro.spec import JobSpec
+
+    program = (
+        AnalogCircuit(Register.chain(2, spacing=6.0), name="place-unit")
+        .rx_global(np.pi / 2, duration=0.3)
+        .measure_all()
+        .transpile(shots=50)
+    )
+    spec = JobSpec(program=program, shots=50, tenant="burst")
+    brokers = iter(
+        [build_federation_stack(n_sites=4)[2] for _ in range(repeats + 1)]
+    )
+
+    def place_burst() -> None:
+        broker = next(brokers)
+        for _ in range(burst):
+            broker.submit_spec(spec)
+
+    ratio, burst_ms, probe_ms = _paired_ratio(place_burst, _python_probe(120_000), repeats)
+    return {"ratio": ratio, "burst_ms": burst_ms, "probe_ms": probe_ms}
+
+
 def bench_regression_suite() -> dict:
     """Run the federation + malleable + accounting ablation benches;
     returns ``{"mode": ..., "metrics": {name: value}}``."""
@@ -491,6 +545,11 @@ def bench_regression_suite() -> dict:
     metrics["walltime_emu_sv_run_small_ratio"] = round(emu["run_small_ratio"], 4)
     # the emu-mps canonical TEBD sweep on the dev-loop's 20-qubit shape
     metrics["walltime_emu_mps_ratio"] = round(run_emu_mps_row()["ratio"], 4)
+    # the federation control plane: snapshot reads, policy choice and
+    # site intake for a burst of placements on a 4-site broker
+    metrics["walltime_federation_place_ratio"] = round(
+        run_federation_place_row()["ratio"], 4
+    )
     mode = "smoke" if os.environ.get("BENCH_SMOKE", "") not in ("", "0") else "full"
     return {"mode": mode, "metrics": metrics}
 

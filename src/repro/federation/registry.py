@@ -6,12 +6,25 @@ calibration/drift summary from the site's observability stack, and a
 health state maintained by heartbeats with expiry — a site that stops
 heartbeating (crash, network partition) is treated as unhealthy after
 ``heartbeat_expiry`` seconds, triggering failover in the broker.
+
+A snapshot has two parts that change at very different rates.  The
+*static* part — catalog, ``max_qubits``, fidelity proxy and calibration
+dict — moves only with the site's resource set or a calibration change,
+which :meth:`~repro.federation.site.FederatedSite.snapshot_signature`
+signals.  The *overlay* — queue depth and health — moves on every
+submit and every completion.  The registry keeps the static part per
+site and rebuilds it only on a signature change; a depth or health
+change just lays a new overlay on the cached static fields.  The static
+mappings are shared by every snapshot built on them, so they are handed
+out read-only.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from ..errors import FederationError
 from ..simkernel import Simulator, Timeout
@@ -36,8 +49,8 @@ class SiteSnapshot:
     max_queue_depth: int
     fidelity_proxy: float
     max_qubits: int
-    catalog: dict[str, str] = field(default_factory=dict)
-    calibration: dict[str, dict[str, float]] = field(default_factory=dict)
+    catalog: Mapping[str, str] = field(default_factory=dict)
+    calibration: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
 
     @property
     def is_healthy(self) -> bool:
@@ -52,12 +65,43 @@ class SiteSnapshot:
         return max(0, self.max_queue_depth - self.queue_depth)
 
 
+@dataclass(frozen=True)
+class _StaticView:
+    """The slow-moving part of a site's snapshot, valid while the site's
+    ``snapshot_signature()`` equals ``signature``."""
+
+    signature: tuple
+    fidelity_proxy: float
+    max_qubits: int
+    catalog: Mapping[str, str]
+    calibration: Mapping[str, Mapping[str, float]]
+
+    @classmethod
+    def of(cls, site: FederatedSite, signature: tuple) -> _StaticView:
+        return cls(
+            signature=signature,
+            fidelity_proxy=site.fidelity_proxy(),
+            max_qubits=site.max_qubits(),
+            catalog=MappingProxyType(site.catalog()),
+            calibration=MappingProxyType(
+                {
+                    name: MappingProxyType(values)
+                    for name, values in site.calibration_snapshot().items()
+                }
+            ),
+        )
+
+
 @dataclass
 class _SiteRecord:
     site: FederatedSite
     registered_at: float
     last_heartbeat: float
     beat_seq: int = 0  # bumps per heartbeat (liveness introspection)
+    #: (cache key, snapshot) of the last snapshot built for this site
+    snapshot: tuple[tuple, SiteSnapshot] | None = None
+    #: the static part that snapshot was built on
+    static: _StaticView | None = None
 
 
 class SiteRegistry:
@@ -65,16 +109,24 @@ class SiteRegistry:
 
     Snapshot production is the federation's hottest read path — the
     broker rebuilds the candidate view for every placement and every
-    reconcile sweep.  Each site's snapshot is therefore cached keyed on
-    everything that can change its content: liveness, queue depth, the
-    classified health (which folds in heartbeat expiry, so a snapshot
-    can never outlive a health transition), and the site's
-    :meth:`~repro.federation.site.FederatedSite.snapshot_signature`
-    (resource identity + calibration versions).  Unlike the earlier
-    ``now``-keyed cache, this key survives housekeeping ticks — and
-    heartbeats — when nothing drifted; ``snapshot_cache_hits`` /
-    ``snapshot_cache_misses`` count how often.  The sorted name list is
-    likewise cached and invalidated on membership change.
+    reconcile sweep.  It is cached in two layers per site:
+
+    * the *static view* (catalog, ``max_qubits``, fidelity proxy,
+      calibration dict) is keyed on the site's
+      :meth:`~repro.federation.site.FederatedSite.snapshot_signature`
+      (resource set + calibration objects and versions) and rebuilt only
+      when that changes — drift, recalibration, a new resource;
+    * the *snapshot* itself is keyed on liveness, queue depth, the
+      classified health (which folds in heartbeat expiry, so a snapshot
+      can never outlive a health transition) and the signature.  A miss
+      with an unchanged signature — the common case, since the depth
+      moves on every submit and completion — only builds a new
+      :class:`SiteSnapshot` around the cached static fields.
+
+    Neither key holds ``now`` or the heartbeat, so quiet housekeeping
+    ticks and beats keep hitting; ``snapshot_cache_hits`` /
+    ``snapshot_cache_misses`` count the snapshot layer.  The sorted name
+    list is likewise cached and invalidated on membership change.
     """
 
     def __init__(self, heartbeat_expiry: float = 60.0) -> None:
@@ -88,7 +140,6 @@ class SiteRegistry:
         self._beat_interval: float = 0.0
         self._names_cache: tuple[str, ...] | None = None
         self._ordered_records: list[_SiteRecord] | None = None
-        self._snap_cache: dict[str, tuple[tuple, SiteSnapshot]] = {}
         #: callbacks fired with each newly registered site — the broker
         #: uses this to wire late joiners onto the lifecycle bus
         self._register_hooks: list = []
@@ -119,7 +170,6 @@ class SiteRegistry:
         del self._records[name]
         self._names_cache = None
         self._ordered_records = None
-        self._snap_cache.pop(name, None)
 
     def site(self, name: str) -> FederatedSite:
         if name not in self._records:
@@ -169,26 +219,30 @@ class SiteRegistry:
         site = record.site
         depth = site.queue_depth()
         health = self._classify(record, now, depth)
+        signature = site.snapshot_signature()
         # the heartbeat itself is NOT in the key: a beat changes no
         # snapshot content, and expiry transitions surface through
         # ``health`` — so quiet ticks keep hitting the cache
-        key = (site.alive, depth, health, site.snapshot_signature())
-        cached = self._snap_cache.get(site.name)
+        key = (site.alive, depth, health, signature)
+        cached = record.snapshot
         if cached is not None and cached[0] == key:
             self.snapshot_cache_hits += 1
             return cached[1]
         self.snapshot_cache_misses += 1
+        static = record.static
+        if static is None or static.signature != signature:
+            static = record.static = _StaticView.of(site, signature)
         snap = SiteSnapshot(
             name=site.name,
             health=health,
             queue_depth=depth,
             max_queue_depth=site.max_queue_depth,
-            fidelity_proxy=site.fidelity_proxy(),
-            max_qubits=site.max_qubits(),
-            catalog=site.catalog(),
-            calibration=site.calibration_snapshot(),
+            fidelity_proxy=static.fidelity_proxy,
+            max_qubits=static.max_qubits,
+            catalog=static.catalog,
+            calibration=static.calibration,
         )
-        self._snap_cache[site.name] = (key, snap)
+        record.snapshot = (key, snap)
         return snap
 
     def snapshot(self, name: str, now: float) -> SiteSnapshot:

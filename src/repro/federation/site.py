@@ -27,6 +27,39 @@ from ..qrmi.resources import ResourceType
 __all__ = ["FederatedSite"]
 
 
+class _Exports:
+    """What one resource set exports to the federation, derived once.
+
+    Exported types, max-qubit capacities and the hardware devices are
+    static per resource object, but placement asks for them on every
+    candidate scan; a site rebuilds this view only when its daemon's
+    (name, resource) pairs change — adding, removing or replacing a
+    resource, even under the same name.
+    """
+
+    __slots__ = ("items", "catalog", "capacity", "max_qubits", "devices")
+
+    def __init__(self, items: tuple) -> None:
+        #: the daemon's (name, resource) pairs this view was built from;
+        #: holding the resources keeps identity comparison sound
+        self.items = items
+        self.catalog: dict[str, str] = {
+            name: res.resource_type
+            for name, res in items
+            if ResourceType.parse(res.resource_type).is_federable
+        }
+        resources = dict(items)
+        self.capacity: dict[str, int] = {
+            name: resources[name].specs().max_qubits for name in self.catalog
+        }
+        self.max_qubits = max(self.capacity.values(), default=0)
+        self.devices: dict[str, QPUDevice] = {}
+        for name, res in items:
+            device = getattr(res, "device", None)
+            if isinstance(device, QPUDevice):
+                self.devices[name] = device
+
+
 class FederatedSite:
     """Adapter between the federation broker and one site's daemon."""
 
@@ -45,32 +78,30 @@ class FederatedSite:
         self.priority_class = priority_class
         self.alive = True
         self._sessions: dict[str, str] = {}  # session owner -> token
-        # catalog/capacity caches keyed on the daemon's (name, resource
-        # identity) pairs: exported types and max-qubit capacities are
-        # static per resource object, but the placement path asks for
-        # them on every candidate scan — adding, removing, or replacing
-        # a resource (even under the same name) rebuilds
-        self._catalog_cache: tuple[tuple, dict[str, str]] | None = None
-        self._capacity_cache: tuple[tuple, dict[str, int]] | None = None
-        self._device_cache: tuple[tuple, dict[str, QPUDevice]] | None = None
+        self._exports_cache: _Exports | None = None
 
-    def _resource_key(self) -> tuple:
-        return tuple(
-            (name, id(res)) for name, res in self.daemon.resources.items()
-        )
+    def _exports(self) -> _Exports:
+        items = tuple(self.daemon.resources.items())
+        exports = self._exports_cache
+        if exports is None or exports.items != items:
+            exports = self._exports_cache = _Exports(items)
+        return exports
 
     def snapshot_signature(self) -> tuple:
         """Cheap change signal for registry snapshot caching: the
-        resource identity plus every hardware device's calibration
-        version — identical signatures guarantee identical catalog,
-        capacity, fidelity, and calibration snapshots."""
-        key = self._resource_key()
+        exported resource set plus every hardware device's calibration
+        object and version — identical signatures guarantee identical
+        catalog, capacity, fidelity, and calibration snapshots.  The
+        object is in the signature because a replacement
+        :class:`~repro.qpu.calibration.CalibrationState` starts again at
+        version 0."""
+        exports = self._exports()
         return (
-            key,
-            tuple(
-                (name, device.calibration.version)
-                for name, device in self._devices(key).items()
-            ),
+            exports,
+            *[
+                (device.calibration, device.calibration.version)
+                for device in exports.devices.values()
+            ],
         )
 
     # -- introspection (feeds SiteRegistry snapshots) -----------------------
@@ -78,19 +109,7 @@ class FederatedSite:
     def catalog(self) -> dict[str, str]:
         """name -> type for the resources this site exports to the
         federation (local emulators stay site-private)."""
-        key = self._resource_key()
-        cached = self._catalog_cache
-        if cached is None or cached[0] != key:
-            cached = (
-                key,
-                {
-                    name: res.resource_type
-                    for name, res in self.daemon.resources.items()
-                    if ResourceType.parse(res.resource_type).is_federable
-                },
-            )
-            self._catalog_cache = cached
-        return dict(cached[1])
+        return dict(self._exports().catalog)
 
     def queue_depth(self) -> int:
         """Brokered-load signal: queued tasks plus the running one."""
@@ -101,66 +120,40 @@ class FederatedSite:
             depth += 1
         return depth
 
-    def _devices(self, key: tuple) -> dict[str, QPUDevice]:
-        cached = self._device_cache
-        if cached is None or cached[0] != key:
-            out: dict[str, QPUDevice] = {}
-            for name, res in self.daemon.resources.items():
-                device = getattr(res, "device", None)
-                if isinstance(device, QPUDevice):
-                    out[name] = device
-            cached = (key, out)
-            self._device_cache = cached
-        return cached[1]
-
     def hardware_devices(self) -> dict[str, QPUDevice]:
-        return dict(self._devices(self._resource_key()))
+        return dict(self._exports().devices)
 
     def calibration_snapshot(self) -> dict[str, dict[str, float]]:
         """Per-hardware-resource calibration state (drift visibility)."""
         return {
             name: device.calibration.snapshot()
-            for name, device in self.hardware_devices().items()
+            for name, device in self._exports().devices.items()
         }
 
     def fidelity_proxy(self) -> float:
         """Worst-case hardware health in [0, 1]; 1.0 for emulator-only sites."""
-        devices = self.hardware_devices()
+        devices = self._exports().devices
         if not devices:
             return 1.0
         return min(d.calibration.fidelity_proxy() for d in devices.values())
 
-    def _capacities(self) -> dict[str, int]:
-        key = self._resource_key()
-        cached = self._capacity_cache
-        if cached is None or cached[0] != key:
-            cached = (
-                key,
-                {
-                    name: self.daemon.resources[name].specs().max_qubits
-                    for name in self.catalog()
-                },
-            )
-            self._capacity_cache = cached
-        return cached[1]
-
     def resource_capacity(self) -> dict[str, int]:
         """max_qubits per exported resource (from its specs)."""
-        return dict(self._capacities())
+        return dict(self._exports().capacity)
 
     def capable_catalog(self, n_qubits: int = 0) -> dict[str, str]:
         """The exported catalog restricted to resources that can hold an
         ``n_qubits`` register — what placement must select from."""
-        capacity = self._capacities()
+        exports = self._exports()
         return {
             name: rtype
-            for name, rtype in self.catalog().items()
-            if capacity[name] >= n_qubits
+            for name, rtype in exports.catalog.items()
+            if exports.capacity[name] >= n_qubits
         }
 
     def max_qubits(self) -> int:
         """Largest register any federable resource here accepts."""
-        return max(self._capacities().values(), default=0)
+        return self._exports().max_qubits
 
     # -- lifecycle events -----------------------------------------------------
 

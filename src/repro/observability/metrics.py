@@ -10,10 +10,20 @@ Three instrument types with label support:
 A :class:`MetricRegistry` owns instruments; the exporter renders it in
 the Prometheus text exposition format; the scraper snapshots it into
 the TSDB.
+
+A series is keyed by its sorted ``(label, value)`` pairs.  Each
+instrument memoises that key per label-items tuple as the caller passed
+it, so a hot call site — the same label dict on every event — pays one
+dict lookup instead of a label-set check and a sort per call.  Only
+label sets that passed the check are memoised: a wrong set raises
+:class:`~repro.errors.MetricError` on every call.  Dicts with the same
+labels in a different insertion order memoise separately and map to the
+same series.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -21,10 +31,6 @@ import numpy as np
 from ..errors import MetricError
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry"]
-
-
-def _label_key(labels: Mapping[str, str] | None) -> tuple:
-    return tuple(sorted((labels or {}).items()))
 
 
 class _Instrument:
@@ -36,14 +42,23 @@ class _Instrument:
         self.name = name
         self.help_text = help_text
         self.label_names = frozenset(label_names)
+        #: label items as passed -> checked, sorted series key
+        self._keys: dict[tuple, tuple] = {}
 
-    def _check_labels(self, labels: Mapping[str, str] | None) -> None:
-        given = frozenset((labels or {}).keys())
-        if given != self.label_names:
-            raise MetricError(
-                f"metric {self.name!r} expects labels {sorted(self.label_names)}, "
-                f"got {sorted(given)}"
-            )
+    def _key(self, labels: Mapping[str, str] | None) -> tuple:
+        """The series key for ``labels``, checked against the declared
+        label names the first time this items tuple is seen."""
+        items = tuple(labels.items()) if labels else ()
+        key = self._keys.get(items)
+        if key is None:
+            given = frozenset(name for name, _ in items)
+            if given != self.label_names:
+                raise MetricError(
+                    f"metric {self.name!r} expects labels {sorted(self.label_names)}, "
+                    f"got {sorted(given)}"
+                )
+            key = self._keys[items] = tuple(sorted(items))
+        return key
 
     def samples(self) -> list[tuple[str, dict, float]]:
         """(suffix, labels, value) triples for exposition."""
@@ -60,13 +75,11 @@ class Counter(_Instrument):
     def inc(self, value: float = 1.0, labels: Mapping[str, str] | None = None) -> None:
         if value < 0:
             raise MetricError(f"counter {self.name!r} cannot decrease")
-        self._check_labels(labels)
-        key = _label_key(labels)
+        key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + value
 
     def value(self, labels: Mapping[str, str] | None = None) -> float:
-        self._check_labels(labels)
-        return self._values.get(_label_key(labels), 0.0)
+        return self._values.get(self._key(labels), 0.0)
 
     def samples(self) -> list[tuple[str, dict, float]]:
         if not self._values:
@@ -82,20 +95,17 @@ class Gauge(_Instrument):
         self._values: dict[tuple, float] = {}
 
     def set(self, value: float, labels: Mapping[str, str] | None = None) -> None:
-        self._check_labels(labels)
-        self._values[_label_key(labels)] = float(value)
+        self._values[self._key(labels)] = float(value)
 
     def inc(self, value: float = 1.0, labels: Mapping[str, str] | None = None) -> None:
-        self._check_labels(labels)
-        key = _label_key(labels)
+        key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + value
 
     def dec(self, value: float = 1.0, labels: Mapping[str, str] | None = None) -> None:
         self.inc(-value, labels)
 
     def value(self, labels: Mapping[str, str] | None = None) -> float:
-        self._check_labels(labels)
-        key = _label_key(labels)
+        key = self._key(labels)
         if key not in self._values:
             raise MetricError(f"gauge {self.name!r} has no value for {labels}")
         return self._values[key]
@@ -126,27 +136,29 @@ class Histogram(_Instrument):
             # `le="inf"` series and corrupt cumulative counts
             raise MetricError("histogram buckets must be finite")
         self.buckets = tuple(float(b) for b in buckets)
-        self._counts: dict[tuple, np.ndarray] = {}
+        self._counts: dict[tuple, list[int]] = {}
         self._sums: dict[tuple, float] = {}
         self._totals: dict[tuple, int] = {}
 
     def observe(self, value: float, labels: Mapping[str, str] | None = None) -> None:
-        self._check_labels(labels)
-        key = _label_key(labels)
-        if key not in self._counts:
-            self._counts[key] = np.zeros(len(self.buckets) + 1, dtype=np.int64)
+        key = self._key(labels)
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = self._counts[key] = [0] * (len(self.buckets) + 1)
             self._sums[key] = 0.0
             self._totals[key] = 0
-        idx = int(np.searchsorted(self.buckets, value, side="left"))
-        self._counts[key][idx] += 1
+        # first bucket whose bound is >= value; NaN sorts past every
+        # bound into +Inf, as np.searchsorted places it
+        buckets = self.buckets
+        counts[bisect_left(buckets, value) if value == value else len(buckets)] += 1
         self._sums[key] += value
         self._totals[key] += 1
 
     def count(self, labels: Mapping[str, str] | None = None) -> int:
-        return self._totals.get(_label_key(labels), 0)
+        return self._totals.get(self._key(labels), 0)
 
     def sum(self, labels: Mapping[str, str] | None = None) -> float:
-        return self._sums.get(_label_key(labels), 0.0)
+        return self._sums.get(self._key(labels), 0.0)
 
     def mean(self, labels: Mapping[str, str] | None = None) -> float:
         total = self.count(labels)
@@ -156,8 +168,7 @@ class Histogram(_Instrument):
         """Bucket-interpolated quantile estimate (Prometheus-style)."""
         if not (0.0 <= q <= 1.0):
             raise MetricError(f"quantile must be in [0,1], got {q}")
-        self._check_labels(labels)
-        key = _label_key(labels)
+        key = self._key(labels)
         if key not in self._counts or self._totals[key] == 0:
             raise MetricError(
                 f"quantile of empty histogram {self.name!r} "
@@ -176,7 +187,7 @@ class Histogram(_Instrument):
             labels = dict(key)
             cumulative = 0
             for bucket, count in zip(self.buckets, self._counts[key][:-1], strict=True):
-                cumulative += int(count)
+                cumulative += count
                 out.append(("_bucket", {**labels, "le": repr(bucket)}, float(cumulative)))
             out.append(("_bucket", {**labels, "le": "+Inf"}, float(self._totals[key])))
             out.append(("_sum", labels, self._sums[key]))

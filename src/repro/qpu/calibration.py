@@ -51,6 +51,13 @@ class CalibrationState:
     ``version`` counts parameter mutations (drift steps, jumps,
     recalibrations, direct assignment) — a cheap change signal that lets
     snapshot caches skip recomputing fidelity when nothing drifted.
+
+    The proxy itself is computed once per version: every assignment to a
+    versioned field drops the memo along with the version bump, so the
+    schedulers, the federation registry and the device status that ask
+    for it between two drift steps share one computation.  The memo is
+    per object — a freshly constructed state (``version`` 0 again) never
+    sees another state's value.
     """
 
     t1_us: float = 100.0                 # effective relaxation time
@@ -64,11 +71,14 @@ class CalibrationState:
     #: declared after every tracked field so dataclass __init__ resets it
     #: to 0 deterministically once the field assignments above ran
     version: int = 0
+    #: fidelity_proxy() of the current version; None until first asked
+    _fidelity: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
         if name in _VERSIONED_FIELDS:
             object.__setattr__(self, "version", getattr(self, "version", 0) + 1)
+            object.__setattr__(self, "_fidelity", None)
 
     NOMINAL: dict[str, float] = field(
         default_factory=lambda: {
@@ -84,6 +94,9 @@ class CalibrationState:
 
     def fidelity_proxy(self) -> float:
         """Scalar health score: 1 at nominal, decreasing with degradation."""
+        fidelity = self._fidelity
+        if fidelity is not None:
+            return fidelity
         nominal = self.NOMINAL
         penalties = [
             max(0.0, nominal["t2_us"] / max(self.t2_us, 1e-6) - 1.0) * 0.1,
@@ -93,7 +106,10 @@ class CalibrationState:
             max(0.0, self.rabi_calibration_error - nominal["rabi_calibration_error"]) * 5.0,
             abs(self.detuning_offset) * 0.2,
         ]
-        return float(np.clip(1.0 - sum(penalties), 0.0, 1.0))
+        # max/min in this argument order pass NaN through, as np.clip did
+        fidelity = float(min(max(1.0 - sum(penalties), 0.0), 1.0))
+        object.__setattr__(self, "_fidelity", fidelity)
+        return fidelity
 
     def to_noise_model(self, realizations: int = 4) -> NoiseModel:
         """Derive the execution noise model from the calibration state."""

@@ -69,7 +69,7 @@ class QPUDevice:
         self._mps = MPSEmulator(max_bond_dim=twin_bond_dim, max_qubits=self.specs.max_qubits)
         self._maintenance = False
         self._ham_cache: dict[tuple[str, float], RydbergHamiltonian] = {}
-        self._noise_cache: tuple[int, object] | None = None
+        self._noise_cache: tuple[CalibrationState, int, object] | None = None
         # telemetry counters
         self.shots_served = 0
         self.tasks_completed = 0
@@ -117,12 +117,18 @@ class QPUDevice:
         return ham
 
     def _noise_model(self):
-        version = self.calibration.version
+        # keyed on the calibration object too: a replaced state starts
+        # again at version 0
+        calibration = self.calibration
         cached = self._noise_cache
-        if cached is None or cached[0] != version:
-            cached = (version, self.calibration.to_noise_model())
+        if (
+            cached is None
+            or cached[0] is not calibration
+            or cached[1] != calibration.version
+        ):
+            cached = (calibration, calibration.version, calibration.to_noise_model())
             self._noise_cache = cached
-        return cached[1]
+        return cached[2]
 
     def _compute_counts(
         self, register: Register, segments: list[DriveSegment], shots: int

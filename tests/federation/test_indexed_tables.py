@@ -10,15 +10,19 @@ O(every job ever submitted).  These tests pin the equivalence:
   tables and counters match a brute-force scan over all jobs,
 * a spy on ``_refresh`` proving the reconcile sweep never touches
   COMPLETED/FAILED jobs again,
-* the registry's cached name list and snapshot cache (satellite fixes).
+* the registry's cached name list and snapshot cache (satellite fixes),
+* the snapshot's static part (catalog, capacity, fidelity, calibration)
+  rebuilt only on a signature change, under a (depth, health) overlay.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accounting import BudgetAction, FederationAccounting
 from repro.federation import JobState
 from repro.federation.registry import SiteHealth
+from repro.qpu import CalibrationState
 
 from fedutil import build_federation, make_program
 
@@ -236,3 +240,92 @@ class TestRegistryCaches:
                     is registry.health_of(name, now)
                 )
         assert registry.snapshot("site-1", 0.0).health is SiteHealth.UNHEALTHY
+
+
+STATIC_BUILDERS = ("fidelity_proxy", "calibration_snapshot", "catalog")
+
+
+def spy_static_builders(site) -> list[str]:
+    """Record every call to the site methods the static part is built
+    from (instance attributes shadow the bound methods)."""
+    calls: list[str] = []
+    for name in STATIC_BUILDERS:
+        original = getattr(site, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        setattr(site, name, spy)
+    return calls
+
+
+class TestSnapshotStaticPart:
+    def test_depth_change_reuses_the_static_part(self):
+        sim, registry, broker, sites = build_federation(n_sites=1)
+        site = sites["site-0"]
+        first = registry.snapshot("site-0", now=0.0)
+        calls = spy_static_builders(site)
+        site.submit(PROGRAM, "onprem", shots=5)
+        site.submit(PROGRAM, "onprem", shots=5)
+        calls.clear()
+        deeper = registry.snapshot("site-0", now=0.0)
+        assert deeper is not first
+        assert deeper.queue_depth == first.queue_depth + 2
+        assert calls == []
+        assert deeper.fidelity_proxy == first.fidelity_proxy
+        assert deeper.max_qubits == first.max_qubits
+        assert deeper.catalog == first.catalog
+        assert deeper.calibration == first.calibration
+        # ... and a health flip alone builds nothing static either
+        assert registry.snapshot("site-0", now=1e6).health is SiteHealth.UNHEALTHY
+        assert calls == []
+
+    def test_calibration_drift_rebuilds_the_static_part(self):
+        sim, registry, broker, sites = build_federation(n_sites=1)
+        site = sites["site-0"]
+        before = registry.snapshot("site-0", now=0.0)
+        calls = spy_static_builders(site)
+        device = site.hardware_devices()["onprem"]
+        device.calibration.t2_us = 10.0
+        drifted = registry.snapshot("site-0", now=0.0)
+        assert sorted(calls) == sorted(STATIC_BUILDERS)
+        assert drifted.fidelity_proxy < before.fidelity_proxy
+        assert drifted.fidelity_proxy == device.calibration.fidelity_proxy()
+        assert drifted.calibration["onprem"]["t2_us"] == 10.0
+        assert drifted.calibration["onprem"]["fidelity_proxy"] == drifted.fidelity_proxy
+        assert before.calibration["onprem"]["t2_us"] == 50.0
+
+    def test_snapshot_mappings_cannot_change_later_snapshots(self):
+        sim, registry, broker, sites = build_federation(n_sites=1)
+        site = sites["site-0"]
+        snap = registry.snapshot("site-0", now=0.0)
+        catalog = dict(snap.catalog)
+        calibration = {name: dict(v) for name, v in snap.calibration.items()}
+        with pytest.raises(TypeError):
+            snap.catalog["mallory"] = "onprem-qpu"
+        with pytest.raises(TypeError):
+            del snap.catalog["onprem"]
+        with pytest.raises(TypeError):
+            snap.calibration["onprem"]["t2_us"] = 1e9
+        with pytest.raises(TypeError):
+            snap.calibration["mallory"] = {}
+        # the copies the site hands out are the caller's own
+        site.catalog()["mallory"] = "onprem-qpu"
+        site.calibration_snapshot()["onprem"]["t2_us"] = 1e9
+        site.submit(PROGRAM, "onprem", shots=5)
+        later = registry.snapshot("site-0", now=0.0)
+        assert later is not snap
+        assert dict(later.catalog) == catalog
+        assert {n: dict(v) for n, v in later.calibration.items()} == calibration
+
+    def test_replaced_calibration_object_invalidates(self):
+        # a fresh CalibrationState starts again at version 0, so the
+        # version alone cannot tell it from the state it replaced
+        sim, registry, broker, sites = build_federation(n_sites=1)
+        device = sites["site-0"].hardware_devices()["onprem"]
+        assert registry.snapshot("site-0", now=0.0).fidelity_proxy == 1.0
+        device.calibration = CalibrationState(t2_us=10.0, detection_epsilon=0.05)
+        snap = registry.snapshot("site-0", now=0.0)
+        assert snap.fidelity_proxy == pytest.approx(0.2)
+        assert snap.calibration["onprem"]["detection_epsilon"] == 0.05
