@@ -37,6 +37,7 @@ from repro.analysis import format_table
 from repro.errors import BudgetExceededError
 from repro.federation import CostAwarePolicy
 from repro.federation.malleable import ResizeConfig
+from repro.spec import JobSpec
 from repro.workloads import StreamConfig, contention_burst_trace
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
@@ -94,7 +95,7 @@ def run_c5(budget: float | None, cost_aware: bool = False) -> dict:
         def call():
             try:
                 submitted[owner].append(
-                    broker.submit(program, shots=SHOTS, owner=owner)
+                    broker.submit_spec(JobSpec(program=program, shots=SHOTS, tenant=owner))
                 )
             except BudgetExceededError:
                 rejected[owner] += 1
@@ -109,7 +110,7 @@ def run_c5(budget: float | None, cost_aware: bool = False) -> dict:
         noise_program = job.quantum_circuit().transpile(shots=job.shots_per_burst)
 
         def submit_noise(program=noise_program, job=job):
-            broker.submit(program, shots=job.shots_per_burst, owner="noise")
+            broker.submit_spec(JobSpec(program=program, shots=job.shots_per_burst, tenant="noise"))
 
         sim.call_in(arrival, submit_noise)
     sim.run(until=HORIZON)
@@ -171,8 +172,8 @@ def run_c5_fairshare() -> dict:
         shots=FAIR_SHOTS
     )
     jobs = {
-        tenant: broker.submit_malleable(
-            program, FAIR_UNITS, shots=FAIR_SHOTS, owner=tenant
+        tenant: broker.submit_spec(
+            JobSpec(program=program, iterations=FAIR_UNITS, shots=FAIR_SHOTS, tenant=tenant)
         )
         for tenant in FAIR_WEIGHTS
     }
@@ -182,7 +183,7 @@ def run_c5_fairshare() -> dict:
     def probe():
         samples.append(
             {
-                tenant: broker.malleable_job(job_id).completed_units
+                tenant: broker.job(job_id).completed_units
                 for tenant, job_id in jobs.items()
             }
         )
@@ -191,8 +192,8 @@ def run_c5_fairshare() -> dict:
         sim.call_in(t * 30.0, probe)
     sim.run(until=FAIR_HORIZON)
 
-    heavy = broker.malleable_job(jobs["heavy"])
-    light = broker.malleable_job(jobs["light"])
+    heavy = broker.job(jobs["heavy"])
+    light = broker.job(jobs["light"])
     # convergence measured as the completion-*rate* ratio over the
     # steady middle of the contention (heavy between 30% and 80% done).
     # Both transients are excluded by design: the submit-order warmup
@@ -298,7 +299,7 @@ def test_c5_retries_are_billed():
     program = NOISE_TRACE.entries[0].to_job().quantum_circuit().transpile(
         shots=SHOTS
     )
-    job_id = broker.submit(program, shots=SHOTS, owner="burst")
+    job_id = broker.submit_spec(JobSpec(program=program, shots=SHOTS, tenant="burst"))
     victim = broker.job(job_id).current.site
     sim.call_in(20.0, sites[victim].kill)
     sim.run(until=3600.0)

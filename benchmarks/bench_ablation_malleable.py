@@ -31,6 +31,7 @@ from dataclasses import replace as dc_replace
 from benchmarks.harness import build_federation_stack
 from repro.analysis import format_table
 from repro.scheduling import MalleablePool, MalleableTask
+from repro.spec import JobSpec
 from repro.workloads import StreamConfig, contention_burst_trace
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
@@ -132,8 +133,8 @@ def run_federated_malleable(malleable: bool) -> dict:
     program = FED_TRACE.entries[0].to_job().quantum_circuit().transpile(
         shots=FED_SHOTS
     )
-    job_id = client.submit_malleable(
-        program, FED_ITERS, shots=FED_SHOTS, malleable=malleable
+    job_id = client.submit_spec(
+        JobSpec(program=program, iterations=FED_ITERS, shots=FED_SHOTS, malleable=malleable)
     )
 
     def degrade():
@@ -145,13 +146,13 @@ def run_federated_malleable(malleable: bool) -> dict:
         burst_program = job.quantum_circuit().transpile(shots=job.shots_per_burst)
 
         def submit(program=burst_program, job=job):
-            broker.submit(program, shots=job.shots_per_burst, owner=job.user)
+            broker.submit_spec(JobSpec(program=program, shots=job.shots_per_burst, tenant=job.user))
 
         sim.call_in(arrival, submit)
     sim.run(until=FED_HORIZON)
 
-    status = client.malleable_status(job_id)
-    record = broker.malleable_job(job_id)
+    status = client.status(job_id)
+    record = broker.job(job_id)
     # degradation-driven shrinks only — background arrivals also cause
     # benign rank-order reshuffles ("rank" reason) we don't count here
     shrinks = [

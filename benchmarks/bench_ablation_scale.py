@@ -48,6 +48,7 @@ from repro.analysis import format_table
 from repro.qpu import Register
 from repro.sdk import AnalogCircuit
 from repro.simkernel import Timeout
+from repro.spec import JobSpec
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -164,17 +165,17 @@ def run_c6(traced: str = "plain", _capture: dict | None = None) -> dict:
     job_ids: list[str] = []
     for i in range(N_JOBS):
         def submit(owner=f"tenant-{i % 8}"):
-            job_ids.append(broker.submit(program, shots=SHOTS, owner=owner))
+            job_ids.append(broker.submit_spec(JobSpec(program=program, shots=SHOTS, tenant=owner)))
 
         sim.call_in(i * ARRIVAL_SPACING_S, submit)
     malleable_spacing = (N_JOBS * ARRIVAL_SPACING_S) / (N_MALLEABLE + 1)
     for i in range(N_MALLEABLE):
-        def submit_malleable(owner=f"tenant-m{i % 4}"):
-            broker.submit_malleable(
-                program, MALLEABLE_UNITS, shots=SHOTS, owner=owner
+        def submit_multi(owner=f"tenant-m{i % 4}"):
+            broker.submit_spec(
+                JobSpec(program=program, iterations=MALLEABLE_UNITS, shots=SHOTS, tenant=owner)
             )
 
-        sim.call_in((i + 1) * malleable_spacing, submit_malleable)
+        sim.call_in((i + 1) * malleable_spacing, submit_multi)
 
     probe_ms = _probe_ms()
     wall_start = time.perf_counter()
@@ -313,17 +314,38 @@ def test_c6_tick_cost_tracks_live_work(benchmark):
     assert out["drained_tick_ms"] < 50.0
 
 
+def _paired_overhead(flavor: str, capture: dict, pairs: int = 3) -> tuple[float, dict]:
+    """Median instrumented/plain wall ratio over ``pairs`` back-to-back
+    (plain, ``flavor``) sweeps, alternating which sweep runs first so a
+    load swing on a shared host does not always land on the same side.
+    Every pair must agree on every deterministic key.  Returns the
+    median ratio and the last instrumented sweep's output (``capture``
+    holds its handles)."""
+    import statistics
+
+    ratios = []
+    for i in range(pairs):
+        if i % 2:
+            instrumented = run_c6(traced=flavor, _capture=capture)
+            plain = run_c6()
+        else:
+            plain = run_c6()
+            instrumented = run_c6(traced=flavor, _capture=capture)
+        for key in DETERMINISTIC_KEYS:
+            assert plain[key] == instrumented[key], key
+        ratios.append(instrumented["total_wall_s"] / plain["total_wall_s"])
+    return statistics.median(ratios), instrumented
+
+
 def test_c6_tracing_is_invisible_to_scheduling():
     """Acceptance for the tracing plane: the full span pipeline must not
     move a single deterministic DES output, every traced job must yield
     its complete span tree, and the traced sweep's wall cost over the
-    plain sweep stays within a loose overhead bound (the precise ratio
-    is reported by the regression suite)."""
+    plain sweep — the median over three back-to-back pairs — stays
+    within a loose overhead bound (the precise ratio is reported by the
+    regression suite)."""
     capture: dict = {}
-    plain = run_c6()
-    traced = run_c6(traced="traced", _capture=capture)
-    for key in DETERMINISTIC_KEYS:
-        assert plain[key] == traced[key], key
+    overhead, traced = _paired_overhead("traced", capture)
 
     tracer, job_ids = capture["tracer"], capture["job_ids"]
     root = tracer.job_root(job_ids[0])
@@ -334,8 +356,7 @@ def test_c6_tracing_is_invisible_to_scheduling():
     assert traced["spans_closed"] >= len(TRACE_STAGES) * traced["jobs"]
     assert traced["stage_execute_sim_mean_s"] > 0.0
 
-    overhead = traced["total_wall_s"] / plain["total_wall_s"]
-    print(f"tracing overhead: {overhead:.3f}x over plain")
+    print(f"tracing overhead: {overhead:.3f}x over plain (median of 3 pairs)")
     assert overhead < 1.25
 
 
@@ -343,13 +364,11 @@ def test_c6_profiling_is_invisible_to_scheduling():
     """Acceptance for the profiling plane: the profiled flavor makes
     bit-identical scheduling decisions, every instrumented hot path
     shows up in the scope stats, the phase-profile store fills from the
-    same sweep, and the end-to-end overhead stays within a loose wall
-    bound (the precise ratio is gated by the regression suite)."""
+    same sweep, and the end-to-end overhead — the median over three
+    back-to-back pairs — stays within a loose wall bound (the precise
+    ratio is gated by the regression suite)."""
     capture: dict = {}
-    plain = run_c6()
-    profiled = run_c6(traced="profiled", _capture=capture)
-    for key in DETERMINISTIC_KEYS:
-        assert plain[key] == profiled[key], key
+    overhead, profiled = _paired_overhead("profiled", capture)
 
     profiler = capture["profiler"]
     seen = {name for path in profiler.paths() for name in path}
@@ -370,8 +389,7 @@ def test_c6_profiling_is_invisible_to_scheduling():
     slo = capture["slo"]
     assert slo.last_results, "SLO tracker never evaluated"
 
-    overhead = profiled["total_wall_s"] / plain["total_wall_s"]
-    print(f"profiling overhead: {overhead:.3f}x over plain")
+    print(f"profiling overhead: {overhead:.3f}x over plain (median of 3 pairs)")
     assert overhead < 1.6
 
 

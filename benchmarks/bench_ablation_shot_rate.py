@@ -24,6 +24,7 @@ from repro.analysis import format_table
 from repro.qpu import Register
 from repro.scheduling import WorkloadPattern, classify_pattern
 from repro.sdk import AnalogCircuit
+from repro.spec import JobSpec
 
 from .harness import build_stack
 
@@ -54,7 +55,7 @@ def run_latency_budget():
             from repro.simkernel import Timeout
 
             submit_time = stack.sim.now
-            task_id = client.submit(program(SHOTS).to_dict(), "onprem", shots=SHOTS)
+            task_id = client.submit(JobSpec(program=program(SHOTS), resource="onprem", shots=SHOTS))
             while True:
                 status = client.status(task_id)
                 if status["state"] == "completed":

@@ -17,6 +17,7 @@ from repro.analysis import format_table
 from repro.qpu import Register
 from repro.scheduling import TimeshareAllocator, WeightedFairPolicy
 from repro.sdk import AnalogCircuit
+from repro.spec import JobSpec
 
 from .harness import build_stack
 
@@ -46,7 +47,7 @@ def run_share_split(alice_units: int, tasks_each: int = 12, shots: int = 60):
     for user in ("alice", "bob"):
         client = stack.client_for(user, "production")
         for _ in range(tasks_each):
-            client.submit(program(shots).to_dict(), "onprem", shots=shots)
+            client.submit(JobSpec(program=program(shots), resource="onprem", shots=shots))
     stack.sim.run()
     tasks = stack.daemon.queue.all_tasks()
     makespan = max(t.finished_at for t in tasks if t.finished_at is not None)
@@ -95,7 +96,8 @@ def test_c5_timeshare_proportionality(benchmark):
 def test_c5_slurm_license_mechanism(benchmark):
     """The cluster side of §3.5: qpu_share licenses gate concurrency in
     10% units without any Slurm modification."""
-    from repro.cluster import JobSpec, LicensePool, Node, Partition, SlurmController
+    from repro.cluster import JobSpec as ClusterJobSpec
+    from repro.cluster import LicensePool, Node, Partition, SlurmController
     from repro.simkernel import Simulator
 
     def run():
@@ -111,7 +113,7 @@ def test_c5_slurm_license_mechanism(benchmark):
         # 3 jobs each holding 4 units: only two can run concurrently (8<=10)
         ids = [
             ctl.submit(
-                JobSpec(name=f"share-{i}", duration=100.0, licenses=(("qpu_share", 4),))
+                ClusterJobSpec(name=f"share-{i}", duration=100.0, licenses=(("qpu_share", 4),))
             )
             for i in range(3)
         ]

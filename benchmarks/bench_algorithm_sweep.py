@@ -23,6 +23,7 @@ import random
 
 from repro.analysis import format_table
 from repro.scheduling.algorithms import SimJob, available, get_algorithm, simulate
+from repro.spec import JobSpec
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -132,7 +133,7 @@ def run_daemon_loop(n_jobs=None):
     dev = stack.client_for("bench-dev", priority_class="development")
     for i in range(n_jobs):
         target = client if i % 3 else dev
-        target.submit(_daemon_program(shots=20 + 5 * (i % 4)), "onprem")
+        target.submit(JobSpec(program=_daemon_program(shots=20 + 5 * (i % 4)), resource="onprem"))
     stack.sim.run()
     return {"makespan": stack.sim.now, "completed": n_jobs}
 
@@ -207,7 +208,7 @@ def run_broker_loop(n_jobs=None):
             .measure_all()
             .transpile(shots=40 + 10 * (i % 3))
         )
-        broker.submit(program)
+        broker.submit_spec(JobSpec(program=program))
     # heartbeats/housekeeping tick forever: step until the burst drains
     # (5 s granularity keeps the makespan deterministic)
     while broker.stats()["by_state"]["completed"] < n_jobs and sim.now < 50_000.0:

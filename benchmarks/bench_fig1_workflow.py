@@ -34,6 +34,7 @@ from repro.runtime import (
     RuntimeEnvironment,
 )
 from repro.sdk import AnalogCircuit
+from repro.spec import JobSpec
 
 from .harness import build_stack
 
@@ -115,7 +116,7 @@ def run_workflow():
     # Stage 3: the QPU behind the middleware daemon — same program object
     stack = build_stack(shot_rate_hz=100.0, seed=1)
     client = stack.client_for("figure1-user", "production")
-    task_id = client.submit(program.to_dict(), "onprem", shots=SHOTS)
+    task_id = client.submit(JobSpec(program=program, resource="onprem", shots=SHOTS))
     stack.sim.run()
     body = client.result(task_id)
     from repro.runtime.results import RunResult
@@ -195,7 +196,7 @@ def test_fig1_validation_catches_spec_drift(benchmark):
         stack.device.specs = prod_specs
         client = stack.client_for("dev", "production")
         try:
-            client.submit(program.to_dict(), "onprem", shots=10)
+            client.submit(JobSpec(program=program, resource="onprem", shots=10))
             raise AssertionError("validation should have failed")
         except ValidationError as err:
             return diff, err.violations

@@ -30,6 +30,7 @@ from repro.daemon.queue import PriorityClass, ShotCapPolicy
 from repro.qpu import Register
 from repro.sdk import AnalogCircuit
 from repro.simkernel import RngRegistry
+from repro.spec import JobSpec
 
 from .harness import build_stack
 
@@ -93,7 +94,7 @@ def run_scenario(policy: str, seed: int = 0):
                 from repro.simkernel import Timeout
 
                 yield Timeout(float(rng.exponential(mean_gap)))
-                client.submit(program.to_dict(), "onprem", shots=shots)
+                client.submit(JobSpec(program=program, resource="onprem", shots=shots))
 
         return run
 
@@ -170,7 +171,8 @@ def test_fig2_multiuser_priority_architecture(benchmark):
 def test_fig2_slurm_to_daemon_integration(benchmark):
     """The full Figure-2 path: Slurm partitions -> SPANK env injection ->
     daemon session priority derived from the partition -> QPU."""
-    from repro.cluster import JobSpec, Node, Partition, SlurmController
+    from repro.cluster import JobSpec as ClusterJobSpec
+    from repro.cluster import Node, Partition, SlurmController
     from repro.config import DictConfig
     from repro.qrmi import QRMISpankPlugin
     from repro.runtime import DaemonClient, RuntimeEnvironment
@@ -212,7 +214,7 @@ def test_fig2_slurm_to_daemon_integration(benchmark):
 
         for user, partition in (("alice", "production"), ("bob", "development")):
             ctl.submit(
-                JobSpec(
+                ClusterJobSpec(
                     name=f"{user}-hybrid",
                     user=user,
                     partition=partition,

@@ -33,6 +33,7 @@ from repro.federation import (
 from repro.qpu import QPUDevice, ShotClock
 from repro.qrmi import OnPremQPUResource
 from repro.simkernel import RngRegistry, Simulator
+from repro.spec import JobSpec
 from repro.workloads import StreamConfig, multi_site_trace
 
 #: BENCH_SMOKE=1 (the CI smoke step) shrinks the trace so the whole
@@ -106,7 +107,7 @@ def drive_trace(sim, client, trace):
 
         def submit(program=program, job=job):
             ids.append(
-                client.submit(program, shots=job.shots_per_burst, affinity_key=job.user)
+                client.submit_spec(JobSpec(program=program, shots=job.shots_per_burst, affinity_key=job.user))
             )
 
         sim.call_in(arrival, submit)

@@ -38,6 +38,7 @@ from repro.qpu import QPUDevice, Register, ShotClock
 from repro.qrmi import OnPremQPUResource
 from repro.sdk import AnalogCircuit
 from repro.simkernel import RngRegistry, Simulator
+from repro.spec import JobSpec
 
 SHOTS = 100
 
@@ -94,13 +95,13 @@ def main():
 
     print("== intake ==")
     for i in range(6):
-        job_id = broker.submit(program(f"lab-{i}"), shots=SHOTS, owner="quantlab")
+        job_id = broker.submit_spec(JobSpec(program=program(f"lab-{i}"), shots=SHOTS, tenant="quantlab"))
         site = broker.job(job_id).current.site
         print(f"quantlab {job_id} -> {site}")
     admitted = rejected = 0
     for i in range(10):
         try:
-            broker.submit(program(f"burst-{i}"), shots=SHOTS, owner="burst-co")
+            broker.submit_spec(JobSpec(program=program(f"burst-{i}"), shots=SHOTS, tenant="burst-co"))
             admitted += 1
         except BudgetExceededError as err:
             rejected += 1

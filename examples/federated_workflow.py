@@ -29,6 +29,7 @@ from repro.qpu import QPUDevice, Register, ShotClock
 from repro.qrmi import OnPremQPUResource
 from repro.sdk import AnalogCircuit
 from repro.simkernel import RngRegistry, Simulator
+from repro.spec import JobSpec
 
 # --- the federation: two sites, one clock ------------------------------------
 sim = Simulator()
@@ -86,11 +87,11 @@ report = {}
 def workflow():
     """probe -> estimate -> corrected sweep, every quantum step brokered."""
     half = yield from client.run_process(
-        probe(np.pi / 2, "probe-half"), shots=400, affinity_key="adaptive"
+        JobSpec(program=probe(np.pi / 2, "probe-half"), shots=400, affinity_key="adaptive")
     )
     scale = estimate_rabi_scale(half)
     sweep = yield from client.run_process(
-        adaptive_sweep(scale, "sweep-1"), shots=400, affinity_key="adaptive"
+        JobSpec(program=adaptive_sweep(scale, "sweep-1"), shots=400, affinity_key="adaptive")
     )
     report["scale"] = scale
     report["first_sites"] = (
@@ -104,7 +105,7 @@ def workflow():
 
     # ...and the next iteration transparently lands on the survivor.
     sweep2 = yield from client.run_process(
-        adaptive_sweep(scale, "sweep-2"), shots=400, affinity_key="adaptive"
+        JobSpec(program=adaptive_sweep(scale, "sweep-2"), shots=400, affinity_key="adaptive")
     )
     report["failover_site"] = sweep2.metadata["federation_site"]
     report["failover_top"] = sweep2.most_frequent()

@@ -20,6 +20,7 @@ from repro.qpu import QPUDevice, Register, ShotClock
 from repro.qrmi import OnPremQPUResource
 from repro.sdk import AnalogCircuit
 from repro.simkernel import RngRegistry, Simulator
+from repro.spec import JobSpec
 
 ITERATIONS = 24
 SHOTS = 60
@@ -61,8 +62,8 @@ def burst_program():
 def run_once(malleable: bool) -> dict:
     sim, broker, sites = build_federation()
     client = FederatedClient(broker, user="demo")
-    job_id = client.submit_malleable(
-        burst_program(), ITERATIONS, shots=SHOTS, malleable=malleable
+    job_id = client.submit_spec(
+        JobSpec(program=burst_program(), iterations=ITERATIONS, shots=SHOTS, malleable=malleable)
     )
 
     def degrade():
@@ -71,10 +72,10 @@ def run_once(malleable: bool) -> dict:
 
     sim.call_in(DEGRADE_AT, degrade)
     sim.run(until=4 * 3600.0)
-    job = broker.malleable_job(job_id)
+    job = broker.job(job_id)
     return {
-        "status": client.malleable_status(job_id),
-        "result": client.malleable_result(job_id),
+        "status": client.status(job_id),
+        "result": client.result(job_id),
         "events": job.placement.events,
     }
 

@@ -67,6 +67,7 @@ from repro.qpu import QPUDevice, ShotClock
 from repro.qrmi import OnPremQPUResource
 from repro.runtime import DaemonClient
 from repro.simkernel import Simulator
+from repro.spec import JobSpec
 
 sim = Simulator()
 device = QPUDevice(clock=ShotClock(shot_rate_hz=100.0), rng=np.random.default_rng(7))
@@ -74,7 +75,7 @@ daemon = MiddlewareDaemon(sim, {"onprem": OnPremQPUResource("onprem", device)})
 client = DaemonClient(build_router(daemon))
 client.open_session("quickstart-user", priority_class="production")
 
-task_id = client.submit(program.to_dict(), "onprem", shots=program.shots)
+task_id = client.submit(JobSpec(program=program, resource="onprem"))
 sim.run()  # the simulated QPU executes (5s of simulated shot clock)
 body = client.result(task_id)
 from repro.runtime.results import RunResult

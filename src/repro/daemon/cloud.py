@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import AuthError, DaemonError, SessionError
+from ..spec import JobSpec, require_spec
 from .queue import PriorityClass
 from .service import MiddlewareDaemon
 
@@ -158,35 +159,21 @@ class CloudGateway:
             self.daemon, self._sessions, f"cloud:{tenant.name}", tenant.priority_class
         )
 
-    def submit(
-        self,
-        api_key: str,
-        program: Any,
-        resource: str | None = None,
-        shots: int | None = None,
-    ) -> str:
-        """Submit one cloud job.  ``program`` may be a
-        :class:`~repro.spec.JobSpec`; its resolved IR/shots/resource are
-        used and the remaining args only serve as fallbacks.  Identity
-        stays with the API key — a spec cannot impersonate another
-        tenant through the cloud door."""
-        from ..spec.jobspec import JobSpec
-
-        if isinstance(program, JobSpec):
-            spec = program.validate()
-            if spec.is_multi:
-                raise DaemonError(
-                    "the cloud gateway runs fixed-size tasks; a multi-unit "
-                    "spec (iterations/sites) needs the federation broker"
-                )
-            program = spec.program
-            resource = spec.resource if spec.resource is not None else resource
-            shots = spec.shots
-        if resource is None:
+    def submit(self, api_key: str, spec: JobSpec) -> str:
+        """Submit one fixed-size cloud job described by a
+        :class:`~repro.spec.JobSpec`; its resolved IR, shots and
+        ``resource`` are used, and anything but a spec raises
+        :class:`~repro.errors.SpecError`.  Identity stays with the API
+        key — a spec cannot impersonate another tenant through the
+        cloud door."""
+        spec = require_spec(spec, "CloudGateway.submit").validate()
+        if spec.is_multi:
             raise DaemonError(
-                "cloud submission needs a target resource "
-                "(spec.resource or resource=)"
+                "the cloud gateway runs fixed-size tasks; a multi-unit "
+                "spec (iterations/sites) needs the federation broker"
             )
+        if spec.resource is None:
+            raise DaemonError("cloud submission needs a target: set spec.resource")
         tenant = self._authenticate(api_key)
         now = self.daemon.now
         tenant.refill(now)
@@ -195,12 +182,11 @@ class CloudGateway:
                 f"rate limit: tenant {tenant.name!r} exceeded "
                 f"{tenant.max_submissions_per_hour}/hour"
             )
-        requested = shots if shots is not None else 100
-        if tenant.shots_used + requested > tenant.shot_quota:
+        if tenant.shots_used + spec.shots > tenant.shot_quota:
             raise DaemonError(
                 f"quota: tenant {tenant.name!r} has "
                 f"{tenant.shot_quota - tenant.shots_used} shots left, "
-                f"requested {requested}"
+                f"requested {spec.shots}"
             )
         if self.accounting is not None:
             from ..accounting import AdmissionDecision
@@ -213,7 +199,7 @@ class CloudGateway:
                     f"{self.accounting.remaining(tenant.name):.3f} credits left"
                 )
         token = self._session_token(tenant)
-        task = self.daemon.submit_task(token, program, resource, shots=shots)
+        task = self.daemon.submit_task(token, spec.program, spec.resource, shots=spec.shots)
         tenant.bucket_tokens -= 1.0
         tenant.shots_used += task.program.shots
         self._task_owner[task.task_id] = tenant.name

@@ -48,7 +48,7 @@ from ..scheduling.algorithms import (
     get_algorithm,
 )
 from ..simkernel import Simulator, Timeout
-from ..spec import JobSpec
+from ..spec import JobSpec, require_spec
 from .events import TERMINAL_TASK_KINDS, JobEvent, LifecycleBus
 from .metrics import FederationMetrics
 from .policies import LeastQueuePolicy, RoutingPolicy
@@ -348,46 +348,25 @@ class FederationBroker:
 
     # -- intake ---------------------------------------------------------------
 
-    def submit(
-        self,
-        program: Any,
-        shots: int | None = None,
-        owner: str = "fed-user",
-        affinity_key: str | None = None,
-        pin: str | None = None,
-    ) -> str:
-        """Accept a job into the federation; returns its stable job id.
-
-        ``program`` may be a :class:`~repro.spec.JobSpec` — the one
-        submission payload every surface shares — in which case the
-        remaining kwargs are ignored.  The kwarg form is a deprecated
-        shim over :meth:`JobSpec.from_legacy_kwargs
-        <repro.spec.JobSpec.from_legacy_kwargs>`.
-
-        ``pin`` is a qualified ``site/resource`` name: the job runs
-        exactly there (the ``--qpu`` contract — an explicit request is
-        honored or fails, never silently rerouted) instead of going
-        through the routing policy.
-        """
-        if isinstance(program, JobSpec):
-            spec = program
-        else:
-            spec = JobSpec.from_legacy_kwargs(
-                program, shots=shots, owner=owner, affinity_key=affinity_key, pin=pin
-            )
-        return self.submit_spec(spec)
-
     def submit_spec(self, spec: JobSpec) -> str:
-        """Accept one validated-or-raw :class:`~repro.spec.JobSpec`.
+        """Accept one :class:`~repro.spec.JobSpec` into the federation;
+        returns its stable job id.
 
         Multi-unit specs (``iterations``/``sites`` set) route to the
         malleable manager; everything else becomes a fixed-size
         federated job.  This is the single intake every surface funnels
         into — shot resolution and IR normalization happen exactly once,
         inside :meth:`JobSpec.validate <repro.spec.JobSpec.validate>`.
+        Anything but a spec, and any spec that fails validation, raises
+        :class:`~repro.errors.PlacementError`.
+
+        ``spec.pin`` is a qualified ``site/resource`` name: the job runs
+        exactly there (the ``--qpu`` contract — an explicit request is
+        honored or fails, never silently rerouted) instead of going
+        through the routing policy.
         """
         try:
-            spec = spec.validate()
+            spec = require_spec(spec, "FederationBroker.submit_spec").validate()
         except SpecError as err:
             raise PlacementError(str(err)) from err
         if spec.is_multi:
@@ -482,7 +461,7 @@ class FederationBroker:
         )
         return job_id
 
-    def is_malleable(self, job_id: str) -> bool:
+    def _is_malleable(self, job_id: str) -> bool:
         """Is ``job_id`` tracked by the malleable manager (multi-unit
         submission or a converted fixed job)?"""
         return self._malleable is not None and job_id in self._malleable._jobs
@@ -545,35 +524,6 @@ class FederationBroker:
                 tenant=tenant,
             )
         return decision is AdmissionDecision.HOLD
-
-    def submit_malleable(
-        self,
-        program: Any,
-        iterations: int,
-        shots: int | None = None,
-        owner: str = "fed-user",
-        affinity_key: str | None = None,
-        sites: tuple[str, ...] | None = None,
-        malleable: bool = True,
-    ) -> str:
-        """Accept an iterative job whose burst units spread across sites
-        and get re-divided by the resize loop; returns its stable id.
-        Deprecated kwarg shim — elasticity now lives *in the spec*
-        (``iterations``/``sites``/``malleable`` fields), so
-        :meth:`submit_spec` with a multi-unit spec is the same call."""
-        if isinstance(program, JobSpec):
-            return self.submit_spec(program)
-        return self.submit_spec(
-            JobSpec.from_legacy_kwargs(
-                program,
-                shots=shots,
-                owner=owner,
-                affinity_key=affinity_key,
-                sites=sites,
-                iterations=iterations,
-                malleable=malleable,
-            )
-        )
 
     def available_resources(self) -> dict[str, str]:
         """Aggregate catalog over healthy sites, names qualified as
@@ -1099,15 +1049,21 @@ class FederationBroker:
 
     # -- queries ---------------------------------------------------------------
 
-    def job(self, job_id: str) -> FederatedJob:
+    def job(self, job_id: str) -> Any:
+        """The record behind any federated id: a :class:`FederatedJob`,
+        or the :class:`~repro.federation.malleable.MalleableJob` of a
+        multi-unit or converted submission."""
+        if self._is_malleable(job_id):
+            return self.malleable.job(job_id)
         if job_id not in self._jobs:
             raise PlacementError(f"unknown federated job {job_id!r}", job_id=job_id)
         return self._jobs[job_id]
 
     def status(self, job_id: str) -> dict[str, Any]:
-        if self.is_malleable(job_id):
-            # converted fixed jobs carry malleable ids — same surface
-            return self.malleable_status(job_id)
+        if self._is_malleable(job_id):
+            # multi-unit and converted ids: one resize pass, then read
+            self.malleable.tick()
+            return self.malleable.status(job_id)
         job = self.job(job_id)
         self._refresh(job)
         placement = job.current
@@ -1122,10 +1078,13 @@ class FederationBroker:
         }
 
     def result(self, job_id: str) -> Any:
-        if self.is_malleable(job_id):
-            # converted fixed jobs: hand back the per-unit result map —
-            # FederatedClient.result merges it into one payload
-            return self.malleable_result(job_id)
+        """A fixed job's emulation result, or — for multi-unit and
+        converted ids — the per-unit result map keyed by unit, which
+        :meth:`FederatedClient.result
+        <repro.federation.client.FederatedClient.result>` merges."""
+        if self._is_malleable(job_id):
+            self.malleable.tick()
+            return self.malleable.results(job_id)
         job = self.job(job_id)
         self._refresh(job)
         if job.state is JobState.FAILED:
@@ -1143,20 +1102,6 @@ class FederationBroker:
         if state is None:
             return list(self._jobs.values())
         return self._in_state(state)  # O(jobs in that state), not O(all)
-
-    # -- malleable queries ------------------------------------------------------
-
-    def malleable_job(self, job_id: str):
-        return self.malleable.job(job_id)
-
-    def malleable_status(self, job_id: str) -> dict[str, Any]:
-        self.malleable.tick()
-        return self.malleable.status(job_id)
-
-    def malleable_result(self, job_id: str) -> dict[int, Any]:
-        """Per-unit results of a completed malleable job, keyed by unit."""
-        self.malleable.tick()
-        return self.malleable.results(job_id)
 
     def stats(self) -> dict[str, Any]:
         """O(1) snapshot from the maintained tables and counters — no

@@ -5,20 +5,26 @@ Mirrors the call conventions of :class:`~repro.runtime.client.DaemonClient`
 inside simulated jobs) but speaks to the :class:`FederationBroker`
 instead of one site's REST router, so user code written against the
 single-site runtime moves to the federation by swapping the client.
-Results come back as the same :class:`~repro.runtime.results.RunResult`
-the single-site path produces, with the executing site recorded in
-metadata — users keep one mental model from laptop to federation.
+Every job enters as a :class:`~repro.spec.JobSpec` through
+:meth:`FederatedClient.submit_spec`, and one ``status`` / ``result`` /
+``run_process`` answers for any federated id: fixed-size, converted,
+or multi-unit.  Results come back as the same
+:class:`~repro.runtime.results.RunResult` the single-site path
+produces, with the executing site(s) recorded in metadata — users keep
+one mental model from laptop to federation.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from ..runtime.results import RunResult
 from ..sdk.translate import to_ir
 from ..simkernel import Timeout
-from ..spec import JobSpec
+from ..spec import JobSpec, require_spec
 from .broker import FederationBroker
+from .malleable import MalleableJob
 
 __all__ = ["FederatedClient"]
 
@@ -41,33 +47,13 @@ class FederatedClient:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(
-        self,
-        program: Any,
-        shots: int | None = None,
-        affinity_key: str | None = None,
-        pin: str | None = None,
-    ) -> str:
-        """Submit one fixed-size job; ``program`` may be a
-        :class:`~repro.spec.JobSpec` (preferred — the kwargs are then
-        ignored).  The kwarg form is a deprecated shim; shot resolution
-        happens in exactly one place, ``JobSpec.validate`` (an explicit
-        ``shots`` wins, else the program's own count, else the
-        federation default)."""
-        if isinstance(program, JobSpec):
-            return self.submit_spec(program)
-        return self.submit_spec(
-            JobSpec.from_legacy_kwargs(
-                program, shots=shots, affinity_key=affinity_key, pin=pin
-            )
-        )
-
     def submit_spec(self, spec: JobSpec) -> str:
-        """Hand a spec to the broker under this client's identity (an
-        explicit ``spec.tenant`` wins over the client user)."""
+        """Hand a spec — fixed-size or multi-unit — to the broker under
+        this client's identity (an explicit ``spec.tenant`` wins over
+        the client user).  Anything but a spec raises
+        :class:`~repro.errors.SpecError`."""
+        spec = require_spec(spec, "FederatedClient.submit_spec")
         if spec.tenant is None:
-            from dataclasses import replace
-
             spec = replace(spec, tenant=self.user)
         return self.broker.submit_spec(spec)
 
@@ -76,13 +62,14 @@ class FederatedClient:
 
     def result(self, job_id: str) -> RunResult:
         """Fetch the result from whichever site ran the job, wrapped in
-        the uniform single-site result type.  A fixed submission the
-        saturated broker converted to malleable units comes back merged
-        (see :meth:`malleable_result`) — conversion stays transparent."""
-        if self.broker.is_malleable(job_id):
-            return self.malleable_result(job_id)
+        the uniform single-site result type.  A multi-unit job — or a
+        fixed submission the saturated broker converted to malleable
+        units — comes back merged into one result, so the caller never
+        needs to know which kind of job it holds."""
         job = self.broker.job(job_id)
         emulation = self.broker.result(job_id)
+        if isinstance(job, MalleableJob):
+            return self._merge_units(job, emulation)
         placement = job.current
         assert placement is not None  # completed jobs have a live placement
         result = RunResult.from_emulation(
@@ -94,43 +81,10 @@ class FederatedClient:
         result.metadata["federation_attempts"] = job.attempts
         return result
 
-    # -- malleable (multi-site) jobs ------------------------------------------
-
-    def submit_malleable(
-        self,
-        program: Any,
-        iterations: int,
-        shots: int | None = None,
-        affinity_key: str | None = None,
-        sites: tuple[str, ...] | None = None,
-        malleable: bool = True,
-    ) -> str:
-        """Submit an iterative job whose burst units the broker spreads
-        across sites and re-divides mid-flight (``malleable=False`` pins
-        the units to a static round-robin split — the rigid baseline).
-        Deprecated kwarg shim — a multi-unit :class:`~repro.spec.JobSpec`
-        through :meth:`submit_spec` is the same call."""
-        if isinstance(program, JobSpec):
-            return self.submit_spec(program)
-        return self.submit_spec(
-            JobSpec.from_legacy_kwargs(
-                program,
-                shots=shots,
-                affinity_key=affinity_key,
-                sites=sites,
-                iterations=iterations,
-                malleable=malleable,
-            )
-        )
-
-    def malleable_status(self, job_id: str) -> dict[str, Any]:
-        return self.broker.malleable_status(job_id)
-
-    def malleable_result(self, job_id: str) -> RunResult:
+    @staticmethod
+    def _merge_units(job: MalleableJob, unit_results: dict[int, Any]) -> RunResult:
         """Merge every unit's counts into one uniform result — the
         multi-site job reads exactly like a single large burst."""
-        job = self.broker.malleable_job(job_id)
-        unit_results = self.broker.malleable_result(job_id)
         counts: dict[str, int] = {}
         shots = 0
         execution_s = 0.0
@@ -149,7 +103,7 @@ class FederatedClient:
             counts=counts,
             shots=shots,
             backend="+".join(sorted(backends)),
-            resource=f"malleable/{job_id}",
+            resource=f"malleable/{job.job_id}",
             program_hash=to_ir(job.program).content_hash(),
             execution_s=execution_s,
             metadata={
@@ -162,49 +116,13 @@ class FederatedClient:
 
     # -- simulation-aware polling ---------------------------------------------
 
-    def run_process(
-        self,
-        program: Any,
-        shots: int | None = None,
-        affinity_key: str | None = None,
-        poll_interval: float = 5.0,
-        pin: str | None = None,
-    ):
-        """Generator form for simulated jobs: submit, poll the broker on
-        the simulated clock, return the fetched result."""
-        job_id = self.submit(
-            program, shots=shots, affinity_key=affinity_key, pin=pin
-        )
+    def run_process(self, spec: JobSpec, poll_interval: float = 5.0):
+        """Generator form for simulated jobs: submit the spec, poll the
+        broker on the simulated clock, return the (merged) result."""
+        job_id = self.submit_spec(spec)
         while True:
             status = self.status(job_id)
             if status["state"] in _TERMINAL:
                 break
             yield Timeout(poll_interval)
         return self.result(job_id)
-
-    def run_malleable_process(
-        self,
-        program: Any,
-        iterations: int,
-        shots: int | None = None,
-        affinity_key: str | None = None,
-        sites: tuple[str, ...] | None = None,
-        malleable: bool = True,
-        poll_interval: float = 5.0,
-    ):
-        """Generator form of the malleable path: submit, poll on the
-        simulated clock, return the merged :class:`RunResult`."""
-        job_id = self.submit_malleable(
-            program,
-            iterations,
-            shots=shots,
-            affinity_key=affinity_key,
-            sites=sites,
-            malleable=malleable,
-        )
-        while True:
-            status = self.malleable_status(job_id)
-            if status["state"] in _TERMINAL:
-                break
-            yield Timeout(poll_interval)
-        return self.malleable_result(job_id)

@@ -228,45 +228,20 @@ class MalleableManager:
 
     # -- intake ---------------------------------------------------------------
 
-    def submit(
-        self,
-        program: Any,
-        iterations: int,
-        shots: int | None = None,
-        owner: str = "fed-user",
-        affinity_key: str | None = None,
-        sites: tuple[str, ...] | None = None,
-        malleable: bool = True,
-    ) -> str:
-        """Accept an iterative job of ``iterations`` burst units; returns
-        a stable job id that survives every resize and failover.
-        Deprecated kwarg shim over :meth:`submit_spec`.
+    def submit_spec(self, spec: JobSpec) -> str:
+        """Accept a multi-unit :class:`~repro.spec.JobSpec` of
+        ``iterations`` burst units; returns a stable job id that
+        survives every resize and failover.  Elasticity (units, site
+        restriction, malleable-vs-rigid, in-flight bounds) lives in the
+        spec, not the call site.
 
-        ``sites`` optionally restricts the candidate set; entries may be
-        bare site names or qualified ``site/resource`` pins.  With
-        ``malleable=False`` the units are pre-assigned round-robin and
-        never rebalanced — the rigid baseline the ablation measures
+        ``spec.sites`` optionally restricts the candidate set; entries
+        may be bare site names or qualified ``site/resource`` pins.
+        With ``malleable=False`` the units are pre-assigned round-robin
+        and never rebalanced — the rigid baseline the ablation measures
         against (health failover still applies: rigidity is about load,
         not about losing jobs).
         """
-        if isinstance(program, JobSpec):
-            return self.submit_spec(program)
-        return self.submit_spec(
-            JobSpec.from_legacy_kwargs(
-                program,
-                shots=shots,
-                owner=owner,
-                affinity_key=affinity_key,
-                sites=sites,
-                iterations=iterations,
-                malleable=malleable,
-            )
-        )
-
-    def submit_spec(self, spec: JobSpec) -> str:
-        """Accept a multi-unit :class:`~repro.spec.JobSpec`: elasticity
-        (units, site restriction, malleable-vs-rigid, in-flight bounds)
-        lives in the spec, not the call site."""
         try:
             spec = spec.validate()
         except SpecError as err:

@@ -12,6 +12,7 @@ from typing import Any
 
 from ..daemon.http import Request, Response, Router
 from ..errors import DaemonError, ValidationError
+from ..spec import JobSpec, require_spec
 
 __all__ = ["DaemonClient"]
 
@@ -60,45 +61,25 @@ class DaemonClient:
 
     # -- tasks --------------------------------------------------------------
 
-    def submit(
-        self,
-        program: Any,
-        resource: str | None = None,
-        shots: int | None = None,
-    ) -> str:
-        """Submit one task.  ``program`` may be a
-        :class:`~repro.spec.JobSpec` — the one declarative payload every
-        surface accepts — whose resolved IR/shots/resource fill the REST
-        body (``resource=`` then only serves as a fallback target).  The
-        (program dict, resource, shots) form is the deprecated legacy
-        shape."""
-        from ..spec import JobSpec
-
-        if isinstance(program, JobSpec):
-            spec = program.validate()
-            if spec.is_multi:
-                raise ValidationError(
-                    "the daemon runs fixed-size tasks; a multi-unit spec "
-                    "(iterations/sites) needs the federation broker or a "
-                    "Session"
-                )
-            target = spec.resource if spec.resource is not None else resource
-            if target is None:
-                raise ValidationError(
-                    "daemon submission needs a target: set spec.resource "
-                    "(or pass resource=)"
-                )
-            body: dict[str, Any] = {
-                "program": spec.program.to_dict(),
-                "resource": target,
-                "shots": spec.shots,
-            }
-        else:
-            if resource is None:
-                raise ValidationError("legacy submit needs resource=")
-            body = {"program": program, "resource": resource}
-            if shots is not None:
-                body["shots"] = shots
+    def submit(self, spec: JobSpec) -> str:
+        """``POST /tasks``: submit one fixed-size
+        :class:`~repro.spec.JobSpec` whose resolved IR, shots and
+        ``resource`` fill the REST body.  Anything but a spec raises
+        :class:`~repro.errors.SpecError`."""
+        spec = require_spec(spec, "DaemonClient.submit").validate()
+        if spec.is_multi:
+            raise ValidationError(
+                "the daemon runs fixed-size tasks; a multi-unit spec "
+                "(iterations/sites) needs the federation broker or a "
+                "Session"
+            )
+        if spec.resource is None:
+            raise ValidationError("daemon submission needs a target: set spec.resource")
+        body = {
+            "program": spec.program.to_dict(),
+            "resource": spec.resource,
+            "shots": spec.shots,
+        }
         response = self._call("POST", "/tasks", body)
         return response.body["task_id"]
 
@@ -108,8 +89,6 @@ class DaemonClient:
         the whole spec travels — tenant, metadata, and the scheduling
         ``algorithm`` selection arrive on the daemon task, and resource
         fallback (single-resource daemons) happens server-side."""
-        from ..spec import JobSpec
-
         body = spec.to_dict() if isinstance(spec, JobSpec) else dict(spec)
         return self._call("POST", "/jobs", body).body
 

@@ -194,7 +194,7 @@ class RuntimeEnvironment:
 
     def _run_daemon(self, ir, resource: str) -> RunResult:
         assert self.client is not None
-        task_id = self.client.submit(ir.to_dict(), resource, shots=ir.shots)
+        task_id = self.client.submit(JobSpec(program=ir, resource=resource))
         status = self.client.status(task_id)
         if status["state"] != "completed":
             raise TaskError(
@@ -276,11 +276,12 @@ class RuntimeEnvironment:
                 ensure_valid(ir, self.fetch_target(name))
             from ..federation.client import FederatedClient
 
-            result = yield from FederatedClient(self.federation).run_malleable_process(
-                ir,
-                iterations if iterations is not None else 2 * len(resource),
-                shots=ir.shots,
-                sites=resource,
+            result = yield from FederatedClient(self.federation).run_process(
+                JobSpec(
+                    program=ir,
+                    sites=resource,
+                    iterations=iterations if iterations is not None else 2 * len(resource),
+                ),
                 poll_interval=poll_interval,
             )
             return result
@@ -297,13 +298,13 @@ class RuntimeEnvironment:
             # the job runs exactly where it was validated, not wherever
             # the routing policy would send it
             result = yield from FederatedClient(self.federation).run_process(
-                ir, shots=ir.shots, poll_interval=poll_interval, pin=resource
+                JobSpec(program=ir, pin=resource), poll_interval=poll_interval
             )
             return result
         if self.client is None:
             # direct mode: synchronous, but keep the generator protocol
             return self._run_direct(ir, resource)
-        task_id = self.client.submit(ir.to_dict(), resource, shots=ir.shots)
+        task_id = self.client.submit(JobSpec(program=ir, resource=resource))
         while True:
             status = self.client.status(task_id)
             if status["state"] in ("completed", "failed", "cancelled"):

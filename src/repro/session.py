@@ -47,7 +47,7 @@ from .federation.events import (
 from .runtime.backend_select import select_resource, spec_request
 from .runtime.results import RunResult
 from .simkernel import Event
-from .spec import JobSpec
+from .spec import JobSpec, require_spec
 
 __all__ = ["JobHandle", "Session"]
 
@@ -273,12 +273,7 @@ class Session:
 
     def submit(self, spec: JobSpec, backend: str | None = None) -> JobHandle:
         """Submit one spec; returns the uniform :class:`JobHandle`."""
-        if not isinstance(spec, JobSpec):
-            raise SpecError(
-                f"Session.submit takes a JobSpec, got {type(spec).__name__} "
-                "(wrap programs with JobSpec(program=...))"
-            )
-        spec = spec.validate(default_tenant=self.user)
+        spec = require_spec(spec, "Session.submit").validate(default_tenant=self.user)
         backend = backend or self.backend_for(spec)
         root = None
         if self.tracer is not None:
@@ -386,8 +381,6 @@ class Session:
             return client.status(handle.job_id)
         if handle.backend == "cloud":
             return self.cloud.status(self.cloud_api_key, handle.job_id)
-        if handle.spec.is_multi:
-            return self.federation.malleable_status(handle.job_id)
         return self.federation.status(handle.job_id)
 
     def _backend_result(self, handle: JobHandle) -> RunResult:
@@ -401,8 +394,6 @@ class Session:
             )
             result.metadata["cloud_tenant"] = spec.tenant
             return result
-        if spec.is_multi:
-            return self._fed().malleable_result(handle.job_id)
         return self._fed().result(handle.job_id)
 
     def _daemon_result(self, handle: JobHandle) -> RunResult:

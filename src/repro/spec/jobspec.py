@@ -1,16 +1,14 @@
 """The declarative job description every submission surface accepts.
 
-Before this module the repo had four independently-evolved ways to hand
-work to the system — ``DaemonClient.submit``, ``FederatedClient.submit``
-/ ``submit_malleable``, ``CloudGateway.submit``, and cluster batch
-scripts — each with its own kwarg soup.  :class:`JobSpec` collapses
-them: one frozen dataclass carries the program, the shot request, the
-tenant identity, the placement constraints (``pin`` / ``affinity_key``
-/ ``sites``), the elasticity declaration (``iterations`` /
-``min_units`` / ``max_units`` / ``malleable``), a budget hint, and the
-priority class.  Every surface consumes the same object; the legacy
-kwarg signatures survive as thin shims over
-:meth:`JobSpec.from_legacy_kwargs`.
+:class:`JobSpec` is the one submission payload: one frozen dataclass
+carries the program, the shot request, the tenant identity, the
+placement constraints (``pin`` / ``affinity_key`` / ``sites``), the
+elasticity declaration (``iterations`` / ``min_units`` /
+``max_units`` / ``malleable``), a budget hint, and the priority class.
+``Session.submit``, ``FederationBroker.submit_spec``,
+``FederatedClient.submit_spec``, ``DaemonClient.submit``,
+``CloudGateway.submit`` and cluster batch scripts all take it, and each
+rejects anything else up front through :func:`require_spec`.
 
 Two invariants the rest of the stack relies on:
 
@@ -30,11 +28,23 @@ from typing import Any
 
 from ..errors import SpecError
 
-__all__ = ["DEFAULT_SHOTS", "JobSpec"]
+__all__ = ["DEFAULT_SHOTS", "JobSpec", "require_spec"]
 
 #: the federation-wide fallback when neither the spec nor the program
 #: carries a shot request (kept equal to the historic intake default)
 DEFAULT_SHOTS = 100
+
+
+def require_spec(value: Any, surface: str) -> "JobSpec":
+    """Return ``value`` if it is a :class:`JobSpec`, else raise
+    :class:`~repro.errors.SpecError` naming ``surface`` and the type
+    received — every intake checks this before touching a field."""
+    if not isinstance(value, JobSpec):
+        raise SpecError(
+            f"{surface} takes a JobSpec, got {type(value).__name__} "
+            "(wrap programs with JobSpec(program=...))"
+        )
+    return value
 
 
 def parse_site_leg(leg: str) -> tuple[str, str | None]:
@@ -265,43 +275,4 @@ class JobSpec:
             budget_hint=data.get("budget_hint"),
             algorithm=data.get("algorithm"),
             metadata=dict(data.get("metadata", {})),
-        )
-
-    # -- the legacy-kwarg shim ------------------------------------------------
-
-    @classmethod
-    def from_legacy_kwargs(
-        cls,
-        program: Any,
-        *,
-        shots: int | None = None,
-        owner: str | None = None,
-        tenant: str | None = None,
-        affinity_key: str | None = None,
-        pin: str | None = None,
-        resource: str | None = None,
-        sites: tuple[str, ...] | list[str] | None = None,
-        iterations: int | None = None,
-        malleable: bool = True,
-        priority_class: str = "development",
-        metadata: dict[str, Any] | None = None,
-    ) -> "JobSpec":
-        """Adapter for the pre-spec kwarg surfaces.
-
-        Every deprecated submit signature (broker, federated client,
-        daemon client, cloud gateway) funnels through here, so the
-        kwargs keep working while the broker only ever sees specs.
-        """
-        return cls(
-            program=program,
-            shots=shots,
-            tenant=tenant if tenant is not None else owner,
-            resource=resource,
-            pin=pin,
-            affinity_key=affinity_key,
-            sites=tuple(sites) if sites is not None else None,
-            iterations=iterations,
-            malleable=malleable,
-            priority_class=priority_class,
-            metadata=dict(metadata or {}),
         )

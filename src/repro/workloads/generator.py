@@ -20,6 +20,7 @@ from ..scheduling.interleave import HybridJobEstimate
 from ..scheduling.patterns import WorkloadPattern, hint_for_pattern
 from ..sdk.qiskit_like import AnalogCircuit
 from ..simkernel import RngRegistry, Timeout
+from ..spec import JobSpec
 
 __all__ = ["HybridJobFactory", "JobStream", "StreamConfig"]
 
@@ -81,8 +82,9 @@ class SyntheticHybridJob:
         def run(ctx):
             client = client_factory()
             program = self.quantum_circuit().transpile(shots=self.shots_per_burst)
+            spec = JobSpec(program=program, resource=resource).validate()
             for _ in range(self.iterations):
-                task_id = client.submit(program.to_dict(), resource, shots=self.shots_per_burst)
+                task_id = client.submit(spec)
                 while True:
                     status = client.status(task_id)
                     if status["state"] in ("completed", "failed", "cancelled"):

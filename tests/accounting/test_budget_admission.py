@@ -21,17 +21,17 @@ class TestRejectAdmission:
         accounting = make_accounting(default_shot_price=0.01)
         accounting.set_budget("alpha", 1.0)  # two 50-shot jobs (0.5 each)
         sim, _, broker, _ = build_accounted_federation(accounting=accounting)
-        j1 = broker.submit(make_program(shots=50), shots=50, owner="alpha")
-        j2 = broker.submit(make_program(shots=50), shots=50, owner="alpha")
+        j1 = broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="alpha"))
+        j2 = broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="alpha"))
         drain(sim)
         assert broker.job(j1).state is JobState.COMPLETED
         assert broker.job(j2).state is JobState.COMPLETED
         assert accounting.spend("alpha") >= 1.0
         with pytest.raises(BudgetExceededError) as err:
-            broker.submit(make_program(shots=50), shots=50, owner="alpha")
+            broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="alpha"))
         assert err.value.tenant == "alpha"
         # other tenants are untouched
-        ok = broker.submit(make_program(shots=50), shots=50, owner="beta")
+        ok = broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="beta"))
         drain(sim)
         assert broker.job(ok).state is JobState.COMPLETED
 
@@ -40,7 +40,7 @@ class TestRejectAdmission:
         accounting.set_budget("alpha", 0.0)
         _, _, broker, _ = build_accounted_federation(accounting=accounting)
         with pytest.raises(BudgetExceededError):
-            broker.submit_malleable(make_program(shots=20), iterations=3, owner="alpha")
+            broker.submit_spec(JobSpec(program=make_program(shots=20), iterations=3, tenant="alpha"))
 
     def test_one_invoice_across_two_sites(self):
         """Acceptance: a tenant running on >=2 sites gets exactly one
@@ -53,7 +53,7 @@ class TestRejectAdmission:
             n_sites=2, accounting=accounting, policy=RoundRobinPolicy()
         )
         for _ in range(4):  # round-robin: two jobs land on each site
-            broker.submit(make_program(shots=100), shots=100, owner="alpha")
+            broker.submit_spec(JobSpec(program=make_program(shots=100), shots=100, tenant="alpha"))
         drain(sim)
         by_site = {
             e.site
@@ -89,7 +89,7 @@ class TestHoldAdmission:
         accounting = make_accounting()
         accounting.set_budget("alpha", 0.0, action=BudgetAction.HOLD)
         sim, _, broker, _ = build_accounted_federation(accounting=accounting)
-        job_id = broker.submit(make_program(shots=50), shots=50, owner="alpha")
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="alpha"))
         job = broker.job(job_id)
         assert job.state is JobState.HELD
         assert job.attempts == 0
@@ -104,10 +104,10 @@ class TestHoldAdmission:
         accounting = make_accounting()
         accounting.set_budget("alpha", 0.0, action=BudgetAction.HOLD)
         sim, _, broker, _ = build_accounted_federation(accounting=accounting)
-        job_id = broker.submit_malleable(
-            make_program(shots=20), iterations=4, shots=20, owner="alpha"
+        job_id = broker.submit_spec(
+            JobSpec(program=make_program(shots=20), iterations=4, shots=20, tenant="alpha")
         )
-        record = broker.malleable_job(job_id)
+        record = broker.job(job_id)
         assert record.state is JobState.HELD
         assert record.placement.ledger.in_flight_units == 0
         drain(sim)
@@ -125,7 +125,7 @@ class TestHoldAdmission:
         sim, _, broker, sites = build_accounted_federation(
             n_sites=1, accounting=accounting
         )
-        job_id = broker.submit(make_program(shots=50), shots=50, owner="alpha")
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="alpha"))
         site = sites["site-0"]
         site.alive = False  # silent outage: heartbeats stop
         accounting.budgets.grant("alpha", 5.0)
@@ -146,11 +146,11 @@ class TestHoldAdmission:
         accounting.set_budget("alpha", 1.0)
         sim, _, broker, _ = build_accounted_federation(accounting=accounting)
         for _ in range(2):  # 0.5 reserved each; no completions yet
-            broker.submit(make_program(shots=50), shots=50, owner="alpha")
+            broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="alpha"))
         assert accounting.budgets.reserved("alpha") == pytest.approx(1.0)
         assert accounting.spend("alpha") == 0.0
         with pytest.raises(BudgetExceededError):  # fully encumbered
-            broker.submit(make_program(shots=50), shots=50, owner="alpha")
+            broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="alpha"))
         drain(sim)
         assert accounting.budgets.reserved("alpha") == 0.0
         assert accounting.spend("alpha") >= 1.0
@@ -159,7 +159,7 @@ class TestHoldAdmission:
         accounting = make_accounting()
         accounting.set_budget("alpha", 0.0, action=BudgetAction.HOLD)
         _, _, broker, _ = build_accounted_federation(accounting=accounting)
-        job_id = broker.submit(make_program(shots=50), shots=50, owner="alpha")
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="alpha"))
         status = broker.status(job_id)
         assert status["state"] == "held"
         assert status["site"] is None
@@ -217,7 +217,7 @@ class TestRetryMetering:
             n_sites=2, accounting=accounting, shot_rates=[0.05, 10.0]
         )
         # pin-free submit lands somewhere; kill that site mid-run
-        job_id = broker.submit(make_program(shots=200), shots=200, owner="alpha")
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=200), shots=200, tenant="alpha"))
         first_site = broker.job(job_id).current.site
         sim.run(until=5.0)
         sites[first_site].kill()
@@ -253,7 +253,7 @@ class TestCloudGatewayThreading:
         accounting = make_accounting(shot_prices={"cloud-0": 0.1})
         _, gw = self.build_gateway(accounting)
         key = gw.provision_tenant("uni-lab")
-        gw.submit(key, make_program(shots=50), "onprem", shots=50)
+        gw.submit(key, JobSpec(program=make_program(shots=50), resource="onprem", shots=50))
         assert accounting.spend("uni-lab") == pytest.approx(5.0)
         usage = gw.usage(key)
         assert usage["federation_spend"] == pytest.approx(5.0)
@@ -263,6 +263,6 @@ class TestCloudGatewayThreading:
         accounting.set_budget("uni-lab", 4.0)
         _, gw = self.build_gateway(accounting)
         key = gw.provision_tenant("uni-lab")
-        gw.submit(key, make_program(shots=50), "onprem", shots=50)  # spend 5 > 4
+        gw.submit(key, JobSpec(program=make_program(shots=50), resource="onprem", shots=50))  # spend 5 > 4
         with pytest.raises(DaemonError, match="federation budget"):
-            gw.submit(key, make_program(shots=50), "onprem", shots=50)
+            gw.submit(key, JobSpec(program=make_program(shots=50), resource="onprem", shots=50))

@@ -5,6 +5,7 @@ import pytest
 from repro.accounting import UsageKind
 from repro.errors import FederationError
 from repro.federation import CostAwarePolicy, JobState
+from repro.spec import JobSpec
 
 from acctutil import build_accounted_federation, make_accounting, make_program
 
@@ -36,16 +37,16 @@ class TestCostAwareRouting:
         # pre-load the cheap site's queue so pure load-balancing would
         # route to the expensive one
         for _ in range(3):
-            broker.submit(make_program(shots=20), shots=20, owner="filler")
-        job_id = broker.submit(make_program(shots=100), shots=100, owner="alpha")
+            broker.submit_spec(JobSpec(program=make_program(shots=20), shots=20, tenant="filler"))
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=100), shots=100, tenant="alpha"))
         assert broker.job(job_id).current.site == "site-1"
 
     def test_unbudgeted_tenant_balances_on_load(self):
         sim, broker, sites, _ = build({"site-0": 0.05, "site-1": 0.005})
         # load the cheap site: an unbudgeted tenant should dodge the queue
-        first = broker.submit(make_program(shots=400), shots=400, owner="beta")
+        first = broker.submit_spec(JobSpec(program=make_program(shots=400), shots=400, tenant="beta"))
         busy = broker.job(first).current.site
-        job_id = broker.submit(make_program(shots=50), shots=50, owner="beta")
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="beta"))
         assert broker.job(job_id).current.site != busy
 
     def test_burn_rate_grows_as_budget_drains(self):
@@ -54,7 +55,7 @@ class TestCostAwareRouting:
         )
         policy = broker.policy
         snaps = broker.registry.snapshots(sim.now)
-        job_id = broker.submit(make_program(shots=100), shots=100, owner="alpha")
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=100), shots=100, tenant="alpha"))
         job = broker.job(job_id)
         by_name = {s.name: s for s in snaps}
         rich_gap = policy._score(job, by_name["site-0"])[0] - policy._score(
@@ -74,7 +75,7 @@ class TestCostAwareRouting:
             {"site-0": 0.02, "site-1": 0.01}, budget=50.0
         )
         ids = [
-            broker.submit(make_program(shots=50), shots=50, owner="alpha")
+            broker.submit_spec(JobSpec(program=make_program(shots=50), shots=50, tenant="alpha"))
             for _ in range(4)
         ]
         sim.run(until=600.0)
@@ -86,10 +87,10 @@ class TestCostAwareRouting:
         sim, broker, sites, accounting = build(
             {"site-0": 0.05, "site-1": 0.005}, budget=1.0
         )
-        job_id = broker.submit_malleable(
-            make_program(shots=20), iterations=2, shots=20, owner="alpha"
+        job_id = broker.submit_spec(
+            JobSpec(program=make_program(shots=20), iterations=2, shots=20, tenant="alpha")
         )
-        record = broker.malleable_job(job_id)
+        record = broker.job(job_id)
         ranked = broker.policy.rank_resize(
             record, broker.registry.healthy_snapshots(sim.now), sim.now
         )

@@ -6,6 +6,7 @@ from repro.accounting import FairShareArbiter
 from repro.errors import AccountingError
 from repro.federation import JobState
 from repro.federation.malleable import ResizeConfig
+from repro.spec import JobSpec
 
 from acctutil import build_accounted_federation, make_accounting, make_program
 
@@ -74,14 +75,14 @@ class TestCrossJobFairness:
         """Two malleable jobs under contention: per-site in-flight slots
         converge to the configured 3:1 tenant weights."""
         sim, broker, _ = self.build()
-        a = broker.submit_malleable(
-            make_program(shots=40), iterations=40, shots=40, owner="alpha"
+        a = broker.submit_spec(
+            JobSpec(program=make_program(shots=40), iterations=40, shots=40, tenant="alpha")
         )
-        b = broker.submit_malleable(
-            make_program(shots=40), iterations=40, shots=40, owner="beta"
+        b = broker.submit_spec(
+            JobSpec(program=make_program(shots=40), iterations=40, shots=40, tenant="beta")
         )
         sim.run(until=300.0)  # several reconcile ticks under contention
-        job_a, job_b = broker.malleable_job(a), broker.malleable_job(b)
+        job_a, job_b = broker.job(a), broker.job(b)
         assert job_a.state is JobState.PLACED and job_b.state is JobState.PLACED
         for site in ("site-0", "site-1"):
             slots_a = len(job_a.placement.ledger.in_flight_at(site))
@@ -90,15 +91,15 @@ class TestCrossJobFairness:
 
     def test_completed_units_track_weights(self):
         sim, broker, _ = self.build()
-        a = broker.submit_malleable(
-            make_program(shots=40), iterations=60, shots=40, owner="alpha"
+        a = broker.submit_spec(
+            JobSpec(program=make_program(shots=40), iterations=60, shots=40, tenant="alpha")
         )
-        b = broker.submit_malleable(
-            make_program(shots=40), iterations=60, shots=40, owner="beta"
+        b = broker.submit_spec(
+            JobSpec(program=make_program(shots=40), iterations=60, shots=40, tenant="beta")
         )
         sim.run(until=1500.0)
-        done_a = broker.malleable_job(a).completed_units
-        done_b = broker.malleable_job(b).completed_units
+        done_a = broker.job(a).completed_units
+        done_b = broker.job(b).completed_units
         assert done_b > 0
         ratio = done_a / done_b
         assert 2.0 <= ratio <= 4.0  # converges to ~3:1 under contention
@@ -107,21 +108,21 @@ class TestCrossJobFairness:
         """Fairness attaches to the tenant: beta submitting two jobs
         still gets one tenant's share against alpha's one job."""
         sim, broker, _ = self.build(weights=(1.0, 1.0), slots=4)
-        a = broker.submit_malleable(
-            make_program(shots=40), iterations=60, shots=40, owner="alpha"
+        a = broker.submit_spec(
+            JobSpec(program=make_program(shots=40), iterations=60, shots=40, tenant="alpha")
         )
-        b1 = broker.submit_malleable(
-            make_program(shots=40), iterations=30, shots=40, owner="beta"
+        b1 = broker.submit_spec(
+            JobSpec(program=make_program(shots=40), iterations=30, shots=40, tenant="beta")
         )
-        b2 = broker.submit_malleable(
-            make_program(shots=40), iterations=30, shots=40, owner="beta"
+        b2 = broker.submit_spec(
+            JobSpec(program=make_program(shots=40), iterations=30, shots=40, tenant="beta")
         )
         sim.run(until=300.0)
-        job_a = broker.malleable_job(a)
+        job_a = broker.job(a)
         for site in ("site-0", "site-1"):
             slots_a = len(job_a.placement.ledger.in_flight_at(site))
             slots_b = sum(
-                len(broker.malleable_job(j).placement.ledger.in_flight_at(site))
+                len(broker.job(j).placement.ledger.in_flight_at(site))
                 for j in (b1, b2)
             )
             assert slots_a == slots_b == 2  # 1:1 tenants, not 1:2 jobs
@@ -130,10 +131,10 @@ class TestCrossJobFairness:
         """Work conservation: with no contention, the arbiter never caps
         the only claimant below the configured per-site budget."""
         sim, broker, _ = self.build()
-        a = broker.submit_malleable(
-            make_program(shots=40), iterations=40, shots=40, owner="beta"
+        a = broker.submit_spec(
+            JobSpec(program=make_program(shots=40), iterations=40, shots=40, tenant="beta")
         )
         sim.run(until=200.0)
-        job = broker.malleable_job(a)
+        job = broker.job(a)
         for site in ("site-0", "site-1"):
             assert len(job.placement.ledger.in_flight_at(site)) == 4

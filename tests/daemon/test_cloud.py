@@ -11,6 +11,7 @@ from repro.qpu import ConstantWaveform, QPUDevice, Register, ShotClock
 from repro.qrmi import OnPremQPUResource
 from repro.sdk import Pulse, Sequence
 from repro.simkernel import Simulator
+from repro.spec import JobSpec
 
 
 def make_program(shots=50):
@@ -54,14 +55,14 @@ class TestProvisioning:
         key = gw.provision_tenant("lab")
         gw.revoke_tenant("lab")
         with pytest.raises(AuthError):
-            gw.submit(key, make_program(), "onprem")
+            gw.submit(key, JobSpec(program=make_program(), resource="onprem"))
 
 
 class TestIntake:
     def test_submit_poll_fetch(self):
         sim, daemon, gw = build()
         key = gw.provision_tenant("lab")
-        task_id = gw.submit(key, make_program(shots=30), "onprem")
+        task_id = gw.submit(key, JobSpec(program=make_program(shots=30), resource="onprem"))
         sim.run()
         assert gw.status(key, task_id)["state"] == "completed"
         result = gw.result(key, task_id)
@@ -71,13 +72,13 @@ class TestIntake:
     def test_invalid_key(self):
         _, _, gw = build()
         with pytest.raises(AuthError):
-            gw.submit("ck_bogus", make_program(), "onprem")
+            gw.submit("ck_bogus", JobSpec(program=make_program(), resource="onprem"))
 
     def test_cross_tenant_isolation(self):
         sim, daemon, gw = build()
         key_a = gw.provision_tenant("lab-a")
         key_b = gw.provision_tenant("lab-b")
-        task_id = gw.submit(key_a, make_program(shots=10), "onprem")
+        task_id = gw.submit(key_a, JobSpec(program=make_program(shots=10), resource="onprem"))
         sim.run()
         with pytest.raises(AuthError):
             gw.result(key_b, task_id)
@@ -87,8 +88,8 @@ class TestIntake:
         key = gw.provision_tenant("lab", priority_class=PriorityClass.TEST)
         prod = daemon.create_session("site-operator", "production")
         # fill the QPU with a cloud task, then production arrives
-        t_cloud2_holder = gw.submit(key, make_program(shots=200), "onprem")
-        t_cloud = gw.submit(key, make_program(shots=200), "onprem")
+        t_cloud2_holder = gw.submit(key, JobSpec(program=make_program(shots=200), resource="onprem"))
+        t_cloud = gw.submit(key, JobSpec(program=make_program(shots=200), resource="onprem"))
         sim.run(until=1.0)
         t_prod = daemon.submit_task(prod.token, make_program(shots=50), "onprem")
         sim.run()
@@ -98,29 +99,51 @@ class TestIntake:
         sim, daemon, gw = build()
         key = gw.provision_tenant("spammy", max_submissions_per_hour=6.0)
         # burst capacity = 6/6 = 1 -> second immediate submit is limited
-        gw.submit(key, make_program(shots=5), "onprem")
+        gw.submit(key, JobSpec(program=make_program(shots=5), resource="onprem"))
         with pytest.raises(DaemonError, match="rate limit"):
-            gw.submit(key, make_program(shots=5), "onprem")
+            gw.submit(key, JobSpec(program=make_program(shots=5), resource="onprem"))
 
     def test_rate_limit_refills_over_time(self):
         sim, daemon, gw = build()
         key = gw.provision_tenant("patient", max_submissions_per_hour=60.0)
         for _ in range(10):  # burst cap = 10
-            gw.submit(key, make_program(shots=1), "onprem")
+            gw.submit(key, JobSpec(program=make_program(shots=1), resource="onprem"))
         with pytest.raises(DaemonError):
-            gw.submit(key, make_program(shots=1), "onprem")
+            gw.submit(key, JobSpec(program=make_program(shots=1), resource="onprem"))
         sim.run(until=120.0)  # one minute per token at 60/hour
-        gw.submit(key, make_program(shots=1), "onprem")  # refilled
+        gw.submit(key, JobSpec(program=make_program(shots=1), resource="onprem"))  # refilled
 
     def test_shot_quota(self):
         sim, daemon, gw = build()
         key = gw.provision_tenant("small", shot_quota=100, max_submissions_per_hour=1000.0)
-        gw.submit(key, make_program(shots=80), "onprem")
+        gw.submit(key, JobSpec(program=make_program(shots=80), resource="onprem"))
         with pytest.raises(DaemonError, match="quota"):
-            gw.submit(key, make_program(shots=50), "onprem")
+            gw.submit(key, JobSpec(program=make_program(shots=50), resource="onprem"))
         usage = gw.usage(key)
         assert usage["shots_used"] == 80
         assert usage["shot_quota"] == 100
+
+    def test_quota_checks_the_programs_own_shot_count(self):
+        # a spec without shots= runs at the program's count, so the
+        # quota must check that count -- not a 100-shot default
+        sim, daemon, gw = build()
+        key = gw.provision_tenant("small", shot_quota=100, max_submissions_per_hour=1000.0)
+        with pytest.raises(DaemonError, match="quota") as err:
+            gw.submit(key, JobSpec(program=make_program(shots=500), resource="onprem"))
+        assert "requested 500" in str(err.value)
+        usage = gw.usage(key)
+        assert usage["shots_used"] == 0
+        assert usage["shots_used"] <= usage["shot_quota"]
+
+    def test_quota_admits_a_program_that_fits_the_remainder(self):
+        sim, daemon, gw = build()
+        key = gw.provision_tenant("small", shot_quota=100, max_submissions_per_hour=1000.0)
+        gw.submit(key, JobSpec(program=make_program(shots=40), resource="onprem"))
+        assert gw.usage(key)["shots_used"] == 40  # 60 shots left
+        gw.submit(key, JobSpec(program=make_program(shots=30), resource="onprem"))
+        usage = gw.usage(key)
+        assert usage["shots_used"] == 70
+        assert usage["shots_used"] <= usage["shot_quota"]
 
     def test_usage_report(self):
         _, _, gw = build()
@@ -141,7 +164,7 @@ class TestTenantNameIndex:
         assert new_key != old_key
         assert gw.tenants() == ["lab"]
         with pytest.raises(AuthError):
-            gw.submit(old_key, make_program(), "onprem")
+            gw.submit(old_key, JobSpec(program=make_program(), resource="onprem"))
 
     def test_revoke_unknown_still_loud(self):
         _, _, gw = build()

@@ -17,6 +17,7 @@ from repro.qrmi import LocalEmulatorResource, OnPremQPUResource
 from repro.runtime import DaemonClient
 from repro.sdk import Pulse, Sequence
 from repro.simkernel import Simulator
+from repro.spec import JobSpec
 
 
 def make_program(shots=50, n=2):
@@ -163,7 +164,7 @@ class TestRestAPI:
         client = self.make_client(daemon)
         body = client.open_session("alice", priority_class="production")
         assert body["priority_class"] == "production"
-        task_id = client.submit(make_program(shots=10).to_dict(), "onprem")
+        task_id = client.submit(JobSpec(program=make_program(shots=10), resource="onprem"))
         sim.run()
         status = client.status(task_id)
         assert status["state"] == "completed"
@@ -186,7 +187,7 @@ class TestRestAPI:
         sim, daemon, _ = build_daemon()
         client = self.make_client(daemon)
         client.open_session("alice", priority_class="production")
-        client.submit(make_program(shots=5).to_dict(), "onprem")
+        client.submit(JobSpec(program=make_program(shots=5), resource="onprem"))
         sim.run()
         text = client.metrics_text()
         assert "daemon_tasks_total" in text
@@ -199,7 +200,7 @@ class TestRestAPI:
         client = self.make_client(daemon)
         client.open_session("alice")
         with pytest.raises(ValidationError) as err:
-            client.submit(make_program(n=120).to_dict(), "onprem")
+            client.submit(JobSpec(program=make_program(n=120), resource="onprem"))
         assert err.value.violations
 
     def test_missing_token_401(self):
@@ -238,7 +239,7 @@ class TestAdminAPI:
         sim, daemon, _ = build_daemon()
         user = DaemonClient(build_router(daemon))
         user.open_session("alice", priority_class="production")
-        user.submit(make_program(shots=5).to_dict(), "onprem")
+        user.submit(JobSpec(program=make_program(shots=5), resource="onprem"))
         sim.run()
         stats = self.admin_client(daemon)._call("GET", "/admin/queue").body
         assert stats["completed"] == 1

@@ -60,7 +60,7 @@ class TestLongTaskKeepsItsSession:
         sim = Simulator()
         gateway = CloudGateway(make_daemon(sim))
         key = gateway.provision_tenant("lab")
-        task_id = gateway.submit(key, make_program(), "onprem", shots=SHOTS)
+        task_id = gateway.submit(key, JobSpec(program=make_program(), resource="onprem", shots=SHOTS))
         sim.run()
         assert gateway.status(key, task_id)["state"] == "completed"
         assert sum(gateway.result(key, task_id).counts.values()) == SHOTS

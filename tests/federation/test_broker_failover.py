@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import FederationError, PlacementError
 from repro.federation import JobState, LeastQueuePolicy, RoundRobinPolicy, SiteHealth
+from repro.spec import JobSpec
 
 from fedutil import build_federation, make_program
 
@@ -56,7 +57,7 @@ class TestFailover:
             max_queue_depth=10,
         )
         program = make_program(shots=40)  # 40 s per burst at 1 Hz
-        ids = [broker.submit(program, shots=40) for _ in range(9)]
+        ids = [broker.submit_spec(JobSpec(program=program, shots=40)) for _ in range(9)]
         assert len(set(ids)) == 9
         sim.call_in(10.0, sites["site-1"].kill)
         sim.run(until=3600.0)
@@ -81,7 +82,7 @@ class TestFailover:
             n_sites=2, shot_rates=(1.0, 1.0), max_queue_depth=10
         )
         program = make_program(shots=30)
-        ids = [broker.submit(program, shots=30) for _ in range(4)]
+        ids = [broker.submit_spec(JobSpec(program=program, shots=30)) for _ in range(4)]
         sim.call_in(5.0, sites["site-0"].kill)
         sim.run(until=3600.0)
         for job_id in ids:
@@ -93,7 +94,7 @@ class TestFailover:
             n_sites=1, max_attempts=2, shot_rates=(1.0,), max_queue_depth=10
         )
         program = make_program(shots=600)
-        job_id = broker.submit(program, shots=600)
+        job_id = broker.submit_spec(JobSpec(program=program, shots=600))
         sites["site-0"].kill()
         broker.reconcile()  # site dead, nowhere to go
         job = broker.job(job_id)
@@ -116,7 +117,7 @@ class TestSpillover:
             max_queue_depth=1,
         )
         program = make_program(shots=20)
-        ids = [broker.submit(program, shots=20) for _ in range(8)]
+        ids = [broker.submit_spec(JobSpec(program=program, shots=20)) for _ in range(8)]
         sim.run(until=3600.0)
         assert all(broker.job(i).state is JobState.COMPLETED for i in ids)
 
@@ -124,14 +125,14 @@ class TestSpillover:
         sim, registry, broker, sites = build_federation(n_sites=2)
         for site in sites.values():
             site.kill()
-        job_id = broker.submit(make_program(), shots=10)
+        job_id = broker.submit_spec(JobSpec(program=make_program(), shots=10))
         assert broker.status(job_id)["state"] == "failed"
 
 
 class TestFederatedObservability:
     def test_exposition_and_collector(self):
         sim, registry, broker, sites = build_federation(n_sites=2)
-        ids = [broker.submit(make_program(), shots=10) for _ in range(3)]
+        ids = [broker.submit_spec(JobSpec(program=make_program(), shots=10)) for _ in range(3)]
         sim.run(until=120.0)
         text = broker.metrics.text()
         assert "federation_placements_total" in text
@@ -146,7 +147,7 @@ class TestFederatedObservability:
         sim, registry, broker, sites = build_federation(n_sites=2)
         scraper = sites["site-0"].daemon.scraper
         scraper.add_target("federation", broker.metrics.collector())
-        broker.submit(make_program(), shots=10)
+        broker.submit_spec(JobSpec(program=make_program(), shots=10))
         sim.run(until=300.0)
         tsdb = sites["site-0"].daemon.tsdb
         assert "federation_sites_healthy" in tsdb.measurements()
@@ -179,7 +180,7 @@ class TestReviewRegressions:
         registry.start_heartbeats(sim, interval=15.0)
         broker = FederationBroker(sim, registry)
         broker.spawn_housekeeping(interval=15.0)
-        job_id = broker.submit(make_program(n_atoms=4, shots=10), shots=10)
+        job_id = broker.submit_spec(JobSpec(program=make_program(n_atoms=4, shots=10), shots=10))
         sim.run(until=600.0)
         job = broker.job(job_id)
         assert job.state is JobState.COMPLETED
@@ -215,7 +216,7 @@ class TestReviewRegressions:
         failover, not crash the sweep.  Task state arrives pushed, so
         the one remaining query is the result fetch, made at the push."""
         sim, registry, broker, sites = build_federation(n_sites=2)
-        job_id = broker.submit(make_program(shots=10), shots=10)
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=10), shots=10))
         bad_site = broker.job(job_id).current.site
 
         def explode(owner, task_id):

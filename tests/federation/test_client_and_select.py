@@ -7,6 +7,7 @@ from repro.federation import FederatedClient, JobState
 from repro.runtime import RuntimeEnvironment
 from repro.runtime.backend_select import select_resource
 from repro.simkernel import Timeout
+from repro.spec import JobSpec
 
 from fedutil import build_federation, make_program
 
@@ -15,7 +16,7 @@ class TestFederatedClient:
     def test_submit_status_result_roundtrip(self):
         sim, registry, broker, sites = build_federation(n_sites=2)
         client = FederatedClient(broker, user="alice")
-        job_id = client.submit(make_program(), shots=25)
+        job_id = client.submit_spec(JobSpec(program=make_program(), shots=25))
         sim.run(until=120.0)
         status = client.status(job_id)
         assert status["state"] == "completed"
@@ -39,7 +40,7 @@ class TestFederatedClient:
         outcome = {}
 
         def hybrid():
-            result = yield from client.run_process(make_program(), shots=20)
+            result = yield from client.run_process(JobSpec(program=make_program(), shots=20))
             outcome["shots"] = result.shots
             yield Timeout(1.0)
 
@@ -54,7 +55,10 @@ class TestFederatedClient:
             n_sites=3, policy=StickyPolicy()
         )
         client = FederatedClient(broker)
-        ids = [client.submit(make_program(), shots=10, affinity_key="sqd") for _ in range(3)]
+        ids = [
+            client.submit_spec(JobSpec(program=make_program(), shots=10, affinity_key="sqd"))
+            for _ in range(3)
+        ]
         sim.run(until=300.0)
         assert len({broker.job(i).placements[0].site for i in ids}) == 1
         assert all(broker.job(i).state is JobState.COMPLETED for i in ids)
@@ -160,9 +164,9 @@ class TestExplicitFederatedRequests:
 
         sim, registry, broker, sites = build_federation(n_sites=2)
         sites["site-1"].kill()
-        job_id = broker.submit(make_program(), shots=10, pin="site-1/onprem")
+        job_id = broker.submit_spec(JobSpec(program=make_program(), shots=10, pin="site-1/onprem"))
         status = broker.status(job_id)
         assert status["state"] == "failed"
         assert "site-1" in broker.job(job_id).error
         with pytest.raises(PlacementError):
-            broker.submit(make_program(), shots=10, pin="not-qualified")
+            broker.submit_spec(JobSpec(program=make_program(), shots=10, pin="not-qualified"))

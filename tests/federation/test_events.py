@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fedutil import build_federation, make_program
 from repro.federation.events import JobEvent, LifecycleBus
+from repro.spec import JobSpec
 
 
 class TestBusUnit:
@@ -59,7 +60,7 @@ class TestSitePublishing:
         bus = broker.events
         kinds = []
         bus.subscribe(lambda ev: kinds.append((ev.site, ev.kind)))
-        job_id = broker.submit(make_program(shots=30), shots=30)
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=30), shots=30))
         sim.run(until=120.0)
         assert broker.status(job_id)["state"] == "completed"
         site = broker.job(job_id).current.site
@@ -73,7 +74,7 @@ class TestSitePublishing:
         sim, registry, broker, sites = build_federation(n_sites=2)
         bus = broker.events
         seen = []
-        job_id = broker.submit(make_program(shots=30), shots=30)
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=30), shots=30))
         bus.subscribe(lambda ev: seen.append(ev.kind), job_id=job_id)
         sim.run(until=120.0)
         assert "job_completed" in seen
@@ -103,8 +104,8 @@ class TestSitePublishing:
         registry.register(late, now=sim.now)
         seen = []
         bus.subscribe(lambda ev: seen.append((ev.site, ev.kind)))
-        broker.submit(make_program(shots=10), shots=10, pin="late-site/onprem")
-        broker.submit(make_program(shots=10), shots=10, pin="site-0/onprem")
+        broker.submit_spec(JobSpec(program=make_program(shots=10), shots=10, pin="late-site/onprem"))
+        broker.submit_spec(JobSpec(program=make_program(shots=10), shots=10, pin="site-0/onprem"))
         sim.run(until=120.0)
         assert ("late-site", "completed") in seen
         assert seen.count(("site-0", "queued")) == 1
@@ -116,7 +117,7 @@ class TestPushReplacesPolling:
             n_sites=2, heartbeat_expiry=40.0
         )
         # saturate nothing; kill the site the job lands on mid-flight
-        job_id = broker.submit(make_program(shots=400), shots=400)
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=400), shots=400))
         first_site = broker.job(job_id).current.site
         sim.run(until=5.0)
         sites[first_site].kill()

@@ -6,6 +6,7 @@ from fedutil import build_federation, make_program
 
 from repro.accounting import FederationAccounting, SiteRateCard
 from repro.errors import PlacementError
+from repro.spec import JobSpec
 
 
 def accounted_broker(n_sites=2):
@@ -20,7 +21,7 @@ def accounted_broker(n_sites=2):
 class TestEvictTerminal:
     def test_expired_terminal_records_leave_memory(self):
         sim, registry, broker, sites = build_federation(n_sites=2)
-        ids = [broker.submit(make_program(shots=20), shots=20) for _ in range(4)]
+        ids = [broker.submit_spec(JobSpec(program=make_program(shots=20), shots=20)) for _ in range(4)]
         sim.run(until=300.0)
         assert all(broker.status(j)["state"] == "completed" for j in ids)
         assert broker.evict_terminal(ttl=10_000.0) == 0  # too young
@@ -35,9 +36,9 @@ class TestEvictTerminal:
 
     def test_live_jobs_survive_eviction(self):
         sim, registry, broker, sites = build_federation(n_sites=2)
-        done = broker.submit(make_program(shots=10), shots=10)
+        done = broker.submit_spec(JobSpec(program=make_program(shots=10), shots=10))
         sim.run(until=300.0)
-        live = broker.submit(make_program(shots=1000), shots=1000)
+        live = broker.submit_spec(JobSpec(program=make_program(shots=1000), shots=1000))
         assert broker.evict_terminal(ttl=0.0) == 1
         assert broker.status(live)["state"] == "placed"
         assert broker.job(live).job_id == live
@@ -45,9 +46,7 @@ class TestEvictTerminal:
 
     def test_spills_to_accounting_archive(self):
         sim, broker, sites, accounting = accounted_broker()
-        job_id = broker.submit(
-            make_program(shots=25), shots=25, owner="alice"
-        )
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=25), shots=25, tenant="alice"))
         sim.run(until=300.0)
         assert broker.status(job_id)["state"] == "completed"
         broker.evict_terminal(ttl=0.0)
@@ -62,11 +61,11 @@ class TestEvictTerminal:
 
     def test_malleable_terminal_records_evict_too(self):
         sim, broker, sites, accounting = accounted_broker()
-        job_id = broker.submit_malleable(
-            make_program(shots=10), 4, shots=10, owner="bob"
+        job_id = broker.submit_spec(
+            JobSpec(program=make_program(shots=10), iterations=4, shots=10, tenant="bob")
         )
         sim.run(until=600.0)
-        assert broker.malleable_status(job_id)["state"] == "completed"
+        assert broker.status(job_id)["state"] == "completed"
         assert broker.evict_terminal(ttl=0.0) == 1
         assert broker.stats()["malleable_jobs"] == 0
         (record,) = accounting.archived_jobs("bob")
@@ -81,7 +80,7 @@ class TestEvictTerminal:
         # replace default housekeeping with an evicting one (the
         # fedutil builder already spawned one without eviction)
         broker.spawn_housekeeping(interval=20.0, evict_ttl=100.0)
-        ids = [broker.submit(make_program(shots=10), shots=10) for _ in range(3)]
+        ids = [broker.submit_spec(JobSpec(program=make_program(shots=10), shots=10)) for _ in range(3)]
         sim.run(until=60.0)
         assert broker.stats()["by_state"]["completed"] == 3
         sim.run(until=400.0)
@@ -96,11 +95,13 @@ class TestEvictTerminal:
 
     def test_failed_jobs_evict_with_error_preserved(self):
         sim, broker, sites, accounting = accounted_broker(n_sites=1)
-        job_id = broker.submit(
-            make_program(n_atoms=3, shots=10),
-            shots=10,
-            owner="carol",
-            pin="site-0/nonexistent",
+        job_id = broker.submit_spec(
+            JobSpec(
+                program=make_program(n_atoms=3, shots=10),
+                shots=10,
+                tenant="carol",
+                pin="site-0/nonexistent",
+            ),
         )
         job = broker.job(job_id)
         assert job.state.value == "failed"

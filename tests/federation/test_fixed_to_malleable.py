@@ -5,8 +5,8 @@ import sys
 from pathlib import Path
 
 from fedutil import build_federation, make_program
-from repro.federation import FederatedClient, JobState
-from repro.federation.malleable import ResizeConfig
+from repro.federation import FederatedClient, FederatedJob, JobState
+from repro.federation.malleable import MalleableJob, ResizeConfig
 from repro.scheduling.algorithms import EasyBackfill
 from repro.spec import JobSpec
 
@@ -18,7 +18,7 @@ from acctutil import build_accounted_federation, make_accounting  # noqa: E402
 def _saturate(broker, sites, per_site):
     """Fill every site's queue to its max depth with fixed jobs."""
     for _ in range(per_site * len(sites)):
-        broker.submit(make_program(shots=200))
+        broker.submit_spec(JobSpec(program=make_program(shots=200)))
 
 
 class TestFixedToMalleableConversion:
@@ -47,7 +47,7 @@ class TestFixedToMalleableConversion:
         )
         _saturate(broker, sites, per_site=2)
         job_id = broker.submit_spec(self._convertible_spec(shots=40))
-        assert broker.is_malleable(job_id)
+        assert isinstance(broker.job(job_id), MalleableJob)
         assert len(events) == 1
         assert events[0].payload["units"] == 2
         assert events[0].payload["shots_per_unit"] == 20
@@ -58,7 +58,7 @@ class TestFixedToMalleableConversion:
         client = FederatedClient(broker, user="alice")
         _saturate(broker, sites, per_site=2)
         job_id = client.submit_spec(self._convertible_spec(shots=40))
-        assert broker.is_malleable(job_id)
+        assert isinstance(broker.job(job_id), MalleableJob)
         # broker.status/result delegate for converted ids — same calls a
         # fixed job would get
         assert broker.status(job_id)["state"] in ("placed", "pending", "held")
@@ -68,10 +68,66 @@ class TestFixedToMalleableConversion:
         assert merged.shots == 40  # 2 units x 20 shots, merged back
         assert sum(merged.counts.values()) == 40
 
+    def _three_kinds(self, submit):
+        """Submit a fixed (pinned), a converted and a multi-unit spec
+        into a saturated federation; returns their ids and shot totals."""
+        fixed = submit(self._convertible_spec(shots=30, pin="site-0/onprem"))
+        converted = submit(self._convertible_spec(shots=40))
+        multi = submit(
+            JobSpec(program=make_program(shots=10), shots=10, iterations=3, tenant="alice")
+        )
+        return {fixed: 30, converted: 40, multi: 30}
+
+    def test_one_query_path_for_fixed_converted_and_multi_unit_ids(self):
+        sim, broker, sites = self._build()
+        client = FederatedClient(broker, user="alice")
+        _saturate(broker, sites, per_site=2)
+        shots = self._three_kinds(client.submit_spec)
+        fixed, converted, multi = shots
+        assert isinstance(broker.job(fixed), FederatedJob)
+        assert isinstance(broker.job(converted), MalleableJob)
+        assert isinstance(broker.job(multi), MalleableJob)
+        sim.run(until=5000.0)
+        for job_id, total in shots.items():
+            assert broker.job(job_id).job_id == job_id
+            assert broker.status(job_id)["state"] == "completed"
+            assert client.status(job_id) == broker.status(job_id)
+            assert broker.result(job_id) is not None
+            merged = client.result(job_id)
+            assert merged.shots == total
+            assert sum(merged.counts.values()) == total
+
+    def test_run_process_answers_for_fixed_converted_and_multi_unit_ids(self):
+        sim, broker, sites = self._build()
+        client = FederatedClient(broker, user="alice")
+        _saturate(broker, sites, per_site=2)
+        results = {}
+
+        def submit(spec):
+            # run_process submits at spawn time, while saturation holds
+            key = len(results)
+            results[key] = None
+
+            def proc():
+                results[key] = yield from client.run_process(spec, poll_interval=5.0)
+
+            sim.spawn(proc(), name=f"run-process-{key}")
+            return key
+
+        shots = self._three_kinds(submit)
+        sim.run(until=5000.0)
+        fixed, converted, multi = (results[key] for key in shots)
+        assert fixed.metadata["federation_site"] == "site-0"
+        assert converted.resource.startswith("malleable/")
+        assert converted.metadata["federation_units"] == 2
+        assert multi.metadata["federation_units"] == 3
+        for key, total in shots.items():
+            assert results[key].shots == total
+
     def test_unsaturated_federation_keeps_the_spec_fixed(self):
         sim, broker, sites = self._build()
         job_id = broker.submit_spec(self._convertible_spec())
-        assert not broker.is_malleable(job_id)
+        assert not isinstance(broker.job(job_id), MalleableJob)
         assert job_id.startswith("fed-job-")
 
     def test_default_algorithm_never_converts(self):
@@ -82,7 +138,7 @@ class TestFixedToMalleableConversion:
         )
         _saturate(broker, sites, per_site=2)
         job_id = broker.submit_spec(self._convertible_spec())
-        assert not broker.is_malleable(job_id)
+        assert not isinstance(broker.job(job_id), MalleableJob)
 
     def test_pinned_spec_is_never_converted(self):
         sim, broker, sites = self._build()
@@ -90,7 +146,7 @@ class TestFixedToMalleableConversion:
         job_id = broker.submit_spec(
             self._convertible_spec(pin="site-0/onprem")
         )
-        assert not broker.is_malleable(job_id)
+        assert not isinstance(broker.job(job_id), MalleableJob)
 
     def test_per_spec_algorithm_opts_in_without_broker_default(self):
         # broker keeps the stock adapter; the spec names a registered
@@ -105,7 +161,7 @@ class TestFixedToMalleableConversion:
         job_id = broker.submit_spec(
             self._convertible_spec(algorithm="easy-backfill")
         )
-        assert broker.is_malleable(job_id)
+        assert isinstance(broker.job(job_id), MalleableJob)
 
 
 class TestAgreementElasticArbitration:
@@ -143,7 +199,7 @@ class TestAgreementElasticArbitration:
         a = broker.submit_spec(self._elastic_spec("alpha"))
         b = broker.submit_spec(self._elastic_spec("beta"))
         sim.run(until=300.0)
-        job_a, job_b = broker.malleable_job(a), broker.malleable_job(b)
+        job_a, job_b = broker.job(a), broker.job(b)
         assert job_a.state is JobState.PLACED and job_b.state is JobState.PLACED
         for site in ("site-0", "site-1"):
             slots_a = len(job_a.placement.ledger.in_flight_at(site))
@@ -161,7 +217,7 @@ class TestAgreementElasticArbitration:
         sim.run(until=300.0)
         for site in ("site-0", "site-1"):
             total = sum(
-                len(broker.malleable_job(j).placement.ledger.in_flight_at(site))
+                len(broker.job(j).placement.ledger.in_flight_at(site))
                 for j in (a, b)
             )
             assert total <= 4
@@ -181,5 +237,5 @@ class TestAgreementElasticArbitration:
             )
         )
         sim.run(until=2500.0)
-        assert broker.malleable_job(a).completed_units > 0
-        assert broker.malleable_job(b).completed_units > 0
+        assert broker.job(a).completed_units > 0
+        assert broker.job(b).completed_units > 0

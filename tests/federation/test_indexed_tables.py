@@ -23,6 +23,7 @@ from repro.accounting import BudgetAction, FederationAccounting
 from repro.federation import JobState
 from repro.federation.registry import SiteHealth
 from repro.qpu import CalibrationState
+from repro.spec import JobSpec
 
 from fedutil import build_federation, make_program
 
@@ -62,7 +63,7 @@ OPS = st.lists(
         st.tuples(st.just("submit_held"), st.integers(0, 3)),
         st.tuples(st.just("submit_pinned_bad"), st.integers(0, 3)),
         st.tuples(
-            st.just("submit_malleable"),
+            st.just("submit_multi"),
             st.integers(0, 3),
             st.integers(1, 4),
             st.booleans(),
@@ -95,25 +96,18 @@ class TestIndexedTablesEquivalence:
         for op in ops:
             kind = op[0]
             if kind == "submit":
-                broker.submit(PROGRAM, shots=5, owner=owners[op[1]])
+                broker.submit_spec(JobSpec(program=PROGRAM, shots=5, tenant=owners[op[1]]))
             elif kind == "submit_held":
-                broker.submit(PROGRAM, shots=5, owner="held")
+                broker.submit_spec(JobSpec(program=PROGRAM, shots=5, tenant="held"))
             elif kind == "submit_pinned_bad":
                 # pinned at a resource no site exports: fails at intake,
                 # populating the FAILED archive
-                broker.submit(
-                    PROGRAM,
-                    shots=5,
-                    owner=owners[op[1]],
-                    pin="site-0/no-such-resource",
+                broker.submit_spec(
+                    JobSpec(program=PROGRAM, shots=5, tenant=owners[op[1]], pin="site-0/no-such-resource")
                 )
-            elif kind == "submit_malleable":
-                broker.submit_malleable(
-                    PROGRAM,
-                    iterations=op[2],
-                    shots=5,
-                    owner=owners[op[1]],
-                    malleable=op[3],
+            elif kind == "submit_multi":
+                broker.submit_spec(
+                    JobSpec(program=PROGRAM, iterations=op[2], shots=5, tenant=owners[op[1]], malleable=op[3])
                 )
             elif kind == "kill":
                 sites[site_names[op[1]]].kill()
@@ -133,8 +127,8 @@ class TestIndexedTablesEquivalence:
 class TestReconcileSkipsTerminalJobs:
     def test_refresh_never_sees_completed_or_failed_jobs(self):
         sim, registry, broker, sites = build_federation(n_sites=2)
-        done = [broker.submit(PROGRAM, shots=5) for _ in range(4)]
-        broker.submit(PROGRAM, shots=5, pin="site-0/no-such-resource")
+        done = [broker.submit_spec(JobSpec(program=PROGRAM, shots=5)) for _ in range(4)]
+        broker.submit_spec(JobSpec(program=PROGRAM, shots=5, pin="site-0/no-such-resource"))
         sim.run(until=200.0)
         assert {broker.job(j).state for j in done} == {JobState.COMPLETED}
         assert len(broker.jobs(state=JobState.FAILED)) == 1
@@ -147,7 +141,7 @@ class TestReconcileSkipsTerminalJobs:
             return original(job)
 
         broker._refresh = spy
-        live = broker.submit(PROGRAM, shots=5)
+        live = broker.submit_spec(JobSpec(program=PROGRAM, shots=5))
         for _ in range(5):
             broker.reconcile()
         terminal = {j for j in done} | {
@@ -165,7 +159,7 @@ class TestReconcileSkipsTerminalJobs:
         sim, registry, broker, sites = build_federation(n_sites=2)
         broker.accounting = accounting
         for _ in range(8):
-            broker.submit(PROGRAM, shots=5, owner="parked")
+            broker.submit_spec(JobSpec(program=PROGRAM, shots=5, tenant="parked"))
         assert len(broker.jobs(state=JobState.HELD)) == 8
 
         calls: list[str] = []

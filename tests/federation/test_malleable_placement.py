@@ -16,6 +16,7 @@ from repro.federation import (
     StickyPolicy,
 )
 from repro.scheduling import ShareLedger
+from repro.spec import JobSpec
 
 
 def throttle(site, rate_hz):
@@ -114,26 +115,62 @@ class TestResizeLoop:
             n_sites=3, max_queue_depth=20
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(make_program(shots=40), 9, shots=40)
+        job_id = client.submit_spec(JobSpec(program=make_program(shots=40), iterations=9, shots=40))
         sim.run(until=3600.0)
-        status = client.malleable_status(job_id)
+        status = client.status(job_id)
         assert status["state"] == "completed"
         assert status["completed_units"] == 9
         assert len(status["completions_by_site"]) >= 2, "work must spread"
-        result = client.malleable_result(job_id)
+        result = client.result(job_id)
         assert result.shots == 9 * 40
         assert sum(result.counts.values()) == result.shots
         assert result.metadata["federation_units"] == 9
+
+    def test_run_process_runs_a_multi_unit_spec(self):
+        sim, registry, broker, sites = build_federation(
+            n_sites=3, max_queue_depth=20
+        )
+        client = FederatedClient(broker, user="mall")
+        out = {}
+
+        def job():
+            out["result"] = yield from client.run_process(
+                JobSpec(program=make_program(shots=40), iterations=6), poll_interval=5.0
+            )
+
+        sim.spawn(job(), name="multi-unit-run-process")
+        sim.run(until=3600.0)
+        assert out["result"].shots == 6 * 40
+        assert out["result"].metadata["federation_units"] == 6
+
+    def test_session_reads_multi_unit_and_fixed_handles_alike(self):
+        from repro.session import Session
+
+        sim, registry, broker, sites = build_federation(
+            n_sites=3, max_queue_depth=20
+        )
+        session = Session(federation=broker, user="mall")
+        reads = []
+        broker_status = broker.status
+        broker.status = lambda job_id: reads.append(job_id) or broker_status(job_id)
+        fixed = session.submit(JobSpec(program=make_program(shots=40)))
+        multi = session.submit(JobSpec(program=make_program(shots=40), iterations=9))
+        sim.run(until=3600.0)
+        for handle, shots in ((fixed, 40), (multi, 9 * 40)):
+            assert handle.status()["state"] == "completed"
+            assert handle.result().shots == shots
+        # both kinds are read through the one broker status call
+        assert fixed.job_id in reads and multi.job_id in reads
 
     def test_job_id_stable_and_unhealthy_site_retired(self):
         sim, registry, broker, sites = build_federation(
             n_sites=3, max_queue_depth=20, shot_rates=[1.0, 1.0, 1.0]
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(make_program(shots=60), 18, shots=60)
+        job_id = client.submit_spec(JobSpec(program=make_program(shots=60), iterations=18, shots=60))
         sim.call_in(100.0, sites["site-2"].kill)
         sim.run(until=4 * 3600.0)
-        job = broker.malleable_job(job_id)
+        job = broker.job(job_id)
         assert job.job_id == job_id  # never re-issued
         assert job.state is JobState.COMPLETED
         assert job.completed_units == 18
@@ -152,10 +189,10 @@ class TestResizeLoop:
             n_sites=3, max_queue_depth=20, shot_rates=[1.0, 1.0, 1.0]
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(make_program(shots=60), 24, shots=60)
+        job_id = client.submit_spec(JobSpec(program=make_program(shots=60), iterations=24, shots=60))
         sim.call_in(120.0, lambda: throttle(sites["site-2"], 0.05))
         sim.run(until=12 * 3600.0)
-        job = broker.malleable_job(job_id)
+        job = broker.job(job_id)
         assert job.state is JobState.COMPLETED
         shrinks = [
             e for e in job.placement.events_of("shrink") if e.site == "site-2"
@@ -171,12 +208,12 @@ class TestResizeLoop:
             n_sites=2, max_queue_depth=4
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(make_program(shots=40), 8, shots=40)
+        job_id = client.submit_spec(JobSpec(program=make_program(shots=40), iterations=8, shots=40))
         # bury site-1 under brokered fixed-size load via pinning
         for _ in range(4):
-            broker.submit(make_program(shots=400), shots=400, pin="site-1/onprem")
+            broker.submit_spec(JobSpec(program=make_program(shots=400), shots=400, pin="site-1/onprem"))
         broker.reconcile()
-        job = broker.malleable_job(job_id)
+        job = broker.job(job_id)
         weights = job.placement.weights()
         assert weights["site-1"] == 0.0
         events = job.placement.events_of("shrink")
@@ -184,18 +221,18 @@ class TestResizeLoop:
             e.site == "site-1" and "watermark" in e.reason for e in events
         )
         sim.run(until=4 * 3600.0)
-        assert broker.malleable_status(job_id)["state"] == "completed"
+        assert broker.status(job_id)["state"] == "completed"
 
     def test_share_grows_back_when_queue_drains(self):
         sim, registry, broker, sites = build_federation(
             n_sites=2, max_queue_depth=4
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(make_program(shots=40), 30, shots=40)
+        job_id = client.submit_spec(JobSpec(program=make_program(shots=40), iterations=30, shots=40))
         for _ in range(4):
-            broker.submit(make_program(shots=200), shots=200, pin="site-1/onprem")
+            broker.submit_spec(JobSpec(program=make_program(shots=200), shots=200, pin="site-1/onprem"))
         broker.reconcile()
-        job = broker.malleable_job(job_id)
+        job = broker.job(job_id)
         assert job.placement.weights()["site-1"] == 0.0
         sim.run(until=8 * 3600.0)
         grows = [
@@ -211,12 +248,12 @@ class TestResizeLoop:
             n_sites=3, max_queue_depth=20, shot_rates=[1.0, 1.0, 1.0]
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(
-            make_program(shots=60), 12, shots=60, malleable=False
+        job_id = client.submit_spec(
+            JobSpec(program=make_program(shots=60), iterations=12, shots=60, malleable=False)
         )
         sim.call_in(120.0, lambda: throttle(sites["site-2"], 0.1))
         sim.run(until=12 * 3600.0)
-        job = broker.malleable_job(job_id)
+        job = broker.job(job_id)
         assert job.state is JobState.COMPLETED
         # static thirds: the slow site still ran its full pre-assigned slice
         assert job.placement.ledger.completions_by_site()["site-2"] == 4
@@ -227,12 +264,12 @@ class TestResizeLoop:
             n_sites=3, max_queue_depth=20
         )
         client2 = FederatedClient(broker2, user="mall")
-        job2_id = client2.submit_malleable(
-            make_program(shots=60), 12, shots=60, malleable=False
+        job2_id = client2.submit_spec(
+            JobSpec(program=make_program(shots=60), iterations=12, shots=60, malleable=False)
         )
         sim2.call_in(60.0, sites2["site-1"].kill)
         sim2.run(until=12 * 3600.0)
-        job2 = broker2.malleable_job(job2_id)
+        job2 = broker2.job(job2_id)
         assert job2.state is JobState.COMPLETED
         assert job2.completed_units == 12
 
@@ -252,8 +289,8 @@ class TestResizeLoop:
             n_sites=2, max_queue_depth=20, shot_rates=[1.0, 1.0]
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(
-            make_program(shots=60), 12, shots=60, malleable=False
+        job_id = client.submit_spec(
+            JobSpec(program=make_program(shots=60), iterations=12, shots=60, malleable=False)
         )
         sim.call_in(5.0, sites["site-0"].kill)
         sim.call_in(5.0, sites["site-1"].kill)
@@ -277,7 +314,7 @@ class TestResizeLoop:
 
         sim.call_in(8.0, late_join)
         sim.run(until=8 * 3600.0)
-        job = broker.malleable_job(job_id)
+        job = broker.job(job_id)
         assert job.state is JobState.COMPLETED
         by_site = job.placement.ledger.completions_by_site()
         assert by_site.get("site-9", 0) >= 10  # the wipeout's orphans
@@ -291,14 +328,11 @@ class TestResizeLoop:
             n_sites=3, max_queue_depth=20
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(
-            make_program(shots=40),
-            6,
-            shots=40,
-            sites=("site-0/onprem", "site-1"),
+        job_id = client.submit_spec(
+            JobSpec(program=make_program(shots=40), iterations=6, shots=40, sites=("site-0/onprem", "site-1"))
         )
         sim.run(until=3600.0)
-        status = client.malleable_status(job_id)
+        status = client.status(job_id)
         assert status["state"] == "completed"
         assert set(status["completions_by_site"]) <= {"site-0", "site-1"}
 
@@ -310,10 +344,10 @@ class TestResizeLoop:
             n_sites=1, max_queue_depth=20, shot_rates=[1.0], max_attempts=1
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(make_program(shots=60), 4, shots=60)
+        job_id = client.submit_spec(JobSpec(program=make_program(shots=60), iterations=4, shots=60))
         sim.call_in(30.0, sites["site-0"].kill)
         sim.run(until=600.0)  # housekeeping reconciles past the kill
-        job = broker.malleable_job(job_id)
+        job = broker.job(job_id)
         assert job.state is JobState.FAILED
         assert "exhausted" in job.error
         assert job.placement.dispatches == {}
@@ -325,12 +359,12 @@ class TestResizeLoop:
             n_sites=2, max_queue_depth=20, shot_rates=[1.0, 1.0]
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(
-            make_program(shots=60), 8, shots=60, sites=("site-0",)
+        job_id = client.submit_spec(
+            JobSpec(program=make_program(shots=60), iterations=8, shots=60, sites=("site-0",))
         )
         sim.call_in(5.0, sites["site-0"].kill)
         sim.run(until=600.0)
-        status = client.malleable_status(job_id)
+        status = client.status(job_id)
         assert status["state"] == "failed"
         assert "no healthy site" in status["error"] or "exhausted" in status["error"]
 
@@ -342,8 +376,8 @@ class TestResizeLoop:
         for site in sites.values():
             site.kill()
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(make_program(shots=40), 4, shots=40)
-        status = client.malleable_status(job_id)
+        job_id = client.submit_spec(JobSpec(program=make_program(shots=40), iterations=4, shots=40))
+        status = client.status(job_id)
         assert status["state"] == "failed"
         assert "no healthy site" in status["error"]
         assert broker.stats()["by_state"]["failed"] == 1
@@ -352,11 +386,13 @@ class TestResizeLoop:
         sim, registry, broker, sites = build_federation(n_sites=2)
         client = FederatedClient(broker, user="mall")
         with pytest.raises(PlacementError, match="duplicate site"):
-            client.submit_malleable(
-                make_program(shots=40),
-                4,
-                shots=40,
-                sites=("site-0/onprem", "site-0"),
+            client.submit_spec(
+                JobSpec(
+                    program=make_program(shots=40),
+                    iterations=4,
+                    shots=40,
+                    sites=("site-0/onprem", "site-0"),
+                ),
             )
 
     def test_result_before_completion_raises(self):
@@ -364,16 +400,16 @@ class TestResizeLoop:
             n_sites=2, max_queue_depth=20
         )
         client = FederatedClient(broker, user="mall")
-        job_id = client.submit_malleable(make_program(shots=40), 4, shots=40)
+        job_id = client.submit_spec(JobSpec(program=make_program(shots=40), iterations=4, shots=40))
         with pytest.raises(PlacementError):
-            client.malleable_result(job_id)
+            client.result(job_id)
 
     def test_metrics_record_resize_events_and_units(self):
         sim, registry, broker, sites = build_federation(
             n_sites=3, max_queue_depth=20
         )
         client = FederatedClient(broker, user="mall")
-        client.submit_malleable(make_program(shots=40), 9, shots=40)
+        client.submit_spec(JobSpec(program=make_program(shots=40), iterations=9, shots=40))
         sim.run(until=3600.0)
         text = broker.metrics.text()
         assert "federation_malleable_units_total" in text
@@ -382,7 +418,7 @@ class TestResizeLoop:
 
 
 class TestRuntimeMultiSitePlacement:
-    def test_run_process_with_tuple_qpu_runs_malleable_job(self):
+    def test_run_process_with_tuple_qpu_runs_a_multi_unit_job(self):
         from repro.runtime import RuntimeEnvironment
 
         sim, registry, broker, sites = build_federation(
@@ -466,7 +502,7 @@ class TestRankResize:
         sim, registry, broker, sites = build_federation(
             n_sites=3, max_queue_depth=20
         )
-        broker.submit(make_program(shots=200), shots=200, pin="site-0/onprem")
+        broker.submit_spec(JobSpec(program=make_program(shots=200), shots=200, pin="site-0/onprem"))
         snaps = self._snapshots(broker, sim)
         job = type("J", (), {"n_qubits": 2, "affinity_key": None})()
         ranked = LeastQueuePolicy().rank_resize(job, snaps, sim.now)

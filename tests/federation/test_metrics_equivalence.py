@@ -31,7 +31,7 @@ def run_mixed_trace():
     sim.run(until=600.0)
     # capture the records before eviction drops them from the tables
     jobs = [broker.job(j) for j in fixed]
-    mjob = broker.malleable_job(malleable)
+    mjob = broker.job(malleable)
     evicted = broker.evict_terminal()
     return broker, jobs, mjob, evicted
 

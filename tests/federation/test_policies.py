@@ -14,6 +14,7 @@ from repro.federation import (
     StickyPolicy,
 )
 from repro.federation.broker import JobState
+from repro.spec import JobSpec
 
 from fedutil import build_federation, make_program
 
@@ -106,7 +107,7 @@ class TestLeastQueue:
         for _ in range(2):
             sites["site-0"].submit(program, "onprem", shots=30, owner="local")
         assert registry.health_of("site-0", sim.now) is SiteHealth.SATURATED
-        job_id = broker.submit(program, shots=30)
+        job_id = broker.submit_spec(JobSpec(program=program, shots=30))
         assert broker.status(job_id)["site"] == "site-1"
 
 
@@ -163,7 +164,7 @@ class TestSticky:
         )
         program = make_program(shots=20)
         ids = [
-            broker.submit(program, shots=20, affinity_key="vqe-loop")
+            broker.submit_spec(JobSpec(program=program, shots=20, affinity_key="vqe-loop"))
             for _ in range(4)
         ]
         sim.run(until=300.0)

@@ -26,6 +26,7 @@ from repro.cluster import JobSpec as ClusterJobSpec
 from repro.cluster.scheduler import AlgorithmScheduler, Scheduler
 from repro.daemon.queue import MiddlewareQueue, PriorityClass, TaskState
 from repro.scheduling.algorithms import FifoPriority, daemon_views
+from repro.spec import JobSpec
 
 
 def _mk_program():
@@ -174,7 +175,7 @@ class TestBrokerRoutingEquivalence:
 
         chosen = []
         for _ in range(6):
-            job_id = broker.submit(make_program(shots=1))
+            job_id = broker.submit_spec(JobSpec(program=make_program(shots=1)))
             chosen.append(broker.job(job_id).current.site)
         # strict rotation over the healthy candidate set
         assert chosen == [f"site-{i % 3}" for i in range(6)]
@@ -193,8 +194,8 @@ class TestBrokerRoutingEquivalence:
 
         for step in range(8):
             program = make_program(shots=5)
-            id_a = broker_a.submit(program)
-            id_b = broker_b.submit(program)
+            id_a = broker_a.submit_spec(JobSpec(program=program))
+            id_b = broker_b.submit_spec(JobSpec(program=program))
             assert (
                 broker_a.job(id_a).current.site == broker_b.job(id_b).current.site
             ), step

@@ -1,11 +1,11 @@
-"""JobSpec: validation, dict round-trip, and legacy-shim equivalence."""
+"""JobSpec: validation, dict round-trip, and the spec-only intake surfaces."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SpecError
+from repro.errors import PlacementError, SpecError
 from repro.qpu import Register
 from repro.sdk import AnalogCircuit
 from repro.sdk.ir import AnalogProgram
@@ -189,87 +189,81 @@ class TestRoundTrip:
             JobSpec.from_dict({"shots": 5})
 
 
-# -- legacy-shim equivalence ---------------------------------------------------
+# -- intake behaviour through submit_spec --------------------------------------
 
 
-def _pair():
-    """Two identical federations (same seed/clock shape) for
-    legacy-vs-spec comparison."""
+def _broker():
     from specutil import build_federation
 
-    return build_federation(n_sites=2), build_federation(n_sites=2)
+    return build_federation(n_sites=2)[2]
 
 
 class TestLegacyShims:
-    def test_broker_submit_kwargs_equal_spec(self):
-        (sim_a, _, broker_a, _), (sim_b, _, broker_b, _) = _pair()
-        program = make_program(shots=70)
-        legacy_id = broker_a.submit(
-            program, shots=30, owner="alice", affinity_key="k", pin="site-0/onprem"
-        )
-        spec_id = broker_b.submit_spec(
-            JobSpec(
-                program=program,
-                shots=30,
-                tenant="alice",
-                affinity_key="k",
-                pin="site-0/onprem",
-            )
-        )
-        job_a, job_b = broker_a.job(legacy_id), broker_b.job(spec_id)
-        # the broker-visible spec is identical whichever door was used
-        assert job_a.spec == job_b.spec
-        assert job_a.shots == job_b.shots == 30
-        assert job_a.owner == job_b.owner == "alice"
-        assert job_a.current.site == job_b.current.site
+    """Intake behaviour the removed kwarg shims used to carry, now
+    checked on the one spec intake."""
 
     def test_broker_submit_resolves_program_shots(self):
-        (_, _, broker, _), _ = _pair()
-        job_id = broker.submit(make_program(shots=70))
+        broker = _broker()
+        job_id = broker.submit_spec(JobSpec(program=make_program(shots=70)))
         job = broker.job(job_id)
         # shot resolution happens once, in JobSpec.validate: a shot-less
         # submission runs at the program's own count, not a blanket 100
         assert job.shots == 70
         assert job.spec.shots == 70
 
-    def test_submit_malleable_kwargs_equal_spec(self):
-        (sim_a, _, broker_a, _), (sim_b, _, broker_b, _) = _pair()
-        program = make_program(shots=20)
-        legacy_id = broker_a.submit_malleable(
-            program, 6, shots=20, owner="bob", sites=("site-0", "site-1")
-        )
-        spec_id = broker_b.submit_spec(
-            JobSpec(
-                program=program,
-                shots=20,
-                tenant="bob",
-                sites=("site-0", "site-1"),
-                iterations=6,
-            )
-        )
-        job_a = broker_a.malleable_job(legacy_id)
-        job_b = broker_b.malleable_job(spec_id)
-        assert job_a.spec == job_b.spec
-        assert job_a.units == job_b.units == 6
-        assert job_a.restrict_sites == job_b.restrict_sites
-        sim_a.run(until=600.0)
-        sim_b.run(until=600.0)
-        assert broker_a.malleable_status(legacy_id)["state"] == "completed"
-        assert broker_b.malleable_status(spec_id)["state"] == "completed"
-
     def test_federated_client_shim_tags_user(self):
-        (_, _, broker, _), _ = _pair()
+        broker = _broker()
         from repro.federation import FederatedClient
 
         client = FederatedClient(broker, user="carol")
-        job = broker.job(client.submit(make_program(shots=25)))
+        job = broker.job(client.submit_spec(JobSpec(program=make_program(shots=25))))
         assert job.owner == "carol"
         assert job.shots == 25
 
     def test_broker_submit_routes_multi_spec_to_malleable(self):
-        (_, _, broker, _), _ = _pair()
-        job_id = broker.submit(
+        broker = _broker()
+        job_id = broker.submit_spec(
             JobSpec(program=make_program(shots=10), iterations=3)
         )
         assert job_id.startswith("fed-mjob-")
-        assert broker.malleable_job(job_id).units == 3
+        assert broker.job(job_id).units == 3
+
+
+def _intake(surface):
+    """(submit callable, expected error) for one spec intake surface."""
+    from specutil import build_three_backends
+
+    from repro.daemon import build_router
+    from repro.federation import FederatedClient
+    from repro.runtime import DaemonClient
+
+    _, daemon, broker, gateway, api_key = build_three_backends()
+    if surface == "FederationBroker.submit_spec":
+        return broker.submit_spec, PlacementError
+    if surface == "FederatedClient.submit_spec":
+        return FederatedClient(broker).submit_spec, SpecError
+    if surface == "DaemonClient.submit":
+        client = DaemonClient(build_router(daemon))
+        client.open_session("alice")
+        return client.submit, SpecError
+    return (lambda spec: gateway.submit(api_key, spec)), SpecError
+
+
+class TestSpecOnlyIntake:
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            "FederationBroker.submit_spec",
+            "FederatedClient.submit_spec",
+            "DaemonClient.submit",
+            "CloudGateway.submit",
+        ],
+    )
+    def test_raw_program_is_rejected_up_front(self, surface):
+        submit, error = _intake(surface)
+        with pytest.raises(error) as err:
+            submit(make_program())
+        message = str(err.value)
+        assert surface in message
+        assert "AnalogProgram" in message
+        assert "JobSpec(program=...)" in message
