@@ -300,9 +300,11 @@ def _numpy_split_probe(rounds: int):
     """A fixed repro-free NumPy loop: ``rounds`` rounds of a 32x32
     complex Gram matmul, its ``eigh`` and a QR of the same matrix.
 
-    These are the emu-mps bond split's calls at chi=16, so the
-    evolve/probe ratio holds still where LAPACK speed differs from one
-    machine (or NumPy build) to the next.
+    These are the calls of an emu-mps bond split at chi=16 that falls
+    back to the optimal ``eigh`` truncation.  The probe itself stays
+    fixed as the machine reference, so the evolve/probe ratios hold
+    still where LAPACK speed differs from one machine (or NumPy build)
+    to the next.
     """
     import numpy as np
 
@@ -318,10 +320,18 @@ def _numpy_split_probe(rounds: int):
 
 
 def run_emu_mps_row() -> dict:
-    """Wall cost of one 20-qubit chi=16 60-step ``emu-mps`` ``evolve``
-    (the dev-loop shape: 616 truncating bond splits) over a
+    """Wall cost of two ``emu-mps`` ``evolve`` shapes over the same
     same-machine NumPy probe: the paired ratio plus the best evolve and
-    probe wall ms."""
+    probe wall ms of each.
+
+    * ``ratio``: one 20-qubit chi=16 60-step evolve, the dev-loop
+      shape.  Its 616 truncating bond splits are all on saturated bonds
+      and lose ~8e-14 in total, so each is one seeded QR.
+    * ``truncating_ratio``: one 24-qubit chi=8 100-step evolve of the
+      bond-dimension ablation's adiabatic sweep.  It truncates heavily
+      enough that 880 of its 1,649 truncating splits use ``eigh``.
+    """
+    from benchmarks.bench_ablation_bond_dimension import sweep_ham
     from repro.emulators import MPSEmulator
     from repro.qpu import ConstantWaveform, DriveSegment, RampWaveform, Register, RydbergHamiltonian
 
@@ -329,7 +339,15 @@ def run_emu_mps_row() -> dict:
     ham = RydbergHamiltonian(Register.chain(20, spacing=6.0), [seg], dt=0.01)
     emu = MPSEmulator(max_bond_dim=16)
     ratio, evolve_ms, probe_ms = _paired_ratio(lambda: emu.evolve(ham), _numpy_split_probe(450), 9)
-    return {"ratio": ratio, "evolve_ms": evolve_ms, "probe_ms": probe_ms}
+    sweep, narrow = sweep_ham(24), MPSEmulator(max_bond_dim=8)
+    truncating = _paired_ratio(lambda: narrow.evolve(sweep), _numpy_split_probe(450), 9)
+    return {
+        "ratio": ratio,
+        "evolve_ms": evolve_ms,
+        "probe_ms": probe_ms,
+        "truncating_ratio": truncating[0],
+        "truncating_ms": truncating[1],
+    }
 
 
 def _python_probe(iterations: int):
@@ -544,7 +562,11 @@ def bench_regression_suite() -> dict:
     metrics["walltime_emu_sv_noisy_small_ratio"] = round(emu["noisy_small_ratio"], 4)
     metrics["walltime_emu_sv_run_small_ratio"] = round(emu["run_small_ratio"], 4)
     # the emu-mps canonical TEBD sweep on the dev-loop's 20-qubit shape
-    metrics["walltime_emu_mps_ratio"] = round(run_emu_mps_row()["ratio"], 4)
+    # (seeded QR splits) and on a heavily truncating 24-qubit chi=8
+    # sweep (the eigh fallback)
+    mps = run_emu_mps_row()
+    metrics["walltime_emu_mps_ratio"] = round(mps["ratio"], 4)
+    metrics["walltime_emu_mps_truncating_ratio"] = round(mps["truncating_ratio"], 4)
     # the federation control plane: snapshot reads, policy choice and
     # site intake for a burst of placements on a 4-site broker
     metrics["walltime_federation_place_ratio"] = round(

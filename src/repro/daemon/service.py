@@ -97,6 +97,11 @@ class MiddlewareDaemon:
             label_names=("class",),
         )
         self._m_sessions = self.metrics.gauge("daemon_active_sessions", "Live sessions")
+        self._m_jobmeta_errors = self.metrics.counter(
+            "daemon_jobmeta_errors_total",
+            "Completed tasks whose metadata record failed, by exception type",
+            label_names=("error",),
+        )
         #: per-workload phase signatures, fed from every queue transition
         #: (served raw by ``GET /profiles``)
         self.profiles = ProfileStore()
@@ -348,6 +353,7 @@ class MiddlewareDaemon:
             "scrape_targets": len(self.scraper.targets()),
             "firing_alerts": firing,
             "queue_depth": self.queue.queued_count(),
+            "jobmeta_errors": int(sum(v for _, _, v in self._m_jobmeta_errors.samples())),
         }
 
     def telemetry(self, resource: str) -> dict[str, Any]:
@@ -381,8 +387,11 @@ class MiddlewareDaemon:
                     priority_class=task.priority.name.lower(),
                     queue_wait_s=wait or 0.0,
                 )
-            except Exception:
-                pass  # metadata is best-effort; never fail the task for it
+            except Exception as exc:
+                # a task never fails for its metadata, but a lost record
+                # (the emulator's discarded weight and fidelity go with
+                # it) is counted and shows in healthz
+                self._m_jobmeta_errors.inc(labels={"error": type(exc).__name__})
 
     def job_metadata(self, token: str, task_id: str) -> dict[str, Any]:
         session = self.resolve_session(token)

@@ -41,11 +41,26 @@ and the state starts as the product state ``h_0|0...0>``.
 * **QR or eigh split.**  When ``min(2 D_left, 2 D_right) <= chi``
   nothing can be truncated and the split is an exact QR (going right)
   or LQ (going left); where the isometry's side is the narrower one,
-  the identity serves as the isometry.  Otherwise the kept isometry is
-  the top-chi eigenvectors of the reduced density matrix
-  ``theta theta^dagger`` (going right) or ``theta^dagger theta``
-  (going left), and the new centre is theta projected on it,
-  renormalised.
+  the identity serves as the isometry.  Otherwise the bond truncates
+  to chi.  A saturated bond (already at chi) takes one QR subspace
+  step seeded by the neighbour's old isometry ``B`` or ``A``, the
+  QR-based truncation of Unfried, Hauschild & Pollmann (PRB 107,
+  155133, 2023): the kept isometry is ``Q`` of ``theta B^dagger``
+  (going right) or of ``theta^dagger A`` (going left), and the new
+  centre is theta projected on it.  The seeded split is kept only if
+  its discarded weight is at most ``_SEED_TOL``; otherwise, and on a
+  bond still growing into chi or one whose last split lost more than
+  ``_SEED_TOL``, the kept isometry is the top-chi eigenvectors of the
+  reduced density matrix ``theta theta^dagger`` (going right) or
+  ``theta^dagger theta`` (going left).  So a weakly truncating run
+  pays one small QR per bond, a heavily truncating one pays the
+  optimal ``eigh`` alone, and every split is within ``_SEED_TOL`` of
+  the optimum.  The new centre is renormalised.
+* **Centre at site 0.**  ``evolve`` ends with the centre at site 0:
+  an even step count's last sweep runs left, and an odd one is
+  followed by one gate-free LQ sweep.  Every other site is then a
+  right isometry, so :meth:`MPSEmulator.sample` reads conditional
+  probabilities as plain squared norms.
 
 Every truncation happens at the orthogonality centre, so its discarded
 weight ``(|theta|^2 - |centre|^2) / |theta|^2`` is the exact local
@@ -69,6 +84,11 @@ from .noise import NoiseModel
 from .sampling import counts_from_samples
 
 __all__ = ["MPSEmulator"]
+
+#: largest discarded weight a seeded QR split may lose; a split that
+#: would lose more is redone with the optimal ``eigh``, and its bond
+#: goes straight to ``eigh`` until a split loses less again
+_SEED_TOL = 1e-10
 
 
 class MPSEmulator(EmulatorBackend):
@@ -139,15 +159,28 @@ class MPSEmulator(EmulatorBackend):
         chi = self.max_bond_dim
         mps = [half[0, :, :1].reshape(1, 2, 1).copy() for _ in range(n)]
         discarded = 0.0
+        # per bond: may its next truncation try the seeded QR split?
+        # (no while its last split lost more than _SEED_TOL)
+        seeded = [True] * (n - 1)
         for k in range(len(dt)):
             ops = kinds[k][patterns[k % 2]]
             ops[:, :, 3] *= phases[k][:, None]
             for j in sweeps[k % 2]:
-                mps[j], mps[j + 1], lost = _bond_step(mps[j], mps[j + 1], ops[j], chi, k % 2 == 0)
+                mps[j], mps[j + 1], lost = _bond_step(
+                    mps[j], mps[j + 1], ops[j], chi, k % 2 == 0, seeded[j]
+                )
+                seeded[j] = lost <= _SEED_TOL
                 discarded += lost
         self._last_discarded_weight = discarded
-        centre = n - 1 if len(dt) % 2 else 0
-        mps[centre] = mps[centre] / np.linalg.norm(mps[centre])
+        if len(dt) % 2:
+            # the last sweep ran right: move the centre back to site 0
+            # with one gate-free LQ sweep
+            for j in range(n - 1, 0, -1):
+                dl, _, dr = mps[j].shape
+                q, r = np.linalg.qr(mps[j].reshape(dl, 2 * dr).conj().T)
+                mps[j] = q.conj().T.reshape(-1, 2, dr)
+                mps[j - 1] = mps[j - 1] @ r.conj().T
+        mps[0] = mps[0] / np.linalg.norm(mps[0])
         return mps, order
 
     # -- sampling ------------------------------------------------------------
@@ -159,6 +192,13 @@ class MPSEmulator(EmulatorBackend):
         returns (shots, n) bits in *atom* order (inverse of the MPS
         site permutation).
 
+        ``mps`` must be in the canonical form :meth:`evolve` returns:
+        the normalised centre at site 0 and every other site a right
+        isometry (``sum_b A[b] A[b]^dagger = I``).  The environment to
+        the right of any prefix is then the identity, so the
+        probability of a prefix is the squared norm of its amplitude
+        vector.
+
         Every shot walks the chain site by site, but all shots advance
         together: the per-shot prefix vectors form a (shots, chi)
         matrix, so each site costs two matmuls and a masked select
@@ -168,7 +208,6 @@ class MPSEmulator(EmulatorBackend):
         n = len(mps)
         if shots == 0:
             return np.empty((0, n), dtype=np.uint8)
-        right_env = _right_environments(mps)
         samples_chain = np.empty((shots, n), dtype=np.uint8)
         uniforms = rng.random((shots, n))
         # prefix amplitude vectors, one row per shot
@@ -177,10 +216,9 @@ class MPSEmulator(EmulatorBackend):
             # amplitude vectors for bit 0 / 1 given each shot's prefix
             v0 = v @ tensor[:, 0, :]
             v1 = v @ tensor[:, 1, :]
-            r = right_env[k + 1]
-            # P(prefix + b) = v_b R v_b^dagger per shot (rows of v_b).
-            p0 = ((v0 @ r) * v0.conj()).sum(axis=1).real
-            p1 = ((v1 @ r) * v1.conj()).sum(axis=1).real
+            # P(prefix + b) = |v_b|^2 per shot (rows of v_b)
+            p0 = (v0.real**2 + v0.imag**2).sum(axis=1)
+            p1 = (v1.real**2 + v1.imag**2).sum(axis=1)
             total = p0 + p1
             ok = total > 0
             bit = np.zeros(shots, dtype=bool)
@@ -251,23 +289,6 @@ class MPSEmulator(EmulatorBackend):
         return float(np.exp(-self._last_discarded_weight))
 
 
-def _right_environments(mps: list[np.ndarray]) -> list[np.ndarray]:
-    """R[k] = contraction of sites k..n-1 with their conjugates.
-
-    R[n] = [[1]]; R[k] = sum_b A_k[b] R[k+1] A_k[b]^dagger.
-    """
-    n = len(mps)
-    envs: list[np.ndarray] = [np.zeros((0, 0))] * (n + 1)
-    envs[n] = np.ones((1, 1), dtype=np.complex128)
-    for k in range(n - 1, -1, -1):
-        tensor = mps[k]
-        dl, _, dr = tensor.shape
-        # sum over physical index: (Dl,2,Dr) x (Dr,Dr') x conj(Dl',2,Dr')
-        tmp = (tensor.reshape(2 * dl, dr) @ envs[k + 1]).reshape(dl, 2 * dr)
-        envs[k] = tmp @ tensor.reshape(dl, 2 * dr).conj().T
-    return envs
-
-
 def _half_step_gates(
     omega: np.ndarray, delta: np.ndarray, phase: np.ndarray, tau: np.ndarray
 ) -> np.ndarray:
@@ -296,12 +317,13 @@ def _half_step_gates(
 
 
 def _bond_step(
-    a: np.ndarray, b: np.ndarray, op: np.ndarray, chi: int, rightward: bool
+    a: np.ndarray, b: np.ndarray, op: np.ndarray, chi: int, rightward: bool, seeded: bool
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Apply the 4x4 ``op`` to sites (a, b), one of which holds the
     orthogonality centre, and split them again with the centre moved to
-    ``b`` (``rightward``) or to ``a``.  Returns the two tensors and the
-    discarded weight of the split."""
+    ``b`` (``rightward``) or to ``a``.  ``seeded`` lets a saturated
+    bond try the QR split seeded by the isometry it replaces.  Returns
+    the two tensors and the discarded weight of the split."""
     dl, dr = a.shape[0], b.shape[2]
     theta = a.reshape(2 * dl, -1) @ b.reshape(-1, 2 * dr)
     theta = np.matmul(op, theta.reshape(dl, 4, dr)).reshape(2 * dl, 2 * dr)
@@ -320,19 +342,34 @@ def _bond_step(
             return theta.reshape(dl, 2, 2 * dr), eye.reshape(2 * dr, 2, dr), 0.0
         q, r = np.linalg.qr(theta.conj().T)
         return r.conj().T.reshape(dl, 2, -1), q.conj().T.reshape(-1, 2, dr), 0.0
-    # keep the top-chi eigenvectors of the reduced density matrix
-    if rightward:
-        iso = np.linalg.eigh(theta @ theta.conj().T)[1][:, -chi:]
-        centre = iso.conj().T @ theta
-        iso = iso.reshape(dl, 2, chi)
-    else:
-        iso = np.linalg.eigh(theta.conj().T @ theta)[1][:, -chi:]
-        centre = theta @ iso
-        iso = iso.conj().T.reshape(chi, 2, dr)
+    # truncate to chi.  The kept isometry spans columns of theta going
+    # right and of theta^dagger going left; the centre is theta
+    # projected on it
     total = np.vdot(theta, theta).real
-    kept = np.vdot(centre, centre).real
+    iso = None
+    if seeded and (b.shape[0] if rightward else a.shape[2]) == chi:
+        # saturated: one QR subspace step seeded by the old isometry,
+        # kept only if it loses at most _SEED_TOL
+        if rightward:
+            iso = np.linalg.qr(theta @ b.reshape(chi, 2 * dr).conj().T)[0]
+            centre = iso.conj().T @ theta
+        else:
+            iso = np.linalg.qr(theta.conj().T @ a.reshape(2 * dl, chi))[0]
+            centre = theta @ iso
+        kept = np.vdot(centre, centre).real
+        if total - kept > _SEED_TOL * total:
+            iso = None
+    if iso is None:
+        # the optimum: top-chi eigenvectors of the reduced density matrix
+        if rightward:
+            iso = np.linalg.eigh(theta @ theta.conj().T)[1][:, -chi:]
+            centre = iso.conj().T @ theta
+        else:
+            iso = np.linalg.eigh(theta.conj().T @ theta)[1][:, -chi:]
+            centre = theta @ iso
+        kept = np.vdot(centre, centre).real
     centre /= np.sqrt(kept)
     lost = max(0.0, (total - kept) / total)
     if rightward:
-        return iso, centre.reshape(chi, 2, dr), lost
-    return centre.reshape(dl, 2, chi), iso, lost
+        return iso.reshape(dl, 2, chi), centre.reshape(chi, 2, dr), lost
+    return centre.reshape(dl, 2, chi), iso.conj().T.reshape(chi, 2, dr), lost

@@ -91,6 +91,25 @@ class TestHealthz:
         router = build_router(daemon)
         assert router.dispatch(Request("GET", "/healthz")).status == 200
 
+    def test_failed_metadata_record_is_counted_not_fatal(self):
+        """A completed task whose metadata record cannot be stored (here
+        a duplicate id) still completes; the failure is counted by
+        exception type and shows in /healthz."""
+        from repro.daemon.queue import TaskState
+        from repro.observability.jobmeta import JobMetadataRecord
+
+        sim, daemon = build_daemon()
+        router = build_router(daemon)
+        token = open_session(router)
+        clash, fine = submit(router, token, make_program()), submit(router, token, make_program())
+        daemon.jobmeta.record(JobMetadataRecord(task_id=clash, time=0.0))
+        sim.run(until=200.0)
+        assert daemon.queue.get(clash).state is TaskState.COMPLETED
+        assert daemon.jobmeta.get(fine).shots == 20
+        errors = daemon.metrics.get("daemon_jobmeta_errors_total")
+        assert errors.value(labels={"error": "ObservabilityError"}) == 1.0
+        assert router.dispatch(Request("GET", "/healthz")).body["jobmeta_errors"] == 1
+
 
 class TestProfilesRoute:
     def test_mixed_trace_yields_distinct_program_classes(self):

@@ -193,7 +193,6 @@ class TestPhysicsInvariants:
     )
     def test_mps_counts_total_and_norm(self, n, omega):
         from repro.emulators import MPSEmulator
-        from repro.emulators.mps import _right_environments
         from repro.qpu import DriveSegment, RydbergHamiltonian
 
         reg = Register.chain(n, spacing=6.0)
@@ -201,7 +200,10 @@ class TestPhysicsInvariants:
         ham = RydbergHamiltonian(reg, [seg], dt=0.02)
         emu = MPSEmulator(max_bond_dim=8)
         mps, order = emu.evolve(ham)
-        norm2 = float(_right_environments(mps)[0][0, 0].real)
+        psi = mps[0]
+        for tensor in mps[1:]:
+            psi = np.tensordot(psi, tensor, axes=([-1], [0]))
+        norm2 = float(np.vdot(psi, psi).real)
         assert abs(norm2 - 1.0) < 1e-6
         result = emu.run(ham, 40, np.random.default_rng(0))
         assert sum(result.counts.values()) == 40
