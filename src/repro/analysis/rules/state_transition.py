@@ -1,9 +1,11 @@
 """state-transition: job/task state moves only through blessed points.
 
-PR 4 made broker and malleable job tables state-indexed: ``_set_state``
-moves the record between per-state dicts as it flips ``job.state``.  A
-direct ``job.state = ...`` write anywhere else leaves the job filed
-under its old state — reconcile then sweeps a terminal job forever (or
+Federated jobs of both kinds live in state-indexed tables:
+``JobTable.set_state`` (``federation/broker.py``) moves the record
+between per-state dicts as it flips ``job.state``, and it is the only
+function in ``federation/`` allowed to write ``.state``.  A direct
+``job.state = ...`` write anywhere else leaves the job filed under its
+old state — reconcile then sweeps a terminal job forever (or
 never sees a live one), and nothing crashes.  The daemon queue's
 :class:`QueuedTask` guards itself with a ``__setattr__`` transition
 hook and the cluster's :class:`Job` has ``transition()``, so their own
@@ -24,9 +26,8 @@ STATE_SCOPED_DIRS = ("federation/", "daemon/", "cluster/")
 #: arch_path -> function names allowed to assign ``.state`` there
 #: (``None`` = the whole module is a blessed transition owner)
 BLESSED: dict[str, frozenset[str] | None] = {
-    # the single indexed-table transition points (PR 4)
-    "federation/broker.py": frozenset({"_set_state"}),
-    "federation/malleable.py": frozenset({"_set_state"}),
+    # the single transition point of both federated job tables
+    "federation/broker.py": frozenset({"set_state"}),
     # QueuedTask.__setattr__ maintains the queued-count index on every
     # assignment, so the queue machinery itself is safe by construction
     "daemon/queue.py": None,
@@ -40,7 +41,7 @@ BLESSED: dict[str, frozenset[str] | None] = {
 class StateTransitionRule(Rule):
     id = "state-transition"
     description = (
-        "job/task .state assignments outside the blessed _set_state "
+        "job/task .state assignments outside the blessed set_state "
         "transition points corrupt the state-indexed tables"
     )
     interests = (ast.Assign, ast.AnnAssign, ast.AugAssign)
@@ -68,7 +69,7 @@ class StateTransitionRule(Rule):
                 ctx,
                 node,
                 f"direct state write {owner}.state = ... outside a "
-                "blessed transition point — route through _set_state "
+                "blessed transition point — route through set_state "
                 "(or the owning object's transition API) so the "
                 "state-indexed tables stay consistent",
             )

@@ -18,6 +18,13 @@ transition.  Placement respects:
   surviving site with a bounded number of attempts.  The federated job
   ID never changes across re-placements, so callers never see
   duplicates.
+
+Fixed-size jobs and the multi-unit jobs of
+:class:`~repro.federation.malleable.MalleableManager` share one job
+model: each kind lives in a :class:`JobTable` (state index, id
+numbering, eviction), both go through the same intake tail, held
+release and per-task helpers here, and one task index maps every site
+task the broker placed back to its job (and unit).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from ..errors import (
     BudgetExceededError,
     FederationError,
     PlacementError,
+    ReproError,
     ResourceNotFound,
     SiteUnavailable,
     SpecError,
@@ -54,7 +62,7 @@ from .metrics import FederationMetrics
 from .policies import LeastQueuePolicy, RoutingPolicy
 from .registry import SiteHealth, SiteRegistry, SiteSnapshot
 
-__all__ = ["FederatedJob", "FederationBroker", "JobState", "Placement"]
+__all__ = ["FederatedJob", "FederationBroker", "JobState", "JobTable", "Placement"]
 
 
 class JobState(enum.Enum):
@@ -62,6 +70,10 @@ class JobState(enum.Enum):
     PLACED = "placed"        # live on some site
     COMPLETED = "completed"
     FAILED = "failed"        # exhausted placement attempts
+
+
+#: the states a job never leaves; reaching one stamps ``finished_at``
+TERMINAL_STATES = (JobState.COMPLETED, JobState.FAILED)
 
 
 @dataclass
@@ -110,6 +122,88 @@ class FederatedJob:
     @property
     def attempts(self) -> int:
         return len(self.placements)
+
+
+class JobTable:
+    """The records of one kind of federated job, indexed by state.
+
+    The broker keeps one table for fixed-size ``fed-job-N`` ids and the
+    malleable manager one for ``fed-mjob-N`` ids, so each kind numbers
+    its own ids and sweeps its own jobs in submission order.
+    :meth:`set_state` is the only place a job's state changes, so the
+    per-state dicts never drift from ``job.state``: reconcile sweeps and
+    state queries touch only the states they need, and terminal jobs
+    stay archived out of the sweep until :meth:`evict` drops them.
+    """
+
+    def __init__(self, prefix: str, sim: Simulator, publish) -> None:
+        self.prefix = prefix
+        self._sim = sim
+        self._publish = publish
+        self._jobs: dict[str, Any] = {}
+        self._by_state: dict[JobState, dict[str, Any]] = {s: {} for s in JobState}
+        self._seq = itertools.count(1)
+
+    def allocate(self) -> tuple[int, str]:
+        """The next submission sequence number and the job id it names."""
+        seq = next(self._seq)
+        return seq, f"{self.prefix}-{seq}"
+
+    def add(self, job: Any) -> None:
+        self._jobs[job.job_id] = job
+        self._by_state[job.state][job.job_id] = job
+
+    def get(self, job_id: str) -> Any:
+        return self._jobs.get(job_id)
+
+    def __contains__(self, job_id: str) -> bool:
+        return job_id in self._jobs
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+    def all(self) -> list[Any]:
+        return list(self._jobs.values())
+
+    def set_state(self, job: Any, state: JobState) -> None:
+        """Move ``job`` to ``state``.  A terminal state stamps
+        ``finished_at`` and publishes ``job_<state>``, which is what
+        waiters wake on."""
+        if state is job.state:
+            return
+        self._by_state[job.state].pop(job.job_id, None)
+        job.state = state
+        self._by_state[state][job.job_id] = job
+        if state in TERMINAL_STATES:
+            job.finished_at = self._sim.now
+            self._publish(f"job_{state.value}", job.job_id, error=job.error)
+
+    def in_state(self, state: JobState) -> list[Any]:
+        """Jobs currently in ``state``, in submission order (a released
+        held job re-enters the PLACED table out of order; sorting by
+        the submission seq keeps sweep order identical to a full scan)."""
+        return sorted(self._by_state[state].values(), key=lambda j: j.seq)
+
+    def count(self, state: JobState) -> int:
+        return len(self._by_state[state])
+
+    def evict(self, ttl: float) -> list[Any]:
+        """Drop and return the terminal records that finished at least
+        ``ttl`` seconds ago (COMPLETED first, then FAILED)."""
+        now = self._sim.now
+        expired: list[Any] = []
+        for state in TERMINAL_STATES:
+            table = self._by_state[state]
+            done = [
+                job
+                for job in table.values()
+                if job.finished_at is not None and now - job.finished_at >= ttl
+            ]
+            for job in done:
+                del table[job.job_id]
+                del self._jobs[job.job_id]
+            expired += done
+        return expired
 
 
 def _program_qubits(program: Any) -> int:
@@ -161,17 +255,10 @@ class FederationBroker:
         #: retry is metered per tenant, and the malleable resize loop
         #: arbitrates slots across jobs by tenant fair-share weight
         self.accounting = accounting
-        self._jobs: dict[str, FederatedJob] = {}
-        # state-indexed job tables: reconcile sweeps and state queries
-        # touch only the states they care about, so tick cost scales
-        # with *live* work — terminal (COMPLETED/FAILED) jobs are
-        # archived here and never rescanned
-        self._by_state: dict[JobState, dict[str, FederatedJob]] = {
-            s: {} for s in JobState
-        }
+        #: the fixed-size jobs; terminal ones stay archived out of the
+        #: reconcile sweep until :meth:`evict_terminal` drops them
+        self.table = JobTable("fed-job", sim, self._publish)
         self._reroutes = 0  # maintained: sum over jobs of attempts - 1
-        self._id_counter = itertools.count(1)
-        self._malleable = None  # lazily-built MalleableManager
         #: the broker's lifecycle bus — the only way it learns task
         #: state.  Every current and future site publishes its task
         #: transitions here, next to the broker's own publishes
@@ -194,56 +281,33 @@ class FederationBroker:
         for name in registry.names():
             registry.site(name).attach_bus(self.events)
         registry.on_register(lambda site: site.attach_bus(self.events))
-        #: live placement index: (site, task_id) -> federated job id,
-        #: maintained by _place/_abandon/_fail/completion so pushed site
-        #: events resolve to the owning job without a scan
-        self._task_to_job: dict[tuple[str, str], str] = {}
+        #: live task index: (site, task_id) -> (job id, unit), with unit
+        #: ``None`` for a fixed-size job; every placement and unit
+        #: dispatch enters it and leaves it when abandoned or finished,
+        #: so a pushed site event resolves to its owner without a scan
+        self._tasks: dict[tuple[str, str], tuple[str, int | None]] = {}
         #: terminal records dropped by :meth:`evict_terminal`
         self._evicted = 0
+        #: the :meth:`spawn_housekeeping` processes, kept so a sweep
+        #: that died is reported by :meth:`stats`
+        self._housekeeping: list = []
         #: summary of the last reconcile sweep — ``jobs_scanned`` counts
         #: the fixed-size jobs the sweep actually touched (live + held),
         #: ``duration_s`` its wall-clock cost; the C6 scale bench and
         #: the metrics collector read this
         self.last_reconcile: dict[str, float] = {}
+        from .malleable import MalleableManager
 
-    @property
-    def malleable(self):
-        """The resize-loop manager for multi-site malleable jobs
-        (created on first use; see :mod:`repro.federation.malleable`)."""
-        if self._malleable is None:
-            from .malleable import MalleableManager
-
-            self._malleable = MalleableManager(self)
-        return self._malleable
+        #: the resize-loop manager for multi-site malleable jobs (see
+        #: :mod:`repro.federation.malleable`)
+        self.malleable = MalleableManager(self)
 
     def configure_resize(self, config) -> None:
         """Install a non-default :class:`~repro.federation.malleable.ResizeConfig`.
         Must happen before the first malleable submission."""
-        from .malleable import MalleableManager
-
-        if self._malleable is not None and self._malleable.jobs():
+        if len(self.malleable.table):
             raise PlacementError("resize config must be set before submissions")
-        self._malleable = MalleableManager(self, config=config)
-
-    # -- state tables ---------------------------------------------------------
-
-    def _set_state(self, job: FederatedJob, state: JobState) -> None:
-        """The single transition point: moves the job between the
-        per-state tables so they never drift from ``job.state``."""
-        if state is job.state:
-            return
-        self._by_state[job.state].pop(job.job_id, None)
-        job.state = state
-        self._by_state[state][job.job_id] = job
-        if state in (JobState.COMPLETED, JobState.FAILED):
-            job.finished_at = self.sim.now
-            self._publish(f"job_{state.value}", job.job_id, error=job.error)
-
-    def _in_state(self, state: JobState) -> list[FederatedJob]:
-        """Jobs currently in ``state``, in submission order (a released
-        held job re-enters the PLACED table out of order; sorting by
-        the submission seq keeps sweep order identical to a full scan)."""
-        return sorted(self._by_state[state].values(), key=lambda j: j.seq)
+        self.malleable.config = config
 
     # -- lifecycle events ------------------------------------------------------
 
@@ -323,28 +387,89 @@ class FederationBroker:
 
     def _on_site_event(self, event: JobEvent) -> None:
         """Route one site task transition to the placement that owns it
-        (fixed-size index here, per-unit index in the malleable
-        manager); transitions for tasks the broker never placed — e.g.
-        a site's local users — are dropped."""
+        through the task index; transitions for tasks the broker never
+        placed — e.g. a site's local users — are dropped."""
         if not event.task_id or event.kind.startswith("job_"):
             return
-        if self._malleable is not None and self._malleable.consume_task_event(event):
+        owner = self._tasks.get((event.site, event.task_id))
+        if owner is None:
             return
-        job_id = self._task_to_job.get((event.site, event.task_id))
-        if job_id is not None and event.kind in TERMINAL_TASK_KINDS:
+        job_id, unit = owner
+        if unit is not None:
+            # a malleable unit: parked until the next resize tick
+            self.malleable.park(job_id, unit, event)
+        elif event.kind in TERMINAL_TASK_KINDS:
             # advance the job at the pushed instant, sweep or no sweep:
             # waiters wake on the job_* event this publishes
-            self._refresh(self._jobs[job_id], event.payload)
-
-    def _track_placement(self, job: FederatedJob) -> None:
-        placement = job.placements[-1]
-        self._task_to_job[(placement.site, placement.task_id)] = job.job_id
+            self._refresh(self.table.get(job_id), event.payload)
 
     def _untrack_placement(self, job: FederatedJob) -> None:
         if not job.placements:
             return
         placement = job.placements[-1]
-        self._task_to_job.pop((placement.site, placement.task_id), None)
+        self._tasks.pop((placement.site, placement.task_id), None)
+
+    def _cancel_task(self, site: str, task_id: str) -> None:
+        """Best-effort cancel of an abandoned task: the site may have
+        left the federation (:class:`~repro.errors.FederationError`) or
+        forgotten the task (:class:`~repro.errors.QueueError`).  Any
+        other error is a bug and propagates."""
+        try:
+            self.registry.site(site).cancel(task_id)
+        except ReproError:
+            pass
+
+    def _fetch_result(
+        self, job_id: str, owner: str, site: str, task_id: str, **attrs
+    ) -> tuple[Any, Exception | None]:
+        """Pull one finished task's result from its site, under a
+        ``result-fetch`` span when the broker traces.  Returns
+        ``(result, None)``, or ``(None, err)`` when the site would not
+        serve it."""
+        tracer = self.tracer
+        span = None
+        if tracer is not None:
+            span = tracer.start_job_span(
+                job_id, "result-fetch", self.sim.now,
+                site=site, task_id=task_id, **attrs,
+            )
+        try:
+            result = self.registry.site(site).task_result(owner, task_id)
+        except Exception as err:
+            # the one broad boundary to a remote site: a site that left,
+            # a session that idle-expired and no longer owns the task, a
+            # status query that blew up — whatever it raised, the
+            # caller treats it as a lost placement and re-routes, so the
+            # reconcile sweep that failover depends on never dies of it
+            if span is not None:
+                tracer.end_span(span, self.sim.now, status="error")
+            return None, err
+        if span is not None:
+            tracer.end_span(span, self.sim.now)
+        return result, None
+
+    def _trace_placement(self, job_id: str, site: str, task_id: str, **attrs) -> None:
+        """Record one placement (or unit dispatch) as an instant span and
+        bind the site task under it, so its queue-wait/execute spans
+        nest there.  ``attrs`` (a fixed job's ``attempt``, a unit's
+        ``unit``) label the span and the task's own spans."""
+        tracer = self.tracer
+        now = self.sim.now
+        span = tracer.start_job_span(
+            job_id, "placement", now, site=site, task_id=task_id, **attrs
+        )
+        if span is None:
+            return
+        tracer.end_span(span, now)
+        tracer.bind_task(site, task_id, span, now, **attrs)
+
+    def _capable(self, n_qubits: int, exclude: tuple[str, ...] = ()) -> list[SiteSnapshot]:
+        """Healthy sites exporting a resource that can hold an
+        ``n_qubits`` register."""
+        healthy = self.registry.healthy_snapshots(self.sim.now, exclude=exclude)
+        return [
+            snap for snap in healthy if snap.catalog and snap.max_qubits >= n_qubits
+        ]
 
     # -- intake ---------------------------------------------------------------
 
@@ -373,12 +498,11 @@ class FederationBroker:
             return self.malleable.submit_spec(spec)
         if self._should_convert(spec):
             return self._convert_and_submit(spec)
-        self._check_budget_hint(spec)
         admit_wall = time.perf_counter()
-        hold = self._admit(spec.tenant)
-        seq = next(self._id_counter)
+        hold = self._admit(spec)
+        seq, job_id = self.table.allocate()
         job = FederatedJob(
-            job_id=f"fed-job-{seq}",
+            job_id=job_id,
             program=spec.program,
             shots=spec.shots,
             owner=spec.tenant,
@@ -390,10 +514,35 @@ class FederationBroker:
             seq=seq,
             spec=spec,
         )
-        self._jobs[job.job_id] = job
-        self._by_state[job.state][job.job_id] = job
-        if self.tracer is not None:
-            self._trace_intake(job.job_id, spec, admit_wall, hold)
+        self._intake(self.table, job, admit_wall, hold)
+        if not hold:
+            self._place(job)
+        return job.job_id
+
+    def _intake(self, table: JobTable, job: Any, admit_wall: float, hold: bool) -> None:
+        """The intake tail both job kinds share: index the new record,
+        open its trace and announce it as held or submitted."""
+        table.add(job)
+        spec = job.spec
+        tracer = self.tracer
+        if tracer is not None:
+            # continue the spec's propagated trace context, or open a
+            # fresh root for a broker-direct submission
+            now = self.sim.now
+            ctx_dict = spec.metadata.get("trace_context")
+            if ctx_dict:
+                tracer.bind_job(job.job_id, TraceContext.from_dict(ctx_dict))
+            else:
+                root = tracer.start_trace(
+                    "job", now, job_id=job.job_id, tenant=spec.tenant
+                )
+                tracer.bind_job(job.job_id, root)
+            span = tracer.start_job_span(
+                job.job_id, "admission", now, wall_start=admit_wall,
+                decision="hold" if hold else "admit",
+            )
+            if span is not None:
+                tracer.end_span(span, now)
         self._publish(
             "job_held" if hold else "job_submitted",
             job.job_id,
@@ -401,9 +550,6 @@ class FederationBroker:
             program=_program_name(spec.program),
             qubits=job.n_qubits,
         )
-        if not hold:
-            self._place(job)
-        return job.job_id
 
     # -- fixed -> malleable conversion -----------------------------------------
 
@@ -421,23 +567,9 @@ class FederationBroker:
             or spec.resource is not None
         ):
             return False
-        algorithm = self.algorithm
-        if spec.algorithm is not None:
-            named = self._algo_cache.get(spec.algorithm)
-            if named is None:
-                named = get_algorithm(spec.algorithm)
-                self._algo_cache[spec.algorithm] = named
-            if named.handles_placement:
-                algorithm = named
-        if not algorithm.convert_when_saturated:
+        if not self._algorithm_for(spec).convert_when_saturated:
             return False
-        n_qubits = _program_qubits(spec.program)
-        healthy = self.registry.healthy_snapshots(self.sim.now)
-        capable = [
-            snap
-            for snap in healthy
-            if snap.catalog and snap.max_qubits >= n_qubits
-        ]
+        capable = self._capable(_program_qubits(spec.program))
         return bool(capable) and all(snap.is_saturated for snap in capable)
 
     def _convert_and_submit(self, spec: JobSpec) -> str:
@@ -464,54 +596,28 @@ class FederationBroker:
     def _is_malleable(self, job_id: str) -> bool:
         """Is ``job_id`` tracked by the malleable manager (multi-unit
         submission or a converted fixed job)?"""
-        return self._malleable is not None and job_id in self._malleable._jobs
+        return job_id in self.malleable.table
 
-    def _trace_intake(
-        self, job_id: str, spec: JobSpec, admit_wall: float, hold: bool
-    ) -> None:
-        """Bind the job to its trace (continuing the spec's propagated
-        context, or opening a fresh root for broker-direct submissions)
-        and record the admission span."""
-        tracer = self.tracer
-        now = self.sim.now
-        ctx_dict = spec.metadata.get("trace_context")
-        if ctx_dict:
-            tracer.bind_job(job_id, TraceContext.from_dict(ctx_dict))
-        else:
-            root = tracer.start_trace("job", now, job_id=job_id, tenant=spec.tenant)
-            tracer.bind_job(job_id, root)
-        span = tracer.start_job_span(
-            job_id,
-            "admission",
-            now,
-            wall_start=admit_wall,
-            decision="hold" if hold else "admit",
-        )
-        if span is not None:
-            tracer.end_span(span, now)
-
-    def _check_budget_hint(self, spec: JobSpec) -> None:
-        """Reject up front when the spec *declares* a cost the tenant's
-        remaining federation budget cannot cover — cheaper than finding
-        out mid-flight, and read straight off the spec."""
-        if spec.budget_hint is None or self.accounting is None:
-            return
-        if not self.accounting.can_afford(spec.tenant, spec.budget_hint):
-            raise BudgetExceededError(
-                f"tenant {spec.tenant!r} declared a cost of "
-                f"{spec.budget_hint:.3f} but has "
-                f"{self.accounting.remaining(spec.tenant):.3f} remaining",
-                tenant=spec.tenant,
-            )
-
-    def _admit(self, tenant: str) -> bool:
+    def _admit(self, spec: JobSpec) -> bool:
         """Run budget admission for one new submission.  Returns True
         when the job must enter HELD (budget exhausted, HOLD action);
-        raises :class:`~repro.errors.BudgetExceededError` on REJECT."""
+        raises :class:`~repro.errors.BudgetExceededError` on REJECT, and
+        up front when the spec *declares* a cost the tenant's remaining
+        budget cannot cover — cheaper than finding out mid-flight."""
         if self.accounting is None:
             return False
         from ..accounting import AdmissionDecision
 
+        tenant = spec.tenant
+        if spec.budget_hint is not None and not self.accounting.can_afford(
+            tenant, spec.budget_hint
+        ):
+            raise BudgetExceededError(
+                f"tenant {tenant!r} declared a cost of "
+                f"{spec.budget_hint:.3f} but has "
+                f"{self.accounting.remaining(tenant):.3f} remaining",
+                tenant=tenant,
+            )
         decision = self.accounting.admission(tenant)
         # no job id exists yet at intake time: the event carries only
         # the decision (which is all the admissions counter keys on)
@@ -579,11 +685,11 @@ class FederationBroker:
         (or instance); ``None`` restores policy routing."""
         self.algorithm = self._resolve_algorithm(algorithm)
 
-    def _algorithm_for(self, job: FederatedJob) -> SchedulingAlgorithm:
-        """The placement discipline for one job: its spec's named
+    def _algorithm_for(self, spec: JobSpec | None) -> SchedulingAlgorithm:
+        """The placement discipline for one job's spec: its named
         algorithm when that algorithm makes placement decisions,
         otherwise the broker-wide default."""
-        name = getattr(job.spec, "algorithm", None)
+        name = getattr(spec, "algorithm", None)
         if name is None:
             return self.algorithm
         algo = self._algo_cache.get(name)
@@ -617,7 +723,7 @@ class FederationBroker:
     def _choose_site_inner(
         self, job: FederatedJob, candidates: list[SiteSnapshot]
     ) -> SiteSnapshot:
-        algorithm = self._algorithm_for(job)
+        algorithm = self._algorithm_for(job.spec)
         pending, resources, system = federation_views(job, candidates, self.sim.now)
         by_name = {snap.name: snap for snap in candidates}
         for decision in algorithm.schedule(pending, resources, system):
@@ -630,38 +736,35 @@ class FederationBroker:
     def _candidates(
         self, job: FederatedJob, exclude: tuple[str, ...]
     ) -> list[SiteSnapshot]:
-        now = self.sim.now
-        healthy = self.registry.healthy_snapshots(now, exclude=exclude)
-        capable = [
-            snap
-            for snap in healthy
-            if snap.catalog and snap.max_qubits >= job.n_qubits
-        ]
+        capable = self._capable(job.n_qubits, exclude)
         unsaturated = [snap for snap in capable if not snap.is_saturated]
         return unsaturated or capable  # spillover: saturated only as last resort
+
+    def _pinned_site(self, job: FederatedJob) -> tuple[Any, str]:
+        """``(site, "")`` when the job's pinned ``site/resource`` can take
+        it right now, else ``(None, reason)``."""
+        site_name, _, resource = job.pin.partition("/")
+        try:
+            health = self.registry.health_of(site_name, self.sim.now)
+            site = self.registry.site(site_name)
+        except FederationError as err:
+            return None, str(err)
+        if health is SiteHealth.UNHEALTHY:
+            return None, f"pinned site {site_name!r} is unhealthy"
+        if resource not in site.capable_catalog(job.n_qubits):
+            return None, (
+                f"pinned resource {job.pin!r} cannot take a "
+                f"{job.n_qubits}-qubit program"
+            )
+        return site, ""
 
     def _place_pinned(self, job: FederatedJob) -> None:
         """Honor an explicit ``site/resource`` request or fail — pinned
         jobs retry on *their* site only, never reroute elsewhere."""
         site_name, _, resource = job.pin.partition("/")
-        if job.attempts >= self.max_attempts:
-            self._fail(job, f"exhausted {self.max_attempts} placement attempts")
-            return
-        try:
-            health = self.registry.health_of(site_name, self.sim.now)
-            site = self.registry.site(site_name)
-        except FederationError as err:
-            self._fail(job, str(err))
-            return
-        if health is SiteHealth.UNHEALTHY:
-            self._fail(job, f"pinned site {site_name!r} is unhealthy")
-            return
-        if resource not in site.capable_catalog(job.n_qubits):
-            self._fail(
-                job,
-                f"pinned resource {job.pin!r} cannot take a "
-                f"{job.n_qubits}-qubit program",
-            )
+        site, problem = self._pinned_site(job)
+        if site is None:
+            self._fail(job, problem)
             return
         try:
             task_id = site.submit(
@@ -670,17 +773,22 @@ class FederationBroker:
         except SiteUnavailable as err:
             self._fail(job, str(err))
             return
+        self._placed(job, site_name, task_id)
+
+    def _placed(self, job: FederatedJob, site: str, task_id: str) -> None:
+        """Record a successful placement: index its task, announce it,
+        trace it and encumber its cost."""
         job.placements.append(
-            Placement(site=site_name, task_id=task_id, placed_at=self.sim.now)
+            Placement(site=site, task_id=task_id, placed_at=self.sim.now)
         )
         if len(job.placements) > 1:
             self._reroutes += 1
-        self._set_state(job, JobState.PLACED)
-        self._track_placement(job)
-        self._publish("job_placed", job.job_id, site=site_name, task_id=task_id)
+        self.table.set_state(job, JobState.PLACED)
+        self._tasks[(site, task_id)] = (job.job_id, None)
+        self._publish("job_placed", job.job_id, site=site, task_id=task_id)
         if self.tracer is not None:
-            self._trace_placement(job, site_name, task_id)
-        self._reserve(job, site_name)
+            self._trace_placement(job.job_id, site, task_id, attempt=job.attempts)
+        self._reserve(job, site)
 
     def _job_shots(self, job: FederatedJob) -> int:
         shots = job.shots
@@ -699,14 +807,15 @@ class FederationBroker:
             )
 
     def _place(self, job: FederatedJob, exclude: tuple[str, ...] = ()) -> None:
+        if job.attempts >= self.max_attempts:
+            self._fail(job, f"exhausted {self.max_attempts} placement attempts")
+            return
         if job.pin is not None:
             self._place_pinned(job)
             return
         excluded = list(exclude)
         while True:
-            if job.attempts >= self.max_attempts:
-                self._fail(job, f"exhausted {self.max_attempts} placement attempts")
-                return
+            # only a successful placement adds an attempt, and it returns
             candidates = self._candidates(job, tuple(excluded))
             if not candidates:
                 self._fail(
@@ -729,37 +838,13 @@ class FederationBroker:
                 # catalog: exclude this site and retry
                 excluded.append(choice.name)
                 continue
-            job.placements.append(
-                Placement(site=choice.name, task_id=task_id, placed_at=self.sim.now)
-            )
-            if len(job.placements) > 1:
-                self._reroutes += 1
-            self._set_state(job, JobState.PLACED)
-            self._track_placement(job)
-            self._publish("job_placed", job.job_id, site=choice.name, task_id=task_id)
-            if self.tracer is not None:
-                self._trace_placement(job, choice.name, task_id)
-            self._reserve(job, choice.name)
+            self._placed(job, choice.name, task_id)
             return
-
-    def _trace_placement(self, job: FederatedJob, site: str, task_id: str) -> None:
-        """Record the placement decision as an instant span and bind the
-        site task under it, so its queue-wait/execute spans nest there."""
-        tracer = self.tracer
-        now = self.sim.now
-        span = tracer.start_job_span(
-            job.job_id, "placement", now, site=site, task_id=task_id,
-            attempt=job.attempts,
-        )
-        if span is None:
-            return
-        tracer.end_span(span, now)
-        tracer.bind_task(site, task_id, span, now)
 
     def _fail(self, job: FederatedJob, reason: str) -> None:
         self._untrack_placement(job)
         job.error = reason
-        self._set_state(job, JobState.FAILED)
+        self.table.set_state(job, JobState.FAILED)
         if self.accounting is not None:
             self.accounting.release_placement(job.job_id)
 
@@ -769,22 +854,20 @@ class FederationBroker:
         placement.abandoned = True
         placement.abandon_reason = reason
         dead_site = placement.site
-        try:
-            self.registry.site(dead_site).cancel(placement.task_id)
-        except Exception:
-            pass  # the site may be gone entirely; cancellation is best-effort
+        self._cancel_task(dead_site, placement.task_id)
+        self._rerouted(job, dead_site, reason, task_id=placement.task_id)
+        self._place(job, exclude=(dead_site,))
+
+    def _rerouted(self, job: Any, site: str, reason: str, task_id: str = "", **unit) -> None:
+        """Announce that ``job`` (or one of its units) lost its task on
+        ``site`` and charge the tenant for the retry."""
         self._publish(
-            "job_rerouted",
-            job.job_id,
-            site=dead_site,
-            task_id=placement.task_id,
-            reason=reason,
+            "job_rerouted", job.job_id, site=site, task_id=task_id, **unit, reason=reason
         )
         if self.accounting is not None:
             self.accounting.meter_retry(
-                job.owner, dead_site, now=self.sim.now, job_id=job.job_id
+                job.owner, site, now=self.sim.now, job_id=job.job_id
             )
-        self._place(job, exclude=(dead_site,))
 
     # -- tracking --------------------------------------------------------------
 
@@ -804,51 +887,44 @@ class FederationBroker:
             return
         if status is None:
             return
-        site = self.registry.site(placement.site)
         if status["state"] == "completed":
-            fetch_span = None
-            if self.tracer is not None:
-                fetch_span = self.tracer.start_job_span(
-                    job.job_id, "result-fetch", now, site=placement.site
-                )
-            try:
-                job.result = site.task_result(job.owner, placement.task_id)
-            except Exception as err:
-                # the site answers but won't serve us (e.g. our session
-                # idle-expired and the reopened one no longer owns the
-                # task): treat like a lost placement, never crash the
-                # reconcile sweep that failover depends on
-                if fetch_span is not None:
-                    self.tracer.end_span(fetch_span, now, status="error")
+            result, err = self._fetch_result(
+                job.job_id, job.owner, placement.site, placement.task_id
+            )
+            if err is not None:
                 self._abandon_and_reroute(
                     job, f"query failed on {placement.site}: {err}"
                 )
                 return
-            if fetch_span is not None:
-                self.tracer.end_span(fetch_span, now)
+            job.result = result
             self._untrack_placement(job)
-            self._set_state(job, JobState.COMPLETED)
-            self._meter_completion(job, placement.site, status)
+            self.table.set_state(job, JobState.COMPLETED)
+            # bill the classical seconds the site's resources held it
+            started = status.get("started_at")
+            finished = status.get("finished_at")
+            cpu_seconds = 0.0
+            if started is not None and finished is not None:
+                cpu_seconds = max(0.0, finished - started)
+            self._meter_completion(
+                job, placement.site, job.job_id, self._job_shots(job), cpu_seconds
+            )
         elif status["state"] in ("failed", "cancelled"):
             self._abandon_and_reroute(
                 job, f"task {placement.task_id} {status['state']} on {placement.site}"
             )
 
-    def _meter_completion(self, job: FederatedJob, site: str, status) -> None:
-        """Bill a finished fixed-size job: its shots plus the classical
-        seconds the site's resources actually held it."""
+    def _meter_completion(
+        self, job: Any, site: str, key: str, shots: int, cpu_seconds: float
+    ) -> None:
+        """Bill one finished job or unit and drop its budget hold
+        (reserved under ``key``)."""
         if self.accounting is None:
             return
-        started = status.get("started_at")
-        finished = status.get("finished_at")
-        cpu_seconds = 0.0
-        if started is not None and finished is not None:
-            cpu_seconds = max(0.0, finished - started)
-        self.accounting.release_placement(job.job_id)
+        self.accounting.release_placement(key)
         self.accounting.meter_completion(
             job.owner,
             site,
-            shots=self._job_shots(job),
+            shots=shots,
             cpu_seconds=cpu_seconds,
             now=self.sim.now,
             job_id=job.job_id,
@@ -860,48 +936,32 @@ class FederationBroker:
         the next sweep — HELD means parked, never failed-by-timing."""
         if job.pin is None:
             return bool(self._candidates(job, ()))
-        site_name, _, resource = job.pin.partition("/")
-        try:
-            health = self.registry.health_of(site_name, self.sim.now)
-            site = self.registry.site(site_name)
-        except FederationError:
-            return False
-        return (
-            health is not SiteHealth.UNHEALTHY
-            and resource in site.capable_catalog(job.n_qubits)
-        )
+        return self._pinned_site(job)[0] is not None
 
-    def _admission_memo(self, tenant: str, cache: dict) -> "Any":
-        """Budget admission memoized per tenant for one release pass.
-        Each pass gets a fresh cache (budget state moves between passes
-        — the refresh loop meters retries and completions), and within
-        a pass the only budget-moving event is placing a released job,
-        which invalidates the entry — so the memo never returns a stale
-        decision."""
-        decision = cache.get(tenant)
-        if decision is None:
-            decision = cache[tenant] = self.accounting.admission(tenant)
-        return decision
+    def _release_held(self, table: JobTable, memo: dict, releasable, activate) -> None:
+        """Activate ``table``'s held jobs whose tenant budget regained
+        headroom (submission order — the hold queue is FIFO per pass).
+        A job whose ``releasable`` check fails — no site can take it
+        right now — stays parked for the next pass.
 
-    def _release_held(self, admission_cache: dict) -> None:
-        """Place held jobs whose tenant budget regained headroom
-        (submission order — the hold queue is FIFO per reconcile).
-        Admission is memoized per tenant for the sweep: a hundred held
-        jobs of one exhausted tenant cost one budget lookup, not one
-        each."""
+        Admission is memoized per tenant in ``memo``, a fresh dict per
+        pass (budgets move between passes): a hundred held jobs of one
+        exhausted tenant cost one budget lookup, not one each."""
         from ..accounting import AdmissionDecision
 
-        for job in self._in_state(JobState.HELD):
-            decision = self._admission_memo(job.owner, admission_cache)
+        for job in table.in_state(JobState.HELD):
+            decision = memo.get(job.owner)
+            if decision is None:
+                decision = memo[job.owner] = self.accounting.admission(job.owner)
             if decision is not AdmissionDecision.ADMIT:
                 continue
-            if not self._releasable(job):
-                continue  # stay parked; the next reconcile retries
+            if not releasable(job):
+                continue
             self._publish("admission", job.job_id, decision="released")
-            self._place(job)
-            # placing reserved budget (or failing released it): the
+            activate(job)
+            # activating reserved budget (or failing released it): the
             # tenant's next admission answer may differ — drop the memo
-            admission_cache.pop(job.owner, None)
+            memo.pop(job.owner, None)
 
     def reconcile(self) -> None:
         """One failover sweep over the *live* jobs (held-job release,
@@ -917,25 +977,23 @@ class FederationBroker:
 
     def _reconcile(self) -> None:
         started = time.perf_counter()
-        scanned = len(self._by_state[JobState.HELD])
+        scanned = self.table.count(JobState.HELD)
         if self.accounting is not None:
-            self._release_held({})
+            self._release_held(self.table, {}, self._releasable, self._place)
         held_done = time.perf_counter()
-        live = self._in_state(JobState.PLACED)
+        live = self.table.in_state(JobState.PLACED)
         scanned += len(live)
         for job in live:
             self._refresh(job)
         fixed_done = time.perf_counter()
-        malleable_scanned = 0
-        if self._malleable is not None:
-            # the malleable pass builds its own admission memo: the
-            # refresh loop above may have moved tenants' budgets
-            profiler = self.profiler
-            if profiler is None:
-                malleable_scanned = self._malleable.tick()
-            else:
-                with profiler.scope("malleable.tick"):
-                    malleable_scanned = self._malleable.tick()
+        # the malleable pass builds its own admission memo: the refresh
+        # loop above may have moved tenants' budgets
+        profiler = self.profiler
+        if profiler is None:
+            malleable_scanned = self.malleable.tick()
+        else:
+            with profiler.scope("malleable.tick"):
+                malleable_scanned = self.malleable.tick()
         malleable_done = time.perf_counter()
         self.metrics.observe_sites(self.registry.snapshots(self.sim.now))
         self.metrics.observe_snapshot_cache(self.registry.snapshot_cache_hits)
@@ -961,7 +1019,7 @@ class FederationBroker:
 
     def evict_terminal(self, ttl: float = 0.0) -> int:
         """Drop archived COMPLETED/FAILED records older than ``ttl``
-        seconds so a long-lived broker's ``_jobs`` stays bounded.
+        seconds so a long-lived broker's job tables stay bounded.
 
         Each evicted record is spilled to the accounting ledger's
         archive (when accounting is wired) before it leaves memory —
@@ -972,28 +1030,21 @@ class FederationBroker:
         """
         if ttl < 0:
             raise PlacementError("evict ttl must be >= 0")
-        now = self.sim.now
         evicted = 0
-        for state in (JobState.COMPLETED, JobState.FAILED):
-            table = self._by_state[state]
-            expired = [
-                job
-                for job in table.values()
-                if job.finished_at is not None and now - job.finished_at >= ttl
-            ]
-            for job in expired:
-                del table[job.job_id]
-                del self._jobs[job.job_id]
-                self._spill(job)
+        for table, spill in (
+            (self.table, self._spill),
+            (self.malleable.table, self.malleable._spill),
+        ):
+            for job in table.evict(ttl):
+                spill(job)
                 evicted += 1
-        if self._malleable is not None:
-            evicted += self._malleable.evict_terminal(ttl)
         if evicted:
             self._evicted += evicted
             self._publish("jobs_evicted", "", count=evicted)
         return evicted
 
     def _spill(self, job: FederatedJob) -> None:
+        """Archive one evicted fixed-size record in the ledger."""
         if self.accounting is None:
             return
         last = job.placements[-1] if job.placements else None
@@ -1030,6 +1081,9 @@ class FederationBroker:
         every sweep: terminal records older than the TTL spill to the
         accounting archive and leave memory.  ``None`` (the default)
         keeps records forever — opt in for long-lived brokers.
+
+        A sweep that raises ends its process; :meth:`stats` then
+        reports the error as ``housekeeping_error``.
         """
         if not (0.0 <= jitter < interval):
             raise PlacementError("jitter must be in [0, interval)")
@@ -1045,7 +1099,9 @@ class FederationBroker:
                 if evict_ttl is not None:
                     self.evict_terminal(evict_ttl)
 
-        self.sim.spawn(run(), name="federation-housekeeping", background=True)
+        self._housekeeping.append(
+            self.sim.spawn(run(), name="federation-housekeeping", background=True)
+        )
 
     # -- queries ---------------------------------------------------------------
 
@@ -1053,18 +1109,17 @@ class FederationBroker:
         """The record behind any federated id: a :class:`FederatedJob`,
         or the :class:`~repro.federation.malleable.MalleableJob` of a
         multi-unit or converted submission."""
-        if self._is_malleable(job_id):
-            return self.malleable.job(job_id)
-        if job_id not in self._jobs:
+        job = self.table.get(job_id) or self.malleable.table.get(job_id)
+        if job is None:
             raise PlacementError(f"unknown federated job {job_id!r}", job_id=job_id)
-        return self._jobs[job_id]
+        return job
 
     def status(self, job_id: str) -> dict[str, Any]:
+        job = self.job(job_id)
         if self._is_malleable(job_id):
             # multi-unit and converted ids: one resize pass, then read
             self.malleable.tick()
-            return self.malleable.status(job_id)
-        job = self.job(job_id)
+            return self.malleable.status(job)
         self._refresh(job)
         placement = job.current
         return {
@@ -1082,11 +1137,12 @@ class FederationBroker:
         converted ids — the per-unit result map keyed by unit, which
         :meth:`FederatedClient.result
         <repro.federation.client.FederatedClient.result>` merges."""
-        if self._is_malleable(job_id):
-            self.malleable.tick()
-            return self.malleable.results(job_id)
         job = self.job(job_id)
-        self._refresh(job)
+        malleable = self._is_malleable(job_id)
+        if malleable:
+            self.malleable.tick()
+        else:
+            self._refresh(job)
         if job.state is JobState.FAILED:
             raise PlacementError(
                 f"job {job_id} failed: {job.error}", job_id=job_id
@@ -1096,33 +1152,32 @@ class FederationBroker:
                 f"job {job_id} not finished (state {job.state.value})",
                 job_id=job_id,
             )
-        return job.result
+        return dict(job.results) if malleable else job.result
 
     def jobs(self, state: JobState | None = None) -> list[FederatedJob]:
+        """The fixed-size jobs, all of them or those in ``state``
+        (O(jobs in that state), not O(all))."""
         if state is None:
-            return list(self._jobs.values())
-        return self._in_state(state)  # O(jobs in that state), not O(all)
+            return self.table.all()
+        return self.table.in_state(state)
 
     def stats(self) -> dict[str, Any]:
         """O(1) snapshot from the maintained tables and counters — no
         scan over the (unbounded) job history."""
-        by_state: dict[str, int] = {
-            s.value: len(self._by_state[s]) for s in JobState
-        }
-        n_malleable = 0
-        resize_events = 0
-        if self._malleable is not None:
-            for state in JobState:
-                by_state[state.value] += self._malleable.state_count(state)
-            n_malleable = self._malleable.job_count()
-            resize_events = self._malleable.resize_event_count()
+        mtable = self.malleable.table
+        dead = [p.error for p in self._housekeeping if p.error is not None]
         return {
-            "jobs": len(self._jobs) + n_malleable,
-            "by_state": by_state,
+            "jobs": len(self.table) + len(mtable),
+            "by_state": {
+                s.value: self.table.count(s) + mtable.count(s) for s in JobState
+            },
             "reroutes": self._reroutes,
-            "malleable_jobs": n_malleable,
-            "resize_events": resize_events,
+            "malleable_jobs": len(mtable),
+            "resize_events": self.malleable.resize_events,
             "evicted": self._evicted,
+            # a housekeeping sweep that raised ends its process; say so
+            # instead of letting reconcile stop without a trace
+            "housekeeping_error": repr(dead[0]) if dead else None,
             # bus subscriber callbacks that raised (isolated, counted)
             "bus_dropped": self.events.dropped,
             "sites": self.registry.names(),

@@ -23,21 +23,34 @@ routing policy (:meth:`~repro.federation.policies.RoutingPolicy.rank_resize`),
 so placement preference and resize preference cannot diverge.  Job ids
 stay stable across every resize, retry, and failover, exactly like the
 fixed-size path.
+
+The job bookkeeping is the broker's: the manager's jobs live in a
+:class:`~repro.federation.broker.JobTable` of ``fed-mjob-N`` ids, and
+intake, held release, eviction, the task index and the per-task
+cancel/fetch/trace helpers are the ones fixed-size jobs use.  What
+stays here is what only a multi-unit job has: the share ledger, unit
+dispatch and the resize loop.  A unit's pushed task transitions are
+parked on its job until the next :meth:`MalleableManager.tick`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-from ..errors import PlacementError, ResourceNotFound, SiteUnavailable, SpecError
+from ..errors import (
+    FederationError,
+    PlacementError,
+    ResourceNotFound,
+    SiteUnavailable,
+    SpecError,
+)
 from ..runtime.backend_select import select_resource
 from ..scheduling.algorithms import AgreementElastic
 from ..scheduling.malleable import ShareLedger
 from ..spec import JobSpec, parse_site_leg
-from .broker import JobState, _program_name, _program_qubits
+from .broker import JobState, JobTable, _program_qubits
 from .events import TERMINAL_TASK_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -54,29 +67,26 @@ __all__ = [
 ]
 
 
+# the resize loop's transfer function
+#: queue_depth / max_queue_depth at or above this → share weight 0
+HIGH_WATERMARK = 0.75
+#: site EWMA unit latency > ratio x federation best → demote
+SLOW_RATIO = 2.5
+#: smoothing for per-site unit latency
+EWMA_ALPHA = 0.5
+#: floor weight a slow-but-alive site keeps (a trickle of units
+#: keeps refreshing its latency estimate so recovery is observable)
+DEMOTED_WEIGHT = 0.25
+
+
 @dataclass(frozen=True)
 class ResizeConfig:
-    """Knobs of the resize loop (the controller's transfer function)."""
+    """The resize loop's one tunable knob."""
 
-    #: queue_depth / max_queue_depth at or above this → share weight 0
-    high_watermark: float = 0.75
-    #: site EWMA unit latency > ratio x federation best → demote
-    slow_ratio: float = 2.5
-    #: smoothing for per-site unit latency
-    ewma_alpha: float = 0.5
-    #: floor weight a slow-but-alive site keeps (a trickle of units
-    #: keeps refreshing its latency estimate so recovery is observable)
-    demoted_weight: float = 0.25
     #: max units concurrently in flight per site per job
     max_outstanding_per_site: int = 2
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.high_watermark <= 1.0):
-            raise PlacementError("high_watermark must be in (0, 1]")
-        if self.slow_ratio <= 1.0:
-            raise PlacementError("slow_ratio must be > 1")
-        if not (0.0 < self.ewma_alpha <= 1.0):
-            raise PlacementError("ewma_alpha must be in (0, 1]")
         if self.max_outstanding_per_site < 1:
             raise PlacementError("max_outstanding_per_site must be >= 1")
 
@@ -142,7 +152,7 @@ class MalleableJob:
     restrict_sites: tuple[str, ...] | None
     pins: dict[str, str]
     placement: MalleablePlacement
-    state: Any  # JobState; Any avoids a broker import cycle
+    state: JobState
     results: dict[int, Any] = field(default_factory=dict)
     error: str = ""
     finished_at: float | None = None
@@ -155,6 +165,9 @@ class MalleableJob:
     max_units: int | None = None
     #: the validated :class:`~repro.spec.JobSpec` this job came from
     spec: Any = None
+    #: unit -> the last running/terminal task payload its site pushed,
+    #: parked here until the next tick's :meth:`MalleableManager._refresh`
+    unit_events: dict[int, dict] = field(default_factory=dict)
 
     @property
     def completed_units(self) -> int:
@@ -175,56 +188,18 @@ class MalleableManager:
     ) -> None:
         self.broker = broker
         self.config = config or ResizeConfig()
-        self._jobs: dict[str, MalleableJob] = {}
-        # state-indexed tables + maintained counters, mirroring the
-        # broker: the tick sweeps live jobs only, stats() never scans
-        self._by_state: dict[JobState, dict[str, MalleableJob]] = {
-            s: {} for s in JobState
-        }
-        self._resize_events = 0
-        self._id_counter = itertools.count(1)
+        #: the malleable jobs: the tick sweeps live ones only
+        self.table = JobTable("fed-mjob", broker.sim, broker._publish)
+        #: share events recorded over every job (maintained, not scanned)
+        self.resize_events = 0
         # fair-share arbitration memo: (signature, caps) of the last
         # pass — recomputed only when contenders/demands/weights change
         self._arb_sig: tuple | None = None
         self._arb_caps: dict[tuple[str, str], int] | None = None
-        # push-based lifecycle: (site, task_id) -> (job_id, unit) for
-        # every in-flight dispatch, and the per-job pushed transitions
-        # the event-driven _refresh drains instead of polling
-        self._task_map: dict[tuple[str, str], tuple[str, int]] = {}
-        self._unit_events: dict[str, dict[int, dict]] = {}
-        #: terminal records dropped by :meth:`evict_terminal`
-        self._evicted = 0
         #: pairwise negotiator for agreement-based slot arbitration —
         #: used whenever a live contender's spec names it (see
         #: :meth:`_arbitrate_slots`); its transfer log feeds events
         self._negotiator = AgreementElastic()
-
-    # -- state tables ---------------------------------------------------------
-
-    def _set_state(self, job: MalleableJob, state: Any) -> None:
-        if state is job.state:
-            return
-        self._by_state[job.state].pop(job.job_id, None)
-        job.state = state
-        self._by_state[state][job.job_id] = job
-        if state in (JobState.COMPLETED, JobState.FAILED):
-            job.finished_at = self.broker.sim.now
-            self._unit_events.pop(job.job_id, None)
-            self.broker._publish(
-                f"job_{state.value}", job.job_id, error=job.error
-            )
-
-    def _in_state(self, state: Any) -> list[MalleableJob]:
-        return sorted(self._by_state[state].values(), key=lambda j: j.seq)
-
-    def state_count(self, state: Any) -> int:
-        return len(self._by_state[state])
-
-    def job_count(self) -> int:
-        return len(self._jobs)
-
-    def resize_event_count(self) -> int:
-        return self._resize_events
 
     # -- intake ---------------------------------------------------------------
 
@@ -248,7 +223,6 @@ class MalleableManager:
             raise PlacementError(str(err)) from err
         if spec.iterations is None:
             raise PlacementError("a malleable job needs iterations >= 1")
-        self.broker._check_budget_hint(spec)
         ir = spec.program
         restrict: tuple[str, ...] | None = None
         pins: dict[str, str] = {}
@@ -257,11 +231,11 @@ class MalleableManager:
             restrict = tuple(site for site, _ in parsed)
             pins = {site: res for site, res in parsed if res is not None}
         admit_wall = perf_counter()
-        hold = self.broker._admit(spec.tenant)
+        hold = self.broker._admit(spec)
         ledger = ShareLedger(spec.iterations, max_attempts=self.broker.max_attempts)
-        seq = next(self._id_counter)
+        seq, job_id = self.table.allocate()
         job = MalleableJob(
-            job_id=f"fed-mjob-{seq}",
+            job_id=job_id,
             program=ir,
             units=spec.iterations,
             shots_per_unit=ir.shots,
@@ -279,17 +253,7 @@ class MalleableManager:
             max_units=spec.max_units,
             spec=spec,
         )
-        self._jobs[job.job_id] = job
-        self._by_state[job.state][job.job_id] = job
-        if self.broker.tracer is not None:
-            self.broker._trace_intake(job.job_id, spec, admit_wall, hold)
-        self.broker._publish(
-            "job_held" if hold else "job_submitted",
-            job.job_id,
-            tenant=spec.tenant,
-            program=_program_name(ir),
-            qubits=job.n_qubits,
-        )
+        self.broker._intake(self.table, job, admit_wall, hold)
         if not hold:
             self._seed_shares(job)
             # arbitrated from the first dispatch: a late-arriving job
@@ -298,29 +262,14 @@ class MalleableManager:
             self._dispatch(job, self._arbitrate_slots())
         return job.job_id
 
-    def _release_held(self, admission_cache: dict) -> None:
-        """Activate held malleable jobs whose tenant budget regained
-        headroom (shares seed at release time, against the *current*
-        candidate set — the federation may have changed while parked).
-        Admission is memoized per tenant for this pass (a fresh memo
-        per pass: the fixed-size refresh loop runs in between and can
-        move budgets)."""
-        from ..accounting import AdmissionDecision
-
-        for job in self._in_state(JobState.HELD):
-            decision = self.broker._admission_memo(job.owner, admission_cache)
-            if decision is not AdmissionDecision.ADMIT:
-                continue
-            if not self._candidates(job):
-                continue  # transient no-site window: stay parked
-            self.broker._publish("admission", job.job_id, decision="released")
-            self._set_state(job, JobState.PLACED)
-            self._seed_shares(job)
-            if job.state is JobState.PLACED:
-                self._dispatch(job, self._arbitrate_slots())
-            # dispatching reserved budget against this tenant: the
-            # memoized decision is stale from here on
-            admission_cache.pop(job.owner, None)
+    def _activate(self, job: MalleableJob) -> None:
+        """Start a released held job: shares seed at release time,
+        against the *current* candidate set — the federation may have
+        changed while it was parked."""
+        self.table.set_state(job, JobState.PLACED)
+        self._seed_shares(job)
+        if job.state is JobState.PLACED:
+            self._dispatch(job, self._arbitrate_slots())
 
     def _seed_shares(self, job: MalleableJob) -> None:
         candidates = self._candidates(job)
@@ -331,7 +280,7 @@ class MalleableManager:
             job.error = (
                 f"no healthy site can take a {job.n_qubits}-qubit malleable job"
             )
-            self._set_state(job, JobState.FAILED)
+            self.table.set_state(job, JobState.FAILED)
             return
         now = self.broker.sim.now
         ranked = self.broker.policy.rank_resize(job, candidates, now)
@@ -352,13 +301,7 @@ class MalleableManager:
     def _candidates(self, job: MalleableJob) -> list["SiteSnapshot"]:
         """Healthy, capable sites — saturated ones stay in (the
         watermark zeroes their weight instead of retiring them)."""
-        now = self.broker.sim.now
-        healthy = self.broker.registry.healthy_snapshots(now)
-        capable = [
-            snap
-            for snap in healthy
-            if snap.catalog and snap.max_qubits >= job.n_qubits
-        ]
+        capable = self.broker._capable(job.n_qubits)
         if job.restrict_sites is not None:
             capable = [s for s in capable if s.name in job.restrict_sites]
         return capable
@@ -371,10 +314,14 @@ class MalleableManager:
         slot caps when several jobs contend and accounting is wired.
         Sweeps the live tables only; returns how many jobs it touched
         (the broker's reconcile instrumentation)."""
-        scanned = len(self._by_state[JobState.HELD])
+        scanned = self.table.count(JobState.HELD)
         if self.broker.accounting is not None:
-            self._release_held({})
-        live = self._in_state(JobState.PLACED)
+            # a fresh admission memo: the fixed-size refresh loop runs
+            # before this pass and can move budgets
+            self.broker._release_held(
+                self.table, {}, lambda job: bool(self._candidates(job)), self._activate
+            )
+        live = self.table.in_state(JobState.PLACED)
         scanned += len(live)
         for job in live:
             if job.state is not JobState.PLACED:
@@ -411,7 +358,7 @@ class MalleableManager:
         accounting = self.broker.accounting
         if accounting is None:
             return None
-        live = self._in_state(JobState.PLACED)
+        live = self.table.in_state(JobState.PLACED)
         if len(live) < 2:
             self._arb_sig = None
             return None
@@ -487,20 +434,14 @@ class MalleableManager:
         self._arb_caps = caps
         return caps
 
-    def consume_task_event(self, event) -> bool:
-        """Lifecycle-bus sink: route one site task transition to the
-        (job, unit) whose dispatch owns that task.  Returns False for
-        tasks this manager never placed (the broker's fixed-size index
-        gets the next look)."""
-        target = self._task_map.get((event.site, event.task_id))
-        if target is None:
-            return False
-        job_id, unit = target
+    def park(self, job_id: str, unit: int, event) -> None:
+        """Keep a unit task's pushed running/terminal transition on its
+        job until the next tick (the broker's task index routes it
+        here)."""
         if event.kind == "running" or event.kind in TERMINAL_TASK_KINDS:
             payload = dict(event.payload)
             payload["task_id"] = event.task_id
-            self._unit_events.setdefault(job_id, {})[unit] = payload
-        return True
+            self.table.get(job_id).unit_events[unit] = payload
 
     def _refresh(self, job: MalleableJob) -> None:
         """Advance in-flight units from the task transitions their
@@ -508,7 +449,7 @@ class MalleableManager:
         O(in-flight))."""
         now = self.broker.sim.now
         placement = job.placement
-        pending = self._unit_events.pop(job.job_id, None) or {}
+        pending, job.unit_events = job.unit_events, {}
         work = [
             (unit, pending[unit])
             for unit in sorted(pending)
@@ -524,10 +465,10 @@ class MalleableManager:
                 continue  # stale: the unit was redispatched since
             result = None
             if status["state"] == "completed":
-                try:
-                    result = self._fetch_result(job, dispatch)
-                except Exception as err:
-                    # deregistered site / refused session: lost placement
+                result, err = self.broker._fetch_result(
+                    job.job_id, job.owner, dispatch.site, dispatch.task_id, unit=unit
+                )
+                if err is not None:
                     self._abandon_unit(job, unit, f"query failed: {err}")
                     continue
             started = status.get("started_at")
@@ -537,12 +478,8 @@ class MalleableManager:
                 placement.ledger.checkpoint(unit)
                 job.results[unit] = result
                 del placement.dispatches[unit]
-                self._task_map.pop((dispatch.site, dispatch.task_id), None)
+                self.broker._tasks.pop((dispatch.site, dispatch.task_id), None)
                 placement.history.append(dispatch)
-                if self.broker.accounting is not None:
-                    self.broker.accounting.release_placement(
-                        f"{job.job_id}/u{unit}"
-                    )
                 # service latency from execution start (when known), so
                 # queue wait doesn't pollute the degradation signal —
                 # queue pressure is the watermark's job
@@ -553,43 +490,16 @@ class MalleableManager:
                 self.broker._publish(
                     "unit_completed", job.job_id, site=dispatch.site, unit=unit
                 )
-                if self.broker.accounting is not None:
-                    self.broker.accounting.meter_completion(
-                        job.owner,
-                        dispatch.site,
-                        shots=job.shots_per_unit,
-                        cpu_seconds=max(0.0, end - base),
-                        now=now,
-                        job_id=job.job_id,
-                    )
+                self.broker._meter_completion(
+                    job, dispatch.site, f"{job.job_id}/u{unit}",
+                    job.shots_per_unit, max(0.0, end - base),
+                )
             elif status["state"] in ("failed", "cancelled"):
                 self._abandon_unit(
                     job, unit, f"unit task {status['state']} on {dispatch.site}"
                 )
         if placement.ledger.done and job.state is JobState.PLACED:
-            self._set_state(job, JobState.COMPLETED)
-
-    def _fetch_result(self, job: MalleableJob, dispatch: UnitDispatch) -> Any:
-        """Pull one completed unit's result, under a ``result-fetch``
-        span when the broker traces."""
-        site = self.broker.registry.site(dispatch.site)
-        tracer = self.broker.tracer
-        if tracer is None:
-            return site.task_result(job.owner, dispatch.task_id)
-        now = self.broker.sim.now
-        span = tracer.start_job_span(
-            job.job_id, "result-fetch", now, wall_start=perf_counter(),
-            site=dispatch.site, task_id=dispatch.task_id, unit=dispatch.unit,
-        )
-        if span is None:
-            return site.task_result(job.owner, dispatch.task_id)
-        try:
-            result = site.task_result(job.owner, dispatch.task_id)
-        except Exception:
-            tracer.end_span(span, self.broker.sim.now, status="error")
-            raise
-        tracer.end_span(span, self.broker.sim.now)
-        return result
+            self.table.set_state(job, JobState.COMPLETED)
 
     def _fail_if_stranded(self, job: MalleableJob) -> None:
         """Mirror the fixed-size broker's behavior when the federation
@@ -606,7 +516,7 @@ class MalleableManager:
             f"no healthy site can take a {job.n_qubits}-qubit malleable job "
             f"({ledger.pending_units} units stranded)"
         )
-        self._set_state(job, JobState.FAILED)
+        self.table.set_state(job, JobState.FAILED)
 
     def _site_latency(self, job: MalleableJob, site: str, now: float) -> float | None:
         """Effective unit latency: the completion EWMA, or the running
@@ -628,11 +538,10 @@ class MalleableManager:
 
     def _observe_latency(self, job: MalleableJob, site: str, latency: float) -> None:
         ewma = job.placement.latency_ewma
-        alpha = self.config.ewma_alpha
         ewma[site] = (
             latency
             if site not in ewma
-            else alpha * latency + (1.0 - alpha) * ewma[site]
+            else EWMA_ALPHA * latency + (1.0 - EWMA_ALPHA) * ewma[site]
         )
 
     def _drop_dispatch(self, job: MalleableJob, unit: int, reason: str) -> UnitDispatch:
@@ -642,14 +551,11 @@ class MalleableManager:
         the caller."""
         placement = job.placement
         dispatch = placement.dispatches.pop(unit)
-        self._task_map.pop((dispatch.site, dispatch.task_id), None)
+        self.broker._tasks.pop((dispatch.site, dispatch.task_id), None)
         dispatch.abandoned = True
         dispatch.abandon_reason = reason
         placement.history.append(dispatch)
-        try:
-            self.broker.registry.site(dispatch.site).cancel(dispatch.task_id)
-        except Exception:
-            pass  # best-effort, the site may be gone
+        self.broker._cancel_task(dispatch.site, dispatch.task_id)
         if self.broker.accounting is not None:
             self.broker.accounting.release_placement(f"{job.job_id}/u{unit}")
         return dispatch
@@ -665,23 +571,15 @@ class MalleableManager:
             f"unit {unit} exhausted {ledger.attempts(unit)} placement "
             f"attempts: {reason}"
         )
-        self._set_state(job, JobState.FAILED)
+        self.table.set_state(job, JobState.FAILED)
         self._cancel_all(job)
         return True
 
     def _abandon_unit(self, job: MalleableJob, unit: int, reason: str) -> None:
         dispatch = self._drop_dispatch(job, unit, reason)
-        self.broker._publish(
-            "job_rerouted", job.job_id, site=dispatch.site,
-            task_id=dispatch.task_id, unit=unit, reason=reason,
+        self.broker._rerouted(
+            job, dispatch.site, reason, task_id=dispatch.task_id, unit=unit
         )
-        if self.broker.accounting is not None:
-            self.broker.accounting.meter_retry(
-                job.owner,
-                dispatch.site,
-                now=self.broker.sim.now,
-                job_id=job.job_id,
-            )
         job.placement.ledger.abandon(unit)
         self._fail_if_exhausted(job, unit, reason)
 
@@ -720,28 +618,28 @@ class MalleableManager:
         doomed = placement.ledger.in_flight_at(site)
         for unit in doomed:
             self._drop_dispatch(job, unit, reason)
-            self.broker._publish(
-                "job_rerouted", job.job_id, site=site, unit=unit, reason=reason
-            )
-            if self.broker.accounting is not None:
-                self.broker.accounting.meter_retry(
-                    job.owner, site, now=self.broker.sim.now, job_id=job.job_id
-                )
+            self.broker._rerouted(job, site, reason, unit=unit)
         placement.ledger.retire(site)  # abandons the doomed units
         self._record_event(job, "retire", site, weight_before, 0.0, reason)
         for unit in doomed:
             if self._fail_if_exhausted(job, unit, reason):
                 return
 
+    def _retire_departed(self, job: MalleableJob) -> list[SiteSnapshot]:
+        """Evict the job's shares on sites that fell out of its
+        candidate set; returns the candidates."""
+        candidates = self._candidates(job)
+        names = {s.name for s in candidates}
+        for site in list(job.placement.ledger.active_sites()):
+            if site not in names:
+                self._retire_site(job, site, f"site {site} left the federation")
+        return candidates
+
     def _retire_unhealthy(self, job: MalleableJob) -> None:
         """Rigid jobs still fail over on health — rigidity is about
         load shares, not about losing work when a site dies."""
-        candidates = self._candidates(job)
-        candidate_names = {s.name for s in candidates}
+        candidates = self._retire_departed(job)
         ledger = job.placement.ledger
-        for site in list(ledger.active_sites()):
-            if site not in candidate_names:
-                self._retire_site(job, site, f"site {site} left the federation")
         if job.state is not JobState.PLACED:
             return
         if not ledger.active_sites() and candidates:
@@ -762,14 +660,8 @@ class MalleableManager:
         """Recompute target weights from the policy ranking plus the
         controller's degradation signals; emit grow/shrink events."""
         now = self.broker.sim.now
-        candidates = self._candidates(job)
-        candidate_names = {s.name for s in candidates}
+        candidates = self._retire_departed(job)
         ledger = job.placement.ledger
-
-        # sites that fell out of the candidate set are evicted
-        for site in list(ledger.active_sites()):
-            if site not in candidate_names:
-                self._retire_site(job, site, f"site {site} left the federation")
         if job.state is not JobState.PLACED or not candidates:
             return
 
@@ -794,7 +686,7 @@ class MalleableManager:
         for i, snap in enumerate(ranked):
             weight = float(len(ranked) - i)
             reason = "rank"
-            if snap.queue_depth >= self.config.high_watermark * snap.max_queue_depth:
+            if snap.queue_depth >= HIGH_WATERMARK * snap.max_queue_depth:
                 weight, reason = 0.0, "queue depth over watermark"
                 demoted.add(snap.name)
             else:
@@ -802,7 +694,7 @@ class MalleableManager:
                 if (
                     best_latency is not None
                     and ewma is not None
-                    and ewma > self.config.slow_ratio * best_latency
+                    and ewma > SLOW_RATIO * best_latency
                 ):
                     # proportional shrink off the *bottom* rank weight —
                     # a starved slow site ranks well on queue depth, and
@@ -810,9 +702,7 @@ class MalleableManager:
                     # controller fight itself (shrink, drain, re-grow).
                     # A 10x-slower site keeps ~1/10 of one share, floored
                     # at a probing trickle.
-                    weight = max(
-                        best_latency / ewma, self.config.demoted_weight
-                    )
+                    weight = max(best_latency / ewma, DEMOTED_WEIGHT)
                     reason = "unit latency degraded"
                     demoted.add(snap.name)
             target[snap.name] = weight
@@ -878,7 +768,7 @@ class MalleableManager:
                 return
             try:
                 site = self.broker.registry.site(site_name)
-            except Exception:
+            except FederationError:
                 continue
             slot_cap = self.config.max_outstanding_per_site
             if caps is not None:
@@ -920,9 +810,11 @@ class MalleableManager:
                 placement.dispatches[unit] = UnitDispatch(
                     unit=unit, site=site_name, task_id=task_id, placed_at=now
                 )
-                self._task_map[(site_name, task_id)] = (job.job_id, unit)
+                self.broker._tasks[(site_name, task_id)] = (job.job_id, unit)
                 if self.broker.tracer is not None:
-                    self._trace_dispatch(job, site_name, task_id, unit)
+                    self.broker._trace_placement(
+                        job.job_id, site_name, task_id, unit=unit
+                    )
                 if self.broker.accounting is not None:
                     self.broker.accounting.reserve_placement(
                         job.owner,
@@ -930,20 +822,6 @@ class MalleableManager:
                         shots=job.shots_per_unit,
                         key=f"{job.job_id}/u{unit}",
                     )
-
-    def _trace_dispatch(
-        self, job: MalleableJob, site: str, task_id: str, unit: int
-    ) -> None:
-        """Record one unit's placement as an instant span and bind the
-        site task under it (mirrors the fixed-size broker)."""
-        tracer = self.broker.tracer
-        now = self.broker.sim.now
-        span = tracer.start_job_span(
-            job.job_id, "placement", now, site=site, task_id=task_id, unit=unit
-        )
-        if span is not None:
-            tracer.end_span(span, now)
-            tracer.bind_task(site, task_id, span, now, unit=unit)
 
     def _record_event(
         self,
@@ -964,7 +842,7 @@ class MalleableManager:
                 reason=reason,
             )
         )
-        self._resize_events += 1
+        self.resize_events += 1
         self.broker._publish(
             "resize",
             job.job_id,
@@ -975,32 +853,10 @@ class MalleableManager:
             reason=reason,
         )
 
-    # -- terminal-record eviction ----------------------------------------------
-
-    def evict_terminal(self, ttl: float = 0.0) -> int:
-        """Drop terminal malleable records older than ``ttl`` seconds,
-        spilling each to the accounting archive (see
+    def _spill(self, job: MalleableJob) -> None:
+        """Archive one evicted malleable record in the ledger (called by
         :meth:`FederationBroker.evict_terminal
         <repro.federation.broker.FederationBroker.evict_terminal>`)."""
-        now = self.broker.sim.now
-        evicted = 0
-        for state in (JobState.COMPLETED, JobState.FAILED):
-            table = self._by_state[state]
-            expired = [
-                job
-                for job in table.values()
-                if job.finished_at is not None and now - job.finished_at >= ttl
-            ]
-            for job in expired:
-                del table[job.job_id]
-                del self._jobs[job.job_id]
-                self._unit_events.pop(job.job_id, None)
-                self._spill(job)
-                evicted += 1
-        self._evicted += evicted
-        return evicted
-
-    def _spill(self, job: MalleableJob) -> None:
         if self.broker.accounting is None:
             return
         self.broker.accounting.archive_job(
@@ -1021,18 +877,7 @@ class MalleableManager:
 
     # -- queries ---------------------------------------------------------------
 
-    def job(self, job_id: str) -> MalleableJob:
-        if job_id not in self._jobs:
-            raise PlacementError(
-                f"unknown malleable job {job_id!r}", job_id=job_id
-            )
-        return self._jobs[job_id]
-
-    def jobs(self) -> list[MalleableJob]:
-        return list(self._jobs.values())
-
-    def status(self, job_id: str) -> dict[str, Any]:
-        job = self.job(job_id)
+    def status(self, job: MalleableJob) -> dict[str, Any]:
         ledger = job.placement.ledger
         return {
             "job_id": job.job_id,
@@ -1049,17 +894,3 @@ class MalleableManager:
             "finished_at": job.finished_at,
             "error": job.error,
         }
-
-    def results(self, job_id: str) -> dict[int, Any]:
-        job = self.job(job_id)
-        if job.state is JobState.FAILED:
-            raise PlacementError(
-                f"malleable job {job_id} failed: {job.error}", job_id=job_id
-            )
-        if job.state is not JobState.COMPLETED:
-            raise PlacementError(
-                f"malleable job {job_id} not finished "
-                f"({job.completed_units}/{job.units} units)",
-                job_id=job_id,
-            )
-        return dict(job.results)

@@ -226,11 +226,27 @@ class TestStateTransition:
         assert len(found) == 1
         assert "job.state" in found[0].message
 
+    def test_bad_malleable_private_transition(self, lint):
+        # the malleable manager's jobs move through the broker's
+        # JobTable.set_state; a _set_state of its own is not blessed
+        report = lint(
+            {
+                "repro/federation/malleable.py": """
+                    def _set_state(self, job, state):
+                        job.state = state
+                """
+            },
+            [StateTransitionRule()],
+        )
+        found = rules_of(report, "state-transition")
+        assert len(found) == 1
+        assert "job.state" in found[0].message
+
     def test_good_blessed_function_and_module(self, lint):
         report = lint(
             {
                 "repro/federation/broker.py": """
-                    def _set_state(self, job, state):
+                    def set_state(self, job, state):
                         job.state = state
                 """,
                 # daemon/queue.py is blessed wholesale (__setattr__ hook)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import FederationError, PlacementError
+from repro.errors import FederationError, PlacementError, QueueError
 from repro.federation import JobState, LeastQueuePolicy, RoundRobinPolicy, SiteHealth
 from repro.spec import JobSpec
 
@@ -231,3 +231,46 @@ class TestReviewRegressions:
         broker.reconcile()  # must not raise
         sim.run(until=300.0)
         assert broker.job(job_id).state is JobState.COMPLETED
+
+
+class TestSweepFailuresAreVisible:
+    def test_dead_housekeeping_sweep_is_reported(self, monkeypatch):
+        """A sweep that raises ends the housekeeping process; stats()
+        must say so instead of reconcile silently never running again."""
+        sim, registry, broker, sites = build_federation(n_sites=2)
+        assert broker.stats()["housekeeping_error"] is None
+        original = broker._reconcile
+        calls = []
+
+        def flaky():
+            calls.append(sim.now)
+            if len(calls) == 1:
+                raise RuntimeError("sweep blew up")
+            original()
+
+        monkeypatch.setattr(broker, "_reconcile", flaky)
+        job_id = broker.submit_spec(
+            JobSpec(program=make_program(shots=10), shots=10, iterations=3)
+        )
+        sim.run(until=600.0)  # does not raise
+        assert calls == [15.0]  # the first raise ended the sweep
+        # no tick advances the parked unit transitions any more
+        assert broker.job(job_id).state is JobState.PLACED
+        assert broker.stats()["housekeeping_error"] == repr(
+            RuntimeError("sweep blew up")
+        )
+
+    def test_cancel_swallows_only_repro_errors(self):
+        sim, registry, broker, sites = build_federation(n_sites=1)
+        with pytest.raises(QueueError):
+            sites["site-0"].cancel("no-such-task")
+        # a forgotten task or a departed site: best-effort, swallowed
+        broker._cancel_task("site-0", "no-such-task")
+        broker._cancel_task("no-such-site", "no-such-task")
+
+        def broken(task_id):
+            raise TypeError("cancel() got a bad argument")
+
+        sites["site-0"].cancel = broken
+        with pytest.raises(TypeError):
+            broker._cancel_task("site-0", "mw-task-1")

@@ -6,8 +6,8 @@ maintained counters (reroutes, resize events) so ``reconcile``,
 O(every job ever submitted).  These tests pin the equivalence:
 
 * a hypothesis-driven random walk over submit / site-kill / time
-  advance / hold-release sequences, asserting after every step that the
-  tables and counters match a brute-force scan over all jobs,
+  advance / hold-release / evict sequences, asserting after every step
+  that the tables and counters match a brute-force scan over all jobs,
 * a spy on ``_refresh`` proving the reconcile sweep never touches
   COMPLETED/FAILED jobs again,
 * the registry's cached name list and snapshot cache (satellite fixes),
@@ -30,20 +30,21 @@ from fedutil import build_federation, make_program
 PROGRAM = make_program(n_atoms=2, shots=5)
 
 
-def assert_tables_match_scan(broker):
-    """Every indexed view == the brute-force recomputation."""
-    jobs = list(broker._jobs.values())
+def assert_tables_match_scan(broker, evicted_fixed=(), evicted_malleable=()):
+    """Every indexed view == the brute-force recomputation.  The
+    reroute and resize counters are cumulative, so their scans also
+    count the records ``evict_terminal`` already dropped."""
+    jobs = broker.jobs()
     for state in JobState:
         assert broker.jobs(state=state) == [
             j for j in jobs if j.state is state
         ]
-    manager = broker._malleable
-    mjobs = manager.jobs() if manager is not None else []
-    if manager is not None:
-        for state in JobState:
-            assert manager._in_state(state) == [
-                j for j in mjobs if j.state is state
-            ]
+    manager = broker.malleable
+    mjobs = manager.table.all()
+    for state in JobState:
+        assert manager.table.in_state(state) == [
+            j for j in mjobs if j.state is state
+        ]
     expected_by_state = {s.value: 0 for s in JobState}
     for job in jobs + mjobs:
         expected_by_state[job.state.value] += 1
@@ -51,9 +52,11 @@ def assert_tables_match_scan(broker):
     assert stats["by_state"] == expected_by_state
     assert stats["jobs"] == len(jobs) + len(mjobs)
     assert stats["malleable_jobs"] == len(mjobs)
-    assert stats["reroutes"] == sum(max(0, j.attempts - 1) for j in jobs)
+    assert stats["reroutes"] == sum(
+        max(0, j.attempts - 1) for j in jobs + list(evicted_fixed)
+    )
     assert stats["resize_events"] == sum(
-        len(j.placement.events) for j in mjobs
+        len(j.placement.events) for j in mjobs + list(evicted_malleable)
     )
 
 
@@ -72,6 +75,7 @@ OPS = st.lists(
         st.tuples(st.just("grant"), st.just(0)),
         st.tuples(st.just("advance"), st.sampled_from([5.0, 20.0, 61.0])),
         st.tuples(st.just("reconcile")),
+        st.tuples(st.just("evict"), st.sampled_from([0.0, 30.0])),
     ),
     min_size=3,
     max_size=14,
@@ -93,6 +97,7 @@ class TestIndexedTablesEquivalence:
         broker.accounting = accounting
         owners = ("alice", "bob", "carol", "held")
         site_names = sorted(sites)
+        gone_fixed, gone_malleable = [], []
         for op in ops:
             kind = op[0]
             if kind == "submit":
@@ -117,11 +122,30 @@ class TestIndexedTablesEquivalence:
                 sim.run(until=sim.now + op[1])
             elif kind == "reconcile":
                 broker.reconcile()
-            assert_tables_match_scan(broker)
+            elif kind == "evict":
+                before = (broker.jobs(), broker.malleable.table.all())
+                n = broker.evict_terminal(ttl=op[1])
+                after = (broker.jobs(), broker.malleable.table.all())
+                expired_total = 0
+                for old, new, gone in zip(before, after, (gone_fixed, gone_malleable), strict=True):
+                    # exactly the terminal records old enough left
+                    expired = [
+                        j
+                        for j in old
+                        if j.state in (JobState.COMPLETED, JobState.FAILED)
+                        and sim.now - j.finished_at >= op[1]
+                    ]
+                    ids = {j.job_id for j in expired}
+                    assert new == [j for j in old if j.job_id not in ids]
+                    gone += expired
+                    expired_total += len(expired)
+                assert n == expired_total
+                assert broker.stats()["evicted"] == len(gone_fixed) + len(gone_malleable)
+            assert_tables_match_scan(broker, gone_fixed, gone_malleable)
         # drain whatever is still live and re-check the terminal shape
         sim.run(until=sim.now + 400.0)
         broker.reconcile()
-        assert_tables_match_scan(broker)
+        assert_tables_match_scan(broker, gone_fixed, gone_malleable)
 
 
 class TestReconcileSkipsTerminalJobs:
