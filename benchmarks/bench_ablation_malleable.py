@@ -157,7 +157,7 @@ def run_federated_malleable(malleable: bool) -> dict:
     # benign rank-order reshuffles ("rank" reason) we don't count here
     shrinks = [
         e
-        for e in record.placement.events
+        for e in record.resize.events
         if e.kind in ("shrink", "retire")
         and e.site == "site-2"
         and e.reason != "rank"

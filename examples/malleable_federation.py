@@ -76,7 +76,7 @@ def run_once(malleable: bool) -> dict:
     return {
         "status": client.status(job_id),
         "result": client.result(job_id),
-        "events": job.placement.events,
+        "events": job.resize.events,
     }
 
 

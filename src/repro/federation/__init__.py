@@ -15,13 +15,16 @@ profiles instead of static assignment.
 * :mod:`policies` — pluggable routing: round-robin, least-queue,
   calibration-aware (drift-weighted by program geometry), sticky
   affinity for iterative workloads,
-* :mod:`broker`   — :class:`FederationBroker`: placement, spillover
-  when sites saturate, failover with bounded retries and stable job
-  ids when sites die,
+* :mod:`broker`   — :class:`FederationBroker` and the one job model,
+  :class:`FederatedJob` (a fixed-size job is a one-unit job):
+  placement, spillover when sites saturate, failover with bounded
+  retries and stable job ids when sites die, and every unit advanced
+  at its site's pushed transition,
 * :mod:`malleable` — cross-site malleable placements: an iterative
   job's burst units spread over a :class:`~repro.scheduling.ShareLedger`
-  and a broker-driven resize loop shrinks/grows each site's share as
-  queue depth, latency, or heartbeat health moves,
+  (its :class:`ResizeState`) and a broker-driven resize loop
+  shrinks/grows each site's share as queue depth, latency, or
+  heartbeat health moves,
 * :mod:`events`   — :class:`LifecycleBus`: push-based lifecycle —
   sites, the middleware queue, and the broker publish state
   transitions the moment they happen, replacing status polling,
@@ -40,14 +43,7 @@ remaining budgets.
 from .broker import FederatedJob, FederationBroker, JobState, Placement
 from .client import FederatedClient
 from .events import JobEvent, LifecycleBus
-from .malleable import (
-    MalleableJob,
-    MalleableManager,
-    MalleablePlacement,
-    ResizeConfig,
-    ShareEvent,
-    UnitDispatch,
-)
+from .malleable import MalleableManager, ResizeConfig, ResizeState, ShareEvent
 from .metrics import FederationMetrics
 from .policies import (
     CalibrationAwarePolicy,
@@ -72,14 +68,12 @@ __all__ = [
     "JobState",
     "LeastQueuePolicy",
     "LifecycleBus",
-    "MalleableJob",
     "MalleableManager",
-    "MalleablePlacement",
     "Placement",
     "ResizeConfig",
+    "ResizeState",
     "RoundRobinPolicy",
     "ShareEvent",
-    "UnitDispatch",
     "RoutingPolicy",
     "SiteHealth",
     "SiteRegistry",

@@ -19,12 +19,18 @@ transition.  Placement respects:
   ID never changes across re-placements, so callers never see
   duplicates.
 
-Fixed-size jobs and the multi-unit jobs of
-:class:`~repro.federation.malleable.MalleableManager` share one job
-model: each kind lives in a :class:`JobTable` (state index, id
-numbering, eviction), both go through the same intake tail, held
-release and per-task helpers here, and one task index maps every site
-task the broker placed back to its job (and unit).
+There is one job model.  A fixed-size job is a one-unit job; a
+multi-unit or converted job of
+:class:`~repro.federation.malleable.MalleableManager` also carries a
+share ledger.  Both kinds live in a :class:`JobTable` (state index, id
+numbering, eviction), enter through one intake, dispatch through one
+path and are indexed in one task index ``(site, task_id) -> (job id,
+unit)``.  Every unit advances at its site's pushed task transition:
+a completion lands at once, and the job completes with its last unit.
+Only the step after a lost task differs by kind — a one-unit job
+re-places at once, a ledger unit waits in its pool for the resize
+sweep.  Reads (:meth:`FederationBroker.status`,
+:meth:`~FederationBroker.result`) change nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..errors import (
     BudgetExceededError,
@@ -57,10 +63,13 @@ from ..scheduling.algorithms import (
 )
 from ..simkernel import Simulator, Timeout
 from ..spec import JobSpec, require_spec
-from .events import TERMINAL_TASK_KINDS, JobEvent, LifecycleBus
+from .events import TERMINAL_JOB_KINDS, TERMINAL_TASK_KINDS, JobEvent, LifecycleBus, wait_for
 from .metrics import FederationMetrics
 from .policies import LeastQueuePolicy, RoutingPolicy
 from .registry import SiteHealth, SiteRegistry, SiteSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .malleable import ResizeState
 
 __all__ = ["FederatedJob", "FederationBroker", "JobState", "JobTable", "Placement"]
 
@@ -76,32 +85,47 @@ class JobState(enum.Enum):
 TERMINAL_STATES = (JobState.COMPLETED, JobState.FAILED)
 
 
-@dataclass
+@dataclass(slots=True)
 class Placement:
-    """One attempt to run a job on a site."""
+    """One dispatch of one unit of a job to a site: a fixed-size job's
+    placement attempt, or one unit of a ledger job."""
 
     site: str
     task_id: str
     placed_at: float
+    unit: int = 0
+    started_at: float | None = None  # site-local execution start, pushed
     abandoned: bool = False
     abandon_reason: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class FederatedJob:
-    """Broker-side record of one submitted hybrid job."""
+    """Broker-side record of one submitted hybrid job.
+
+    A fixed-size job is a one-unit job without a share ledger: its one
+    unit re-places at once when it loses its task.  A multi-unit or
+    converted submission carries a
+    :class:`~repro.federation.malleable.ResizeState` (``resize``) whose
+    share ledger spreads its ``units`` over sites; a lost unit returns
+    to the ledger's pool for the next resize sweep.
+    """
 
     job_id: str
-    program: Any
-    shots: int | None
+    program: Any  # IR; every unit runs it at ``shots``
+    shots: int
     owner: str
     affinity_key: str | None
     n_qubits: int
     submitted_at: float
     pin: str | None = None  # "site/resource": bypasses policy routing
     state: JobState = JobState.PLACED
+    #: every dispatch ever made, in dispatch order
     placements: list[Placement] = field(default_factory=list)
-    result: Any = None
+    #: unit -> its live dispatch; a unit leaves when it lands or is abandoned
+    live: dict[int, Placement] = field(default_factory=dict)
+    #: unit -> result of every unit that landed
+    results: dict[int, Any] = field(default_factory=dict)
     error: str = ""
     #: submission sequence number — the per-state tables iterate live
     #: jobs in this order, reproducing the pre-indexing full-scan order
@@ -112,6 +136,9 @@ class FederatedJob:
     #: the validated :class:`~repro.spec.JobSpec` this job was built
     #: from — the one broker-visible submission payload
     spec: Any = None
+    units: int = 1
+    #: share ledger and resize history, present only on ledger jobs
+    resize: ResizeState | None = None
 
     @property
     def current(self) -> Placement | None:
@@ -122,6 +149,16 @@ class FederatedJob:
     @property
     def attempts(self) -> int:
         return len(self.placements)
+
+    @property
+    def result(self) -> Any:
+        return self.results.get(0)
+
+    @property
+    def completed_units(self) -> int:
+        if self.resize is not None:
+            return self.resize.ledger.completed_units
+        return len(self.results)
 
 
 class JobTable:
@@ -155,9 +192,6 @@ class JobTable:
 
     def get(self, job_id: str) -> Any:
         return self._jobs.get(job_id)
-
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._jobs
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -281,11 +315,11 @@ class FederationBroker:
         for name in registry.names():
             registry.site(name).attach_bus(self.events)
         registry.on_register(lambda site: site.attach_bus(self.events))
-        #: live task index: (site, task_id) -> (job id, unit), with unit
-        #: ``None`` for a fixed-size job; every placement and unit
-        #: dispatch enters it and leaves it when abandoned or finished,
-        #: so a pushed site event resolves to its owner without a scan
-        self._tasks: dict[tuple[str, str], tuple[str, int | None]] = {}
+        #: live task index: (site, task_id) -> (job id, unit), unit 0 for
+        #: a fixed-size job; every dispatch enters it and leaves it when
+        #: abandoned or finished, so a pushed site event resolves to its
+        #: owner without a scan
+        self._tasks: dict[tuple[str, str], tuple[str, int]] = {}
         #: terminal records dropped by :meth:`evict_terminal`
         self._evicted = 0
         #: the :meth:`spawn_housekeeping` processes, kept so a sweep
@@ -386,28 +420,46 @@ class FederationBroker:
         )
 
     def _on_site_event(self, event: JobEvent) -> None:
-        """Route one site task transition to the placement that owns it
-        through the task index; transitions for tasks the broker never
-        placed — e.g. a site's local users — are dropped."""
-        if not event.task_id or event.kind.startswith("job_"):
+        """Advance the dispatch that owns one pushed site task
+        transition, found through the task index; transitions for tasks
+        the broker never placed — e.g. a site's local users — are
+        dropped."""
+        kind = event.kind
+        if kind != "running" and kind not in TERMINAL_TASK_KINDS:
             return
         owner = self._tasks.get((event.site, event.task_id))
         if owner is None:
             return
         job_id, unit = owner
-        if unit is not None:
-            # a malleable unit: parked until the next resize tick
-            self.malleable.park(job_id, unit, event)
-        elif event.kind in TERMINAL_TASK_KINDS:
-            # advance the job at the pushed instant, sweep or no sweep:
-            # waiters wake on the job_* event this publishes
-            self._refresh(self.table.get(job_id), event.payload)
+        self._refresh(self._lookup(job_id), unit, event)
 
-    def _untrack_placement(self, job: FederatedJob) -> None:
-        if not job.placements:
-            return
-        placement = job.placements[-1]
-        self._tasks.pop((placement.site, placement.task_id), None)
+    def _lookup(self, job_id: str) -> FederatedJob | None:
+        return self.table.get(job_id) or self.malleable.table.get(job_id)
+
+    def _table_of(self, job: FederatedJob) -> JobTable:
+        return self.table if job.resize is None else self.malleable.table
+
+    def _untrack(self, job: FederatedJob, unit: int) -> Placement:
+        """Take ``unit``'s dispatch out of the live set and the task index."""
+        dispatch = job.live.pop(unit)
+        self._tasks.pop((dispatch.site, dispatch.task_id), None)
+        return dispatch
+
+    def _drop(self, job: FederatedJob, unit: int, reason: str, keep_hold: bool = False) -> Placement:
+        """Abandon ``unit``'s live dispatch, best-effort cancel its site
+        task and release its budget hold — unless ``keep_hold``, for a
+        one-unit job whose re-placement takes the hold over."""
+        dispatch = self._untrack(job, unit)
+        dispatch.abandoned = True
+        dispatch.abandon_reason = reason
+        self._cancel_task(dispatch.site, dispatch.task_id)
+        if not keep_hold:
+            self._release_hold(job, unit)
+        return dispatch
+
+    def _release_hold(self, job: FederatedJob, unit: int) -> None:
+        if self.accounting is not None:
+            self.accounting.release_placement(f"{job.job_id}/u{unit}")
 
     def _cancel_task(self, site: str, task_id: str) -> None:
         """Best-effort cancel of an abandoned task: the site may have
@@ -419,10 +471,8 @@ class FederationBroker:
         except ReproError:
             pass
 
-    def _fetch_result(
-        self, job_id: str, owner: str, site: str, task_id: str, **attrs
-    ) -> tuple[Any, Exception | None]:
-        """Pull one finished task's result from its site, under a
+    def _fetch_result(self, job: FederatedJob, dispatch: Placement) -> tuple[Any, Exception | None]:
+        """Pull one finished dispatch's result from its site, under a
         ``result-fetch`` span when the broker traces.  Returns
         ``(result, None)``, or ``(None, err)`` when the site would not
         serve it."""
@@ -430,11 +480,11 @@ class FederationBroker:
         span = None
         if tracer is not None:
             span = tracer.start_job_span(
-                job_id, "result-fetch", self.sim.now,
-                site=site, task_id=task_id, **attrs,
+                job.job_id, "result-fetch", self.sim.now, site=dispatch.site,
+                task_id=dispatch.task_id, unit=dispatch.unit,
             )
         try:
-            result = self.registry.site(site).task_result(owner, task_id)
+            result = self.registry.site(dispatch.site).task_result(job.owner, dispatch.task_id)
         except Exception as err:
             # the one broad boundary to a remote site: a site that left,
             # a session that idle-expired and no longer owns the task, a
@@ -448,20 +498,20 @@ class FederationBroker:
             tracer.end_span(span, self.sim.now)
         return result, None
 
-    def _trace_placement(self, job_id: str, site: str, task_id: str, **attrs) -> None:
-        """Record one placement (or unit dispatch) as an instant span and
-        bind the site task under it, so its queue-wait/execute spans
-        nest there.  ``attrs`` (a fixed job's ``attempt``, a unit's
-        ``unit``) label the span and the task's own spans."""
+    def _trace_placement(self, job_id: str, dispatch: Placement) -> None:
+        """Record one dispatch as an instant span and bind the site task
+        under it, so its queue-wait/execute spans nest there, labelled
+        with the dispatch's ``unit``."""
         tracer = self.tracer
         now = self.sim.now
+        site, task_id = dispatch.site, dispatch.task_id
         span = tracer.start_job_span(
-            job_id, "placement", now, site=site, task_id=task_id, **attrs
+            job_id, "placement", now, site=site, task_id=task_id, unit=dispatch.unit
         )
         if span is None:
             return
         tracer.end_span(span, now)
-        tracer.bind_task(site, task_id, span, now, **attrs)
+        tracer.bind_task(site, task_id, span, now, unit=dispatch.unit)
 
     def _capable(self, n_qubits: int, exclude: tuple[str, ...] = ()) -> list[SiteSnapshot]:
         """Healthy sites exporting a resource that can hold an
@@ -498,9 +548,19 @@ class FederationBroker:
             return self.malleable.submit_spec(spec)
         if self._should_convert(spec):
             return self._convert_and_submit(spec)
+        job = self._intake(self.table, spec, pin=spec.pin)
+        if job.state is JobState.PLACED:
+            self._place(job)
+        return job.job_id
+
+    def _intake(self, table: JobTable, spec: JobSpec, **kind) -> FederatedJob:
+        """The intake both job kinds share: run budget admission, file
+        the new record in ``table`` (``kind`` holds a fixed job's pin or
+        a ledger job's units and resize state), open its trace and
+        announce it as held or submitted.  Placement is the caller's."""
         admit_wall = time.perf_counter()
         hold = self._admit(spec)
-        seq, job_id = self.table.allocate()
+        seq, job_id = table.allocate()
         job = FederatedJob(
             job_id=job_id,
             program=spec.program,
@@ -509,21 +569,12 @@ class FederationBroker:
             affinity_key=spec.affinity_key,
             n_qubits=_program_qubits(spec.program),
             submitted_at=self.sim.now,
-            pin=spec.pin,
             state=JobState.HELD if hold else JobState.PLACED,
             seq=seq,
             spec=spec,
+            **kind,
         )
-        self._intake(self.table, job, admit_wall, hold)
-        if not hold:
-            self._place(job)
-        return job.job_id
-
-    def _intake(self, table: JobTable, job: Any, admit_wall: float, hold: bool) -> None:
-        """The intake tail both job kinds share: index the new record,
-        open its trace and announce it as held or submitted."""
         table.add(job)
-        spec = job.spec
         tracer = self.tracer
         if tracer is not None:
             # continue the spec's propagated trace context, or open a
@@ -550,6 +601,7 @@ class FederationBroker:
             program=_program_name(spec.program),
             qubits=job.n_qubits,
         )
+        return job
 
     # -- fixed -> malleable conversion -----------------------------------------
 
@@ -592,11 +644,6 @@ class FederationBroker:
             tenant=spec.tenant,
         )
         return job_id
-
-    def _is_malleable(self, job_id: str) -> bool:
-        """Is ``job_id`` tracked by the malleable manager (multi-unit
-        submission or a converted fixed job)?"""
-        return job_id in self.malleable.table
 
     def _admit(self, spec: JobSpec) -> bool:
         """Run budget admission for one new submission.  Returns True
@@ -734,11 +781,34 @@ class FederationBroker:
         return self.policy.choose(job, candidates, self.sim.now)
 
     def _candidates(
-        self, job: FederatedJob, exclude: tuple[str, ...]
+        self, job: FederatedJob, exclude: tuple[str, ...] = ()
     ) -> list[SiteSnapshot]:
+        """Healthy sites that can hold ``job``'s register.  A one-unit
+        job spills onto saturated ones only when nothing else is left; a
+        ledger job keeps them (the watermark zeroes their weight instead
+        of retiring them) within its ``spec.sites`` restriction."""
         capable = self._capable(job.n_qubits, exclude)
+        if job.resize is not None:
+            only = job.resize.restrict_sites
+            return capable if only is None else [s for s in capable if s.name in only]
         unsaturated = [snap for snap in capable if not snap.is_saturated]
-        return unsaturated or capable  # spillover: saturated only as last resort
+        return unsaturated or capable
+
+    def _resource_for(self, job: FederatedJob, site: Any, pinned: str | None) -> str:
+        """The resource of ``site`` one dispatch of ``job`` runs on: the
+        ``pinned`` one, or the best of those that can hold the register
+        (the site filter only guarantees one exists).  Raises
+        :class:`~repro.errors.ResourceNotFound` when the pin cannot take
+        the program."""
+        catalog = site.capable_catalog(job.n_qubits)
+        if pinned is None:
+            return select_resource(catalog)
+        if pinned not in catalog:
+            raise ResourceNotFound(
+                f"pinned resource {site.name + '/' + pinned!r} cannot take a "
+                f"{job.n_qubits}-qubit program"
+            )
+        return pinned
 
     def _pinned_site(self, job: FederatedJob) -> tuple[Any, str]:
         """``(site, "")`` when the job's pinned ``site/resource`` can take
@@ -747,66 +817,53 @@ class FederationBroker:
         try:
             health = self.registry.health_of(site_name, self.sim.now)
             site = self.registry.site(site_name)
-        except FederationError as err:
+            if health is SiteHealth.UNHEALTHY:
+                return None, f"pinned site {site_name!r} is unhealthy"
+            self._resource_for(job, site, resource)
+        except (FederationError, ResourceNotFound) as err:
             return None, str(err)
-        if health is SiteHealth.UNHEALTHY:
-            return None, f"pinned site {site_name!r} is unhealthy"
-        if resource not in site.capable_catalog(job.n_qubits):
-            return None, (
-                f"pinned resource {job.pin!r} cannot take a "
-                f"{job.n_qubits}-qubit program"
-            )
         return site, ""
 
     def _place_pinned(self, job: FederatedJob) -> None:
         """Honor an explicit ``site/resource`` request or fail — pinned
         jobs retry on *their* site only, never reroute elsewhere."""
-        site_name, _, resource = job.pin.partition("/")
         site, problem = self._pinned_site(job)
         if site is None:
             self._fail(job, problem)
             return
         try:
-            task_id = site.submit(
-                job.program, resource, shots=job.shots, owner=job.owner
-            )
+            self._dispatch(job, 0, site, job.pin.partition("/")[2])
         except SiteUnavailable as err:
             self._fail(job, str(err))
-            return
-        self._placed(job, site_name, task_id)
 
-    def _placed(self, job: FederatedJob, site: str, task_id: str) -> None:
-        """Record a successful placement: index its task, announce it,
-        trace it and encumber its cost."""
-        job.placements.append(
-            Placement(site=site, task_id=task_id, placed_at=self.sim.now)
+    def _dispatch(self, job: FederatedJob, unit: int, site: Any, resource: str) -> None:
+        """Submit one unit of ``job`` to ``site`` and record it: the
+        dispatch, its task-index entry, its trace and its budget hold.
+        A one-unit job's dispatch is its placement, announced as
+        ``job_placed``.  Raises :class:`~repro.errors.SiteUnavailable`
+        when the site refuses the task."""
+        task_id = site.submit(job.program, resource, shots=job.shots, owner=job.owner)
+        dispatch = Placement(
+            site=site.name, task_id=task_id, placed_at=self.sim.now, unit=unit
         )
-        if len(job.placements) > 1:
-            self._reroutes += 1
-        self.table.set_state(job, JobState.PLACED)
-        self._tasks[(site, task_id)] = (job.job_id, None)
-        self._publish("job_placed", job.job_id, site=site, task_id=task_id)
+        job.placements.append(dispatch)
+        job.live[unit] = dispatch
+        self._tasks[(site.name, task_id)] = (job.job_id, unit)
+        if job.resize is None:
+            if len(job.placements) > 1:
+                self._reroutes += 1
+            self.table.set_state(job, JobState.PLACED)
+            self._publish("job_placed", job.job_id, site=site.name, task_id=task_id)
         if self.tracer is not None:
-            self._trace_placement(job.job_id, site, task_id, attempt=job.attempts)
-        self._reserve(job, site)
-
-    def _job_shots(self, job: FederatedJob) -> int:
-        shots = job.shots
-        if shots is None:
-            shots = getattr(job.program, "shots", None)
-        # a shot-less submission executes at the intake default (the
-        # site's to_ir(shots=100) path) — bill what actually runs
-        return int(shots) if shots else 100
-
-    def _reserve(self, job: FederatedJob, site: str) -> None:
-        """Encumber the placement's shot cost against the tenant budget
-        (released on completion, abandonment, or terminal failure)."""
+            self._trace_placement(job.job_id, dispatch)
         if self.accounting is not None:
             self.accounting.reserve_placement(
-                job.owner, site, shots=self._job_shots(job), key=job.job_id
+                job.owner, site.name, shots=job.shots, key=f"{job.job_id}/u{unit}"
             )
 
     def _place(self, job: FederatedJob, exclude: tuple[str, ...] = ()) -> None:
+        """Place a one-unit job: through its pin, or on the site its
+        algorithm picks among the candidates."""
         if job.attempts >= self.max_attempts:
             self._fail(job, f"exhausted {self.max_attempts} placement attempts")
             return
@@ -827,42 +884,46 @@ class FederationBroker:
             choice = self._choose_site(job, candidates)
             site = self.registry.site(choice.name)
             try:
-                # select among the resources that can actually hold the
-                # register — the site filter only guarantees one exists
-                resource = select_resource(site.capable_catalog(job.n_qubits))
-                task_id = site.submit(
-                    job.program, resource, shots=job.shots, owner=job.owner
-                )
+                self._dispatch(job, 0, site, self._resource_for(job, site, None))
             except (SiteUnavailable, ResourceNotFound):
                 # lost a race with a mid-decision crash or a shrunk
                 # catalog: exclude this site and retry
                 excluded.append(choice.name)
                 continue
-            self._placed(job, choice.name, task_id)
             return
 
     def _fail(self, job: FederatedJob, reason: str) -> None:
-        self._untrack_placement(job)
+        """Fail ``job``: cancel every live dispatch and release every
+        budget hold."""
         job.error = reason
-        self.table.set_state(job, JobState.FAILED)
-        if self.accounting is not None:
-            self.accounting.release_placement(job.job_id)
+        self._table_of(job).set_state(job, JobState.FAILED)
+        for unit in list(job.live):
+            self._drop(job, unit, "job failed")
+        if job.resize is None:
+            # a one-unit job keeps its hold across a reroute, so it may
+            # hold budget with nothing live
+            self._release_hold(job, 0)
 
-    def _abandon_and_reroute(self, job: FederatedJob, reason: str) -> None:
-        self._untrack_placement(job)
-        placement = job.placements[-1]
-        placement.abandoned = True
-        placement.abandon_reason = reason
-        dead_site = placement.site
-        self._cancel_task(dead_site, placement.task_id)
-        self._rerouted(job, dead_site, reason, task_id=placement.task_id)
-        self._place(job, exclude=(dead_site,))
+    def _abandon(self, job: FederatedJob, unit: int, reason: str) -> None:
+        """``unit`` lost its task: cancel it, announce and bill the
+        retry, then take the next step of the job's kind.  A one-unit
+        job re-places at once off the lost site (the new placement takes
+        over its budget hold, or :meth:`_fail` releases it); a ledger
+        unit returns to its pool for the next resize sweep, within its
+        bounded attempts."""
+        dispatch = self._drop(job, unit, reason, keep_hold=job.resize is None)
+        self._rerouted(job, dispatch.site, reason, unit, task_id=dispatch.task_id)
+        if job.resize is None:
+            self._place(job, exclude=(dispatch.site,))
+            return
+        job.resize.ledger.abandon(unit)
+        self.malleable._fail_if_exhausted(job, unit, reason)
 
-    def _rerouted(self, job: Any, site: str, reason: str, task_id: str = "", **unit) -> None:
-        """Announce that ``job`` (or one of its units) lost its task on
-        ``site`` and charge the tenant for the retry."""
+    def _rerouted(self, job: FederatedJob, site: str, reason: str, unit: int, task_id: str = "") -> None:
+        """Announce that ``unit`` of ``job`` lost its task on ``site`` and
+        charge the tenant for the retry."""
         self._publish(
-            "job_rerouted", job.job_id, site=site, task_id=task_id, **unit, reason=reason
+            "job_rerouted", job.job_id, site=site, task_id=task_id, unit=unit, reason=reason
         )
         if self.accounting is not None:
             self.accounting.meter_retry(
@@ -871,94 +932,98 @@ class FederationBroker:
 
     # -- tracking --------------------------------------------------------------
 
-    def _refresh(self, job: FederatedJob, status: dict | None = None) -> None:
-        """Advance one job's state from its current placement: reroute
-        off an unhealthy site, then apply ``status``, the terminal task
-        payload its site pushed (``None`` while the task is live)."""
+    def _refresh(self, job: FederatedJob, unit: int = 0, event: JobEvent | None = None) -> None:
+        """Advance one live dispatch of ``job`` from ``event``, the task
+        transition its site pushed.  A one-unit job first reroutes off
+        an unhealthy site — on the push and on the sweep, which calls
+        this without an event."""
         if job.state is not JobState.PLACED:
             return
-        placement = job.current
-        if placement is None:  # defensive: PLACED jobs always have one
-            self._place(job)
+        dispatch = job.live.get(unit)
+        if dispatch is None:
             return
-        now = self.sim.now
-        if self.registry.health_of(placement.site, now) is SiteHealth.UNHEALTHY:
-            self._abandon_and_reroute(job, f"site {placement.site} unhealthy")
+        if event is not None and event.kind == "running":
+            dispatch.started_at = event.payload.get("started_at")
             return
-        if status is None:
+        site = dispatch.site
+        if job.resize is None and self.registry.health_of(site, self.sim.now) is SiteHealth.UNHEALTHY:
+            self._abandon(job, unit, f"site {site} unhealthy")
             return
-        if status["state"] == "completed":
-            result, err = self._fetch_result(
-                job.job_id, job.owner, placement.site, placement.task_id
-            )
-            if err is not None:
-                self._abandon_and_reroute(
-                    job, f"query failed on {placement.site}: {err}"
-                )
-                return
-            job.result = result
-            self._untrack_placement(job)
-            self.table.set_state(job, JobState.COMPLETED)
-            # bill the classical seconds the site's resources held it
-            started = status.get("started_at")
-            finished = status.get("finished_at")
-            cpu_seconds = 0.0
-            if started is not None and finished is not None:
-                cpu_seconds = max(0.0, finished - started)
-            self._meter_completion(
-                job, placement.site, job.job_id, self._job_shots(job), cpu_seconds
-            )
-        elif status["state"] in ("failed", "cancelled"):
-            self._abandon_and_reroute(
-                job, f"task {placement.task_id} {status['state']} on {placement.site}"
-            )
+        if event is None:
+            return
+        status = event.payload
+        if status["state"] != "completed":
+            self._abandon(job, unit, f"task {dispatch.task_id} {status['state']} on {site}")
+            return
+        result, err = self._fetch_result(job, dispatch)
+        if err is not None:
+            self._abandon(job, unit, f"query failed on {site}: {err}")
+            return
+        self._complete(job, unit, result, status)
 
-    def _meter_completion(
-        self, job: Any, site: str, key: str, shots: int, cpu_seconds: float
-    ) -> None:
-        """Bill one finished job or unit and drop its budget hold
-        (reserved under ``key``)."""
+    def _complete(self, job: FederatedJob, unit: int, result: Any, status: dict) -> None:
+        """Land one finished unit: keep its result, checkpoint it on the
+        share ledger, bill it and drop its hold.  The job completes with
+        its last unit."""
+        dispatch = self._untrack(job, unit)
+        job.results[unit] = result
+        # service time from execution start, so queue wait neither
+        # pollutes the resize loop's latency signal nor gets billed
+        started = status.get("started_at")
+        finished = status.get("finished_at")
+        base = started if started is not None else dispatch.placed_at
+        seconds = (finished if finished is not None else self.sim.now) - base
+        resize = job.resize
+        if resize is not None:
+            resize.ledger.checkpoint(unit)
+            self.malleable._observe_latency(job, dispatch.site, seconds)
+            self._publish("unit_completed", job.job_id, site=dispatch.site, unit=unit)
+        if resize is None or resize.ledger.done:
+            self._table_of(job).set_state(job, JobState.COMPLETED)
         if self.accounting is None:
             return
-        self.accounting.release_placement(key)
+        self._release_hold(job, unit)
         self.accounting.meter_completion(
             job.owner,
-            site,
-            shots=shots,
-            cpu_seconds=cpu_seconds,
+            dispatch.site,
+            shots=job.shots,
+            cpu_seconds=max(0.0, seconds),
             now=self.sim.now,
             job_id=job.job_id,
         )
 
     def _releasable(self, job: FederatedJob) -> bool:
-        """Can a held job place *right now*?  During a transient
+        """Can a held job start *right now*?  During a transient
         no-healthy-site window (heartbeat lapse) release must wait for
         the next sweep — HELD means parked, never failed-by-timing."""
         if job.pin is None:
-            return bool(self._candidates(job, ()))
+            return bool(self._candidates(job))
         return self._pinned_site(job)[0] is not None
 
-    def _release_held(self, table: JobTable, memo: dict, releasable, activate) -> None:
-        """Activate ``table``'s held jobs whose tenant budget regained
+    def _release_held(self, table: JobTable) -> None:
+        """Start ``table``'s held jobs whose tenant budget regained
         headroom (submission order — the hold queue is FIFO per pass).
-        A job whose ``releasable`` check fails — no site can take it
-        right now — stays parked for the next pass.
+        A job no site can take right now stays parked for the next pass.
 
-        Admission is memoized per tenant in ``memo``, a fresh dict per
-        pass (budgets move between passes): a hundred held jobs of one
-        exhausted tenant cost one budget lookup, not one each."""
+        Admission is memoized per tenant for the pass (budgets move
+        between passes): a hundred held jobs of one exhausted tenant
+        cost one budget lookup, not one each."""
         from ..accounting import AdmissionDecision
 
+        memo: dict = {}
         for job in table.in_state(JobState.HELD):
             decision = memo.get(job.owner)
             if decision is None:
                 decision = memo[job.owner] = self.accounting.admission(job.owner)
             if decision is not AdmissionDecision.ADMIT:
                 continue
-            if not releasable(job):
+            if not self._releasable(job):
                 continue
             self._publish("admission", job.job_id, decision="released")
-            activate(job)
+            if job.resize is None:
+                self._place(job)
+            else:
+                self.malleable._activate(job)
             # activating reserved budget (or failing released it): the
             # tenant's next admission answer may differ — drop the memo
             memo.pop(job.owner, None)
@@ -979,7 +1044,7 @@ class FederationBroker:
         started = time.perf_counter()
         scanned = self.table.count(JobState.HELD)
         if self.accounting is not None:
-            self._release_held(self.table, {}, self._releasable, self._place)
+            self._release_held(self.table)
         held_done = time.perf_counter()
         live = self.table.in_state(JobState.PLACED)
         scanned += len(live)
@@ -1031,12 +1096,9 @@ class FederationBroker:
         if ttl < 0:
             raise PlacementError("evict ttl must be >= 0")
         evicted = 0
-        for table, spill in (
-            (self.table, self._spill),
-            (self.malleable.table, self.malleable._spill),
-        ):
+        for table in (self.table, self.malleable.table):
             for job in table.evict(ttl):
-                spill(job)
+                self._spill(job)
                 evicted += 1
         if evicted:
             self._evicted += evicted
@@ -1044,23 +1106,30 @@ class FederationBroker:
         return evicted
 
     def _spill(self, job: FederatedJob) -> None:
-        """Archive one evicted fixed-size record in the ledger."""
+        """Archive one evicted record in the ledger: a fixed job's last
+        site and attempts, a ledger job's units, sites and resizes."""
         if self.accounting is None:
             return
-        last = job.placements[-1] if job.placements else None
-        self.accounting.archive_job(
-            {
-                "job_id": job.job_id,
-                "tenant": job.owner,
-                "state": job.state.value,
-                "submitted_at": job.submitted_at,
-                "finished_at": job.finished_at,
-                "site": last.site if last is not None else None,
-                "shots": self._job_shots(job),
-                "attempts": job.attempts,
-                "error": job.error,
-            }
-        )
+        record = {
+            "job_id": job.job_id,
+            "tenant": job.owner,
+            "state": job.state.value,
+            "submitted_at": job.submitted_at,
+            "finished_at": job.finished_at,
+        }
+        if job.resize is None:
+            last = job.placements[-1] if job.placements else None
+            record["site"] = last.site if last is not None else None
+            record["shots"] = job.shots
+            record["attempts"] = job.attempts
+        else:
+            record["units"] = job.units
+            record["completed_units"] = job.completed_units
+            record["completions_by_site"] = job.resize.ledger.completions_by_site()
+            record["shots"] = job.shots * job.units
+            record["resize_events"] = len(job.resize.events)
+        record["error"] = job.error
+        self.accounting.archive_job(record)
 
     def spawn_housekeeping(
         self,
@@ -1105,32 +1174,39 @@ class FederationBroker:
 
     # -- queries ---------------------------------------------------------------
 
-    def job(self, job_id: str) -> Any:
-        """The record behind any federated id: a :class:`FederatedJob`,
-        or the :class:`~repro.federation.malleable.MalleableJob` of a
-        multi-unit or converted submission."""
-        job = self.table.get(job_id) or self.malleable.table.get(job_id)
+    def job(self, job_id: str) -> FederatedJob:
+        """The record behind any federated id: fixed-size, converted or
+        multi-unit."""
+        job = self._lookup(job_id)
         if job is None:
             raise PlacementError(f"unknown federated job {job_id!r}", job_id=job_id)
         return job
 
     def status(self, job_id: str) -> dict[str, Any]:
+        """A read of one job's record: a fixed job's site, task and
+        attempts, or a ledger job's units, shares and resizes."""
         job = self.job(job_id)
-        if self._is_malleable(job_id):
-            # multi-unit and converted ids: one resize pass, then read
-            self.malleable.tick()
-            return self.malleable.status(job)
-        self._refresh(job)
-        placement = job.current
-        return {
-            "job_id": job.job_id,
-            "state": job.state.value,
-            "site": placement.site if placement else None,
-            "task_id": placement.task_id if placement else None,
-            "attempts": job.attempts,
-            "submitted_at": job.submitted_at,
-            "error": job.error,
-        }
+        status = {"job_id": job.job_id, "state": job.state.value}
+        resize = job.resize
+        if resize is None:
+            placement = job.current
+            status["site"] = placement.site if placement else None
+            status["task_id"] = placement.task_id if placement else None
+            status["attempts"] = job.attempts
+        else:
+            ledger = resize.ledger
+            status["units"] = job.units
+            status["completed_units"] = ledger.completed_units
+            status["in_flight_units"] = ledger.in_flight_units
+            status["shares"] = resize.weights()
+            status["completions_by_site"] = ledger.completions_by_site()
+            status["resize_events"] = len(resize.events)
+            status["min_units"] = job.spec.min_units
+            status["max_units"] = job.spec.max_units
+            status["finished_at"] = job.finished_at
+        status["submitted_at"] = job.submitted_at
+        status["error"] = job.error
+        return status
 
     def result(self, job_id: str) -> Any:
         """A fixed job's emulation result, or — for multi-unit and
@@ -1138,11 +1214,6 @@ class FederationBroker:
         :meth:`FederatedClient.result
         <repro.federation.client.FederatedClient.result>` merges."""
         job = self.job(job_id)
-        malleable = self._is_malleable(job_id)
-        if malleable:
-            self.malleable.tick()
-        else:
-            self._refresh(job)
         if job.state is JobState.FAILED:
             raise PlacementError(
                 f"job {job_id} failed: {job.error}", job_id=job_id
@@ -1152,7 +1223,50 @@ class FederationBroker:
                 f"job {job_id} not finished (state {job.state.value})",
                 job_id=job_id,
             )
-        return dict(job.results) if malleable else job.result
+        return job.result if job.resize is None else dict(job.results)
+
+    def wait(self, job_id: str):
+        """Generator: suspend the calling simulated process until
+        ``job_id`` is terminal, woken by its pushed ``job_*`` events.
+        Raises :class:`~repro.errors.FederationError` instead of waiting
+        forever when the job can only move on through a housekeeping
+        sweep and none runs — checked on entry and again whenever one of
+        its units loses its task (``job_rerouted``).
+
+        One wake is one event: a reroute that fails the job in the same
+        step publishes ``job_failed`` after the waiter has been woken,
+        so each wake re-reads the state.  Rerouting a fixed job off a
+        site whose heartbeat lapsed, with nothing pushed, is the sweep's
+        work too; with no sweep its task stays where it is and the wait
+        ends at that task's push."""
+        kinds = TERMINAL_JOB_KINDS + ("job_rerouted",)
+        while self.job(job_id).state not in TERMINAL_STATES:
+            self._check_waitable(job_id)
+            event = yield from wait_for(self.sim, self.events, job_id, kinds)
+            if event.kind in TERMINAL_JOB_KINDS:
+                return
+
+    def _check_waitable(self, job_id: str) -> None:
+        """Raise :class:`~repro.errors.FederationError` when ``job_id``
+        is held, or is a ledger job with units left to dispatch, and no
+        sweep of this broker is alive to move it on."""
+        job = self.job(job_id)
+        if any(process.alive for process in self._housekeeping):
+            return
+        if job.state is JobState.HELD:
+            why = "is held for budget"
+        elif (
+            job.state is JobState.PLACED
+            and job.resize is not None
+            and job.resize.ledger.pending_units
+        ):
+            why = f"has {job.resize.ledger.pending_units} units left to dispatch"
+        else:
+            return
+        raise FederationError(
+            f"job {job_id} {why} and no housekeeping sweep runs: "
+            "call spawn_housekeeping() on its broker"
+        )
 
     def jobs(self, state: JobState | None = None) -> list[FederatedJob]:
         """The fixed-size jobs, all of them or those in ``state``

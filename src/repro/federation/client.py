@@ -21,15 +21,10 @@ from typing import Any
 
 from ..runtime.results import RunResult
 from ..sdk.translate import to_ir
-from ..simkernel import Timeout
 from ..spec import JobSpec, require_spec
-from .broker import FederationBroker
-from .malleable import MalleableJob
+from .broker import FederatedJob, FederationBroker, JobState
 
 __all__ = ["FederatedClient"]
-
-#: terminal federated-job states
-_TERMINAL = ("completed", "failed")
 
 
 class FederatedClient:
@@ -68,7 +63,7 @@ class FederatedClient:
         needs to know which kind of job it holds."""
         job = self.broker.job(job_id)
         emulation = self.broker.result(job_id)
-        if isinstance(job, MalleableJob):
+        if job.resize is not None:
             return self._merge_units(job, emulation)
         placement = job.current
         assert placement is not None  # completed jobs have a live placement
@@ -82,7 +77,7 @@ class FederatedClient:
         return result
 
     @staticmethod
-    def _merge_units(job: MalleableJob, unit_results: dict[int, Any]) -> RunResult:
+    def _merge_units(job: FederatedJob, unit_results: dict[int, Any]) -> RunResult:
         """Merge every unit's counts into one uniform result — the
         multi-site job reads exactly like a single large burst."""
         counts: dict[str, int] = {}
@@ -98,7 +93,7 @@ class FederatedClient:
                 emulation.metadata.get("execution_seconds", 0.0)
             )
             backends.add(emulation.backend)
-        ledger = job.placement.ledger
+        ledger = job.resize.ledger
         return RunResult(
             counts=counts,
             shots=shots,
@@ -109,20 +104,19 @@ class FederatedClient:
             metadata={
                 "federation_sites": ledger.completions_by_site(),
                 "federation_units": job.units,
-                "federation_resize_events": len(job.placement.events),
-                "federation_malleable": job.malleable,
+                "federation_resize_events": len(job.resize.events),
+                "federation_malleable": job.spec.malleable,
             },
         )
 
-    # -- simulation-aware polling ---------------------------------------------
+    # -- simulated processes -------------------------------------------------
 
-    def run_process(self, spec: JobSpec, poll_interval: float = 5.0):
-        """Generator form for simulated jobs: submit the spec, poll the
-        broker on the simulated clock, return the (merged) result."""
+    def run_process(self, spec: JobSpec):
+        """Generator form for simulated jobs: submit the spec, wait for
+        its pushed terminal ``job_*`` event, return the (merged) result.
+        Raises :class:`~repro.errors.FederationError` instead of waiting
+        forever when the job needs a housekeeping sweep and none runs."""
         job_id = self.submit_spec(spec)
-        while True:
-            status = self.status(job_id)
-            if status["state"] in _TERMINAL:
-                break
-            yield Timeout(poll_interval)
+        if self.broker.job(job_id).state not in (JobState.COMPLETED, JobState.FAILED):
+            yield from self.broker.wait(job_id)
         return self.result(job_id)

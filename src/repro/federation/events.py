@@ -39,6 +39,8 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..simkernel import Event
+
 __all__ = [
     "EVENT_SCHEMAS",
     "JobEvent",
@@ -46,6 +48,7 @@ __all__ = [
     "TERMINAL_JOB_KINDS",
     "TERMINAL_TASK_KINDS",
     "publish_task_transition",
+    "wait_for",
 ]
 
 #: site-task kinds that end a task's life
@@ -256,3 +259,29 @@ def publish_task_transition(
             },
         )
     )
+
+
+def wait_for(sim: Any, bus: LifecycleBus, job_id: str, kinds: tuple[str, ...], site: str | None = None):
+    """Generator: suspend the calling simulated process until ``bus``
+    publishes one of ``kinds`` for ``job_id`` (on ``site``, when given),
+    and return that event.  No timer and no status read: while armed,
+    the waiter holds the simulator's foreground count (see
+    :meth:`~repro.simkernel.EventQueue.hold`) until the event fires or
+    the waiting process is interrupted."""
+    queue = sim.events
+    wake = Event(name=f"wait-{job_id}")
+
+    def fire(event: JobEvent) -> None:
+        bus.unsubscribe(handle)
+        wake.trigger(event)
+        sim.schedule_triggered(wake)
+        queue.release()
+
+    handle = bus.subscribe(fire, job_id=job_id, kinds=kinds, site=site)
+    queue.hold()
+    try:
+        return (yield wake)
+    finally:
+        if not wake.triggered:  # interrupted while armed
+            bus.unsubscribe(handle)
+            queue.release()

@@ -24,47 +24,34 @@ so placement preference and resize preference cannot diverge.  Job ids
 stay stable across every resize, retry, and failover, exactly like the
 fixed-size path.
 
-The job bookkeeping is the broker's: the manager's jobs live in a
-:class:`~repro.federation.broker.JobTable` of ``fed-mjob-N`` ids, and
-intake, held release, eviction, the task index and the per-task
-cancel/fetch/trace helpers are the ones fixed-size jobs use.  What
-stays here is what only a multi-unit job has: the share ledger, unit
-dispatch and the resize loop.  A unit's pushed task transitions are
-parked on its job until the next :meth:`MalleableManager.tick`.
+A malleable job is the broker's own :class:`~repro.federation.broker.FederatedJob`
+with ``units`` > 1 (or a converted fixed spec) and a
+:class:`ResizeState`: its share ledger plus the resize history.  It
+lives in a :class:`~repro.federation.broker.JobTable` of ``fed-mjob-N``
+ids and shares the broker's intake, held release, dispatch, task
+index, completion, abandon and fail paths.  A unit completes at its
+site's pushed transition, like a fixed-size job; what stays here is
+what only a ledger job has: share seeding, fair-share slot
+arbitration, the resize loop and the sweep that dispatches units from
+the pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from ..errors import (
-    FederationError,
-    PlacementError,
-    ResourceNotFound,
-    SiteUnavailable,
-    SpecError,
-)
-from ..runtime.backend_select import select_resource
+from ..errors import FederationError, PlacementError, ResourceNotFound, SiteUnavailable
 from ..scheduling.algorithms import AgreementElastic
 from ..scheduling.malleable import ShareLedger
 from ..spec import JobSpec, parse_site_leg
-from .broker import JobState, JobTable, _program_qubits
-from .events import TERMINAL_TASK_KINDS
+from .broker import FederatedJob, JobState, JobTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .broker import FederationBroker
     from .registry import SiteSnapshot
 
-__all__ = [
-    "MalleableJob",
-    "MalleableManager",
-    "MalleablePlacement",
-    "ResizeConfig",
-    "ShareEvent",
-    "UnitDispatch",
-]
+__all__ = ["MalleableManager", "ResizeConfig", "ResizeState", "ShareEvent"]
 
 
 # the resize loop's transfer function
@@ -104,26 +91,15 @@ class ShareEvent:
 
 
 @dataclass
-class UnitDispatch:
-    """One work unit live (or once live) on one site."""
-
-    unit: int
-    site: str
-    task_id: str
-    placed_at: float
-    started_at: float | None = None  # site-local execution start
-    abandoned: bool = False
-    abandon_reason: str = ""
-
-
-@dataclass
-class MalleablePlacement:
-    """The multi-site placement of one iterative job: the share ledger
-    plus the per-unit dispatches currently in flight."""
+class ResizeState:
+    """What a ledger job carries beyond a fixed-size one: the share
+    ledger its units are spread by, and the resize loop's history."""
 
     ledger: ShareLedger
-    dispatches: dict[int, UnitDispatch] = field(default_factory=dict)
-    history: list[UnitDispatch] = field(default_factory=list)
+    #: ``spec.sites`` restriction (bare site names), None = any site
+    restrict_sites: tuple[str, ...] | None = None
+    #: site -> pinned resource, from qualified ``site/resource`` legs
+    pins: dict[str, str] = field(default_factory=dict)
     events: list[ShareEvent] = field(default_factory=list)
     latency_ewma: dict[str, float] = field(default_factory=dict)
 
@@ -134,44 +110,6 @@ class MalleablePlacement:
 
     def events_of(self, kind: str) -> list[ShareEvent]:
         return [e for e in self.events if e.kind == kind]
-
-
-@dataclass
-class MalleableJob:
-    """Broker-side record of one malleable (multi-site) job."""
-
-    job_id: str
-    program: Any  # IR; each unit runs it at shots_per_unit
-    units: int
-    shots_per_unit: int
-    owner: str
-    affinity_key: str | None
-    n_qubits: int
-    submitted_at: float
-    malleable: bool
-    restrict_sites: tuple[str, ...] | None
-    pins: dict[str, str]
-    placement: MalleablePlacement
-    state: JobState
-    results: dict[int, Any] = field(default_factory=dict)
-    error: str = ""
-    finished_at: float | None = None
-    #: submission sequence — per-state tables iterate in this order
-    seq: int = 0
-    #: spec-declared elasticity bounds on concurrently in-flight units
-    #: (min is advisory — surfaced to the arbiter/status; max is a hard
-    #: dispatch cap)
-    min_units: int | None = None
-    max_units: int | None = None
-    #: the validated :class:`~repro.spec.JobSpec` this job came from
-    spec: Any = None
-    #: unit -> the last running/terminal task payload its site pushed,
-    #: parked here until the next tick's :meth:`MalleableManager._refresh`
-    unit_events: dict[int, dict] = field(default_factory=dict)
-
-    @property
-    def completed_units(self) -> int:
-        return self.placement.ledger.completed_units
 
 
 class MalleableManager:
@@ -204,7 +142,7 @@ class MalleableManager:
     # -- intake ---------------------------------------------------------------
 
     def submit_spec(self, spec: JobSpec) -> str:
-        """Accept a multi-unit :class:`~repro.spec.JobSpec` of
+        """Accept a validated multi-unit :class:`~repro.spec.JobSpec` of
         ``iterations`` burst units; returns a stable job id that
         survives every resize and failover.  Elasticity (units, site
         restriction, malleable-vs-rigid, in-flight bounds) lives in the
@@ -217,75 +155,45 @@ class MalleableManager:
         against (health failover still applies: rigidity is about load,
         not about losing jobs).
         """
-        try:
-            spec = spec.validate()
-        except SpecError as err:
-            raise PlacementError(str(err)) from err
-        if spec.iterations is None:
-            raise PlacementError("a malleable job needs iterations >= 1")
-        ir = spec.program
-        restrict: tuple[str, ...] | None = None
-        pins: dict[str, str] = {}
+        resize = ResizeState(
+            ledger=ShareLedger(spec.iterations, max_attempts=self.broker.max_attempts)
+        )
         if spec.sites is not None:
             parsed = [parse_site_leg(s) for s in spec.sites]
-            restrict = tuple(site for site, _ in parsed)
-            pins = {site: res for site, res in parsed if res is not None}
-        admit_wall = perf_counter()
-        hold = self.broker._admit(spec)
-        ledger = ShareLedger(spec.iterations, max_attempts=self.broker.max_attempts)
-        seq, job_id = self.table.allocate()
-        job = MalleableJob(
-            job_id=job_id,
-            program=ir,
-            units=spec.iterations,
-            shots_per_unit=ir.shots,
-            owner=spec.tenant,
-            affinity_key=spec.affinity_key,
-            n_qubits=_program_qubits(ir),
-            submitted_at=self.broker.sim.now,
-            malleable=spec.malleable,
-            restrict_sites=restrict,
-            pins=pins,
-            placement=MalleablePlacement(ledger=ledger),
-            state=JobState.HELD if hold else JobState.PLACED,
-            seq=seq,
-            min_units=spec.min_units,
-            max_units=spec.max_units,
-            spec=spec,
+            resize.restrict_sites = tuple(site for site, _ in parsed)
+            resize.pins = {site: res for site, res in parsed if res is not None}
+        job = self.broker._intake(
+            self.table, spec, units=spec.iterations, resize=resize
         )
-        self.broker._intake(self.table, job, admit_wall, hold)
-        if not hold:
-            self._seed_shares(job)
-            # arbitrated from the first dispatch: a late-arriving job
-            # starts at its fair share instead of flooding the queues
-            # until the next tick notices the contention
-            self._dispatch(job, self._arbitrate_slots())
+        if job.state is JobState.PLACED:
+            self._activate(job)
         return job.job_id
 
-    def _activate(self, job: MalleableJob) -> None:
-        """Start a released held job: shares seed at release time,
+    def _activate(self, job: FederatedJob) -> None:
+        """Start an admitted job, or a released held one: shares seed
         against the *current* candidate set — the federation may have
-        changed while it was parked."""
+        changed while it was parked — and the first dispatch is already
+        arbitrated, so a late-arriving job starts at its fair share
+        instead of flooding the queues until the next tick."""
         self.table.set_state(job, JobState.PLACED)
         self._seed_shares(job)
         if job.state is JobState.PLACED:
             self._dispatch(job, self._arbitrate_slots())
 
-    def _seed_shares(self, job: MalleableJob) -> None:
-        candidates = self._candidates(job)
+    def _seed_shares(self, job: FederatedJob) -> None:
+        candidates = self.broker._candidates(job)
         if not candidates:
             # mirror the fixed-size intake contract: accept the job and
             # fail it with a diagnosis rather than raising after the
             # job id is already registered
-            job.error = (
-                f"no healthy site can take a {job.n_qubits}-qubit malleable job"
+            self.broker._fail(
+                job, f"no healthy site can take a {job.n_qubits}-qubit malleable job"
             )
-            self.table.set_state(job, JobState.FAILED)
             return
         now = self.broker.sim.now
         ranked = self.broker.policy.rank_resize(job, candidates, now)
-        ledger = job.placement.ledger
-        if job.malleable:
+        ledger = job.resize.ledger
+        if job.spec.malleable:
             for i, snap in enumerate(ranked):
                 weight = float(len(ranked) - i)
                 ledger.add_site(snap.name, weight)
@@ -294,42 +202,29 @@ class MalleableManager:
             for snap in ranked:
                 ledger.add_site(snap.name, 1.0)
             ledger.freeze()
-        self.broker.metrics.observe_share_weights(job.placement.weights())
-
-    # -- candidate view --------------------------------------------------------
-
-    def _candidates(self, job: MalleableJob) -> list["SiteSnapshot"]:
-        """Healthy, capable sites — saturated ones stay in (the
-        watermark zeroes their weight instead of retiring them)."""
-        capable = self.broker._capable(job.n_qubits)
-        if job.restrict_sites is not None:
-            capable = [s for s in capable if s.name in job.restrict_sites]
-        return capable
+        self.broker.metrics.observe_share_weights(job.resize.weights())
 
     # -- the resize loop -------------------------------------------------------
 
     def tick(self) -> int:
-        """One controller pass: refresh unit states, then rebalance and
-        top up dispatches for every live job — under the fair-share
-        slot caps when several jobs contend and accounting is wired.
+        """One controller pass: release held jobs, rebalance (or, for a
+        rigid job, retire dead sites), then top up dispatches for every
+        live job — under the fair-share slot caps when several jobs
+        contend and accounting is wired.  Units already advanced at
+        their push.
         Sweeps the live tables only; returns how many jobs it touched
         (the broker's reconcile instrumentation)."""
         scanned = self.table.count(JobState.HELD)
         if self.broker.accounting is not None:
             # a fresh admission memo: the fixed-size refresh loop runs
             # before this pass and can move budgets
-            self.broker._release_held(
-                self.table, {}, lambda job: bool(self._candidates(job)), self._activate
-            )
+            self.broker._release_held(self.table)
         live = self.table.in_state(JobState.PLACED)
         scanned += len(live)
         for job in live:
             if job.state is not JobState.PLACED:
                 continue  # went terminal earlier this sweep
-            self._refresh(job)
-            if job.state is not JobState.PLACED:
-                continue
-            if job.malleable:
+            if job.spec.malleable:
                 self._rebalance(job)
             else:
                 self._retire_unhealthy(job)
@@ -364,7 +259,7 @@ class MalleableManager:
             return None
         capacity = self.config.max_outstanding_per_site
         active: dict[str, list[str]] = {
-            j.job_id: j.placement.ledger.active_sites() for j in live
+            j.job_id: j.resize.ledger.active_sites() for j in live
         }
         sites: set[str] = set()
         for names in active.values():
@@ -380,9 +275,9 @@ class MalleableManager:
                     j.job_id,
                     j.owner,
                     tuple(active[j.job_id]),
-                    min(capacity, j.placement.ledger.pending_units),
+                    min(capacity, j.resize.ledger.pending_units),
                     tuple(
-                        (s, len(j.placement.ledger.in_flight_at(s)))
+                        (s, len(j.resize.ledger.in_flight_at(s)))
                         for s in active[j.job_id]
                     ),
                 )
@@ -408,7 +303,7 @@ class MalleableManager:
             holdings = {}
             negotiated = False
             for job in contenders:
-                ledger = job.placement.ledger
+                ledger = job.resize.ledger
                 in_flight = len(ledger.in_flight_at(site))
                 outstanding = ledger.pending_units + in_flight
                 demands[job.job_id] = min(capacity, outstanding)
@@ -434,99 +329,32 @@ class MalleableManager:
         self._arb_caps = caps
         return caps
 
-    def park(self, job_id: str, unit: int, event) -> None:
-        """Keep a unit task's pushed running/terminal transition on its
-        job until the next tick (the broker's task index routes it
-        here)."""
-        if event.kind == "running" or event.kind in TERMINAL_TASK_KINDS:
-            payload = dict(event.payload)
-            payload["task_id"] = event.task_id
-            self.table.get(job_id).unit_events[unit] = payload
-
-    def _refresh(self, job: MalleableJob) -> None:
-        """Advance in-flight units from the task transitions their
-        sites pushed since the last tick (O(transitions), not
-        O(in-flight))."""
-        now = self.broker.sim.now
-        placement = job.placement
-        pending, job.unit_events = job.unit_events, {}
-        work = [
-            (unit, pending[unit])
-            for unit in sorted(pending)
-            if unit in placement.dispatches
-        ]
-        for unit, status in work:
-            if job.state is not JobState.PLACED:
-                return  # a prior unit exhausted its retries mid-sweep
-            dispatch = placement.dispatches.get(unit)
-            if dispatch is None:
-                continue  # dropped by a retire/cancel earlier this sweep
-            if status.get("task_id") != dispatch.task_id:
-                continue  # stale: the unit was redispatched since
-            result = None
-            if status["state"] == "completed":
-                result, err = self.broker._fetch_result(
-                    job.job_id, job.owner, dispatch.site, dispatch.task_id, unit=unit
-                )
-                if err is not None:
-                    self._abandon_unit(job, unit, f"query failed: {err}")
-                    continue
-            started = status.get("started_at")
-            if started is not None:
-                dispatch.started_at = started
-            if status["state"] == "completed":
-                placement.ledger.checkpoint(unit)
-                job.results[unit] = result
-                del placement.dispatches[unit]
-                self.broker._tasks.pop((dispatch.site, dispatch.task_id), None)
-                placement.history.append(dispatch)
-                # service latency from execution start (when known), so
-                # queue wait doesn't pollute the degradation signal —
-                # queue pressure is the watermark's job
-                base = started if started is not None else dispatch.placed_at
-                finished = status.get("finished_at")
-                end = finished if finished is not None else now
-                self._observe_latency(job, dispatch.site, end - base)
-                self.broker._publish(
-                    "unit_completed", job.job_id, site=dispatch.site, unit=unit
-                )
-                self.broker._meter_completion(
-                    job, dispatch.site, f"{job.job_id}/u{unit}",
-                    job.shots_per_unit, max(0.0, end - base),
-                )
-            elif status["state"] in ("failed", "cancelled"):
-                self._abandon_unit(
-                    job, unit, f"unit task {status['state']} on {dispatch.site}"
-                )
-        if placement.ledger.done and job.state is JobState.PLACED:
-            self.table.set_state(job, JobState.COMPLETED)
-
-    def _fail_if_stranded(self, job: MalleableJob) -> None:
+    def _fail_if_stranded(self, job: FederatedJob) -> None:
         """Mirror the fixed-size broker's behavior when the federation
         runs out of options: a job with work left, nothing in flight,
         and no candidate site fails loudly instead of polling forever."""
         if job.state is not JobState.PLACED:
             return
-        ledger = job.placement.ledger
+        ledger = job.resize.ledger
         if ledger.done or ledger.in_flight_units > 0:
             return
-        if self._candidates(job):
+        if self.broker._candidates(job):
             return
-        job.error = (
+        self.broker._fail(
+            job,
             f"no healthy site can take a {job.n_qubits}-qubit malleable job "
-            f"({ledger.pending_units} units stranded)"
+            f"({ledger.pending_units} units stranded)",
         )
-        self.table.set_state(job, JobState.FAILED)
 
-    def _site_latency(self, job: MalleableJob, site: str, now: float) -> float | None:
+    def _site_latency(self, job: FederatedJob, site: str, now: float) -> float | None:
         """Effective unit latency: the completion EWMA, or the running
         age of an *executing* in-flight unit when that is already worse
         — so a stall is detected mid-unit, not only after it finally
         lands.  Queued-but-not-started units carry no evidence."""
-        ewma = job.placement.latency_ewma.get(site)
+        ewma = job.resize.latency_ewma.get(site)
         ages = [
             now - d.started_at
-            for d in job.placement.dispatches.values()
+            for d in job.live.values()
             if d.site == site and d.started_at is not None
         ]
         oldest = max(ages, default=None)
@@ -536,110 +364,80 @@ class MalleableManager:
             return ewma
         return max(ewma, oldest)
 
-    def _observe_latency(self, job: MalleableJob, site: str, latency: float) -> None:
-        ewma = job.placement.latency_ewma
+    def _observe_latency(self, job: FederatedJob, site: str, latency: float) -> None:
+        ewma = job.resize.latency_ewma
         ewma[site] = (
             latency
             if site not in ewma
             else EWMA_ALPHA * latency + (1.0 - EWMA_ALPHA) * ewma[site]
         )
 
-    def _drop_dispatch(self, job: MalleableJob, unit: int, reason: str) -> UnitDispatch:
-        """Shared bookkeeping for removing an in-flight dispatch: mark
-        it abandoned, move it to history, best-effort cancel the site
-        task.  Ledger accounting (abandon/reclaim/retire) stays with
-        the caller."""
-        placement = job.placement
-        dispatch = placement.dispatches.pop(unit)
-        self.broker._tasks.pop((dispatch.site, dispatch.task_id), None)
-        dispatch.abandoned = True
-        dispatch.abandon_reason = reason
-        placement.history.append(dispatch)
-        self.broker._cancel_task(dispatch.site, dispatch.task_id)
-        if self.broker.accounting is not None:
-            self.broker.accounting.release_placement(f"{job.job_id}/u{unit}")
-        return dispatch
-
-    def _fail_if_exhausted(self, job: MalleableJob, unit: int, reason: str) -> bool:
+    def _fail_if_exhausted(self, job: FederatedJob, unit: int, reason: str) -> bool:
         """Enforce the bounded-retry contract after any attempt charge."""
         if job.state is not JobState.PLACED:
             return True
-        ledger = job.placement.ledger
+        ledger = job.resize.ledger
         if not ledger.exhausted(unit):
             return False
-        job.error = (
+        self.broker._fail(
+            job,
             f"unit {unit} exhausted {ledger.attempts(unit)} placement "
-            f"attempts: {reason}"
+            f"attempts: {reason}",
         )
-        self.table.set_state(job, JobState.FAILED)
-        self._cancel_all(job)
         return True
 
-    def _abandon_unit(self, job: MalleableJob, unit: int, reason: str) -> None:
-        dispatch = self._drop_dispatch(job, unit, reason)
-        self.broker._rerouted(
-            job, dispatch.site, reason, task_id=dispatch.task_id, unit=unit
-        )
-        job.placement.ledger.abandon(unit)
-        self._fail_if_exhausted(job, unit, reason)
-
-    def _cancel_all(self, job: MalleableJob) -> None:
-        for unit in list(job.placement.dispatches):
-            self._drop_dispatch(job, unit, "job failed")
-
-    def _reclaim_queued(self, job: MalleableJob, site: str, reason: str) -> None:
+    def _reclaim_queued(self, job: FederatedJob, site: str, reason: str) -> None:
         """Trim a shrunk site's dispatches down to its new allocation by
         cancelling queued-but-not-started units (newest first) — they
         hold no work, so the pull-back is attempt-free.  Executing units
         are left alone: the preemption-safe boundary is the unit."""
-        placement = job.placement
-        ledger = placement.ledger
+        ledger = job.resize.ledger
         allowed = ledger.allocation().get(site, 0)
         queued = [
             unit
             for unit in ledger.in_flight_at(site)
-            if placement.dispatches[unit].started_at is None
+            if job.live[unit].started_at is None
         ]
-        queued.sort(key=lambda u: placement.dispatches[u].placed_at)
+        queued.sort(key=lambda u: job.live[u].placed_at)
         while queued and len(ledger.in_flight_at(site)) > allowed:
             unit = queued.pop()  # newest placement goes back first
-            self._drop_dispatch(job, unit, f"reclaimed: {reason}")
+            self.broker._drop(job, unit, f"reclaimed: {reason}")
             ledger.reclaim(unit)
             self.broker._publish(
                 "resize", job.job_id, site=site, action="reclaim",
                 unit=unit, reason=reason,
             )
 
-    def _retire_site(self, job: MalleableJob, site: str, reason: str) -> None:
+    def _retire_site(self, job: FederatedJob, site: str, reason: str) -> None:
         """Shrink-to-zero with eviction: cancel the site's in-flight
         units and return them to the pool (checkpointed units stay)."""
-        placement = job.placement
-        weight_before = placement.ledger.weight(site)
-        doomed = placement.ledger.in_flight_at(site)
+        ledger = job.resize.ledger
+        weight_before = ledger.weight(site)
+        doomed = ledger.in_flight_at(site)
         for unit in doomed:
-            self._drop_dispatch(job, unit, reason)
-            self.broker._rerouted(job, site, reason, unit=unit)
-        placement.ledger.retire(site)  # abandons the doomed units
+            self.broker._drop(job, unit, reason)
+            self.broker._rerouted(job, site, reason, unit)
+        ledger.retire(site)  # abandons the doomed units
         self._record_event(job, "retire", site, weight_before, 0.0, reason)
         for unit in doomed:
             if self._fail_if_exhausted(job, unit, reason):
                 return
 
-    def _retire_departed(self, job: MalleableJob) -> list[SiteSnapshot]:
+    def _retire_departed(self, job: FederatedJob) -> list[SiteSnapshot]:
         """Evict the job's shares on sites that fell out of its
         candidate set; returns the candidates."""
-        candidates = self._candidates(job)
+        candidates = self.broker._candidates(job)
         names = {s.name for s in candidates}
-        for site in list(job.placement.ledger.active_sites()):
+        for site in list(job.resize.ledger.active_sites()):
             if site not in names:
                 self._retire_site(job, site, f"site {site} left the federation")
         return candidates
 
-    def _retire_unhealthy(self, job: MalleableJob) -> None:
+    def _retire_unhealthy(self, job: FederatedJob) -> None:
         """Rigid jobs still fail over on health — rigidity is about
         load shares, not about losing work when a site dies."""
         candidates = self._retire_departed(job)
-        ledger = job.placement.ledger
+        ledger = job.resize.ledger
         if job.state is not JobState.PLACED:
             return
         if not ledger.active_sites() and candidates:
@@ -656,12 +454,12 @@ class MalleableManager:
                 )
             ledger.assign_orphans()
 
-    def _rebalance(self, job: MalleableJob) -> None:
+    def _rebalance(self, job: FederatedJob) -> None:
         """Recompute target weights from the policy ranking plus the
         controller's degradation signals; emit grow/shrink events."""
         now = self.broker.sim.now
         candidates = self._retire_departed(job)
-        ledger = job.placement.ledger
+        ledger = job.resize.ledger
         if job.state is not JobState.PLACED or not candidates:
             return
 
@@ -675,9 +473,9 @@ class MalleableManager:
             # visibly run for 600 s, a fresh unit starting must not
             # reset the evidence — only genuinely fast completions
             # (via the normal EWMA update) walk the estimate back down
-            ewma = job.placement.latency_ewma.get(snap.name)
+            ewma = job.resize.latency_ewma.get(snap.name)
             if ewma is None or lat > ewma:
-                job.placement.latency_ewma[snap.name] = lat
+                job.resize.latency_ewma[snap.name] = lat
             latencies[snap.name] = lat
         best_latency = min(latencies.values(), default=None)
         target: dict[str, float] = {}
@@ -749,20 +547,18 @@ class MalleableManager:
             changed = True
         if changed:
             self.broker._publish("rebalance", job.job_id)
-            self.broker.metrics.observe_share_weights(job.placement.weights())
+            self.broker.metrics.observe_share_weights(job.resize.weights())
 
     def _dispatch(
         self,
-        job: MalleableJob,
+        job: FederatedJob,
         caps: dict[tuple[str, str], int] | None = None,
     ) -> None:
         """Top up every active site to its allocation (pull model: fast
         sites come back for more units sooner).  ``caps`` are the
         fair-share arbiter's per-(job, site) slot grants; absent an
         entry the full per-site budget applies."""
-        placement = job.placement
-        ledger = placement.ledger
-        now = self.broker.sim.now
+        ledger = job.resize.ledger
         for site_name in ledger.active_sites():
             if job.state is not JobState.PLACED:
                 return
@@ -775,8 +571,8 @@ class MalleableManager:
                 slot_cap = caps.get((job.job_id, site_name), slot_cap)
             while len(ledger.in_flight_at(site_name)) < slot_cap:
                 if (
-                    job.max_units is not None
-                    and ledger.in_flight_units >= job.max_units
+                    job.spec.max_units is not None
+                    and ledger.in_flight_units >= job.spec.max_units
                 ):
                     # spec-declared elasticity ceiling: never more than
                     # max_units concurrently in flight across all sites
@@ -785,54 +581,26 @@ class MalleableManager:
                 if unit is None:
                     break
                 try:
-                    catalog = site.capable_catalog(job.n_qubits)
-                    pin = job.pins.get(site_name)
-                    if pin is not None:
-                        if pin not in catalog:
-                            raise ResourceNotFound(
-                                f"pinned resource {site_name}/{pin} cannot take "
-                                f"a {job.n_qubits}-qubit program"
-                            )
-                        resource = pin
-                    else:
-                        resource = select_resource(catalog)
-                    task_id = site.submit(
-                        job.program.with_shots(job.shots_per_unit),
-                        resource,
-                        shots=job.shots_per_unit,
-                        owner=job.owner,
+                    resource = self.broker._resource_for(
+                        job, site, job.resize.pins.get(site_name)
                     )
+                    self.broker._dispatch(job, unit, site, resource)
                 except (SiteUnavailable, ResourceNotFound) as err:
                     ledger.abandon(unit)
                     self._retire_site(job, site_name, str(err))
                     self._fail_if_exhausted(job, unit, str(err))
                     break
-                placement.dispatches[unit] = UnitDispatch(
-                    unit=unit, site=site_name, task_id=task_id, placed_at=now
-                )
-                self.broker._tasks[(site_name, task_id)] = (job.job_id, unit)
-                if self.broker.tracer is not None:
-                    self.broker._trace_placement(
-                        job.job_id, site_name, task_id, unit=unit
-                    )
-                if self.broker.accounting is not None:
-                    self.broker.accounting.reserve_placement(
-                        job.owner,
-                        site_name,
-                        shots=job.shots_per_unit,
-                        key=f"{job.job_id}/u{unit}",
-                    )
 
     def _record_event(
         self,
-        job: MalleableJob,
+        job: FederatedJob,
         kind: str,
         site: str,
         before: float,
         after: float,
         reason: str,
     ) -> None:
-        job.placement.events.append(
+        job.resize.events.append(
             ShareEvent(
                 time=self.broker.sim.now,
                 kind=kind,
@@ -852,45 +620,3 @@ class MalleableManager:
             weight_after=after,
             reason=reason,
         )
-
-    def _spill(self, job: MalleableJob) -> None:
-        """Archive one evicted malleable record in the ledger (called by
-        :meth:`FederationBroker.evict_terminal
-        <repro.federation.broker.FederationBroker.evict_terminal>`)."""
-        if self.broker.accounting is None:
-            return
-        self.broker.accounting.archive_job(
-            {
-                "job_id": job.job_id,
-                "tenant": job.owner,
-                "state": job.state.value,
-                "submitted_at": job.submitted_at,
-                "finished_at": job.finished_at,
-                "units": job.units,
-                "completed_units": job.completed_units,
-                "completions_by_site": job.placement.ledger.completions_by_site(),
-                "shots": job.shots_per_unit * job.units,
-                "resize_events": len(job.placement.events),
-                "error": job.error,
-            }
-        )
-
-    # -- queries ---------------------------------------------------------------
-
-    def status(self, job: MalleableJob) -> dict[str, Any]:
-        ledger = job.placement.ledger
-        return {
-            "job_id": job.job_id,
-            "state": job.state.value,
-            "units": job.units,
-            "completed_units": ledger.completed_units,
-            "in_flight_units": ledger.in_flight_units,
-            "shares": job.placement.weights(),
-            "completions_by_site": ledger.completions_by_site(),
-            "resize_events": len(job.placement.events),
-            "min_units": job.min_units,
-            "max_units": job.max_units,
-            "submitted_at": job.submitted_at,
-            "finished_at": job.finished_at,
-            "error": job.error,
-        }

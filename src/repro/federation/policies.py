@@ -186,8 +186,6 @@ class CostAwarePolicy(RoutingPolicy):
     def _job_shots(self, job) -> int:
         shots = getattr(job, "shots", None)
         if shots is None:
-            shots = getattr(job, "shots_per_unit", None)
-        if shots is None:
             shots = getattr(getattr(job, "program", None), "shots", None)
         return int(shots or 100)
 

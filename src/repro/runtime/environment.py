@@ -230,9 +230,11 @@ class RuntimeEnvironment:
         iterations: int | None = None,
     ):
         """Generator form of :meth:`run` for daemon/federated mode inside
-        a simulation: submits, then polls on the simulated clock until
-        the task reaches a terminal state.  Yield it from a job payload.
-        In direct mode it completes synchronously (no yields).
+        a simulation: submits, then waits on the simulated clock until
+        the task reaches a terminal state — a daemon task by polling
+        every ``poll_interval`` seconds, a federated job on its pushed
+        terminal event.  Yield it from a job payload.  In direct mode it
+        completes synchronously (no yields).
 
         A tuple/list ``qpu`` is a *multi-site placement*: the program
         runs as a malleable federated job of ``iterations`` burst units
@@ -281,8 +283,7 @@ class RuntimeEnvironment:
                     program=ir,
                     sites=resource,
                     iterations=iterations if iterations is not None else 2 * len(resource),
-                ),
-                poll_interval=poll_interval,
+                )
             )
             return result
         if iterations is not None:
@@ -298,7 +299,7 @@ class RuntimeEnvironment:
             # the job runs exactly where it was validated, not wherever
             # the routing policy would send it
             result = yield from FederatedClient(self.federation).run_process(
-                JobSpec(program=ir, pin=resource), poll_interval=poll_interval
+                JobSpec(program=ir, pin=resource)
             )
             return result
         if self.client is None:

@@ -38,15 +38,9 @@ from dataclasses import replace
 from typing import Any
 
 from .errors import DaemonError, SessionError, SpecError
-from .federation.events import (
-    TERMINAL_JOB_KINDS,
-    TERMINAL_TASK_KINDS,
-    JobEvent,
-    LifecycleBus,
-)
+from .federation.events import TERMINAL_TASK_KINDS, LifecycleBus, wait_for
 from .runtime.backend_select import select_resource, spec_request
 from .runtime.results import RunResult
-from .simkernel import Event
 from .spec import JobSpec, require_spec
 
 __all__ = ["JobHandle", "Session"]
@@ -115,40 +109,24 @@ class JobHandle:
 
         It reads the status once; a job not yet terminal is then waited
         for on the *pushed* terminal transition alone, with no timer and
-        no further status read.  The broker finishes a fixed-size job at
-        its task's pushed transition; a budget-held job is released,
-        and a malleable job resized, only by its housekeeping sweep
-        (:meth:`~repro.federation.FederationBroker.spawn_housekeeping`).
+        no further status read.  The broker advances every unit of a
+        federated job, fixed-size or malleable, at its task's pushed
+        transition.  Releasing a budget-held job and dispatching a
+        malleable job's remaining units take its housekeeping sweep
+        (:meth:`~repro.federation.FederationBroker.spawn_housekeeping`);
+        when the job needs one and no sweep runs — on entry, or after a
+        unit loses its task — this raises
+        :class:`~repro.errors.FederationError` instead of waiting
+        forever (see :meth:`~repro.federation.FederationBroker.wait`).
         """
         if self.status()["state"] not in TERMINAL_TASK_KINDS:
-            yield from self._terminal_wake()
+            session = self._session
+            if self.backend == "federation":
+                yield from session.federation.wait(self.job_id)
+            else:
+                job_id, site = self._event_filter()
+                yield from wait_for(session.sim, session.events, job_id, TERMINAL_TASK_KINDS, site)
         return self.result()
-
-    def _terminal_wake(self):
-        """Suspend until this job's terminal transition is published,
-        holding the simulator's foreground count (see
-        :meth:`~repro.simkernel.EventQueue.hold`) until it fires or the
-        waiting process is interrupted."""
-        session = self._session
-        bus, queue = session.events, session.sim.events
-        wake = Event(name=f"wait-{self.job_id}")
-
-        def fire(event: JobEvent) -> None:
-            bus.unsubscribe(handle)
-            wake.trigger(event)
-            session.sim.schedule_triggered(wake)
-            queue.release()
-
-        job_id, site = self._event_filter()
-        kinds = TERMINAL_JOB_KINDS if site is None else TERMINAL_TASK_KINDS
-        handle = bus.subscribe(fire, job_id=job_id, kinds=kinds, site=site)
-        queue.hold()
-        try:
-            yield wake
-        finally:
-            if not wake.triggered:  # interrupted while armed
-                bus.unsubscribe(handle)
-                queue.release()
 
 
 class Session:

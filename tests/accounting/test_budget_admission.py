@@ -109,7 +109,7 @@ class TestHoldAdmission:
         )
         record = broker.job(job_id)
         assert record.state is JobState.HELD
-        assert record.placement.ledger.in_flight_units == 0
+        assert record.resize.ledger.in_flight_units == 0
         drain(sim)
         assert record.state is JobState.HELD
         accounting.budgets.grant("alpha", 50.0)

@@ -85,8 +85,8 @@ class TestCrossJobFairness:
         job_a, job_b = broker.job(a), broker.job(b)
         assert job_a.state is JobState.PLACED and job_b.state is JobState.PLACED
         for site in ("site-0", "site-1"):
-            slots_a = len(job_a.placement.ledger.in_flight_at(site))
-            slots_b = len(job_b.placement.ledger.in_flight_at(site))
+            slots_a = len(job_a.resize.ledger.in_flight_at(site))
+            slots_b = len(job_b.resize.ledger.in_flight_at(site))
             assert (slots_a, slots_b) == (3, 1)
 
     def test_completed_units_track_weights(self):
@@ -120,9 +120,9 @@ class TestCrossJobFairness:
         sim.run(until=300.0)
         job_a = broker.job(a)
         for site in ("site-0", "site-1"):
-            slots_a = len(job_a.placement.ledger.in_flight_at(site))
+            slots_a = len(job_a.resize.ledger.in_flight_at(site))
             slots_b = sum(
-                len(broker.job(j).placement.ledger.in_flight_at(site))
+                len(broker.job(j).resize.ledger.in_flight_at(site))
                 for j in (b1, b2)
             )
             assert slots_a == slots_b == 2  # 1:1 tenants, not 1:2 jobs
@@ -137,4 +137,4 @@ class TestCrossJobFairness:
         sim.run(until=200.0)
         job = broker.job(a)
         for site in ("site-0", "site-1"):
-            assert len(job.placement.ledger.in_flight_at(site)) == 4
+            assert len(job.resize.ledger.in_flight_at(site)) == 4

@@ -159,6 +159,35 @@ class TestNoPoll:
             "site.py",
         ]
 
+    def test_bad_tick_outside_the_reconcile_sweep(self, lint):
+        """A status read that runs a resize pass and a pushed-event
+        handler that ticks are findings; the reconcile sweep's own tick
+        and ticks outside federation/ are not."""
+        report = lint(
+            {
+                "repro/federation/broker.py": """
+                    class FederationBroker:
+                        def status(self, job_id):
+                            self.malleable.tick()
+                            return self._status(job_id)
+
+                        def _on_site_event(self, event):
+                            self.malleable.tick()
+
+                        def _reconcile(self):
+                            return self.malleable.tick()
+                """,
+                "repro/daemon/service.py": """
+                    def drive(self):
+                        self.loop.tick()
+                """,
+            },
+            [NoPollRule()],
+        )
+        found = rules_of(report, "no-poll")
+        assert len(found) == 2
+        assert all("tick" in f.message for f in found)
+
     def test_good_push_consumption(self, lint):
         report = lint(
             {

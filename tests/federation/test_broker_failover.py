@@ -249,13 +249,19 @@ class TestSweepFailuresAreVisible:
             original()
 
         monkeypatch.setattr(broker, "_reconcile", flaky)
+        # 2 sites x 2 slots: four units dispatch at intake, two wait in
+        # the pool for a sweep
         job_id = broker.submit_spec(
-            JobSpec(program=make_program(shots=10), shots=10, iterations=3)
+            JobSpec(program=make_program(shots=10), shots=10, iterations=6)
         )
         sim.run(until=600.0)  # does not raise
         assert calls == [15.0]  # the first raise ended the sweep
-        # no tick advances the parked unit transitions any more
-        assert broker.job(job_id).state is JobState.PLACED
+        # the dispatched units landed at their push; no sweep dispatches the rest
+        job = broker.job(job_id)
+        assert job.state is JobState.PLACED
+        assert job.completed_units == 4
+        with pytest.raises(FederationError, match="spawn_housekeeping"):
+            sim.run_until_process(sim.spawn(broker.wait(job_id)))
         assert broker.stats()["housekeeping_error"] == repr(
             RuntimeError("sweep blew up")
         )

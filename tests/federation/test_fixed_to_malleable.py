@@ -5,8 +5,8 @@ import sys
 from pathlib import Path
 
 from fedutil import build_federation, make_program
-from repro.federation import FederatedClient, FederatedJob, JobState
-from repro.federation.malleable import MalleableJob, ResizeConfig
+from repro.federation import FederatedClient, JobState
+from repro.federation.malleable import ResizeConfig
 from repro.scheduling.algorithms import EasyBackfill
 from repro.spec import JobSpec
 
@@ -47,7 +47,7 @@ class TestFixedToMalleableConversion:
         )
         _saturate(broker, sites, per_site=2)
         job_id = broker.submit_spec(self._convertible_spec(shots=40))
-        assert isinstance(broker.job(job_id), MalleableJob)
+        assert broker.job(job_id).resize is not None
         assert len(events) == 1
         assert events[0].payload["units"] == 2
         assert events[0].payload["shots_per_unit"] == 20
@@ -58,7 +58,7 @@ class TestFixedToMalleableConversion:
         client = FederatedClient(broker, user="alice")
         _saturate(broker, sites, per_site=2)
         job_id = client.submit_spec(self._convertible_spec(shots=40))
-        assert isinstance(broker.job(job_id), MalleableJob)
+        assert broker.job(job_id).resize is not None
         # broker.status/result delegate for converted ids — same calls a
         # fixed job would get
         assert broker.status(job_id)["state"] in ("placed", "pending", "held")
@@ -84,9 +84,9 @@ class TestFixedToMalleableConversion:
         _saturate(broker, sites, per_site=2)
         shots = self._three_kinds(client.submit_spec)
         fixed, converted, multi = shots
-        assert isinstance(broker.job(fixed), FederatedJob)
-        assert isinstance(broker.job(converted), MalleableJob)
-        assert isinstance(broker.job(multi), MalleableJob)
+        assert broker.job(fixed).resize is None
+        assert broker.job(converted).resize is not None
+        assert broker.job(multi).resize is not None
         sim.run(until=5000.0)
         for job_id, total in shots.items():
             assert broker.job(job_id).job_id == job_id
@@ -109,7 +109,7 @@ class TestFixedToMalleableConversion:
             results[key] = None
 
             def proc():
-                results[key] = yield from client.run_process(spec, poll_interval=5.0)
+                results[key] = yield from client.run_process(spec)
 
             sim.spawn(proc(), name=f"run-process-{key}")
             return key
@@ -127,7 +127,7 @@ class TestFixedToMalleableConversion:
     def test_unsaturated_federation_keeps_the_spec_fixed(self):
         sim, broker, sites = self._build()
         job_id = broker.submit_spec(self._convertible_spec())
-        assert not isinstance(broker.job(job_id), MalleableJob)
+        assert broker.job(job_id).resize is None
         assert job_id.startswith("fed-job-")
 
     def test_default_algorithm_never_converts(self):
@@ -138,7 +138,7 @@ class TestFixedToMalleableConversion:
         )
         _saturate(broker, sites, per_site=2)
         job_id = broker.submit_spec(self._convertible_spec())
-        assert not isinstance(broker.job(job_id), MalleableJob)
+        assert broker.job(job_id).resize is None
 
     def test_pinned_spec_is_never_converted(self):
         sim, broker, sites = self._build()
@@ -146,7 +146,7 @@ class TestFixedToMalleableConversion:
         job_id = broker.submit_spec(
             self._convertible_spec(pin="site-0/onprem")
         )
-        assert not isinstance(broker.job(job_id), MalleableJob)
+        assert broker.job(job_id).resize is None
 
     def test_per_spec_algorithm_opts_in_without_broker_default(self):
         # broker keeps the stock adapter; the spec names a registered
@@ -161,7 +161,7 @@ class TestFixedToMalleableConversion:
         job_id = broker.submit_spec(
             self._convertible_spec(algorithm="easy-backfill")
         )
-        assert isinstance(broker.job(job_id), MalleableJob)
+        assert broker.job(job_id).resize is not None
 
 
 class TestAgreementElasticArbitration:
@@ -202,8 +202,8 @@ class TestAgreementElasticArbitration:
         job_a, job_b = broker.job(a), broker.job(b)
         assert job_a.state is JobState.PLACED and job_b.state is JobState.PLACED
         for site in ("site-0", "site-1"):
-            slots_a = len(job_a.placement.ledger.in_flight_at(site))
-            slots_b = len(job_b.placement.ledger.in_flight_at(site))
+            slots_a = len(job_a.resize.ledger.in_flight_at(site))
+            slots_b = len(job_b.resize.ledger.in_flight_at(site))
             assert (slots_a, slots_b) == (3, 1)
         assert agreed  # at least one negotiation actually transferred
         for ev in agreed:
@@ -217,7 +217,7 @@ class TestAgreementElasticArbitration:
         sim.run(until=300.0)
         for site in ("site-0", "site-1"):
             total = sum(
-                len(broker.job(j).placement.ledger.in_flight_at(site))
+                len(broker.job(j).resize.ledger.in_flight_at(site))
                 for j in (a, b)
             )
             assert total <= 4

@@ -8,8 +8,12 @@ O(every job ever submitted).  These tests pin the equivalence:
 * a hypothesis-driven random walk over submit / site-kill / time
   advance / hold-release / evict sequences, asserting after every step
   that the tables and counters match a brute-force scan over all jobs,
+* the same walk checking that the task index holds exactly the live
+  dispatches of both tables, and that every open budget reservation
+  is held by a live dispatch (no orphaned encumbrance),
 * a spy on ``_refresh`` proving the reconcile sweep never touches
-  COMPLETED/FAILED jobs again,
+  COMPLETED/FAILED jobs again, and reads of a multi-unit id changing
+  nothing,
 * the registry's cached name list and snapshot cache (satellite fixes),
 * the snapshot's static part (catalog, capacity, fidelity, calibration)
   rebuilt only on a signature change, under a (depth, health) overlay.
@@ -20,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accounting import BudgetAction, FederationAccounting
+from repro.errors import PlacementError
 from repro.federation import JobState
 from repro.federation.registry import SiteHealth
 from repro.qpu import CalibrationState
@@ -56,8 +61,25 @@ def assert_tables_match_scan(broker, evicted_fixed=(), evicted_malleable=()):
         max(0, j.attempts - 1) for j in jobs + list(evicted_fixed)
     )
     assert stats["resize_events"] == sum(
-        len(j.placement.events) for j in mjobs + list(evicted_malleable)
+        len(j.resize.events) for j in mjobs + list(evicted_malleable)
     )
+
+
+def assert_dispatches_match_scan(broker, accounting):
+    """The task index and the open budget reservations are exactly the
+    live dispatches found by scanning both tables."""
+    live = [
+        (job, unit, dispatch)
+        for job in broker.jobs() + broker.malleable.table.all()
+        for unit, dispatch in job.live.items()
+    ]
+    assert broker._tasks == {
+        (d.site, d.task_id): (job.job_id, unit) for job, unit, d in live
+    }
+    assert all(job.state is JobState.PLACED for job, _, _ in live)
+    assert set(accounting.budgets._reservations) == {
+        f"{job.job_id}/u{unit}" for job, unit, _ in live
+    }
 
 
 OPS = st.lists(
@@ -142,10 +164,12 @@ class TestIndexedTablesEquivalence:
                 assert n == expired_total
                 assert broker.stats()["evicted"] == len(gone_fixed) + len(gone_malleable)
             assert_tables_match_scan(broker, gone_fixed, gone_malleable)
+            assert_dispatches_match_scan(broker, accounting)
         # drain whatever is still live and re-check the terminal shape
         sim.run(until=sim.now + 400.0)
         broker.reconcile()
         assert_tables_match_scan(broker, gone_fixed, gone_malleable)
+        assert_dispatches_match_scan(broker, accounting)
 
 
 class TestReconcileSkipsTerminalJobs:
@@ -174,6 +198,20 @@ class TestReconcileSkipsTerminalJobs:
         assert all(job_id not in terminal for job_id, _ in seen)
         assert all(state is JobState.PLACED for _, state in seen)
         assert any(job_id == live for job_id, _ in seen)
+
+    def test_reads_of_a_multi_unit_id_change_nothing(self):
+        """status() and result() are reads: on a live multi-unit job
+        they run no resize pass — no stats move, nothing is published."""
+        sim, registry, broker, sites = build_federation(n_sites=2, max_queue_depth=8)
+        job_id = broker.submit_spec(JobSpec(program=PROGRAM, shots=5, iterations=12))
+        sim.run(until=20.0)
+        assert broker.job(job_id).state is JobState.PLACED
+        before = (broker.stats(), broker.events.published)
+        status = broker.status(job_id)
+        with pytest.raises(PlacementError, match="not finished"):
+            broker.result(job_id)
+        assert (broker.stats(), broker.events.published) == before
+        assert status["units"] == 12 and status["state"] == "placed"
 
     def test_held_release_admission_memoized_per_tenant(self):
         """N held jobs of one exhausted tenant must cost one budget

@@ -135,7 +135,7 @@ class TestResizeLoop:
 
         def job():
             out["result"] = yield from client.run_process(
-                JobSpec(program=make_program(shots=40), iterations=6), poll_interval=5.0
+                JobSpec(program=make_program(shots=40), iterations=6)
             )
 
         sim.spawn(job(), name="multi-unit-run-process")
@@ -174,12 +174,12 @@ class TestResizeLoop:
         assert job.job_id == job_id  # never re-issued
         assert job.state is JobState.COMPLETED
         assert job.completed_units == 18
-        retire = job.placement.events_of("retire")
+        retire = job.resize.events_of("retire")
         assert [e.site for e in retire] == ["site-2"]
         # nothing new landed on the dead site after the retire event
         late = [
             d
-            for d in job.placement.history
+            for d in job.placements
             if d.site == "site-2" and d.placed_at > retire[0].time
         ]
         assert late == []
@@ -195,11 +195,11 @@ class TestResizeLoop:
         job = broker.job(job_id)
         assert job.state is JobState.COMPLETED
         shrinks = [
-            e for e in job.placement.events_of("shrink") if e.site == "site-2"
+            e for e in job.resize.events_of("shrink") if e.site == "site-2"
         ]
         assert shrinks, "the throttled site must lose weight"
         assert all(e.weight_after < e.weight_before for e in shrinks)
-        by_site = job.placement.ledger.completions_by_site()
+        by_site = job.resize.ledger.completions_by_site()
         assert by_site["site-2"] < by_site["site-0"]
         assert by_site["site-2"] < by_site["site-1"]
 
@@ -214,9 +214,9 @@ class TestResizeLoop:
             broker.submit_spec(JobSpec(program=make_program(shots=400), shots=400, pin="site-1/onprem"))
         broker.reconcile()
         job = broker.job(job_id)
-        weights = job.placement.weights()
+        weights = job.resize.weights()
         assert weights["site-1"] == 0.0
-        events = job.placement.events_of("shrink")
+        events = job.resize.events_of("shrink")
         assert any(
             e.site == "site-1" and "watermark" in e.reason for e in events
         )
@@ -233,11 +233,11 @@ class TestResizeLoop:
             broker.submit_spec(JobSpec(program=make_program(shots=200), shots=200, pin="site-1/onprem"))
         broker.reconcile()
         job = broker.job(job_id)
-        assert job.placement.weights()["site-1"] == 0.0
+        assert job.resize.weights()["site-1"] == 0.0
         sim.run(until=8 * 3600.0)
         grows = [
             e
-            for e in job.placement.events_of("grow")
+            for e in job.resize.events_of("grow")
             if e.site == "site-1" and e.time > 0.0
         ]
         assert grows, "the drained site must regain share"
@@ -256,8 +256,8 @@ class TestResizeLoop:
         job = broker.job(job_id)
         assert job.state is JobState.COMPLETED
         # static thirds: the slow site still ran its full pre-assigned slice
-        assert job.placement.ledger.completions_by_site()["site-2"] == 4
-        assert job.placement.events_of("shrink") == []
+        assert job.resize.ledger.completions_by_site()["site-2"] == 4
+        assert job.resize.events_of("shrink") == []
 
         # ... but a *dead* site's slice is reassigned even in rigid mode
         sim2, registry2, broker2, sites2 = build_federation(
@@ -316,10 +316,10 @@ class TestResizeLoop:
         sim.run(until=8 * 3600.0)
         job = broker.job(job_id)
         assert job.state is JobState.COMPLETED
-        by_site = job.placement.ledger.completions_by_site()
+        by_site = job.resize.ledger.completions_by_site()
         assert by_site.get("site-9", 0) >= 10  # the wipeout's orphans
         reseeds = [
-            e for e in job.placement.events if e.reason == "rigid re-seed"
+            e for e in job.resize.events if e.reason == "rigid re-seed"
         ]
         assert [e.site for e in reseeds] == ["site-9"]
 
@@ -350,7 +350,7 @@ class TestResizeLoop:
         job = broker.job(job_id)
         assert job.state is JobState.FAILED
         assert "exhausted" in job.error
-        assert job.placement.dispatches == {}
+        assert job.live == {}
 
     def test_stranded_job_fails_instead_of_polling_forever(self):
         """Candidate set empty + nothing in flight -> loud failure,

@@ -77,7 +77,7 @@ class TestCounterEquivalence:
                 truth_reroutes[placement.site] = (
                     truth_reroutes.get(placement.site, 0) + 1
                 )
-        for dispatch in mjob.placement.history:
+        for dispatch in mjob.placements:
             if dispatch.abandoned and not dispatch.abandon_reason.startswith(
                 "reclaimed:"
             ) and dispatch.abandon_reason != "job failed":
@@ -89,7 +89,7 @@ class TestCounterEquivalence:
             assert metrics.reroutes.value(labels={"site": site}) == count
 
         # malleable units: the share ledger is the ground truth
-        for site, count in mjob.placement.ledger.completions_by_site().items():
+        for site, count in mjob.resize.ledger.completions_by_site().items():
             assert metrics.units_completed.value(labels={"site": site}) == count
 
         # admissions: one decision per submission (no accounting -> admit)
@@ -97,7 +97,7 @@ class TestCounterEquivalence:
 
         # resize events: the per-job ShareEvent history
         truth_share = {}
-        for event in mjob.placement.events:
+        for event in mjob.resize.events:
             key = (event.site, event.kind)
             truth_share[key] = truth_share.get(key, 0) + 1
         for (site, kind), count in truth_share.items():

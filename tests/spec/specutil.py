@@ -34,7 +34,7 @@ def make_daemon(sim, rng, key, shot_rate=10.0):
     )
 
 
-def build_federation(n_sites=2, seed=0, max_queue_depth=4, housekeeping=15.0):
+def build_federation(n_sites=2, seed=0, max_queue_depth=4, housekeeping=15.0, max_attempts=3):
     """N single-QPU sites on one shared clock, wired into a broker."""
     sim = Simulator()
     rng = RngRegistry(seed)
@@ -46,7 +46,7 @@ def build_federation(n_sites=2, seed=0, max_queue_depth=4, housekeeping=15.0):
         registry.register(site, now=0.0)
         sites[site.name] = site
     registry.start_heartbeats(sim, interval=15.0)
-    broker = FederationBroker(sim, registry)
+    broker = FederationBroker(sim, registry, max_attempts=max_attempts)
     if housekeeping:
         broker.spawn_housekeeping(interval=housekeeping)
     return sim, registry, broker, sites

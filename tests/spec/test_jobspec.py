@@ -267,3 +267,28 @@ class TestSpecOnlyIntake:
         assert surface in message
         assert "AnalogProgram" in message
         assert "JobSpec(program=...)" in message
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            JobSpec(program=make_program(), shots=20),
+            JobSpec(program=make_program(), shots=20, iterations=4),
+        ],
+        ids=["fixed", "multi-unit"],
+    )
+    def test_each_kind_of_federated_submission_validates_once(self, spec, monkeypatch):
+        from specutil import build_federation
+
+        sim, registry, broker, sites = build_federation()
+        calls = []
+        validate = JobSpec.validate
+
+        def counting(self):
+            calls.append(self.iterations)
+            return validate(self)
+
+        monkeypatch.setattr(JobSpec, "validate", counting)
+        broker.submit_spec(spec)
+        assert calls == [spec.iterations]

@@ -4,8 +4,9 @@ import pytest
 from specutil import build_federation, build_three_backends, make_daemon, make_program
 
 from repro.daemon.cloud import CloudGateway
-from repro.errors import DaemonError, SpecError
+from repro.errors import DaemonError, FederationError, PlacementError, SpecError
 from repro.runtime.results import RunResult
+from repro.federation import FederatedClient
 from repro.session import Session
 from repro.simkernel import RngRegistry
 from repro.spec import JobSpec
@@ -197,6 +198,108 @@ class TestPushWait:
         handle = session.submit(JobSpec(program=make_program(shots=30)))
         assert drive(sim, handle.wait()).shots == 30
         job = broker.job(handle.job_id)
+        task = sites[job.current.site].daemon.queue.get(job.current.task_id)
+        assert job.finished_at == task.finished_at == sim.now
+
+    def test_multi_unit_wait_completes_at_the_last_push_without_housekeeping(self):
+        """A rigid 4-unit spec splits 2 + 2 over 2 sites x 2 slots, so
+        every unit dispatches at intake; each lands at its own pushed
+        transition, and the last one completes the job and wakes the
+        waiter — no sweep runs."""
+        sim, registry, broker, sites = build_federation(housekeeping=None)
+        session = Session(federation=broker)
+        spec = JobSpec(program=make_program(shots=30), iterations=4, malleable=False)
+        handle = session.submit(spec)
+        result = sim.run_until_process(sim.spawn(handle.wait()), max_events=5000)
+        assert result.shots == 4 * 30
+        job = broker.job(handle.job_id)
+        finished = [
+            sites[d.site].daemon.queue.get(d.task_id).finished_at for d in job.placements
+        ]
+        assert len(finished) == 4
+        assert job.finished_at == max(finished) == sim.now
+
+    def test_wait_that_needs_a_sweep_raises_without_housekeeping(self):
+        """8 units on 4 slots: half wait in the pool for a sweep that
+        never runs, so the wait fails loudly instead of hanging."""
+        sim, registry, broker, sites = build_federation(housekeeping=None)
+        session = Session(federation=broker)
+        handle = session.submit(JobSpec(program=make_program(shots=30), iterations=8))
+        with pytest.raises(FederationError, match="spawn_housekeeping"):
+            sim.run_until_process(sim.spawn(handle.wait()), max_events=5000)
+
+    def test_unit_lost_mid_wait_raises_without_housekeeping(self):
+        """Both units on site-1 go back to the pool when it dies; only a
+        sweep could dispatch them again, so the armed wait re-checks at
+        the reroute and fails loudly."""
+        sim, registry, broker, sites = build_federation(housekeeping=None)
+        session = Session(federation=broker)
+        spec = JobSpec(program=make_program(shots=30), iterations=4, malleable=False)
+        handle = session.submit(spec)
+        sim.call_in(1.0, sites["site-1"].kill)
+        with pytest.raises(FederationError, match="units left to dispatch"):
+            sim.run_until_process(sim.spawn(handle.wait()), max_events=5000)
+        assert sim.now == 1.0
+
+    @pytest.mark.parametrize("housekeeping", [None, 15.0])
+    def test_fixed_wait_ends_when_its_reroute_fails_the_job(self, housekeeping):
+        """One site, killed mid-run: the reroute finds no other site and
+        fails the job in the same step, after the waiter was woken by
+        ``job_rerouted``; the wait reads the failed state and ends."""
+        sim, registry, broker, sites = build_federation(n_sites=1, housekeeping=housekeeping)
+        session = Session(federation=broker)
+        handle = session.submit(JobSpec(program=make_program(shots=30)))
+        sim.call_in(1.0, sites["site-0"].kill)
+        with pytest.raises(PlacementError, match="failed"):
+            sim.run_until_process(sim.spawn(handle.wait()), max_events=5000)
+        assert sim.now == 1.0
+        assert broker.job(handle.job_id).attempts == 1
+
+    @pytest.mark.parametrize("housekeeping", [None, 15.0])
+    def test_ledger_wait_ends_when_a_lost_unit_exhausts_its_attempts(self, housekeeping):
+        """With one attempt per unit, the first unit site-1 loses fails
+        the job right after its ``job_rerouted``; the wait ends."""
+        sim, registry, broker, sites = build_federation(
+            housekeeping=housekeeping, max_attempts=1
+        )
+        session = Session(federation=broker)
+        spec = JobSpec(program=make_program(shots=30), iterations=4, malleable=False)
+        handle = session.submit(spec)
+        sim.call_in(1.0, sites["site-1"].kill)
+        with pytest.raises(PlacementError, match="exhausted 1 placement attempts"):
+            sim.run_until_process(sim.spawn(handle.wait()), max_events=5000)
+        assert sim.now == 1.0
+
+    def test_client_run_process_ends_when_its_reroute_fails_the_job(self):
+        sim, registry, broker, sites = build_federation(n_sites=1, housekeeping=None)
+        client = FederatedClient(broker)
+        sim.call_in(1.0, sites["site-0"].kill)
+        with pytest.raises(PlacementError, match="failed"):
+            sim.run_until_process(
+                sim.spawn(client.run_process(JobSpec(program=make_program(shots=30)))),
+                max_events=5000,
+            )
+        assert sim.now == 1.0
+
+    def test_heartbeat_lapse_without_housekeeping_reroutes_at_the_push(self):
+        """Site-0 stops heartbeating but keeps running, and nothing is
+        pushed when its heartbeat expires: with no sweep the task stays
+        there, and its pushed completion finds the site unhealthy,
+        reroutes the job to site-1 and the wait ends at that push."""
+        sim, registry, broker, sites = build_federation(housekeeping=None)
+        session = Session(federation=broker)
+        # 100 s of shots: longer than the 60 s heartbeat expiry
+        handle = session.submit(JobSpec(program=make_program(shots=1000)))
+        job = broker.job(handle.job_id)
+        lapsed = job.current.site
+        beat = registry.heartbeat
+        registry.heartbeat = lambda name, now: None if name == lapsed else beat(name, now)
+        result = sim.run_until_process(sim.spawn(handle.wait()), max_events=5000)
+        assert result.shots == 1000
+        assert job.attempts == 2
+        assert job.placements[0].site == lapsed
+        assert job.placements[0].abandon_reason == f"site {lapsed} unhealthy"
+        assert job.current.site != lapsed
         task = sites[job.current.site].daemon.queue.get(job.current.task_id)
         assert job.finished_at == task.finished_at == sim.now
 
