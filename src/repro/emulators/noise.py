@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import EmulatorError
+from .sampling import pack_weights
 
 __all__ = ["NoiseModel"]
 
@@ -94,25 +95,58 @@ class NoiseModel:
             offsets = np.zeros(count)
         return scales, offsets
 
+    def spam_masks(
+        self, rng: np.random.Generator, shots: int, n: int
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """The SPAM error masks of ``shots`` readouts of n atoms: lost
+        (state preparation), up (false positive), down (false negative),
+        in that draw order.  Each is a (shots, n) bool array from one
+        ``rng.random((shots, n))`` call, or None without a draw when its
+        rate is zero.  Every SPAM path draws here, so bit rows and
+        packed states consume the RNG stream identically."""
+        return tuple(
+            rng.random((shots, n)) < rate if rate > 0 else None
+            for rate in (
+                self.state_prep_error,
+                self.detection_epsilon,
+                self.detection_epsilon_prime,
+            )
+        )
+
     def apply_spam(self, samples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Apply SPAM errors to an (shots, n) 0/1 sample array, vectorized.
 
         State-prep errors are modeled as pre-measurement bit resets to 0
         followed by detection confusion (a lost atom reads as ground).
+        A false positive only raises a 0 and a false negative only
+        lowers a 1, so each mask is a plain assignment.
         """
         if samples.size == 0:
             return samples
         out = samples.astype(np.uint8, copy=True)
-        if self.state_prep_error > 0:
-            lost = rng.random(out.shape) < self.state_prep_error
-            out[lost] = 0
-        if self.detection_epsilon > 0:
-            flips_up = (out == 0) & (rng.random(out.shape) < self.detection_epsilon)
-            out[flips_up] = 1
-        if self.detection_epsilon_prime > 0:
-            flips_down = (out == 1) & (rng.random(out.shape) < self.detection_epsilon_prime)
-            out[flips_down] = 0
+        lost, up, down = self.spam_masks(rng, *out.shape)
+        for mask, bit in ((lost, 0), (up, 1), (down, 0)):
+            if mask is not None:
+                out[mask] = bit
         return out
+
+    def apply_spam_packed(
+        self, states: np.ndarray, n: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """:meth:`apply_spam` on packed (shots,) n-bit basis indices
+        (qubit 0 = MSB): the same draws, each mask packed to one integer
+        per shot and applied as ``&= ~lost``, ``|= up``, ``&= ~down``."""
+        if states.size == 0:
+            return states
+        lost, up, down = self.spam_masks(rng, states.shape[0], n)
+        weights = pack_weights(n)
+        if lost is not None:
+            states = states & ~(lost @ weights)
+        if up is not None:
+            states = states | (up @ weights)
+        if down is not None:
+            states = states & ~(down @ weights)
+        return states
 
     def scaled(self, factor: float) -> "NoiseModel":
         """A proportionally degraded copy (used by drift experiments)."""

@@ -8,21 +8,29 @@ import numpy as np
 
 from ..errors import EmulatorError
 
-__all__ = ["bits_to_strings", "counts_from_samples", "sample_bitstrings"]
+__all__ = [
+    "bits_to_strings",
+    "counts_from_samples",
+    "counts_from_states",
+    "pack_weights",
+    "sample_bitstrings",
+    "sample_states",
+]
 
 #: largest register histogrammed by ``bincount`` over all 2^n outcomes
 #: (emu-sv's limit); wider samples are deduplicated by ``np.unique``
 _BINCOUNT_MAX_QUBITS = 14
 
 
-def sample_bitstrings(
+def sample_states(
     probabilities: np.ndarray, shots: int, rng: np.random.Generator, num_qubits: int
 ) -> np.ndarray:
     """Draw ``shots`` basis states from a 2^n distribution.
 
-    Returns an (shots, n) uint8 array of bits (qubit 0 = MSB = column 0).
+    Returns the shuffled (shots,) int64 basis indices (qubit 0 = MSB).
     Uses a single multinomial draw + repeat expansion instead of
-    per-shot choice calls (one RNG call, no Python loop).
+    per-shot choice calls (one RNG call, no Python loop), then one
+    shuffle so the shots come in random order.
     """
     if shots < 0:
         raise EmulatorError(f"shots must be >= 0, got {shots}")
@@ -37,12 +45,30 @@ def sample_bitstrings(
         raise EmulatorError("probability vector sums to zero")
     p = p / total
     if shots == 0:
-        return np.zeros((0, num_qubits), dtype=np.uint8)
+        return np.zeros(0, dtype=np.int64)
     counts = rng.multinomial(shots, p)
-    states = np.repeat(np.arange(dim, dtype=np.uint64), counts)
+    states = np.repeat(np.arange(dim, dtype=np.int64), counts)
     rng.shuffle(states)
-    shifts = np.arange(num_qubits - 1, -1, -1, dtype=np.uint64)
+    return states
+
+
+def sample_bitstrings(
+    probabilities: np.ndarray, shots: int, rng: np.random.Generator, num_qubits: int
+) -> np.ndarray:
+    """:func:`sample_states` expanded to an (shots, n) uint8 array of
+    bits (qubit 0 = MSB = column 0)."""
+    states = sample_states(probabilities, shots, rng, num_qubits)
+    shifts = np.arange(num_qubits - 1, -1, -1, dtype=np.int64)
     return ((states[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+@functools.cache
+def pack_weights(n: int) -> np.ndarray:
+    """(n,) int64 bit weights that pack an n-bit row into its basis
+    index (column 0 = MSB), for n <= ``_BINCOUNT_MAX_QUBITS``."""
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
 def bits_to_strings(samples: np.ndarray) -> list[str]:
@@ -61,6 +87,15 @@ def _labels(n: int) -> list[str]:
     return [format(key, f"0{n}b") for key in range(1 << n)]
 
 
+def counts_from_states(states: np.ndarray, n: int) -> dict[str, int]:
+    """Histogram packed n-bit basis indices into a counts dict, keys in
+    ascending bitstring order (n <= ``_BINCOUNT_MAX_QUBITS``)."""
+    hist = np.bincount(states, minlength=1 << n)
+    seen = np.flatnonzero(hist)
+    labels = _labels(n)
+    return dict(zip([labels[k] for k in seen.tolist()], hist[seen].tolist(), strict=True))
+
+
 def counts_from_samples(samples: np.ndarray) -> dict[str, int]:
     """Histogram an (shots, n) bit array into a counts dict, keys in
     ascending bitstring order."""
@@ -68,11 +103,7 @@ def counts_from_samples(samples: np.ndarray) -> dict[str, int]:
         return {}
     n = samples.shape[1]
     if n <= _BINCOUNT_MAX_QUBITS:
-        keys = samples @ (1 << np.arange(n - 1, -1, -1))
-        hist = np.bincount(keys, minlength=1 << n)
-        seen = np.flatnonzero(hist)
-        labels = _labels(n)
-        return dict(zip([labels[k] for k in seen.tolist()], hist[seen].tolist(), strict=True))
+        return counts_from_states(samples @ pack_weights(n), n)
     # Pack rows into integers for fast unique counting.  A plain Python
     # ``1 << 63`` cast through int64 would overflow, so the weights are
     # built in uint64 from the start; that covers exactly n <= 64.

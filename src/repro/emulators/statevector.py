@@ -11,7 +11,7 @@ interval k:
 * ``R_k`` — the global drive: the same 2x2 rotation ``u`` on every
   qubit (the single-qubit terms commute).  The register splits into
   ceil(n/``_GROUP``) groups of g <= ``_GROUP`` qubits; the Kronecker
-  power ``⊗^g u`` acts on each in one batched matmul that also cycles
+  power ``⊗^g`` acts on each in one batched matmul that also cycles
   the group to the back of the register, so the qubit order is
   restored after the last group.
 
@@ -25,12 +25,28 @@ one diagonal per step instead of two.  ``D_0^1/2`` is the identity on
 |0...0> (zero interaction energy, zero popcount), so it is never
 applied.  ``F_k`` factors into a program-static interaction phase
 exp(-i (dt_k + dt_{k+1})/2 E_int) -- one 2^n row per distinct
-step-length sum, built once per Hamiltonian by
-``RydbergHamiltonian.fused_diagonals`` -- times a detuning phase that
-depends only on the popcount, so it has n+1 values per (realization,
-step).
+step-length sum -- times a detuning phase that depends only on the
+popcount, so it has n+1 values per (realization, step).
 
-**Step operators per chunk.**  The Kronecker powers and detuning phases
+**Phase fold.**  The drive phase phi_k is a popcount phase around a
+phase-free rotation: ``u = P_k v P_k^dagger`` with ``P_k = diag(1,
+e^{-i phi_k})`` and ``v = exp(-i (theta/2) X)``.  Entry (a, b) of
+``⊗^m u`` is therefore ``e^{-i phi pop(a)} X[a, b] e^{+i phi pop(b)}``,
+where ``X = ⊗^m v`` has entries c^(m-w) (-i s)^w for the Hamming
+distance w of a and b.  The right factor of step k+1 meets the left
+factor of step k across the diagonal ``F_k``, and all three are
+popcount phases, so they merge: step k applies ``X_k`` and then ``F_k``
+times exp(+i (phi_{k+1} - phi_k) popcount), with phi_K = 0.  The first
+right factor acts on |0...0> and is the identity, and phi_K = 0 leaves
+the final state exact, global phase included.  The drive tables are
+one gather of the (m+1) amplitudes per (step, realization) through a
+cached Hamming-distance index.  ``RydbergHamiltonian.fused_diagonals``
+builds the program-static columns once per Hamiltonian: the drive
+half-angle Omega dt / 2, the popcount phase (dt-weighted detunings over
+two plus the phase turn) and the half step-length sums that scale a
+realization's detuning offset, next to the interaction rows.
+
+**Step operators per chunk.**  The drive tables and detuning phases
 are built vectorised over a chunk of steps, capped at ``_TABLE_BUDGET``
 complex values.  The detuning phase factors over the groups (the
 popcount is a sum over groups), so each group's share is folded into
@@ -46,6 +62,15 @@ the columns of its matrix:
 One kernel evolves every coherent-noise realization at once; the only
 Python loops are over time steps and qubit groups (no per-amplitude
 Python work).
+
+**Shots in count space.**  ``run`` never expands shots into bit rows.
+The multinomial counts become a (shots,) array of packed basis indices
+(qubit 0 = MSB), shuffled where the shots are drawn from one
+distribution.  SPAM errors draw the same ``rng.random((shots, n))``
+masks in the order ``NoiseModel.spam_masks`` fixes; each mask is packed
+to one integer per shot and applied as ``&= ~lost``, ``|= up``,
+``&= ~down``.  One ``bincount`` then builds the counts.  The RNG
+stream is that of the bit-row path, so the counts are too.
 """
 
 from __future__ import annotations
@@ -61,7 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, breaks a cycle
     from ..qpu.hamiltonian import RydbergHamiltonian
 from .base import EmulationResult, EmulatorBackend
 from .noise import NoiseModel
-from .sampling import counts_from_samples, sample_bitstrings
+from .sampling import counts_from_states, sample_states
 
 __all__ = ["StateVectorEmulator"]
 
@@ -132,8 +157,8 @@ class StateVectorEmulator(EmulatorBackend):
         reals = scales.shape[0]
         fused = ham.fused_diagonals()
         sizes = _group_sizes(n)
-        theta = np.outer(ham.omega * ham.steps, scales)                           # (K, R)
-        weight = 0.5 * (fused.weighted[:, None] + np.outer(fused.sums, offsets))  # (K, R)
+        half_angle = np.outer(fused.half_angle, scales)                              # (K, R)
+        weight = fused.popcount_phase[:, None] + np.outer(fused.half_sums, offsets)  # (K, R)
         popcounts = np.arange(sizes[0] + 1)
         # a quarter of the budget per chunk: the previous chunk's tables
         # are still alive while the next chunk's are built
@@ -144,9 +169,9 @@ class StateVectorEmulator(EmulatorBackend):
         psi[..., 0] = 1.0
         for start in range(0, ham.num_steps, chunk):
             window = slice(start, start + chunk)
-            # exp(+i/2 (weighted + sums offset) c) for popcounts c = 0..g: (steps, R, g+1)
+            # exp(+i weight c) for popcounts c = 0..g: (steps, R, g+1)
             detuning = _cis(weight[window, :, None] * popcounts)
-            ops = _drive_kron_powers(theta[window], ham.phase[window], sizes)
+            ops = _drive_tables(half_angle[window], sizes)
             if len(sizes) == 1:
                 # fold all of F_k into the columns of (⊗u)^T: a step is one matmul
                 diag = detuning.take(ham.occupation_counts(), axis=-1)
@@ -193,15 +218,10 @@ class StateVectorEmulator(EmulatorBackend):
             raise EmulatorError(f"shots must be >= 0, got {shots}")
         self.check_size(ham)
         n = ham.num_qubits
-        if noise is None or noise.is_trivial:
-            probs = self.probabilities(ham)
-            samples = sample_bitstrings(probs, shots, rng, n)
-        elif not noise.has_coherent_noise:
-            probs = self.probabilities(ham)
-            samples = sample_bitstrings(probs, shots, rng, n)
-            samples = noise.apply_spam(samples, rng)
+        if noise is None or not noise.has_coherent_noise:
+            states = sample_states(self.probabilities(ham), shots, rng, n)
         elif shots == 0:
-            samples = np.zeros((0, n), dtype=np.uint8)
+            states = np.zeros(0, dtype=np.int64)
         else:
             # Split the shot budget across coherent noise realizations:
             # one batched evolution, one batched multinomial.  Counts
@@ -218,15 +238,12 @@ class StateVectorEmulator(EmulatorBackend):
             if np.any(totals <= 0):
                 raise EmulatorError("probability vector sums to zero")
             counts = rng.multinomial(chunk_shots, probs / totals)
-            states = np.repeat(
-                np.arange(1 << n, dtype=np.uint64), counts.sum(axis=0)
-            )
-            shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-            samples = ((states[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-            samples = noise.apply_spam(samples, rng)
+            states = np.repeat(np.arange(1 << n), counts.sum(axis=0))
+        if noise is not None:
+            states = noise.apply_spam_packed(states, n, rng)
         self._last_fidelity = 1.0
         return EmulationResult(
-            counts=counts_from_samples(samples),
+            counts=counts_from_states(states, n),
             shots=shots,
             backend=self.name,
             duration_us=ham.total_duration,
@@ -260,44 +277,37 @@ def _popcount(m: int) -> np.ndarray:
 
 
 @functools.cache
-def _kron_index(m: int) -> np.ndarray:
-    """(2^m, 2^m) gather index of entry (a, b) of ``(⊗^m u)^T`` into the
-    flattened (m+1, 2m+1) table of c^(m-w) (-i s)^w e^(i phi d), with
-    w = p + q and d = p - q; p (q) counts the qubits where a has 1 (0)
-    and b has 0 (1)."""
-    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-    p = (bits[:, None, :] & (1 - bits[None, :, :])).sum(axis=-1)
-    q = ((1 - bits[:, None, :]) & bits[None, :, :]).sum(axis=-1)
-    return (p + q) * (2 * m + 1) + (p - q + m)
+def _hamming(m: int) -> np.ndarray:
+    """(2^m, 2^m) Hamming distance popcount(a ^ b) of every pair of
+    m-bit basis indices."""
+    distance = _popcount(m)[np.bitwise_xor.outer(np.arange(1 << m), np.arange(1 << m))]
+    distance.flags.writeable = False
+    return distance
 
 
 #: (-i)^w for w = 0.._GROUP
 _MINUS_I_POWERS = (-1j) ** np.arange(_GROUP + 1)
 
 
-def _drive_kron_powers(theta: np.ndarray, phase: np.ndarray, sizes: tuple[int, ...]) -> dict:
-    """Transposed Kronecker powers ``(⊗^m u)^T`` of the drive rotation
-    exp(-i (theta/2) (cos(phi) X - sin(phi) Y)) per (step, realization),
-    for each group size m in ``sizes``; entry m has shape (K, R, 2^m, 2^m).
+def _drive_tables(half_angle: np.ndarray, sizes: tuple[int, ...]) -> dict:
+    """Phase-free Kronecker powers ``⊗^m v`` of the drive rotation per
+    (step, realization), for each group size m in ``sizes``; entry m
+    has shape (K, R, 2^m, 2^m).
 
-    u is su(2):  [[c, x], [y, c]] = [[cos(t/2), -i e^{i phi} sin(t/2)],
-                                     [-i e^{-i phi} sin(t/2), cos(t/2)]],
-    so entry (a, b) of ``⊗^m u`` is c^(m-p-q) x^p y^q
-    = c^(m-p-q) (-i s)^(p+q) e^(i phi (p-q)), with p (q) the number of
-    qubits where a has 0 (1) and b has 1 (0): a gather from the
-    (m+1)(2m+1) products of an amplitude and a phase power instead of
-    m-1 outer products.
+    v = exp(-i t X) = [[c, -i s], [-i s, c]] with c = cos t and
+    s = sin t for the half-angle t, so entry (a, b) of ``⊗^m v`` is
+    c^(m-w) (-i s)^w with w the Hamming distance of a and b: one
+    gather from the m+1 amplitudes.  The power is symmetric, so it is
+    its own transpose.  The drive phase is not in the tables: the
+    kernel commutes it into the popcount phase.
     """
     top = sizes[0]
     e = np.arange(top + 1)
-    cos = np.cos(0.5 * theta)[..., None] ** e                     # (K, R, top+1)
-    sin = np.sin(0.5 * theta)[..., None] ** e
-    turns = _cis(phase[:, None] * np.arange(-top, top + 1))       # (K, 2top+1)
-    powers = {}
+    cos = np.cos(half_angle)[..., None] ** e                     # (K, R, top+1)
+    sin = np.sin(half_angle)[..., None] ** e
+    tables = {}
     for m in set(sizes):
         w = e[: m + 1]
         amp = cos[..., m - w] * sin[..., w] * _MINUS_I_POWERS[w]
-        table = amp[..., :, None] * turns[:, None, None, top - m : top + m + 1]
-        flat = table.reshape(theta.shape + (-1,))
-        powers[m] = flat.take(_kron_index(m), axis=-1)
-    return powers
+        tables[m] = amp.take(_hamming(m), axis=-1)
+    return tables

@@ -40,6 +40,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 from ..errors import (
@@ -84,6 +85,9 @@ class JobState(enum.Enum):
 #: the states a job never leaves; reaching one stamps ``finished_at``
 TERMINAL_STATES = (JobState.COMPLETED, JobState.FAILED)
 
+#: the live-dispatch map every terminal job shares: read-only and empty
+_NO_LIVE = MappingProxyType({})
+
 
 @dataclass(slots=True)
 class Placement:
@@ -122,10 +126,12 @@ class FederatedJob:
     state: JobState = JobState.PLACED
     #: every dispatch ever made, in dispatch order
     placements: list[Placement] = field(default_factory=list)
-    #: unit -> its live dispatch; a unit leaves when it lands or is abandoned
+    #: unit -> its live dispatch; a unit leaves when it lands or is
+    #: abandoned, and a terminal job holds the shared empty ``_NO_LIVE``
     live: dict[int, Placement] = field(default_factory=dict)
-    #: unit -> result of every unit that landed
-    results: dict[int, Any] = field(default_factory=dict)
+    #: a one-unit job's result once it landed (a ledger job keeps its
+    #: per-unit results on ``resize``)
+    result: Any = None
     error: str = ""
     #: submission sequence number — the per-state tables iterate live
     #: jobs in this order, reproducing the pre-indexing full-scan order
@@ -151,14 +157,10 @@ class FederatedJob:
         return len(self.placements)
 
     @property
-    def result(self) -> Any:
-        return self.results.get(0)
-
-    @property
     def completed_units(self) -> int:
         if self.resize is not None:
             return self.resize.ledger.completed_units
-        return len(self.results)
+        return int(self.state is JobState.COMPLETED)
 
 
 class JobTable:
@@ -201,7 +203,8 @@ class JobTable:
 
     def set_state(self, job: Any, state: JobState) -> None:
         """Move ``job`` to ``state``.  A terminal state stamps
-        ``finished_at`` and publishes ``job_<state>``, which is what
+        ``finished_at``, swaps the job's emptied live map for the shared
+        ``_NO_LIVE`` and publishes ``job_<state>``, which is what
         waiters wake on."""
         if state is job.state:
             return
@@ -210,6 +213,7 @@ class JobTable:
         self._by_state[state][job.job_id] = job
         if state in TERMINAL_STATES:
             job.finished_at = self._sim.now
+            job.live = _NO_LIVE
             self._publish(f"job_{state.value}", job.job_id, error=job.error)
 
     def in_state(self, state: JobState) -> list[Any]:
@@ -893,16 +897,16 @@ class FederationBroker:
             return
 
     def _fail(self, job: FederatedJob, reason: str) -> None:
-        """Fail ``job``: cancel every live dispatch and release every
-        budget hold."""
+        """Fail ``job``: cancel every live dispatch, release every
+        budget hold, then announce the failure."""
         job.error = reason
-        self._table_of(job).set_state(job, JobState.FAILED)
         for unit in list(job.live):
             self._drop(job, unit, "job failed")
         if job.resize is None:
             # a one-unit job keeps its hold across a reroute, so it may
             # hold budget with nothing live
             self._release_hold(job, 0)
+        self._table_of(job).set_state(job, JobState.FAILED)
 
     def _abandon(self, job: FederatedJob, unit: int, reason: str) -> None:
         """``unit`` lost its task: cancel it, announce and bill the
@@ -966,14 +970,17 @@ class FederationBroker:
         share ledger, bill it and drop its hold.  The job completes with
         its last unit."""
         dispatch = self._untrack(job, unit)
-        job.results[unit] = result
+        resize = job.resize
+        if resize is None:
+            job.result = result
+        else:
+            resize.results[unit] = result
         # service time from execution start, so queue wait neither
         # pollutes the resize loop's latency signal nor gets billed
         started = status.get("started_at")
         finished = status.get("finished_at")
         base = started if started is not None else dispatch.placed_at
         seconds = (finished if finished is not None else self.sim.now) - base
-        resize = job.resize
         if resize is not None:
             resize.ledger.checkpoint(unit)
             self.malleable._observe_latency(job, dispatch.site, seconds)
@@ -1223,7 +1230,7 @@ class FederationBroker:
                 f"job {job_id} not finished (state {job.state.value})",
                 job_id=job_id,
             )
-        return job.result if job.resize is None else dict(job.results)
+        return job.result if job.resize is None else dict(job.resize.results)
 
     def wait(self, job_id: str):
         """Generator: suspend the calling simulated process until

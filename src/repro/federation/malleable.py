@@ -39,7 +39,7 @@ the pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..errors import FederationError, PlacementError, ResourceNotFound, SiteUnavailable
 from ..scheduling.algorithms import AgreementElastic
@@ -102,6 +102,8 @@ class ResizeState:
     pins: dict[str, str] = field(default_factory=dict)
     events: list[ShareEvent] = field(default_factory=list)
     latency_ewma: dict[str, float] = field(default_factory=dict)
+    #: unit -> result of every unit that landed
+    results: dict[int, Any] = field(default_factory=dict)
 
     def weights(self) -> dict[str, float]:
         return {

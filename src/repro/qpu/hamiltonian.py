@@ -16,9 +16,10 @@ The module exposes:
   every per-program cache,
 * :class:`RydbergHamiltonian` — grid-sampled coefficients + helper
   arrays consumed by both emulators (dense diagonal and the
-  program-static parts of the fused Strang diagonals,
-  :class:`FusedDiagonals`, for the state vector backend, per-bond
-  couplings for the MPS backend).
+  program-static per-step columns of the Strang kernel -- drive
+  half-angles, popcount phases with the drive-phase turns folded in,
+  interaction rows -- :class:`FusedDiagonals`, for the state vector
+  backend, per-bond couplings for the MPS backend).
 
 Note the structure exploited by the emulators: the interaction +
 detuning part is *diagonal* in the computational basis, while the drive
@@ -80,21 +81,27 @@ def rydberg_blockade_radius(omega_max: float, c6: float = DEFAULT_C6) -> float:
 
 
 class FusedDiagonals(NamedTuple):
-    """Program-static parts of the dense backend's fused Strang
-    diagonals ``F_k = D_k^1/2 D_{k+1}^1/2`` (``F_{K-1} = D_{K-1}^1/2``),
-    where ``D_k^1/2 = exp(-i dt_k/2 (E_int - delta_k popcount))``.
+    """Program-static per-step columns of the dense backend's Strang
+    kernel: the fused diagonals ``F_k = D_k^1/2 D_{k+1}^1/2``
+    (``F_{K-1} = D_{K-1}^1/2``), where ``D_k^1/2 = exp(-i dt_k/2
+    (E_int - delta_k popcount))``, and the drive angles.
 
-    ``F_k`` is ``interaction[index[k]]`` times exp(+i/2 (weighted[k] +
-    sums[k] * offset) popcount) for a detuning offset.
+    ``F_k`` times the drive-phase turn exp(+i (phi_{k+1} - phi_k)
+    popcount) (phi_K = 0) that the kernel commutes out of the drive is
+    ``interaction[index[k]]`` times exp(+i (popcount_phase[k] +
+    half_sums[k] * offset) popcount) for a detuning offset.
     """
 
-    #: (K,) dt_k + dt_{k+1}, with dt_K = 0
-    sums: np.ndarray
-    #: (K,) dt_k delta_k + dt_{k+1} delta_{k+1}, with dt_K = 0
-    weighted: np.ndarray
+    #: (K,) Omega_k dt_k / 2: the drive half-angle before a Rabi scale
+    half_angle: np.ndarray
+    #: (K,) (dt_k + dt_{k+1}) / 2, with dt_K = 0
+    half_sums: np.ndarray
+    #: (K,) (dt_k delta_k + dt_{k+1} delta_{k+1}) / 2 + phi_{k+1} - phi_k,
+    #: with dt_K = phi_K = 0
+    popcount_phase: np.ndarray
     #: (K,) row of ``interaction`` that step k uses
     index: np.ndarray
-    #: (S, 2^n) exp(-i s/2 E_int), one row per distinct step-length sum s
+    #: (S, 2^n) exp(-i h E_int), one row per distinct half sum h
     interaction: np.ndarray
 
 
@@ -210,21 +217,24 @@ class RydbergHamiltonian:
         return self._occ_cache
 
     def fused_diagonals(self) -> FusedDiagonals:
-        """The step-length sums, dt-weighted detunings and interaction
-        phases of the fused Strang diagonals, cached."""
+        """The drive half-angles, half step-length sums, popcount phases
+        and interaction phases of the Strang kernel, cached."""
         if self._fused_cache is None:
             steps = np.append(self.steps, 0.0)
             weighted = np.append(self.steps * self.delta, 0.0)
-            sums = steps[:-1] + steps[1:]
-            distinct, index = np.unique(sums, return_inverse=True)
+            half_sums = 0.5 * (steps[:-1] + steps[1:])
+            distinct, index = np.unique(half_sums, return_inverse=True)
             # exp(i angle) from cos and sin: the same values, cheaper
-            angle = -0.5 * distinct[:, None] * self.diagonal_energies()
+            angle = -distinct[:, None] * self.diagonal_energies()
             interaction = np.empty(angle.shape, dtype=np.complex128)
             np.cos(angle, out=interaction.real)
             np.sin(angle, out=interaction.imag)
             self._fused_cache = FusedDiagonals(
-                sums=sums,
-                weighted=weighted[:-1] + weighted[1:],
+                half_angle=0.5 * (self.omega * self.steps),
+                half_sums=half_sums,
+                popcount_phase=(
+                    0.5 * (weighted[:-1] + weighted[1:]) + np.diff(self.phase, append=0.0)
+                ),
                 index=index,
                 interaction=interaction,
             )

@@ -72,6 +72,33 @@ def noiseless_counts() -> dict[str, int]:
     return StateVectorEmulator().run(ham, 300, np.random.default_rng(11)).counts
 
 
+#: coherent noise plus SPAM, for the phased programs
+_PHASED_NOISE = NoiseModel(
+    state_prep_error=0.02,
+    detection_epsilon=0.03,
+    detection_epsilon_prime=0.05,
+    amplitude_rel_std=0.05,
+    detuning_std=0.4,
+)
+
+
+def _phased(n: int, spacing: float, omega: float, delta: float):
+    """Three segments whose drive phases switch 0.4 -> -0.8 -> 1.1 rad:
+    ramp up at -delta, hold while the detuning sweeps, ramp down at
+    +delta; 8 + 16 + 8 = 32 Strang steps at dt = 0.01 us."""
+    return Register.chain(n, spacing=spacing), [
+        DriveSegment(RampWaveform(0.08, 0.0, omega), ConstantWaveform(0.08, -delta), phase=0.4),
+        DriveSegment(ConstantWaveform(0.16, omega), RampWaveform(0.16, -delta, delta), phase=-0.8),
+        DriveSegment(RampWaveform(0.08, omega, 0.0), ConstantWaveform(0.08, delta), phase=1.1),
+    ]
+
+
+def phased_counts(n: int, spacing: float, omega: float, delta: float, seed: int) -> dict[str, int]:
+    """One 200-shot phased job under coherent noise plus SPAM."""
+    ham = RydbergHamiltonian(*_phased(n, spacing, omega, delta), dt=0.01)
+    return StateVectorEmulator().run(ham, 200, np.random.default_rng(seed), noise=_PHASED_NOISE).counts
+
+
 def spam_counts() -> dict[str, int]:
     """One SPAM-only 4-atom job: one evolution, then bit flips."""
     register, segments = _sweep(4, 6.0, 8.0, 4.0)
@@ -139,6 +166,19 @@ GOLDEN_SPAM = [
     ("1000", 24), ("1001", 38), ("1010", 53), ("1011", 2), ("1100", 1), ("1101", 2), ("1110", 1),
 ]
 
+#: 3 atoms (one drive group) and 5 atoms (groups of 3 + 2)
+GOLDEN_PHASED = {
+    (3, 5.8, 8.5, 3.6, 17): [
+        ("000", 35), ("001", 39), ("010", 56), ("011", 3), ("100", 42), ("101", 25),
+    ],
+    (5, 6.4, 7.0, 4.2, 19): [
+        ("00000", 40), ("00001", 14), ("00010", 20), ("00011", 2), ("00100", 21), ("00101", 8),
+        ("01000", 24), ("01001", 11), ("01010", 10), ("01011", 1), ("01100", 1), ("10000", 12),
+        ("10001", 6), ("10010", 12), ("10100", 6), ("10101", 3), ("11000", 3), ("11001", 2),
+        ("11100", 4),
+    ],
+}
+
 
 @pytest.fixture(scope="module")
 def catalog():
@@ -157,6 +197,11 @@ class TestGoldenCounts:
 
     def test_spam_only(self):
         assert list(spam_counts().items()) == GOLDEN_SPAM
+
+    @pytest.mark.parametrize("case", list(GOLDEN_PHASED))
+    def test_switching_drive_phase(self, case):
+        # every catalog program has phase 0; these pin the drive phase
+        assert list(phased_counts(*case).items()) == GOLDEN_PHASED[case]
 
 
 def _unique_reference(samples: np.ndarray) -> dict[str, int]:

@@ -1,6 +1,8 @@
 """Tests for the MPS emulator, including cross-validation against the
 exact state-vector backend."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,15 @@ def dev_loop_ham(n, spacing=4.9, omega=7.0, delta=6.0, duration=0.6):
         ),
     )
     return RydbergHamiltonian(Register.chain(n, spacing=spacing), [seg])
+
+
+@functools.cache
+def sweep_reference(n):
+    """The untruncated (chi = 2^(n/2)) final state of ``sweep_ham(n)``,
+    shared by the fidelity tests."""
+    state = mps_to_dense(MPSEmulator(max_bond_dim=2 ** (n // 2)).evolve(sweep_ham(n))[0])
+    state.flags.writeable = False
+    return state
 
 
 def mps_to_dense(mps):
@@ -161,11 +172,23 @@ class TestCanonicalTEBD:
         weight the true local error, so fidelity_estimate() tracks the
         overlap with an untruncated run."""
         ham = sweep_ham(n)
-        exact = mps_to_dense(MPSEmulator(max_bond_dim=2 ** (n // 2)).evolve(ham)[0])
+        exact = sweep_reference(n)
         emu = MPSEmulator(max_bond_dim=4)
         truncated = mps_to_dense(emu.evolve(ham)[0])
         fidelity = abs(np.vdot(exact, truncated)) ** 2
         assert fidelity < 0.9999  # chi=4 does truncate here
+        assert abs(emu.fidelity_estimate() - fidelity) <= 0.02
+
+    @pytest.mark.parametrize("n", [10, 12, 14])
+    def test_fidelity_estimate_contract_holds_from_chi_3(self, n):
+        """chi=3 is the smallest bond dimension at which
+        fidelity_estimate() is within 0.02 of the true fidelity on this
+        shape; at chi=2 it overestimates by 0.07-0.12."""
+        ham = sweep_ham(n)
+        exact = sweep_reference(n)
+        emu = MPSEmulator(max_bond_dim=3)
+        fidelity = abs(np.vdot(exact, mps_to_dense(emu.evolve(ham)[0]))) ** 2
+        assert fidelity < 0.99  # chi=3 truncates heavily here
         assert abs(emu.fidelity_estimate() - fidelity) <= 0.02
 
     def test_chi_one_stays_a_product_state(self):
@@ -236,7 +259,7 @@ class TestSeededQRSplit:
         which gave the values below, and from chi=3 up the estimate
         stays within 0.02 of the true fidelity."""
         ham = sweep_ham(n)
-        exact = mps_to_dense(MPSEmulator(max_bond_dim=2 ** (n // 2)).evolve(ham)[0])
+        exact = sweep_reference(n)
         for chi in (2, 3, 5, 6):
             emu = MPSEmulator(max_bond_dim=chi)
             fidelity = abs(np.vdot(exact, mps_to_dense(emu.evolve(ham)[0]))) ** 2

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from repro.errors import EmulatorError
 from repro.emulators import NoiseModel
-from repro.emulators.sampling import bits_to_strings, counts_from_samples, sample_bitstrings
+from repro.emulators.sampling import (
+    bits_to_strings,
+    counts_from_samples,
+    counts_from_states,
+    sample_bitstrings,
+)
 
 
 class TestSampleBitstrings:
@@ -75,6 +80,54 @@ class TestBitsToStrings:
         assert sum(counts.values()) == 50
         for s in strings:
             assert s in counts
+
+
+def _reference_spam(noise: NoiseModel, samples: np.ndarray, rng) -> np.ndarray:
+    """SPAM on bit rows written out draw by draw: lost, then false
+    positive, then false negative, one ``rng.random((shots, n))`` each
+    and only for a nonzero rate."""
+    out = samples.copy()
+    if noise.state_prep_error > 0:
+        out[rng.random(out.shape) < noise.state_prep_error] = 0
+    if noise.detection_epsilon > 0:
+        up = (out == 0) & (rng.random(out.shape) < noise.detection_epsilon)
+        out[up] = 1
+    if noise.detection_epsilon_prime > 0:
+        down = (out == 1) & (rng.random(out.shape) < noise.detection_epsilon_prime)
+        out[down] = 0
+    return out
+
+
+_RATES = st.one_of(st.just(0.0), st.floats(0.01, 0.6))
+
+
+class TestSpamDrawOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 14),
+        st.integers(1, 300),
+        _RATES,
+        _RATES,
+        _RATES,
+        st.integers(0, 2**32 - 1),
+    )
+    def test_packed_states_match_bit_rows(self, n, shots, eta, eps, eps_prime, seed):
+        """From one seed, SPAM on packed states, on bit rows and the
+        written-out reference give the same counts and leave the RNG at
+        the same point, so no draw is reordered or skipped."""
+        noise = NoiseModel(
+            state_prep_error=eta, detection_epsilon=eps, detection_epsilon_prime=eps_prime
+        )
+        states = np.random.default_rng(seed ^ 0x5EED).integers(0, 1 << n, shots)
+        bits = ((states[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        packed = counts_from_states(noise.apply_spam_packed(states, n, rngs[0]), n)
+        assert np.array_equal(states, bits @ (1 << np.arange(n - 1, -1, -1)))  # input kept
+        rows = counts_from_samples(noise.apply_spam(bits, rngs[1]))
+        reference = counts_from_samples(_reference_spam(noise, bits, rngs[2]))
+        assert list(packed.items()) == list(rows.items()) == list(reference.items())
+        tails = [rng.random(4).tolist() for rng in rngs]
+        assert tails[0] == tails[1] == tails[2]
 
 
 class TestNoiseModel:

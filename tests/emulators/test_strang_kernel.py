@@ -187,13 +187,25 @@ class TestKernelEdges:
         fused = ham.fused_diagonals()
         assert ham.fused_diagonals() is fused
         steps = np.append(ham.steps, 0.0)
-        np.testing.assert_array_equal(fused.sums, steps[:-1] + steps[1:])
+        np.testing.assert_array_equal(fused.half_sums, 0.5 * (steps[:-1] + steps[1:]))
         # 3 in-segment sums, 2 segment boundaries and the final half step
-        assert len(fused.interaction) == len(np.unique(fused.sums)) == 6
+        assert len(fused.interaction) == len(np.unique(fused.half_sums)) == 6
         np.testing.assert_allclose(
             fused.interaction[fused.index],
-            np.exp(-0.5j * fused.sums[:, None] * ham.diagonal_energies()),
+            np.exp(-1j * fused.half_sums[:, None] * ham.diagonal_energies()),
         )
+
+    def test_drive_phase_turns_fold_into_popcount_phase(self):
+        # phases 0.4 -> -0.8 -> 1.1: the turn is -1.2 at the first
+        # boundary, +1.9 at the second and -1.1 after the last step
+        ham = RydbergHamiltonian(_zigzag(3), _uneven_segments(), dt=0.01)
+        fused = ham.fused_diagonals()
+        weighted = np.append(ham.steps * ham.delta, 0.0)
+        turns = fused.popcount_phase - 0.5 * (weighted[:-1] + weighted[1:])
+        boundaries = np.flatnonzero(np.abs(turns) > 1e-12)
+        assert boundaries.tolist() == [1, 6, ham.num_steps - 1]
+        np.testing.assert_allclose(turns[boundaries], [-1.2, 1.9, -1.1], atol=1e-12)
+        np.testing.assert_array_equal(fused.half_angle, 0.5 * ham.omega * ham.steps)
 
 
 def _misaligned_ham() -> RydbergHamiltonian:
