@@ -243,7 +243,6 @@ class MiddlewareDaemon:
             self.queue.cancel(task.task_id)
             raise
         session.task_ids.append(task.task_id)
-        self._update_queue_gauges()
         self.scheduler.notify_submit(task)
         return task
 
@@ -328,7 +327,10 @@ class MiddlewareDaemon:
     # -- observability -------------------------------------------------------------
 
     def metrics_text(self) -> str:
-        self._update_queue_gauges()
+        # the queue-depth gauge has no other reader: it is read from the
+        # queue here, at exposition, and nowhere else
+        for cls, depth in self.queue.depth_by_class().items():
+            self._m_queue.set(float(depth), labels={"class": cls})
         return render_exposition(self.metrics, alerts=self.alerts, slo=self.slo)
 
     def healthz(self) -> dict[str, Any]:
@@ -376,7 +378,6 @@ class MiddlewareDaemon:
         wait = task.wait_time()
         if wait is not None:
             self._m_wait.observe(wait, labels={"class": task.priority.name.lower()})
-        self._update_queue_gauges()
         if task.state is TaskState.COMPLETED and task.result is not None:
             try:
                 self.jobmeta.record_from_result(
@@ -407,10 +408,6 @@ class MiddlewareDaemon:
             "calibration": dict(record.calibration),
             "diagnostics": dict(record.diagnostics),
         }
-
-    def _update_queue_gauges(self) -> None:
-        for cls, depth in self.queue.depth_by_class().items():
-            self._m_queue.set(float(depth), labels={"class": cls})
 
     # -- internals used by admin/lowlevel --------------------------------------------
 

@@ -13,6 +13,7 @@ __all__ = [
     "counts_from_samples",
     "counts_from_states",
     "pack_weights",
+    "popcounts",
     "sample_bitstrings",
     "sample_states",
 ]
@@ -69,6 +70,17 @@ def pack_weights(n: int) -> np.ndarray:
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
     weights.flags.writeable = False
     return weights
+
+
+@functools.cache
+def popcounts(n: int) -> np.ndarray:
+    """Read-only (2^n,) intp popcount of every n-bit basis index, by
+    doubling: setting the top bit of the indices below 2^m adds one."""
+    table = np.zeros(1 << n, dtype=np.intp)
+    for m in range(n):
+        np.add(table[: 1 << m], 1, out=table[1 << m : 2 << m])
+    table.flags.writeable = False
+    return table
 
 
 def bits_to_strings(samples: np.ndarray) -> list[str]:

@@ -38,10 +38,9 @@ factor of step k across the diagonal ``F_k``, and all three are
 popcount phases, so they merge: step k applies ``X_k`` and then ``F_k``
 times exp(+i (phi_{k+1} - phi_k) popcount), with phi_K = 0.  The first
 right factor acts on |0...0> and is the identity, and phi_K = 0 leaves
-the final state exact, global phase included.  The drive tables are
-one gather of the (m+1) amplitudes per (step, realization) through a
-cached Hamming-distance index.  ``RydbergHamiltonian.fused_diagonals``
-builds the program-static columns once per Hamiltonian: the drive
+the final state exact, global phase included.
+``RydbergHamiltonian.fused_diagonals`` builds the program-static columns
+once per Hamiltonian, in O(2^n) per distinct step-length sum: the drive
 half-angle Omega dt / 2, the popcount phase (dt-weighted detunings over
 two plus the phase turn) and the half step-length sums that scale a
 realization's detuning offset, next to the interaction rows.
@@ -50,7 +49,10 @@ realization's detuning offset, next to the interaction rows.
 are built vectorised over a chunk of steps, capped at ``_TABLE_BUDGET``
 complex values.  The detuning phase factors over the groups (the
 popcount is a sum over groups), so each group's share is folded into
-the columns of its matrix:
+the columns of its matrix.  Entry (a, b) of a step operator is then the
+drive amplitude of the Hamming distance of a and b times the phase of
+column b, so each operator is one gather, through a cached (Hamming
+distance, column) index, from the (m+1, 2^m) table of those products:
 
 * a single-group register (n <= ``_GROUP``) folds the whole of ``F_k``,
   the interaction phase too, into its matrix: a step is one batched
@@ -86,7 +88,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, breaks a cycle
     from ..qpu.hamiltonian import RydbergHamiltonian
 from .base import EmulationResult, EmulatorBackend
 from .noise import NoiseModel
-from .sampling import counts_from_states, sample_states
+from .sampling import counts_from_states, popcounts, sample_states
 
 __all__ = ["StateVectorEmulator"]
 
@@ -159,7 +161,7 @@ class StateVectorEmulator(EmulatorBackend):
         sizes = _group_sizes(n)
         half_angle = np.outer(fused.half_angle, scales)                              # (K, R)
         weight = fused.popcount_phase[:, None] + np.outer(fused.half_sums, offsets)  # (K, R)
-        popcounts = np.arange(sizes[0] + 1)
+        levels = np.arange(sizes[0] + 1)
         # a quarter of the budget per chunk: the previous chunk's tables
         # are still alive while the next chunk's are built
         chunk = max(1, _TABLE_BUDGET // (4 * reals * 4 ** sizes[0]))
@@ -170,21 +172,22 @@ class StateVectorEmulator(EmulatorBackend):
         for start in range(0, ham.num_steps, chunk):
             window = slice(start, start + chunk)
             # exp(+i weight c) for popcounts c = 0..g: (steps, R, g+1)
-            detuning = _cis(weight[window, :, None] * popcounts)
-            ops = _drive_tables(half_angle[window], sizes)
+            detuning = _cis(weight[window, :, None] * levels)
+            amplitudes = _drive_amplitudes(half_angle[window], sizes)
             if len(sizes) == 1:
                 # fold all of F_k into the columns of (⊗u)^T: a step is one matmul
-                diag = detuning.take(ham.occupation_counts(), axis=-1)
-                diag *= fused.interaction[fused.index[window], None, :]
-                ops[n] *= diag[:, :, None, :]
-                for op in ops[n]:
+                columns = detuning.take(popcounts(n), axis=-1)
+                columns *= fused.interaction[fused.index[window], None, :]
+                for op in _step_operators(amplitudes[n], columns):
                     psi = np.matmul(psi, op)
             else:
                 # the detuning phase factors over the groups: fold each
                 # group's share into its matrix, leaving the shared
                 # interaction phase as the one multiply per step
-                for size, op in ops.items():
-                    op *= detuning.take(_popcount(size), axis=-1)[:, :, None, :]
+                ops = {
+                    size: _step_operators(amp, detuning.take(popcounts(size), axis=-1))
+                    for size, amp in amplitudes.items()
+                }
                 for j, row in enumerate(fused.index[window]):
                     for size in sizes:
                         # (R, M, 2^size) @ (⊗^size u)^T: rotates the leading
@@ -271,43 +274,51 @@ def _group_sizes(n: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _popcount(m: int) -> np.ndarray:
-    """Popcount of each m-bit basis index, 0 .. 2^m - 1."""
-    return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).sum(axis=1)
-
-
-@functools.cache
-def _hamming(m: int) -> np.ndarray:
-    """(2^m, 2^m) Hamming distance popcount(a ^ b) of every pair of
-    m-bit basis indices."""
-    distance = _popcount(m)[np.bitwise_xor.outer(np.arange(1 << m), np.arange(1 << m))]
-    distance.flags.writeable = False
-    return distance
+def _hamming_columns(m: int) -> np.ndarray:
+    """(2^m, 2^m) flat index w 2^m + b into an (m+1, 2^m) table, with
+    w = popcount(a ^ b) the Hamming distance of the m-bit basis indices
+    a and b."""
+    index = np.arange(1 << m)
+    distance = popcounts(m)[np.bitwise_xor.outer(index, index)]
+    columns = (distance << m) + index
+    columns.flags.writeable = False
+    return columns
 
 
 #: (-i)^w for w = 0.._GROUP
 _MINUS_I_POWERS = (-1j) ** np.arange(_GROUP + 1)
 
 
-def _drive_tables(half_angle: np.ndarray, sizes: tuple[int, ...]) -> dict:
-    """Phase-free Kronecker powers ``⊗^m v`` of the drive rotation per
-    (step, realization), for each group size m in ``sizes``; entry m
-    has shape (K, R, 2^m, 2^m).
+def _drive_amplitudes(half_angle: np.ndarray, sizes: tuple[int, ...]) -> dict:
+    """The m+1 distinct entries of the phase-free Kronecker power
+    ``⊗^m v`` of the drive rotation per (step, realization), for each
+    group size m in ``sizes``; entry m has shape (K, R, m+1).
 
     v = exp(-i t X) = [[c, -i s], [-i s, c]] with c = cos t and
     s = sin t for the half-angle t, so entry (a, b) of ``⊗^m v`` is
-    c^(m-w) (-i s)^w with w the Hamming distance of a and b: one
-    gather from the m+1 amplitudes.  The power is symmetric, so it is
-    its own transpose.  The drive phase is not in the tables: the
-    kernel commutes it into the popcount phase.
+    amplitude w = c^(m-w) (-i s)^w, w the Hamming distance of a and b.
+    The power is symmetric, so it is its own transpose.  The drive
+    phase is not in the amplitudes: the kernel commutes it into the
+    popcount phase.
     """
     top = sizes[0]
     e = np.arange(top + 1)
     cos = np.cos(half_angle)[..., None] ** e                     # (K, R, top+1)
     sin = np.sin(half_angle)[..., None] ** e
-    tables = {}
+    amplitudes = {}
     for m in set(sizes):
         w = e[: m + 1]
-        amp = cos[..., m - w] * sin[..., w] * _MINUS_I_POWERS[w]
-        tables[m] = amp.take(_hamming(m), axis=-1)
-    return tables
+        amplitudes[m] = cos[..., m - w] * sin[..., w] * _MINUS_I_POWERS[w]
+    return amplitudes
+
+
+def _step_operators(amplitudes: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(K, R, 2^m, 2^m) step operators ``(⊗^m v) diag(columns)``: entry
+    (a, b) is amplitude[w] * columns[b], w the Hamming distance of a
+    and b, gathered in one pass from the (m+1, 2^m) table of products.
+    Equal bit for bit to gathering ``⊗^m v`` and then scaling its
+    columns: each entry is the same one product."""
+    m = amplitudes.shape[-1] - 1
+    table = amplitudes[..., :, None] * columns[..., None, :]     # (K, R, m+1, 2^m)
+    flat = table.reshape(*table.shape[:-2], -1)
+    return flat.take(_hamming_columns(m), axis=-1)

@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..emulators.sampling import popcounts
 from ..errors import PulseError, RegisterError
 from .geometry import Register
 from .pulses import DriveSegment
@@ -78,6 +79,36 @@ def rydberg_blockade_radius(omega_max: float, c6: float = DEFAULT_C6) -> float:
     if omega_max <= 0:
         raise PulseError("omega_max must be positive")
     return float((c6 / omega_max) ** (1.0 / 6.0))
+
+
+def _fold_pairs(pairs: np.ndarray, combine: np.ufunc, identity: float) -> np.ndarray:
+    """``combine`` of ``pairs[..., i, j]`` over the pairs i < j of set
+    qubits, for every n-bit basis state (qubit 0 = MSB): (..., 2^n) from
+    (..., n, n), of which only the upper triangle is read.
+
+    Built by doubling, the last qubit first.  When qubit k joins, the
+    first m = 2^(n-1-k) entries hold the states of qubits k+1..n-1, and
+    the *field* row j <= k holds, per such state, ``combine`` of
+    pairs[j, i] over its set qubits i.  Setting qubit k combines each
+    state with field row k; every row j < k doubles in place with
+    pairs[j, k].  The field has n rows of 2^(n-1) entries, but row j is
+    touched at width 2^(n-1-j) only, so the build is O(2^n) values in
+    O(n) ``combine`` calls and two allocations.
+    """
+    n = pairs.shape[-1]
+    if n > 26:  # 2^26 doubles = 0.5 GB; refuse beyond
+        raise RegisterError(f"dense diagonal intractable for n={n}")
+    lead = pairs.shape[:-2]
+    out = np.empty((*lead, 1 << n), dtype=pairs.dtype)
+    out[..., 0] = identity
+    field = np.empty((*lead, n, 1 << (n - 1)), dtype=pairs.dtype)
+    field[..., 0] = identity
+    for k in range(n - 1, -1, -1):
+        m = 1 << (n - 1 - k)
+        combine(out[..., :m], field[..., k, :m], out=out[..., m : 2 * m])
+        if k:
+            combine(field[..., :k, :m], pairs[..., :k, k, None], out=field[..., :k, m : 2 * m])
+    return out
 
 
 class FusedDiagonals(NamedTuple):
@@ -165,7 +196,6 @@ class RydbergHamiltonian:
         # lazy dense-backend helper caches (the coefficients above are
         # fixed at construction, so these never need invalidation)
         self._diag_cache: np.ndarray | None = None
-        self._occ_cache: np.ndarray | None = None
         self._fused_cache: FusedDiagonals | None = None
 
     @property
@@ -184,21 +214,16 @@ class RydbergHamiltonian:
 
     def diagonal_energies(self) -> np.ndarray:
         """Energy of every computational basis state under interactions
-        ONLY (length 2^n); detuning is time-dependent and added per step.
+        ONLY (float64, length 2^n, cached); detuning is time-dependent
+        and added per step.
 
-        Vectorized over all 2^n basis states: occupation bit table is
-        built once as an (2^n, n) uint8 array.
+        E_int[s] = sum_{i<j} U_ij b_i b_j, built by doubling in
+        O(2^n) adds (see :func:`_fold_pairs`); no (2^n, n) occupation
+        table is formed.
         """
-        if self._diag_cache is not None:
-            return self._diag_cache
-        n = self.num_qubits
-        if n > 26:  # 2^26 doubles = 0.5 GB; refuse beyond
-            raise RegisterError(f"dense diagonal intractable for n={n}")
-        bits = self.occupation_table()
-        # E_int[s] = sum_{i<j} U_ij b_i b_j  ==  0.5 * (b U b^T) diagonal.
-        energy = 0.5 * np.einsum("si,ij,sj->s", bits, self.interactions, bits)
-        self._diag_cache = energy
-        return energy
+        if self._diag_cache is None:
+            self._diag_cache = _fold_pairs(self.interactions, np.add, 0.0)
+        return self._diag_cache
 
     def occupation_table(self) -> np.ndarray:
         """(2^n, n) float array of basis-state occupations (qubit 0 = MSB)."""
@@ -209,26 +234,30 @@ class RydbergHamiltonian:
         return ((states[:, None] >> shifts[None, :]) & 1).astype(np.float64)
 
     def occupation_counts(self) -> np.ndarray:
-        """Integer popcount per basis state (length 2^n), cached — the
-        detuning term's coefficient in the dense backend's diagonal
-        phases, and its index into the per-popcount phase table."""
-        if self._occ_cache is None:
-            self._occ_cache = self.occupation_table().sum(axis=1).astype(np.intp)
-        return self._occ_cache
+        """Read-only integer popcount per basis state (length 2^n),
+        shared by every register of this size -- the detuning term's
+        coefficient in the dense backend's diagonal phases, and its
+        index into the per-popcount phase table."""
+        return popcounts(self.num_qubits)
 
     def fused_diagonals(self) -> FusedDiagonals:
         """The drive half-angles, half step-length sums, popcount phases
-        and interaction phases of the Strang kernel, cached."""
+        and interaction phases of the Strang kernel, cached.
+
+        The interaction row of a half sum h is exp(-i h E_int), the
+        product of the pair phases exp(-i h U_ij) over the set pairs:
+        one doubling of complex multiplies per distinct h, with no
+        2^n-long sine or cosine.
+        """
         if self._fused_cache is None:
             steps = np.append(self.steps, 0.0)
             weighted = np.append(self.steps * self.delta, 0.0)
             half_sums = 0.5 * (steps[:-1] + steps[1:])
             distinct, index = np.unique(half_sums, return_inverse=True)
-            # exp(i angle) from cos and sin: the same values, cheaper
-            angle = -distinct[:, None] * self.diagonal_energies()
-            interaction = np.empty(angle.shape, dtype=np.complex128)
-            np.cos(angle, out=interaction.real)
-            np.sin(angle, out=interaction.imag)
+            angle = -distinct[:, None, None] * self.interactions
+            pair_phase = np.empty(angle.shape, dtype=np.complex128)
+            np.cos(angle, out=pair_phase.real)
+            np.sin(angle, out=pair_phase.imag)
             self._fused_cache = FusedDiagonals(
                 half_angle=0.5 * (self.omega * self.steps),
                 half_sums=half_sums,
@@ -236,7 +265,7 @@ class RydbergHamiltonian:
                     0.5 * (weighted[:-1] + weighted[1:]) + np.diff(self.phase, append=0.0)
                 ),
                 index=index,
-                interaction=interaction,
+                interaction=_fold_pairs(pair_phase, np.multiply, 1.0),
             )
         return self._fused_cache
 

@@ -16,7 +16,7 @@ from repro.qpu import ConstantWaveform, QPUDevice, Register, ShotClock
 from repro.qrmi import LocalEmulatorResource, OnPremQPUResource
 from repro.runtime import DaemonClient
 from repro.sdk import Pulse, Sequence
-from repro.simkernel import Simulator
+from repro.simkernel import Simulator, Timeout
 from repro.spec import JobSpec
 
 
@@ -324,3 +324,67 @@ class TestObservabilityIntegration:
         record = daemon.jobmeta.get(task.task_id)
         assert record.user == "alice"
         assert record.priority_class == "production"
+
+
+class _EagerGaugeDaemon(MiddlewareDaemon):
+    """The reference: the queue-depth gauge also refreshed after every
+    submit and every finished task, not only at exposition."""
+
+    def _refresh_queue_gauge(self):
+        for cls, depth in self.queue.depth_by_class().items():
+            self._m_queue.set(float(depth), labels={"class": cls})
+
+    def submit_task(self, *args, **kwargs):
+        task = super().submit_task(*args, **kwargs)
+        self._refresh_queue_gauge()
+        return task
+
+    def _record_task_metadata(self, task):
+        super()._record_task_metadata(task)
+        self._refresh_queue_gauge()
+
+
+def _exposition_trace(daemon_cls):
+    """Every /metrics text of a preempt-mode run with submits, one
+    preemption and completions: one after each submit and one every
+    2.5 simulated seconds until the queue drains."""
+    sim = Simulator()
+    device = QPUDevice(
+        clock=ShotClock(shot_rate_hz=1.0, setup_overhead_s=0.0, batch_overhead_s=0.0),
+        rng=np.random.default_rng(0),
+    )
+    daemon = daemon_cls(
+        sim, {"onprem": OnPremQPUResource("onprem", device)}, mode=SharingMode.PREEMPT,
+        shot_cap=ShotCapPolicy(dev_max_shots=10_000),
+    )
+    texts = []
+
+    def observe():
+        while True:
+            texts.append(daemon.metrics_text())
+            yield Timeout(2.5)
+
+    sim.spawn(observe(), name="scraper")
+    dev = daemon.create_session("dev", "development")
+    test = daemon.create_session("test", "test")
+    prod = daemon.create_session("prod", "production")
+    tasks = []
+    for when, session, shots in ((0.0, dev, 30), (0.0, test, 5), (4.0, dev, 8), (10.0, prod, 6)):
+        sim.run(until=when)
+        tasks.append(daemon.submit_task(session.token, make_program(shots=shots), "onprem"))
+        texts.append(daemon.metrics_text())
+    sim.run(until=80.0)
+    return texts, tasks, daemon
+
+
+class TestQueueDepthGauge:
+    def test_exposition_equals_eager_refresh(self):
+        texts, tasks, daemon = _exposition_trace(MiddlewareDaemon)
+        reference, _, _ = _exposition_trace(_EagerGaugeDaemon)
+        assert daemon.scheduler.tasks_preempted >= 1
+        assert all(t.state is TaskState.COMPLETED for t in tasks)
+        assert texts == reference
+        depths = {line for text in texts for line in text.splitlines() if line.startswith("daemon_queue_depth{")}
+        # the gauge moved: queued work showed, and the drained queue too
+        assert any(not line.endswith(" 0.0") for line in depths)
+        assert texts[-1].count("daemon_queue_depth{") == 3

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.emulators import NoiseModel, StateVectorEmulator
-from repro.emulators.statevector import _TABLE_BUDGET
+from repro.emulators.sampling import popcounts
+from repro.emulators.statevector import (
+    _TABLE_BUDGET,
+    _cis,
+    _drive_amplitudes,
+    _group_sizes,
+    _step_operators,
+)
 from repro.qpu import (
     CompositeWaveform,
     ConstantWaveform,
@@ -100,6 +107,39 @@ class TestDenseReference:
             expected = _dense_reference(ham, scales[r], offsets[r])
             np.testing.assert_allclose(batched[r], expected, atol=1e-10)
         np.testing.assert_allclose(np.linalg.norm(batched, axis=1), 1.0, atol=1e-10)
+
+
+def _two_pass_operators(amplitudes: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Gather ``⊗^m v`` from its m+1 amplitudes by Hamming distance,
+    then scale its columns: the two-pass build of the step operators."""
+    m = amplitudes.shape[-1] - 1
+    index = np.arange(1 << m)
+    distance = np.array([[bin(a ^ b).count("1") for b in index] for a in index])
+    ops = amplitudes.take(distance, axis=-1)
+    ops *= columns[:, :, None, :]
+    return ops
+
+
+class TestStepOperators:
+    @settings(max_examples=60, deadline=None)
+    @given(_schedules())
+    def test_one_gather_equals_two_pass_build(self, drawn):
+        # the step operators of ``evolve_many``, built from the same
+        # columns: the single-group fold (n <= 4) and every group size
+        ham, scales, offsets = drawn
+        n = ham.num_qubits
+        fused = ham.fused_diagonals()
+        sizes = _group_sizes(n)
+        half_angle = np.outer(fused.half_angle, scales)
+        weight = fused.popcount_phase[:, None] + np.outer(fused.half_sums, offsets)
+        detuning = _cis(weight[:, :, None] * np.arange(sizes[0] + 1))
+        for size, amplitudes in _drive_amplitudes(half_angle, sizes).items():
+            columns = detuning.take(popcounts(size), axis=-1)
+            if len(sizes) == 1:
+                columns *= fused.interaction[fused.index, None, :]
+            ops = _step_operators(amplitudes, columns)
+            assert ops.shape == (ham.num_steps, len(scales), 1 << size, 1 << size)
+            assert np.array_equal(ops, _two_pass_operators(amplitudes, columns))
 
 
 class TestStepTableBudget:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PulseError
 from repro.qpu import (
@@ -198,3 +200,74 @@ class TestRydbergHamiltonian:
         assert ham.omega[0] == pytest.approx(1.0)
         assert ham.omega[-1] == pytest.approx(2.0)
         assert ham.delta[-1] == pytest.approx(-1.0)
+
+
+@st.composite
+def _registers(draw):
+    """1-10 atoms: a chain, a 2-D layout or random positions at least
+    1 um apart (so the strongest coupling stays finite)."""
+    kind = draw(st.sampled_from(["chain", "ring", "square", "triangular", "random"]))
+    spacing = draw(st.floats(4.0, 10.0))
+    if kind == "chain":
+        return Register.chain(draw(st.integers(1, 10)), spacing=spacing)
+    if kind == "ring":
+        return Register.ring(draw(st.integers(3, 10)), spacing=spacing)
+    if kind in ("square", "triangular"):
+        rows = draw(st.integers(1, 3))
+        cols = draw(st.integers(1, 10 // rows))
+        build = Register.square_lattice if kind == "square" else Register.triangular_lattice
+        return build(rows, cols, spacing=spacing)
+    n = draw(st.integers(1, 10))
+    coord = st.floats(-20.0, 20.0)
+    register = Register.from_coordinates(
+        draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    )
+    assume(register.min_distance() >= 1.0)
+    return register
+
+
+class TestDenseStatics:
+    """The doubling builds of the dense backend's per-program tables
+    against the (2^n, n) occupation-table formulas they replace."""
+
+    @staticmethod
+    def make(register, dt=0.01):
+        seg = DriveSegment(RampWaveform(0.1, 1.0, 6.0), RampWaveform(0.1, -4.0, 4.0), phase=0.2)
+        return RydbergHamiltonian(register, [seg], dt=dt)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_registers())
+    def test_diagonal_energies_match_einsum_reference(self, register):
+        ham = self.make(register)
+        bits = ham.occupation_table()
+        reference = 0.5 * np.einsum("si,ij,sj->s", bits, ham.interactions, bits)
+        energies = ham.diagonal_energies()
+        assert energies.dtype == np.float64 and energies.shape == reference.shape
+        # every pair energy is positive: no cancellation, so relative
+        # agreement holds entry by entry (zero-or-one-atom states exactly)
+        np.testing.assert_allclose(energies, reference, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_registers(), st.sampled_from([0.01, 0.013, 0.03]))
+    def test_interaction_rows_match_phases_of_reference_energies(self, register, dt):
+        ham = self.make(register, dt=dt)
+        bits = ham.occupation_table()
+        reference = 0.5 * np.einsum("si,ij,sj->s", bits, ham.interactions, bits)
+        fused = ham.fused_diagonals()
+        distinct = np.unique(fused.half_sums)
+        assert fused.interaction.shape == (len(distinct), 1 << register.num_atoms)
+        angle = distinct[:, None] * reference
+        # a phase of angle a is good to ~eps |a| whichever way it is
+        # built, and close pairs make the angles large
+        error = np.abs(fused.interaction - np.exp(-1j * angle))
+        assert np.all(error <= 1e-13 * (1.0 + angle))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_occupation_counts_are_the_shared_read_only_popcount(self, n):
+        ham = self.make(Register.chain(n))
+        counts = ham.occupation_counts()
+        expected = ham.occupation_table().sum(axis=1).astype(np.intp)
+        assert counts.dtype == expected.dtype
+        np.testing.assert_array_equal(counts, expected)
+        assert not counts.flags.writeable
+        assert self.make(Register.chain(n, spacing=7.0)).occupation_counts() is counts
