@@ -432,6 +432,68 @@ def run_federation_place_row(burst: int = 96, repeats: int = 15) -> dict:
     return {"ratio": ratio, "burst_ms": burst_ms, "probe_ms": probe_ms}
 
 
+def _bus_stream(jobs: int) -> list:
+    """A fixed synthetic lifecycle stream over four sites: every fourth
+    job has four units, every third unit is preempted once and requeued,
+    and each unit is queued, placed, run and completed; each job is
+    submitted first and completed last."""
+    from repro.federation.events import JobEvent
+
+    def task_event(now, kind, site, task, **extra):
+        payload = {"state": kind, "started_at": None, "finished_at": None, "priority": "production"}
+        return JobEvent(now, kind, task, site=site, task_id=task, payload={**payload, **extra})
+
+    events = []
+    unit_seq = 0
+    for j in range(jobs):
+        job_id, tenant, t = f"bus-job-{j}", f"tenant-{j % 8}", float(j)
+        events.append(JobEvent(t, "job_submitted", job_id, payload={"tenant": tenant, "program": "bus", "qubits": 2}))
+        for unit in range(4 if j % 4 == 0 else 1):
+            site, task = f"site-{unit_seq % 4}", f"bus-task-{unit_seq}"
+            unit_seq += 1
+            events.append(task_event(t + 0.1, "queued", site, task, tenant=tenant, signature="bus/q2"))
+            events.append(JobEvent(t + 0.1, "job_placed", job_id, site=site, task_id=task, payload={"unit": unit}))
+            events.append(task_event(t + 1.0, "running", site, task))
+            if unit_seq % 3 == 0:
+                events.append(task_event(t + 2.0, "preempted", site, task))
+                events.append(task_event(t + 2.0, "queued", site, task, tenant=tenant, signature="bus/q2"))
+                events.append(task_event(t + 3.0, "running", site, task))
+            events.append(task_event(t + 4.0, "completed", site, task))
+        events.append(JobEvent(t + 4.0, "job_completed", job_id, payload={"error": ""}))
+    return events
+
+
+def run_federation_bus_row(jobs: int = 120, repeats: int = 15) -> dict:
+    """Wall cost of a 4-site broker's lifecycle bus delivering a fixed
+    synthetic stream (:func:`_bus_stream`) to the metrics, a tracer, a
+    profile store and an SLO tracker, over a same-machine pure-Python
+    probe: the paired ratio plus the best stream and probe wall ms.
+    Each pass gets a fresh broker with every view attached before the
+    timed region.  No job of the stream is traced, so span building —
+    the C6 trace-overhead rows time that — stays out of the row.
+    """
+    from repro.observability import SLOTracker
+
+    events = _bus_stream(jobs)
+
+    def observed_broker():
+        broker = build_federation_stack(n_sites=4)[2]
+        broker.attach_tracer()
+        broker.attach_profiles()
+        SLOTracker().attach_bus(broker.events)
+        return broker
+
+    buses = iter([observed_broker().events for _ in range(repeats + 1)])
+
+    def deliver_stream() -> None:
+        bus = next(buses)
+        for event in events:
+            bus.publish(event)
+
+    ratio, stream_ms, probe_ms = _paired_ratio(deliver_stream, _python_probe(120_000), repeats)
+    return {"ratio": ratio, "stream_ms": stream_ms, "probe_ms": probe_ms, "events": len(events)}
+
+
 def bench_regression_suite() -> dict:
     """Run the federation + malleable + accounting ablation benches;
     returns ``{"mode": ..., "metrics": {name: value}}``."""
@@ -604,6 +666,9 @@ def bench_regression_suite() -> dict:
     metrics["walltime_federation_place_ratio"] = round(
         run_federation_place_row()["ratio"], 4
     )
+    # the lifecycle bus with every observability view attached: metrics,
+    # tracer, profiles and SLOs over one fixed synthetic event stream
+    metrics["walltime_federation_bus_ratio"] = round(run_federation_bus_row()["ratio"], 4)
     mode = "smoke" if os.environ.get("BENCH_SMOKE", "") not in ("", "0") else "full"
     return {"mode": mode, "metrics": metrics}
 

@@ -6,10 +6,11 @@ between per-state dicts as it flips ``job.state``, and it is the only
 function in ``federation/`` allowed to write ``.state``.  A direct
 ``job.state = ...`` write anywhere else leaves the job filed under its
 old state — reconcile then sweeps a terminal job forever (or
-never sees a live one), and nothing crashes.  The daemon queue's
-:class:`QueuedTask` guards itself with a ``__setattr__`` transition
-hook and the cluster's :class:`Job` has ``transition()``, so their own
-modules are blessed; everyone else goes through the API.
+never sees a live one), and nothing crashes.  Daemon tasks change state
+only in ``MiddlewareQueue.set_state`` (``daemon/queue.py``), which
+stamps the task's timestamps, keeps the queued index and fires the
+transition listeners; the cluster's :class:`Job` has ``transition()``.
+Everyone else goes through those APIs.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ STATE_SCOPED_DIRS = ("federation/", "daemon/", "cluster/")
 BLESSED: dict[str, frozenset[str] | None] = {
     # the single transition point of both federated job tables
     "federation/broker.py": frozenset({"set_state"}),
-    # QueuedTask.__setattr__ maintains the queued-count index on every
-    # assignment, so the queue machinery itself is safe by construction
-    "daemon/queue.py": None,
-    "daemon/scheduler.py": None,
+    # the single transition point of daemon tasks: it stamps the
+    # timestamps, keeps the queued index and fires the listeners
+    "daemon/queue.py": frozenset({"set_state"}),
     # cluster jobs route through Job.transition(); nodes own their enum
     "cluster/job.py": frozenset({"__init__", "transition"}),
     "cluster/node.py": None,

@@ -84,26 +84,10 @@ class QueuedTask:
     preempt_count: int = 0
     batched: bool = True
     metadata: dict[str, Any] = field(default_factory=dict)
-    #: owning queue, attached at submit time so every state transition
-    #: (the scheduler writes ``task.state`` directly) keeps the queue's
-    #: per-class queued counters exact without a mediator API
-    _queue: "MiddlewareQueue | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
     #: heap sequence of the task's latest (re)queueing — the FIFO
     #: tiebreak scheduling algorithms sort on; a requeued task gets a
     #: fresh number, sending it to the back of its priority class
     _heap_seq: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name == "state":
-            old = self.__dict__.get("state")
-            object.__setattr__(self, name, value)
-            queue = self.__dict__.get("_queue")
-            if queue is not None and old is not value:
-                queue._on_task_state(self, old, value)
-            return
-        object.__setattr__(self, name, value)
 
     def wait_time(self) -> float | None:
         if self.started_at is None:
@@ -166,12 +150,30 @@ class MiddlewareQueue:
         at submit)."""
         self._transition_listeners.append(callback)
 
-    def _on_task_state(
-        self, task: QueuedTask, old: TaskState | None, new: TaskState
-    ) -> None:
+    def set_state(self, task: QueuedTask, state: TaskState, now: float | None) -> None:
+        """The one place a task's state changes.  It stamps the
+        transition's time first — ``started_at`` on RUNNING, cleared on
+        a return to QUEUED, ``finished_at`` on COMPLETED/FAILED (a
+        cancel keeps it unset) — then files the task in the queued
+        index and fires the transition listeners, so every listener
+        reads a task whose timestamps match its new state.  Setting the
+        current state again is a no-op."""
+        old = task.state
+        if state is old:
+            return
+        if state is TaskState.RUNNING:
+            task.started_at = now
+        elif state is TaskState.QUEUED:
+            task.started_at = None
+        elif state is TaskState.COMPLETED or state is TaskState.FAILED:
+            task.finished_at = now
+        task.state = state
         if old is TaskState.QUEUED:
             self._queued_counts[task.priority] -= 1
             self._queued.pop(task.task_id, None)
+        self._entered(task, old, state)
+
+    def _entered(self, task: QueuedTask, old: TaskState | None, new: TaskState) -> None:
         if new is TaskState.QUEUED:
             self._queued_counts[task.priority] += 1
             self._queued[task.task_id] = task
@@ -201,11 +203,7 @@ class MiddlewareQueue:
         if self.shot_cap is not None:
             self.shot_cap.apply(task)
         self._tasks[task.task_id] = task
-        task._queue = self
-        self._queued_counts[task.priority] += 1  # hook only sees changes
-        self._queued[task.task_id] = task
-        for callback in self._transition_listeners:
-            callback(task, None, TaskState.QUEUED)
+        self._entered(task, None, TaskState.QUEUED)
         self._push(task)
         return task
 
@@ -232,26 +230,19 @@ class MiddlewareQueue:
         while self._heap and self._tasks[self._heap[0][2]].state is not TaskState.QUEUED:
             heapq.heappop(self._heap)
 
-    def peek_priority(self) -> PriorityClass | None:
-        for prio, _, task_id in sorted(self._heap):
-            if self._tasks[task_id].state is TaskState.QUEUED:
-                return PriorityClass(prio)
-        return None
-
     def requeue(self, task: QueuedTask, now: float) -> None:
         """Return a preempted task to the queue (keeps original class)."""
         if task.state is not TaskState.PREEMPTED:
             raise QueueError(
                 f"only preempted tasks can be requeued, {task.task_id} is {task.state.value}"
             )
-        task.state = TaskState.QUEUED
-        task.started_at = None
+        self.set_state(task, TaskState.QUEUED, now)
         self._push(task)
 
     def cancel(self, task_id: str) -> None:
         task = self.get(task_id)
         if task.state in (TaskState.QUEUED, TaskState.PREEMPTED):
-            task.state = TaskState.CANCELLED
+            self.set_state(task, TaskState.CANCELLED, None)
 
     # -- queries ------------------------------------------------------------------
 
@@ -275,6 +266,3 @@ class MiddlewareQueue:
         """Live queued tasks, O(queued) — the eligible set scheduling
         algorithms select from."""
         return list(self._queued.values())
-
-    def tasks_for_session(self, session_id: str) -> list[QueuedTask]:
-        return [t for t in self._tasks.values() if t.session_id == session_id]

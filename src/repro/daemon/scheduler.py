@@ -136,8 +136,7 @@ class SecondLevelScheduler:
             if chosen.state is not TaskState.QUEUED:
                 raise DaemonError("selection policy returned a non-queued task")
             # consume it from the heap lazily by marking then popping equals
-            chosen.started_at = self.sim.now
-            chosen.state = TaskState.RUNNING
+            self.queue.set_state(chosen, TaskState.RUNNING, self.sim.now)
             return chosen
         eligible = self.queue.queued_tasks()
         if not eligible:
@@ -152,8 +151,7 @@ class SecondLevelScheduler:
             return None
         if chosen.state is not TaskState.QUEUED:
             raise DaemonError("scheduling algorithm returned a non-queued task")
-        chosen.started_at = self.sim.now
-        chosen.state = TaskState.RUNNING
+        self.queue.set_state(chosen, TaskState.RUNNING, self.sim.now)
         self.queue.prune()
         return chosen
 
@@ -167,8 +165,8 @@ class SecondLevelScheduler:
                 yield from self._run_task(task)
 
     def _run_task(self, task: QueuedTask):
-        # started_at was stamped in _select, *before* the RUNNING
-        # transition, so queue listeners observe a consistent task
+        # started_at was stamped by the RUNNING transition in _select,
+        # before the queue listeners heard it
         self.current = task
         self.trace.emit(
             self.sim.now,
@@ -198,8 +196,8 @@ class SecondLevelScheduler:
         except Interrupt as intr:
             cause = intr.cause if isinstance(intr.cause, tuple) else (intr.cause,)
             if cause and cause[0] == "mw-preempt":
-                task.state = TaskState.PREEMPTED
                 task.preempt_count += 1
+                self.queue.set_state(task, TaskState.PREEMPTED, self.sim.now)
                 self.tasks_preempted += 1
                 self.trace.emit(
                     self.sim.now,
@@ -214,23 +212,20 @@ class SecondLevelScheduler:
                 return
             self._end_span(span, "failed")
             task.error = f"interrupted: {intr.cause!r}"
-            task.finished_at = self.sim.now
-            task.state = TaskState.FAILED
+            self.queue.set_state(task, TaskState.FAILED, self.sim.now)
             self.current = None
             self._finish(task)
             return
         except Exception as err:
             self._end_span(span, "failed")
             task.error = f"{type(err).__name__}: {err}"
-            task.finished_at = self.sim.now
-            task.state = TaskState.FAILED
+            self.queue.set_state(task, TaskState.FAILED, self.sim.now)
             self.current = None
             self._finish(task)
             return
         self._end_span(span, "ok")
         task.result = result
-        task.finished_at = self.sim.now
-        task.state = TaskState.COMPLETED
+        self.queue.set_state(task, TaskState.COMPLETED, self.sim.now)
         self.current = None
         self.tasks_completed += 1
         self._finish(task)

@@ -102,10 +102,9 @@ class MiddlewareDaemon:
             "Completed tasks whose metadata record failed, by exception type",
             label_names=("error",),
         )
-        #: per-workload phase signatures, fed from every queue transition
-        #: (served raw by ``GET /profiles``)
+        #: per-workload phase signatures of the stage records at this
+        #: daemon's site (served raw by ``GET /profiles``)
         self.profiles = ProfileStore()
-        self.queue.add_transition_listener(self.profiles.queue_listener())
         # deferred: repro.federation imports this package at import time
         from ..federation.events import LifecycleBus, publish_task_transition
 
@@ -115,6 +114,7 @@ class MiddlewareDaemon:
         self.events = self.home_events = LifecycleBus()
         self.site = "local"
         self.events.publishers[self.site] = self
+        self.events.stages.add_sink(self.profiles.on_closed, site=self.site)
 
         def publish(task: QueuedTask, old: TaskState | None, new: TaskState) -> None:
             now = self.sim.now
@@ -152,14 +152,18 @@ class MiddlewareDaemon:
 
     def attach_bus(self, bus, site: str) -> None:
         """Publish this daemon's task transitions once, onto ``bus``
-        instead of its current bus, labelled ``site``.  Idempotent.
+        instead of its current bus, labelled ``site``; its profile store
+        follows.  Idempotent.
         Every daemon numbers its tasks ``mw-task-N``, so a label another
         daemon already publishes under on ``bus`` is refused."""
         if bus.publishers.setdefault(site, self) is not self:
             raise DaemonError(f"site label {site!r} is taken on this lifecycle bus")
-        if (bus, site) != (self.events, self.site):
-            del self.events.publishers[self.site]
+        if (bus, site) == (self.events, self.site):
+            return
+        del self.events.publishers[self.site]
+        self.events.stages.remove_sink(self.profiles.on_closed)
         self.events, self.site = bus, site
+        bus.stages.add_sink(self.profiles.on_closed, site=site)
 
     # -- time -----------------------------------------------------------------
 
@@ -188,7 +192,6 @@ class MiddlewareDaemon:
         session = self.sessions.create(
             user, priority, now=self.now, slurm_job_id=slurm_job_id
         )
-        self._m_sessions.set(float(len(self.sessions.active())))
         self.trace.emit(
             self.now,
             "daemon",
@@ -327,10 +330,11 @@ class MiddlewareDaemon:
     # -- observability -------------------------------------------------------------
 
     def metrics_text(self) -> str:
-        # the queue-depth gauge has no other reader: it is read from the
-        # queue here, at exposition, and nowhere else
+        # the queue-depth and session gauges have no other reader: they
+        # are read from the queue and the sessions here, and nowhere else
         for cls, depth in self.queue.depth_by_class().items():
             self._m_queue.set(float(depth), labels={"class": cls})
+        self._m_sessions.set(float(len(self.sessions.active())))
         return render_exposition(self.metrics, alerts=self.alerts, slo=self.slo)
 
     def healthz(self) -> dict[str, Any]:
@@ -356,6 +360,9 @@ class MiddlewareDaemon:
             "firing_alerts": firing,
             "queue_depth": self.queue.queued_count(),
             "jobmeta_errors": int(sum(v for _, _, v in self._m_jobmeta_errors.samples())),
+            # swallowed observer errors and unwaited process deaths
+            "bus_dropped": self.events.dropped,
+            "process_failures": self.sim.unobserved_failures,
         }
 
     def telemetry(self, resource: str) -> dict[str, Any]:

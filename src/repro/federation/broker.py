@@ -315,7 +315,7 @@ class FederationBroker:
         #: (see :meth:`attach_profiles`)
         self.profiles: ProfileStore | None = None
         self.metrics.attach_bus(self.events)
-        self.events.subscribe(self._on_site_event)
+        self.events.subscribe(self._on_site_event, kinds=("running",) + TERMINAL_TASK_KINDS)
         for name in registry.names():
             registry.site(name).attach_bus(self.events)
         registry.on_register(lambda site: site.attach_bus(self.events))
@@ -350,8 +350,8 @@ class FederationBroker:
     # -- lifecycle events ------------------------------------------------------
 
     def attach_tracer(self, tracer: Tracer | None = None) -> Tracer:
-        """Trace every job end-to-end: subscribes the tracer to the
-        lifecycle bus (span boundaries are bus transitions) and
+        """Trace every job end-to-end: attaches the tracer to the
+        lifecycle bus (its stage records become spans) and
         instruments every site daemon's scheduler — current and
         future joiners — so dispatch spans nest under execute spans.
         Idempotent; returns the active tracer.
@@ -400,7 +400,7 @@ class FederationBroker:
 
     def attach_profiles(self, store: ProfileStore | None = None) -> ProfileStore:
         """Collect per-workload phase signatures: feeds a
-        :class:`ProfileStore` from the lifecycle bus.
+        :class:`ProfileStore` from the lifecycle bus's stage records.
         The store's summary appears in :meth:`stats`; site daemons also
         expose their own stores via ``GET /profiles``.  Idempotent;
         returns the active store.
@@ -428,9 +428,6 @@ class FederationBroker:
         transition, found through the task index; transitions for tasks
         the broker never placed — e.g. a site's local users — are
         dropped."""
-        kind = event.kind
-        if kind != "running" and kind not in TERMINAL_TASK_KINDS:
-            return
         owner = self._tasks.get((event.site, event.task_id))
         if owner is None:
             return
@@ -501,21 +498,6 @@ class FederationBroker:
         if span is not None:
             tracer.end_span(span, self.sim.now)
         return result, None
-
-    def _trace_placement(self, job_id: str, dispatch: Placement) -> None:
-        """Record one dispatch as an instant span and bind the site task
-        under it, so its queue-wait/execute spans nest there, labelled
-        with the dispatch's ``unit``."""
-        tracer = self.tracer
-        now = self.sim.now
-        site, task_id = dispatch.site, dispatch.task_id
-        span = tracer.start_job_span(
-            job_id, "placement", now, site=site, task_id=task_id, unit=dispatch.unit
-        )
-        if span is None:
-            return
-        tracer.end_span(span, now)
-        tracer.bind_task(site, task_id, span, now, unit=dispatch.unit)
 
     def _capable(self, n_qubits: int, exclude: tuple[str, ...] = ()) -> list[SiteSnapshot]:
         """Healthy sites exporting a resource that can hold an
@@ -842,10 +824,11 @@ class FederationBroker:
 
     def _dispatch(self, job: FederatedJob, unit: int, site: Any, resource: str) -> None:
         """Submit one unit of ``job`` to ``site`` and record it: the
-        dispatch, its task-index entry, its trace and its budget hold.
-        A one-unit job's dispatch is its placement, announced as
-        ``job_placed``.  Raises :class:`~repro.errors.SiteUnavailable`
-        when the site refuses the task."""
+        dispatch, its task-index entry and its budget hold.  Every
+        dispatch is announced as one ``job_placed`` naming the task and
+        its ``unit``; for a one-unit job it is also the job's placement.
+        Raises :class:`~repro.errors.SiteUnavailable` when the site
+        refuses the task."""
         task_id = site.submit(job.program, resource, shots=job.shots, owner=job.owner)
         dispatch = Placement(
             site=site.name, task_id=task_id, placed_at=self.sim.now, unit=unit
@@ -857,9 +840,7 @@ class FederationBroker:
             if len(job.placements) > 1:
                 self._reroutes += 1
             self.table.set_state(job, JobState.PLACED)
-            self._publish("job_placed", job.job_id, site=site.name, task_id=task_id)
-        if self.tracer is not None:
-            self._trace_placement(job.job_id, dispatch)
+        self._publish("job_placed", job.job_id, site=site.name, task_id=task_id, unit=unit)
         if self.accounting is not None:
             self.accounting.reserve_placement(
                 job.owner, site.name, shots=job.shots, key=f"{job.job_id}/u{unit}"
@@ -1299,8 +1280,11 @@ class FederationBroker:
             # a housekeeping sweep that raised ends its process; say so
             # instead of letting reconcile stop without a trace
             "housekeeping_error": repr(dead[0]) if dead else None,
-            # bus subscriber callbacks that raised (isolated, counted)
+            # bus subscriber and stage-sink callbacks that raised
+            # (isolated, counted)
             "bus_dropped": self.events.dropped,
+            # simulated processes that died with nothing waiting on them
+            "process_failures": self.sim.unobserved_failures,
             "sites": self.registry.names(),
             "profiles": (
                 self.profiles.summary() if self.profiles is not None else None

@@ -14,8 +14,10 @@ Publishers on a :class:`FederationBroker
   transitions (kind = the state name), tagged with the site; one
   daemon per site label (:attr:`LifecycleBus.publishers`),
 * **broker job lifecycle** — ``job_submitted`` / ``job_held`` /
-  ``job_placed`` / ``job_completed`` / ``job_failed``, keyed by the
-  federation-stable job id,
+  ``job_completed`` / ``job_failed``, keyed by the federation-stable job
+  id, and one ``job_placed`` per dispatch — every placement of a
+  one-unit job and every unit dispatch of a multi-unit job — naming the
+  site task and its ``unit``,
 * **resize decisions** — kind ``resize`` with the action
   (grow/shrink/retire/reclaim) in the payload.
 
@@ -25,10 +27,15 @@ publish appends to the pending queue and, unless a drain is already
 running, drains it at once; an event published from inside a
 subscriber joins the running drain, so it is delivered after the event
 being handled has reached all of its subscribers, never in between.
-Subscriber order per event is subscription order (wildcards first, then
-job-filtered), so runs replay bit-for-bit.  Subscriber exceptions are
-isolated and counted in :attr:`LifecycleBus.dropped`: a broken observer
-must never break the scheduler hot path.
+Per event, the bus's one :class:`~repro.observability.stages.StageTracker`
+(:attr:`LifecycleBus.stages`) folds it first, and the tracker's sinks
+(the stage histogram, the tracer, the profiles, the SLOs) hear each
+record it opens or closes at once; then the subscribers run in
+subscription order (wildcards first, then job-filtered), so runs replay
+bit-for-bit.
+Subscriber and stage-sink exceptions are isolated and counted in
+:attr:`LifecycleBus.dropped`: a broken observer must never break the
+scheduler hot path.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..observability.stages import StageTracker, program_signature
 from ..simkernel import Event
 
 __all__ = [
@@ -58,7 +66,8 @@ TERMINAL_TASK_KINDS = ("completed", "failed", "cancelled")
 TERMINAL_JOB_KINDS = ("job_completed", "job_failed")
 
 #: payload keys shared by every site task transition (see
-#: :func:`publish_task_transition` — the one publisher of these kinds)
+#: :func:`publish_task_transition` — the one publisher of these kinds);
+#: ``queued`` also names the task's tenant and program signature
 _TASK_PAYLOAD = ("state", "started_at", "finished_at", "priority")
 
 #: The declared event vocabulary: every ``kind`` the federation may
@@ -71,7 +80,7 @@ _TASK_PAYLOAD = ("state", "started_at", "finished_at", "priority")
 #: its keys) HERE, next to the bus, before publishing it anywhere.
 EVENT_SCHEMAS: dict[str, tuple[str, ...]] = {
     # -- site task transitions (kind = TaskState.value) ----------------
-    "queued": _TASK_PAYLOAD,
+    "queued": _TASK_PAYLOAD + ("tenant", "signature"),
     "running": _TASK_PAYLOAD,
     "completed": _TASK_PAYLOAD,
     "failed": _TASK_PAYLOAD,
@@ -80,7 +89,7 @@ EVENT_SCHEMAS: dict[str, tuple[str, ...]] = {
     # -- broker job lifecycle ------------------------------------------
     "job_submitted": ("tenant", "program", "qubits"),
     "job_held": ("tenant", "program", "qubits"),
-    "job_placed": (),
+    "job_placed": ("unit",),
     "job_completed": ("error",),
     "job_failed": ("error",),
     "job_rerouted": ("reason", "unit"),
@@ -146,9 +155,13 @@ class LifecycleBus:
         #: job-filtered subscribers, indexed by job id
         self._by_job: dict[str, list[_Subscription]] = {}
         self._where: dict[int, str | None] = {}  # handle -> index key
+        #: kind -> the wildcard subscribers whose kind filter admits it
+        #: (memoized; any subscription change clears it)
+        self._by_kind: dict[str, list[_Subscription]] = {}
         #: events published so far
         self.published = 0
-        #: subscriber callbacks that raised (isolated, never re-raised)
+        #: subscriber and stage-sink callbacks that raised (isolated,
+        #: never re-raised)
         self.dropped = 0
         #: site label -> the daemon publishing task transitions under it
         #: (one per label; see ``MiddlewareDaemon.attach_bus``)
@@ -159,6 +172,15 @@ class LifecycleBus:
         #: published events not yet delivered (non-empty only mid-drain)
         self._pending: deque[JobEvent] = deque()
         self._draining = False
+        self._stages: StageTracker | None = None
+
+    @property
+    def stages(self) -> StageTracker:
+        """This bus's one stage tracker, built on first use; it hears
+        every event before any subscriber does."""
+        if self._stages is None:
+            self._stages = StageTracker(self.deliver)
+        return self._stages
 
     # -- subscription ---------------------------------------------------------
 
@@ -180,6 +202,7 @@ class LifecycleBus:
         sub = _Subscription(next(self._handles), callback, job_id, kinds, site)
         if job_id is None:
             self._wildcard.append(sub)
+            self._by_kind.clear()
         else:
             self._by_job.setdefault(job_id, []).append(sub)
         self._where[sub.handle] = job_id
@@ -188,11 +211,13 @@ class LifecycleBus:
     def unsubscribe(self, handle: int) -> None:
         key = self._where.pop(handle, None)
         bucket = self._wildcard if key is None else self._by_job.get(key, [])
+        self._by_kind.clear()
         bucket[:] = [s for s in bucket if s.handle != handle]
         if key is not None and not bucket:
             self._by_job.pop(key, None)
 
     def subscriber_count(self) -> int:
+        """Subscriptions on this bus; its stage tracker is not one."""
         return len(self._wildcard) + sum(len(v) for v in self._by_job.values())
 
     # -- publication ----------------------------------------------------------
@@ -221,17 +246,32 @@ class LifecycleBus:
         try:
             while pending:
                 event = pending.popleft()
-                targets = list(self._wildcard)
-                targets.extend(self._by_job.get(event.job_id, ()))
-                for sub in targets:
-                    if not sub.matches(event):
-                        continue
-                    try:
-                        sub.callback(event)
-                    except Exception:
-                        self.dropped += 1
+                kind = event.kind
+                wildcard = self._by_kind.get(kind)
+                if wildcard is None:
+                    wildcard = self._by_kind[kind] = [
+                        sub for sub in self._wildcard if sub.kinds is None or kind in sub.kinds
+                    ]
+                targets = [] if self._stages is None else [self._stages.on_event]
+                for sub in wildcard:
+                    if sub.site is None or sub.site == event.site:
+                        targets.append(sub.callback)
+                for sub in self._by_job.get(event.job_id, ()):
+                    if sub.matches(event):
+                        targets.append(sub.callback)
+                self.deliver(targets, event)
         finally:
             self._draining = False
+
+    def deliver(self, callbacks: list[Callable[[Any], None]], value: Any) -> None:
+        """Run ``callbacks`` on ``value`` in order: the subscribers of
+        an event, or the stage sinks of a record.  Each exception is
+        isolated and counted in :attr:`dropped`, never re-raised."""
+        for callback in callbacks:
+            try:
+                callback(value)
+            except Exception:
+                self.dropped += 1
 
     def recent(self) -> list[JobEvent]:
         """The retained event tail (empty unless ``history`` was set)."""
@@ -243,20 +283,18 @@ def publish_task_transition(
 ) -> None:
     """The one way a middleware-queue task transition becomes a
     :class:`JobEvent` (kind = the state's value), called by each
-    daemon's one queue publisher."""
+    daemon's one queue publisher.  ``queued`` also carries the task's
+    tenant (its spec's, else its session user) and program signature:
+    a task no broker placement claims is its own job."""
+    state = new_state.value
+    payload = {"state": state, "started_at": task.started_at, "finished_at": task.finished_at,
+               "priority": task.priority.name.lower()}
+    if state == "queued":
+        payload["tenant"] = task.metadata.get("tenant", task.user)
+        payload["signature"] = program_signature(task.program)
     bus.publish(
         JobEvent(
-            time=now,
-            kind=new_state.value,
-            job_id=task.task_id,
-            site=site,
-            task_id=task.task_id,
-            payload={
-                "state": new_state.value,
-                "started_at": task.started_at,
-                "finished_at": task.finished_at,
-                "priority": task.priority.name.lower(),
-            },
+            time=now, kind=state, job_id=task.task_id, site=site, task_id=task.task_id, payload=payload
         )
     )
 

@@ -8,14 +8,16 @@ via the ordinary :class:`~repro.observability.scrape.Scraper` target
 protocol (:meth:`FederationMetrics.collector`).
 
 Counters are **bus-driven**: :meth:`attach_bus` subscribes to the
-broker's :class:`~repro.federation.events.LifecycleBus` and every
-counter increment is derived from the published event stream —
-placements from ``job_placed``, outcomes from ``job_completed`` /
-``job_failed``, resizes from ``resize``, and so on.  There are no
-scattered ``record_*`` call sites left in the broker or the resize
-loop: anything the metrics plane can see, any other subscriber can see
-too.  The same subscription feeds per-stage latency histograms
-(queue-wait, execute, end-to-end) from task-transition timestamps.
+job-level kinds of the broker's
+:class:`~repro.federation.events.LifecycleBus` and every counter
+increment is derived from the published event stream — placements from
+``job_placed`` (one per dispatch, so every unit counts), outcomes from
+``job_completed`` / ``job_failed``, resizes from ``resize``, and so on.
+There are no scattered ``record_*`` call sites left in the broker or the
+resize loop: anything the metrics plane can see, any other subscriber
+can see too.  The per-stage latency histogram is a sink of the bus's
+stage tracker: one observation per closed
+:class:`~repro.observability.stages.StageInterval`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ..observability import MetricRegistry, render_exposition
+from ..observability.stages import STAGES
 from .registry import SiteHealth, SiteSnapshot
 
 __all__ = ["FederationMetrics"]
@@ -40,6 +43,8 @@ _STAGE_BUCKETS = (
     0.05, 0.1, 0.5, 1.0, 2.5, 5.0, 15.0, 30.0,
     60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0,
 )
+
+_STAGE_LABELS = {stage: {"stage": stage} for stage in STAGES}
 
 
 class FederationMetrics:
@@ -142,58 +147,36 @@ class FederationMetrics:
         self.stage_latency = self.registry.histogram(
             "federation_stage_latency_seconds",
             "Per-stage latency in simulated seconds "
-            "(stage: queue-wait/execute/job)",
+            "(stage: queue-wait/execute/classical-pre/job)",
             label_names=("stage",),
             buckets=_STAGE_BUCKETS,
         )
-        # open-stage tracking for the latency histograms
-        self._pending_jobs: dict[str, float] = {}
-        self._queued_tasks: dict[tuple[str, str], float] = {}
-        self._running_tasks: dict[tuple[str, str], float] = {}
         self._cache_hits_seen = 0
 
     # -- bus-driven recording -------------------------------------------------
 
     def attach_bus(self, bus) -> None:
-        """Derive every counter from the event stream of ``bus``."""
-        bus.subscribe(self._on_event)
+        """Derive every counter from the event stream of ``bus``, and
+        the stage histogram from its stage tracker."""
+        bus.stages.add_sink(self._on_interval)
+        bus.subscribe(
+            self._on_event,
+            kinds=(
+                "job_placed", "job_completed", "job_failed", "job_rerouted", "resize",
+                "rebalance", "unit_completed", "admission", "jobs_evicted",
+            ),
+        )
+
+    def _on_interval(self, record) -> None:
+        self.stage_latency.observe(record.end - record.start, labels=_STAGE_LABELS[record.stage])
 
     def _on_event(self, event) -> None:
         kind = event.kind
-        # task transitions first: they dominate event volume
-        if event.task_id and not kind.startswith("job_"):
-            key = (event.site, event.task_id)
-            if kind == "queued":
-                self._queued_tasks[key] = event.time
-            elif kind == "running":
-                queued_at = self._queued_tasks.pop(key, None)
-                if queued_at is not None:
-                    self.stage_latency.observe(
-                        event.time - queued_at, labels={"stage": "queue-wait"}
-                    )
-                self._running_tasks[key] = event.time
-            elif kind in ("completed", "failed", "cancelled"):
-                started_at = self._running_tasks.pop(key, None)
-                self._queued_tasks.pop(key, None)
-                if started_at is not None:
-                    self.stage_latency.observe(
-                        event.time - started_at, labels={"stage": "execute"}
-                    )
-            elif kind == "preempted":
-                self._running_tasks.pop(key, None)
-            return
         if kind == "job_placed":
             self.placements.inc(labels={"site": event.site})
         elif kind in ("job_completed", "job_failed"):
             outcome = "completed" if kind == "job_completed" else "failed"
             self.outcomes.inc(labels={"outcome": outcome})
-            submitted_at = self._pending_jobs.pop(event.job_id, None)
-            if submitted_at is not None:
-                self.stage_latency.observe(
-                    event.time - submitted_at, labels={"stage": "job"}
-                )
-        elif kind in ("job_submitted", "job_held"):
-            self._pending_jobs.setdefault(event.job_id, event.time)
         elif kind == "job_rerouted":
             self.reroutes.inc(labels={"site": event.site})
         elif kind == "resize":

@@ -25,8 +25,10 @@ The stack is rebuilt from scratch with the same division of labour:
   explicit context propagation from Session to shot,
 * :mod:`profiling` — continuous hot-path scope profiler (call-path
   stats, top-N report, flamegraph-style tree, TSDB flush),
+* :mod:`stages`    — the one lifecycle record: stage intervals each bus
+  folds once, for traces, profiles, SLOs and the stage histogram,
 * :mod:`profiles`  — per-workload phase signatures keyed by (tenant,
-  program signature), EWMA-updated from lifecycle events,
+  program signature), EWMA-updated from stage records,
 * :mod:`slo`       — latency objectives with multi-window burn-rate
   rules compiled onto the alert manager.
 """

@@ -5,8 +5,10 @@ happened to a job, profiling says where the system spends time — this
 module says whether tenants are *meeting their objectives*.  A
 :class:`LatencyObjective` declares "fraction ``objective`` of <stage>
 events for <tenant> finish within ``threshold_s``"; the
-:class:`SLOTracker` classifies every bus-derived stage latency sample
-as good/bad and evaluates Google-SRE-style multi-window burn rates:
+:class:`SLOTracker` classifies every stage latency sample as good/bad —
+on a lifecycle bus, one sample per closed
+:class:`~repro.observability.stages.StageInterval` of the bus's stage
+tracker — and evaluates Google-SRE-style multi-window burn rates:
 
     ``burn = error_rate / (1 - objective)``
 
@@ -28,12 +30,9 @@ from typing import Any
 
 from ..errors import ObservabilityError
 from .alerts import AlertManager, AlertRule
+from .stages import STAGES
 
 __all__ = ["LatencyObjective", "SLOTracker", "DEFAULT_OBJECTIVES"]
-
-#: stages with bus-derivable latencies (same vocabulary as
-#: ``federation_stage_latency_seconds``)
-STAGES = ("queue-wait", "execute", "job")
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,11 @@ class SLOTracker:
     multi-window burn-rate state.
 
     Samples arrive either from a lifecycle bus (:meth:`attach_bus`, the
-    production path — stage derivation is identical to
-    ``FederationMetrics``, with tenant attribution through the enriched
-    ``job_submitted`` payload) or directly via :meth:`observe` (the
-    synthetic-test path).  :meth:`evaluate` recomputes burn rates,
-    writes the ``slo_*`` series, and caches results for the exporter.
+    production path — the stage records ``FederationMetrics``, the
+    tracer and the profiles read, with their tenants) or directly via
+    :meth:`observe` (the synthetic-test path).  :meth:`evaluate`
+    recomputes burn rates, writes the ``slo_*`` series, and caches
+    results for the exporter.
     """
 
     def __init__(self, objectives=DEFAULT_OBJECTIVES, tsdb: Any = None) -> None:
@@ -107,10 +106,6 @@ class SLOTracker:
         #: objective name -> last evaluate() results (exporter cache)
         self.last_results: dict[str, dict[str, float]] = {}
         self._last_eval_at: float | None = None
-        # bus stage tracking (tenant rides the job, tasks bind via placement)
-        self._jobs: dict[str, dict[str, Any]] = {}
-        self._task_to_job: dict[tuple[str, str], str] = {}
-        self._task_times: dict[tuple[str, str], dict[str, float]] = {}
 
     # -- sample intake -----------------------------------------------------
 
@@ -128,61 +123,11 @@ class SLOTracker:
                 )
 
     def attach_bus(self, bus: Any) -> None:
-        bus.subscribe(self._on_event)
+        """Sample every closed stage record of a lifecycle bus."""
+        bus.stages.add_sink(self._on_closed)
 
-    def _on_event(self, event: Any) -> None:
-        kind = event.kind
-        if event.task_id and not kind.startswith("job_"):
-            key = (event.site, event.task_id)
-            tenant = self._tenant_of(key)
-            times = self._task_times.setdefault(key, {})
-            if kind == "queued":
-                times["queued"] = event.time
-            elif kind == "running":
-                queued_at = times.pop("queued", None)
-                if queued_at is not None:
-                    self.observe(
-                        "queue-wait", event.time - queued_at, event.time, tenant
-                    )
-                times["running"] = event.time
-            elif kind in ("completed", "failed", "cancelled"):
-                started_at = times.pop("running", None)
-                if started_at is not None:
-                    self.observe(
-                        "execute", event.time - started_at, event.time, tenant
-                    )
-                self._task_times.pop(key, None)
-                self._task_to_job.pop(key, None)
-            elif kind == "preempted":
-                times.pop("running", None)
-            return
-        if kind in ("job_submitted", "job_held"):
-            self._jobs.setdefault(
-                event.job_id,
-                {
-                    "submitted_at": event.time,
-                    "tenant": event.payload.get("tenant"),
-                },
-            )
-        elif kind == "job_placed":
-            if event.site and event.task_id and event.job_id in self._jobs:
-                self._task_to_job[(event.site, event.task_id)] = event.job_id
-        elif kind in ("job_completed", "job_failed"):
-            job = self._jobs.pop(event.job_id, None)
-            if job is not None:
-                self.observe(
-                    "job",
-                    event.time - job["submitted_at"],
-                    event.time,
-                    job["tenant"],
-                )
-
-    def _tenant_of(self, key: tuple[str, str]) -> str | None:
-        job_id = self._task_to_job.get(key)
-        if job_id is None:
-            return None
-        job = self._jobs.get(job_id)
-        return None if job is None else job.get("tenant")
+    def _on_closed(self, record: Any) -> None:
+        self.observe(record.stage, record.end - record.start, record.end, record.tenant)
 
     # -- evaluation --------------------------------------------------------
 

@@ -17,9 +17,10 @@ This module supplies that plane:
   start/end, a status, and free-form attributes,
 * :class:`Tracer` — the registry: explicit ``now`` arguments (no clock
   coupling), deterministic ``trace-N``/``span-N`` ids (replayable runs
-  produce identical trees), a LifecycleBus subscription that turns task
-  transitions into queue-wait / execute spans, TSDB persistence, JSON
-  export, and critical-path extraction.
+  produce identical trees), a sink of the bus's stage tracker that turns
+  each :class:`~repro.observability.stages.StageInterval` into a span
+  (the ``job`` record is the trace root), TSDB persistence, JSON export,
+  and critical-path extraction.
 
 Everything here is passive bookkeeping: the tracer never schedules
 simulator events and never mutates scheduling state, so an instrumented
@@ -35,11 +36,6 @@ from typing import Any
 from ..errors import ObservabilityError
 
 __all__ = ["Span", "TraceContext", "Tracer", "instrument_scheduler"]
-
-#: task-transition kinds that terminate a task-scoped span
-_TERMINAL_TASK_KINDS = ("completed", "failed", "cancelled")
-#: broker job kinds that close the root span
-_TERMINAL_JOB_KINDS = ("job_completed", "job_failed")
 
 
 @dataclass(frozen=True)
@@ -160,14 +156,12 @@ class Tracer:
         #: per-series monotone-append invariant
         self._closed: list[Span] = []
         self._job_roots: dict[str, Span] = {}
-        #: (site, task_id) -> parent context for bus-derived task spans
-        self._task_parent: dict[tuple[str, str], TraceContext] = {}
-        self._task_attrs: dict[tuple[str, str], dict[str, Any]] = {}
-        #: open bus-derived spans per task, by stage name
-        self._task_spans: dict[tuple[str, str], dict[str, Span]] = {}
-        #: tasks whose terminal transition also closes the trace root
-        #: (daemon-backend jobs, where the task *is* the job)
-        self._root_tasks: set[tuple[str, str]] = set()
+        #: (site, task_id) -> what a dispatch's stage spans hang under:
+        #: its placement span, or the root of a task that is its own job
+        #: (kept, like the spans themselves, for the tracer's lifetime)
+        self._dispatch_parents: dict[tuple[str, str], Span] = {}
+        #: open stage record -> its span (a job record's span is the root)
+        self._record_spans: dict[Any, Span] = {}
         self._attached_buses: list[Any] = []
 
     # -- span lifecycle ---------------------------------------------------
@@ -231,10 +225,6 @@ class Tracer:
     def context(span: Span) -> TraceContext:
         return TraceContext(trace_id=span.trace_id, span_id=span.span_id)
 
-    def resolve(self, ctx: TraceContext) -> Span | None:
-        """The local span behind a context, if it was created here."""
-        return self._spans.get(ctx.span_id)
-
     # -- job / task binding ----------------------------------------------
 
     def bind_job(self, job_id: str, parent: "Span | TraceContext") -> Span:
@@ -273,10 +263,6 @@ class Tracer:
     def job_root(self, job_id: str) -> Span | None:
         return self._job_roots.get(job_id)
 
-    def job_context(self, job_id: str) -> TraceContext | None:
-        root = self._job_roots.get(job_id)
-        return None if root is None else self.context(root)
-
     def start_job_span(
         self,
         job_id: str,
@@ -291,139 +277,86 @@ class Tracer:
             return None
         return self.start_span(name, root, now, wall_start=wall_start, **attributes)
 
-    def bind_task(
-        self,
-        site: str,
-        task_id: str,
-        parent: "Span | TraceContext | None",
-        now: float,
-        close_root: bool = False,
-        **attributes: Any,
-    ) -> Span | None:
-        """Attach a site-level task to a parent span and open its
-        queue-wait span.
-
-        Called at placement/dispatch time — the task was *just* submitted
-        to the site queue, so by construction it is still queued (the
-        scheduler runs in a simulated process that cannot have advanced
-        yet).  Opening queue-wait here rather than on the ``queued`` bus
-        event closes the race where the queue publishes before the
-        broker has registered the mapping.  ``close_root=True`` marks
-        tasks whose terminal transition ends the whole trace (daemon
-        backend, where the task is the job).
-        """
-        if parent is None:
-            return None
-        key = (site, task_id)
-        ctx = self.context(parent) if isinstance(parent, Span) else parent
-        self._task_parent[key] = ctx
-        attrs = {"site": site, "task_id": task_id, **attributes}
-        self._task_attrs[key] = attrs
-        if close_root:
-            self._root_tasks.add(key)
-        span = self.start_span("queue-wait", ctx, now, **attrs)
-        self._task_spans.setdefault(key, {})["queue-wait"] = span
-        return span
-
-    def task_context(self, site: str, task_id: str) -> TraceContext | None:
-        """Context a dispatch-level child should parent under: the open
-        execute span when there is one, else the task's binding."""
-        key = (site, task_id)
-        open_spans = self._task_spans.get(key)
-        if open_spans and "execute" in open_spans:
-            return self.context(open_spans["execute"])
-        return self._task_parent.get(key)
+    def bind_task(self, site: str, task_id: str, root: Span) -> None:
+        """Trace a site task that is its own job (daemon backend) under
+        ``root``: the task's stage spans hang under it and its job record
+        closes it.  Called right after submit, while the task is still
+        queued — its open queue-wait becomes a span at once."""
+        self._dispatch_parents[(site, task_id)] = root
+        for bus in self._attached_buses:
+            for record in bus.stages.open_records(site, task_id):
+                self._on_opened(record)
 
     def start_task_span(
         self, site: str, task_id: str, name: str, now: float, **attributes: Any
     ) -> Span | None:
-        """Child span under a bound task (scheduler dispatch hook);
-        returns None for tasks outside any trace so untraced traffic
-        costs one dict miss."""
-        ctx = self.task_context(site, task_id)
-        if ctx is None:
+        """Child span under a traced task (scheduler dispatch hook): under
+        its open execute span, else under the task's placement or root.
+        Returns None for a task outside any trace."""
+        parent = self._dispatch_parents.get((site, task_id))
+        if parent is None:
             return None
-        return self.start_span(name, ctx, now, site=site, task_id=task_id, **attributes)
+        for bus in self._attached_buses:
+            for record in bus.stages.open_records(site, task_id):
+                if record.stage == "execute" and record in self._record_spans:
+                    parent = self._record_spans[record]
+        return self.start_span(name, parent, now, site=site, task_id=task_id, **attributes)
 
     # -- LifecycleBus adapter --------------------------------------------
 
     def attach_bus(self, bus: Any) -> None:
-        """Subscribe to a LifecycleBus; idempotent per bus."""
+        """Turn the stage records of a LifecycleBus into spans, and its
+        resizes and reroutes into instant spans; idempotent per bus."""
         if any(existing is bus for existing in self._attached_buses):
             return
         self._attached_buses.append(bus)
-        bus.subscribe(self._on_event)
+        bus.stages.add_sink(self._on_closed, self._on_opened)
+        bus.subscribe(self._on_event, kinds=("resize", "job_rerouted"))
+
+    def _on_opened(self, record: Any) -> None:
+        """Open the span of a stage record whose job is traced.  A
+        dispatch's first record also records the placement as an
+        instant span, which the dispatch's stage spans hang under."""
+        stage, key = record.stage, (record.site, record.task)
+        own_job = record.job == record.task
+        if stage == "job":
+            root = self._dispatch_parents.get(key) if own_job else self._job_roots.get(record.job)
+            if root is not None:
+                self._record_spans[record] = root
+            return
+        if stage == "classical-pre":
+            parent = self._job_roots.get(record.job)
+        elif key in self._dispatch_parents:
+            if record in self._record_spans:
+                return  # bind_task already opened it
+            parent = self._dispatch_parents[key]
+        else:
+            root = None if own_job else self._job_roots.get(record.job)
+            if root is None:
+                return
+            parent = self._dispatch_parents[key] = self.start_span(
+                "placement", root, record.start, site=record.site, task_id=record.task, unit=record.unit
+            )
+            self.end_span(parent, record.start)
+        if parent is not None:
+            self._record_spans[record] = self.start_span(
+                stage, parent, record.start, site=record.site, task_id=record.task, unit=record.unit
+            )
+
+    def _on_closed(self, record: Any) -> None:
+        span = self._record_spans.pop(record, None)
+        if span is not None and span.open:
+            self.end_span(span, record.end, status=record.status)
 
     def _on_event(self, event: Any) -> None:
-        kind = event.kind
-        if event.task_id and not kind.startswith("job_"):
-            self._on_task_event(event, kind)
-            return
-        if kind in _TERMINAL_JOB_KINDS:
-            root = self._job_roots.get(event.job_id)
-            if root is not None and root.open:
-                status = "ok" if kind == "job_completed" else "failed"
-                self.end_span(root, event.time, status=status)
-        elif kind == "resize":
-            span = self.start_job_span(
-                event.job_id,
-                "resize",
-                event.time,
-                site=event.site,
-                action=event.payload.get("action", ""),
-                reason=event.payload.get("reason", ""),
-            )
-            if span is not None:
-                self.end_span(span, event.time)
-        elif kind == "job_rerouted":
-            span = self.start_job_span(
-                event.job_id,
-                "reroute",
-                event.time,
-                site=event.site,
-                reason=event.payload.get("reason", ""),
-            )
-            if span is not None:
-                self.end_span(span, event.time)
-
-    def _on_task_event(self, event: Any, kind: str) -> None:
-        key = (event.site, event.task_id)
-        parent = self._task_parent.get(key)
-        if parent is None:
-            return
-        open_spans = self._task_spans.setdefault(key, {})
-        now = event.time
-        if kind == "running":
-            waiting = open_spans.pop("queue-wait", None)
-            if waiting is not None:
-                self.end_span(waiting, now)
-            stale = open_spans.pop("execute", None)
-            if stale is not None:  # defensive: restart without a preempt event
-                self.end_span(stale, now, status="preempted")
-            attrs = self._task_attrs.get(key, {})
-            open_spans["execute"] = self.start_span("execute", parent, now, **attrs)
-        elif kind == "preempted":
-            running = open_spans.pop("execute", None)
-            if running is not None:
-                self.end_span(running, now, status="preempted")
-            # the task goes back to the queue: re-open the wait span
-            attrs = self._task_attrs.get(key, {})
-            open_spans["queue-wait"] = self.start_span("queue-wait", parent, now, **attrs)
-        elif kind in _TERMINAL_TASK_KINDS:
-            status = "ok" if kind == "completed" else kind
-            for span in open_spans.values():
-                self.end_span(span, now, status=status)
-            open_spans.clear()
-            self._task_spans.pop(key, None)
-            self._task_parent.pop(key, None)
-            self._task_attrs.pop(key, None)
-            if key in self._root_tasks:
-                self._root_tasks.discard(key)
-                root = self._spans.get(parent.span_id)
-                while root is not None and root.parent_id is not None:
-                    root = self._spans.get(root.parent_id)
-                if root is not None and root.open:
-                    self.end_span(root, now, status=status)
+        payload = event.payload
+        if event.kind == "resize":
+            name, attrs = "resize", {"action": payload.get("action", ""), "reason": payload.get("reason", "")}
+        else:
+            name, attrs = "reroute", {"reason": payload.get("reason", "")}
+        span = self.start_job_span(event.job_id, name, event.time, site=event.site, **attrs)
+        if span is not None:
+            self.end_span(span, event.time)
 
     # -- queries ----------------------------------------------------------
 

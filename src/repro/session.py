@@ -280,13 +280,11 @@ class Session:
         if root is not None and backend != "federation":
             self.tracer.bind_job(job_id, root)
             if backend == "daemon":
-                # the queue task *is* the job: its terminal transition
-                # closes the whole trace.  Binding right after submit is
-                # race-free — the scheduler runs in a simulated process
-                # that cannot have advanced yet.
-                self.tracer.bind_task(
-                    self.daemon.site, job_id, root, self.sim.now, close_root=True
-                )
+                # the queue task *is* the job: its job record closes the
+                # whole trace.  Binding right after submit is race-free —
+                # the scheduler runs in a simulated process that cannot
+                # have advanced yet.
+                self.tracer.bind_task(self.daemon.site, job_id, root)
         return JobHandle(self, spec, job_id, backend, token=token)
 
     # -- daemon backend --------------------------------------------------------

@@ -178,6 +178,10 @@ class Process:
         self._alive = False
         self.return_value = value
         self.error = error
+        if error is not None and not self.done_event.callbacks and self.sim._driving is not self:
+            # nothing waits on this process and no run_until_process
+            # drives it: nobody will ever see the error
+            self.sim.unobserved_failures += 1
         self.done_event.trigger(value)
         self.sim.schedule_triggered(self.done_event, delay=0.0, background=self.background)
 
@@ -223,6 +227,11 @@ class Simulator:
         self._processes: list[Process] = []
         self._profile: dict[str, float] | None = None
         self._scope_profiler = None
+        #: processes that died of an error with no waiter and no
+        #: run_until_process driving them
+        self.unobserved_failures = 0
+        #: the process run_until_process is driving, if any
+        self._driving: Process | None = None
 
     def enable_scope_profiling(self, profiler) -> None:
         """Wrap every event dispatch in a ``sim.step`` profiler scope so
@@ -263,9 +272,6 @@ class Simulator:
         entry = self.events.push(self.now + delay, event, priority, background=background)
         entry.pretriggered = True  # type: ignore[attr-defined]
         return entry
-
-    def mark_pretriggered(self, entry: ScheduledEvent) -> None:
-        entry.pretriggered = True  # type: ignore[attr-defined]
 
     def timeout_event(self, delay: float, value: Any = None, name: str = "timeout") -> Event:
         """Create an event that triggers ``delay`` seconds from now."""
@@ -430,15 +436,19 @@ class Simulator:
                 or events.foreground_count() == 0
             )
 
-        while process.alive:
-            if not events or events.foreground_count() == 0:
-                raise SimulationError(
-                    f"deadlock: {process.name!r} still alive but no events pending"
-                )
-            _, n = self.step_batch(stop=stop)
-            steps += n
-            if steps > max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
+        outer, self._driving = self._driving, process
+        try:
+            while process.alive:
+                if not events or events.foreground_count() == 0:
+                    raise SimulationError(
+                        f"deadlock: {process.name!r} still alive but no events pending"
+                    )
+                _, n = self.step_batch(stop=stop)
+                steps += n
+                if steps > max_events:
+                    raise SimulationError(f"exceeded max_events={max_events}")
+        finally:
+            self._driving = outer
         if process.error is not None:
             raise process.error
         return process.return_value

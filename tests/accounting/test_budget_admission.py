@@ -195,8 +195,10 @@ class TestHeldJobWait:
         assert waiter.return_value.shots == 50
         assert sim.events.foreground_count() == 0
 
-    def test_interrupting_the_waiter_releases_the_hold(self):
+    def test_interrupting_the_waiter_releases_the_hold(self, process_failures):
         sim, broker, session, handle = self.held(grant=0.0)
+        # the interrupted waiter dies of the Interrupt with nothing waiting on it
+        process_failures(sim, 1)
         subscribers = session.events.subscriber_count()
         waiter = sim.spawn(handle.wait())
         sim.run(until=100.0)

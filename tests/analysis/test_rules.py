@@ -271,6 +271,25 @@ class TestStateTransition:
         assert len(found) == 1
         assert "job.state" in found[0].message
 
+    def test_bad_daemon_task_write_outside_set_state(self, lint):
+        # the scheduler and the rest of the queue go through set_state,
+        # which stamps the timestamps before the listeners fire
+        report = lint(
+            {
+                "repro/daemon/queue.py": """
+                    def requeue(self, task):
+                        task.state = "queued"
+                """,
+                "repro/daemon/scheduler.py": """
+                    def _select(self, chosen):
+                        chosen.state = "running"
+                """,
+            },
+            [StateTransitionRule()],
+        )
+        found = rules_of(report, "state-transition")
+        assert sorted(f.file for f in found) == ["repro/daemon/queue.py", "repro/daemon/scheduler.py"]
+
     def test_good_blessed_function_and_module(self, lint):
         report = lint(
             {
@@ -278,10 +297,10 @@ class TestStateTransition:
                     def set_state(self, job, state):
                         job.state = state
                 """,
-                # daemon/queue.py is blessed wholesale (__setattr__ hook)
+                # daemon tasks change state in MiddlewareQueue.set_state
                 "repro/daemon/queue.py": """
-                    def requeue(self, task):
-                        task.state = "queued"
+                    def set_state(self, task, state, now):
+                        task.state = state
                 """,
                 # a local variable named state is not an attribute write
                 "repro/federation/malleable.py": """

@@ -151,3 +151,63 @@ class TestProfilesRoute:
         response = router.dispatch(Request("GET", "/profiles"))
         assert response.status == 200
         assert response.body["profiles"] == {}
+
+
+class TestActiveSessionsGauge:
+    """``daemon_active_sessions`` is read from the session table at
+    exposition, so it follows closes and expiries, not just creates."""
+
+    @staticmethod
+    def gauge(router):
+        text = router.dispatch(Request("GET", "/metrics")).body["text"]
+        (line,) = [ln for ln in text.splitlines() if ln.startswith("daemon_active_sessions ")]
+        return float(line.split()[-1])
+
+    def test_gauge_follows_close_admin_close_and_expiry(self):
+        sim, daemon = build_daemon()
+        router = build_router(daemon)
+        ids = []
+        for user in ("alice", "bob", "carol"):
+            body = router.dispatch(Request("POST", "/sessions", body={"user": user})).body
+            ids.append(body["session_id"])
+        assert self.gauge(router) == 3.0
+        daemon.sessions.close(ids[0])
+        assert self.gauge(router) == 2.0
+        response = router.dispatch(
+            Request(
+                "DELETE", f"/admin/sessions/{ids[1]}",
+                headers={"Authorization": f"Bearer {daemon.admin_token}"},
+            )
+        )
+        assert response.status == 200
+        assert self.gauge(router) == 1.0
+        sim.run(until=daemon.sessions.idle_timeout + 1.0)
+        assert daemon.admin_ops.expire_idle_sessions()["expired"] == [ids[2]]
+        assert self.gauge(router) == 0.0 == len(daemon.sessions.active())
+
+
+class TestObservabilityFailuresInHealthz:
+    def test_bus_drops_and_unobserved_process_deaths_are_reported(self, bus_drops, process_failures):
+        sim, daemon = build_daemon()
+        router = build_router(daemon)
+        body = router.dispatch(Request("GET", "/healthz")).body
+        assert body["bus_dropped"] == 0 and body["process_failures"] == 0
+
+        def broken(record):
+            raise RuntimeError("sink bug")
+
+        daemon.events.stages.add_sink(broken)
+
+        def dies():
+            yield from ()
+            raise RuntimeError("nobody waits for me")
+
+        sim.spawn(dies())
+        submit(router, open_session(router), make_program())
+        sim.run(until=100.0)
+        body = router.dispatch(Request("GET", "/healthz")).body
+        # the task's queue-wait, execute and job records each hit the sink
+        assert body["bus_dropped"] == 3
+        assert body["process_failures"] == 1
+        bus_drops(daemon.events, 3)
+        process_failures(sim, 1)

@@ -189,7 +189,7 @@ class TestQueue:
         task = q.submit("s", "u", make_program(), PriorityClass.TEST, "qpu", now=0.0)
         with pytest.raises(QueueError):
             q.requeue(task, now=1.0)
-        task.state = TaskState.PREEMPTED
+        q.set_state(task, TaskState.PREEMPTED, 1.0)
         q.requeue(task, now=1.0)
         assert q.pop().task_id == task.task_id
 

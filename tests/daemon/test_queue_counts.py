@@ -2,9 +2,9 @@
 
 ``queued_count`` used to walk every task ever submitted (terminal tasks
 stay in the table for status/result queries) — it is now a counter
-updated on task state transitions, including direct ``task.state``
-writes from the scheduler.  These tests drive every transition path and
-compare against the brute-force recount.
+updated on task state transitions, which all go through
+``MiddlewareQueue.set_state``.  These tests drive every transition path
+and compare against the brute-force recount.
 """
 
 from repro.daemon.queue import (
@@ -62,27 +62,27 @@ class TestQueuedCounters:
         assert q.queued_count() == 4
 
         running = q.pop()
-        running.state = TaskState.RUNNING  # the scheduler's direct write
+        q.set_state(running, TaskState.RUNNING, 5.0)
         assert_counts_match(q)
 
         q.cancel(tasks[1].task_id)
         assert_counts_match(q)
 
-        running.state = TaskState.PREEMPTED
         running.preempt_count += 1
+        q.set_state(running, TaskState.PREEMPTED, 10.0)
         q.requeue(running, now=10.0)
         assert_counts_match(q)
 
         running2 = q.pop()
-        running2.state = TaskState.RUNNING
-        running2.state = TaskState.COMPLETED
+        q.set_state(running2, TaskState.RUNNING, 11.0)
+        q.set_state(running2, TaskState.COMPLETED, 12.0)
         assert_counts_match(q)
 
         # terminal flood: counts stay exact and cheap as history grows
         for i in range(50):
             t = q.submit("s", "u", program, PriorityClass.TEST, "qpu", now=20.0 + i)
-            t.state = TaskState.RUNNING
-            t.state = TaskState.FAILED
+            q.set_state(t, TaskState.RUNNING, 20.0 + i)
+            q.set_state(t, TaskState.FAILED, 21.0 + i)
         assert_counts_match(q)
 
     def test_double_cancel_does_not_double_decrement(self):

@@ -161,3 +161,47 @@ class TestSelectionPolicy:
         assert set(waits) == {"production", "test", "development"}
         assert len(waits["production"]) == 1
         assert len(waits["development"]) == 1
+
+
+class TestOneTransitionPoint:
+    """Every task transition goes through ``MiddlewareQueue.set_state``,
+    which stamps the task's timestamps before any listener hears it."""
+
+    def test_listeners_see_stamped_timestamps_on_every_transition(self):
+        sim, queue, scheduler, _ = build(mode=SharingMode.PREEMPT, shot_rate=1.0)
+        seen = []
+
+        def listener(task, old, new):
+            seen.append(
+                (task.task_id, old, new, sim.now, task.started_at, task.finished_at,
+                 task.result, task.error)
+            )
+
+        queue.add_transition_listener(listener)
+        dev = submit(queue, scheduler, priority=PriorityClass.DEVELOPMENT, shots=20)
+        doomed = submit(queue, scheduler, priority=PriorityClass.TEST, resource="ghost")
+        dropped = submit(queue, scheduler, priority=PriorityClass.DEVELOPMENT)
+        queue.cancel(dropped.task_id)
+        sim.run(until=5.0)
+        submit(queue, scheduler, priority=PriorityClass.PRODUCTION, shots=10)
+        sim.run()
+        assert dev.preempt_count == 1 and doomed.state is TaskState.FAILED
+
+        Q, R, P = TaskState.QUEUED, TaskState.RUNNING, TaskState.PREEMPTED
+        C, F, X = TaskState.COMPLETED, TaskState.FAILED, TaskState.CANCELLED
+        kinds = set()
+        for task_id, old, new, now, started, finished, result, error in seen:
+            kinds.add((old, new))
+            if new is Q:
+                assert started is None and finished is None, (task_id, old)
+            elif new is R:
+                assert started == now and finished is None, task_id
+            elif new is P:
+                assert started is not None and started < now and finished is None
+            elif new is C:
+                assert finished == now and started <= now and result is not None
+            elif new is F:
+                assert finished == now and error, task_id
+            else:
+                assert new is X and finished is None
+        assert kinds == {(None, Q), (Q, R), (R, P), (P, Q), (R, C), (R, F), (Q, X)}

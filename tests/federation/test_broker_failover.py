@@ -234,10 +234,13 @@ class TestReviewRegressions:
 
 
 class TestSweepFailuresAreVisible:
-    def test_dead_housekeeping_sweep_is_reported(self, monkeypatch):
+    def test_dead_housekeeping_sweep_is_reported(self, monkeypatch, process_failures):
         """A sweep that raises ends the housekeeping process; stats()
         must say so instead of reconcile silently never running again."""
         sim, registry, broker, sites = build_federation(n_sites=2)
+        # the housekeeping sweep dies of the raise, and the wait below
+        # raises at spawn, before run_until_process drives it
+        process_failures(sim, 2)
         assert broker.stats()["housekeeping_error"] is None
         original = broker._reconcile
         calls = []
@@ -265,6 +268,7 @@ class TestSweepFailuresAreVisible:
         assert broker.stats()["housekeeping_error"] == repr(
             RuntimeError("sweep blew up")
         )
+        assert broker.stats()["process_failures"] == 2
 
     def test_cancel_swallows_only_repro_errors(self):
         sim, registry, broker, sites = build_federation(n_sites=1)

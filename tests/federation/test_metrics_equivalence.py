@@ -49,9 +49,9 @@ class TestCounterEquivalence:
         assert all(j.state is JobState.COMPLETED for j in fixed)
         assert mjob.state is JobState.COMPLETED
 
-        # placements: every entry in every fixed job's placements list
+        # placements: every dispatch of every job, fixed and malleable
         truth_placements: dict[str, int] = {}
-        for job in fixed:
+        for job in [*fixed, mjob]:
             for placement in job.placements:
                 truth_placements[placement.site] = (
                     truth_placements.get(placement.site, 0) + 1

@@ -160,30 +160,35 @@ class TestBusDerivation:
 
 
 class TestQueueListener:
+    """Daemon side: the queue's transitions, published by the daemon's
+    one publisher, reach a store on the bus's stage tracker."""
+
     class FakeTask:
         def __init__(self, task_id, user="alice", tenant=None, name="vqe"):
+            from repro.daemon.queue import PriorityClass
+
             self.task_id = task_id
             self.user = user
             self.metadata = {} if tenant is None else {"tenant": tenant}
             self.program = {"name": name, "register": [0] * 4}
-            self.enqueued_at = 0.0
+            self.priority = PriorityClass.DEVELOPMENT
             self.started_at = None
             self.finished_at = None
 
-        def wait_time(self):
-            if self.started_at is None:
-                return None
-            return self.started_at - self.enqueued_at
+    @staticmethod
+    def replay(store, task, steps):
+        from repro.daemon.queue import TaskState
+        from repro.federation.events import publish_task_transition
+
+        bus = LifecycleBus()
+        bus.stages.add_sink(store.on_closed, site="local")
+        for now, state in steps:
+            publish_task_transition(bus, now, "local", task, TaskState(state))
 
     def test_transitions_feed_phases(self):
         store = ProfileStore(alpha=1.0)
-        listener = store.queue_listener()
         task = self.FakeTask("t1", tenant="acme")
-        listener(task, None, "queued")
-        task.started_at = 4.0
-        listener(task, "queued", "running")
-        task.finished_at = 10.0
-        listener(task, "running", "completed")
+        self.replay(store, task, [(0.0, "queued"), (4.0, "running"), (10.0, "completed")])
         profile = store.get("acme", "vqe/q4")
         assert profile.phases["queue_wait_s"] == pytest.approx(4.0)
         assert profile.phases["execute_s"] == pytest.approx(6.0)
@@ -192,13 +197,8 @@ class TestQueueListener:
 
     def test_tenant_falls_back_to_user(self):
         store = ProfileStore()
-        listener = store.queue_listener()
         task = self.FakeTask("t1", user="bob")
-        listener(task, None, "queued")
-        task.started_at = 1.0
-        listener(task, "queued", "running")
-        task.finished_at = 2.0
-        listener(task, "running", "completed")
+        self.replay(store, task, [(0.0, "queued"), (1.0, "running"), (2.0, "completed")])
         assert store.keys() == [("bob", "vqe/q4")]
 
     def test_get_unknown_profile_raises(self):

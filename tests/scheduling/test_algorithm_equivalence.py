@@ -53,9 +53,9 @@ def _fill_queue(queue, spec, now=0.0, preempt=3):
         tasks.append(task)
     for _ in range(min(preempt, len(tasks))):
         task = queue.pop()
-        task.state = TaskState.RUNNING
-        task.state = TaskState.PREEMPTED
+        queue.set_state(task, TaskState.RUNNING, 49.0)
         task.preempt_count += 1
+        queue.set_state(task, TaskState.PREEMPTED, 50.0)
         queue.requeue(task, now=50.0)
     return tasks
 
@@ -68,7 +68,7 @@ class TestDaemonPopOrderEquivalence:
             if task is None:
                 return order
             order.append(task.task_id)
-            task.state = TaskState.RUNNING
+            queue.set_state(task, TaskState.RUNNING, 0.0)
 
     def _drain_by_algorithm(self, queue):
         algorithm = FifoPriority()
@@ -84,7 +84,7 @@ class TestDaemonPopOrderEquivalence:
                 return order
             chosen = queue.get(starts[0].job_id)
             order.append(chosen.task_id)
-            chosen.state = TaskState.RUNNING
+            queue.set_state(chosen, TaskState.RUNNING, 0.0)
             queue.prune()
 
     @pytest.mark.parametrize("seed", range(5))

@@ -191,7 +191,7 @@ class TestTimeshare:
         for _ in range(30):
             task = policy([t for t in queue.all_tasks() if t.state.value == "queued"], now)
             assert task is not None
-            task.state = task.state.__class__.COMPLETED
+            queue.set_state(task, task.state.__class__.COMPLETED, now)
             now += 10.0
         shares = policy.observed_shares()
         assert shares["alice"] == pytest.approx(0.7, abs=0.12)

@@ -196,8 +196,10 @@ def test_interrupt_finished_process_raises():
         proc.interrupt()
 
 
-def test_unsupported_yield_kills_process():
+def test_unsupported_yield_kills_process(process_failures):
     sim = Simulator()
+    # the process dies at spawn, before run_until_process drives it
+    process_failures(sim, 1)
 
     def bad():
         yield "not-a-command"

@@ -219,10 +219,12 @@ class TestPushWait:
         assert len(finished) == 4
         assert job.finished_at == max(finished) == sim.now
 
-    def test_wait_that_needs_a_sweep_raises_without_housekeeping(self):
+    def test_wait_that_needs_a_sweep_raises_without_housekeeping(self, process_failures):
         """8 units on 4 slots: half wait in the pool for a sweep that
         never runs, so the wait fails loudly instead of hanging."""
         sim, registry, broker, sites = build_federation(housekeeping=None)
+        # the wait raises at spawn, before run_until_process drives it
+        process_failures(sim, 1)
         session = Session(federation=broker)
         handle = session.submit(JobSpec(program=make_program(shots=30), iterations=8))
         with pytest.raises(FederationError, match="spawn_housekeeping"):
