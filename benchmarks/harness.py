@@ -354,10 +354,13 @@ def run_emu_mps_row() -> dict:
 
     * ``ratio``: one 20-qubit chi=16 60-step evolve, the dev-loop
       shape.  Its 616 truncating bond splits are all on saturated bonds
-      and lose ~8e-14 in total, so each is one seeded QR.
+      and lose ~8e-14 in total, so each is one Q-only seeded QR; its
+      290 exact gauge moves take a QR with R as well.
     * ``truncating_ratio``: one 24-qubit chi=8 100-step evolve of the
       bond-dimension ablation's adiabatic sweep.  It truncates heavily
-      enough that 880 of its 1,649 truncating splits use ``eigh``.
+      enough that 880 of its 1,649 truncating splits use ``eigh`` (34
+      of them after a seeded QR lost too much); the other 769 are
+      seeded QRs.
     """
     from benchmarks.bench_ablation_bond_dimension import sweep_ham
     from repro.emulators import MPSEmulator

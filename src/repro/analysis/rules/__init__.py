@@ -5,6 +5,7 @@ from .determinism import SimDeterminismRule
 from .layering import Contract, LayeringRule
 from .no_direct_metrics import NoDirectMetricsRule
 from .no_poll import NoPollRule
+from .private_import import PrivateImportRule
 from .profiler_scope import HOT_PATHS, ProfilerScopeRule
 from .state_transition import StateTransitionRule
 
@@ -15,6 +16,7 @@ __all__ = [
     "LayeringRule",
     "NoDirectMetricsRule",
     "NoPollRule",
+    "PrivateImportRule",
     "ProfilerScopeRule",
     "SimDeterminismRule",
     "default_rules",
@@ -32,4 +34,5 @@ def default_rules():
         BusSchemaRule(),
         LayeringRule(),
         ProfilerScopeRule(),
+        PrivateImportRule(),
     ]

@@ -190,7 +190,10 @@ class MiddlewareQueue:
         priority: PriorityClass,
         resource: str,
         now: float,
+        metadata: dict[str, Any] | None = None,
     ) -> QueuedTask:
+        """Enqueue one task; ``metadata`` lands on it before its
+        ``queued`` transition reaches the listeners."""
         task = QueuedTask(
             task_id=f"mw-task-{next(self._id_counter)}",
             session_id=session_id,
@@ -202,6 +205,8 @@ class MiddlewareQueue:
         )
         if self.shot_cap is not None:
             self.shot_cap.apply(task)
+        if metadata:
+            task.metadata.update(metadata)
         self._tasks[task.task_id] = task
         self._entered(task, None, TaskState.QUEUED)
         self._push(task)

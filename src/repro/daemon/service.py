@@ -219,7 +219,18 @@ class MiddlewareDaemon:
         ``program`` may be any registered SDK object, an
         :class:`AnalogProgram`, or an IR dict (as arriving over REST).
         """
-        session = self.resolve_session(token)
+        return self._enqueue(self.resolve_session(token), program, resource, shots, None)
+
+    def _enqueue(
+        self,
+        session: Session,
+        program: Any,
+        resource: str,
+        shots: int | None,
+        metadata: dict[str, Any] | None,
+    ) -> QueuedTask:
+        """Translate, enqueue and target-check one program; ``metadata``
+        is on the task before its ``queued`` transition is published."""
         if resource not in self.resources:
             raise DaemonError(
                 f"unknown resource {resource!r}; available: {sorted(self.resources)}"
@@ -237,6 +248,7 @@ class MiddlewareDaemon:
             priority=session.priority_class,
             resource=resource,
             now=self.now,
+            metadata=metadata,
         )
         # point-of-submission validation against the resource's current
         # target, on the *effective* program (after shot-cap policy).
@@ -276,12 +288,10 @@ class MiddlewareDaemon:
                     f"spec names no resource; available: {sorted(self.resources)}"
                 )
             resource = next(iter(self.resources))
-        task = self.submit_task(token, spec.program, resource, shots=spec.shots)
-        task.metadata.update(spec.metadata)
-        task.metadata["tenant"] = spec.tenant
+        metadata = {**spec.metadata, "tenant": spec.tenant}
         if spec.algorithm is not None:
-            task.metadata["algorithm"] = spec.algorithm
-        return task
+            metadata["algorithm"] = spec.algorithm
+        return self._enqueue(session, spec.program, resource, spec.shots, metadata)
 
     def _validate_against_target(self, program: AnalogProgram, resource: str) -> None:
         specs = self.resources[resource].specs()

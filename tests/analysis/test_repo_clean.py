@@ -34,12 +34,15 @@ class TestTreeClean:
 
     def test_scanned_the_real_tree(self, report):
         assert report.files_scanned > 100
-        assert len(report.rule_ids) == 7
+        assert len(report.rule_ids) == 8
 
     def test_suppressions_stay_rare_and_known(self, report):
-        # the tree carries no suppression at all; the first one is a
+        # the tree carries exactly one suppression: emu-mps goes straight
+        # to the LAPACK gufuncs behind np.linalg.qr.  A second one is a
         # conversation, not a habit
-        assert report.suppressed == []
+        assert [(f.file, f.rule) for f in report.suppressed] == [
+            ("src/repro/emulators/mps.py", "private-import")
+        ]
 
 
 class TestBaselineGrowthForbidden:

@@ -7,6 +7,7 @@ from repro.analysis.rules.determinism import SimDeterminismRule
 from repro.analysis.rules.layering import Contract, LayeringRule
 from repro.analysis.rules.no_direct_metrics import NoDirectMetricsRule
 from repro.analysis.rules.no_poll import NoPollRule
+from repro.analysis.rules.private_import import PrivateImportRule
 from repro.analysis.rules.profiler_scope import ProfilerScopeRule
 from repro.analysis.rules.state_transition import StateTransitionRule
 
@@ -16,11 +17,11 @@ def rules_of(report, rule_id):
 
 
 class TestDefaultRules:
-    def test_seven_rules_with_unique_ids(self):
+    def test_eight_rules_with_unique_ids(self):
         rules = default_rules()
         ids = [r.id for r in rules]
-        assert len(ids) == 7
-        assert len(set(ids)) == 7
+        assert len(ids) == 8
+        assert len(set(ids)) == 8
 
     def test_fresh_instances_each_call(self):
         first, second = default_rules(), default_rules()
@@ -577,3 +578,60 @@ class TestProfilerScope:
             [ProfilerScopeRule(manifest=manifest)],
         )
         assert rules_of(report, "profiler-scope") == []
+
+
+class TestPrivateImport:
+    def test_bad_private_module_and_name(self, lint):
+        report = lint(
+            {
+                "repro/emulators/bad.py": """
+                    import numpy._core
+                    from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced
+                    from numpy.linalg import _linalg, norm
+                    from scipy import _lib as lib
+
+
+                    def helper():
+                        import numpy.random._pickle
+                        return numpy.random._pickle
+                """
+            },
+            [PrivateImportRule()],
+        )
+        found = rules_of(report, "private-import")
+        assert [f.line for f in found] == [2, 3, 4, 5, 9]
+        assert "'numpy.linalg._umath_linalg'" in found[1].message
+        assert "'_linalg'" in found[2].message
+
+    def test_good_own_packages_relative_and_dunder(self, lint):
+        report = lint(
+            {
+                "repro/emulators/good.py": """
+                    from __future__ import annotations
+
+                    import numpy as np
+                    from numpy import __version__
+                    from numpy.linalg import LinAlgError
+
+                    from benchmarks.harness import _paired_ratio
+                    from repro.emulators.mps import _qr
+                    from ._private import _helper
+                    from . import _sibling
+                """
+            },
+            [PrivateImportRule()],
+        )
+        assert rules_of(report, "private-import") == []
+
+    def test_justified_suppression_covers_the_import(self, lint):
+        report = lint(
+            {
+                "repro/emulators/mps.py": """
+                    # archlint: disable=private-import -- the gufuncs behind np.linalg.qr
+                    from numpy.linalg._umath_linalg import qr_r_raw
+                """
+            },
+            [PrivateImportRule()],
+        )
+        assert report.ok
+        assert [f.rule for f in report.suppressed] == ["private-import"]

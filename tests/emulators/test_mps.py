@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from repro.errors import BondDimensionError
 from repro.emulators import MPSEmulator, NoiseModel, StateVectorEmulator, make_emulator
-from repro.emulators.mps import _SEED_TOL, _bond_step
+import repro.emulators.mps as mps_module
+from repro.emulators.mps import _SEED_TOL, _bond_step, _qr
 from repro.qpu import (
     BlackmanWaveform,
     CompositeWaveform,
@@ -310,6 +311,68 @@ class TestSeededQRSplit:
         assert optimum - 1e-12 <= lost <= optimum + _SEED_TOL + 1e-12
         if strength == 0.0:
             assert lost <= _SEED_TOL  # the seed spans theta exactly
+
+
+class TestLapackQR:
+    """Every QR of the emulator goes straight to the LAPACK gufuncs
+    behind ``np.linalg.qr``, with the same factors and the same failure."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 64),
+        extra=st.integers(0, 64),
+        order=st.sampled_from("CF"),
+        kind=st.sampled_from(["random", "zero", "rank-deficient"]),
+    )
+    def test_factors_equal_np_linalg_qr_bit_for_bit(self, seed, k, extra, order, kind):
+        rng = np.random.default_rng(seed)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        m = k + extra
+        if kind == "random":
+            a = cplx(m, k)
+        elif kind == "zero":
+            a = np.zeros((m, k), dtype=np.complex128)
+        else:
+            rank = int(rng.integers(0, k))
+            a = cplx(m, rank) @ cplx(rank, k)
+        a = np.asarray(a, order=order)
+        ref_q, ref_r = np.linalg.qr(a)
+        # the helper factors its argument in place: hand it copies
+        q = _qr(a.copy(order="K"))
+        q_r, r = _qr(a.copy(order="K"), with_r=True)
+        for got, want in ((q, ref_q), (q_r, ref_q), (r, ref_r)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_evolve_makes_no_np_linalg_qr_calls(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        for n in (16, 20):
+            MPSEmulator(max_bond_dim=16).evolve(dev_loop_ham(n))
+        assert calls == []
+
+    def test_lapack_error_raises_linalg_error(self, monkeypatch):
+        """A gufunc that reports an error the way the LAPACK wrappers do,
+        through the floating-point invalid flag, fails the evolve."""
+        qr_r_raw = mps_module.qr_r_raw
+
+        def failing(a, signature):
+            np.sqrt(np.full(1, -1.0))  # raises the invalid flag
+            return qr_r_raw(a, signature=signature)
+
+        monkeypatch.setattr(mps_module, "qr_r_raw", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            MPSEmulator(max_bond_dim=16).evolve(dev_loop_ham(16))
 
 
 class TestBondDimension:

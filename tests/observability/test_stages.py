@@ -11,7 +11,7 @@ wait measured from the task's latest return to the queue.
 import numpy as np
 import pytest
 
-from repro.daemon import MiddlewareDaemon
+from repro.daemon import MiddlewareDaemon, Request, build_router
 from repro.daemon.queue import PriorityClass, ShotCapPolicy
 from repro.daemon.scheduler import SharingMode
 from repro.federation import FederatedSite, FederationBroker, SiteRegistry
@@ -70,12 +70,12 @@ def build_federation(n_sites, mode=SharingMode.SHOT_CAP, priority=PriorityClass.
     return sim, broker
 
 
-def objectives():
+def objectives(tenants=("a", "b")):
     """One SLO objective per task stage, and the job, per tenant
     (thresholds never bind)."""
     return [
         LatencyObjective(name=f"{tenant}-{stage}", stage=stage, threshold_s=1e9, tenant=tenant)
-        for tenant in ("a", "b")
+        for tenant in tenants
         for stage in ("queue-wait", "execute", "job")
     ]
 
@@ -355,3 +355,31 @@ class TestSiteProfilesFollowTheBus:
             (profile,) = profiles.values()
             assert profile["counts"]["execute_s"] == len(ran)
             assert profile["counts"]["queue_wait_s"] == len(ran)
+
+
+class TestDaemonSpecTenant:
+    def test_spec_tenant_is_on_the_task_before_it_is_queued(self):
+        """A daemon-only spec whose tenant differs from the session user
+        is attributed to the spec's tenant from its first transition: in
+        every stage record, in the ``GET /profiles`` key and in the SLO
+        samples."""
+        sim = Simulator()
+        daemon = make_daemon(sim)
+        records = []
+        daemon.events.stages.add_sink(records.append)
+        slo = SLOTracker(objectives(("acme", "alice")))
+        slo.attach_bus(daemon.events)
+        handle = Session(daemon=daemon, user="alice").submit(
+            JobSpec(program=make_program(3), shots=3, tenant="acme")
+        )
+        sim.run(until=300.0)
+        assert daemon.queue.get(handle.job_id).metadata["tenant"] == "acme"
+        assert {r.stage for r in records} == {"queue-wait", "execute", "job"}
+        assert {r.tenant for r in records} == {"acme"}
+        profiles = build_router(daemon).dispatch(Request("GET", "/profiles")).body["profiles"]
+        assert list(profiles) == ["acme|stage-prog/q2"]
+        events = {name: result["events"] for name, result in slo.evaluate(sim.now).items()}
+        assert events == {
+            "acme-queue-wait": 1.0, "acme-execute": 1.0, "acme-job": 1.0,
+            "alice-queue-wait": 0.0, "alice-execute": 0.0, "alice-job": 0.0,
+        }
