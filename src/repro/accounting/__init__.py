@@ -14,8 +14,8 @@ the cross-site accounting plane that closes that hole:
   stream for the whole federation; one :class:`Invoice` per tenant,
 * :mod:`budget`  — :class:`TenantBudget` / :class:`BudgetBook`:
   federation-wide spending caps with reject-or-hold admission,
-* :mod:`arbiter` — :class:`FairShareArbiter`: weighted max-min division
-  of scarce slots across contending malleable jobs,
+* :mod:`arbiter` — :class:`FairShareArbiter`: the (usage-decayed)
+  tenant weights the resize loop divides scarce slots by,
 * :mod:`service` — :class:`FederationAccounting`: the facade the
   broker wires in.
 """

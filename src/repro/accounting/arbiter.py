@@ -1,23 +1,17 @@
-"""Weighted max-min fair-share arbitration across federated jobs.
+"""Tenant fair-share weights for slot arbitration across federated jobs.
 
 Two malleable jobs on one federation each run their own
 :class:`~repro.scheduling.malleable.ShareLedger` resize loop — without
 coupling, both would claim the full per-site outstanding-unit budget
 and fairness between *jobs* would be whatever the site queues happen to
-serve.  The :class:`FairShareArbiter` closes that gap: it divides a
-scarce integer capacity (a site's concurrent-unit slots) among the
-contending jobs by **weighted max-min** — progressive filling, the
-classic water-filling discipline:
-
-* every job is capped by its own demand (no slot is parked on a job
-  with nothing left to run — the arbiter is work-conserving),
-* surplus freed by small jobs flows to the still-hungry ones,
-* among the hungry, slots land so that ``allocation / weight`` stays
-  as even as possible — under saturation, allocations converge to the
-  configured tenant weight ratio.
-
-Weights attach to *tenants* (the federation principal), so every job a
-tenant runs draws from one fair-share identity.
+serve.  The resize loop closes that gap: it divides a site's
+concurrent-unit slots among the contending jobs with one
+:meth:`SchedulingAlgorithm.divide
+<repro.scheduling.algorithms.base.SchedulingAlgorithm.divide>` call
+weighted by the :class:`FairShareArbiter`.  Weights attach to *tenants*
+(the federation principal), so every job a tenant runs draws from one
+fair-share identity; :attr:`~FairShareArbiter.version` moves on every
+weight change, and the resize loop's dirty-flag arbitration keys on it.
 
 With ``half_life_s`` set, the arbiter also tracks **decayed usage** per
 tenant (classic Slurm-style fair-share): every metered cost ages out
@@ -31,15 +25,13 @@ machinery is inert and ``effective_weight`` equals ``weight`` exactly.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from ..errors import AccountingError
 
 __all__ = ["FairShareArbiter"]
 
 
 class FairShareArbiter:
-    """Integer weighted max-min allocator with per-tenant weights."""
+    """Per-tenant share weights, discounted by decayed usage."""
 
     def __init__(
         self,
@@ -111,45 +103,3 @@ class FairShareArbiter:
         if self.half_life_s is None:
             return base
         return base * 0.5 ** (self.decayed_usage(tenant, now) / self.usage_scale)
-
-    # -- allocation ----------------------------------------------------------
-
-    def allocate(
-        self,
-        capacity: int,
-        demands: Mapping[str, int],
-        weights: Mapping[str, float] | None = None,
-    ) -> dict[str, int]:
-        """Divide ``capacity`` integer slots over ``demands`` by
-        weighted max-min progressive filling.
-
-        Guarantees: ``alloc[k] <= demands[k]`` for every claimant, and
-        ``sum(alloc) == min(capacity, sum(demands))`` — capacity is
-        never wasted while anyone still has demand, and never invented.
-        Ties break toward the heavier weight, then lexicographically,
-        so allocation is deterministic.
-        """
-        if capacity < 0:
-            raise AccountingError("capacity must be >= 0")
-        alloc = {k: 0 for k in demands}
-        for k, demand in demands.items():
-            if demand < 0:
-                raise AccountingError(f"demand for {k!r} must be >= 0")
-        w = {
-            k: (weights[k] if weights is not None and k in weights else self.default_weight)
-            for k in demands
-        }
-        for k, weight in w.items():
-            if weight <= 0:
-                raise AccountingError(f"weight for {k!r} must be > 0")
-        remaining = capacity
-        while remaining > 0:
-            hungry = [k for k in alloc if alloc[k] < demands[k]]
-            if not hungry:
-                break
-            # progressive filling: the next slot goes to the claimant
-            # whose normalized allocation is lowest right now
-            choice = min(hungry, key=lambda k: (alloc[k] / w[k], -w[k], k))
-            alloc[choice] += 1
-            remaining -= 1
-        return alloc

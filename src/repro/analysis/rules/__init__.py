@@ -1,5 +1,6 @@
 """The archlint rule suite: one module per architecture invariant."""
 
+from .algorithm_name import AlgorithmNameRule
 from .bus_schema import BusSchemaRule
 from .determinism import SimDeterminismRule
 from .layering import Contract, LayeringRule
@@ -10,6 +11,7 @@ from .profiler_scope import HOT_PATHS, ProfilerScopeRule
 from .state_transition import StateTransitionRule
 
 __all__ = [
+    "AlgorithmNameRule",
     "BusSchemaRule",
     "Contract",
     "HOT_PATHS",
@@ -35,4 +37,5 @@ def default_rules():
         LayeringRule(),
         ProfilerScopeRule(),
         PrivateImportRule(),
+        AlgorithmNameRule(),
     ]

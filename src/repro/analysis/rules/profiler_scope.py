@@ -24,7 +24,6 @@ __all__ = ["ProfilerScopeRule", "HOT_PATHS"]
 #: (arch_path, qualified name, scope-name literal) — one entry per
 #: hot path the profiling plane promises to cover (see ROADMAP PR 8)
 HOT_PATHS: tuple[tuple[str, str, str], ...] = (
-    ("simkernel/process.py", "Simulator.step", "sim.step"),
     ("simkernel/process.py", "Simulator.step_batch", "sim.step"),
     ("federation/broker.py", "FederationBroker.reconcile", "broker.reconcile"),
     ("federation/broker.py", "FederationBroker._reconcile", "malleable.tick"),

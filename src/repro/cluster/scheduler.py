@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from ..scheduling.algorithms import SchedulingAlgorithm, SystemView, cluster_views, get_algorithm
+from ..scheduling.algorithms import SchedulingAlgorithm, SystemView, cluster_views, resolve
 from .job import Job
 from .licenses import LicensePool
 from .node import Node
@@ -465,20 +465,11 @@ class AlgorithmScheduler(Scheduler):
         self.engine = Scheduler(
             priority=self.priority, backfill=backfill, preemption=preemption
         )
-        self.algorithm = self._resolve(algorithm)
+        self.algorithm: SchedulingAlgorithm
+        self.use_algorithm(algorithm)
 
-    @staticmethod
-    def _resolve(
-        algorithm: SchedulingAlgorithm | str | None,
-    ) -> SchedulingAlgorithm:
-        if algorithm is None:
-            return get_algorithm("cluster-legacy")
-        if isinstance(algorithm, str):
-            return get_algorithm(algorithm)
-        return algorithm
-
-    def use_algorithm(self, algorithm: SchedulingAlgorithm | str) -> None:
-        self.algorithm = self._resolve(algorithm)
+    def use_algorithm(self, algorithm: SchedulingAlgorithm | str | None) -> None:
+        self.algorithm = resolve(algorithm, "cluster-legacy")
 
     def plan(
         self,

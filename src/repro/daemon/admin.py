@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ..errors import DaemonError
 from ..qpu.qa import QAJob
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,9 +109,3 @@ class AdminOperations:
         control = self.daemon.lowlevel_for(resource)
         control.write(name, value, self.daemon.now, actor=actor)
         return {"resource": resource, "parameter": name, "value": value}
-
-    def hardware_or_error(self, resource: str):
-        try:
-            return self.daemon.hardware_device(resource)
-        except DaemonError:
-            raise

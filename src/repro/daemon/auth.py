@@ -59,6 +59,3 @@ class TokenStore:
         if actual is not role:
             raise AuthError(f"operation requires role {role.value!r}")
         return subject
-
-    def active_count(self) -> int:
-        return len(self._tokens)

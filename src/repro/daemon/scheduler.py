@@ -29,7 +29,7 @@ from collections.abc import Callable
 
 from ..errors import DaemonError
 from ..qrmi.interface import QuantumResource
-from ..scheduling.algorithms import SchedulingAlgorithm, daemon_views, get_algorithm
+from ..scheduling.algorithms import SchedulingAlgorithm, daemon_views, resolve
 from ..simkernel import Interrupt, Simulator, Store, TraceRecorder
 from .queue import MiddlewareQueue, PriorityClass, QueuedTask, TaskState
 
@@ -62,7 +62,8 @@ class SecondLevelScheduler:
         self.trace = trace if trace is not None else TraceRecorder()
         self.selection_policy = selection_policy
         self.on_task_done = on_task_done
-        self.algorithm = self._resolve_algorithm(algorithm)
+        self.algorithm: SchedulingAlgorithm
+        self.use_algorithm(algorithm)
         self.current: QueuedTask | None = None
         #: set by :func:`repro.observability.tracing.instrument_scheduler`
         #: — when a tracer is wired, each execution runs under a
@@ -80,19 +81,10 @@ class SecondLevelScheduler:
 
     # -- algorithm selection ----------------------------------------------------
 
-    @staticmethod
-    def _resolve_algorithm(
-        algorithm: SchedulingAlgorithm | str | None,
-    ) -> SchedulingAlgorithm:
-        if algorithm is None:
-            return get_algorithm("fifo-priority")
-        if isinstance(algorithm, str):
-            return get_algorithm(algorithm)
-        return algorithm
-
-    def use_algorithm(self, algorithm: SchedulingAlgorithm | str) -> None:
-        """Swap the queue discipline by registry name (or instance)."""
-        self.algorithm = self._resolve_algorithm(algorithm)
+    def use_algorithm(self, algorithm: SchedulingAlgorithm | str | None) -> None:
+        """Swap the queue discipline by registry name (or instance);
+        ``None`` restores ``fifo-priority``."""
+        self.algorithm = resolve(algorithm, "fifo-priority")
 
     # -- notification -----------------------------------------------------------
 

@@ -61,6 +61,7 @@ from ..scheduling.algorithms import (
     SchedulingAlgorithm,
     federation_views,
     get_algorithm,
+    resolve,
 )
 from ..simkernel import Simulator, Timeout
 from ..spec import JobSpec, require_spec
@@ -282,9 +283,11 @@ class FederationBroker:
         #: :class:`~repro.scheduling.algorithms.PolicyRouting` adapter
         #: around :attr:`policy`, so legacy routing is bit-identical.
         #: Jobs whose spec names an ``algorithm`` override it per-job.
-        self.algorithm = self._resolve_algorithm(algorithm)
-        #: per-name instances for spec-selected algorithms (one shared
-        #: instance per name keeps stateful disciplines coherent)
+        self.algorithm: SchedulingAlgorithm
+        self.use_algorithm(algorithm)
+        #: per-name instances for spec-selected algorithms — the one
+        #: place a spec's algorithm name becomes an instance, so one
+        #: instance per name serves placement and slot division alike
         self._algo_cache: dict[str, SchedulingAlgorithm] = {}
         self.max_attempts = max_attempts
         self.metrics = FederationMetrics()
@@ -605,7 +608,7 @@ class FederationBroker:
             or spec.resource is not None
         ):
             return False
-        if not self._algorithm_for(spec).convert_when_saturated:
+        if not self._placement_for(spec).convert_when_saturated:
             return False
         capable = self._capable(_program_qubits(spec.program))
         return bool(capable) and all(snap.is_saturated for snap in capable)
@@ -699,29 +702,21 @@ class FederationBroker:
 
     # -- placement ------------------------------------------------------------
 
-    def _resolve_algorithm(
-        self, algorithm: SchedulingAlgorithm | str | None
-    ) -> SchedulingAlgorithm:
-        if algorithm is None:
-            return PolicyRouting(policy=self.policy)
-        if isinstance(algorithm, str):
-            algorithm = get_algorithm(algorithm)
+    def use_algorithm(self, algorithm: SchedulingAlgorithm | str | None) -> None:
+        """Swap the broker-wide placement discipline by registry name
+        (or instance); ``None`` restores policy routing."""
+        algorithm = resolve(algorithm, PolicyRouting(policy=self.policy))
         if not algorithm.handles_placement:
             raise PlacementError(
                 f"algorithm {algorithm.name!r} does not make placement "
                 "decisions and cannot drive broker routing"
             )
-        return algorithm
-
-    def use_algorithm(self, algorithm: SchedulingAlgorithm | str | None) -> None:
-        """Swap the broker-wide placement discipline by registry name
-        (or instance); ``None`` restores policy routing."""
-        self.algorithm = self._resolve_algorithm(algorithm)
+        self.algorithm = algorithm
 
     def _algorithm_for(self, spec: JobSpec | None) -> SchedulingAlgorithm:
-        """The placement discipline for one job's spec: its named
-        algorithm when that algorithm makes placement decisions,
-        otherwise the broker-wide default."""
+        """The discipline one job's spec selects: its named algorithm,
+        otherwise the broker-wide default.  The resize loop divides
+        slots with it; placement goes through :meth:`_placement_for`."""
         name = getattr(spec, "algorithm", None)
         if name is None:
             return self.algorithm
@@ -729,11 +724,16 @@ class FederationBroker:
         if algo is None:
             algo = get_algorithm(name)
             self._algo_cache[name] = algo
-        if not algo.handles_placement:
-            # e.g. "agreement-elastic": a negotiation discipline, not a
-            # router — placement falls back to the broker default
-            return self.algorithm
         return algo
+
+    def _placement_for(self, spec: JobSpec | None) -> SchedulingAlgorithm:
+        """The placement discipline for one job's spec: its algorithm
+        when that makes placement decisions, otherwise the broker-wide
+        default — a convertible fixed spec may name a slot-division
+        discipline such as ``agreement-elastic``, and the default
+        places it until it is converted."""
+        algo = self._algorithm_for(spec)
+        return algo if algo.handles_placement else self.algorithm
 
     def _choose_site(
         self, job: FederatedJob, candidates: list[SiteSnapshot]
@@ -756,7 +756,7 @@ class FederationBroker:
     def _choose_site_inner(
         self, job: FederatedJob, candidates: list[SiteSnapshot]
     ) -> SiteSnapshot:
-        algorithm = self._algorithm_for(job.spec)
+        algorithm = self._placement_for(job.spec)
         pending, resources, system = federation_views(job, candidates, self.sim.now)
         by_name = {snap.name: snap for snap in candidates}
         for decision in algorithm.schedule(pending, resources, system):

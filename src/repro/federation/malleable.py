@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..errors import FederationError, PlacementError, ResourceNotFound, SiteUnavailable
-from ..scheduling.algorithms import AgreementElastic
+from ..scheduling.algorithms import SchedulingAlgorithm
 from ..scheduling.malleable import ShareLedger
 from ..spec import JobSpec, parse_site_leg
 from .broker import FederatedJob, JobState, JobTable
@@ -136,10 +136,6 @@ class MalleableManager:
         # pass — recomputed only when contenders/demands/weights change
         self._arb_sig: tuple | None = None
         self._arb_caps: dict[tuple[str, str], int] | None = None
-        #: pairwise negotiator for agreement-based slot arbitration —
-        #: used whenever a live contender's spec names it (see
-        #: :meth:`_arbitrate_slots`); its transfer log feeds events
-        self._negotiator = AgreementElastic()
 
     # -- intake ---------------------------------------------------------------
 
@@ -239,17 +235,20 @@ class MalleableManager:
         return scanned
 
     def _arbitrate_slots(self) -> dict[tuple[str, str], int] | None:
-        """Couple the per-job resize loops through the federation's
-        :class:`~repro.accounting.FairShareArbiter`: on every site where
-        several live jobs hold an active share, the per-site
-        outstanding-unit budget (``max_outstanding_per_site``) becomes a
-        *shared* capacity divided weighted-max-min by tenant weight
-        (the *effective* weight — usage-decayed when the arbiter has a
-        half-life configured).  When any contender's spec selects the
-        ``"agreement-elastic"`` algorithm, the whole site switches to
-        pairwise steal negotiation starting from current in-flight
-        holdings instead of central water-filling — converging to the
-        same weighted target by local two-party agreements.
+        """Couple the per-job resize loops by tenant fair share: on
+        every site where several live jobs hold an active share, the
+        per-site outstanding-unit budget (``max_outstanding_per_site``)
+        becomes a *shared* capacity, divided by one
+        :meth:`~repro.scheduling.algorithms.SchedulingAlgorithm.divide`
+        call weighted by the
+        :class:`~repro.accounting.FairShareArbiter`'s *effective* tenant
+        weights (usage-decayed when it has a half-life configured).
+        Each contender's discipline is the one its spec selects through
+        the broker; the site divides with the default weighted max-min
+        fill unless a contender's discipline divides its own way (a
+        pairwise negotiation from current in-flight holdings), in which
+        case the whole site negotiates, and a division that moved units
+        is published as ``slots_agreed``.
         Returns ``{(job_id, site): slots}`` or ``None`` when no
         arbitration applies (no accounting, or no contention)."""
         accounting = self.broker.accounting
@@ -266,7 +265,7 @@ class MalleableManager:
         sites: set[str] = set()
         for names in active.values():
             sites.update(names)
-        # dirty-flag pass: the water-filling below only needs to re-run
+        # dirty-flag pass: the slot division below only needs to re-run
         # when the contender set, a demand, or a tenant weight actually
         # changed — on a quiet tick the previous grant table stands
         signature = (
@@ -303,7 +302,6 @@ class MalleableManager:
             demands = {}
             weights = {}
             holdings = {}
-            negotiated = False
             for job in contenders:
                 ledger = job.resize.ledger
                 in_flight = len(ledger.in_flight_at(site))
@@ -313,18 +311,16 @@ class MalleableManager:
                     job.owner, now
                 ) / owner_jobs[job.owner]
                 holdings[job.job_id] = in_flight
-                if getattr(job.spec, "algorithm", None) == "agreement-elastic":
-                    negotiated = True
-            if negotiated:
-                alloc, transfers = self._negotiator.negotiate(
-                    capacity, demands, weights, holdings
-                )
-                if transfers:
-                    self.broker._publish(
-                        "slots_agreed", "", site=site, transfers=transfers
-                    )
-            else:
-                alloc = accounting.arbiter.allocate(capacity, demands, weights)
+            # one contender whose discipline divides its own way (a
+            # negotiation from holdings) makes the whole site divide so
+            disciplines = [self.broker._algorithm_for(j.spec) for j in contenders]
+            discipline = next(
+                (d for d in disciplines if type(d).divide is not SchedulingAlgorithm.divide),
+                disciplines[0],
+            )
+            alloc, transfers = discipline.divide(capacity, demands, weights, holdings)
+            if transfers:
+                self.broker._publish("slots_agreed", "", site=site, transfers=transfers)
             for job_id, slots in alloc.items():
                 caps[(job_id, site)] = slots
         self._arb_sig = signature

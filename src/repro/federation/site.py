@@ -137,10 +137,6 @@ class FederatedSite:
             return 1.0
         return min(d.calibration.fidelity_proxy() for d in devices.values())
 
-    def resource_capacity(self) -> dict[str, int]:
-        """max_qubits per exported resource (from its specs)."""
-        return dict(self._exports().capacity)
-
     def capable_catalog(self, n_qubits: int = 0) -> dict[str, str]:
         """The exported catalog restricted to resources that can hold an
         ``n_qubits`` register — what placement must select from."""

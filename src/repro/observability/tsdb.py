@@ -142,11 +142,6 @@ class TimeSeriesDB:
     def measurements(self) -> list[str]:
         return sorted({key[0] for key in self._series})
 
-    def series_labels(self, measurement: str) -> list[dict[str, str]]:
-        return [
-            dict(key[1]) for key in self._series if key[0] == measurement
-        ]
-
     def query(
         self,
         measurement: str,

@@ -64,9 +64,6 @@ class ShotClock:
             + batches * self.batch_overhead_s
         )
 
-    def throughput_shots_per_hour(self, sequence_duration_us: float = 0.0) -> float:
-        return 3600.0 / self.shot_period(sequence_duration_us)
-
     def with_rate(self, shot_rate_hz: float) -> "ShotClock":
         """Roadmap variant (e.g. the projected 100 Hz device)."""
         from dataclasses import replace

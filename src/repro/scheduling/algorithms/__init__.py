@@ -3,10 +3,20 @@
 Every scheduling loop in the stack (daemon worker, cluster controller,
 federation broker, malleable arbitration, and the sweep bench) drives a
 :class:`~repro.scheduling.algorithms.base.SchedulingAlgorithm` through
-the same ``schedule(pending, resources, system) -> [Decision]`` call.
-Algorithms are one file each and selectable by name — through
-``JobSpec.algorithm``, ``SecondLevelScheduler.use_algorithm``,
-``FederationBroker.use_algorithm``, or the bench sweep.
+the same ``schedule(pending, resources, system) -> [Decision]`` call;
+the malleable arbitration divides a contended site's slots with its
+``divide``.  Algorithms are one file each and selectable by name — per
+loop (``resolve``), per federated job through ``JobSpec.algorithm``,
+or by the bench sweep.
+
+Registry audit
+==============
+
+Every name is a loop's default or a C7 trace-class winner, so none is
+folded away: ``fifo-priority`` (daemon), ``cluster-legacy`` (cluster)
+and ``policy-routing`` (broker; ``makespan_c7_policy_routing_rigid_s``
+pins it) are defaults, ``easy-backfill`` and ``agreement-elastic`` win
+C7 classes.  The C7 bench keys its ``makespan_c7_*`` values by name.
 
 Module map
 ==========
@@ -15,7 +25,7 @@ Module map
     The vocabulary (``PendingJob`` / ``RunningUnit`` / ``ResourceView``
     / ``SystemView`` / ``Decision``), the ``SchedulingAlgorithm``
     protocol, and the name-keyed registry
-    (``register`` / ``get_algorithm`` / ``available``).
+    (``register`` / ``get_algorithm`` / ``available`` / ``resolve``).
 ``views``
     Duck-typed adapters that express daemon queue state, cluster
     node/partition state, and federation site snapshots in the common
@@ -44,7 +54,8 @@ Adding an algorithm
 
 Write one module that imports only ``base`` (and stdlib), subclass
 ``SchedulingAlgorithm``, set a unique ``name``, decorate with
-``@register``, implement ``schedule``, and import the module here so
+``@register``, implement ``schedule`` (and ``divide`` to split slots
+another way), and import the module here so
 registration happens on package import.
 """
 
@@ -59,6 +70,7 @@ from .base import (
     available,
     get_algorithm,
     register,
+    resolve,
 )
 from .cluster_legacy import ClusterBackfillLegacy
 from .easy_backfill import EasyBackfill
@@ -87,5 +99,6 @@ __all__ = [
     "federation_views",
     "get_algorithm",
     "register",
+    "resolve",
     "simulate",
 ]

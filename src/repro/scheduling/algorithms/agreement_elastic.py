@@ -1,11 +1,12 @@
 """Agreement-based elastic scheduling: jobs negotiate unit steals.
 
-The central alternative — :meth:`FairShareArbiter.allocate
-<repro.accounting.arbiter.FairShareArbiter.allocate>` — recomputes the
-whole allocation from zero every pass and jobs are simply told their
-width.  Here, in the style of Wagomu's ``average_steal_agreement``,
-contending malleable jobs start from what they *currently hold* and
-trade units pairwise: each round the most over-served job (by
+The default slot division — :meth:`SchedulingAlgorithm.divide
+<repro.scheduling.algorithms.base.SchedulingAlgorithm.divide>`, weighted
+max-min progressive filling — recomputes the whole allocation from zero
+every pass, and jobs are simply told their width.  Here, in the style
+of Wagomu's ``average_steal_agreement``, :meth:`AgreementElastic.divide`
+starts contending malleable jobs from what they *currently hold* and
+lets them trade units pairwise: each round the most over-served job (by
 ``allocation / weight``) and the most under-served one settle on the
 integer average of what the taker asks and what the donor offers at
 their weighted-parity point.  Rounds repeat until no ≥1-unit steal
@@ -14,16 +15,19 @@ target while every step is a local two-party agreement — the shape a
 sharded broker can run without a global allocator.
 
 The negotiation is work-conserving (idle capacity is granted from the
-pool before any stealing) and demand-capped, matching the arbiter's
-guarantees; what differs is the *path*: incumbents shed units
-gradually instead of being reassigned wholesale.
+pool by the same progressive fill before any stealing) and
+demand-capped, matching the base division's guarantees; what differs
+is the *start*: from empty holdings both divisions agree, and from
+live holdings incumbents shed units gradually instead of being
+reassigned wholesale.  The federation's resize loop divides a site's
+slots this way whenever one contender's spec names this algorithm.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .base import Decision, PendingJob, ResourceView, SchedulingAlgorithm, SystemView, register
+from .base import Decision, PendingJob, ResourceView, SchedulingAlgorithm, SystemView, fill, register, share_weights
 
 __all__ = ["AgreementElastic"]
 
@@ -44,29 +48,26 @@ class AgreementElastic(SchedulingAlgorithm):
 
     # -- the negotiation core ------------------------------------------------
 
-    def negotiate(
+    def divide(
         self,
         capacity: int,
         demands: Mapping[str, int],
         weights: Mapping[str, float] | None = None,
-        current: Mapping[str, int] | None = None,
+        holdings: Mapping[str, int] | None = None,
     ) -> tuple[dict[str, int], list[dict]]:
         """Divide ``capacity`` units by pairwise steal agreements.
 
-        Starts from ``current`` holdings (clipped to demand), grants
-        idle capacity from the pool, then lets the most over-served
-        donor and most under-served taker trade the integer average of
-        ask and offer at their weighted-parity split, until no whole
-        unit moves.  Returns ``(allocation, transfers)``.
+        Starts from ``holdings`` (clipped to demand), grants idle
+        capacity from the pool by the base progressive fill, then lets
+        the most over-served donor and most under-served taker trade
+        the integer average of ask and offer at their weighted-parity
+        split, until no whole unit moves.  Returns ``(allocation,
+        transfers)``.
         """
-        w = {
-            k: (weights[k] if weights is not None and k in weights else 1.0)
-            for k in demands
-        }
+        w = share_weights(capacity, demands, weights)
         alloc = {
-            k: min(max(0, (current or {}).get(k, 0)), demands[k]) for k in demands
+            k: min(max(0, (holdings or {}).get(k, 0)), demands[k]) for k in demands
         }
-        transfers: list[dict] = []
         # shed overflow (capacity shrank under the incumbents)
         while sum(alloc.values()) > capacity:
             donor = max(
@@ -74,15 +75,12 @@ class AgreementElastic(SchedulingAlgorithm):
                 key=lambda k: (alloc[k] / w[k], w[k], k),
             )
             alloc[donor] -= 1
-        # work conservation: idle capacity is free — grant it from the
-        # pool exactly the way the central arbiter would
-        while sum(alloc.values()) < capacity:
-            hungry = [k for k in alloc if alloc[k] < demands[k]]
-            if not hungry:
-                break
-            taker = min(hungry, key=lambda k: (alloc[k] / w[k], -w[k], k))
-            alloc[taker] += 1
-            transfers.append({"from": _POOL, "to": taker, "units": 1})
+        # work conservation: idle capacity is free — granted from the
+        # pool by the same fill the base division runs from zero
+        transfers = [
+            {"from": _POOL, "to": taker, "units": 1}
+            for taker in fill(alloc, capacity, demands, w)
+        ]
         # pairwise agreements toward weighted parity
         for _ in range(self.max_rounds):
             rich = [k for k in alloc if alloc[k] > 0]
@@ -98,7 +96,7 @@ class AgreementElastic(SchedulingAlgorithm):
             parity = (alloc[donor] + alloc[taker]) / (w[donor] + w[taker])
             ask = min(parity * w[taker] - alloc[taker], demands[taker] - alloc[taker])
             offer = alloc[donor] - parity * w[donor]
-            steal = int(min((ask + offer) / 2.0, alloc[donor]))
+            steal = int(min((ask + offer) / 2.0, alloc[donor], demands[taker] - alloc[taker]))
             if steal < 1:
                 break
             alloc[donor] -= steal
@@ -149,7 +147,7 @@ class AgreementElastic(SchedulingAlgorithm):
             floors = {
                 e["job_id"]: max(1, e.get("min_units") or 1) for e in entries
             }
-            alloc, transfers = self.negotiate(capacity, demands, weights, current)
+            alloc, transfers = self.divide(capacity, demands, weights, current)
             for entry in entries:
                 new = max(alloc[entry["job_id"]], floors[entry["job_id"]])
                 if new != entry["width"]:

@@ -9,10 +9,12 @@ the same narrow language defined here:
   :class:`SystemView` — the state an algorithm may read,
 * :class:`Decision` — the only thing an algorithm may emit,
 * :class:`SchedulingAlgorithm` — the protocol (``schedule(pending,
-  resources, system) -> list[Decision]``) plus capability flags,
-* :func:`register` / :func:`get_algorithm` / :func:`available` — the
-  name-keyed registry that makes algorithms selectable through
-  ``JobSpec.algorithm`` and sweepable by the bench harness.
+  resources, system) -> list[Decision]``), the slot division
+  ``divide``, plus capability flags,
+* :func:`register` / :func:`get_algorithm` / :func:`available` /
+  :func:`resolve` — the name-keyed registry that makes algorithms
+  selectable through ``JobSpec.algorithm`` and sweepable by the bench
+  harness.
 
 Algorithm modules must stay import-light: they may import this module
 and the standard library only.  Anything caller-specific (a cluster
@@ -23,6 +25,7 @@ file never needs to know which of the three loops is driving it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
@@ -38,6 +41,7 @@ __all__ = [
     "available",
     "get_algorithm",
     "register",
+    "resolve",
 ]
 
 
@@ -147,8 +151,55 @@ class SchedulingAlgorithm:
     ) -> list[Decision]:
         raise NotImplementedError
 
+    def divide(
+        self,
+        capacity: int,
+        demands: Mapping[str, int],
+        weights: Mapping[str, float] | None = None,
+        holdings: Mapping[str, int] | None = None,
+    ) -> tuple[dict[str, int], list[dict]]:
+        """Divide ``capacity`` integer slots over ``demands``; returns
+        ``(allocation, transfers)``.  The default is the weighted
+        max-min :func:`fill` from zero (``holdings`` ignored, no
+        transfers); a missing weight counts as 1."""
+        alloc = dict.fromkeys(demands, 0)
+        fill(alloc, capacity, demands, share_weights(capacity, demands, weights))
+        return alloc, []
+
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def share_weights(capacity: int, demands: Mapping[str, int], weights: Mapping[str, float] | None) -> dict[str, float]:
+    """Check one slot division's inputs; every claimant's weight."""
+    if capacity < 0:
+        raise AlgorithmError("capacity must be >= 0")
+    for k, demand in demands.items():
+        if demand < 0:
+            raise AlgorithmError(f"demand for {k!r} must be >= 0")
+    w = {k: (weights.get(k, 1.0) if weights is not None else 1.0) for k in demands}
+    for k, weight in w.items():
+        if weight <= 0:
+            raise AlgorithmError(f"weight for {k!r} must be > 0")
+    return w
+
+
+def fill(alloc: dict[str, int], capacity: int, demands: Mapping[str, int], weights: Mapping[str, float]) -> list[str]:
+    """Weighted max-min progressive filling: grant the slots of
+    ``capacity`` that ``alloc`` leaves free one at a time, each to the
+    claimant below its demand with the lowest ``alloc / weight`` (ties:
+    heavier weight, then name).  The result is demand-capped and sums to
+    ``min(capacity, sum(demands))``.  Updates ``alloc`` in place;
+    returns the takers in grant order."""
+    takers: list[str] = []
+    for _ in range(capacity - sum(alloc.values())):
+        hungry = [k for k in alloc if alloc[k] < demands[k]]
+        if not hungry:
+            break
+        taker = min(hungry, key=lambda k: (alloc[k] / weights[k], -weights[k], k))
+        alloc[taker] += 1
+        takers.append(taker)
+    return takers
 
 
 # -- the registry ------------------------------------------------------------
@@ -181,3 +232,10 @@ def get_algorithm(name: str, **kwargs: Any) -> SchedulingAlgorithm:
 def available() -> list[str]:
     """Sorted names of every registered algorithm."""
     return sorted(_REGISTRY)
+
+
+def resolve(algorithm: SchedulingAlgorithm | str | None, default: SchedulingAlgorithm | str) -> SchedulingAlgorithm:
+    """A loop's algorithm argument as an instance: ``None`` is the
+    loop's ``default``, a name is built from the registry."""
+    chosen = default if algorithm is None else algorithm
+    return get_algorithm(chosen) if isinstance(chosen, str) else chosen

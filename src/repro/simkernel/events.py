@@ -113,9 +113,7 @@ class EventQueue:
         self._seq = itertools.count()
         self._live = 0
         self._foreground = 0
-        #: cancelled entries believed resident in the heap (approximate:
-        #: entries drained by pop_batch and cancelled mid-batch overcount
-        #: until the next compaction recomputes the truth)
+        #: cancelled entries still in the heap
         self._dead = 0
 
     def __len__(self) -> int:
@@ -181,11 +179,6 @@ class EventQueue:
             raise SimulationError("event queue is empty")
         return self._heap[0].time
 
-    def peek_entry(self) -> ScheduledEvent | None:
-        """The next live entry without removing it, or None when empty."""
-        self._drop_cancelled()
-        return self._heap[0] if self._heap else None
-
     def pop(self) -> ScheduledEvent:
         """Remove and return the next live entry in (time, priority, seq) order."""
         self._drop_cancelled()
@@ -196,44 +189,6 @@ class EventQueue:
         if not entry.background:
             self._foreground -= 1
         return entry
-
-    def pop_batch(self) -> tuple[float, list[ScheduledEvent]]:
-        """Drain every live entry sharing the next timestamp in one pass.
-
-        Returned entries are in (priority, seq) order but are *not* yet
-        accounted as dispatched — the caller marks each one via
-        :meth:`consume` as it runs callbacks, so ``foreground_count`` /
-        ``__len__`` stay exact mid-batch, and returns any undispatched
-        tail with :meth:`requeue`.  Callbacks may schedule new same-time
-        entries that sort *before* the remaining batch (the interrupt
-        machinery schedules at priority -1); the dispatcher must
-        interleave :meth:`peek_entry` against the batch to preserve the
-        global (time, priority, seq) order.
-        """
-        self._drop_cancelled()
-        if not self._heap:
-            raise SimulationError("event queue is empty")
-        heap = self._heap
-        batch_time = heap[0].time
-        batch: list[ScheduledEvent] = []
-        while heap and heap[0].time == batch_time:
-            entry = heapq.heappop(heap)
-            if entry.cancelled:
-                self._dead -= 1
-            else:
-                batch.append(entry)
-        return batch_time, batch
-
-    def consume(self, entry: ScheduledEvent) -> None:
-        """Account a batch-drained entry as dispatched."""
-        self._live -= 1
-        if not entry.background:
-            self._foreground -= 1
-
-    def requeue(self, entries: list[ScheduledEvent]) -> None:
-        """Return undispatched batch entries to the heap."""
-        for entry in entries:
-            heapq.heappush(self._heap, entry)
 
     def _drop_cancelled(self) -> None:
         while self._heap and self._heap[0].cancelled:

@@ -314,40 +314,19 @@ class Simulator:
 
     # -- running ---------------------------------------------------------
 
-    def step(self) -> float:
-        """Process the single next event; returns its time."""
-        profile = self._profile
-        if profile is not None:
-            wall_start = perf_counter()
-        sprof = self._scope_profiler
-        if sprof is not None:
-            sprof.push("sim.step")
-        entry = self.events.pop()
-        self.clock.advance_to(entry.time)
-        event = entry.event
-        if not event.triggered:
-            event.trigger(None)
-        event.run_callbacks()
-        if sprof is not None:
-            sprof.pop()
-        if profile is not None:
-            profile["steps"] += 1
-            profile["wall_s"] += perf_counter() - wall_start
-        return entry.time
-
     def step_batch(self, stop: Callable[[], bool] | None = None) -> tuple[float, int]:
         """Process every event at the next timestamp: one clock advance,
-        one profiler push/pop, callbacks dispatched in exactly the order
-        repeated :meth:`step` would use.
+        one profiler push/pop, callbacks dispatched in the heap's global
+        (time, priority, seq) order.
 
-        Callbacks may schedule *new* same-time entries that sort before
-        the remaining drained batch (interrupt delivery uses priority
-        -1), so each dispatch re-checks the heap top against the next
-        batch entry and takes whichever is globally first.  ``stop`` is
-        evaluated between dispatches (never before the first): when it
-        returns True the undispatched tail is requeued and the method
-        returns early — this reproduces :meth:`run`'s per-event
-        foreground / liveness checks under batching.
+        Entries are popped while the heap head shares the batch
+        timestamp, so a callback's new same-time entry (interrupt
+        delivery uses priority -1) runs where it sorts and a cancelled
+        one never surfaces.  ``stop`` is evaluated between dispatches
+        (never before the first): when it returns True the method
+        returns early with the rest left queued — this reproduces
+        :meth:`run`'s per-event foreground / liveness checks under
+        batching.
 
         Returns ``(batch_time, events_processed)``.
         """
@@ -358,39 +337,19 @@ class Simulator:
         sprof = self._scope_profiler
         if sprof is not None:
             sprof.push("sim.step")
-        batch_time, batch = events.pop_batch()
+        batch_time = events.peek_time()
         self.clock.advance_to(batch_time)
         processed = 0
-        i = 0
-        n = len(batch)
         try:
-            while True:
-                while i < n and batch[i].cancelled:
-                    i += 1
-                nxt = batch[i] if i < n else None
-                head = events.peek_entry()
-                if nxt is None:
-                    if head is None or head.time > batch_time:
-                        break
-                    use_heap = True
-                else:
-                    use_heap = head is not None and head < nxt
+            while events and events.peek_time() == batch_time:
                 if processed and stop is not None and stop():
                     break
-                if use_heap:
-                    entry = events.pop()
-                else:
-                    entry = nxt
-                    i += 1
-                    events.consume(entry)
-                event = entry.event
+                event = events.pop().event
                 if not event.triggered:
                     event.trigger(None)
                 event.run_callbacks()
                 processed += 1
         finally:
-            if i < n:
-                events.requeue(batch[i:])
             if sprof is not None:
                 sprof.pop()
             if profile is not None:

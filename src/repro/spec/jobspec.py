@@ -80,9 +80,12 @@ class JobSpec:
       admission rejects early when it exceeds the tenant's remaining
       federation budget),
     * **scheduling** — ``algorithm`` (a registered scheduling-algorithm
-      name; picks the broker's placement discipline for this job, or
-      the elastic negotiation strategy for malleable jobs — see
-      :mod:`repro.scheduling.algorithms`).
+      name, read by the federation broker only: it picks this job's
+      placement discipline and, for a multi-unit job, how its sites'
+      contended slots are divided — see
+      :mod:`repro.scheduling.algorithms`.  A daemon records it in the
+      task metadata but queues every task under its daemon-wide
+      discipline).
 
     On a fixed-size spec, ``min_units`` (with ``malleable=True``, the
     default) declares **convertibility**: a saturated federation may

@@ -6,7 +6,7 @@ Two invariants the whole enforcement stack leans on:
   invoicing must conserve cost: every tenant's invoice total equals the
   sum of their metered event costs, and the per-(site, kind) lines
   aggregate exactly the underlying quantities,
-* **fair-share sanity** — the arbiter's grants always sum to exactly
+* **fair-share sanity** — the slot fill's grants always sum to exactly
   what is allocatable (no slot invented, none wasted while demand
   remains) and never exceed any claimant's demand.
 """
@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accounting import (
-    FairShareArbiter,
     RateBook,
     SiteRateCard,
     UsageKind,
     UsageLedger,
 )
+from repro.scheduling.algorithms import SchedulingAlgorithm
 
 TENANTS = ("alpha", "beta", "gamma")
 SITES = ("site-a", "site-b", "site-c")
@@ -110,12 +110,11 @@ class TestArbiterProperties:
         ),
     )
     def test_allocations_sum_to_total_shares(self, capacity, jobs):
-        """The grants sum to min(capacity, total demand) — the arbiter
+        """The grants sum to min(capacity, total demand) — the fill
         neither invents nor strands shares — and stay demand-capped."""
-        arb = FairShareArbiter()
         demands = {k: d for k, (d, _) in jobs.items()}
         weights = {k: w for k, (_, w) in jobs.items()}
-        alloc = arb.allocate(capacity, demands, weights)
+        alloc, _ = SchedulingAlgorithm().divide(capacity, demands, weights)
         assert sum(alloc.values()) == min(capacity, sum(demands.values()))
         for k, granted in alloc.items():
             assert 0 <= granted <= demands[k]
@@ -127,8 +126,7 @@ class TestArbiterProperties:
         heavy=st.floats(min_value=1.0, max_value=8.0, allow_nan=False),
     )
     def test_heavier_weight_never_gets_less(self, capacity, demand, heavy):
-        arb = FairShareArbiter()
-        alloc = arb.allocate(
+        alloc, _ = SchedulingAlgorithm().divide(
             capacity,
             {"heavy": demand, "light": demand},
             {"heavy": heavy, "light": 1.0},

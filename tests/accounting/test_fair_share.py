@@ -1,33 +1,37 @@
-"""FairShareArbiter: unit behaviour + cross-job convergence in the loop."""
+"""FairShareArbiter weights, the slot fill they feed, and cross-job
+convergence in the resize loop."""
 
 import pytest
 
 from repro.accounting import FairShareArbiter
-from repro.errors import AccountingError
+from repro.errors import AccountingError, AlgorithmError
 from repro.federation import JobState
 from repro.federation.malleable import ResizeConfig
+from repro.scheduling.algorithms import SchedulingAlgorithm
 from repro.spec import JobSpec
 
 from acctutil import build_accounted_federation, make_accounting, make_program
 
 
 class TestArbiterAllocation:
+    """The weighted max-min fill the resize loop divides slots with
+    (the registry's base ``divide``), fed by the arbiter's weights."""
+
     def test_work_conserving_and_demand_capped(self):
-        arb = FairShareArbiter()
-        alloc = arb.allocate(10, {"a": 3, "b": 2})
+        algo = SchedulingAlgorithm()
+        alloc, transfers = algo.divide(10, {"a": 3, "b": 2})
         assert alloc == {"a": 3, "b": 2}  # surplus never parked on the sated
-        alloc = arb.allocate(4, {"a": 10, "b": 10})
+        assert transfers == []  # the fill starts from zero: nothing moves
+        alloc, _ = algo.divide(4, {"a": 10, "b": 10})
         assert sum(alloc.values()) == 4
 
     def test_weighted_split_converges_to_ratio(self):
-        arb = FairShareArbiter()
-        alloc = arb.allocate(12, {"a": 100, "b": 100}, {"a": 3.0, "b": 1.0})
+        alloc, _ = SchedulingAlgorithm().divide(12, {"a": 100, "b": 100}, {"a": 3.0, "b": 1.0})
         assert alloc == {"a": 9, "b": 3}
 
     def test_surplus_flows_to_hungry(self):
-        arb = FairShareArbiter()
         # "b" only wants 1; its fair share surplus goes to "a"
-        alloc = arb.allocate(8, {"a": 100, "b": 1}, {"a": 1.0, "b": 1.0})
+        alloc, _ = SchedulingAlgorithm().divide(8, {"a": 100, "b": 1}, {"a": 1.0, "b": 1.0})
         assert alloc == {"a": 7, "b": 1}
 
     def test_tenant_weight_registry(self):
@@ -39,19 +43,19 @@ class TestArbiterAllocation:
             arb.set_weight("bad", 0.0)
 
     def test_validation(self):
-        arb = FairShareArbiter()
-        with pytest.raises(AccountingError):
-            arb.allocate(-1, {"a": 1})
-        with pytest.raises(AccountingError):
-            arb.allocate(1, {"a": -1})
-        with pytest.raises(AccountingError):
-            arb.allocate(1, {"a": 1}, {"a": 0.0})
+        algo = SchedulingAlgorithm()
+        with pytest.raises(AlgorithmError):
+            algo.divide(-1, {"a": 1})
+        with pytest.raises(AlgorithmError):
+            algo.divide(1, {"a": -1})
+        with pytest.raises(AlgorithmError):
+            algo.divide(1, {"a": 1}, {"a": 0.0})
 
     def test_deterministic_tie_break(self):
-        arb = FairShareArbiter()
-        assert arb.allocate(1, {"a": 5, "b": 5}) == {"a": 1, "b": 0}
+        algo = SchedulingAlgorithm()
+        assert algo.divide(1, {"a": 5, "b": 5})[0] == {"a": 1, "b": 0}
         # heavier weight wins the tie instead
-        assert arb.allocate(1, {"a": 5, "b": 5}, {"a": 1.0, "b": 2.0}) == {
+        assert algo.divide(1, {"a": 5, "b": 5}, {"a": 1.0, "b": 2.0})[0] == {
             "a": 0,
             "b": 1,
         }

@@ -5,6 +5,7 @@ import pytest
 from acctutil import make_accounting
 from repro.accounting import FairShareArbiter, FederationAccounting
 from repro.errors import AccountingError
+from repro.scheduling.algorithms import SchedulingAlgorithm
 
 
 class TestInertByDefault:
@@ -99,7 +100,7 @@ class TestDecayedAllocation:
                 "a": arb.effective_weight("alpha", now),
                 "b": arb.effective_weight("beta", now),
             }
-            return arb.allocate(8, demands, weights)
+            return SchedulingAlgorithm().divide(8, demands, weights)[0]
 
         assert split(0.0) == {"a": 4, "b": 4}
         arb.observe_usage("alpha", 100.0, now=0.0)  # two knees: weight / 4

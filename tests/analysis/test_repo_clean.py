@@ -34,7 +34,7 @@ class TestTreeClean:
 
     def test_scanned_the_real_tree(self, report):
         assert report.files_scanned > 100
-        assert len(report.rule_ids) == 8
+        assert len(report.rule_ids) == 9
 
     def test_suppressions_stay_rare_and_known(self, report):
         # the tree carries exactly one suppression: emu-mps goes straight

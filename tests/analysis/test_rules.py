@@ -2,6 +2,7 @@
 snippet and stays silent on the good one."""
 
 from repro.analysis.rules import default_rules
+from repro.analysis.rules.algorithm_name import AlgorithmNameRule
 from repro.analysis.rules.bus_schema import BusSchemaRule
 from repro.analysis.rules.determinism import SimDeterminismRule
 from repro.analysis.rules.layering import Contract, LayeringRule
@@ -17,11 +18,11 @@ def rules_of(report, rule_id):
 
 
 class TestDefaultRules:
-    def test_eight_rules_with_unique_ids(self):
+    def test_nine_rules_with_unique_ids(self):
         rules = default_rules()
         ids = [r.id for r in rules]
-        assert len(ids) == 8
-        assert len(set(ids)) == 8
+        assert len(ids) == 9
+        assert len(set(ids)) == 9
 
     def test_fresh_instances_each_call(self):
         first, second = default_rules(), default_rules()
@@ -635,3 +636,75 @@ class TestPrivateImport:
         )
         assert report.ok
         assert [f.rule for f in report.suppressed] == ["private-import"]
+
+
+class TestAlgorithmName:
+    NAMES = ("agreement-elastic", "fifo-priority")
+
+    def test_bad_name_comparisons_outside_scheduling(self, lint):
+        report = lint(
+            {
+                "repro/federation/malleable.py": """
+                    def negotiates(spec):
+                        if spec.algorithm == "agreement-elastic":
+                            return True
+                        if "fifo-priority" != spec.algorithm:
+                            return spec.algorithm in ("fifo-priority", "other")
+                        return False
+                """
+            },
+            [AlgorithmNameRule(names=self.NAMES)],
+        )
+        found = rules_of(report, "algorithm-name")
+        assert [f.line for f in found] == [3, 5, 6]
+        assert "'agreement-elastic'" in found[0].message
+
+    def test_good_owner_package_and_unregistered_literals(self, lint):
+        report = lint(
+            {
+                "repro/scheduling/algorithms/pick.py": """
+                    def pick(name):
+                        return name == "agreement-elastic"
+                """,
+                "repro/daemon/scheduler.py": """
+                    def use(self, algorithm, resolve):
+                        self.algorithm = resolve(algorithm, "fifo-priority")
+                        return algorithm == "round-robin"
+                """,
+            },
+            [AlgorithmNameRule(names=self.NAMES)],
+        )
+        assert rules_of(report, "algorithm-name") == []
+
+    def test_good_outside_the_package(self, lint):
+        report = lint(
+            {"benchmarks/bench_sweep.py": 'TRACE = "elastic" if NAME == "agreement-elastic" else "rigid"\n'},
+            [AlgorithmNameRule(names=self.NAMES)],
+            paths=("benchmarks",),
+        )
+        assert rules_of(report, "algorithm-name") == []
+
+    def test_registry_parsed_from_register_classes(self, lint):
+        # no injected names: the rule reads each @register class's name
+        # out of the fixture's scheduling/algorithms/ package
+        report = lint(
+            {
+                "repro/scheduling/algorithms/steal.py": """
+                    @register
+                    class Steal(SchedulingAlgorithm):
+                        name = "steal"
+
+
+                    class Helper:
+                        name = "helper"
+                """,
+                "repro/federation/broker.py": """
+                    def route(spec):
+                        return spec.algorithm == "steal" or spec.algorithm == "helper"
+                """,
+            },
+            [AlgorithmNameRule()],
+        )
+        found = rules_of(report, "algorithm-name")
+        assert len(found) == 1
+        assert "'steal'" in found[0].message

@@ -223,11 +223,13 @@ class TestAgreementElasticArbitration:
             assert total <= 4
 
     def test_mixed_jobs_all_negotiate_together(self):
-        """Only one of the two contenders asks for agreement-elastic;
-        the site still negotiates as a unit and both jobs make
-        progress toward completion."""
+        """Only one of the two contenders asks for agreement-elastic,
+        and it is the second to arrive; the site still negotiates as a
+        unit (its division publishes ``slots_agreed``) and both jobs
+        make progress toward completion."""
         sim, broker, _ = self._build(weights=(1.0, 1.0))
-        a = broker.submit_spec(self._elastic_spec("alpha", iterations=20))
+        agreed = []
+        broker.events.subscribe(lambda ev: agreed.append(ev), kinds=("slots_agreed",))
         b = broker.submit_spec(
             JobSpec(
                 program=make_program(shots=40),
@@ -236,6 +238,9 @@ class TestAgreementElasticArbitration:
                 tenant="beta",
             )
         )
+        a = broker.submit_spec(self._elastic_spec("alpha", iterations=20))
         sim.run(until=2500.0)
         assert broker.job(a).completed_units > 0
         assert broker.job(b).completed_units > 0
+        assert agreed  # the plain contender's site negotiated too
+        assert {ev.site for ev in agreed} <= {"site-0", "site-1"}

@@ -1,9 +1,12 @@
 """The pluggable algorithm suite: registry, FIFO, EASY, routing, sweep sim."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AlgorithmError
 from repro.scheduling.algorithms import (
+    AgreementElastic,
     Decision,
     EasyBackfill,
     FifoPriority,
@@ -17,6 +20,7 @@ from repro.scheduling.algorithms import (
     available,
     get_algorithm,
     register,
+    resolve,
     simulate,
 )
 
@@ -58,6 +62,69 @@ class TestRegistry:
     def test_base_schedule_is_abstract(self):
         with pytest.raises(NotImplementedError):
             SchedulingAlgorithm().schedule((), (), SystemView(now=0.0))
+
+    def test_resolve_default_name_and_instance(self):
+        assert isinstance(resolve(None, "fifo-priority"), FifoPriority)
+        assert isinstance(resolve("easy-backfill", "fifo-priority"), EasyBackfill)
+        mine = EasyBackfill()
+        assert resolve(mine, "fifo-priority") is mine
+        fallback = PolicyRouting()
+        assert resolve(None, fallback) is fallback
+        with pytest.raises(AlgorithmError, match="unknown"):
+            resolve("galactic-random", "fifo-priority")
+
+
+#: one slot division: ({claimant: (demand, weight, holding)}, capacity)
+_claims = st.dictionaries(
+    st.sampled_from("abcde"),
+    st.tuples(
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from((0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0)),
+        st.integers(min_value=0, max_value=12),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestSlotDivision:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=12), _claims)
+    def test_negotiation_from_nothing_equals_the_fill(self, capacity, claims):
+        """With no holdings, agreement-elastic's negotiation lands on
+        exactly the base weighted max-min fill: the two disciplines
+        differ only in where they start."""
+        demands = {k: d for k, (d, _, _) in claims.items()}
+        weights = {k: w for k, (_, w, _) in claims.items()}
+        fill, transfers = SchedulingAlgorithm().divide(capacity, demands, weights)
+        negotiated, _ = AgreementElastic().divide(capacity, demands, weights, None)
+        assert negotiated == fill
+        assert transfers == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=12), _claims)
+    # an averaged steal must not push the taker ("d") past its demand
+    @example(7, {"a": (0, 0.25, 0), "b": (0, 0.25, 0), "c": (1, 0.25, 0), "d": (3, 1.5, 0), "e": (4, 0.25, 4)})
+    def test_negotiation_from_holdings_keeps_the_guarantees(self, capacity, claims):
+        """From any holdings the negotiation stays demand-capped and
+        work-conserving, like the fill."""
+        demands = {k: d for k, (d, _, _) in claims.items()}
+        weights = {k: w for k, (_, w, _) in claims.items()}
+        holdings = {k: h for k, (_, _, h) in claims.items()}
+        alloc, _ = AgreementElastic().divide(capacity, demands, weights, holdings)
+        assert sum(alloc.values()) == min(capacity, sum(demands.values()))
+        for k, granted in alloc.items():
+            assert 0 <= granted <= demands[k]
+
+    def test_base_division_ignores_holdings(self):
+        algo = SchedulingAlgorithm()
+        fresh = algo.divide(4, {"a": 4, "b": 4})
+        assert algo.divide(4, {"a": 4, "b": 4}, None, {"a": 4}) == fresh == ({"a": 2, "b": 2}, [])
+
+    def test_negotiation_starts_from_holdings(self):
+        alloc, transfers = AgreementElastic().divide(4, {"a": 4, "b": 4}, None, {"a": 4})
+        assert alloc == {"a": 2, "b": 2}
+        assert transfers == [{"from": "a", "to": "b", "units": 2}]
 
 
 def _views(jobs, total=4, free=4, running=(), now=0.0):

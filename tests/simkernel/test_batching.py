@@ -1,5 +1,7 @@
-"""Kernel batch fast path: pop_batch order equivalence, heap
-compaction, and step_batch dispatch semantics."""
+"""Kernel batch dispatch: run() order equivalence, heap compaction,
+and step_batch dispatch semantics."""
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,30 +9,15 @@ from hypothesis import strategies as st
 from repro.simkernel import Event, EventQueue, Simulator
 
 
-def _drain_pop(queue: EventQueue) -> list[tuple[float, int, int]]:
-    out = []
-    while queue:
-        entry = queue.pop()
-        out.append((entry.time, entry.priority, entry.seq))
-    return out
-
-
-def _drain_pop_batch(queue: EventQueue) -> list[tuple[float, int, int]]:
-    out = []
-    while queue:
-        batch_time, batch = queue.pop_batch()
-        for entry in batch:
-            assert entry.time == batch_time
-            queue.consume(entry)
-            out.append((entry.time, entry.priority, entry.seq))
-    return out
-
-
-#: one schedule item: (time, priority, cancel?, pretriggered?)
+#: one scheduled entry: (time, priority, action, cancelled before the
+#: run?, pretriggered?) — the callback's action is nothing, "barge" (push
+#: a same-time priority -1 entry, as interrupt delivery does) or an int
+#: (cancel that initial entry if still queued)
 _schedule = st.lists(
     st.tuples(
-        st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+        st.integers(min_value=0, max_value=5).map(float),
         st.integers(min_value=-2, max_value=2),
+        st.one_of(st.none(), st.just("barge"), st.integers(min_value=0, max_value=59)),
         st.booleans(),
         st.booleans(),
     ),
@@ -39,56 +26,64 @@ _schedule = st.lists(
 )
 
 
-@settings(max_examples=200)
+def _reference_order(items) -> list[int]:
+    """Dispatch order by the (time, priority, seq) rule alone, applying
+    each callback's barge/cancel as its entry is dispatched."""
+    seq = itertools.count()
+    barges = itertools.count(len(items))
+    live = {i: (time, priority, next(seq), action) for i, (time, priority, action, _, _) in enumerate(items)}
+    for i, (*_, cancelled, _) in enumerate(items):
+        if cancelled:
+            del live[i]
+    order: list[int] = []
+    while live:
+        entry_id = min(live, key=lambda k: live[k][:3])
+        time, _, _, action = live.pop(entry_id)
+        order.append(entry_id)
+        if action == "barge":
+            live[next(barges)] = (time, -1, next(seq), None)
+        elif action is not None:
+            live.pop(action % len(items), None)
+    return order
+
+
+@settings(max_examples=200, deadline=None)
 @given(_schedule)
-def test_pop_batch_matches_repeated_pop(items):
-    """pop_batch + consume yields the exact global (time, priority,
-    seq) sequence repeated pop produces, on randomized schedules with
-    cancellations and pretriggered entries."""
-    reference = EventQueue()
-    batched = EventQueue()
-    for time, priority, cancel, pretriggered in items:
-        event_a, event_b = Event(), Event()
+def test_run_dispatches_in_time_priority_seq_order(items):
+    """run() dispatches in exactly the reference (time, priority, seq)
+    order, with entries cancelled before the run, pretriggered ones,
+    and callbacks that add same-time priority -1 entries mid-batch and
+    cancel entries still queued."""
+    sim = Simulator()
+    order: list[int] = []
+    entries = []
+    barges = itertools.count(len(items))
+
+    def dispatch(entry_id, action):
+        order.append(entry_id)
+        if action == "barge":
+            barge_id = next(barges)
+            barge = Event()
+            barge.callbacks.append(lambda ev: dispatch(barge_id, None))
+            sim.events.push(sim.now, barge, priority=-1)
+        elif action is not None:
+            target = action % len(items)
+            if target not in order:
+                sim.events.cancel(entries[target])
+
+    for entry_id, (time, priority, action, _, pretriggered) in enumerate(items):
+        event = Event()
         if pretriggered:
-            event_a.trigger(None)
-            event_b.trigger(None)
-        ref_entry = reference.push(time, event_a, priority=priority)
-        bat_entry = batched.push(time, event_b, priority=priority)
-        if cancel:
-            reference.cancel(ref_entry)
-            batched.cancel(bat_entry)
-    assert _drain_pop(reference) == _drain_pop_batch(batched)
-    assert len(batched) == 0
-    assert batched.foreground_count() == 0
-
-
-@settings(max_examples=100)
-@given(_schedule, st.data())
-def test_pop_batch_requeue_roundtrip(items, data):
-    """A partially dispatched batch requeues its tail and the global
-    pop order is unchanged."""
-    reference = EventQueue()
-    batched = EventQueue()
-    for time, priority, cancel, _ in items:
-        ref_entry = reference.push(time, Event(), priority=priority)
-        bat_entry = batched.push(time, Event(), priority=priority)
-        if cancel:
-            reference.cancel(ref_entry)
-            batched.cancel(bat_entry)
-    expected = _drain_pop(reference)
-    out = []
-    while batched:
-        _, batch = batched.pop_batch()
-        keep = data.draw(st.integers(min_value=0, max_value=len(batch)))
-        for entry in batch[:keep]:
-            batched.consume(entry)
-            out.append((entry.time, entry.priority, entry.seq))
-        batched.requeue(batch[keep:])
-        if keep == 0 and batch:
-            # avoid an infinite loop: dispatch at least one entry
-            entry = batched.pop()
-            out.append((entry.time, entry.priority, entry.seq))
-    assert out == expected
+            event.trigger(None)
+        event.callbacks.append(lambda ev, i=entry_id, a=action: dispatch(i, a))
+        entries.append(sim.events.push(time, event, priority=priority))
+    for entry, (*_, cancelled, _) in zip(entries, items, strict=True):
+        if cancelled:
+            sim.events.cancel(entry)
+    sim.run()
+    assert order == _reference_order(items)
+    assert len(sim.events) == 0
+    assert sim.events.foreground_count() == 0
 
 
 def test_cancel_heavy_heap_compacts():
