@@ -497,6 +497,92 @@ def run_federation_bus_row(jobs: int = 120, repeats: int = 15) -> dict:
     return {"ratio": ratio, "stream_ms": stream_ms, "probe_ms": probe_ms, "events": len(events)}
 
 
+def _submit_catalog(count: int = 8) -> list:
+    """``count`` fixed 2-5-atom adiabatic-sweep IR programs, the shape
+    of the shared-QPU workload's catalog."""
+    from repro.qpu import CompositeWaveform, ConstantWaveform, DriveSegment, RampWaveform, Register
+    from repro.sdk import AnalogProgram
+
+    programs = []
+    for k in range(count):
+        omega, delta = 4.0 + 0.5 * k, 2.0 + 0.25 * k
+        segment = DriveSegment(
+            CompositeWaveform(
+                RampWaveform(0.08, 0.0, omega), ConstantWaveform(0.16, omega), RampWaveform(0.08, omega, 0.0)
+            ),
+            CompositeWaveform(
+                ConstantWaveform(0.08, -delta), RampWaveform(0.16, -delta, delta), ConstantWaveform(0.08, delta)
+            ),
+        )
+        register = Register.chain(2 + k % 4, spacing=5.5 + 0.25 * k)
+        programs.append(AnalogProgram(register, (segment,), shots=100, name=f"catalog-{k}"))
+    return programs
+
+
+def run_daemon_submit_row(burst: int = 96, repeats: int = 15) -> dict:
+    """Wall cost of the daemon's REST intake over a same-machine NumPy
+    probe: a burst of ``burst`` ``POST /jobs`` requests, each decoded,
+    validated, admitted against the QPU's specs and queued.  Returns the
+    paired ratio plus the best burst and probe wall ms.
+
+    The bodies are the wire form of the 8 catalog programs
+    (:func:`_submit_catalog`) from sessions of all three priority
+    classes, encoded once before timing, so a content recurs: the
+    daemon's decoded-parts table and the specs' admission memory answer
+    its repeats, as they do for a shared QPU's users.  The simulation never
+    runs, so every job stays queued.  Every burst gets a fresh
+    preempting daemon, its sessions open, built before the timed region.
+    """
+    from repro.daemon import Request
+    from repro.spec import JobSpec
+
+    catalog = _submit_catalog()
+    classes = ("production", "test", "development")
+    bodies = [
+        JobSpec(program=catalog[i % len(catalog)], shots=50 + 50 * (i % 4), resource="onprem").to_dict()
+        for i in range(burst)
+    ]
+
+    def open_daemon() -> tuple:
+        stack = build_stack(mode=SharingMode.PREEMPT, shot_cap=ShotCapPolicy(), scrape_interval=5.0)
+        headers = [
+            {"Authorization": f"Bearer {stack.client_for(f'user-{c}', priority_class=c).token}"}
+            for c in classes
+        ]
+        return stack.router, headers
+
+    daemons = iter([open_daemon() for _ in range(repeats + 1)])
+
+    def submit_burst() -> None:
+        router, headers = next(daemons)
+        for i, body in enumerate(bodies):
+            router.dispatch(Request("POST", "/jobs", body=body, headers=headers[i % 3]))
+
+    ratio, burst_ms, probe_ms = _paired_ratio(submit_burst, _numpy_probe(4, 1, 4096), repeats)
+    return {"ratio": ratio, "burst_ms": burst_ms, "probe_ms": probe_ms}
+
+
+def run_tsdb_scrape_row(scrapes: int = 240, repeats: int = 15) -> dict:
+    """Wall cost of a QPU daemon's telemetry scrape over a same-machine
+    pure-Python probe: ``scrapes`` consecutive 5 s scrapes of its two
+    targets (the QPU's telemetry and the alert evaluator), each written
+    to the TSDB with the scraper's own per-target series.  Returns the
+    paired ratio plus the best pass and probe wall ms.  Every pass gets
+    a fresh daemon (an empty TSDB), built before the timed region.
+    """
+    scrapers = iter(
+        [build_stack(mode=SharingMode.PREEMPT, scrape_interval=5.0).daemon.scraper for _ in range(repeats + 1)]
+    )
+
+    def scrape_pass() -> None:
+        scraper = next(scrapers)
+        for k in range(1, scrapes + 1):
+            scraper.scrape_once(5.0 * k)
+
+    ratio, pass_ms, probe_ms = _paired_ratio(scrape_pass, _python_probe(90_000), repeats)
+    return {"ratio": ratio, "pass_ms": pass_ms, "probe_ms": probe_ms}
+
+
 def bench_regression_suite() -> dict:
     """Run the federation + malleable + accounting ablation benches;
     returns ``{"mode": ..., "metrics": {name: value}}``."""
@@ -672,6 +758,10 @@ def bench_regression_suite() -> dict:
     # the lifecycle bus with every observability view attached: metrics,
     # tracer, profiles and SLOs over one fixed synthetic event stream
     metrics["walltime_federation_bus_ratio"] = round(run_federation_bus_row()["ratio"], 4)
+    # the shared-QPU request path: REST intake to queued, and the
+    # telemetry scrape into the TSDB
+    metrics["walltime_daemon_submit_ratio"] = round(run_daemon_submit_row()["ratio"], 4)
+    metrics["walltime_tsdb_scrape_ratio"] = round(run_tsdb_scrape_row()["ratio"], 4)
     mode = "smoke" if os.environ.get("BENCH_SMOKE", "") not in ("", "0") else "full"
     return {"mode": mode, "metrics": metrics}
 

@@ -160,9 +160,6 @@ class Node:
 
     # -- admin -----------------------------------------------------------
 
-    def set_down(self) -> None:
-        self.state = NodeState.DOWN
-
     def set_drain(self) -> None:
         self.state = NodeState.DRAIN
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+from ..errors import LicenseError
 from ..scheduling.algorithms import SchedulingAlgorithm, SystemView, cluster_views, resolve
 from .job import Job
 from .licenses import LicensePool
@@ -193,21 +194,9 @@ class Scheduler:
             try:
                 if count > licenses.total(name):
                     return False
-            except Exception:
+            except LicenseError:  # an unknown license never fits
                 return False
         return True
-
-    def try_start(
-        self,
-        job: Job,
-        partition: Partition,
-        licenses: LicensePool,
-        exclude: frozenset[str] = frozenset(),
-    ) -> list[Node] | None:
-        """Nodes for the job if it can start now (licenses included)."""
-        if not licenses.can_acquire(dict(job.spec.licenses)):
-            return None
-        return self.find_nodes(job, partition.schedulable_nodes(), exclude)
 
     # -- shadow-time computation (EASY backfill) ---------------------------
 

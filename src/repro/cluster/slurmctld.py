@@ -175,12 +175,6 @@ class SlurmController:
                 )
         return rows
 
-    def pending_jobs(self) -> list[Job]:
-        return list(self._pending)
-
-    def running_jobs(self) -> list[Job]:
-        return list(self._running.values())
-
     def _get_job(self, job_id: int) -> Job:
         if job_id not in self.jobs:
             raise JobError(f"unknown job {job_id}", job_id=job_id)

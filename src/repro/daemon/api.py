@@ -10,7 +10,7 @@ User (bearer token = session token unless noted):
     POST   /tasks                         submit a program
     POST   /jobs                          submit a declarative JobSpec dict
     GET    /tasks/{id}                    status
-    GET    /tasks/{id}/result             counts + metadata
+    GET    /tasks/{id}/result             counts, metadata, program digest, queue timestamps
     GET    /tasks/{id}/metadata           per-job metadata (paper §2.5)
     GET    /resources                     resource discovery (no token)
     GET    /resources/{name}/target       current device specs (no token)
@@ -36,7 +36,7 @@ Admin (bearer token must have the ADMIN role):
 
 from __future__ import annotations
 
-from ..errors import DaemonError, QueueError, ReproError, SessionError, ValidationError
+from ..errors import DaemonError, QueueError, ReproError, SessionError, SpecError, ValidationError
 from .auth import Role
 from .http import HttpError, Request, Response, Router
 from .service import MiddlewareDaemon
@@ -64,6 +64,10 @@ def _wrap(fn):
             message = str(err)
             status = 404 if "unknown" in message else 400
             return Response(status=status, body={"error": message})
+        except SpecError as err:
+            # typed, so a client re-raises a spec refused here as the
+            # SpecError an in-process intake raises
+            return Response(status=400, body={"error": str(err), "error_type": "SpecError"})
         except ReproError as err:
             return Response(status=400, body={"error": str(err)})
 
@@ -145,13 +149,19 @@ def build_router(daemon: MiddlewareDaemon) -> Router:
 
     @_wrap
     def task_result(request: Request) -> Response:
-        result = daemon.task_result(request.token, request.params["id"])
+        task = daemon.finished_task(request.token, request.params["id"])
+        result = task.result
+        # the digest of the program that ran and the queue timestamps
+        # ride along: a client builds its whole result from this one read
         return Response(
             body={
                 "counts": result.counts,
                 "shots": result.shots,
                 "backend": result.backend,
                 "metadata": result.metadata,
+                "program_hash": task.program.content_hash(),
+                "enqueued_at": task.enqueued_at,
+                "started_at": task.started_at,
             }
         )
 

@@ -88,6 +88,9 @@ class QueuedTask:
     #: tiebreak scheduling algorithms sort on; a requeued task gets a
     #: fresh number, sending it to the back of its priority class
     _heap_seq: int = field(default=0, init=False, repr=False, compare=False)
+    #: the task's scheduling view at that sequence number, kept by
+    #: :func:`~repro.scheduling.algorithms.daemon_views`
+    _pending_view: Any = field(default=None, init=False, repr=False, compare=False)
 
     def wait_time(self) -> float | None:
         if self.started_at is None:

@@ -29,7 +29,7 @@ from ..observability import (
 )
 from ..qpu.device import QPUDevice
 from ..qrmi.interface import QuantumResource
-from ..sdk.ir import AnalogProgram
+from ..sdk.ir import AnalogProgram, DecodedParts
 from ..sdk.registry import SDKRegistry, default_registry
 from ..simkernel import Simulator, TraceRecorder
 from .admin import AdminOperations
@@ -69,6 +69,9 @@ class MiddlewareDaemon:
             shot_cap=shot_cap if shot_cap is not None else ShotCapPolicy()
         )
         self.sdk_registry = sdk_registry or default_registry()
+        #: registers and segments decoded from REST bodies: a recurring
+        #: program content is decoded, and its JSON encoded, once
+        self.decoded_parts = DecodedParts()
         self.jobmeta = JobMetadataStore()
         self.scheduler = SecondLevelScheduler(
             sim,
@@ -236,7 +239,7 @@ class MiddlewareDaemon:
                 f"unknown resource {resource!r}; available: {sorted(self.resources)}"
             )
         if isinstance(program, dict):
-            program = AnalogProgram.from_dict(program)
+            program = AnalogProgram.from_dict(program, self.decoded_parts)
         else:
             program = self.sdk_registry.translate(program, shots=shots or 100)
         if shots is not None and program.shots != shots:
@@ -274,7 +277,7 @@ class MiddlewareDaemon:
         from ..spec import JobSpec
 
         if isinstance(spec, dict):
-            spec = JobSpec.from_dict(spec)
+            spec = JobSpec.from_dict(spec, self.decoded_parts)
         session = self.resolve_session(token)
         spec = spec.validate(default_tenant=session.user)
         if spec.is_multi:
@@ -294,14 +297,20 @@ class MiddlewareDaemon:
         return self._enqueue(session, spec.program, resource, spec.shots, metadata)
 
     def _validate_against_target(self, program: AnalogProgram, resource: str) -> None:
+        # the task's one digest: memoized on its program, which the
+        # resource hands on to the device on every (re)run
         specs = self.resources[resource].specs()
-        specs.admit(program.register, program.segments, program.shots)
+        specs.admit(program.register, program.segments, program.shots, program.content_hash())
 
-    def task_status(self, token: str, task_id: str) -> dict[str, Any]:
+    def _owned_task(self, token: str, task_id: str) -> QueuedTask:
         session = self.resolve_session(token)
         task = self.queue.get(task_id)
         if task.session_id != session.session_id:
             raise SessionError("task belongs to a different session")
+        return task
+
+    def task_status(self, token: str, task_id: str) -> dict[str, Any]:
+        task = self._owned_task(token, task_id)
         return {
             "task_id": task.task_id,
             "state": task.state.value,
@@ -313,16 +322,18 @@ class MiddlewareDaemon:
             "metadata": dict(task.metadata),
         }
 
-    def task_result(self, token: str, task_id: str) -> Any:
-        session = self.resolve_session(token)
-        task = self.queue.get(task_id)
-        if task.session_id != session.session_id:
-            raise SessionError("task belongs to a different session")
+    def finished_task(self, token: str, task_id: str) -> QueuedTask:
+        """The session's completed task; a failed or unfinished one
+        raises :class:`DaemonError`."""
+        task = self._owned_task(token, task_id)
         if task.state is TaskState.FAILED:
             raise DaemonError(f"task failed: {task.error}")
         if task.state is not TaskState.COMPLETED:
             raise DaemonError(f"task not finished (state {task.state.value})")
-        return task.result
+        return task
+
+    def task_result(self, token: str, task_id: str) -> Any:
+        return self.finished_task(token, task_id).result
 
     # -- discovery ---------------------------------------------------------------
 
@@ -412,10 +423,7 @@ class MiddlewareDaemon:
                 self._m_jobmeta_errors.inc(labels={"error": type(exc).__name__})
 
     def job_metadata(self, token: str, task_id: str) -> dict[str, Any]:
-        session = self.resolve_session(token)
-        task = self.queue.get(task_id)
-        if task.session_id != session.session_id:
-            raise SessionError("task belongs to a different session")
+        self._owned_task(token, task_id)
         record = self.jobmeta.get(task_id)
         return {
             "task_id": record.task_id,

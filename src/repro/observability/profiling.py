@@ -227,11 +227,16 @@ class Profiler:
         flushed = 0
         for path in sorted(self._stats):
             count, total_s, self_s, max_s = self._stats[path]
-            labels = {"path": "/".join(path)}
-            tsdb.write("profile_scope_calls", now, count, labels=labels)
-            tsdb.write("profile_scope_seconds", now, total_s, labels=labels)
-            tsdb.write("profile_scope_self_seconds", now, self_s, labels=labels)
-            tsdb.write("profile_scope_max_seconds", now, max_s, labels=labels)
+            tsdb.write_many(
+                {
+                    "profile_scope_calls": count,
+                    "profile_scope_seconds": total_s,
+                    "profile_scope_self_seconds": self_s,
+                    "profile_scope_max_seconds": max_s,
+                },
+                now,
+                labels={"path": "/".join(path)},
+            )
             flushed += 1
         if reset:
             self._stats.clear()

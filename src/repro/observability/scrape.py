@@ -27,6 +27,11 @@ class _Target:
     scrapes: int = 0
     errors: int = 0
 
+    @property
+    def self_labels(self) -> dict[str, str]:
+        """Labels of the scraper's own series about this target."""
+        return {"target": self.name}
+
 
 class Scraper:
     """Periodic collector -> TSDB pump, running as a simulated process."""
@@ -78,24 +83,25 @@ class Scraper:
             self._scrape(now)
 
     def _scrape(self, now: float) -> None:
+        tsdb = self.tsdb
         for target in self._targets:
             try:
                 values = target.collect(now)
             except Exception:
                 target.errors += 1
-                self.tsdb.write("scrape_error", now, 1.0, labels={"target": target.name})
+                tsdb.write("scrape_error", now, 1.0, labels=target.self_labels)
             else:
                 target.scrapes += 1
-                self.tsdb.write_many(dict(values), now, labels=target.labels)
+                tsdb.write_many(values, now, labels=target.labels)
             # self-metrics: a broken collector is visible as a flat
             # scrapes curve + rising errors curve, per target
-            self.tsdb.write(
-                "scrape_target_scrapes", now, float(target.scrapes),
-                labels={"target": target.name},
-            )
-            self.tsdb.write(
-                "scrape_target_errors", now, float(target.errors),
-                labels={"target": target.name},
+            tsdb.write_many(
+                {
+                    "scrape_target_scrapes": float(target.scrapes),
+                    "scrape_target_errors": float(target.errors),
+                },
+                now,
+                labels=target.self_labels,
             )
         self.last_scrape_at = now
 

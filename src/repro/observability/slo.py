@@ -156,10 +156,10 @@ class SLOTracker:
                 "events": float(len(events)),
             }
             if self.tsdb is not None:
-                labels = {"slo": objective.name}
-                self.tsdb.write("slo_burn_rate", now, burn, labels=labels)
-                self.tsdb.write(
-                    "slo_error_budget_remaining", now, remaining, labels=labels
+                self.tsdb.write_many(
+                    {"slo_burn_rate": burn, "slo_error_budget_remaining": remaining},
+                    now,
+                    labels={"slo": objective.name},
                 )
         self.last_results = results
         self._last_eval_at = now

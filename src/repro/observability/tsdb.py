@@ -27,8 +27,8 @@ _MIN_CAPACITY = 64
 _COMPACT_THRESHOLD = 1024
 
 
-def _series_key(measurement: str, labels: Mapping[str, str] | None) -> tuple:
-    return (measurement, tuple(sorted((labels or {}).items())))
+def _label_key(labels: Mapping[str, str] | None) -> tuple:
+    return tuple(sorted((labels or {}).items()))
 
 
 class _Series:
@@ -56,16 +56,18 @@ class _Series:
         return float(self._v[self._end - 1])
 
     def append(self, t: float, v: float) -> None:
-        t = float(t)
-        if len(self) and t < self._last:
+        """Store one point; ``t`` is a float no older than the newest."""
+        end = self._end
+        if end != self._start and t < self._last:
             raise TSDBError(
                 f"out-of-order write: t={t} after t={self._last}"
             )
-        if self._end == self._t.size:
+        if end == self._t.size:
             self._compact(grow=True)
-        self._t[self._end] = t
-        self._v[self._end] = v
-        self._end += 1
+            end = self._end
+        self._t[end] = t
+        self._v[end] = v
+        self._end = end + 1
         self._last = t
 
     def _compact(self, grow: bool = False) -> None:
@@ -111,7 +113,9 @@ class TimeSeriesDB:
         if retention_seconds is not None and retention_seconds <= 0:
             raise TSDBError("retention must be positive (or None)")
         self.retention_seconds = retention_seconds
-        self._series: dict[tuple, _Series] = {}
+        #: label key -> measurement -> series: a write resolves its
+        #: label set once, then each of its series by name
+        self._series: dict[tuple, dict[str, _Series]] = {}
 
     # -- writes ---------------------------------------------------------------
 
@@ -122,11 +126,7 @@ class TimeSeriesDB:
         value: float,
         labels: Mapping[str, str] | None = None,
     ) -> None:
-        key = _series_key(measurement, labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _Series()
-        series.append(time, value)
+        self.write_many({measurement: value}, time, labels)
 
     def write_many(
         self,
@@ -134,13 +134,31 @@ class TimeSeriesDB:
         time: float,
         labels: Mapping[str, str] | None = None,
     ) -> None:
+        """:meth:`write` every ``measurement: value`` at one ``time``
+        under one label set, in order.  An out-of-order point raises
+        after the values before it are stored."""
+        label_key = _label_key(labels)
+        by_name = self._series.get(label_key)
+        if by_name is None:
+            by_name = self._series[label_key] = {}
+        t = float(time)
         for measurement, value in values.items():
-            self.write(measurement, time, value, labels)
+            series = by_name.get(measurement)
+            if series is None:
+                series = by_name[measurement] = _Series()
+            series.append(t, value)
+
+    def _find(self, measurement: str, labels: Mapping[str, str] | None) -> _Series | None:
+        return self._series.get(_label_key(labels), {}).get(measurement)
+
+    def _all_series(self):
+        for by_name in self._series.values():
+            yield from by_name.values()
 
     # -- queries ----------------------------------------------------------------
 
     def measurements(self) -> list[str]:
-        return sorted({key[0] for key in self._series})
+        return sorted({name for by_name in self._series.values() for name in by_name})
 
     def query(
         self,
@@ -150,22 +168,21 @@ class TimeSeriesDB:
         until: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """(times, values) in the window; unknown series raises."""
-        key = _series_key(measurement, labels)
-        if key not in self._series:
-            raise TSDBError(f"unknown series {measurement!r} labels={dict(key[1])}")
-        t, v = self._series[key].arrays()
+        series = self._find(measurement, labels)
+        if series is None:
+            raise TSDBError(f"unknown series {measurement!r} labels={dict(_label_key(labels))}")
+        t, v = series.arrays()
         lo = 0 if since is None else int(np.searchsorted(t, since, side="left"))
         hi = len(t) if until is None else int(np.searchsorted(t, until, side="right"))
         return t[lo:hi], v[lo:hi]
 
     def has_series(self, measurement: str, labels: Mapping[str, str] | None = None) -> bool:
-        return _series_key(measurement, labels) in self._series
+        return self._find(measurement, labels) is not None
 
     def latest(
         self, measurement: str, labels: Mapping[str, str] | None = None
     ) -> tuple[float, float]:
-        key = _series_key(measurement, labels)
-        series = self._series.get(key)
+        series = self._find(measurement, labels)
         if series is None or not len(series):
             raise TSDBError(f"no points in series {measurement!r}")
         return series.last_time, series.last_value
@@ -243,9 +260,7 @@ class TimeSeriesDB:
         if self.retention_seconds is None:
             return 0
         cutoff = now - self.retention_seconds
-        return sum(
-            series.drop_before(cutoff) for series in self._series.values()
-        )
+        return sum(series.drop_before(cutoff) for series in self._all_series())
 
     def point_count(self) -> int:
-        return sum(len(s) for s in self._series.values())
+        return sum(len(s) for s in self._all_series())

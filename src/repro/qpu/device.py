@@ -20,6 +20,9 @@ twin), but differs in exactly the ways real hardware differs:
 A Hamiltonian is a pure function of the program content, the device's
 ``dt`` and the specs' C6 coefficient, so the device builds it once per
 (:func:`program_hash`, C6) and reuses it for every run of that content.
+Every execution entry point takes that digest as ``key`` when the caller
+already holds it (QRMI passes the IR's memoized ``content_hash()``), so
+a program is hashed once however often it is admitted and run.
 """
 
 from __future__ import annotations
@@ -105,15 +108,17 @@ class QPUDevice:
     def _engine(self, num_qubits: int):
         return self._sv if num_qubits <= self._sv.max_qubits else self._mps
 
-    def _hamiltonian(self, register: Register, segments: list[DriveSegment]) -> RydbergHamiltonian:
+    def _hamiltonian(
+        self, register: Register, segments: list[DriveSegment], key: str | None = None
+    ) -> RydbergHamiltonian:
         c6 = self.specs.c6_coefficient
-        key = (program_hash(register, segments), c6)
-        ham = self._ham_cache.get(key)
+        cache_key = (key or program_hash(register, segments), c6)
+        ham = self._ham_cache.get(cache_key)
         if ham is None:
             ham = RydbergHamiltonian(register, segments, dt=self.dt, c6=c6)
             if len(self._ham_cache) >= 64:
                 self._ham_cache.clear()
-            self._ham_cache[key] = ham
+            self._ham_cache[cache_key] = ham
         return ham
 
     def _noise_model(self):
@@ -131,9 +136,9 @@ class QPUDevice:
         return cached[2]
 
     def _compute_counts(
-        self, register: Register, segments: list[DriveSegment], shots: int
+        self, register: Register, segments: list[DriveSegment], shots: int, key: str
     ) -> EmulationResult:
-        ham = self._hamiltonian(register, segments)
+        ham = self._hamiltonian(register, segments, key)
         noise = self._noise_model()
         engine = self._engine(register.num_atoms)
         return engine.run(ham, shots, self.rng, noise=noise)
@@ -151,13 +156,16 @@ class QPUDevice:
         shots: int,
         batched: bool = True,
         task_id: str = "",
+        key: str | None = None,
     ) -> EmulationResult:
         """Execute immediately (no simulated waiting); still validates,
         applies calibration noise and updates telemetry counters."""
         if self._maintenance:
             raise DeviceError(f"device {self.specs.name!r} is under maintenance")
-        self.specs.admit(register, segments, shots)
-        result = self._compute_counts(register, segments, shots)
+        if key is None:
+            key = program_hash(register, segments)
+        self.specs.admit(register, segments, shots, key)
+        result = self._compute_counts(register, segments, shots, key)
         elapsed = self.estimate_execution_time(segments, shots, batched)
         self._account(result, elapsed, task_id)
         return result
@@ -170,6 +178,7 @@ class QPUDevice:
         shots: int,
         batched: bool = True,
         task_id: str = "",
+        key: str | None = None,
     ):
         """Generator for DES integration: occupies the QPU for the
         modeled execution time, then returns the result.
@@ -179,7 +188,9 @@ class QPUDevice:
         """
         if self._maintenance:
             raise DeviceError(f"device {self.specs.name!r} is under maintenance")
-        self.specs.admit(register, segments, shots)
+        if key is None:
+            key = program_hash(register, segments)
+        self.specs.admit(register, segments, shots, key)
         elapsed = self.estimate_execution_time(segments, shots, batched)
         self.current_task = task_id or "anonymous"
         self.trace.emit(
@@ -190,7 +201,7 @@ class QPUDevice:
         finally:
             self.trace.emit(sim.now, "qpu", "busy_end", task_id=self.current_task)
             self.current_task = None
-        result = self._compute_counts(register, segments, shots)
+        result = self._compute_counts(register, segments, shots, key)
         self._account(result, elapsed, task_id, emit_trace=False)
         return result
 

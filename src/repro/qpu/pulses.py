@@ -63,17 +63,10 @@ class Waveform:
 
     @staticmethod
     def from_dict(data: dict) -> "Waveform":
-        kinds = {
-            "constant": ConstantWaveform,
-            "ramp": RampWaveform,
-            "blackman": BlackmanWaveform,
-            "interpolated": InterpolatedWaveform,
-            "composite": CompositeWaveform,
-        }
         kind = data.get("kind")
-        if kind not in kinds:
+        if kind not in _KINDS:
             raise PulseError(f"unknown waveform kind {kind!r}")
-        return kinds[kind]._from_dict(data)
+        return _KINDS[kind]._from_dict(data)
 
 
 def _check_duration(duration: float) -> float:
@@ -251,6 +244,16 @@ class CompositeWaveform(Waveform):
     @classmethod
     def _from_dict(cls, data: dict) -> "CompositeWaveform":
         return cls(*[Waveform.from_dict(p) for p in data["parts"]])
+
+
+#: the ``kind`` tag of each serialized waveform -> its class
+_KINDS: dict[str, type[Waveform]] = {
+    "constant": ConstantWaveform,
+    "ramp": RampWaveform,
+    "blackman": BlackmanWaveform,
+    "interpolated": InterpolatedWaveform,
+    "composite": CompositeWaveform,
+}
 
 
 @dataclass(frozen=True)

@@ -122,14 +122,23 @@ class DeviceSpecs:
             + self.validate_shots(shots)
         )
 
-    def admit(self, register: Register, segments: list[DriveSegment], shots: int) -> None:
+    def admit(
+        self,
+        register: Register,
+        segments: list[DriveSegment],
+        shots: int,
+        key: str | None = None,
+    ) -> None:
         """:meth:`check`, with the register and schedule checked once per
-        program content on this document."""
+        program content on this document.  ``key`` is the content's
+        :func:`program_hash` when the caller already holds it (a decoded
+        program's ``content_hash()``); it is computed here otherwise."""
         admitted = getattr(self, "_admitted", None)
         if admitted is None:
             admitted = set()
             object.__setattr__(self, "_admitted", admitted)
-        key = program_hash(register, segments)
+        if key is None:
+            key = program_hash(register, segments)
         if key in admitted:
             self._raise_for(self.validate_shots(shots))
             return

@@ -126,7 +126,7 @@ class OnPremQPUResource(QuantumResource):
     def _execute(self, program: AnalogProgram) -> EmulationResult:
         result = self.device.run_now(
             program.register, list(program.segments), program.shots,
-            task_id=program.name,
+            task_id=program.name, key=program.content_hash(),
         )
         result.metadata["resource"] = self.name
         return result
@@ -141,6 +141,7 @@ class OnPremQPUResource(QuantumResource):
             program.shots,
             batched=batched,
             task_id=program.name,
+            key=program.content_hash(),
         )
         result.metadata["resource"] = self.name
         return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..daemon.http import Request, Response, Router
-from ..errors import DaemonError, ValidationError
+from ..errors import DaemonError, SpecError, ValidationError
 from ..spec import JobSpec, require_spec
 
 __all__ = ["DaemonClient"]
@@ -38,6 +38,8 @@ class DaemonClient:
             error = response.body.get("error", "unknown error")
             if response.status == 422:
                 raise ValidationError(error, violations=response.body.get("violations", []))
+            if response.body.get("error_type") == "SpecError":
+                raise SpecError(error)
             raise DaemonError(f"{response.status}: {error}")
         return response
 

@@ -35,10 +35,19 @@ def daemon_views(
 
     ``submit_seq`` is the queue's heap sequence number, so FIFO order —
     including requeued preempted tasks going to the back of their
-    class — matches :meth:`MiddlewareQueue.pop` exactly.
+    class — matches :meth:`MiddlewareQueue.pop` exactly.  A task keeps
+    its view (``task._pending_view``) across calls until a requeue
+    gives it a new sequence number.
     """
-    pending = tuple(
-        PendingJob(
+    pending = tuple(map(_daemon_view, tasks))
+    resources = (ResourceView(name=DAEMON_WORKER, total_units=1, free_units=1),)
+    return pending, resources, SystemView(now=now)
+
+
+def _daemon_view(task: Any) -> PendingJob:
+    view = task._pending_view
+    if view is None or view.submit_seq != task._heap_seq:
+        view = task._pending_view = PendingJob(
             job_id=task.task_id,
             priority=int(task.priority),
             submit_seq=task._heap_seq,
@@ -46,10 +55,7 @@ def daemon_views(
             tenant=task.user,
             native=task,
         )
-        for task in tasks
-    )
-    resources = (ResourceView(name=DAEMON_WORKER, total_units=1, free_units=1),)
-    return pending, resources, SystemView(now=now)
+    return view
 
 
 def cluster_views(

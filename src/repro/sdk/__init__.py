@@ -18,7 +18,7 @@ is what QRMI tasks carry and emulators/QPUs execute.  The
 enumerate supported SDKs per device.
 """
 
-from .ir import AnalogProgram
+from .ir import AnalogProgram, DecodedParts
 from .pulser_like import Pulse, Sequence
 from .qiskit_like import AnalogCircuit
 from .registry import SDKRegistry, default_registry
@@ -27,6 +27,7 @@ from .translate import lower_to_hamiltonian, to_ir
 __all__ = [
     "AnalogCircuit",
     "AnalogProgram",
+    "DecodedParts",
     "Pulse",
     "SDKRegistry",
     "Sequence",

@@ -14,6 +14,7 @@ zero bytes of the program.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -22,7 +23,52 @@ from ..qpu.geometry import Register
 from ..qpu.hamiltonian import program_hash
 from ..qpu.pulses import DriveSegment
 
-__all__ = ["AnalogProgram"]
+__all__ = ["AnalogProgram", "DecodedParts"]
+
+#: parts a :class:`DecodedParts` remembers before it starts over
+PARTS_LIMIT = 1024
+
+
+class DecodedParts:
+    """The registers and segments one decoder has built, one instance
+    per distinct wire content.
+
+    Parts are immutable, so every program decoded with the same table
+    that carries the same register or segment shares one instance, and
+    with it the part's memoized canonical JSON: hashing a program whose
+    parts recur joins strings that are already encoded.  The key is the
+    part's pickle, which keeps every type, shape and float bit pattern
+    apart (``1`` / ``1.0``, ``0.0`` / ``-0.0``), so equal keys decode to
+    equal content.  Data that does not pickle is decoded afresh, and a
+    part that fails to decode is not remembered.  A decoder that sees
+    the same programs again and again (the daemon's REST intake) owns
+    one table.
+    """
+
+    def __init__(self) -> None:
+        self._parts: dict[tuple[type, bytes], Register | DriveSegment] = {}
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def decode(self, kind: type[Register] | type[DriveSegment], data: dict) -> Register | DriveSegment:
+        """``kind.from_dict(data)``, or the part decoded from the same
+        content before."""
+        try:
+            key = (kind, pickle.dumps(data, 5))
+        except (pickle.PicklingError, TypeError, AttributeError):
+            return kind.from_dict(data)
+        part = self._parts.get(key)
+        if part is None:
+            part = kind.from_dict(data)
+            if len(self._parts) >= PARTS_LIMIT:
+                self._parts.clear()
+            self._parts[key] = part
+        return part
+
+
+def _fresh(kind: type[Register] | type[DriveSegment], data: dict) -> Register | DriveSegment:
+    return kind.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -73,11 +119,14 @@ class AnalogProgram:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "AnalogProgram":
+    def from_dict(cls, data: dict, parts: DecodedParts | None = None) -> "AnalogProgram":
+        """Decode the wire form; with ``parts``, a register or segment
+        that table has decoded before is the instance it decoded then."""
+        decode = _fresh if parts is None else parts.decode
         try:
             return cls(
-                register=Register.from_dict(data["register"]),
-                segments=tuple(DriveSegment.from_dict(s) for s in data["segments"]),
+                register=decode(Register, data["register"]),
+                segments=tuple(decode(DriveSegment, s) for s in data["segments"]),
                 shots=int(data.get("shots", 100)),
                 name=str(data.get("name", "program")),
                 sdk=str(data.get("sdk", "unknown")),

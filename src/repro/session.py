@@ -250,13 +250,21 @@ class Session:
     # -- submission ------------------------------------------------------------
 
     def submit(self, spec: JobSpec, backend: str | None = None) -> JobHandle:
-        """Submit one spec; returns the uniform :class:`JobHandle`."""
-        spec = require_spec(spec, "Session.submit").validate(default_tenant=self.user)
+        """Submit one spec; returns the uniform :class:`JobHandle`.
+
+        A spec bound for the daemon is validated once, at the daemon's
+        REST boundary (``POST /jobs``), which fills an unset tenant with
+        this session's user; a spec for any other backend is validated
+        here."""
+        spec = require_spec(spec, "Session.submit")
         backend = backend or self.backend_for(spec)
+        if backend != "daemon":
+            spec = spec.validate(default_tenant=self.user)
         root = None
         if self.tracer is not None:
+            tenant = spec.tenant if spec.tenant is not None else self.user
             root = self.tracer.start_trace(
-                "job", self.sim.now, tenant=spec.tenant, backend=backend
+                "job", self.sim.now, tenant=tenant, backend=backend
             )
             if backend == "federation":
                 # the broker re-binds the job from this propagated
@@ -376,16 +384,15 @@ class Session:
         client = self._client()
         client.token = handle._token
         body = client.result(handle.job_id)
-        status = client.status(handle.job_id)
         wait = 0.0
-        if status["started_at"] is not None:
-            wait = status["started_at"] - status["enqueued_at"]
+        if body["started_at"] is not None:
+            wait = body["started_at"] - body["enqueued_at"]
         return RunResult(
             counts=dict(body["counts"]),
             shots=body["shots"],
             backend=body["backend"],
             resource=handle.spec.resource or "daemon",
-            program_hash=handle.spec.program.content_hash(),
+            program_hash=body["program_hash"],
             queue_wait_s=wait,
             execution_s=float(body["metadata"].get("execution_seconds", 0.0)),
             metadata=dict(body["metadata"]),

@@ -80,7 +80,9 @@ class ScheduledEvent:
 
     ``background`` entries belong to perpetual housekeeping processes
     (telemetry scrapers, drift models): they are processed normally but
-    do not keep an unbounded :meth:`Simulator.run` alive.
+    do not keep an unbounded :meth:`Simulator.run` alive.  ``fired``
+    marks an entry :meth:`EventQueue.pop` has returned: it has left the
+    heap, so cancelling it changes nothing.
     """
 
     time: float
@@ -89,6 +91,7 @@ class ScheduledEvent:
     event: Event = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
     background: bool = field(default=False, compare=False)
+    fired: bool = field(default=False, compare=False)
 
 
 #: heaps smaller than this are never compacted — rebuilding a tiny heap
@@ -115,6 +118,8 @@ class EventQueue:
         self._foreground = 0
         #: cancelled entries still in the heap
         self._dead = 0
+        #: :meth:`hold` calls not yet released
+        self._held = 0
 
     def __len__(self) -> int:
         return self._live
@@ -130,11 +135,29 @@ class EventQueue:
         subscription) as foreground work until :meth:`release`, so an
         unbounded run keeps stepping the background work that may fire
         it.  An empty heap still ends the run."""
+        self._held += 1
         self._foreground += 1
 
     def release(self) -> None:
         """Drop one :meth:`hold`."""
+        self._held -= 1
         self._foreground -= 1
+
+    def check(self) -> None:
+        """Raise :class:`SimulationError` unless the live, foreground
+        and dead counts equal a recount of the heap plus the holds."""
+        live = [e for e in self._heap if not e.cancelled]
+        counted = (self._live, self._foreground, self._dead)
+        recount = (
+            len(live),
+            sum(1 for e in live if not e.background) + self._held,
+            len(self._heap) - len(live),
+        )
+        if counted != recount or self._held < 0:
+            raise SimulationError(
+                f"event queue counts (live, foreground, dead) {counted} "
+                f"disagree with the heap's {recount} ({self._held} held)"
+            )
 
     def push(
         self, time: float, event: Event, priority: int = 0, background: bool = False
@@ -153,8 +176,10 @@ class EventQueue:
         return entry
 
     def cancel(self, entry: ScheduledEvent) -> None:
-        """Lazily cancel a scheduled entry (O(1); skipped on pop)."""
-        if not entry.cancelled:
+        """Lazily cancel a scheduled entry (O(1); skipped on pop).  An
+        entry already cancelled or fired is left as it is: a watchdog
+        may cancel the timer that just woke it."""
+        if not (entry.cancelled or entry.fired):
             entry.cancelled = True
             self._live -= 1
             if not entry.background:
@@ -185,6 +210,7 @@ class EventQueue:
         if not self._heap:
             raise SimulationError("event queue is empty")
         entry = heapq.heappop(self._heap)
+        entry.fired = True
         self._live -= 1
         if not entry.background:
             self._foreground -= 1

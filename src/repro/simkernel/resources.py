@@ -18,7 +18,6 @@ it until the request is granted.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 from ..errors import SimulationError
@@ -290,8 +289,3 @@ class _StoreGet(_Request):
     def _enqueue(self) -> None:
         self.store._getters.append(self)
         self.store._grant_getters()
-
-
-def filtered_callbacks(event: Event, predicate: Callable[[Any], bool]) -> list:
-    """Utility for tests: callbacks of ``event`` satisfying ``predicate``."""
-    return [cb for cb in event.callbacks if predicate(cb)]

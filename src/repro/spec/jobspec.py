@@ -24,9 +24,12 @@ Two invariants the rest of the stack relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..errors import SpecError
+
+if TYPE_CHECKING:
+    from ..sdk.ir import DecodedParts
 
 __all__ = ["DEFAULT_SHOTS", "JobSpec", "require_spec"]
 
@@ -132,7 +135,9 @@ class JobSpec:
         ``sites``-restricted spec without ``iterations`` defaults to
         two units per leg.  Idempotent — and O(1) on a spec this method
         already produced, so the submit path can re-validate defensively
-        at every layer without re-lowering the program.
+        at every layer without re-lowering the program.  A spec that
+        crosses the daemon's REST boundary is validated there, once:
+        ``Session.submit`` leaves a daemon-bound spec to ``POST /jobs``.
         """
         if getattr(self, "_validated", False):
             return self
@@ -252,7 +257,10 @@ class JobSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "JobSpec":
+    def from_dict(cls, data: dict[str, Any], parts: DecodedParts | None = None) -> "JobSpec":
+        """The spec of a ``to_dict`` payload; ``parts`` is the
+        :class:`~repro.sdk.ir.DecodedParts` table its program decodes
+        through, if any."""
         from ..sdk.ir import AnalogProgram
 
         try:
@@ -260,7 +268,7 @@ class JobSpec:
         except KeyError as exc:
             raise SpecError("spec dict is missing 'program'") from exc
         if isinstance(program, dict):
-            program = AnalogProgram.from_dict(program)
+            program = AnalogProgram.from_dict(program, parts)
         sites = data.get("sites")
         return cls(
             program=program,

@@ -7,6 +7,7 @@ from repro.errors import PartitionError, ResourceUnavailable
 from repro.simkernel import Simulator, Timeout
 from repro.cluster import (
     GresRequest,
+    Job,
     JobSpec,
     JobState,
     LicensePool,
@@ -79,6 +80,18 @@ class TestLifecycle:
         job = ctl.jobs[job_id]
         assert job.state is JobState.TIMEOUT
         assert job.end_time == 50.0
+
+    def test_timeout_leaves_later_events_running(self):
+        # the watchdog cancels the timer that just woke it: that cancel
+        # must not count, or the run ends with live entries in the heap
+        sim, ctl = build_cluster()
+        ctl.submit(JobSpec(name="j", duration=1000.0, time_limit=50.0))
+        fired = []
+        sim.call_at(60.0, lambda: fired.append(sim.now))
+        sim.events.check()
+        assert sim.run() == 60.0
+        assert fired == [60.0]
+        sim.events.check()
 
     def test_cancel_pending_job(self):
         sim, ctl = build_cluster(num_nodes=1, cpus=4)
@@ -160,6 +173,22 @@ class TestSchedulingOrder:
         sim.run()
         starts = sorted([ctl.jobs[a].start_time, ctl.jobs[b].start_time])
         assert starts == [0.0, 10.0]
+
+    def test_unknown_license_does_not_fit(self):
+        _, ctl = build_cluster(licenses={"qpu_time": 1})
+        with pytest.raises(ResourceUnavailable):
+            ctl.submit(JobSpec(name="x", licenses=(("no_such", 1),)))
+
+    def test_license_lookup_errors_other_than_unknown_propagate(self):
+        class BrokenPool(LicensePool):
+            def total(self, name):
+                raise RuntimeError("license server down")
+
+        job = Job(1, JobSpec(name="x", licenses=(("qpu_time", 1),)), 0.0)
+        partition = Partition("batch", [Node("n0", cpus=4)])
+        assert not Scheduler.feasible(job, partition, LicensePool({}))
+        with pytest.raises(RuntimeError, match="license server down"):
+            Scheduler.feasible(job, partition, BrokenPool({"qpu_time": 1}))
 
 
 class TestBackfill:

@@ -76,9 +76,9 @@ def tally(monkeypatch):
         counts.builds += 1
         init(self, *args, **kwargs)
 
-    def counted_decode(cls, data):
+    def counted_decode(cls, data, *args):
         counts.decodes += 1
-        return decode(cls, data)
+        return decode(cls, data, *args)
 
     monkeypatch.setattr(DeviceSpecs, "check", counted_check)
     monkeypatch.setattr(RydbergHamiltonian, "__init__", counted_init)
@@ -236,3 +236,111 @@ class TestCountsUnderPreemption:
         assert tally.check[id(device.specs)] <= self.K
         assert tally.builds <= self.K
         assert tally.decodes == self.JOBS
+
+
+class TestOnePassRequestPath:
+    """A REST submit hashes its decoded program once, validates its spec
+    once, and reads its result with one request."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """Counts ``program_hash`` calls per register object."""
+        from repro.qpu import device as device_module
+        from repro.qpu import hamiltonian
+        from repro.qpu import specs as specs_module
+        from repro.sdk import ir as ir_module
+
+        counts = Counter()
+        real = hamiltonian.program_hash
+
+        def counted(register, segments):
+            counts[id(register)] += 1
+            return real(register, segments)
+
+        for module in (hamiltonian, ir_module, specs_module, device_module):
+            monkeypatch.setattr(module, "program_hash", counted)
+        return counts
+
+    def _preempted_pair(self, sim, daemon, submit):
+        """A development job preempted once by a production job; returns
+        (dev task id, prod task id) after both complete."""
+        dev = submit("development", make_program(name="dev"))
+        sim.run(until=5.0)
+        prod = submit("production", make_program(spacing=7.0, name="prod"))
+        sim.run()
+        assert daemon.queue.get(dev).preempt_count == 1
+        return dev, prod
+
+    def test_decoded_program_is_hashed_once_through_a_preemption(self, hashed):
+        sim, daemon, device = build(mode=SharingMode.PREEMPT)
+        router = build_router(daemon)
+        tokens = {}
+
+        def submit(priority, program):
+            token = tokens.setdefault(priority, open_session(router, priority, priority))
+            response = post(router, token, "/jobs", JobSpec(program=program, shots=20).to_dict())
+            assert response.status == 202
+            return response.body["task_id"]
+
+        dev, prod = self._preempted_pair(sim, daemon, submit)
+        for task_id, priority in ((dev, "development"), (prod, "production")):
+            task = daemon.queue.get(task_id)
+            assert task.state is TaskState.COMPLETED
+            body = router.dispatch(
+                Request(
+                    "GET", f"/tasks/{task_id}/result",
+                    headers={"Authorization": f"Bearer {tokens[priority]}"},
+                )
+            ).body
+            assert body["program_hash"] == task.program.content_hash()
+            assert hashed[id(task.program.register)] == 1
+        # the dev program ran twice: admitted at submit and on each run
+        assert daemon.scheduler.tasks_preempted == 1
+        assert sum(hashed.values()) == 2
+
+    def test_session_submit_validates_its_spec_once(self, monkeypatch):
+        calls = []
+        validate = JobSpec.validate
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return validate(self, *args, **kwargs)
+
+        monkeypatch.setattr(JobSpec, "validate", counted)
+        sim, daemon, device = build()
+        session = Session(daemon=daemon, user="alice")
+        handle = session.submit(JobSpec(program=make_program(), resource="onprem"))
+        assert len(calls) == 1
+        task = daemon.queue.get(handle.job_id)
+        # the daemon filled the tenant from the session's user
+        assert task.metadata["tenant"] == "alice"
+        sim.run()
+        assert handle.result().program_hash == make_program().content_hash()
+
+    def test_one_read_queue_wait_equals_the_status_derived_wait(self):
+        sim, daemon, device = build(mode=SharingMode.PREEMPT)
+        session = Session(daemon=daemon, user="alice")
+        handles = {}
+
+        def submit(priority, program):
+            spec = JobSpec(program=program, shots=20, resource="onprem", priority_class=priority)
+            handles[priority] = session.submit(spec)
+            return handles[priority].job_id
+
+        self._preempted_pair(sim, daemon, submit)
+        handle = handles["development"]
+        requests = []
+        dispatch = session._client().router.dispatch
+
+        def counted(request):
+            requests.append((request.method, request.path))
+            return dispatch(request)
+
+        session._client().router.dispatch = counted
+        result = handle.result()
+        assert requests == [("GET", f"/tasks/{handle.job_id}/result")]
+        status = handle.status()
+        assert status["preempt_count"] == 1
+        assert result.queue_wait_s == status["started_at"] - status["enqueued_at"]
+        # queued at 0, preempted at 5, restarted when the 20 s prod job ended
+        assert result.queue_wait_s == pytest.approx(25.0)

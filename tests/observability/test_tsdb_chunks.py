@@ -8,6 +8,8 @@ retention counts right) across growth and compaction boundaries.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TSDBError
 from repro.observability.tsdb import _COMPACT_THRESHOLD, TimeSeriesDB
@@ -69,7 +71,7 @@ class TestOffsetRetention:
         for i in range(n):
             db.write("m", float(i), float(i % 3))
         db.enforce_retention(now=float(n))  # everything but the tail dies
-        series = next(iter(db._series.values()))
+        series = db._find("m", None)
         assert series._start == 0  # compacted back to offset zero
         t, v = db.query("m")
         assert t.size == db.point_count() <= 11
@@ -87,3 +89,90 @@ class TestOffsetRetention:
                 t, v = db.query("m")
                 np.testing.assert_allclose(t, [p[0] for p in expected])
                 np.testing.assert_allclose(v, [p[1] for p in expected])
+
+
+class _ModelDB:
+    """The documented write semantics on plain lists: points append in
+    order, a point older than its series' newest stored point raises,
+    and retention drops points older than ``now - retention``."""
+
+    def __init__(self, retention):
+        self.retention = retention
+        self.series = {}
+
+    def write(self, measurement, time, value, labels):
+        points = self.series.setdefault((measurement, tuple(sorted(labels.items()))), [])
+        if points and time < points[-1][0]:
+            raise TSDBError(f"out-of-order write: t={float(time)} after t={points[-1][0]}")
+        points.append((float(time), float(value)))
+
+    def enforce_retention(self, now):
+        cutoff = now - self.retention
+        dropped = 0
+        for key, points in self.series.items():
+            kept = [p for p in points if p[0] >= cutoff]
+            dropped += len(points) - len(kept)
+            self.series[key] = kept
+        return dropped
+
+
+_LABEL_SETS = ({}, {"device": "qpu"}, {"target": "qpu", "site": "a"})
+_BATCH = st.tuples(
+    st.sampled_from(("batch", "retention")),
+    st.integers(min_value=0, max_value=30),        # time (or "now")
+    st.sampled_from(range(len(_LABEL_SETS))),
+    st.dictionaries(
+        st.sampled_from(("a", "b", "c", "d")),
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        max_size=4,
+    ),
+)
+
+
+def _each(write, values, time, labels):
+    for measurement, value in values.items():
+        write(measurement, time, value, labels)
+
+
+def _outcome(call, *args, **kwargs):
+    """None, or the text of the TSDBError the call raised."""
+    try:
+        call(*args, **kwargs)
+    except TSDBError as err:
+        return str(err)
+    return None
+
+
+class TestWriteManyIsALoopOfWrites:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_BATCH, max_size=40))
+    def test_points_queries_retention_and_errors_match(self, ops):
+        batched, looped = TimeSeriesDB(retention_seconds=12.0), TimeSeriesDB(retention_seconds=12.0)
+        model = _ModelDB(12.0)
+        for kind, time, label_index, values in ops:
+            labels = _LABEL_SETS[label_index]
+            if kind == "retention":
+                dropped = model.enforce_retention(float(time))
+                assert batched.enforce_retention(float(time)) == dropped
+                assert looped.enforce_retention(float(time)) == dropped
+                continue
+            outcomes = [
+                _outcome(batched.write_many, values, time, labels=labels),
+                _outcome(_each, looped.write, values, time, labels),
+                _outcome(_each, model.write, values, time, labels),
+            ]
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+        # the same series exist, holding the same points
+        for measurement in ("a", "b", "c", "d"):
+            for labels in _LABEL_SETS:
+                points = model.series.get((measurement, tuple(sorted(labels.items()))))
+                for db in (batched, looped):
+                    assert db.has_series(measurement, labels) == (points is not None)
+                    if points is None:
+                        continue
+                    t, v = db.query(measurement, labels)
+                    assert list(zip(t.tolist(), v.tolist(), strict=True)) == points
+                    if points:
+                        assert db.latest(measurement, labels) == points[-1]
+        assert batched.point_count() == looped.point_count() == sum(map(len, model.series.values()))
+        assert batched.measurements() == looped.measurements()

@@ -96,6 +96,24 @@ class TestDaemonPopOrderEquivalence:
         _fill_queue(q2, spec)
         assert self._drain_by_pop(q1) == self._drain_by_algorithm(q2)
 
+    def test_views_are_kept_until_a_requeue(self):
+        queue = MiddlewareQueue()
+        first, second = (
+            queue.submit(f"s{i}", "u", _mk_program(), PriorityClass.TEST, "qpu", now=0.0)
+            for i in range(2)
+        )
+        before, _, _ = daemon_views(queue.queued_tasks(), now=0.0)
+        again, _, _ = daemon_views(queue.queued_tasks(), now=1.0)
+        assert all(a is b for a, b in zip(before, again, strict=True))
+        queue.set_state(first, TaskState.RUNNING, 1.0)
+        queue.set_state(first, TaskState.PREEMPTED, 2.0)
+        queue.requeue(first, now=2.0)
+        after, _, _ = daemon_views(queue.queued_tasks(), now=2.0)
+        by_id = {view.job_id: view for view in after}
+        assert by_id[second.task_id] is before[1]
+        assert by_id[first.task_id] is not before[0]
+        assert by_id[first.task_id].submit_seq == first._heap_seq > second._heap_seq
+
 
 def _random_cluster(seed):
     rng = random.Random(seed)

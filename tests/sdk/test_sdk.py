@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.errors import IRError, SDKError, TranslationError
+from repro.errors import IRError, RegisterError, SDKError, TranslationError
 from repro.qpu import BlackmanWaveform, ConstantWaveform, DeviceSpecs, Register
 from repro.sdk import (
     AnalogCircuit,
     AnalogProgram,
+    DecodedParts,
     Pulse,
     Sequence,
     default_registry,
@@ -67,6 +68,63 @@ class TestAnalogProgram:
     def test_malformed_dict(self):
         with pytest.raises(IRError):
             AnalogProgram.from_dict({"shots": 10})
+
+
+class TestDecodedParts:
+    """Programs decoded through one table share each register or segment
+    of the same wire content; anything else decodes afresh."""
+
+    def test_repeated_content_shares_its_parts(self):
+        parts = DecodedParts()
+        first = AnalogProgram.from_dict(pulser_program().to_dict(), parts)
+        again = AnalogProgram.from_dict(pulser_program(shots=7).to_dict(), parts)
+        assert again.register is first.register
+        assert again.segments[0] is first.segments[0]
+        assert again is not first and again.shots == 7
+        assert again.content_hash() == first.content_hash() == pulser_program().content_hash()
+        elsewhere = AnalogProgram.from_dict(pulser_program().to_dict())
+        assert elsewhere.register is not first.register
+
+    def test_contents_equal_in_python_but_not_on_the_wire_stay_apart(self):
+        parts = DecodedParts()
+        wire = pulser_program().to_dict()
+        signed = {**wire, "segments": [{**wire["segments"][0], "phase": -0.0}]}
+        zero, negative = AnalogProgram.from_dict(wire, parts), AnalogProgram.from_dict(signed, parts)
+        assert negative.segments[0] is not zero.segments[0]
+        assert negative.content_hash() != zero.content_hash()
+        ints = {**wire, "register": {**wire["register"], "labels": [1, 2]}}
+        floats = {**wire, "register": {**wire["register"], "labels": [1.0, 2.0]}}
+        assert AnalogProgram.from_dict(ints, parts).register.labels == [1, 2]
+        assert AnalogProgram.from_dict(floats, parts).register.labels == [1.0, 2.0]
+
+    def test_a_failed_part_is_refused_every_time(self):
+        parts = DecodedParts()
+        wire = pulser_program().to_dict()
+        bad = {**wire, "register": {"positions": [[0.0, 0.0, 0.0]], "labels": ["a"]}}
+        for _ in range(2):
+            with pytest.raises(RegisterError):
+                AnalogProgram.from_dict(bad, parts)
+        assert len(parts) == 0
+
+    def test_unpicklable_data_decodes_afresh(self):
+        class Value(float):  # local classes do not pickle
+            pass
+
+        parts = DecodedParts()
+        wire = pulser_program().to_dict()
+        odd = {**wire, "segments": [{**wire["segments"][0], "phase": Value(0.0)}]}
+        first, again = AnalogProgram.from_dict(odd, parts), AnalogProgram.from_dict(odd, parts)
+        assert first.segments[0] is not again.segments[0]
+        assert first.content_hash() == again.content_hash() == pulser_program().content_hash()
+
+    def test_the_table_is_bounded(self, monkeypatch):
+        from repro.sdk import ir
+
+        monkeypatch.setattr(ir, "PARTS_LIMIT", 3)
+        parts = DecodedParts()
+        for n in range(2, 8):
+            AnalogProgram.from_dict(pulser_program(n=n).to_dict(), parts)
+            assert len(parts) <= 3
 
 
 class TestPulserLike:

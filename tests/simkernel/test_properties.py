@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.simkernel import Event, EventQueue, Simulator, Timeout
 
@@ -72,3 +73,86 @@ def test_resource_never_oversubscribed(holds, capacity):
     sim.run()
     assert max_in_use[0] <= capacity
     assert res.in_use == 0
+
+
+class EventQueueCounts(RuleBasedStateMachine):
+    """The queue's live, foreground and dead counts against a model of
+    every entry, over push, cancel, pop, cancel-after-pop, hold,
+    release and compaction."""
+
+    def __init__(self):
+        super().__init__()
+        self.queue = EventQueue()
+        self.queued = []     # entries pushed, neither cancelled nor popped
+        self.cancelled = []
+        self.popped = []
+        self.holds = 0
+
+    @rule(
+        time=st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+        priority=st.integers(min_value=-1, max_value=1),
+        background=st.booleans(),
+        count=st.integers(min_value=1, max_value=40),
+    )
+    def push(self, time, priority, background, count):
+        for _ in range(count):
+            self.queued.append(self.queue.push(time, Event(), priority, background))
+
+    @precondition(lambda self: self.queued)
+    @rule(data=st.data())
+    def cancel(self, data):
+        entry = data.draw(st.sampled_from(self.queued))
+        self.queue.cancel(entry)
+        self.queued.remove(entry)
+        self.cancelled.append(entry)
+
+    @precondition(lambda self: self.cancelled or self.popped)
+    @rule(data=st.data())
+    def cancel_again_or_after_pop(self, data):
+        self.queue.cancel(data.draw(st.sampled_from(self.cancelled + self.popped)))
+
+    @rule()
+    def pop(self):
+        if not self.queued:
+            assert not self.queue
+            return
+        expected = min(self.queued, key=lambda e: (e.time, e.priority, e.seq))
+        assert self.queue.pop() is expected
+        self.queued.remove(expected)
+        self.popped.append(expected)
+
+    @rule()
+    def hold(self):
+        self.queue.hold()
+        self.holds += 1
+
+    @precondition(lambda self: self.holds)
+    @rule()
+    def release(self):
+        self.queue.release()
+        self.holds -= 1
+
+    @rule()
+    def compact(self):
+        self.queue._compact()
+
+    @invariant()
+    def counts_match_recount(self):
+        self.queue.check()
+        assert len(self.queue) == len(self.queued)
+        foreground = sum(1 for e in self.queued if not e.background)
+        assert self.queue.foreground_count() == foreground + self.holds
+
+
+TestEventQueueCounts = EventQueueCounts.TestCase
+TestEventQueueCounts.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+
+
+def test_cancel_after_pop_does_not_count():
+    q = EventQueue()
+    first = q.push(1.0, Event())
+    q.push(2.0, Event())
+    assert q.pop() is first
+    q.cancel(first)
+    assert len(q) == 1 and q.foreground_count() == 1
+    q.check()

@@ -53,6 +53,23 @@ class TestBackendChoice:
         with pytest.raises(SpecError, match="JobSpec"):
             Session(daemon=daemon).submit(make_program())
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"shots": 0}, "shots must be >= 1"),
+            ({"tenant": ""}, "tenant must be a non-empty string"),
+            ({"algorithm": "warp-drive"}, "unknown scheduling algorithm"),
+        ],
+    )
+    def test_daemon_bound_spec_refused_at_rest_raises_spec_error(self, fields, message):
+        # validated once, by the daemon's REST intake; the client
+        # re-raises its refusal as the SpecError an in-process intake raises
+        sim, daemon, *_ = build_three_backends()
+        spec = JobSpec(program=make_program(), resource="onprem", **fields)
+        with pytest.raises(SpecError, match=message):
+            Session(daemon=daemon).submit(spec)
+        assert daemon.queue.queued_count() == 0
+
 
 class TestOneSpecThreeBackends:
     def test_same_spec_submits_through_all_three(self):
