@@ -133,9 +133,9 @@ def run_c6(traced: str = "plain", _capture: dict | None = None) -> dict:
     if traced == "traced":
         tracer = broker.attach_tracer()
     elif traced == "profiled":
-        from repro.observability import SLOTracker
+        from repro.observability import Profiler, SLOTracker
 
-        profiler = broker.attach_profiler()
+        profiler = sim.profiler = Profiler()
         profiles = broker.attach_profiles()
         slo = SLOTracker()
         slo.attach_bus(broker.events)

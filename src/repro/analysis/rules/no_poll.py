@@ -10,7 +10,7 @@ of the same queue.  There is no sanctioned exception.
 
 Reads stay reads: a ``.tick(`` call — a resize-loop pass, with its
 dispatches, reclaims and publishes — anywhere under ``federation/``
-except the broker's own reconcile sweep (``FederationBroker._reconcile``)
+except the broker's own reconcile sweep (``FederationBroker.reconcile``)
 would make a status read or a pushed event run the sweep's work.
 """
 
@@ -27,7 +27,7 @@ POLL_SCOPED_DIR = "federation/"
 #: the package that owns a queue's one transition publisher
 PUBLISHER_DIR = "daemon/"
 #: the one function in federation/ that runs the resize loop's tick
-TICK_OWNER = "FederationBroker._reconcile"
+TICK_OWNER = "FederationBroker.reconcile"
 
 
 class NoPollRule(Rule):
@@ -59,7 +59,7 @@ class NoPollRule(Rule):
             self.emit(
                 ctx,
                 node,
-                "resize tick outside FederationBroker._reconcile — reads and "
+                "resize tick outside FederationBroker.reconcile — reads and "
                 "pushed events must not run the housekeeping sweep's work",
             )
         elif func.attr == "add_transition_listener" and not ctx.arch_path.startswith(PUBLISHER_DIR):

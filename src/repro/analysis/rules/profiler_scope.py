@@ -2,14 +2,15 @@
 
 PR 8's continuous-profiling plane only answers "what got slow" if the
 hot paths actually open their scopes — a refactor that splits
-``reconcile`` and forgets the ``with profiler.scope(...)`` silently
+``reconcile`` and forgets its ``@scoped("broker.reconcile")`` silently
 blinds the flamegraphs, the C6 walltime ratio gates, and the SLO
 burn-rate inputs that are calibrated against them.  ``HOT_PATHS`` is
 the manifest: (file, qualified function, scope name).  The rule checks
-each listed function still exists and somewhere in its body opens the
-named scope — via ``with <x>.scope("name")`` or the simulator's paired
-``<x>.push("name")`` form.  Manifest drift (a listed function that no
-longer exists) is a finding too: stale manifests are how contracts rot.
+each listed function still exists and opens the named scope — via a
+``@scoped("name")`` decorator, a ``with <x>.scope("name")`` in its body
+or the simulator's paired ``<x>.push("name")`` form.  Manifest drift (a
+listed function that no longer exists) is a finding too: stale
+manifests are how contracts rot.
 """
 
 from __future__ import annotations
@@ -26,36 +27,40 @@ __all__ = ["ProfilerScopeRule", "HOT_PATHS"]
 HOT_PATHS: tuple[tuple[str, str, str], ...] = (
     ("simkernel/process.py", "Simulator.step_batch", "sim.step"),
     ("federation/broker.py", "FederationBroker.reconcile", "broker.reconcile"),
-    ("federation/broker.py", "FederationBroker._reconcile", "malleable.tick"),
+    ("federation/malleable.py", "MalleableManager.tick", "malleable.tick"),
     ("federation/broker.py", "FederationBroker._choose_site", "algorithm.schedule"),
     ("daemon/scheduler.py", "SecondLevelScheduler._select", "scheduler.select"),
     ("observability/scrape.py", "Scraper.scrape_once", "tsdb.flush"),
 )
 
 
-def _opens_scope(func: ast.AST, scope_name: str) -> bool:
-    """True if the function body opens ``scope_name`` via a
-    ``with <x>.scope("...")`` item or a ``<x>.push("...")`` call."""
+def _calls(node: ast.AST, name: str, scope_name: str, bare: bool = False) -> bool:
+    """True if ``node`` is ``<x>.name("scope_name")`` — or, with
+    ``bare``, also ``name("scope_name")``."""
+    if not (isinstance(node, ast.Call) and node.args):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        called = func.attr
+    elif bare and isinstance(func, ast.Name):
+        called = func.id
+    else:
+        return False
+    arg = node.args[0]
+    return called == name and isinstance(arg, ast.Constant) and arg.value == scope_name
+
+
+def _opens_scope(func: ast.FunctionDef | ast.AsyncFunctionDef, scope_name: str) -> bool:
+    """True if the function carries ``@scoped("...")`` or its body
+    opens ``scope_name`` via a ``with <x>.scope("...")`` item or a
+    ``<x>.push("...")`` call."""
+    if any(_calls(d, "scoped", scope_name, bare=True) for d in func.decorator_list):
+        return True
     for node in ast.walk(func):
         if isinstance(node, ast.withitem):
-            call = node.context_expr
-            if (
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr == "scope"
-                and call.args
-                and isinstance(call.args[0], ast.Constant)
-                and call.args[0].value == scope_name
-            ):
+            if _calls(node.context_expr, "scope", scope_name):
                 return True
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "push"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and node.args[0].value == scope_name
-        ):
+        elif _calls(node, "push", scope_name):
             return True
     return False
 
@@ -64,7 +69,7 @@ class ProfilerScopeRule(Rule):
     id = "profiler-scope"
     description = (
         "hot-path functions named in the manifest must open their "
-        "Profiler scope (with profiler.scope(...) / push)"
+        "Profiler scope (@scoped(...), with profiler.scope(...) or push)"
     )
     interests = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -85,8 +90,7 @@ class ProfilerScopeRule(Rule):
                     ctx,
                     node,
                     f"hot path {target} must open profiler scope "
-                    f"{scope_name!r} (with profiler.scope(...) guarded "
-                    "by the usual `if profiler is None` fast path) — "
+                    f"{scope_name!r} (decorate it @scoped({scope_name!r})) — "
                     "the flamegraphs and walltime CI gates depend on it",
                 )
 

@@ -28,6 +28,7 @@ import enum
 from collections.abc import Callable
 
 from ..errors import DaemonError
+from ..observability.profiling import scoped
 from ..qrmi.interface import QuantumResource
 from ..scheduling.algorithms import SchedulingAlgorithm, daemon_views, resolve
 from ..simkernel import Interrupt, Simulator, Store, TraceRecorder
@@ -65,15 +66,11 @@ class SecondLevelScheduler:
         self.algorithm: SchedulingAlgorithm
         self.use_algorithm(algorithm)
         self.current: QueuedTask | None = None
-        #: set by :func:`repro.observability.tracing.instrument_scheduler`
-        #: — when a tracer is wired, each execution runs under a
-        #: "dispatch" span tagged with this site label
-        self.span_tracer = None
-        self.span_site = "local"
-        #: set by :func:`repro.observability.profiling.instrument_scheduler_profiler`
-        #: — when wired, each select pass runs under a "scheduler.select"
-        #: profiler scope
-        self.scope_profiler = None
+        #: the site label of the daemon's lifecycle events (kept equal by
+        #: ``MiddlewareDaemon.attach_bus``); with a tracer on the
+        #: simulator, each execution runs under a "dispatch" span
+        #: keyed by it
+        self.site = "local"
         self._wake = Store(name="scheduler-wake")
         self._worker = sim.spawn(self._run(), name="second-level-scheduler")
         self.tasks_completed = 0
@@ -108,14 +105,8 @@ class SecondLevelScheduler:
 
     # -- the worker -----------------------------------------------------------
 
+    @scoped("scheduler.select")
     def _select(self) -> QueuedTask | None:
-        profiler = self.scope_profiler
-        if profiler is None:
-            return self._select_inner()
-        with profiler.scope("scheduler.select"):
-            return self._select_inner()
-
-    def _select_inner(self) -> QueuedTask | None:
         if self.selection_policy is not None:
             eligible = [
                 t for t in self.queue.all_tasks() if t.state is TaskState.QUEUED
@@ -169,9 +160,10 @@ class SecondLevelScheduler:
             wait=task.wait_time(),
         )
         span = None
-        if self.span_tracer is not None:
-            span = self.span_tracer.start_task_span(
-                self.span_site, task.task_id, "dispatch", self.sim.now,
+        tracer = self.sim.tracer
+        if tracer is not None:
+            span = tracer.start_task_span(
+                self.site, task.task_id, "dispatch", self.sim.now,
                 resource=task.resource,
             )
         resource = self.resources.get(task.resource)
@@ -224,7 +216,7 @@ class SecondLevelScheduler:
 
     def _end_span(self, span, status: str) -> None:
         if span is not None:
-            self.span_tracer.end_span(span, self.sim.now, status=status)
+            self.sim.tracer.end_span(span, self.sim.now, status=status)
 
     def _exec_kwargs(self, resource: QuantumResource, task: QueuedTask) -> dict:
         # only QPU-backed resources understand batching

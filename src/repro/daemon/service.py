@@ -156,7 +156,7 @@ class MiddlewareDaemon:
     def attach_bus(self, bus, site: str) -> None:
         """Publish this daemon's task transitions once, onto ``bus``
         instead of its current bus, labelled ``site``; its profile store
-        follows.  Idempotent.
+        and its scheduler's dispatch-span label follow.  Idempotent.
         Every daemon numbers its tasks ``mw-task-N``, so a label another
         daemon already publishes under on ``bus`` is refused."""
         if bus.publishers.setdefault(site, self) is not self:
@@ -166,6 +166,7 @@ class MiddlewareDaemon:
         del self.events.publishers[self.site]
         self.events.stages.remove_sink(self.profiles.on_closed)
         self.events, self.site = bus, site
+        self.scheduler.site = site
         bus.stages.add_sink(self.profiles.on_closed, site=site)
 
     # -- time -----------------------------------------------------------------

@@ -53,8 +53,8 @@ from ..errors import (
     SpecError,
 )
 from ..observability.profiles import ProfileStore
-from ..observability.profiling import Profiler, instrument_scheduler_profiler
-from ..observability.tracing import TraceContext, Tracer, instrument_scheduler
+from ..observability.profiling import scoped
+from ..observability.tracing import TraceContext, Tracer
 from ..runtime.backend_select import select_resource
 from ..scheduling.algorithms import (
     PolicyRouting,
@@ -310,10 +310,6 @@ class FederationBroker:
         #: optional :class:`~repro.observability.tracing.Tracer` (see
         #: :meth:`attach_tracer`); ``None`` skips all span bookkeeping
         self.tracer: Tracer | None = None
-        #: optional :class:`~repro.observability.profiling.Profiler`
-        #: (see :meth:`attach_profiler`); ``None`` costs one branch per
-        #: hot-path site
-        self.profiler: Profiler | None = None
         #: optional :class:`~repro.observability.profiles.ProfileStore`
         #: (see :meth:`attach_profiles`)
         self.profiles: ProfileStore | None = None
@@ -354,52 +350,20 @@ class FederationBroker:
 
     def attach_tracer(self, tracer: Tracer | None = None) -> Tracer:
         """Trace every job end-to-end: attaches the tracer to the
-        lifecycle bus (its stage records become spans) and
-        instruments every site daemon's scheduler — current and
-        future joiners — so dispatch spans nest under execute spans.
-        Idempotent; returns the active tracer.
+        lifecycle bus (its stage records become spans) and makes it the
+        simulator's tracer, on which every site scheduler — current and
+        future joiners — opens the dispatch spans that nest under
+        execute spans.  Idempotent; returns the active tracer.  Raises
+        :class:`~repro.errors.ObservabilityError` if the simulator
+        already has a different tracer.
         """
         if self.tracer is not None:
             return self.tracer
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.tracer.attach_bus(self.events)
-        for name in self.registry.names():
-            instrument_scheduler(
-                self.registry.site(name).daemon.scheduler, self.tracer, name
-            )
-        self.registry.on_register(
-            lambda site: instrument_scheduler(
-                site.daemon.scheduler, self.tracer, site.name
-            )
-        )
-        return self.tracer
-
-    def attach_profiler(self, profiler: Profiler | None = None) -> Profiler:
-        """Turn on continuous hot-path profiling: the simulator wraps
-        every event dispatch in a ``sim.step`` scope, each site daemon's
-        select pass (current and future joiners) runs under
-        ``scheduler.select``, the scrapers' TSDB flushes under
-        ``tsdb.flush``, and the broker's own reconcile / resize /
-        placement paths scope themselves.  The profiler never touches
-        scheduling state, so a profiled run is bit-identical to a plain
-        one (the C6 bench enforces this).  Idempotent; returns the
-        active profiler.
-        """
-        if self.profiler is not None:
-            return self.profiler
-        self.profiler = profiler if profiler is not None else Profiler()
-        self.sim.enable_scope_profiling(self.profiler)
-
-        def wire(site) -> None:
-            instrument_scheduler_profiler(site.daemon.scheduler, self.profiler)
-            scraper = getattr(site.daemon, "scraper", None)
-            if scraper is not None:
-                scraper.profiler = self.profiler
-
-        for name in self.registry.names():
-            wire(self.registry.site(name))
-        self.registry.on_register(wire)
-        return self.profiler
+        tracer = tracer if tracer is not None else Tracer()
+        tracer.attach_sim(self.sim)
+        tracer.attach_bus(self.events)
+        self.tracer = tracer
+        return tracer
 
     def attach_profiles(self, store: ProfileStore | None = None) -> ProfileStore:
         """Collect per-workload phase signatures: feeds a
@@ -735,6 +699,7 @@ class FederationBroker:
         algo = self._algorithm_for(spec)
         return algo if algo.handles_placement else self.algorithm
 
+    @scoped("algorithm.schedule")
     def _choose_site(
         self, job: FederatedJob, candidates: list[SiteSnapshot]
     ) -> SiteSnapshot:
@@ -747,15 +712,6 @@ class FederationBroker:
         pre-algorithm broker.  Algorithms that return no usable decision
         fall back to direct policy choice rather than failing the job.
         """
-        profiler = self.profiler
-        if profiler is None:
-            return self._choose_site_inner(job, candidates)
-        with profiler.scope("algorithm.schedule"):
-            return self._choose_site_inner(job, candidates)
-
-    def _choose_site_inner(
-        self, job: FederatedJob, candidates: list[SiteSnapshot]
-    ) -> SiteSnapshot:
         algorithm = self._placement_for(job.spec)
         pending, resources, system = federation_views(job, candidates, self.sim.now)
         by_name = {snap.name: snap for snap in candidates}
@@ -1016,19 +972,12 @@ class FederationBroker:
             # tenant's next admission answer may differ — drop the memo
             memo.pop(job.owner, None)
 
+    @scoped("broker.reconcile")
     def reconcile(self) -> None:
         """One failover sweep over the *live* jobs (held-job release,
         fixed-size refresh, the malleable resize loop) + a metrics
         snapshot.  Terminal jobs are archived out of the sweep tables,
         so tick cost tracks in-flight work, not completed history."""
-        profiler = self.profiler
-        if profiler is None:
-            self._reconcile()
-            return
-        with profiler.scope("broker.reconcile"):
-            self._reconcile()
-
-    def _reconcile(self) -> None:
         started = time.perf_counter()
         scanned = self.table.count(JobState.HELD)
         if self.accounting is not None:
@@ -1041,12 +990,7 @@ class FederationBroker:
         fixed_done = time.perf_counter()
         # the malleable pass builds its own admission memo: the refresh
         # loop above may have moved tenants' budgets
-        profiler = self.profiler
-        if profiler is None:
-            malleable_scanned = self.malleable.tick()
-        else:
-            with profiler.scope("malleable.tick"):
-                malleable_scanned = self.malleable.tick()
+        malleable_scanned = self.malleable.tick()
         malleable_done = time.perf_counter()
         self.metrics.observe_sites(self.registry.snapshots(self.sim.now))
         self.metrics.observe_snapshot_cache(self.registry.snapshot_cache_hits)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..errors import FederationError, PlacementError, ResourceNotFound, SiteUnavailable
+from ..observability.profiling import scoped
 from ..scheduling.algorithms import SchedulingAlgorithm
 from ..scheduling.malleable import ShareLedger
 from ..spec import JobSpec, parse_site_leg
@@ -127,6 +128,8 @@ class MalleableManager:
         self, broker: "FederationBroker", config: ResizeConfig | None = None
     ) -> None:
         self.broker = broker
+        #: the broker's clock, which also carries the run's profiler
+        self.sim = broker.sim
         self.config = config or ResizeConfig()
         #: the malleable jobs: the tick sweeps live ones only
         self.table = JobTable("fed-mjob", broker.sim, broker._publish)
@@ -204,6 +207,7 @@ class MalleableManager:
 
     # -- the resize loop -------------------------------------------------------
 
+    @scoped("malleable.tick")
     def tick(self) -> int:
         """One controller pass: release held jobs, rebalance (or, for a
         rigid job, retire dead sites), then top up dispatches for every

@@ -24,7 +24,9 @@ The stack is rebuilt from scratch with the same division of labour:
 * :mod:`tracing`   — distributed tracing: job-scoped span trees with
   explicit context propagation from Session to shot,
 * :mod:`profiling` — continuous hot-path scope profiler (call-path
-  stats, top-N report, flamegraph-style tree, TSDB flush),
+  stats, top-N report, flamegraph-style tree, TSDB flush) and the
+  :func:`scoped` decorator the hot paths carry; the run's profiler is
+  ``sim.profiler`` on the shared simulator,
 * :mod:`stages`    — the one lifecycle record: stage intervals each bus
   folds once, for traces, profiles, SLOs and the stage histogram,
 * :mod:`profiles`  — per-workload phase signatures keyed by (tenant,
@@ -40,10 +42,10 @@ from .exporter import render_exposition
 from .jobmeta import JobMetadataStore
 from .metrics import Counter, Gauge, Histogram, MetricRegistry
 from .profiles import PhaseProfile, ProfileStore, program_signature
-from .profiling import Profiler, instrument_scheduler_profiler
+from .profiling import Profiler, scoped
 from .scrape import Scraper
 from .slo import DEFAULT_OBJECTIVES, LatencyObjective, SLOTracker
-from .tracing import Span, TraceContext, Tracer, instrument_scheduler
+from .tracing import Span, TraceContext, Tracer
 from .tsdb import TimeSeriesDB
 
 __all__ = [
@@ -72,9 +74,8 @@ __all__ = [
     "TimeSeriesDB",
     "TraceContext",
     "Tracer",
-    "instrument_scheduler",
-    "instrument_scheduler_profiler",
     "program_signature",
     "render_exposition",
     "render_trace_timeline",
+    "scoped",
 ]

@@ -3,20 +3,21 @@
 PR 6's tracing answers "what happened to this job"; this module answers
 the complementary ops question from paper §2.5 — where the middleware
 itself burns wall clock.  A :class:`Profiler` hands out nestable
-``scope()`` context managers that the hot paths guard behind a single
-``is not None`` check (broker reconcile, the malleable resize loop,
-scheduler select, ``SchedulingAlgorithm.schedule`` calls, simkernel
-event dispatch, the scraper's TSDB flush), aggregating per-call-path
-statistics — count, total, self (minus children), max — that render as
-a top-N table or a flamegraph-style tree and flush into the chunked
-TSDB beside the trace spans.
+``scope()`` context managers and a ``push``/``pop`` pair, aggregating
+per-call-path statistics — count, total, self (minus children), max —
+that render as a top-N table or a flamegraph-style tree and flush into
+the chunked TSDB beside the trace spans.
+
+The run's profiler lives on the shared simulator: ``sim.profiler =
+Profiler()`` profiles every layer on that clock, brokered or not.  The
+simulator wraps each event batch in ``sim.step``, and the hot paths
+(broker reconcile, the malleable resize loop, placement, scheduler
+select, the scraper's TSDB flush) carry :func:`scoped`.
 
 Design constraints, in order:
 
-* **near-zero cost when absent** — every instrumented site holds a
-  ``profiler`` reference that defaults to ``None`` and pays one branch;
-  a disabled :class:`Profiler` instance hands back a shared no-op scope
-  so user code can leave ``with profiler.scope(...)`` in place,
+* **near-zero cost when absent** — ``sim.profiler`` defaults to
+  ``None`` and every scoped call pays one ``is None`` check,
 * **scheduling-invisible** — the profiler only reads the wall clock and
   mutates its own dicts; it never touches simulator or queue state, so
   a profiled run makes bit-identical scheduling decisions (the C6 bench
@@ -31,22 +32,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any
 
-__all__ = ["Profiler", "instrument_scheduler_profiler"]
-
-
-class _NoopScope:
-    """Shared do-nothing context manager for disabled profilers."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopScope":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NOOP = _NoopScope()
+__all__ = ["Profiler", "scoped"]
 
 
 class _Scope:
@@ -75,43 +61,28 @@ class Profiler:
     time minus the wall time of scopes entered beneath it.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         #: open frames: [name, wall_start, child_seconds]
         self._stack: list[list] = []
         #: call path -> [count, total_s, self_s, max_s]
         self._stats: dict[tuple[str, ...], list[float]] = {}
 
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Stop collecting; ``scope()`` returns the shared no-op and the
-        hot-path ``push``/``pop`` pair degrades to a branch each."""
-        self.enabled = False
-
     # -- the hot path ------------------------------------------------------
 
     def scope(self, name: str):
         """Context manager timing one named scope (nestable)."""
-        if not self.enabled:
-            return _NOOP
         return _Scope(self, name)
 
     def push(self, name: str) -> None:
         """Open a frame without a context manager — the shape the
         per-event simulator hook uses to avoid an allocation per step."""
-        if not self.enabled:
-            return
         self._stack.append([name, perf_counter(), 0.0])
 
     def pop(self) -> None:
         """Close the innermost frame and account it to its call path."""
-        if not self.enabled:
-            return
         stack = self._stack
         if not stack:
-            return  # disabled/enabled mid-flight: never raise on a hot path
+            return  # attached or reset mid-flight: never raise on a hot path
         name, started, child_s = stack.pop()
         elapsed = perf_counter() - started
         if stack:
@@ -126,25 +97,6 @@ class Profiler:
         stat[2] += elapsed - child_s
         if elapsed > stat[3]:
             stat[3] = elapsed
-
-    def profile(self, name: str):
-        """Decorator form of :meth:`scope`."""
-
-        def wrap(fn):
-            def inner(*args: Any, **kwargs: Any):
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                self.push(name)
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    self.pop()
-
-            inner.__name__ = getattr(fn, "__name__", name)
-            inner.__doc__ = fn.__doc__
-            return inner
-
-        return wrap
 
     # -- queries -----------------------------------------------------------
 
@@ -243,8 +195,27 @@ class Profiler:
         return flushed
 
 
-def instrument_scheduler_profiler(scheduler: Any, profiler: Profiler) -> None:
-    """Point a daemon scheduler's select hook at ``profiler`` (the
-    profiling twin of :func:`~repro.observability.tracing.instrument_scheduler`):
-    each ``_select`` pass runs under a ``scheduler.select`` scope."""
-    scheduler.scope_profiler = profiler
+def scoped(name: str):
+    """Method decorator: run the call under the ``name`` scope of
+    ``self.sim.profiler``.  Without a profiler on the simulator the call
+    costs one ``is None`` check."""
+
+    def wrap(fn):
+        def inner(self, *args: Any, **kwargs: Any):
+            profiler = self.sim.profiler
+            if profiler is None:
+                return fn(self, *args, **kwargs)
+            profiler.push(name)
+            try:
+                return fn(self, *args, **kwargs)
+            finally:
+                profiler.pop()
+
+        # copied by hand, not functools.wraps: a ``__wrapped__`` attribute
+        # marks an entry point the perfbench Ledger patched and left behind
+        inner.__name__ = fn.__name__
+        inner.__qualname__ = fn.__qualname__
+        inner.__doc__ = fn.__doc__
+        return inner
+
+    return wrap

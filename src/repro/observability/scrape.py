@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ObservabilityError
 from ..simkernel import Simulator, Timeout
+from .profiling import scoped
 from .tsdb import TimeSeriesDB
 
 __all__ = ["Scraper"]
@@ -44,9 +45,6 @@ class Scraper:
         self.interval = interval
         self._targets: list[_Target] = []
         self._process = None
-        #: optional profiler; when set, each scrape runs under a
-        #: ``tsdb.flush`` scope (the scrape IS the TSDB write hot path)
-        self.profiler = None
         #: sim time of the last completed scrape (None before the first)
         self.last_scrape_at: float | None = None
 
@@ -74,15 +72,9 @@ class Scraper:
             raise ObservabilityError("scraper already started")
         self._process = self.sim.spawn(self._run(), name="scraper", background=True)
 
+    # the scrape IS the TSDB write hot path
+    @scoped("tsdb.flush")
     def scrape_once(self, now: float) -> None:
-        profiler = self.profiler
-        if profiler is None:
-            self._scrape(now)
-            return
-        with profiler.scope("tsdb.flush"):
-            self._scrape(now)
-
-    def _scrape(self, now: float) -> None:
         tsdb = self.tsdb
         for target in self._targets:
             try:

@@ -35,7 +35,7 @@ from typing import Any
 
 from ..errors import ObservabilityError
 
-__all__ = ["Span", "TraceContext", "Tracer", "instrument_scheduler"]
+__all__ = ["Span", "TraceContext", "Tracer"]
 
 
 @dataclass(frozen=True)
@@ -304,6 +304,15 @@ class Tracer:
 
     # -- LifecycleBus adapter --------------------------------------------
 
+    def attach_sim(self, sim: Any) -> None:
+        """Make this the tracer of ``sim``: every second-level scheduler
+        on that clock opens its ``dispatch`` spans here.  One simulator
+        has one tracer; idempotent for this one, and a different tracer
+        already attached raises :class:`ObservabilityError`."""
+        if sim.tracer is not None and sim.tracer is not self:
+            raise ObservabilityError("the simulator already has a different tracer")
+        sim.tracer = self
+
     def attach_bus(self, bus: Any) -> None:
         """Turn the stage records of a LifecycleBus into spans, and its
         resizes and reroutes into instant spans; idempotent per bus."""
@@ -456,14 +465,3 @@ class Tracer:
             flushed += 1
         self._closed.clear()
         return flushed
-
-
-def instrument_scheduler(scheduler: Any, tracer: Tracer, site: str) -> None:
-    """Point a daemon scheduler's dispatch hook at ``tracer``.
-
-    The scheduler opens a ``dispatch`` span around each task execution
-    when these attributes are set; tasks outside any trace short-circuit
-    to a dict miss.
-    """
-    scheduler.span_tracer = tracer
-    scheduler.span_site = site

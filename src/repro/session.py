@@ -202,21 +202,22 @@ class Session:
 
     def attach_tracer(self, tracer=None):
         """Join the tracing plane: wire a
-        :class:`~repro.observability.tracing.Tracer` into the bus,
-        the federation broker, and every local daemon scheduler, so
-        each submission from here on yields a complete span tree.
-        Idempotent; returns the tracer."""
+        :class:`~repro.observability.tracing.Tracer` into the bus and
+        the federation broker, and make it the simulator's tracer, on
+        which every daemon scheduler opens its dispatch spans — so each
+        submission from here on yields a complete span tree.
+        Idempotent; returns the tracer.  Raises
+        :class:`~repro.errors.ObservabilityError` if the simulator
+        already has a different tracer."""
         if self.tracer is not None:
             return self.tracer
-        from .observability.tracing import Tracer, instrument_scheduler
+        from .observability.tracing import Tracer
 
         tracer = tracer if tracer is not None else Tracer()
+        tracer.attach_sim(self.sim)
         tracer.attach_bus(self.events)
         if self.federation is not None:
             self.federation.attach_tracer(tracer)
-        for daemon in (self.daemon, self.cloud and self.cloud.daemon):
-            if daemon is not None:
-                instrument_scheduler(daemon.scheduler, tracer, daemon.site)
         self.tracer = tracer
         return tracer
 

@@ -219,28 +219,33 @@ class Process:
 
 
 class Simulator:
-    """The event loop: owns the clock and the event queue."""
+    """The event loop: owns the clock and the event queue.
+
+    It also carries the run's observability handles, read by every layer
+    that holds the simulator: :attr:`profiler`, a
+    :class:`~repro.observability.profiling.Profiler` the hot paths scope
+    into, and :attr:`tracer`, the
+    :class:`~repro.observability.tracing.Tracer` the second-level
+    schedulers open their dispatch spans on.  Neither touches event
+    ordering, so an observed run is bit-identical to a plain one.
+    """
 
     def __init__(self, start: float = 0.0) -> None:
         self.clock = SimClock(start)
         self.events = EventQueue()
         self._processes: list[Process] = []
         self._profile: dict[str, float] | None = None
-        self._scope_profiler = None
+        #: the run's scope profiler; ``None`` costs one branch per
+        #: event batch and per scoped call
+        self.profiler = None
+        #: the run's tracer (see ``Tracer.attach_sim``); ``None`` skips
+        #: dispatch spans
+        self.tracer = None
         #: processes that died of an error with no waiter and no
         #: run_until_process driving them
         self.unobserved_failures = 0
         #: the process run_until_process is driving, if any
         self._driving: Process | None = None
-
-    def enable_scope_profiling(self, profiler) -> None:
-        """Wrap every event dispatch in a ``sim.step`` profiler scope so
-        callback work (broker reconcile, scheduler select, ...) nests
-        under it in the call-path stats.  Same invariants as
-        :meth:`enable_profiling`: two branches per step when attached,
-        one when not, and event ordering is never touched — a
-        scope-profiled run is bit-identical to a plain one."""
-        self._scope_profiler = profiler
 
     def enable_profiling(self) -> dict[str, float]:
         """Accumulate per-step wall cost into a live ``{"steps", "wall_s"}``
@@ -316,8 +321,10 @@ class Simulator:
 
     def step_batch(self, stop: Callable[[], bool] | None = None) -> tuple[float, int]:
         """Process every event at the next timestamp: one clock advance,
-        one profiler push/pop, callbacks dispatched in the heap's global
-        (time, priority, seq) order.
+        one ``sim.step`` push/pop on :attr:`profiler` when one is set,
+        callbacks dispatched in the heap's global (time, priority, seq)
+        order.  Callback work (broker reconcile, scheduler select, ...)
+        nests under ``sim.step`` in the call-path stats.
 
         Entries are popped while the heap head shares the batch
         timestamp, so a callback's new same-time entry (interrupt
@@ -334,7 +341,7 @@ class Simulator:
         profile = self._profile
         if profile is not None:
             wall_start = perf_counter()
-        sprof = self._scope_profiler
+        sprof = self.profiler
         if sprof is not None:
             sprof.push("sim.step")
         batch_time = events.peek_time()

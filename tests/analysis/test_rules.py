@@ -1,6 +1,8 @@
 """Per-rule good/bad fixture tests: each archlint rule fires on the bad
 snippet and stays silent on the good one."""
 
+import pytest
+
 from repro.analysis.rules import default_rules
 from repro.analysis.rules.algorithm_name import AlgorithmNameRule
 from repro.analysis.rules.bus_schema import BusSchemaRule
@@ -176,7 +178,7 @@ class TestNoPoll:
                         def _on_site_event(self, event):
                             self.malleable.tick()
 
-                        def _reconcile(self):
+                        def reconcile(self):
                             return self.malleable.tick()
                 """,
                 "repro/daemon/service.py": """
@@ -579,6 +581,39 @@ class TestProfilerScope:
             [ProfilerScopeRule(manifest=manifest)],
         )
         assert rules_of(report, "profiler-scope") == []
+
+    def test_good_scoped_decorator(self, lint):
+        report = lint(
+            {
+                "repro/simkernel/process.py": """
+                    from repro.observability.profiling import scoped
+
+                    class Simulator:
+                        @scoped("sim.step")
+                        def step(self):
+                            return self._advance()
+                """
+            },
+            [ProfilerScopeRule(manifest=self.MANIFEST)],
+        )
+        assert rules_of(report, "profiler-scope") == []
+
+    @pytest.mark.parametrize("decorator", ["", '@scoped("sim.tick")', "@staticmethod"])
+    def test_bad_missing_or_other_scoped_decorator(self, lint, decorator):
+        report = lint(
+            {
+                "repro/simkernel/process.py": f"""
+                    class Simulator:
+                        {decorator}
+                        def step(self):
+                            return self._advance()
+                """
+            },
+            [ProfilerScopeRule(manifest=self.MANIFEST)],
+        )
+        found = rules_of(report, "profiler-scope")
+        assert len(found) == 1
+        assert "'sim.step'" in found[0].message
 
 
 class TestPrivateImport:

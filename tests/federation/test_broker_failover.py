@@ -242,7 +242,7 @@ class TestSweepFailuresAreVisible:
         # raises at spawn, before run_until_process drives it
         process_failures(sim, 2)
         assert broker.stats()["housekeeping_error"] is None
-        original = broker._reconcile
+        original = broker.reconcile
         calls = []
 
         def flaky():
@@ -251,7 +251,7 @@ class TestSweepFailuresAreVisible:
                 raise RuntimeError("sweep blew up")
             original()
 
-        monkeypatch.setattr(broker, "_reconcile", flaky)
+        monkeypatch.setattr(broker, "reconcile", flaky)
         # 2 sites x 2 slots: four units dispatch at intake, two wait in
         # the pool for a sweep
         job_id = broker.submit_spec(
