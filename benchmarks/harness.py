@@ -179,8 +179,9 @@ def run_interleave_plan(
 # changed, not the weather.  CI runs this module as a script, writes
 # BENCH_pr.json, and fails when any metric regresses more than the
 # tolerance against the committed benchmarks/BENCH_baseline.json.
-# Metric direction is encoded in the name prefix: ``makespan_*`` must
-# not rise, ``throughput_*`` must not fall.
+# Metric direction is encoded in the name prefix: ``makespan_*``,
+# ``tickcost_*`` and ``footprint_*`` must not rise, ``throughput_*``
+# must not fall.
 
 
 #: full-mode C6 total-wall/probe ratio of the last pre-batching core
@@ -583,6 +584,73 @@ def run_tsdb_scrape_row(scrapes: int = 240, repeats: int = 15) -> dict:
     return {"ratio": ratio, "pass_ms": pass_ms, "probe_ms": probe_ms}
 
 
+def run_footprint_row(jobs: int = 60) -> dict:
+    """Marginal retained bytes per finished job on an accounted
+    two-site federation, measured with ``tracemalloc`` the way
+    ``tests/integration/test_footprint.py`` measures it: a warm-up
+    batch of ``jobs`` fills every first-use cache, then the traced
+    growth across one more batch, divided by ``jobs``.  Each batch is
+    ``jobs`` clients arriving 2 simulated seconds apart, each
+    submitting a 2-4-atom program through its tenant's session and
+    waiting for the result.  Exact for one Python version."""
+    import gc
+    import tracemalloc
+
+    import numpy as np
+
+    from repro.accounting import FederationAccounting, RateBook, SiteRateCard
+    from repro.qpu import Register
+    from repro.sdk import AnalogCircuit
+    from repro.session import Session
+    from repro.simkernel import Timeout
+    from repro.spec import JobSpec
+
+    accounting = FederationAccounting(rates=RateBook(default=SiteRateCard(site="*", qpu_shot_price=0.01)))
+    sim, _, broker, _ = build_federation_stack(n_sites=2, shot_rate_hz=50.0, accounting=accounting)
+    sessions = [Session(federation=broker, user=f"tenant-{t}") for t in range(4)]
+    for session in sessions:
+        session.attach_events()
+    catalog = [
+        AnalogCircuit(Register.chain(n, spacing=6.0), name=f"footprint-{n}")
+        .rx_global(np.pi / 2, duration=0.3)
+        .measure_all()
+        .transpile(shots=100)
+        for n in (2, 3, 4)
+    ]
+    done: list[int] = []
+
+    def client(session, spec):
+        result = yield from session.submit(spec).wait()
+        done.append(result.shots)
+
+    def batch() -> None:
+        def arrivals():
+            for i in range(jobs):
+                yield Timeout(2.0)
+                spec = JobSpec(program=catalog[i % len(catalog)], shots=50 + 50 * (i % 3))
+                sim.spawn(client(sessions[i % len(sessions)], spec))
+
+        sim.spawn(arrivals(), name="arrivals")
+        sim.run()
+
+    batch()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        first = tracemalloc.get_traced_memory()[0]
+        batch()
+        gc.collect()
+        second = tracemalloc.get_traced_memory()[0]
+    finally:
+        if started:
+            tracemalloc.stop()
+    if len(done) != 2 * jobs:
+        raise RuntimeError(f"footprint row: {len(done)} of {2 * jobs} jobs finished")
+    return {"bytes_per_job": (second - first) / jobs}
+
+
 def bench_regression_suite() -> dict:
     """Run the federation + malleable + accounting ablation benches;
     returns ``{"mode": ..., "metrics": {name: value}}``."""
@@ -762,6 +830,8 @@ def bench_regression_suite() -> dict:
     # telemetry scrape into the TSDB
     metrics["walltime_daemon_submit_ratio"] = round(run_daemon_submit_row()["ratio"], 4)
     metrics["walltime_tsdb_scrape_ratio"] = round(run_tsdb_scrape_row()["ratio"], 4)
+    # memory a long-running stack keeps per finished job
+    metrics["footprint_federated_bytes_per_job"] = round(run_footprint_row()["bytes_per_job"], 1)
     mode = "smoke" if os.environ.get("BENCH_SMOKE", "") not in ("", "0") else "full"
     return {"mode": mode, "metrics": metrics}
 
@@ -780,12 +850,13 @@ def compare_runs(baseline: dict, current: dict, tolerance: float) -> list[str]:
         if value is None:
             failures.append(f"{name}: missing from this run (was {base})")
             continue
-        if name.startswith(("makespan_", "tickcost_")) and value > max(
+        if name.startswith(("makespan_", "tickcost_", "footprint_")) and value > max(
             base * (1.0 + tolerance), base + 1.0
         ):
             # tickcost_* is the reconcile-tick latency gate: scanned
             # jobs per housekeeping sweep must not regress toward
-            # O(history).  The +1 absolute allowance keeps near-zero
+            # O(history).  footprint_* is retained memory per finished
+            # job.  The +1 absolute allowance keeps near-zero
             # baselines from failing on a one-job jitter.
             failures.append(
                 f"{name}: {value:.1f} vs baseline {base:.1f} "

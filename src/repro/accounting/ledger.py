@@ -28,7 +28,7 @@ from .rates import RateBook, UsageKind
 __all__ = ["Invoice", "InvoiceLine", "UsageEvent", "UsageLedger"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UsageEvent:
     """One immutable metered-consumption row."""
 

@@ -81,7 +81,7 @@ class AdminOperations:
             {
                 "session_id": s.session_id,
                 "user": s.user,
-                "priority_class": s.priority_class.name.lower(),
+                "priority_class": s.priority_class.label,
                 "created_at": s.created_at,
                 "tasks": len(s.task_ids),
             }

@@ -101,7 +101,7 @@ def build_router(daemon: MiddlewareDaemon) -> Router:
             body={
                 "session_id": session.session_id,
                 "token": session.token,
-                "priority_class": session.priority_class.name.lower(),
+                "priority_class": session.priority_class.label,
             },
         )
 
@@ -122,7 +122,7 @@ def build_router(daemon: MiddlewareDaemon) -> Router:
             body={
                 "task_id": task.task_id,
                 "state": task.state.value,
-                "priority": task.priority.name.lower(),
+                "priority": task.priority.label,
                 "metadata": dict(task.metadata),
             },
         )
@@ -138,7 +138,7 @@ def build_router(daemon: MiddlewareDaemon) -> Router:
             body={
                 "task_id": task.task_id,
                 "state": task.state.value,
-                "priority": task.priority.name.lower(),
+                "priority": task.priority.label,
                 "metadata": dict(task.metadata),
             },
         )

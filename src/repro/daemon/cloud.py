@@ -231,7 +231,7 @@ class CloudGateway:
         tenant = self._authenticate(api_key)
         out = {
             "tenant": tenant.name,
-            "priority_class": tenant.priority_class.name.lower(),
+            "priority_class": tenant.priority_class.label,
             "shots_used": tenant.shots_used,
             "shot_quota": tenant.shot_quota,
             "submissions_available": int(tenant.bucket_tokens),

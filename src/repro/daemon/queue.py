@@ -34,6 +34,12 @@ class PriorityClass(enum.IntEnum):
     TEST = 1
     DEVELOPMENT = 2
 
+    @property
+    def label(self) -> str:
+        """The lower-case name (``"production"``): one string per class,
+        shared by every trace row and record that names it."""
+        return _LABELS[self]
+
     @classmethod
     def parse(cls, value: str) -> "PriorityClass":
         try:
@@ -41,7 +47,7 @@ class PriorityClass(enum.IntEnum):
         except KeyError:
             raise QueueError(
                 f"unknown priority class {value!r}; "
-                f"valid: {[m.name.lower() for m in cls]}"
+                f"valid: {[m.label for m in cls]}"
             ) from None
 
     @classmethod
@@ -56,6 +62,9 @@ class PriorityClass(enum.IntEnum):
         return cls.DEVELOPMENT
 
 
+_LABELS = {p: p.name.lower() for p in PriorityClass}
+
+
 class TaskState(enum.Enum):
     QUEUED = "queued"
     RUNNING = "running"
@@ -65,7 +74,7 @@ class TaskState(enum.Enum):
     PREEMPTED = "preempted"  # transient: returns to QUEUED
 
 
-@dataclass
+@dataclass(slots=True)
 class QueuedTask:
     """One task in the middleware queue."""
 
@@ -89,7 +98,8 @@ class QueuedTask:
     #: fresh number, sending it to the back of its priority class
     _heap_seq: int = field(default=0, init=False, repr=False, compare=False)
     #: the task's scheduling view at that sequence number, kept by
-    #: :func:`~repro.scheduling.algorithms.daemon_views`
+    #: :func:`~repro.scheduling.algorithms.daemon_views` while the task
+    #: is queued; dropped when it leaves the queue
     _pending_view: Any = field(default=None, init=False, repr=False, compare=False)
 
     def wait_time(self) -> float | None:
@@ -159,8 +169,10 @@ class MiddlewareQueue:
         a return to QUEUED, ``finished_at`` on COMPLETED/FAILED (a
         cancel keeps it unset) — then files the task in the queued
         index and fires the transition listeners, so every listener
-        reads a task whose timestamps match its new state.  Setting the
-        current state again is a no-op."""
+        reads a task whose timestamps match its new state.  A task
+        leaving the queue drops its scheduling view: a requeue gets a
+        new sequence number, so the view is never read again.  Setting
+        the current state again is a no-op."""
         old = task.state
         if state is old:
             return
@@ -174,6 +186,7 @@ class MiddlewareQueue:
         if old is TaskState.QUEUED:
             self._queued_counts[task.priority] -= 1
             self._queued.pop(task.task_id, None)
+            task._pending_view = None
         self._entered(task, old, state)
 
     def _entered(self, task: QueuedTask, old: TaskState | None, new: TaskState) -> None:
@@ -265,7 +278,7 @@ class MiddlewareQueue:
         return sum(self._queued_counts.values())
 
     def depth_by_class(self) -> dict[str, int]:
-        return {p.name.lower(): self.queued_count(p) for p in PriorityClass}
+        return {p.label: self.queued_count(p) for p in PriorityClass}
 
     def all_tasks(self) -> list[QueuedTask]:
         return list(self._tasks.values())

@@ -92,7 +92,7 @@ class SecondLevelScheduler:
             "daemon",
             "task_enqueued",
             task_id=task.task_id,
-            priority=task.priority.name.lower(),
+            priority=task.priority.label,
         )
         if (
             self.mode is SharingMode.PREEMPT
@@ -156,7 +156,7 @@ class SecondLevelScheduler:
             "daemon",
             "task_start",
             task_id=task.task_id,
-            priority=task.priority.name.lower(),
+            priority=task.priority.label,
             wait=task.wait_time(),
         )
         span = None
@@ -231,7 +231,7 @@ class SecondLevelScheduler:
             "task_end",
             task_id=task.task_id,
             state=task.state.value,
-            priority=task.priority.name.lower(),
+            priority=task.priority.label,
         )
         if self.on_task_done is not None:
             self.on_task_done(task)
@@ -240,12 +240,12 @@ class SecondLevelScheduler:
 
     def wait_times_by_class(self) -> dict[str, list[float]]:
         """Observed queue waits per priority class (finished tasks only)."""
-        out: dict[str, list[float]] = {p.name.lower(): [] for p in PriorityClass}
+        out: dict[str, list[float]] = {p.label: [] for p in PriorityClass}
         for task in self.queue.all_tasks():
             wait = task.wait_time()
             if wait is not None and task.state in (
                 TaskState.COMPLETED,
                 TaskState.RUNNING,
             ):
-                out[task.priority.name.lower()].append(wait)
+                out[task.priority.label].append(wait)
         return out

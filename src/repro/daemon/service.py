@@ -202,7 +202,7 @@ class MiddlewareDaemon:
             "session_create",
             session_id=session.session_id,
             user=user,
-            priority=priority.name.lower(),
+            priority=priority.label,
         )
         return session
 
@@ -315,7 +315,7 @@ class MiddlewareDaemon:
         return {
             "task_id": task.task_id,
             "state": task.state.value,
-            "priority": task.priority.name.lower(),
+            "priority": task.priority.label,
             "enqueued_at": task.enqueued_at,
             "started_at": task.started_at,
             "finished_at": task.finished_at,
@@ -406,7 +406,7 @@ class MiddlewareDaemon:
         self._m_tasks.inc(labels={"state": state})
         wait = task.wait_time()
         if wait is not None:
-            self._m_wait.observe(wait, labels={"class": task.priority.name.lower()})
+            self._m_wait.observe(wait, labels={"class": task.priority.label})
         if task.state is TaskState.COMPLETED and task.result is not None:
             try:
                 self.jobmeta.record_from_result(
@@ -414,7 +414,7 @@ class MiddlewareDaemon:
                     self.now,
                     task.result,
                     user=task.user,
-                    priority_class=task.priority.name.lower(),
+                    priority_class=task.priority.label,
                     queue_wait_s=wait or 0.0,
                 )
             except Exception as exc:

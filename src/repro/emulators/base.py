@@ -17,7 +17,7 @@ from .noise import NoiseModel
 __all__ = ["EmulationResult", "EmulatorBackend"]
 
 
-@dataclass
+@dataclass(slots=True)
 class EmulationResult:
     """Outcome of one emulated execution.
 

@@ -288,7 +288,7 @@ def publish_task_transition(
     a task no broker placement claims is its own job."""
     state = new_state.value
     payload = {"state": state, "started_at": task.started_at, "finished_at": task.finished_at,
-               "priority": task.priority.name.lower()}
+               "priority": task.priority.label}
     if state == "queued":
         payload["tenant"] = task.metadata.get("tenant", task.user)
         payload["signature"] = program_signature(task.program)

@@ -13,15 +13,20 @@ admins by time range.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 from ..errors import ObservabilityError
 
 __all__ = ["JobMetadataStore", "JobMetadataRecord"]
 
+#: the calibration of a result that carries none
+_NO_CALIBRATION: Mapping[str, float] = MappingProxyType({})
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class JobMetadataRecord:
     task_id: str
     time: float
@@ -32,7 +37,9 @@ class JobMetadataRecord:
     execution_s: float = 0.0
     shots: int = 0
     backend: str = ""
-    calibration: dict[str, float] = field(default_factory=dict)
+    #: read-only when built from a result; a QPU result's mapping is
+    #: shared by every record of its calibration version
+    calibration: Mapping[str, float] = field(default_factory=dict)
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
@@ -58,8 +65,15 @@ class JobMetadataStore:
         priority_class: str = "",
         queue_wait_s: float = 0.0,
     ) -> JobMetadataRecord:
-        """Build a record from an :class:`~repro.emulators.base.EmulationResult`."""
+        """Build a record from an :class:`~repro.emulators.base.EmulationResult`.
+
+        A read-only calibration mapping (a QPU result's
+        :meth:`~repro.qpu.calibration.CalibrationState.snapshot_view`)
+        is kept as it is; any other is copied into a read-only one."""
         meta = result.metadata
+        calibration = meta.get("calibration", _NO_CALIBRATION)
+        if not isinstance(calibration, MappingProxyType):
+            calibration = MappingProxyType(dict(calibration))
         record = JobMetadataRecord(
             task_id=task_id,
             time=time,
@@ -70,7 +84,7 @@ class JobMetadataStore:
             execution_s=float(meta.get("execution_seconds", 0.0)),
             shots=result.shots,
             backend=result.backend,
-            calibration=dict(meta.get("calibration", {})),
+            calibration=calibration,
             diagnostics={
                 k: v
                 for k, v in meta.items()

@@ -17,8 +17,9 @@ drift-detection experiment (C6 in DESIGN.md) measures.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,7 +58,9 @@ class CalibrationState:
     schedulers, the federation registry and the device status that ask
     for it between two drift steps share one computation.  The memo is
     per object — a freshly constructed state (``version`` 0 again) never
-    sees another state's value.
+    sees another state's value.  :meth:`snapshot_view` is memoised the
+    same way: every result and job-metadata record of one version
+    shares one read-only mapping.
     """
 
     t1_us: float = 100.0                 # effective relaxation time
@@ -73,12 +76,15 @@ class CalibrationState:
     version: int = 0
     #: fidelity_proxy() of the current version; None until first asked
     _fidelity: float | None = field(default=None, init=False, repr=False, compare=False)
+    #: snapshot_view() of the current version; None until first asked
+    _view: Mapping[str, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
         if name in _VERSIONED_FIELDS:
             object.__setattr__(self, "version", getattr(self, "version", 0) + 1)
             object.__setattr__(self, "_fidelity", None)
+            object.__setattr__(self, "_view", None)
 
     NOMINAL: dict[str, float] = field(
         default_factory=lambda: {
@@ -129,17 +135,28 @@ class CalibrationState:
         self.last_calibrated_at = now
 
     def snapshot(self) -> dict[str, float]:
-        return {
-            "t1_us": self.t1_us,
-            "t2_us": self.t2_us,
-            "state_prep_error": self.state_prep_error,
-            "detection_epsilon": self.detection_epsilon,
-            "detection_epsilon_prime": self.detection_epsilon_prime,
-            "rabi_calibration_error": self.rabi_calibration_error,
-            "detuning_offset": self.detuning_offset,
-            "fidelity_proxy": self.fidelity_proxy(),
-            "last_calibrated_at": self.last_calibrated_at,
-        }
+        """The calibration parameters as a dict the caller owns."""
+        return dict(self.snapshot_view())
+
+    def snapshot_view(self) -> Mapping[str, float]:
+        """The calibration parameters as a read-only mapping, shared by
+        every caller until a versioned field changes.  It does not
+        pickle or JSON-encode; :meth:`snapshot` copies it into a dict."""
+        view = self._view
+        if view is None:
+            view = MappingProxyType({
+                "t1_us": self.t1_us,
+                "t2_us": self.t2_us,
+                "state_prep_error": self.state_prep_error,
+                "detection_epsilon": self.detection_epsilon,
+                "detection_epsilon_prime": self.detection_epsilon_prime,
+                "rabi_calibration_error": self.rabi_calibration_error,
+                "detuning_offset": self.detuning_offset,
+                "fidelity_proxy": self.fidelity_proxy(),
+                "last_calibrated_at": self.last_calibrated_at,
+            })
+            object.__setattr__(self, "_view", view)
+        return view
 
 
 class DriftModel:

@@ -212,7 +212,7 @@ class QPUDevice:
         self.tasks_completed += 1
         self.busy_seconds += elapsed
         result.metadata["device"] = self.specs.name
-        result.metadata["calibration"] = self.calibration.snapshot()
+        result.metadata["calibration"] = self.calibration.snapshot_view()
         result.metadata["execution_seconds"] = elapsed
         result.metadata["engine"] = self._engine_name(result)
 

@@ -74,7 +74,7 @@ class Event:
         return f"Event({self.name!r}, {state})"
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class ScheduledEvent:
     """Heap entry: an event due at ``time`` with a tie-breaking priority.
 

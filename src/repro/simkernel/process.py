@@ -176,6 +176,7 @@ class Process:
 
     def _finish(self, value: Any, error: BaseException | None) -> None:
         self._alive = False
+        self.sim._processes.discard(self)
         self.return_value = value
         self.error = error
         if error is not None and not self.done_event.callbacks and self.sim._driving is not self:
@@ -233,7 +234,10 @@ class Simulator:
     def __init__(self, start: float = 0.0) -> None:
         self.clock = SimClock(start)
         self.events = EventQueue()
-        self._processes: list[Process] = []
+        #: live processes only: a suspended one stays strongly held (a
+        #: collected generator would run its ``finally`` blocks at GC
+        #: time), a finished one is dropped with its return value
+        self._processes: set[Process] = set()
         self._profile: dict[str, float] | None = None
         #: the run's scope profiler; ``None`` costs one branch per
         #: event batch and per scoped call
@@ -274,9 +278,7 @@ class Simulator:
         self, event: Event, delay: float = 0.0, priority: int = 0, background: bool = False
     ) -> ScheduledEvent:
         """Schedule an event that has already been triggered."""
-        entry = self.events.push(self.now + delay, event, priority, background=background)
-        entry.pretriggered = True  # type: ignore[attr-defined]
-        return entry
+        return self.events.push(self.now + delay, event, priority, background=background)
 
     def timeout_event(self, delay: float, value: Any = None, name: str = "timeout") -> Event:
         """Create an event that triggers ``delay`` seconds from now."""
@@ -298,7 +300,7 @@ class Simulator:
         monitors still terminate when the *real* work drains.
         """
         process = Process(self, generator, name=name, background=background)
-        self._processes.append(process)
+        self._processes.add(process)
         process._start()
         return process
 
@@ -309,9 +311,7 @@ class Simulator:
         event = Event(name=name)
         event.callbacks.append(lambda ev: callback())
         event.trigger(None)
-        entry = self.events.push(when, event, 0)
-        entry.pretriggered = True  # type: ignore[attr-defined]
-        return entry
+        return self.events.push(when, event, 0)
 
     def call_in(self, delay: float, callback: Callable[[], None], name: str = "call_in") -> ScheduledEvent:
         """Run ``callback()`` after ``delay`` simulated seconds."""

@@ -5,18 +5,25 @@ fields).  The recorder is the raw-data backbone of the benchmark
 harness: utilization, wait-time and idle-time metrics are computed from
 traces after the run rather than accumulated ad hoc inside components,
 so one simulation can be analyzed under many metrics.
+
+A long-running stack emits rows for every job it serves, so the
+recorder stores each row compactly: one flat tuple ``(time, component,
+event, keys, *values)``, where ``keys`` is the row's field names in
+emit order, shared by every row of the same field schema.  Reads build
+:class:`TraceRecord` objects from the rows; :meth:`TraceRecorder.pairs`
+reads the rows directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["TraceRecord", "TraceRecorder"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One trace row.
 
@@ -32,30 +39,40 @@ class TraceRecord:
     fields: dict[str, Any] = field(default_factory=dict)
 
 
+def _record(row: tuple) -> TraceRecord:
+    return TraceRecord(row[0], row[1], row[2], dict(zip(row[3], row[4:], strict=True)))
+
+
 class TraceRecorder:
     """Append-only trace log with filtered views."""
 
     def __init__(self) -> None:
-        self._records: list[TraceRecord] = []
+        #: one flat tuple per row (see the module docstring)
+        self._rows: list[tuple] = []
+        #: field-name tuple -> its one shared instance
+        self._schemas: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._subscribers: list[Callable[[TraceRecord], None]] = []
 
     def emit(self, time: float, component: str, event: str, **fields: Any) -> TraceRecord:
-        record = TraceRecord(time=time, component=component, event=event, fields=fields)
-        self._records.append(record)
+        keys = tuple(fields)
+        keys = self._schemas.setdefault(keys, keys)
+        self._rows.append((time, component, event, keys, *fields.values()))
+        record = TraceRecord(time, component, event, fields)
         for subscriber in self._subscribers:
             subscriber(record)
         return record
 
     def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Live tap: used by the observability scraper to mirror traces
-        into the TSDB without post-hoc copying."""
+        """Live tap: ``callback`` receives every record as it is
+        emitted.  Tests use it to check an invariant at each event
+        rather than over the finished trace."""
         self._subscribers.append(callback)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
-    def __iter__(self):
-        return iter(self._records)
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(_record, self._rows)
 
     def records(
         self,
@@ -66,18 +83,18 @@ class TraceRecorder:
     ) -> list[TraceRecord]:
         """Filtered copy of the trace."""
 
-        def keep(r: TraceRecord) -> bool:
-            if component is not None and r.component != component:
+        def keep(row: tuple) -> bool:
+            if component is not None and row[1] != component:
                 return False
-            if event is not None and r.event != event:
+            if event is not None and row[2] != event:
                 return False
-            if since is not None and r.time < since:
+            if since is not None and row[0] < since:
                 return False
-            if until is not None and r.time > until:
+            if until is not None and row[0] > until:
                 return False
             return True
 
-        return [r for r in self._records if keep(r)]
+        return [_record(row) for row in self._rows if keep(row)]
 
     def pairs(
         self,
@@ -94,16 +111,22 @@ class TraceRecorder:
         """
         open_starts: dict[Any, float] = {}
         matched: list[tuple[float, float, Any]] = []
-        for record in self._records:
-            if component is not None and record.component != component:
+        # row index of ``key`` per field schema, None where it is absent
+        where: dict[tuple[str, ...], int | None] = {
+            keys: 4 + keys.index(key) if key in keys else None for keys in self._schemas
+        }
+        for row in self._rows:
+            if component is not None and row[1] != component:
                 continue
-            if key not in record.fields:
+            index = where[row[3]]
+            if index is None:
                 continue
-            value = record.fields[key]
-            if record.event == start_event:
-                open_starts[value] = record.time
-            elif record.event == end_event and value in open_starts:
-                matched.append((open_starts.pop(value), record.time, value))
+            value = row[index]
+            event = row[2]
+            if event == start_event:
+                open_starts[value] = row[0]
+            elif event == end_event and value in open_starts:
+                matched.append((open_starts.pop(value), row[0], value))
         return matched
 
     @staticmethod

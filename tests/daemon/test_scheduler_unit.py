@@ -121,6 +121,33 @@ class TestPreemptionMode:
         assert scheduler.tasks_preempted == 0
 
 
+class TestSchedulingViews:
+    def test_tasks_out_of_the_queue_keep_no_scheduling_view(self):
+        """``daemon_views`` caches a scheduling view on each queued task;
+        a task that leaves the queue (run, done, failed, cancelled or
+        preempted) drops it, and a requeue builds a fresh one."""
+        sim, queue, scheduler, _ = build(mode=SharingMode.PREEMPT, shot_rate=1.0)
+        first = submit(queue, scheduler, priority=PriorityClass.TEST, shots=10)
+        dev = submit(queue, scheduler, priority=PriorityClass.DEVELOPMENT, shots=100)
+        doomed = submit(queue, scheduler, priority=PriorityClass.DEVELOPMENT, shots=10)
+        ghost = submit(queue, scheduler, priority=PriorityClass.TEST, resource="ghost")
+        sim.run(until=5.0)
+        assert first.state is TaskState.RUNNING and first._pending_view is None
+        assert dev._pending_view is not None and dev._pending_view.native is dev
+        queue.cancel(doomed.task_id)
+        assert doomed._pending_view is None
+        sim.run(until=20.0)
+        assert dev.state is TaskState.RUNNING
+        prod = submit(queue, scheduler, priority=PriorityClass.PRODUCTION, shots=10)
+        sim.run()
+        assert dev.preempt_count == 1
+        assert [t.state for t in (first, dev, doomed, ghost, prod)] == [
+            TaskState.COMPLETED, TaskState.COMPLETED, TaskState.CANCELLED,
+            TaskState.FAILED, TaskState.COMPLETED,
+        ]
+        assert all(t._pending_view is None for t in queue.all_tasks())
+
+
 class TestSelectionPolicy:
     def test_custom_policy_overrides_class_order(self):
         """A policy selecting strictly by enqueue order ignores classes."""

@@ -1,5 +1,8 @@
 """Tests for generator-based processes and the simulator loop."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ProcessError, SimulationError
@@ -290,3 +293,49 @@ def test_hold_with_empty_heap_still_deadlocks():
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_until_process(proc)
     assert sim.run() == 0.0  # an empty heap ends an unbounded run too
+
+
+class TestLiveProcesses:
+    """The simulator holds its live processes only: a finished one is
+    freed with its return value, a suspended one stays strongly held."""
+
+    def test_finished_process_is_freed(self):
+        sim = Simulator()
+
+        def job():
+            yield Timeout(1.0)
+            return ["result"]
+
+        ref = weakref.ref(sim.spawn(job()))
+        sim.run()
+        gc.collect()
+        assert ref() is None
+        assert not sim._processes
+        sim.events.check()
+
+    def test_suspended_process_is_held_and_not_closed(self):
+        """A suspended generator that nothing else references must not
+        be collected: collection would run its ``finally`` at GC time."""
+        sim = Simulator()
+        unwound = []
+
+        def waiter():
+            try:
+                yield Wait(Event("never"))
+            finally:
+                unwound.append(sim.now)
+
+        ref = weakref.ref(sim.spawn(waiter()))
+        sim.run()
+        gc.collect()
+        assert ref() is not None and ref().alive
+        assert unwound == []
+        assert ref() in sim._processes
+
+    def test_heap_entries_take_no_stray_attributes(self):
+        sim = Simulator()
+        entry = sim.call_in(1.0, lambda: None)
+        with pytest.raises(AttributeError):
+            entry.pretriggered = True
+        sim.run()
+        sim.events.check()
