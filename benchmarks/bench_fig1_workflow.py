@@ -34,6 +34,7 @@ from repro.runtime import (
     RuntimeEnvironment,
 )
 from repro.sdk import AnalogCircuit
+from repro.session import Session
 from repro.spec import JobSpec
 
 from .harness import build_stack
@@ -115,20 +116,12 @@ def run_workflow():
 
     # Stage 3: the QPU behind the middleware daemon — same program object
     stack = build_stack(shot_rate_hz=100.0, seed=1)
-    client = stack.client_for("figure1-user", "production")
-    task_id = client.submit(JobSpec(program=program, resource="onprem", shots=SHOTS))
-    stack.sim.run()
-    body = client.result(task_id)
-    from repro.runtime.results import RunResult
-
-    qpu_result = RunResult(
-        counts=dict(body["counts"]),
-        shots=body["shots"],
-        backend=body["backend"],
-        resource="onprem",
-        program_hash=program.content_hash(),
-        metadata=dict(body["metadata"]),
+    session = Session(daemon=stack.daemon, user="figure1-user")
+    handle = session.submit(
+        JobSpec(program=program, resource="onprem", shots=SHOTS, priority_class="production")
     )
+    stack.sim.run()
+    qpu_result = handle.result()
     report.add(
         EnvironmentFingerprint("qpu", "onprem", "onprem-qpu", qpu_result.backend),
         qpu_result,

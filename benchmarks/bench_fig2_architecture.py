@@ -175,7 +175,7 @@ def test_fig2_slurm_to_daemon_integration(benchmark):
     from repro.cluster import Node, Partition, SlurmController
     from repro.config import DictConfig
     from repro.qrmi import QRMISpankPlugin
-    from repro.runtime import DaemonClient, RuntimeEnvironment
+    from repro.runtime import RuntimeEnvironment
 
     def run():
         stack = build_stack(shot_rate_hz=10.0)
@@ -198,9 +198,8 @@ def test_fig2_slurm_to_daemon_integration(benchmark):
         def hybrid_payload(ctx):
             # inside the job: the runtime reads SPANK-injected env vars
             assert ctx.env["QRMI_DEFAULT_RESOURCE"] == "onprem"
-            client = DaemonClient(stack.router)
             env = RuntimeEnvironment.with_daemon(
-                client,
+                stack.daemon,
                 user=ctx.job.spec.user,
                 slurm_partition=ctx.env["SLURM_JOB_PARTITION"],
                 slurm_job_id=int(ctx.env["SLURM_JOB_ID"]),

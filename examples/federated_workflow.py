@@ -10,7 +10,7 @@ flow through a **two-site federation** instead of one local emulator:
 * a sticky routing policy keeps every step of the iterative workflow on
   one site (one calibration context across the probe -> sweep chain),
 * mid-demo the bound site *dies*; the second sweep fails over to the
-  surviving site with the same client and no lost jobs.
+  surviving site with the same session and no lost jobs.
 
 Run:  PYTHONPATH=src python examples/federated_workflow.py
 """
@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.daemon import MiddlewareDaemon
 from repro.federation import (
-    FederatedClient,
     FederatedSite,
     FederationBroker,
     SiteRegistry,
@@ -28,6 +27,7 @@ from repro.federation import (
 from repro.qpu import QPUDevice, Register, ShotClock
 from repro.qrmi import OnPremQPUResource
 from repro.sdk import AnalogCircuit
+from repro.session import Session
 from repro.simkernel import RngRegistry, Simulator
 from repro.spec import JobSpec
 
@@ -50,7 +50,7 @@ for name in ("alpine", "fjord"):
 registry.start_heartbeats(sim, interval=15.0)
 broker = FederationBroker(sim, registry, policy=StickyPolicy())
 broker.spawn_housekeeping(interval=15.0)
-client = FederatedClient(broker, user="workflow-user")
+session = Session(federation=broker, user="workflow-user")
 
 # --- the hybrid program pieces (identical to hybrid_workflow.py) --------------
 probe_register = Register.chain(1)
@@ -86,13 +86,13 @@ report = {}
 
 def workflow():
     """probe -> estimate -> corrected sweep, every quantum step brokered."""
-    half = yield from client.run_process(
+    half = yield from session.submit(
         JobSpec(program=probe(np.pi / 2, "probe-half"), shots=400, affinity_key="adaptive")
-    )
+    ).wait()
     scale = estimate_rabi_scale(half)
-    sweep = yield from client.run_process(
+    sweep = yield from session.submit(
         JobSpec(program=adaptive_sweep(scale, "sweep-1"), shots=400, affinity_key="adaptive")
-    )
+    ).wait()
     report["scale"] = scale
     report["first_sites"] = (
         half.metadata["federation_site"],
@@ -104,9 +104,9 @@ def workflow():
     sites[sweep.metadata["federation_site"]].kill()
 
     # ...and the next iteration transparently lands on the survivor.
-    sweep2 = yield from client.run_process(
+    sweep2 = yield from session.submit(
         JobSpec(program=adaptive_sweep(scale, "sweep-2"), shots=400, affinity_key="adaptive")
-    )
+    ).wait()
     report["failover_site"] = sweep2.metadata["federation_site"]
     report["failover_top"] = sweep2.most_frequent()
 

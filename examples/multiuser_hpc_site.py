@@ -71,9 +71,8 @@ def hybrid_job(iterations, shots, classical_seconds):
     """A hybrid payload: QPU bursts through the daemon + classical compute."""
 
     def payload(ctx):
-        client = DaemonClient(router)
         env = RuntimeEnvironment.with_daemon(
-            client,
+            daemon,
             user=ctx.job.spec.user,
             slurm_partition=ctx.env["SLURM_JOB_PARTITION"],
             slurm_job_id=int(ctx.env["SLURM_JOB_ID"]),

@@ -62,28 +62,21 @@ report.add(EnvironmentFingerprint("hpc-emu", "hpc-tn", "local-emulator", result.
 print(f"[hpc-emu ] backend={result.backend:8s} counts={dict(sorted(result.counts.items()))}")
 
 # --- 4. production: the QPU behind the middleware daemon -------------------
-from repro.daemon import MiddlewareDaemon, build_router
+from repro.daemon import MiddlewareDaemon
 from repro.qpu import QPUDevice, ShotClock
 from repro.qrmi import OnPremQPUResource
-from repro.runtime import DaemonClient
+from repro.session import Session
 from repro.simkernel import Simulator
 from repro.spec import JobSpec
 
 sim = Simulator()
 device = QPUDevice(clock=ShotClock(shot_rate_hz=100.0), rng=np.random.default_rng(7))
 daemon = MiddlewareDaemon(sim, {"onprem": OnPremQPUResource("onprem", device)})
-client = DaemonClient(build_router(daemon))
-client.open_session("quickstart-user", priority_class="production")
+session = Session(daemon=daemon, user="quickstart-user")
 
-task_id = client.submit(JobSpec(program=program, resource="onprem"))
+handle = session.submit(JobSpec(program=program, resource="onprem", priority_class="production"))
 sim.run()  # the simulated QPU executes (5s of simulated shot clock)
-body = client.result(task_id)
-from repro.runtime.results import RunResult
-
-qpu_result = RunResult(
-    counts=body["counts"], shots=body["shots"], backend=body["backend"],
-    resource="onprem", program_hash=program.content_hash(), metadata=body["metadata"],
-)
+qpu_result = handle.result()
 report.add(EnvironmentFingerprint("qpu", "onprem", "onprem-qpu", qpu_result.backend), qpu_result)
 print(f"[qpu     ] backend={qpu_result.backend:8s} counts={dict(sorted(qpu_result.counts.items()))}")
 print(f"[qpu     ] calibration at execution: "

@@ -7,8 +7,7 @@ surface of Figure 2.  Routes:
 User (bearer token = session token unless noted):
 
     POST   /sessions                      open a session (no token)
-    POST   /tasks                         submit a program
-    POST   /jobs                          submit a declarative JobSpec dict
+    POST   /jobs                          submit a JobSpec dict (the one submission route)
     GET    /tasks/{id}                    status
     GET    /tasks/{id}/result             counts, metadata, program digest, queue timestamps
     GET    /tasks/{id}/metadata           per-job metadata (paper §2.5)
@@ -106,28 +105,6 @@ def build_router(daemon: MiddlewareDaemon) -> Router:
         )
 
     @_wrap
-    def submit_task(request: Request) -> Response:
-        body = request.body
-        for key in ("program", "resource"):
-            if key not in body:
-                raise HttpError(400, f"body must include {key!r}")
-        task = daemon.submit_task(
-            token=request.token,
-            program=body["program"],
-            resource=body["resource"],
-            shots=body.get("shots"),
-        )
-        return Response(
-            status=202,
-            body={
-                "task_id": task.task_id,
-                "state": task.state.value,
-                "priority": task.priority.label,
-                "metadata": dict(task.metadata),
-            },
-        )
-
-    @_wrap
     def submit_job(request: Request) -> Response:
         body = request.body
         if "program" not in body:
@@ -194,7 +171,6 @@ def build_router(daemon: MiddlewareDaemon) -> Router:
         return Response(body={"profiles": daemon.profiles.snapshot()})
 
     router.add("POST", "/sessions", create_session)
-    router.add("POST", "/tasks", submit_task)
     router.add("POST", "/jobs", submit_job)
     router.add("GET", "/tasks/{id}", task_status)
     router.add("GET", "/tasks/{id}/result", task_result)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -207,9 +208,12 @@ class MiddlewareQueue:
         resource: str,
         now: float,
         metadata: dict[str, Any] | None = None,
+        admit: Callable[[QueuedTask], None] | None = None,
     ) -> QueuedTask:
         """Enqueue one task; ``metadata`` lands on it before its
-        ``queued`` transition reaches the listeners."""
+        ``queued`` transition reaches the listeners.  ``admit(task)``
+        sees the task after the shot cap, before it is filed: if it
+        raises, the task is neither stored nor announced."""
         task = QueuedTask(
             task_id=f"mw-task-{next(self._id_counter)}",
             session_id=session_id,
@@ -221,6 +225,8 @@ class MiddlewareQueue:
         )
         if self.shot_cap is not None:
             self.shot_cap.apply(task)
+        if admit is not None:
+            admit(task)
         if metadata:
             task.metadata.update(metadata)
         self._tasks[task.task_id] = task

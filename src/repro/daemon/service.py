@@ -218,10 +218,12 @@ class MiddlewareDaemon:
         resource: str,
         shots: int | None = None,
     ) -> QueuedTask:
-        """Validate and enqueue a program for the session behind ``token``.
+        """Validate and enqueue a program for the session behind
+        ``token`` — the in-process intake; REST submissions arrive as
+        specs through :meth:`submit_spec`.
 
         ``program`` may be any registered SDK object, an
-        :class:`AnalogProgram`, or an IR dict (as arriving over REST).
+        :class:`AnalogProgram`, or an IR dict.
         """
         return self._enqueue(self.resolve_session(token), program, resource, shots, None)
 
@@ -233,7 +235,7 @@ class MiddlewareDaemon:
         shots: int | None,
         metadata: dict[str, Any] | None,
     ) -> QueuedTask:
-        """Translate, enqueue and target-check one program; ``metadata``
+        """Translate, target-check and enqueue one program; ``metadata``
         is on the task before its ``queued`` transition is published."""
         if resource not in self.resources:
             raise DaemonError(
@@ -253,14 +255,8 @@ class MiddlewareDaemon:
             resource=resource,
             now=self.now,
             metadata=metadata,
+            admit=self._admit,
         )
-        # point-of-submission validation against the resource's current
-        # target, on the *effective* program (after shot-cap policy).
-        try:
-            self._validate_against_target(task.program, resource)
-        except Exception:
-            self.queue.cancel(task.task_id)
-            raise
         session.task_ids.append(task.task_id)
         self.scheduler.notify_submit(task)
         return task
@@ -277,9 +273,9 @@ class MiddlewareDaemon:
         """
         from ..spec import JobSpec
 
+        session = self.resolve_session(token)
         if isinstance(spec, dict):
             spec = JobSpec.from_dict(spec, self.decoded_parts)
-        session = self.resolve_session(token)
         spec = spec.validate(default_tenant=session.user)
         if spec.is_multi:
             raise ValidationError(
@@ -297,10 +293,14 @@ class MiddlewareDaemon:
             metadata["algorithm"] = spec.algorithm
         return self._enqueue(session, spec.program, resource, spec.shots, metadata)
 
-    def _validate_against_target(self, program: AnalogProgram, resource: str) -> None:
-        # the task's one digest: memoized on its program, which the
-        # resource hands on to the device on every (re)run
-        specs = self.resources[resource].specs()
+    def _admit(self, task: QueuedTask) -> None:
+        """Point-of-submission validation of the *effective* program
+        (after the shot cap) against the resource's current target; a
+        refusal leaves no task behind.  The digest is the task's one:
+        memoized on its program, which the resource hands on to the
+        device on every (re)run."""
+        program = task.program
+        specs = self.resources[task.resource].specs()
         specs.admit(program.register, program.segments, program.shots, program.content_hash())
 
     def _owned_task(self, token: str, task_id: str) -> QueuedTask:

@@ -29,7 +29,8 @@ profiles instead of static assignment.
   sites, the middleware queue, and the broker publish state
   transitions the moment they happen, replacing status polling,
 * :mod:`client`   — :class:`FederatedClient`, the DaemonClient-shaped
-  front end returning uniform :class:`~repro.runtime.results.RunResult`,
+  broker client behind :class:`~repro.session.Session`'s federation
+  backend, returning uniform :class:`~repro.runtime.results.RunResult`,
 * :mod:`metrics`  — per-site + aggregate federation metrics through
   the existing observability registry/TSDB path.
 

@@ -245,23 +245,6 @@ class JobTable:
         return expired
 
 
-def _program_qubits(program: Any) -> int:
-    register = getattr(program, "register", None)
-    if register is None and isinstance(program, dict):
-        register = program.get("register")
-    try:
-        return len(register)  # Register and IR-dict register lists both size
-    except TypeError:
-        return 0
-
-
-def _program_name(program: Any) -> str:
-    name = getattr(program, "name", None)
-    if name is None and isinstance(program, dict):
-        name = program.get("name")
-    return name or "program"
-
-
 class FederationBroker:
     """Route jobs across a :class:`SiteRegistry` with a pluggable policy."""
 
@@ -520,7 +503,7 @@ class FederationBroker:
             shots=spec.shots,
             owner=spec.tenant,
             affinity_key=spec.affinity_key,
-            n_qubits=_program_qubits(spec.program),
+            n_qubits=spec.program.num_qubits,
             submitted_at=self.sim.now,
             state=JobState.HELD if hold else JobState.PLACED,
             seq=seq,
@@ -551,7 +534,7 @@ class FederationBroker:
             "job_held" if hold else "job_submitted",
             job.job_id,
             tenant=spec.tenant,
-            program=_program_name(spec.program),
+            program=spec.program.name,
             qubits=job.n_qubits,
         )
         return job
@@ -574,7 +557,7 @@ class FederationBroker:
             return False
         if not self._placement_for(spec).convert_when_saturated:
             return False
-        capable = self._capable(_program_qubits(spec.program))
+        capable = self._capable(spec.program.num_qubits)
         return bool(capable) and all(snap.is_saturated for snap in capable)
 
     def _convert_and_submit(self, spec: JobSpec) -> str:

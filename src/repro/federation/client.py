@@ -1,17 +1,16 @@
-"""FederatedClient: the one-interface view of a multi-site federation.
+"""FederatedClient: the typed view of a federation broker.
 
 Mirrors the call conventions of :class:`~repro.runtime.client.DaemonClient`
-(submit / status / result, plus a generator ``run_process`` for use
-inside simulated jobs) but speaks to the :class:`FederationBroker`
-instead of one site's REST router, so user code written against the
-single-site runtime moves to the federation by swapping the client.
-Every job enters as a :class:`~repro.spec.JobSpec` through
-:meth:`FederatedClient.submit_spec`, and one ``status`` / ``result`` /
-``run_process`` answers for any federated id: fixed-size, converted,
-or multi-unit.  Results come back as the same
+(submit / status / result) but speaks to the :class:`FederationBroker`
+instead of one site's REST router.  Every job enters as a
+:class:`~repro.spec.JobSpec` through :meth:`FederatedClient.submit_spec`,
+and one ``status`` / ``result`` answers for any federated id:
+fixed-size, converted, or multi-unit.  Results come back as the same
 :class:`~repro.runtime.results.RunResult` the single-site path
-produces, with the executing site(s) recorded in metadata — users keep
-one mental model from laptop to federation.
+produces, with the executing site(s) recorded in metadata.  This is
+the federation backend of :class:`~repro.session.Session`; to wait for
+a job on the simulated clock, submit it through a session and yield
+``handle.wait()``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Any
 from ..runtime.results import RunResult
 from ..sdk.translate import to_ir
 from ..spec import JobSpec, require_spec
-from .broker import FederatedJob, FederationBroker, JobState
+from .broker import FederatedJob, FederationBroker
 
 __all__ = ["FederatedClient"]
 
@@ -108,15 +107,3 @@ class FederatedClient:
                 "federation_malleable": job.spec.malleable,
             },
         )
-
-    # -- simulated processes -------------------------------------------------
-
-    def run_process(self, spec: JobSpec):
-        """Generator form for simulated jobs: submit the spec, wait for
-        its pushed terminal ``job_*`` event, return the (merged) result.
-        Raises :class:`~repro.errors.FederationError` instead of waiting
-        forever when the job needs a housekeeping sweep and none runs."""
-        job_id = self.submit_spec(spec)
-        if self.broker.job(job_id).state not in (JobState.COMPLETED, JobState.FAILED):
-            yield from self.broker.wait(job_id)
-        return self.result(job_id)

@@ -8,10 +8,11 @@ physical QPUs." (§3.1)
 
 Pieces:
 
-* :class:`RuntimeEnvironment` — the user-facing object.  Two modes
-  with one interface: **direct** (developer laptop: QRMI resources
-  executed in-process) and **daemon** (HPC: tasks go through the
-  middleware's sessions/queue),
+* :class:`RuntimeEnvironment` — the user-facing object.  One
+  interface over **direct** execution (developer laptop: QRMI resources
+  executed in-process) and one :class:`~repro.session.Session` to a
+  middleware daemon (HPC: its sessions and queue) or a federation
+  broker,
 * :mod:`backend_select` — the ``--qpu=<resource>`` switching policy,
 * :mod:`validation` — point-of-execution program validation against
   freshly fetched device specs (§2.1),
@@ -19,7 +20,8 @@ Pieces:
 * :mod:`portability` — machinery proving the same program ran in every
   environment (Figure 1's claim, made checkable),
 * :mod:`results` — the uniform run-result container,
-* :mod:`client` — the REST client for daemon mode.
+* :mod:`client` — the daemon's REST client (``POST /jobs`` and the
+  task reads) that a session speaks through.
 """
 
 from .backend_select import select_resource

@@ -3,7 +3,11 @@
 Wraps a :class:`~repro.daemon.http.Router` (the in-process transport)
 with the call conventions a real HTTP client would use: base token
 handling, JSON bodies, error mapping.  Every method corresponds to one
-route in :mod:`repro.daemon.api`.
+route in :mod:`repro.daemon.api`.  A job has one way in, ``POST /jobs``
+with a whole :class:`~repro.spec.JobSpec` (:meth:`DaemonClient.submit`);
+:class:`~repro.session.Session` submits daemon-bound specs through it,
+and :class:`~repro.runtime.RuntimeEnvironment` in daemon mode goes
+through its session.
 """
 
 from __future__ import annotations
@@ -64,35 +68,16 @@ class DaemonClient:
     # -- tasks --------------------------------------------------------------
 
     def submit(self, spec: JobSpec) -> str:
-        """``POST /tasks``: submit one fixed-size
-        :class:`~repro.spec.JobSpec` whose resolved IR, shots and
-        ``resource`` fill the REST body.  Anything but a spec raises
-        :class:`~repro.errors.SpecError`."""
-        spec = require_spec(spec, "DaemonClient.submit").validate()
-        if spec.is_multi:
-            raise ValidationError(
-                "the daemon runs fixed-size tasks; a multi-unit spec "
-                "(iterations/sites) needs the federation broker or a "
-                "Session"
-            )
-        if spec.resource is None:
-            raise ValidationError("daemon submission needs a target: set spec.resource")
-        body = {
-            "program": spec.program.to_dict(),
-            "resource": spec.resource,
-            "shots": spec.shots,
-        }
-        response = self._call("POST", "/tasks", body)
-        return response.body["task_id"]
-
-    def submit_spec(self, spec: Any) -> dict[str, Any]:
-        """``POST /jobs``: ship one :class:`~repro.spec.JobSpec` (or its
-        ``to_dict`` payload) as the request body.  Unlike :meth:`submit`,
-        the whole spec travels — tenant, metadata, and the scheduling
-        ``algorithm`` selection arrive on the daemon task, and resource
-        fallback (single-resource daemons) happens server-side."""
-        body = spec.to_dict() if isinstance(spec, JobSpec) else dict(spec)
-        return self._call("POST", "/jobs", body).body
+        """``POST /jobs``: ship one :class:`~repro.spec.JobSpec` as the
+        request body and return the new task id.  The whole spec
+        travels — tenant, metadata (a trace context included) and the
+        scheduling ``algorithm`` land on the daemon task.  The daemon is
+        the trust boundary: it validates the spec, fills an unset
+        tenant with the session's user, refuses a multi-unit spec and
+        falls back to its only resource when none is named.  Anything
+        but a spec raises :class:`~repro.errors.SpecError` here."""
+        body = require_spec(spec, "DaemonClient.submit").to_dict()
+        return self._call("POST", "/jobs", body).body["task_id"]
 
     def status(self, task_id: str) -> dict[str, Any]:
         return self._call("GET", f"/tasks/{task_id}").body

@@ -7,33 +7,43 @@ every environment of Figure 1:
   environment variables and execute in-process.  This is the developer
   laptop and also what a Slurm job uses when it talks to QRMI without
   the daemon.
-* **daemon mode** (:meth:`with_daemon`) — calls go through the
-  middleware's REST API with a session token; the second-level
-  scheduler decides when the QPU runs the task.
+* **daemon mode** (:meth:`with_daemon`) — jobs go through one
+  :class:`~repro.session.Session` on the middleware daemon, whose REST
+  session token and second-level scheduler decide when the QPU runs
+  the task.
+* **federated** — a :class:`~repro.session.Session` on a federation
+  broker: names missing from the local catalog resolve to the broker's
+  ``site/resource`` targets.
 
-In both modes ``run()``:
+In every mode ``run_process()``:
 
 1. resolves the target via the ``--qpu`` switching policy,
 2. fetches the target's *current* spec document,
 3. validates the program against it (point-of-execution validation),
-4. executes, returning a uniform :class:`RunResult`.
+4. executes, returning a uniform :class:`RunResult` — in process, or by
+   submitting one :class:`~repro.spec.JobSpec` through the session and
+   waiting on its handle for the pushed terminal event.
+
+``run()`` does the same synchronously, for in-process targets only.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any
 
 from ..config import ConfigSource
 from ..errors import QRMIError, TaskError
 from ..qrmi.env import load_resources
 from ..qrmi.interface import QuantumResource, TaskStatus
 from ..sdk.registry import SDKRegistry, default_registry
-from ..simkernel import Timeout
 from ..spec import JobSpec
 from .backend_select import select_resource, spec_request
-from .client import DaemonClient
 from .results import RunResult
 from .validation import ensure_valid
+
+if TYPE_CHECKING:
+    from ..session import Session
 
 __all__ = ["RuntimeEnvironment"]
 
@@ -44,20 +54,20 @@ class RuntimeEnvironment:
     def __init__(
         self,
         resources: dict[str, QuantumResource] | None = None,
-        client: DaemonClient | None = None,
+        session: Session | None = None,
         default_resource: str | None = None,
         sdk_registry: SDKRegistry | None = None,
-        federation=None,
     ) -> None:
-        if resources is None and client is None:
-            raise QRMIError("runtime needs QRMI resources or a daemon client")
+        if resources is None and session is None:
+            raise QRMIError("runtime needs QRMI resources or a session")
         self.resources = resources or {}
-        self.client = client
+        #: the one way to a daemon or a federation broker
+        self.session = session
         self.default_resource = default_resource
         self.sdk_registry = sdk_registry or default_registry()
-        #: optional FederationBroker-shaped handle; lets resolution fall
-        #: through to remote sites when the local catalog is empty
-        self.federation = federation
+        #: the priority class of every daemon submission (set by
+        #: :meth:`with_daemon`); ``None`` keeps each spec's own
+        self.priority_class: str | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -72,55 +82,63 @@ class RuntimeEnvironment:
     @classmethod
     def with_daemon(
         cls,
-        client: DaemonClient,
+        daemon,
         user: str = "user",
         priority_class: str = "development",
         slurm_partition: str | None = None,
         slurm_job_id: int | None = None,
         default_resource: str | None = None,
     ) -> "RuntimeEnvironment":
-        """Daemon mode: opens a session immediately."""
-        client.open_session(
-            user,
-            priority_class=priority_class,
+        """Daemon mode: every job goes through one
+        :class:`~repro.session.Session` on ``daemon``, which opens its
+        REST session on the first submission (with the Slurm partition
+        and job id, when given)."""
+        from ..session import Session
+
+        session = Session(
+            daemon=daemon,
+            user=user,
             slurm_partition=slurm_partition,
             slurm_job_id=slurm_job_id,
         )
-        return cls(client=client, default_resource=default_resource)
+        env = cls(session=session, default_resource=default_resource)
+        env.priority_class = priority_class
+        return env
 
     # -- discovery --------------------------------------------------------------
 
+    @property
+    def _federation(self):
+        """The broker behind a daemon-less session, consulted for names
+        the local catalog lacks; ``None`` otherwise."""
+        if self.session is None or self.session.daemon is not None:
+            return None
+        return self.session.federation
+
     def available_resources(self) -> dict[str, str]:
-        """name -> type for everything this environment can execute on."""
-        if self.client is not None:
-            return {m["name"]: m["type"] for m in self.client.resources()}
-        return {name: res.resource_type for name, res in self.resources.items()}
+        """name -> type for the local catalog plus, in daemon mode, the
+        daemon's (federated names resolve through :meth:`resolve`)."""
+        available = {name: res.resource_type for name, res in self.resources.items()}
+        if self.session is not None and self.session.daemon is not None:
+            available.update(self.session.resources())
+        return available
+
+    def _via_session(self, resource: str) -> bool:
+        """Does ``resource`` run through the session rather than in
+        process: a daemon's resource, or a federated ``site/resource``
+        that the local catalog lacks?"""
+        if self.session is None or resource in self.resources:
+            return False
+        federation = self._federation
+        return federation is None or federation.has_resource(resource)
 
     def fetch_target(self, resource: str) -> dict[str, Any]:
         """Fresh spec document for a resource."""
-        if self.client is not None:
-            return self.client.target(resource)
         if resource in self.resources:
             return self.resources[resource].target()
-        if self._is_federated(resource):
-            return self.federation.target(resource)
+        if self._via_session(resource):
+            return self.session.target(resource)
         raise QRMIError(f"unknown resource {resource!r}")
-
-    def _is_federated(self, resource: str) -> bool:
-        """Does ``resource`` resolve through the federation fall-through
-        rather than the local catalog / daemon?"""
-        if (
-            self.federation is None
-            or self.client is not None
-            or resource in self.resources
-        ):
-            return False
-        checker = getattr(self.federation, "has_resource", None)
-        if checker is not None:
-            # membership probe — avoids materializing full site
-            # snapshots on every fetch_target/run call
-            return bool(checker(resource))
-        return resource in self.federation.available_resources()
 
     def resolve(
         self, qpu: str | tuple[str, ...] | list[str] | None = None
@@ -131,7 +149,7 @@ class RuntimeEnvironment:
             self.available_resources(),
             requested=qpu,
             env_default=self.default_resource,
-            federation=self.federation,
+            federation=self._federation,
         )
 
     # -- execution ---------------------------------------------------------------
@@ -140,47 +158,40 @@ class RuntimeEnvironment:
         """Normalize any submission payload to a validated
         :class:`~repro.spec.JobSpec` — the one place IR lowering and
         shot resolution happen (an explicit ``shots=`` argument wins
-        over the spec's own request)."""
-        if isinstance(program, JobSpec):
-            spec = program
-            if shots is not None and spec.shots != shots:
-                from dataclasses import replace
-
-                spec = replace(spec, shots=shots)
-        else:
-            spec = JobSpec(program=program, shots=shots)
-        return spec.validate()
+        over the spec's own request).  An unset tenant becomes the
+        session's user, as :meth:`Session.submit` would fill it."""
+        spec = program if isinstance(program, JobSpec) else JobSpec(program=program)
+        if shots is not None and spec.shots != shots:
+            spec = replace(spec, shots=shots)
+        if self.session is None:
+            return spec.validate()
+        return spec.validate(default_tenant=self.session.user)
 
     def run(self, program: Any, qpu: str | None = None, shots: int | None = None) -> RunResult:
-        """Execute a program (any SDK object / IR / dict / JobSpec) and
-        block for the result.  In daemon mode this requires the task to
-        complete within the daemon's simulation — for long QPU queues
-        use :meth:`run_process` from inside a simulated job instead."""
+        """Execute a program (any SDK object / IR / dict / JobSpec) in
+        process and return the result.  A job bound for a daemon or a
+        federation finishes on the simulated clock, so it raises
+        :class:`~repro.errors.TaskError`, before submitting: yield
+        :meth:`run_process` from a simulated job instead."""
         spec = self._as_spec(program, shots)
         if spec.is_multi:
             raise TaskError(
                 "multi-unit specs are asynchronous by construction; "
                 "use run_process() from a simulated job (or Session.submit)"
             )
-        ir = spec.program
         resource = self.resolve(qpu if qpu is not None else spec_request(spec))
         if isinstance(resource, tuple):
             raise TaskError(
                 "multi-site placements are asynchronous by construction; "
                 "use run_process() from a simulated job"
             )
-        target = self.fetch_target(resource)
-        ensure_valid(ir, target)
-        if self._is_federated(resource):
-            # federated execution is asynchronous across site daemons —
-            # same constraint as daemon mode inside a simulation
+        ensure_valid(spec.program, self.fetch_target(resource))
+        if self._via_session(resource):
             raise TaskError(
-                f"resource {resource!r} lives on a federated site; use "
-                "run_process() from a simulated job (or a FederatedClient)"
+                f"resource {resource!r} runs through a daemon or federation "
+                "session; use run_process() from a simulated job (or Session.submit)"
             )
-        if self.client is None:
-            return self._run_direct(ir, resource)
-        return self._run_daemon(ir, resource)
+        return self._run_direct(spec.program, resource)
 
     def _run_direct(self, ir, resource: str) -> RunResult:
         backend = self.resources[resource]
@@ -192,49 +203,18 @@ class RuntimeEnvironment:
         emulation = backend.task_result(task_id)
         return RunResult.from_emulation(emulation, resource, ir.content_hash())
 
-    def _run_daemon(self, ir, resource: str) -> RunResult:
-        assert self.client is not None
-        task_id = self.client.submit(JobSpec(program=ir, resource=resource))
-        status = self.client.status(task_id)
-        if status["state"] != "completed":
-            raise TaskError(
-                f"task {task_id} not complete (state {status['state']}); "
-                "in simulations, drive the simulator or use run_process()"
-            )
-        return self._daemon_result(task_id, ir, resource)
-
-    def _daemon_result(self, task_id: str, ir, resource: str) -> RunResult:
-        assert self.client is not None
-        body = self.client.result(task_id)
-        status = self.client.status(task_id)
-        wait = 0.0
-        if status["started_at"] is not None:
-            wait = status["started_at"] - status["enqueued_at"]
-        return RunResult(
-            counts=dict(body["counts"]),
-            shots=body["shots"],
-            backend=body["backend"],
-            resource=resource,
-            program_hash=ir.content_hash(),
-            queue_wait_s=wait,
-            execution_s=float(body["metadata"].get("execution_seconds", 0.0)),
-            metadata=dict(body["metadata"]),
-        )
-
     def run_process(
         self,
         program: Any,
         qpu: str | tuple[str, ...] | list[str] | None = None,
         shots: int | None = None,
-        poll_interval: float = 1.0,
         iterations: int | None = None,
     ):
-        """Generator form of :meth:`run` for daemon/federated mode inside
-        a simulation: submits, then waits on the simulated clock until
-        the task reaches a terminal state — a daemon task by polling
-        every ``poll_interval`` seconds, a federated job on its pushed
-        terminal event.  Yield it from a job payload.  In direct mode it
-        completes synchronously (no yields).
+        """Generator form of :meth:`run`: yield it from a simulated job.
+        A job for a daemon or a federation is submitted through the
+        session, and the generator waits on its handle for the pushed
+        terminal event (see :meth:`~repro.session.JobHandle.wait`).  In
+        direct mode it completes synchronously (no yields).
 
         A tuple/list ``qpu`` is a *multi-site placement*: the program
         runs as a malleable federated job of ``iterations`` burst units
@@ -245,9 +225,8 @@ class RuntimeEnvironment:
         ``program`` may be a :class:`~repro.spec.JobSpec`: its
         ``resource``/``pin``/``sites`` fields stand in for ``qpu=`` and
         its ``iterations`` for ``iterations=`` (explicit arguments
-        win)."""
+        win); its other fields travel with the job."""
         spec = self._as_spec(program, shots)
-        ir = spec.program
         if qpu is None:
             qpu = spec_request(spec)
             if iterations is None and spec.sites is not None:
@@ -262,12 +241,10 @@ class RuntimeEnvironment:
                 "submit through Session/FederationBroker"
             )
         if isinstance(resource, tuple):
-            if self.federation is None:
-                raise TaskError(
-                    "multi-site placements need a federation= handle"
-                )
+            if self._federation is None:
+                raise TaskError("multi-site placements need a federation session")
             for name in resource:
-                if not self._is_federated(name):
+                if not self._via_session(name):
                     # a local catalog name resolves, but it is not a
                     # site the broker can hold a share on — rejecting
                     # beats silently running every unit elsewhere
@@ -275,42 +252,28 @@ class RuntimeEnvironment:
                         f"multi-site placement leg {name!r} is not a "
                         "federated site/resource"
                     )
-                ensure_valid(ir, self.fetch_target(name))
-            from ..federation.client import FederatedClient
-
-            result = yield from FederatedClient(self.federation).run_process(
-                JobSpec(
-                    program=ir,
-                    sites=resource,
-                    iterations=iterations if iterations is not None else 2 * len(resource),
+                ensure_valid(spec.program, self.fetch_target(name))
+            if iterations is None:
+                iterations = 2 * len(resource)
+            spec = replace(spec, resource=None, pin=None, sites=resource, iterations=iterations)
+        else:
+            if iterations is not None:
+                raise TaskError(
+                    "iterations= only applies to multi-site (tuple) placements"
                 )
-            )
-            return result
-        if iterations is not None:
-            raise TaskError(
-                "iterations= only applies to multi-site (tuple) placements"
-            )
-        target = self.fetch_target(resource)
-        ensure_valid(ir, target)
-        if self._is_federated(resource):
-            from ..federation.client import FederatedClient
-
-            # pin to the resolved site/resource: the --qpu contract means
-            # the job runs exactly where it was validated, not wherever
-            # the routing policy would send it
-            result = yield from FederatedClient(self.federation).run_process(
-                JobSpec(program=ir, pin=resource)
-            )
-            return result
-        if self.client is None:
-            # direct mode: synchronous, but keep the generator protocol
-            return self._run_direct(ir, resource)
-        task_id = self.client.submit(JobSpec(program=ir, resource=resource))
-        while True:
-            status = self.client.status(task_id)
-            if status["state"] in ("completed", "failed", "cancelled"):
-                break
-            yield Timeout(poll_interval)
-        if status["state"] != "completed":
-            raise TaskError(f"task {task_id} ended {status['state']}")
-        return self._daemon_result(task_id, ir, resource)
+            ensure_valid(spec.program, self.fetch_target(resource))
+            if not self._via_session(resource):
+                # direct mode: synchronous, but keep the generator protocol
+                return self._run_direct(spec.program, resource)
+            if self._federation is not None:
+                # pin to the resolved site/resource: the --qpu contract
+                # means the job runs exactly where it was validated, not
+                # wherever the routing policy would send it
+                spec = replace(spec, resource=None, pin=resource)
+            else:
+                spec = replace(
+                    spec,
+                    resource=resource,
+                    priority_class=self.priority_class or spec.priority_class,
+                )
+        return (yield from self.session.submit(spec).wait())

@@ -16,7 +16,10 @@ Backend choice (see :meth:`Session.backend_for`): a spec that declares
 federation-shaped placement (``sites``, ``iterations``, a ``pin``, or a
 qualified ``site/resource`` target) goes to the federation; a plain
 spec goes to the local daemon when one is wired, else the federation,
-else the cloud gateway.  ``backend=`` overrides.
+else the cloud gateway.  ``backend=`` overrides.  A
+:class:`~repro.runtime.RuntimeEnvironment` reaches a daemon or a
+broker through one session too: its ``run_process`` is a submit here
+and a ``handle.wait()``.
 
 A session listens on one :class:`~repro.federation.events.LifecycleBus`
 (:attr:`Session.events`), onto which each backend daemon publishes its
@@ -138,6 +141,10 @@ class Session:
     * ``federation`` — a :class:`~repro.federation.FederationBroker`,
     * ``cloud`` — a :class:`~repro.daemon.cloud.CloudGateway` plus the
       ``cloud_api_key`` identifying this session's tenant.
+
+    Inside a Slurm job, ``slurm_partition`` and ``slurm_job_id`` go to
+    every daemon session this session opens: the daemon derives the
+    queue priority from the partition (paper §3.3), not from the spec.
     """
 
     def __init__(
@@ -147,6 +154,8 @@ class Session:
         cloud=None,
         cloud_api_key: str = "",
         user: str = "user",
+        slurm_partition: str | None = None,
+        slurm_job_id: int | None = None,
     ) -> None:
         if daemon is None and federation is None and cloud is None:
             raise DaemonError("session needs at least one backend")
@@ -157,6 +166,8 @@ class Session:
         self.cloud = cloud
         self.cloud_api_key = cloud_api_key
         self.user = user
+        self.slurm_partition = slurm_partition
+        self.slurm_job_id = slurm_job_id
         self.tracer = None
         self._daemon_client = None
         self._fed_client = None
@@ -248,6 +259,19 @@ class Session:
             return "federation"
         return "cloud"
 
+    # -- discovery -------------------------------------------------------------
+
+    def resources(self) -> dict[str, str]:
+        """``name -> type`` of the local daemon's catalog, over REST."""
+        return {m["name"]: m["type"] for m in self._client().resources()}
+
+    def target(self, resource: str) -> dict[str, Any]:
+        """The current spec document of ``resource``, from the daemon
+        over REST, else from the federation."""
+        if self.daemon is None:
+            return self.federation.target(resource)
+        return self._client().target(resource)
+
     # -- submission ------------------------------------------------------------
 
     def submit(self, spec: JobSpec, backend: str | None = None) -> JobHandle:
@@ -327,7 +351,12 @@ class Session:
                 pass  # idle-expired: open a fresh one
         client = self._client()
         client.token = ""
-        client.open_session(self.user, priority_class=priority_class)
+        client.open_session(
+            self.user,
+            priority_class=priority_class,
+            slurm_partition=self.slurm_partition,
+            slurm_job_id=self.slurm_job_id,
+        )
         token = self._daemon_tokens[priority_class] = client.token
         return token
 
@@ -335,14 +364,13 @@ class Session:
         client = self._client()
         client.token = self._daemon_token(spec.priority_class)
         if spec.resource is None:
-            available = {m["name"]: m["type"] for m in client.resources()}
             spec = replace(
                 spec,
-                resource=select_resource(available, requested=spec_request(spec)),
+                resource=select_resource(self.resources(), requested=spec_request(spec)),
             )
         # POST /jobs ships the whole spec: tenant, metadata, and the
         # scheduling-algorithm selection land on the daemon task
-        return client.submit_spec(spec)["task_id"], client.token
+        return client.submit(spec), client.token
 
     def _submit_cloud(self, spec: JobSpec) -> str:
         if self.cloud is None:

@@ -82,7 +82,9 @@ class SyntheticHybridJob:
         def run(ctx):
             client = client_factory()
             program = self.quantum_circuit().transpile(shots=self.shots_per_burst)
-            spec = JobSpec(program=program, resource=resource).validate()
+            # unvalidated: the daemon validates it and fills the tenant
+            # with this job's session user
+            spec = JobSpec(program=program, resource=resource)
             for _ in range(self.iterations):
                 task_id = client.submit(spec)
                 while True:

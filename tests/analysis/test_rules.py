@@ -192,6 +192,47 @@ class TestNoPoll:
         assert len(found) == 2
         assert all("tick" in f.message for f in found)
 
+    def test_bad_status_poll_loop_in_runtime_and_session(self, lint):
+        """The runtime's former daemon wait is a finding in runtime/ and
+        session.py; the same loop in workloads/ (a synthetic polling
+        client) is not, and neither is a status read without a sleep or
+        a push wait."""
+        poll_loop = """
+            from repro.simkernel import Timeout
+
+
+            def run_process(self, task_id, poll_interval=1.0):
+                while True:
+                    status = self.client.status(task_id)
+                    if status["state"] in ("completed", "failed", "cancelled"):
+                        break
+                    yield Timeout(poll_interval)
+                return status
+        """
+        report = lint(
+            {
+                "repro/runtime/environment.py": poll_loop,
+                "repro/session.py": poll_loop.replace("Timeout(", "simkernel.Timeout("),
+                "repro/workloads/generator.py": poll_loop,
+                "repro/runtime/workflow.py": """
+                    def drain(self, handles):
+                        while handles:
+                            if handles[-1].status()["state"] == "completed":
+                                handles.pop()
+
+                    def wait(self, handle):
+                        return (yield from handle.wait())
+                """,
+            },
+            [NoPollRule()],
+        )
+        found = rules_of(report, "no-poll")
+        assert sorted(f.file.rsplit("/", 1)[-1] for f in found) == [
+            "environment.py",
+            "session.py",
+        ]
+        assert all("status-poll loop" in f.message for f in found)
+
     def test_good_push_consumption(self, lint):
         report = lint(
             {

@@ -92,6 +92,27 @@ class TestJobsRoute:
         assert response.status == 422
         assert "federation" in response.body["error"]
 
+    def test_refused_spec_publishes_nothing_and_leaves_no_task(self):
+        """A program the target refuses never becomes a task: no
+        ``queued``/``cancelled`` pair on the bus, nothing in the queue."""
+        sim, daemon = build_daemon()
+        router = build_router(daemon)
+        token = open_session(router)
+        seq = Sequence(Register.chain(2, spacing=6.0), name="too-strong")
+        seq.declare_channel("ch")
+        seq.add(Pulse.constant_detuning(ConstantWaveform(0.5, 50.0), 0.0), "ch")
+        seq.measure()
+        body = JobSpec(program=seq.build(shots=20)).to_dict()
+        published = daemon.events.published
+        response = router.dispatch(
+            Request("POST", "/jobs", body=body, headers={"Authorization": f"Bearer {token}"})
+        )
+        assert response.status == 422
+        assert daemon.events.published == published
+        assert daemon.queue.all_tasks() == []
+        (session,) = daemon.sessions.active()
+        assert session.task_ids == []
+
     def test_unknown_algorithm_is_client_error(self):
         sim, daemon = build_daemon()
         router = build_router(daemon)
@@ -124,27 +145,54 @@ class TestJobsRoute:
 
 
 class TestDaemonClientSubmitSpec:
+    """``DaemonClient.submit``: one spec, one ``POST /jobs``."""
+
     def test_client_ships_spec_and_runs_to_completion(self):
         sim, daemon = build_daemon()
         router = build_router(daemon)
         client = DaemonClient(router)
         client.open_session("carol")
-        out = client.submit_spec(JobSpec(program=make_program(), shots=8))
-        assert out["state"] == "queued"
+        task_id = client.submit(JobSpec(program=make_program(), shots=8))
+        assert client.status(task_id)["state"] == "queued"
         sim.run()
-        status = client.status(out["task_id"])
+        status = client.status(task_id)
         assert status["state"] == "completed"
-        result = client.result(out["task_id"])
+        result = client.result(task_id)
         assert result["shots"] == 8
 
-    def test_client_accepts_plain_dict(self):
+    def test_client_refuses_plain_dict(self):
         sim, daemon = build_daemon()
-        router = build_router(daemon)
-        client = DaemonClient(router)
+        client = DaemonClient(build_router(daemon))
         client.open_session("dave")
         body = JobSpec(program=make_program(), shots=6).to_dict()
-        out = client.submit_spec(body)
-        assert "task_id" in out
+        with pytest.raises(SpecError, match="DaemonClient.submit takes a JobSpec"):
+            client.submit(body)
+        assert daemon.queue.all_tasks() == []
+
+    def test_client_carries_every_spec_field_onto_the_task(self):
+        """Tenant, algorithm and metadata, a trace context included,
+        all reach the daemon task."""
+        sim, daemon = build_daemon()
+        client = DaemonClient(build_router(daemon))
+        client.open_session("frank")
+        trace_context = {"trace_id": "t-1", "span_id": "s-1"}
+        task_id = client.submit(
+            JobSpec(
+                program=make_program(),
+                resource="onprem",
+                tenant="acme",
+                algorithm="easy-backfill",
+                metadata={"run": "r1", "trace_context": trace_context},
+            )
+        )
+        task = daemon.queue.get(task_id)
+        assert task.user == "frank"
+        assert task.metadata == {
+            "run": "r1",
+            "trace_context": trace_context,
+            "tenant": "acme",
+            "algorithm": "easy-backfill",
+        }
 
     def test_spec_error_surfaces_client_side(self):
         with pytest.raises(SpecError, match="unknown scheduling algorithm"):
@@ -156,4 +204,4 @@ class TestDaemonClientSubmitSpec:
         client = DaemonClient(router)
         client.open_session("erin")
         with pytest.raises(ValidationError, match="federation"):
-            client.submit_spec(JobSpec(program=make_program(), iterations=3))
+            client.submit(JobSpec(program=make_program(), iterations=3))

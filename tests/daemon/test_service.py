@@ -208,8 +208,9 @@ class TestRestAPI:
         router = build_router(daemon)
         from repro.daemon import Request
 
+        # the token is checked before the body is decoded
         response = router.dispatch(
-            Request("POST", "/tasks", body={"program": {}, "resource": "onprem"})
+            Request("POST", "/jobs", body={"program": {}, "resource": "onprem"})
         )
         assert response.status == 401
 

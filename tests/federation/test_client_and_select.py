@@ -6,6 +6,7 @@ from repro.errors import ResourceNotFound
 from repro.federation import FederatedClient, JobState
 from repro.runtime import RuntimeEnvironment
 from repro.runtime.backend_select import select_resource
+from repro.session import Session
 from repro.simkernel import Timeout
 from repro.spec import JobSpec
 
@@ -35,12 +36,15 @@ class TestFederatedClient:
         }
 
     def test_run_process_inside_simulation(self):
+        """Submit and wait from a simulated job: one Session, one handle."""
         sim, registry, broker, sites = build_federation(n_sites=2)
-        client = FederatedClient(broker, user="loop-user")
+        session = Session(federation=broker, user="loop-user")
         outcome = {}
 
         def hybrid():
-            result = yield from client.run_process(JobSpec(program=make_program(), shots=20))
+            handle = session.submit(JobSpec(program=make_program(), shots=20))
+            result = yield from handle.wait()
+            assert broker.job(handle.job_id).owner == "loop-user"
             outcome["shots"] = result.shots
             yield Timeout(1.0)
 
@@ -94,7 +98,7 @@ class TestFederationAwareSelection:
 
     def test_runtime_environment_passes_federation_handle(self):
         sim, registry, broker, sites = build_federation(n_sites=2)
-        env = RuntimeEnvironment(resources={}, federation=broker)
+        env = RuntimeEnvironment(resources={}, session=Session(federation=broker, user="fed-user"))
         assert env.resolve() == "site-0/onprem"
 
 
@@ -103,7 +107,7 @@ class TestFederatedRuntimeExecution:
         """Empty local catalog + federation handle: run_process works
         end to end, not just resolve()."""
         sim, registry, broker, sites = build_federation(n_sites=2)
-        env = RuntimeEnvironment(resources={}, federation=broker)
+        env = RuntimeEnvironment(resources={}, session=Session(federation=broker, user="fed-user"))
         outcome = {}
 
         def user_job():
@@ -117,7 +121,7 @@ class TestFederatedRuntimeExecution:
 
     def test_fetch_target_falls_through_to_federation(self):
         sim, registry, broker, sites = build_federation(n_sites=1)
-        env = RuntimeEnvironment(resources={}, federation=broker)
+        env = RuntimeEnvironment(resources={}, session=Session(federation=broker, user="fed-user"))
         target = env.fetch_target("site-0/onprem")
         assert target["max_qubits"] > 0
 
@@ -125,7 +129,7 @@ class TestFederatedRuntimeExecution:
         from repro.errors import TaskError
 
         sim, registry, broker, sites = build_federation(n_sites=1)
-        env = RuntimeEnvironment(resources={}, federation=broker)
+        env = RuntimeEnvironment(resources={}, session=Session(federation=broker, user="fed-user"))
         with pytest.raises(TaskError, match="run_process"):
             env.run(make_program(), shots=10)
 
@@ -135,7 +139,7 @@ class TestExplicitFederatedRequests:
         """--qpu contract: an explicit site/resource runs exactly there,
         not wherever the routing policy would send it."""
         sim, registry, broker, sites = build_federation(n_sites=2)
-        env = RuntimeEnvironment(resources={}, federation=broker)
+        env = RuntimeEnvironment(resources={}, session=Session(federation=broker, user="fed-user"))
         outcome = {}
 
         def user_job():

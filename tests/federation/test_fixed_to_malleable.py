@@ -8,6 +8,7 @@ from fedutil import build_federation, make_program
 from repro.federation import FederatedClient, JobState
 from repro.federation.malleable import ResizeConfig
 from repro.scheduling.algorithms import EasyBackfill
+from repro.session import Session
 from repro.spec import JobSpec
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "accounting"))
@@ -99,17 +100,17 @@ class TestFixedToMalleableConversion:
 
     def test_run_process_answers_for_fixed_converted_and_multi_unit_ids(self):
         sim, broker, sites = self._build()
-        client = FederatedClient(broker, user="alice")
+        session = Session(federation=broker, user="alice")
         _saturate(broker, sites, per_site=2)
         results = {}
 
         def submit(spec):
-            # run_process submits at spawn time, while saturation holds
+            # the process submits at spawn time, while saturation holds
             key = len(results)
             results[key] = None
 
             def proc():
-                results[key] = yield from client.run_process(spec)
+                results[key] = yield from session.submit(spec).wait()
 
             sim.spawn(proc(), name=f"run-process-{key}")
             return key

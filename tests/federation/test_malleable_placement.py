@@ -16,6 +16,7 @@ from repro.federation import (
     StickyPolicy,
 )
 from repro.scheduling import ShareLedger
+from repro.session import Session
 from repro.spec import JobSpec
 
 
@@ -130,13 +131,13 @@ class TestResizeLoop:
         sim, registry, broker, sites = build_federation(
             n_sites=3, max_queue_depth=20
         )
-        client = FederatedClient(broker, user="mall")
+        session = Session(federation=broker, user="mall")
         out = {}
 
         def job():
-            out["result"] = yield from client.run_process(
+            out["result"] = yield from session.submit(
                 JobSpec(program=make_program(shots=40), iterations=6)
-            )
+            ).wait()
 
         sim.spawn(job(), name="multi-unit-run-process")
         sim.run(until=3600.0)
@@ -144,8 +145,6 @@ class TestResizeLoop:
         assert out["result"].metadata["federation_units"] == 6
 
     def test_session_reads_multi_unit_and_fixed_handles_alike(self):
-        from repro.session import Session
-
         sim, registry, broker, sites = build_federation(
             n_sites=3, max_queue_depth=20
         )
@@ -424,7 +423,7 @@ class TestRuntimeMultiSitePlacement:
         sim, registry, broker, sites = build_federation(
             n_sites=3, max_queue_depth=20
         )
-        env = RuntimeEnvironment(resources={}, federation=broker)
+        env = RuntimeEnvironment(resources={}, session=Session(federation=broker, user="fed-user"))
         placement = env.resolve(("site-0/onprem", "site-1/onprem"))
         assert placement == ("site-0/onprem", "site-1/onprem")
 
@@ -450,7 +449,7 @@ class TestRuntimeMultiSitePlacement:
         from repro.runtime import RuntimeEnvironment
 
         sim, registry, broker, sites = build_federation(n_sites=2)
-        env = RuntimeEnvironment(resources={}, federation=broker)
+        env = RuntimeEnvironment(resources={}, session=Session(federation=broker, user="fed-user"))
         with pytest.raises(TaskError):
             env.run(make_program(), qpu=("site-0/onprem", "site-1/onprem"))
 
@@ -465,7 +464,7 @@ class TestRuntimeMultiSitePlacement:
         sim, registry, broker, sites = build_federation(n_sites=2)
         env = RuntimeEnvironment(
             resources={"emu": LocalEmulatorResource("emu", emulator="emu-sv")},
-            federation=broker,
+            session=Session(federation=broker, user="fed-user"),
         )
         gen = env.run_process(
             make_program(shots=30), qpu=("site-0/onprem", "emu"), iterations=4

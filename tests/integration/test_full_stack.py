@@ -54,11 +54,10 @@ def build_site(shot_rate=10.0, mode=SharingMode.PREEMPT, seed=0, num_nodes=2):
     return sim, ctl, daemon, device, router
 
 
-def hybrid_payload(router, iterations=2, shots=100, classical=5.0):
+def hybrid_payload(daemon, iterations=2, shots=100, classical=5.0):
     def payload(ctx):
-        client = DaemonClient(router)
         env = RuntimeEnvironment.with_daemon(
-            client,
+            daemon,
             user=ctx.job.spec.user,
             slurm_partition=ctx.env["SLURM_JOB_PARTITION"],
             default_resource=ctx.env["QRMI_DEFAULT_RESOURCE"],
@@ -90,7 +89,7 @@ class TestFullStack:
                         user=f"user-{i}",
                         partition=partition,
                         qpu_resource="onprem",
-                        payload=hybrid_payload(router),
+                        payload=hybrid_payload(daemon),
                     )
                 )
             )
@@ -113,7 +112,7 @@ class TestFullStack:
             JobSpec(
                 name="dev-long", user="student", partition="development",
                 qpu_resource="onprem",
-                payload=hybrid_payload(router, iterations=3, shots=300, classical=1.0),
+                payload=hybrid_payload(daemon, iterations=3, shots=300, classical=1.0),
             )
         )
         sim.run(until=30.0)
@@ -123,7 +122,7 @@ class TestFullStack:
                 JobSpec(
                     name="prod-urgent", user="operator", partition="production",
                     qpu_resource="onprem",
-                    payload=hybrid_payload(router, iterations=1, shots=50, classical=1.0),
+                    payload=hybrid_payload(daemon, iterations=1, shots=50, classical=1.0),
                 )
             )
 
@@ -154,7 +153,7 @@ class TestFullStack:
                     JobSpec(
                         name=name, user="operator", partition="production",
                         qpu_resource="onprem",
-                        payload=hybrid_payload(router, iterations=1, shots=100),
+                        payload=hybrid_payload(daemon, iterations=1, shots=100),
                     )
                 )
             sim.call_in(delay, submit)
@@ -184,7 +183,7 @@ class TestFullStack:
             JobSpec(
                 name="patient", user="alice", partition="production",
                 qpu_resource="onprem",
-                payload=hybrid_payload(router, iterations=1, shots=50),
+                payload=hybrid_payload(daemon, iterations=1, shots=50),
             )
         )
         # submission during maintenance: daemon accepts, scheduler fails the
@@ -199,7 +198,7 @@ class TestFullStack:
                 JobSpec(
                     name="retry", user="alice", partition="production",
                     qpu_resource="onprem",
-                    payload=hybrid_payload(router, iterations=1, shots=50),
+                    payload=hybrid_payload(daemon, iterations=1, shots=50),
                 )
             )
             sim.run()
@@ -212,7 +211,7 @@ class TestFullStack:
             ctl.submit(
                 JobSpec(
                     name=f"m-{i}", user="alice", partition="production",
-                    qpu_resource="onprem", payload=hybrid_payload(router),
+                    qpu_resource="onprem", payload=hybrid_payload(daemon),
                 )
             )
         sim.run()

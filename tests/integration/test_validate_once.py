@@ -116,20 +116,20 @@ class TestBadScheduleRefusedAtEveryEntryPoint:
         assert tally.check[id(device.specs)] == 2
         assert daemon.queue.queued_count() == 0
 
-    def test_rest_jobs_and_tasks_routes(self, tally):
+    def test_rest_jobs_route(self, tally):
+        """``POST /jobs`` with the daemon's fallback resource and with
+        an explicit one: each refusal is a real check."""
         sim, daemon, device = build()
         router = build_router(daemon)
         token = open_session(router)
         bad = make_program(omega=BAD_OMEGA)
         for _ in range(2):
-            jobs = post(router, token, "/jobs", JobSpec(program=bad).to_dict())
-            assert jobs.status == 422
-            assert any("Rabi" in v for v in jobs.body["violations"])
-            tasks = post(
-                router, token, "/tasks", {"program": bad.to_dict(), "resource": "onprem"}
-            )
-            assert tasks.status == 422
+            for spec in (JobSpec(program=bad), JobSpec(program=bad, resource="onprem")):
+                jobs = post(router, token, "/jobs", spec.to_dict())
+                assert jobs.status == 422
+                assert any("Rabi" in v for v in jobs.body["violations"])
         assert tally.check[id(device.specs)] == 4
+        assert daemon.queue.all_tasks() == []
 
     def test_device_run_now_and_execute_process(self, tally):
         sim = Simulator()

@@ -6,11 +6,10 @@ import pytest
 
 from repro.config import DictConfig
 from repro.errors import ResourceNotFound, ValidationError
-from repro.daemon import MiddlewareDaemon, build_router
+from repro.daemon import MiddlewareDaemon
 from repro.qpu import ConstantWaveform, DeviceSpecs, QPUDevice, Register, ShotClock
 from repro.qrmi import LocalEmulatorResource, OnPremQPUResource
 from repro.runtime import (
-    DaemonClient,
     EnvironmentFingerprint,
     HybridProgram,
     OptimizerLoop,
@@ -24,6 +23,7 @@ from repro.runtime import (
 )
 from repro.sdk import Pulse, Sequence
 from repro.simkernel import Simulator
+from repro.spec import JobSpec
 
 
 def make_program(shots=50, n=2, omega=np.pi):
@@ -167,14 +167,13 @@ def build_daemon_env(priority="production"):
             "emu": LocalEmulatorResource("emu", emulator="emu-sv"),
         },
     )
-    client = DaemonClient(build_router(daemon))
-    env = RuntimeEnvironment.with_daemon(client, user="alice", priority_class=priority)
-    return sim, env
+    env = RuntimeEnvironment.with_daemon(daemon, user="alice", priority_class=priority)
+    return sim, env, daemon
 
 
 class TestDaemonMode:
     def test_run_process_through_queue(self):
-        sim, env = build_daemon_env()
+        sim, env, daemon = build_daemon_env()
         results = []
 
         def runner():
@@ -188,7 +187,7 @@ class TestDaemonMode:
         assert results[0].resource == "onprem"
 
     def test_emulator_resource_completes_instantly(self):
-        sim, env = build_daemon_env()
+        sim, env, daemon = build_daemon_env()
         results = []
 
         def runner():
@@ -198,11 +197,12 @@ class TestDaemonMode:
         sim.spawn(runner())
         final_time = sim.run()
         assert results[0].backend == "emu-sv"
-        # emulator tasks consume no QPU shot-clock time, only a poll tick
-        assert final_time <= 2.0
+        # emulator tasks consume no QPU shot-clock time, and the result
+        # arrives with the pushed completion: no poll tick on top
+        assert final_time == 0.0
 
     def test_wait_time_measured(self):
-        sim, env = build_daemon_env()
+        sim, env, daemon = build_daemon_env()
         waits = []
 
         def runner(delay):
@@ -216,8 +216,51 @@ class TestDaemonMode:
         assert min(waits) == pytest.approx(0.0, abs=0.2)
         assert max(waits) > 4.0  # second task waited for the first (50 shots @10Hz)
 
+    def test_run_process_returns_at_the_task_finish(self):
+        """The runtime wakes on the pushed terminal transition: it
+        returns at the task's ``finished_at``, not at the next poll."""
+        sim, env, daemon = build_daemon_env()
+        returned = []
+
+        def runner():
+            yield from env.run_process(make_program(shots=23), qpu="onprem")
+            returned.append(sim.now)
+
+        sim.spawn(runner())
+        sim.run()
+        (task,) = daemon.queue.all_tasks()
+        assert task.finished_at == pytest.approx(2.3, abs=0.01)
+        assert returned == [task.finished_at]
+
+    def test_spec_fields_travel_to_the_daemon_task(self):
+        sim, env, daemon = build_daemon_env()
+        spec = JobSpec(
+            program=make_program(shots=10),
+            tenant="acme",
+            algorithm="easy-backfill",
+            metadata={"run": "r1"},
+        )
+
+        def runner():
+            yield from env.run_process(spec, qpu="emu")
+
+        sim.spawn(runner())
+        sim.run()
+        (task,) = daemon.queue.all_tasks()
+        assert task.user == "alice"
+        assert task.priority.label == "production"
+        assert task.metadata == {"run": "r1", "tenant": "acme", "algorithm": "easy-backfill"}
+
+    def test_run_refuses_a_daemon_resource_before_submitting(self):
+        from repro.errors import TaskError
+
+        _, env, daemon = build_daemon_env()
+        with pytest.raises(TaskError, match="run_process"):
+            env.run(make_program(shots=10), qpu="emu")
+        assert daemon.queue.all_tasks() == []
+
     def test_available_resources_via_rest(self):
-        _, env = build_daemon_env()
+        _, env, _ = build_daemon_env()
         available = env.available_resources()
         assert available == {"onprem": "onprem-qpu", "emu": "local-emulator"}
 
@@ -306,7 +349,7 @@ class TestHybridProgram:
     def test_as_payload_runs_in_cluster_job(self):
         from repro.cluster import JobSpec, Node, Partition, SlurmController
 
-        sim, env = build_daemon_env()
+        sim, env, daemon = build_daemon_env()
 
         def build(params):
             return make_program(shots=20)

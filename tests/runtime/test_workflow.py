@@ -111,10 +111,9 @@ class TestSynchronousExecution:
 class TestSimulatedExecution:
     def test_payload_runs_in_cluster_with_concurrent_probes(self):
         from repro.cluster import JobSpec, Node, Partition, SlurmController
-        from repro.daemon import MiddlewareDaemon, build_router
+        from repro.daemon import MiddlewareDaemon
         from repro.qpu import QPUDevice, ShotClock
         from repro.qrmi import OnPremQPUResource
-        from repro.runtime import DaemonClient
         from repro.simkernel import Simulator
 
         sim = Simulator()
@@ -123,9 +122,8 @@ class TestSimulatedExecution:
             rng=np.random.default_rng(0),
         )
         daemon = MiddlewareDaemon(sim, {"onprem": OnPremQPUResource("onprem", device)})
-        client = DaemonClient(build_router(daemon))
         wf_env = RuntimeEnvironment.with_daemon(
-            client, user="wf-user", priority_class="production", default_resource="onprem"
+            daemon, user="wf-user", priority_class="production", default_resource="onprem"
         )
 
         wf = Workflow("hpc-wf")

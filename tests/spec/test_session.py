@@ -6,7 +6,6 @@ from specutil import build_federation, build_three_backends, make_daemon, make_p
 from repro.daemon.cloud import CloudGateway
 from repro.errors import DaemonError, FederationError, PlacementError, SpecError
 from repro.runtime.results import RunResult
-from repro.federation import FederatedClient
 from repro.session import Session
 from repro.simkernel import RngRegistry
 from repro.spec import JobSpec
@@ -290,14 +289,17 @@ class TestPushWait:
         assert sim.now == 1.0
 
     def test_client_run_process_ends_when_its_reroute_fails_the_job(self):
+        """A fixed job submitted and waited for from one process: the
+        reroute that fails it ends the wait, with no sweep running."""
         sim, registry, broker, sites = build_federation(n_sites=1, housekeeping=None)
-        client = FederatedClient(broker)
+        session = Session(federation=broker, user="fed-user")
+
+        def submit_and_wait():
+            return (yield from session.submit(JobSpec(program=make_program(shots=30))).wait())
+
         sim.call_in(1.0, sites["site-0"].kill)
         with pytest.raises(PlacementError, match="failed"):
-            sim.run_until_process(
-                sim.spawn(client.run_process(JobSpec(program=make_program(shots=30)))),
-                max_events=5000,
-            )
+            sim.run_until_process(sim.spawn(submit_and_wait()), max_events=5000)
         assert sim.now == 1.0
 
     def test_heartbeat_lapse_without_housekeeping_reroutes_at_the_push(self):
