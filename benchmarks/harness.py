@@ -651,6 +651,29 @@ def run_footprint_row(jobs: int = 60) -> dict:
     return {"bytes_per_job": (second - first) / jobs}
 
 
+def run_in_fresh_process(row: str) -> dict:
+    """``row()``, a function of this module that returns a JSON-able
+    dict, run in a new interpreter: its result cannot depend on the
+    allocator and GC state that the rows before it leave behind."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, root])}
+    code = f"import json; from benchmarks.harness import {row}; print(json.dumps({row}()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root, check=False
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{row} failed in a fresh process:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def bench_regression_suite() -> dict:
     """Run the federation + malleable + accounting ablation benches;
     returns ``{"mode": ..., "metrics": {name: value}}``."""
@@ -830,8 +853,11 @@ def bench_regression_suite() -> dict:
     # telemetry scrape into the TSDB
     metrics["walltime_daemon_submit_ratio"] = round(run_daemon_submit_row()["ratio"], 4)
     metrics["walltime_tsdb_scrape_ratio"] = round(run_tsdb_scrape_row()["ratio"], 4)
-    # memory a long-running stack keeps per finished job
-    metrics["footprint_federated_bytes_per_job"] = round(run_footprint_row()["bytes_per_job"], 1)
+    # memory a long-running stack keeps per finished job, measured in a
+    # fresh interpreter so every run of the suite reads the same bytes
+    metrics["footprint_federated_bytes_per_job"] = round(
+        run_in_fresh_process("run_footprint_row")["bytes_per_job"], 1
+    )
     mode = "smoke" if os.environ.get("BENCH_SMOKE", "") not in ("", "0") else "full"
     return {"mode": mode, "metrics": metrics}
 

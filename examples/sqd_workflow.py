@@ -10,7 +10,7 @@ This example runs the real pipeline:
 
 1. sample the ordered phase of a 10-atom chain on the MPS emulator,
 2. project the Rydberg-Ising Hamiltonian onto the sampled subspace and
-   diagonalize it (scipy sparse eigensolver) — true SQD post-processing,
+   diagonalize it (dense NumPy eigensolver) — true SQD post-processing,
 3. show why malleability matters: the modeled wall-clock of the
    post-processing across a batch of such jobs, rigid vs malleable
    CPU allocation.

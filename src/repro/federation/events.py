@@ -312,7 +312,7 @@ def wait_for(sim: Any, bus: LifecycleBus, job_id: str, kinds: tuple[str, ...], s
     def fire(event: JobEvent) -> None:
         bus.unsubscribe(handle)
         wake.trigger(event)
-        sim.schedule_triggered(wake)
+        sim.schedule(wake)
         queue.release()
 
     handle = bus.subscribe(fire, job_id=job_id, kinds=kinds, site=site)

@@ -4,7 +4,8 @@
 support innovative solutions for scheduling, for example via workflow
 engine integrations or malleable jobs."
 
-A :class:`Workflow` is a DAG (networkx) of steps:
+A :class:`Workflow` is a DAG of steps, kept in two plain dicts (each
+step's upstream names and its downstream names):
 
 * **quantum steps** — an SDK program (or a builder reading upstream
   results) executed through a :class:`RuntimeEnvironment` — so the same
@@ -26,8 +27,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-import networkx as nx
-
 from ..errors import ReproError
 from ..simkernel import Timeout
 from .environment import RuntimeEnvironment
@@ -45,6 +44,8 @@ class _Step:
     shots: int = 100
     qpu: str | None = None
     classical_seconds: float = 0.0
+    #: upstream step names, deduplicated, in the order ``after`` gave them
+    after: tuple[str, ...] = ()
 
 
 @dataclass
@@ -65,8 +66,9 @@ class Workflow:
 
     def __init__(self, name: str = "workflow") -> None:
         self.name = name
-        self.graph = nx.DiGraph()
         self._steps: dict[str, _Step] = {}
+        #: downstream step names per step, in the order they were added
+        self._children: dict[str, list[str]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -102,20 +104,28 @@ class Workflow:
         for dep in after:
             if dep not in self._steps:
                 raise ReproError(f"step {step.name!r} depends on unknown {dep!r}")
+        # every dependency already exists, so a new step never closes a cycle
+        step.after = tuple(dict.fromkeys(after))
         self._steps[step.name] = step
-        self.graph.add_node(step.name)
-        for dep in after:
-            self.graph.add_edge(dep, step.name)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            self.graph.remove_node(step.name)
-            del self._steps[step.name]
-            raise ReproError(f"adding step {step.name!r} would create a cycle")
+        self._children[step.name] = []
+        for dep in step.after:
+            self._children[dep].append(step.name)
 
     def steps(self) -> list[str]:
-        return list(nx.topological_sort(self.graph))
+        """Dependency order, generation by generation: the roots in the
+        order they were added, then each step once its last upstream
+        step is released, in the order its upstream steps gained it."""
+        waiting = {name: len(step.after) for name, step in self._steps.items() if step.after}
+        order = [name for name, step in self._steps.items() if not step.after]
+        for name in order:  # grows while it is walked
+            for child in self._children[name]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    order.append(child)
+        return order
 
     def _upstream(self, name: str, outputs: dict[str, Any]) -> dict[str, Any]:
-        return {dep: outputs[dep] for dep in self.graph.predecessors(name)}
+        return {dep: outputs[dep] for dep in self._steps[name].after}
 
     # -- synchronous execution (direct mode) ---------------------------------
 
@@ -149,7 +159,7 @@ class Workflow:
                 ready = [
                     name
                     for name in remaining
-                    if all(dep in result.outputs for dep in self.graph.predecessors(name))
+                    if all(dep in result.outputs for dep in self._steps[name].after)
                 ]
                 if not ready:
                     raise ReproError("workflow deadlock: no ready steps")

@@ -118,6 +118,19 @@ class AnalogProgram:
             "metadata": dict(self.metadata),
         }
 
+    def wire(self) -> dict:
+        """:meth:`to_dict`, encoded once per (frozen) instance and then
+        shared by every caller: the read-only program body of a
+        ``JobSpec.to_dict`` payload, which the receiver decodes but never
+        edits.  Like the content hash, the memo never appears in
+        ``to_dict``, ``==`` or ``replace``; callers that edit the dict
+        they get take :meth:`to_dict`."""
+        cached = getattr(self, "_wire", None)
+        if cached is None:
+            cached = self.to_dict()
+            object.__setattr__(self, "_wire", cached)
+        return cached
+
     @classmethod
     def from_dict(cls, data: dict, parts: DecodedParts | None = None) -> "AnalogProgram":
         """Decode the wire form; with ``parts``, a register or segment

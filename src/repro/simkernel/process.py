@@ -164,7 +164,7 @@ class Process:
             immediate = Event(name=f"{self.name}.immediate")
             immediate.callbacks.append(resume)
             immediate.trigger(event.value if event.triggered else None)
-            self._pending_entry = self.sim.schedule_triggered(
+            self._pending_entry = self.sim.schedule(
                 immediate, delay=0.0, background=self.background
             )
             self._waiting_on = immediate
@@ -184,7 +184,7 @@ class Process:
             # drives it: nobody will ever see the error
             self.sim.unobserved_failures += 1
         self.done_event.trigger(value)
-        self.sim.schedule_triggered(self.done_event, delay=0.0, background=self.background)
+        self.sim.schedule(self.done_event, delay=0.0, background=self.background)
 
     # -- interruption ----------------------------------------------------
 
@@ -213,7 +213,7 @@ class Process:
         event = Event(name=f"{self.name}.interrupt")
         event.callbacks.append(lambda ev: self._step(None, exc=Interrupt(cause)))
         event.trigger(None)
-        self.sim.schedule_triggered(event, delay=0.0, priority=-1)
+        self.sim.schedule(event, delay=0.0, priority=-1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Process({self.name!r}, alive={self._alive})"
@@ -271,20 +271,18 @@ class Simulator:
     def schedule(
         self, event: Event, delay: float = 0.0, priority: int = 0, background: bool = False
     ) -> ScheduledEvent:
-        """Schedule a *pending* event; it is triggered when popped."""
-        return self.events.push(self.now + delay, event, priority, background=background)
+        """Queue ``event`` to run its callbacks ``delay`` seconds from now.
 
-    def schedule_triggered(
-        self, event: Event, delay: float = 0.0, priority: int = 0, background: bool = False
-    ) -> ScheduledEvent:
-        """Schedule an event that has already been triggered."""
+        The event may already be triggered (it keeps its value) or still
+        pending (:meth:`step_batch` triggers it with ``None`` when it is
+        popped)."""
         return self.events.push(self.now + delay, event, priority, background=background)
 
     def timeout_event(self, delay: float, value: Any = None, name: str = "timeout") -> Event:
         """Create an event that triggers ``delay`` seconds from now."""
         event = Event(name=name)
         event.trigger(value)
-        self.schedule_triggered(event, delay=delay)
+        self.schedule(event, delay=delay)
         return event
 
     # -- processes -------------------------------------------------------

@@ -86,7 +86,7 @@ class Resource:
             req.granted = True
             req.event.trigger(self)
             assert req.sim is not None
-            req.sim.schedule_triggered(req.event, delay=0.0)
+            req.sim.schedule(req.event, delay=0.0)
 
     def queue_length(self) -> int:
         return sum(1 for r in self._waiters if not r.cancelled)
@@ -154,7 +154,7 @@ class PriorityResource:
         req.granted = True
         req.event.trigger(self)
         assert req.sim is not None
-        req.sim.schedule_triggered(req.event, delay=0.0)
+        req.sim.schedule(req.event, delay=0.0)
 
     def _try_preempt(self) -> None:
         # Highest-priority waiter vs lowest-priority holder.
@@ -237,7 +237,7 @@ class Container:
             req.granted = True
             req.event.trigger(req.amount)
             assert req.sim is not None
-            req.sim.schedule_triggered(req.event, delay=0.0)
+            req.sim.schedule(req.event, delay=0.0)
 
 
 class _ContainerGet(_Request):
@@ -275,7 +275,7 @@ class Store:
             req.granted = True
             req.event.trigger(item)
             assert req.sim is not None
-            req.sim.schedule_triggered(req.event, delay=0.0)
+            req.sim.schedule(req.event, delay=0.0)
 
     def __len__(self) -> int:
         return len(self.items)

@@ -235,11 +235,13 @@ class JobSpec:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-able form; the program travels as its IR dict."""
+        """JSON-able form; the program travels as its IR dict, the one
+        :meth:`~repro.sdk.ir.AnalogProgram.wire` encodes once per program
+        and every payload of that program shares."""
         from ..sdk.translate import to_ir
 
         return {
-            "program": to_ir(self.program, shots=self.shots or DEFAULT_SHOTS).to_dict(),
+            "program": to_ir(self.program, shots=self.shots or DEFAULT_SHOTS).wire(),
             "shots": self.shots,
             "tenant": self.tenant,
             "resource": self.resource,

@@ -8,7 +8,8 @@ the post-processing was parallelized up 6400 nodes on Fugaku."
 Shape: ONE quantum sampling burst, then a classical eigenproblem on
 the subspace spanned by the sampled configurations.  We really solve
 it: the Rydberg-Ising Hamiltonian is projected onto the sampled
-bitstring set and diagonalized with ``scipy.sparse.linalg.eigsh``.
+bitstring set and diagonalized densely with ``numpy.linalg.eigvalsh``
+(the subspace has at most ``max_dim`` rows).
 The classical phase dominates (Low-QC / High-CC), and its cost scales
 with the subspace dimension — the knob the malleability experiment
 (C4) turns.
@@ -19,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..errors import ReproError
 from ..qpu.geometry import Register
@@ -63,31 +62,22 @@ def sqd_postprocess(
     )
     diag = 0.5 * np.einsum("si,ij,sj->s", occ, u, occ) - delta * occ.sum(axis=1)
 
-    rows, cols, vals = [], [], []
+    h = np.diag(diag)
+    nnz = dim
     for i, bits in enumerate(basis):
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag[i])
         # single-bit-flip couplings within the subspace
         for k in range(n):
             flipped = bits[:k] + ("1" if bits[k] == "0" else "0") + bits[k + 1 :]
             j = index.get(flipped)
             if j is not None and j > i:
-                rows.extend((i, j))
-                cols.extend((j, i))
-                vals.extend((omega / 2.0, omega / 2.0))
-    h = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    if dim == 1:
-        ground = float(diag[0])
-    else:
-        k = min(1, dim - 1) or 1
-        eigenvalues = spla.eigsh(h, k=k, which="SA", return_eigenvectors=False)
-        ground = float(eigenvalues.min())
+                h[i, j] = h[j, i] = omega / 2.0
+                nnz += 2
+    ground = float(np.linalg.eigvalsh(h)[0])
     return {
         "subspace_dim": dim,
         "ground_energy": ground,
         "num_qubits": n,
-        "nnz": int(h.nnz),
+        "nnz": nnz,
     }
 
 

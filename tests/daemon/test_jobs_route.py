@@ -1,5 +1,7 @@
 """``POST /jobs``: declarative JobSpec intake on the daemon REST API."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,24 @@ class TestJobsRoute:
         assert task.metadata["tenant"] == "alice"  # session user wins
         assert task.metadata["algorithm"] == "easy-backfill"
         assert task.metadata["experiment"] == "sweep-7"
+
+    def test_decoding_one_body_leaves_the_next_equal(self):
+        """Every payload of one program shares its encoded IR dict, so
+        the daemon's decode must leave it as it found it."""
+        sim, daemon = build_daemon()
+        router = build_router(daemon)
+        token = open_session(router)
+        spec = JobSpec(program=make_program(), shots=20, metadata={"run": "r1"})
+        body = spec.to_dict()
+        expected = copy.deepcopy(body)
+        response = router.dispatch(
+            Request("POST", "/jobs", body=body, headers={"Authorization": f"Bearer {token}"})
+        )
+        assert response.status == 202
+        again = spec.to_dict()
+        assert again == expected
+        assert again["program"] is body["program"]
+        assert JobSpec.from_dict(again).validate() == spec.validate()
 
     def test_resource_fallback_on_single_resource_daemon(self):
         sim, daemon = build_daemon(n_resources=1)

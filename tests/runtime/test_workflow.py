@@ -52,6 +52,57 @@ class TestConstruction:
         with pytest.raises(ReproError):
             wf.add_classical("b", lambda up: 1, after=("ghost",))
 
+    def test_self_dependency_rejected_as_unknown(self):
+        """A step can only depend on steps that already exist, so the
+        one cycle left to try, a step after itself, is refused as an
+        unknown dependency and leaves the workflow as it was."""
+        wf = Workflow()
+        wf.add_classical("a", lambda up: 1)
+        with pytest.raises(ReproError, match="depends on unknown 'b'"):
+            wf.add_classical("b", lambda up: 2, after=("a", "b"))
+        assert wf.steps() == ["a"]
+
+    # Golden orders: roots in the order they were added, then each step
+    # once its last upstream step is released, in edge order; upstream
+    # outputs keyed in the order ``after`` named them, repeats dropped.
+    @pytest.mark.parametrize(
+        ("shape", "order", "upstream"),
+        [
+            (
+                [("a", ()), ("b", ("a",)), ("c", ("a",)), ("d", ("c", "b"))],
+                ["a", "b", "c", "d"],
+                {"d": ["c", "b"]},
+            ),
+            ([("a", ()), ("b", ("a",)), ("c", ())], ["a", "c", "b"], {"b": ["a"]}),
+            ([("a", ()), ("b", ()), ("c", ("b", "a", "b", "a"))], ["a", "b", "c"], {"c": ["b", "a"]}),
+            (
+                [
+                    ("r1", ()),
+                    ("r2", ()),
+                    ("x", ("r2",)),
+                    ("y", ("r2", "r1")),
+                    ("r3", ()),
+                    ("z", ("x", "r3")),
+                    ("w", ("y", "x")),
+                    ("v", ("r1",)),
+                ],
+                ["r1", "r2", "r3", "v", "x", "y", "z", "w"],
+                {"y": ["r2", "r1"], "z": ["x", "r3"], "w": ["y", "x"]},
+            ),
+        ],
+        ids=["diamond", "root-after-dependent", "repeated-after", "mixed"],
+    )
+    def test_golden_step_and_upstream_order(self, shape, order, upstream):
+        wf = Workflow()
+        seen = {}
+        for name, after in shape:
+            wf.add_classical(name, lambda up, name=name: seen.setdefault(name, list(up)), after=after)
+        assert wf.steps() == order
+        result = wf.run(env())
+        assert result.order == order
+        for name, deps in upstream.items():
+            assert seen[name] == deps
+
 
 class TestSynchronousExecution:
     def test_linear_pipeline(self):

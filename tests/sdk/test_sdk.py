@@ -1,5 +1,7 @@
 """Tests for the shared IR and both SDK front ends."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,18 @@ class TestAnalogProgram:
         again = AnalogProgram.from_dict(program.to_dict())
         assert again == program
         assert again.content_hash() == program.content_hash()
+
+    def test_wire_memo_stays_out_of_eq_replace_and_to_dict(self):
+        program = pulser_program()
+        fresh = program.to_dict()
+        wire = program.wire()
+        assert program.wire() is wire
+        assert wire == fresh and program.to_dict() is not wire
+        assert set(program.to_dict()) == {"register", "segments", "shots", "name", "sdk", "metadata"}
+        assert program == pulser_program()
+        for other in (replace(program, shots=7), program.with_shots(7)):
+            assert other.wire()["shots"] == 7
+            assert program.wire()["shots"] == program.shots
 
     def test_with_shots_preserves_content(self):
         program = pulser_program(shots=100)

@@ -123,7 +123,7 @@ def test_step_batch_preserves_interrupt_priority_order():
         log.append("first")
         barge = Event()
         barge.trigger(None)
-        sim.schedule_triggered(barge, delay=0.0, priority=-1)
+        sim.schedule(barge, delay=0.0, priority=-1)
         barge.callbacks.append(lambda ev: log.append("barge"))
 
     sim.call_at(5.0, first)

@@ -65,7 +65,7 @@ def test_wait_on_event():
     def opener():
         yield Timeout(4.0)
         gate.trigger("open!")
-        sim.schedule_triggered(gate)
+        sim.schedule(gate)
 
     sim.spawn(waiter())
     sim.spawn(opener())
@@ -180,7 +180,7 @@ def test_interrupt_detaches_event_callback():
         proc.interrupt()
         yield Timeout(1.0)
         gate.trigger("late")
-        sim.schedule_triggered(gate)
+        sim.schedule(gate)
 
     sim.spawn(driver())
     sim.run()

@@ -107,6 +107,32 @@ class TestSQD:
         report = sqd_postprocess(counts, Register.chain(4, spacing=6.0), max_dim=5)
         assert report["subspace_dim"] == 5
 
+    def test_full_subspace_matches_exact_diagonalization(self):
+        """Sampling every configuration makes the subspace the whole
+        Hilbert space, so the result is the exact ground energy of H,
+        built here independently from Kronecker products."""
+        from repro.qpu import Register
+        from repro.qpu.hamiltonian import interaction_matrix
+
+        n, delta, omega = 4, 6.0, 2.0
+        register = Register.chain(n, spacing=6.0)
+        counts = {format(s, f"0{n}b"): 1 for s in range(2**n)}
+        report = sqd_postprocess(counts, register, delta=delta, omega=omega)
+
+        u = interaction_matrix(register)
+        occ = np.array([[int(c) for c in format(s, f"0{n}b")] for s in range(2**n)], dtype=float)
+        h = np.diag(0.5 * np.einsum("si,ij,sj->s", occ, u, occ) - delta * occ.sum(axis=1))
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for k in range(n):
+            term = np.ones((1, 1))
+            for q in range(n):
+                term = np.kron(term, x if q == k else np.eye(2))
+            h += (omega / 2.0) * term
+        assert report["subspace_dim"] == 2**n
+        assert report["ground_energy"] == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-9)
+        # the diagonal plus both halves of every single-flip coupling
+        assert report["nnz"] == 2**n + n * 2**n
+
     def test_classical_cost_model_superlinear(self):
         w = SQDWorkload()
         assert w.classical_seconds(400) > 2 * w.classical_seconds(200)
