@@ -11,11 +11,11 @@ Two claims gate:
 * **elastic wins** — on a malleable trace, ``agreement-elastic``
   resizing beats the rigid fixed-width baseline.
 
-Alongside the sweep, three **legacy-equivalence makespans** rerun the
-re-routed production loops (daemon queue drain, cluster plan, broker
-routing) end to end; their gated values pin the adapter layer — a
-drift there means the algorithm suite changed scheduling behavior, not
-just this bench.
+Alongside the sweep, three **legacy-loop values** rerun the production
+loops end to end: the daemon queue drain and the broker routing through
+their algorithm adapters, and one cluster planning pass.  Their gated
+values pin those loops — a drift there means scheduling behavior
+changed, not just this bench.
 """
 
 import os
@@ -85,8 +85,6 @@ def run_sweep():
     elastic = elastic_trace()
     rows = []
     for name in available():
-        if name == "cluster-legacy":
-            continue  # wraps native cluster state; see run_legacy_loops
         trace = elastic if name == "agreement-elastic" else rigid
         report = simulate(get_algorithm(name), trace, POOL)
         rows.append(
@@ -119,7 +117,7 @@ def run_sweep():
     return rows
 
 
-# -- legacy-equivalence loops ------------------------------------------------
+# -- legacy loops ------------------------------------------------------------
 
 
 def run_daemon_loop(n_jobs=None):
@@ -150,11 +148,11 @@ def _daemon_program(shots):
 
 
 def run_cluster_loop(n_jobs=None, seed=5):
-    """The re-routed cluster planner: total planned starts + backfills
-    over randomized pending sets, legacy vs adapter (must match)."""
+    """The cluster planner: planned starts + backfills over one
+    randomized pending set."""
     from repro.cluster import Job, LicensePool, Node, Partition
     from repro.cluster import JobSpec as ClusterJobSpec
-    from repro.cluster.scheduler import AlgorithmScheduler, Scheduler
+    from repro.cluster.scheduler import Scheduler
 
     n_jobs = n_jobs if n_jobs is not None else (20 if SMOKE else 80)
     rng = random.Random(seed)
@@ -177,14 +175,10 @@ def run_cluster_loop(n_jobs=None, seed=5):
         )
         for i in range(n_jobs)
     ]
-    legacy = Scheduler().plan(pending, [], partitions, licenses, now=float(n_jobs))
-    adapted = AlgorithmScheduler().plan(
-        pending, [], partitions, licenses, now=float(n_jobs)
-    )
-    assert [p.job_id for p in adapted.starts] == [p.job_id for p in legacy.starts]
+    decision = Scheduler().plan(pending, [], partitions, licenses, now=float(n_jobs))
     return {
-        "starts": len(legacy.starts),
-        "backfilled": len(legacy.backfilled),
+        "starts": len(decision.starts),
+        "backfilled": len(decision.backfilled),
     }
 
 

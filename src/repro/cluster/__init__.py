@@ -28,7 +28,7 @@ from .jobscript import JobScript, render_jobscript
 from .licenses import LicensePool
 from .node import Node, NodeState
 from .partition import Partition, PreemptMode
-from .scheduler import AlgorithmScheduler, PriorityCalculator, Scheduler
+from .scheduler import PriorityCalculator, Scheduler
 from .slurmctld import SlurmController
 from .spank import SpankHook, SpankPlugin, SpankRegistry
 
@@ -46,7 +46,6 @@ __all__ = [
     "Partition",
     "PreemptMode",
     "PriorityCalculator",
-    "AlgorithmScheduler",
     "Scheduler",
     "SlurmController",
     "SpankHook",

@@ -1,11 +1,22 @@
-"""Scheduling algorithms: multifactor priority, placement, EASY backfill,
-and partition-tier preemption.
+"""The cluster planner: multifactor priority, first-fit placement, EASY
+backfill and partition-tier preemption.
 
-Pure algorithmic layer: these classes read cluster state (nodes, jobs,
-licenses) and produce *decisions*; the controller in
+Pure algorithmic layer: :class:`Scheduler` reads cluster state (nodes,
+jobs, licenses) and produces *decisions*; the controller in
 :mod:`repro.cluster.slurmctld` applies them.  Keeping the policy pure
 makes the Table-1 / ablation experiments easy to run: swap the policy
 object, replay the same arrival trace.
+
+"Does this job fit on these nodes?" has one answer,
+:meth:`OccupancyLedger.fits`, over one node-keyed ledger of free
+capacity seeded from live node state.  The three planning steps differ
+only in what they move through it:
+
+* :meth:`Scheduler.plan` commits each start of the pass,
+* :meth:`Scheduler.shadow_reservation` releases completions in
+  time-limit order until the blocked head fits (Wagomu's
+  ``delays_head`` in node-exact form),
+* :meth:`Scheduler.plan_preemption` releases victims in tier order.
 """
 
 from __future__ import annotations
@@ -14,14 +25,13 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from ..errors import LicenseError
-from ..scheduling.algorithms import SchedulingAlgorithm, SystemView, cluster_views, resolve
 from .job import Job
 from .licenses import LicensePool
 from .node import Node
 from .partition import Partition, PreemptMode
 
 __all__ = [
-    "AlgorithmScheduler",
+    "OccupancyLedger",
     "PriorityCalculator",
     "Placement",
     "Scheduler",
@@ -86,58 +96,103 @@ class PriorityCalculator:
         )
 
 
-class _VirtualOccupancy:
-    """One scheduling pass's virtual ledger: licenses and per-node
-    cpu/mem/gres already committed to earlier decisions in the same
-    pass, so one plan never double-spends live capacity."""
+@dataclass
+class OccupancyLedger:
+    """Free cpus, memory and GRES per schedulable node, and free license
+    counts: one planning step's virtual copy of cluster occupancy.
 
-    def __init__(self, licenses: LicensePool) -> None:
-        self.licenses = licenses
-        self.taken_licenses: dict[str, int] = {}
-        self.taken_nodes: dict[str, tuple[int, int, dict[str, int]]] = {}
+    ``commit`` and ``release`` move it without touching the cluster, so
+    a plan never double-spends live capacity.  Nodes that are not
+    schedulable are absent and never fit.
+    """
+
+    cpus: dict[str, int]
+    memory: dict[str, int]
+    gres: dict[str, dict[str, int]]
+    licenses: dict[str, int]
+
+    @classmethod
+    def live(cls, nodes: Iterable[Node], licenses: LicensePool) -> OccupancyLedger:
+        """Seed from the nodes' and the pool's current free capacity."""
+        nodes = [node for node in nodes if node.is_schedulable()]
+        return cls(
+            cpus={node.name: node.cpus_available for node in nodes},
+            memory={node.name: node.memory_available for node in nodes},
+            gres={
+                node.name: {g: pool.available for g, pool in node.gres.items()}
+                for node in nodes
+            },
+            licenses={name: licenses.available(name) for name in licenses.names()},
+        )
+
+    def copy(self) -> OccupancyLedger:
+        return OccupancyLedger(
+            dict(self.cpus),
+            dict(self.memory),
+            {name: dict(gres) for name, gres in self.gres.items()},
+            dict(self.licenses),
+        )
 
     def fits(
         self, job: Job, partition: Partition, exclude: frozenset[str] = frozenset()
     ) -> list[str] | None:
+        """First-fit nodes for ``job`` in ``partition`` (skipping
+        ``exclude``), or None.  Each chosen node must fit the job's
+        per-node cpus, memory and GRES; its licenses must be free."""
         spec = job.spec
-        for lname, lcount in spec.licenses:
-            if self.licenses.available(lname) - self.taken_licenses.get(lname, 0) < lcount:
-                return None
+        if not self.has_licenses(job):
+            return None
         chosen: list[str] = []
-        for node in partition.schedulable_nodes():
-            if node.name in exclude:
+        for node in partition.nodes:
+            name = node.name
+            if name in exclude or name not in self.cpus:
                 continue
-            taken_cpus, taken_mem, taken_gres = self.taken_nodes.get(
-                node.name, (0, 0, {})
-            )
-            if node.cpus_available - taken_cpus < spec.cpus:
+            if self.cpus[name] < spec.cpus or self.memory[name] < spec.memory_mb:
                 continue
-            if node.memory_available - taken_mem < spec.memory_mb:
+            free_gres = self.gres[name]
+            if any(free_gres.get(g.name, 0) < g.count for g in spec.gres):
                 continue
-            if any(
-                g.name not in node.gres
-                or node.gres[g.name].available - taken_gres.get(g.name, 0) < g.count
-                for g in spec.gres
-            ):
-                continue
-            chosen.append(node.name)
+            chosen.append(name)
             if len(chosen) == spec.num_nodes:
                 return chosen
         return None
 
-    def commit(self, job: Job, node_names: list[str]) -> None:
-        for lname, lcount in job.spec.licenses:
-            self.taken_licenses[lname] = self.taken_licenses.get(lname, 0) + lcount
+    def has_licenses(self, job: Job) -> bool:
+        return all(self.licenses.get(name, 0) >= count for name, count in job.spec.licenses)
+
+    def commit(self, job: Job, node_names: Iterable[str]) -> None:
+        self._move(job, node_names, -1)
+
+    def release(self, job: Job, node_names: Iterable[str]) -> None:
+        self._move(job, node_names, +1)
+
+    def _move(self, job: Job, node_names: Iterable[str], sign: int) -> None:
+        spec = job.spec
         for name in node_names:
-            cpus, mem, gres = self.taken_nodes.get(name, (0, 0, {}))
-            new_gres = dict(gres)
-            for g in job.spec.gres:
-                new_gres[g.name] = new_gres.get(g.name, 0) + g.count
-            self.taken_nodes[name] = (
-                cpus + job.spec.cpus,
-                mem + job.spec.memory_mb,
-                new_gres,
-            )
+            if name not in self.cpus:
+                continue
+            self.cpus[name] += sign * spec.cpus
+            self.memory[name] += sign * spec.memory_mb
+            free_gres = self.gres[name]
+            for g in spec.gres:
+                free_gres[g.name] = free_gres.get(g.name, 0) + sign * g.count
+        for name, count in spec.licenses:
+            if name in self.licenses:
+                self.licenses[name] += sign * count
+
+
+def _holds(
+    running: Sequence[Job], started: Sequence[tuple[Job, list[str]]], now: float
+) -> list[tuple[float, Job, list[str]]]:
+    """Every allocation with its expected end, in end order: running jobs
+    end at start + time limit, a pass's own starts at now + time limit."""
+    holds = [
+        (job.start_time + job.effective_time_limit, job, job.allocated_nodes)
+        for job in running
+    ]
+    holds += [(now + job.effective_time_limit, job, nodes) for job, nodes in started]
+    holds.sort(key=lambda hold: (hold[0], hold[1].job_id))
+    return holds
 
 
 class Scheduler:
@@ -152,31 +207,6 @@ class Scheduler:
         self.priority = priority or PriorityCalculator()
         self.backfill = backfill
         self.preemption = preemption
-
-    # -- placement --------------------------------------------------------
-
-    @staticmethod
-    def find_nodes(
-        job: Job,
-        candidates: Sequence[Node],
-        exclude: frozenset[str] = frozenset(),
-    ) -> list[Node] | None:
-        """First-fit node selection for ``num_nodes`` nodes.
-
-        Each selected node must fit ``cpus``/``memory``/GRES of the job
-        (Slurm's per-node semantics for ``--nodes N --cpus-per-task c``).
-        Returns None when no placement exists right now.
-        """
-        spec = job.spec
-        chosen: list[Node] = []
-        for node in candidates:
-            if node.name in exclude:
-                continue
-            if node.can_fit(spec.cpus, spec.memory_mb, spec.gres):
-                chosen.append(node)
-                if len(chosen) == spec.num_nodes:
-                    return chosen
-        return None
 
     @staticmethod
     def feasible(job: Job, partition: Partition, licenses: LicensePool) -> bool:
@@ -208,75 +238,36 @@ class Scheduler:
         licenses: LicensePool,
         now: float,
     ) -> tuple[float, frozenset[str]]:
-        """Earliest time the blocked head job could start, and the nodes
-        it would then occupy.
+        """Earliest time the blocked head job could start on live
+        occupancy, and the nodes it would then occupy (see
+        :meth:`_reserve`)."""
+        ledger = OccupancyLedger.live(partition.nodes, licenses)
+        when, nodes, _ = self._reserve(head, partition, ledger, _holds(running, (), now), now)
+        return when, nodes
 
-        We replay expected completions (start + effective time limit) in
-        order on a virtual copy of node occupancy; the first instant the
-        head fits is the shadow time.  Licenses are replayed the same way.
+    @staticmethod
+    def _reserve(
+        head: Job,
+        partition: Partition,
+        ledger: OccupancyLedger,
+        holds: list[tuple[float, Job, list[str]]],
+        now: float,
+    ) -> tuple[float, frozenset[str], OccupancyLedger]:
+        """Release ``holds`` (see :func:`_holds`) into ``ledger`` in end
+        order; the first instant the head fits is the shadow time.
+
+        Returns that time (infinite when the head never fits), the nodes
+        the head would then occupy, and ``ledger`` as of that instant.
         """
-        spec = head.spec
-        # Virtual free capacity per node.
-        free_cpus = {n.name: n.cpus_available for n in partition.nodes if n.is_schedulable()}
-        free_mem = {n.name: n.memory_available for n in partition.nodes if n.is_schedulable()}
-        free_gres = {
-            n.name: {g: p.available for g, p in n.gres.items()}
-            for n in partition.nodes
-            if n.is_schedulable()
-        }
-        lic_free = {name: licenses.available(name) for name in licenses.names()}
-        node_by_name = {n.name: n for n in partition.nodes}
-
-        def head_fits() -> frozenset[str] | None:
-            chosen: list[str] = []
-            for name in free_cpus:
-                node = node_by_name[name]
-                if free_cpus[name] < spec.cpus or free_mem[name] < spec.memory_mb:
-                    continue
-                if any(
-                    g.name not in node.gres or free_gres[name].get(g.name, 0) < g.count
-                    for g in spec.gres
-                ):
-                    continue
-                chosen.append(name)
-                if len(chosen) == spec.num_nodes:
-                    break
-            if len(chosen) < spec.num_nodes:
-                return None
-            for lname, lcount in spec.licenses:
-                if lic_free.get(lname, 0) < lcount:
-                    return None
-            return frozenset(chosen)
-
-        nodes_now = head_fits()
-        if nodes_now is not None:
-            return now, nodes_now
-
-        events = sorted(
-            (
-                (job.start_time or now) + job.effective_time_limit,
-                job.job_id,
-                job,
-            )
-            for job in running
-        )
-        for end_time, _, job in events:
-            for node_name in job.allocated_nodes:
-                if node_name in free_cpus:
-                    free_cpus[node_name] += job.spec.cpus
-                    free_mem[node_name] += job.spec.memory_mb
-                    for g in job.spec.gres:
-                        free_gres[node_name][g.name] = (
-                            free_gres[node_name].get(g.name, 0) + g.count
-                        )
-            for lname, lcount in job.spec.licenses:
-                if lname in lic_free:
-                    lic_free[lname] += lcount
-            nodes_then = head_fits()
-            if nodes_then is not None:
-                return max(now, end_time), nodes_then
-        # Infeasible even when everything drains — report "infinite" shadow.
-        return float("inf"), frozenset()
+        when, nodes = now, ledger.fits(head, partition)
+        for end, job, held in holds:
+            if nodes is not None:
+                break
+            ledger.release(job, held)
+            when, nodes = max(now, end), ledger.fits(head, partition)
+        if nodes is None:
+            return float("inf"), frozenset(), ledger
+        return when, frozenset(nodes), ledger
 
     # -- preemption planning ------------------------------------------------
 
@@ -296,13 +287,14 @@ class Scheduler:
         victim list, or None if no sufficient victim set exists.
         """
         head_tier = partition.priority_tier
+        head_nodes = set(partition.node_names())
         candidates = [
             job
             for job in running
             if partitions[job.spec.partition].priority_tier < head_tier
             and partitions[job.spec.partition].preempt_mode is not PreemptMode.OFF
             # Victim must share at least one node with the head's partition
-            and any(n in {pn.name for pn in partition.nodes} for n in job.allocated_nodes)
+            and not head_nodes.isdisjoint(job.allocated_nodes)
         ]
         if not candidates:
             return None
@@ -313,52 +305,14 @@ class Scheduler:
             )
         )
         # Greedily add victims until the head fits on the freed capacity.
-        spec = head.spec
-        free_cpus = {n.name: n.cpus_available for n in partition.nodes if n.is_schedulable()}
-        free_mem = {n.name: n.memory_available for n in partition.nodes if n.is_schedulable()}
-        free_gres = {
-            n.name: {g: p.available for g, p in n.gres.items()}
-            for n in partition.nodes
-            if n.is_schedulable()
-        }
-        lic_free = {name: licenses.available(name) for name in licenses.names()}
-        node_by_name = {n.name: n for n in partition.nodes}
-
-        def fits() -> bool:
-            count = 0
-            for name in free_cpus:
-                node = node_by_name[name]
-                if free_cpus[name] < spec.cpus or free_mem[name] < spec.memory_mb:
-                    continue
-                if any(
-                    g.name not in node.gres or free_gres[name].get(g.name, 0) < g.count
-                    for g in spec.gres
-                ):
-                    continue
-                count += 1
-                if count >= spec.num_nodes:
-                    break
-            if count < spec.num_nodes:
-                return False
-            return all(lic_free.get(ln, 0) >= lc for ln, lc in spec.licenses)
-
+        ledger = OccupancyLedger.live(partition.nodes, licenses)
         victims: list[Job] = []
         for victim in candidates:
-            if fits():
+            if ledger.fits(head, partition) is not None:
                 break
             victims.append(victim)
-            for node_name in victim.allocated_nodes:
-                if node_name in free_cpus:
-                    free_cpus[node_name] += victim.spec.cpus
-                    free_mem[node_name] += victim.spec.memory_mb
-                    for g in victim.spec.gres:
-                        free_gres[node_name][g.name] = (
-                            free_gres[node_name].get(g.name, 0) + g.count
-                        )
-            for lname, lcount in victim.spec.licenses:
-                if lname in lic_free:
-                    lic_free[lname] += lcount
-        return victims if fits() else None
+            ledger.release(victim, victim.allocated_nodes)
+        return victims if ledger.fits(head, partition) is not None else None
 
     # -- the full pass ------------------------------------------------------
 
@@ -372,140 +326,52 @@ class Scheduler:
     ) -> SchedulingDecision:
         """One scheduling pass: priority order + EASY backfill.
 
+        Jobs start first-fit in priority order until one does not fit:
+        the head.  Its reservation is replayed from this pass's ledger,
+        so the pass's own starts count.  A later job is backfilled only
+        if it cannot delay the head: it ends by the shadow time, or it
+        avoids the reserved nodes (whatever its partition) and leaves
+        the head's licenses free at the shadow time.
+
         Does NOT mutate cluster state; the controller applies the
         decision (and re-invokes planning after preemption completes,
         since victims release resources asynchronously).
         """
         decision = SchedulingDecision()
-        ordered = self.priority.sort_pending(pending, partitions, now)
-        virtual = _VirtualOccupancy(licenses)
-        virtually_fits = virtual.fits
-        commit_virtual = virtual.commit
+        ledger = OccupancyLedger.live(
+            (node for partition in partitions.values() for node in partition.nodes),
+            licenses,
+        )
+        started: list[tuple[Job, list[str]]] = []
+        reserved: frozenset[str] = frozenset()
+        at_shadow = ledger  # set with the reservation: occupancy at the shadow time
 
-        blocked_head: Job | None = None
-        shadow_time: float | None = None
-        reserved_nodes: frozenset[str] = frozenset()
-
-        for job in ordered:
+        for job in self.priority.sort_pending(pending, partitions, now):
             partition = partitions[job.spec.partition]
-            if blocked_head is None:
-                nodes = virtually_fits(job, partition, frozenset())
-                if nodes is not None:
-                    decision.starts.append(Placement(job.job_id, tuple(nodes)))
-                    commit_virtual(job, nodes)
+            if decision.head_blocked is None:
+                nodes = ledger.fits(job, partition)
+                if nodes is None:
+                    decision.head_blocked = job.job_id
+                    if not self.backfill:
+                        break
+                    decision.shadow_time, reserved, at_shadow = self._reserve(
+                        job, partition, ledger.copy(), _holds(running, started, now), now
+                    )
+                    at_shadow.commit(job, reserved)
                     continue
-                # This is the head job: reserve for it.
-                blocked_head = job
-                decision.head_blocked = job.job_id
-                if not self.backfill:
-                    break
-                shadow_time, reserved_nodes = self.shadow_reservation(
-                    job, partition, running, licenses, now
-                )
-                decision.shadow_time = shadow_time
-                continue
-            if not self.backfill:
-                continue
-            # Backfill candidates: start only if they cannot delay the head.
-            same_partition = partition.name == blocked_head.spec.partition
-            exclude = reserved_nodes if same_partition else frozenset()
-            nodes = virtually_fits(job, partition, exclude)
-            if nodes is not None:
-                decision.starts.append(Placement(job.job_id, tuple(nodes)))
+            else:
+                runs_past = now + job.effective_time_limit > decision.shadow_time
+                nodes = None
+                if not runs_past or at_shadow.has_licenses(job):
+                    nodes = ledger.fits(job, partition, reserved)
+                if nodes is None and not runs_past:
+                    nodes = ledger.fits(job, partition)
+                if nodes is None:
+                    continue
+                if runs_past:
+                    at_shadow.commit(job, nodes)
                 decision.backfilled.append(job.job_id)
-                commit_virtual(job, nodes)
-                continue
-            if same_partition and shadow_time is not None:
-                limit = job.effective_time_limit
-                if now + limit <= shadow_time:
-                    nodes = virtually_fits(job, partition, frozenset())
-                    if nodes is not None:
-                        decision.starts.append(Placement(job.job_id, tuple(nodes)))
-                        decision.backfilled.append(job.job_id)
-                        commit_virtual(job, nodes)
-        return decision
-
-
-class AlgorithmScheduler(Scheduler):
-    """A :class:`Scheduler` whose planning pass is a pluggable
-    :class:`~repro.scheduling.algorithms.base.SchedulingAlgorithm`.
-
-    The default algorithm (``"cluster-legacy"``) delegates to a plain
-    :class:`Scheduler`'s :meth:`~Scheduler.plan` and carries the exact
-    placements back through decision payloads, so the controller's
-    decisions are bit-identical to the pre-refactor path.  Generic
-    algorithms (e.g. ``"easy-backfill"``) see node-granular views and
-    their start decisions are materialized onto concrete nodes here;
-    that view is exact for whole-node workloads and conservative for
-    heterogeneous per-cpu packing.  Preemption planning stays native
-    (inherited) — it is not part of the ``schedule`` vocabulary.
-    """
-
-    def __init__(
-        self,
-        algorithm: SchedulingAlgorithm | str | None = None,
-        priority: PriorityCalculator | None = None,
-        backfill: bool = True,
-        preemption: bool = True,
-    ) -> None:
-        super().__init__(priority=priority, backfill=backfill, preemption=preemption)
-        #: the delegate engine handed to the legacy adapter through
-        #: ``system.native`` — a plain Scheduler sharing our config
-        self.engine = Scheduler(
-            priority=self.priority, backfill=backfill, preemption=preemption
-        )
-        self.algorithm: SchedulingAlgorithm
-        self.use_algorithm(algorithm)
-
-    def use_algorithm(self, algorithm: SchedulingAlgorithm | str | None) -> None:
-        self.algorithm = resolve(algorithm, "cluster-legacy")
-
-    def plan(
-        self,
-        pending: Sequence[Job],
-        running: Sequence[Job],
-        partitions: dict[str, Partition],
-        licenses: LicensePool,
-        now: float,
-    ) -> SchedulingDecision:
-        ordered = self.priority.sort_pending(pending, partitions, now)
-        views_pending, resources, _ = cluster_views(ordered, running, partitions, now)
-        system = SystemView(
-            now=now,
-            native={
-                "engine": self.engine,
-                "pending": pending,
-                "running": running,
-                "partitions": partitions,
-                "licenses": licenses,
-            },
-        )
-        raw = self.algorithm.schedule(views_pending, resources, system)
-        decision = SchedulingDecision()
-        by_id = {job.job_id: job for job in pending}
-        virtual = _VirtualOccupancy(licenses)
-        for item in raw:
-            if item.kind in ("start", "backfill"):
-                placement = item.payload.get("placement")
-                if placement is None:
-                    # generic decision: materialize partition-level units
-                    # onto concrete nodes, first-fit on virtual occupancy
-                    job = by_id.get(int(item.job_id))
-                    if job is None:
-                        continue
-                    partition = partitions.get(item.resource or job.spec.partition)
-                    if partition is None:
-                        continue
-                    nodes = virtual.fits(job, partition)
-                    if nodes is None:
-                        continue
-                    virtual.commit(job, nodes)
-                    placement = Placement(job.job_id, tuple(nodes))
-                decision.starts.append(placement)
-                if item.kind == "backfill":
-                    decision.backfilled.append(placement.job_id)
-            elif item.kind == "reserve":
-                decision.head_blocked = int(item.job_id)
-                shadow = item.payload.get("shadow_time")
-                decision.shadow_time = shadow
+            decision.starts.append(Placement(job.job_id, tuple(nodes)))
+            ledger.commit(job, nodes)
+            started.append((job, nodes))
         return decision

@@ -33,7 +33,7 @@ from .jobscript import JobScript
 from .licenses import LicensePool
 from .node import Node
 from .partition import Partition, PreemptMode
-from .scheduler import AlgorithmScheduler, Scheduler
+from .scheduler import Scheduler
 from .spank import SpankHook, SpankRegistry
 
 __all__ = ["JobContext", "SlurmController"]
@@ -80,7 +80,7 @@ class SlurmController:
                         f"partition {partition.name!r} references unknown node {node.name!r}"
                     )
         self.licenses = licenses or LicensePool()
-        self.scheduler = scheduler or AlgorithmScheduler()
+        self.scheduler = scheduler or Scheduler()
         self.trace = trace if trace is not None else TraceRecorder()
         self.spank = SpankRegistry()
         self.accounting = AccountingDB()

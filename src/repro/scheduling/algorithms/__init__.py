@@ -1,22 +1,25 @@
 """One scheduling interface: the pluggable algorithm suite.
 
-Every scheduling loop in the stack (daemon worker, cluster controller,
+Every unit-granular scheduling loop in the stack (daemon worker,
 federation broker, malleable arbitration, and the sweep bench) drives a
 :class:`~repro.scheduling.algorithms.base.SchedulingAlgorithm` through
 the same ``schedule(pending, resources, system) -> [Decision]`` call;
 the malleable arbitration divides a contended site's slots with its
 ``divide``.  Algorithms are one file each and selectable by name — per
 loop (``resolve``), per federated job through ``JobSpec.algorithm``,
-or by the bench sweep.
+or by the bench sweep.  The cluster controller plans node-exactly
+(per-node cpus, memory, GRES and licenses) with its one planner,
+:class:`repro.cluster.scheduler.Scheduler`, which has no slot here.
 
 Registry audit
 ==============
 
 Every name is a loop's default or a C7 trace-class winner, so none is
-folded away: ``fifo-priority`` (daemon), ``cluster-legacy`` (cluster)
-and ``policy-routing`` (broker; ``makespan_c7_policy_routing_rigid_s``
-pins it) are defaults, ``easy-backfill`` and ``agreement-elastic`` win
-C7 classes.  The C7 bench keys its ``makespan_c7_*`` values by name.
+folded away: ``fifo-priority`` (daemon) and ``policy-routing``
+(broker; ``makespan_c7_policy_routing_rigid_s`` pins it) are defaults,
+``easy-backfill`` and ``agreement-elastic`` win C7 classes.  Every
+name runs through ``simulate``; the C7 bench keys its
+``makespan_c7_*`` values by name.
 
 Module map
 ==========
@@ -27,21 +30,18 @@ Module map
     protocol, and the name-keyed registry
     (``register`` / ``get_algorithm`` / ``available`` / ``resolve``).
 ``views``
-    Duck-typed adapters that express daemon queue state, cluster
-    node/partition state, and federation site snapshots in the common
-    vocabulary.  Nothing here imports the adapted packages.
+    Duck-typed adapters that express daemon queue state and federation
+    site snapshots in the common vocabulary.  Nothing here imports the
+    adapted packages.
 ``fifo_priority``
     ``"fifo-priority"`` — the daemon queue's legacy (class, FIFO)
     discipline; bit-identical to ``MiddlewareQueue.pop``.
-``cluster_legacy``
-    ``"cluster-legacy"`` — wraps ``cluster.Scheduler.plan`` (priority
-    + first-fit + node-exact EASY backfill); bit-identical decisions.
 ``policy_routing``
     ``"policy-routing"`` — wraps any federation routing policy's
     ``choose``; bit-identical broker placements.
 ``easy_backfill``
     ``"easy-backfill"`` — generic unit-count EASY backfilling with
-    shadow reservation, usable by all three loops.
+    shadow reservation, usable by the daemon and broker loops.
 ``agreement_elastic``
     ``"agreement-elastic"`` — contending malleable jobs negotiate
     pairwise unit steals toward the (decayed) fair-share target.
@@ -72,16 +72,14 @@ from .base import (
     register,
     resolve,
 )
-from .cluster_legacy import ClusterBackfillLegacy
 from .easy_backfill import EasyBackfill
 from .fifo_priority import FifoPriority
 from .policy_routing import PolicyRouting
 from .simulate import SimJob, SimReport, simulate
-from .views import cluster_views, daemon_views, federation_views
+from .views import daemon_views, federation_views
 
 __all__ = [
     "AgreementElastic",
-    "ClusterBackfillLegacy",
     "Decision",
     "EasyBackfill",
     "FifoPriority",
@@ -94,7 +92,6 @@ __all__ = [
     "SimReport",
     "SystemView",
     "available",
-    "cluster_views",
     "daemon_views",
     "federation_views",
     "get_algorithm",

@@ -1,9 +1,8 @@
 """The common scheduling-algorithm vocabulary, protocol, and registry.
 
 Every scheduling loop in the stack — the daemon's second-level worker,
-the cluster controller's planning pass, the federation broker's
-placement step, and the malleable manager's slot arbitration — speaks
-the same narrow language defined here:
+the federation broker's placement step, and the malleable manager's
+slot arbitration — speaks the same narrow language defined here:
 
 * :class:`PendingJob` / :class:`RunningUnit` / :class:`ResourceView` /
   :class:`SystemView` — the state an algorithm may read,
@@ -17,10 +16,10 @@ the same narrow language defined here:
   harness.
 
 Algorithm modules must stay import-light: they may import this module
-and the standard library only.  Anything caller-specific (a cluster
-``Job``, a federation ``SiteSnapshot``, a daemon ``QueuedTask``) rides
-in the ``native`` slots and in ``Decision.payload``, so an algorithm
-file never needs to know which of the three loops is driving it.
+and the standard library only.  Anything caller-specific (a federation
+``SiteSnapshot``, a daemon ``QueuedTask``) rides in the job and
+resource views' ``native`` slots and in ``Decision.payload``, so an
+algorithm file never needs to know which loop is driving it.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ __all__ = [
 class PendingJob:
     """One schedulable unit of work, whatever layer it came from.
 
-    ``units`` is the layer's natural integer grain: nodes for cluster
-    jobs, queue slots for federation placements, always 1 for daemon
+    ``units`` is the layer's natural integer grain: queue slots for
+    federation placements, pool units in the sweep, always 1 for daemon
     tasks.  ``estimated_runtime <= 0`` means "unknown" — backfillers
     must treat such jobs as potentially infinite.
     """
@@ -97,7 +96,6 @@ class SystemView:
     now: float
     fair_weight: Any = None     # callable tenant -> effective share weight
     options: dict[str, Any] = field(default_factory=dict)
-    native: Any = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

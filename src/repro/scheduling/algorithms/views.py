@@ -1,15 +1,11 @@
 """Adapter views: each scheduling loop's state in the common vocabulary.
 
-Three builders, one per loop.  All of them duck-type their inputs —
-this module imports nothing from ``daemon``/``cluster``/``federation``,
-so the algorithms package stays import-light and cycle-free:
+Two builders, one per loop.  Both duck-type their inputs — this
+module imports nothing from ``daemon``/``federation``, so the
+algorithms package stays import-light and cycle-free:
 
 * :func:`daemon_views` — queued ``QueuedTask``s in front of the single
   second-level worker slot,
-* :func:`cluster_views` — priority-ordered cluster ``Job``s over
-  node-granular partition views (exact for whole-node workloads;
-  heterogeneous per-cpu packing stays with the legacy adapter, which
-  carries native state instead),
 * :func:`federation_views` — one ``FederatedJob`` over candidate
   ``SiteSnapshot``s, with each site's backlog synthesized as one
   running unit that drains in ``queue_depth`` time units (so shadow
@@ -18,12 +14,12 @@ so the algorithms package stays import-light and cycle-free:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 from .base import PendingJob, ResourceView, RunningUnit, SystemView
 
-__all__ = ["cluster_views", "daemon_views", "federation_views"]
+__all__ = ["daemon_views", "federation_views"]
 
 DAEMON_WORKER = "qpu-worker"
 
@@ -56,54 +52,6 @@ def _daemon_view(task: Any) -> PendingJob:
             native=task,
         )
     return view
-
-
-def cluster_views(
-    ordered_jobs: Sequence[Any],
-    running: Sequence[Any],
-    partitions: Mapping[str, Any],
-    now: float,
-) -> tuple[tuple[PendingJob, ...], tuple[ResourceView, ...], SystemView]:
-    """Cluster state at node granularity for generic algorithms.
-
-    ``ordered_jobs`` must already be in multifactor-priority order (the
-    caller owns the :class:`PriorityCalculator`); the position becomes
-    ``submit_seq`` so generic ``(priority, submit_seq)`` sorts preserve
-    it.  A partition's free units are its fully-idle schedulable nodes.
-    """
-    pending = tuple(
-        PendingJob(
-            job_id=str(job.job_id),
-            submit_seq=seq,
-            units=job.spec.num_nodes,
-            estimated_runtime=job.effective_time_limit,
-            native=job,
-        )
-        for seq, job in enumerate(ordered_jobs)
-    )
-    by_partition: dict[str, list[RunningUnit]] = {name: [] for name in partitions}
-    for job in running:
-        by_partition.setdefault(job.spec.partition, []).append(
-            RunningUnit(
-                job_id=str(job.job_id),
-                units=job.spec.num_nodes,
-                expected_end=(job.start_time or now) + job.effective_time_limit,
-            )
-        )
-    resources = []
-    for name in sorted(partitions):
-        partition = partitions[name]
-        nodes = partition.schedulable_nodes()
-        resources.append(
-            ResourceView(
-                name=name,
-                total_units=len(nodes),
-                free_units=sum(1 for n in nodes if n.cpus_allocated == 0),
-                running=tuple(by_partition.get(name, ())),
-                native=partition,
-            )
-        )
-    return pending, tuple(resources), SystemView(now=now)
 
 
 def federation_views(

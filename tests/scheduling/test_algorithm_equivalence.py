@@ -1,13 +1,13 @@
-"""Legacy adapters are bit-identical to the loops they replaced.
+"""Each scheduling loop keeps its recorded decisions.
 
 Three equivalence proofs, one per scheduling loop:
 
 * daemon — ``FifoPriority`` over ``daemon_views`` consumes the queue in
   exactly ``MiddlewareQueue.pop`` order, including requeued preempted
   tasks going to the back of their class,
-* cluster — ``AlgorithmScheduler`` (default ``"cluster-legacy"``)
-  produces the same ``SchedulingDecision`` as a plain ``Scheduler`` on
-  randomized traces,
+* cluster — the one planner, ``Scheduler.plan``, reproduces a golden
+  record of its decisions (starts with node lists, backfilled ids, head
+  and shadow time) on eight randomized clusters,
 * broker — the default ``PolicyRouting`` adapter routes through the
   wrapped policy verbatim, preserving stateful cursors (round-robin).
 """
@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "federation"))
 
 from repro.cluster import Job, LicensePool, Node, Partition
 from repro.cluster import JobSpec as ClusterJobSpec
-from repro.cluster.scheduler import AlgorithmScheduler, Scheduler
+from repro.cluster.scheduler import Scheduler
 from repro.daemon.queue import MiddlewareQueue, PriorityClass, TaskState
 from repro.scheduling.algorithms import FifoPriority, daemon_views
 from repro.spec import JobSpec
@@ -160,20 +160,62 @@ def _random_cluster(seed):
     return pending, running, partitions, licenses
 
 
+#: ``Scheduler.plan`` on ``_random_cluster(seed)`` at t=10: starts (job,
+#: nodes), backfilled ids, blocked head, shadow time.  For seeds 0, 3, 4
+#: and 7 the shadow replay counts the pass's own starts, so the blocked
+#: head's shadow is its true earliest start (not t=10) and, on seed 0,
+#: job 104 is no longer backfilled onto a node the head needs.
+GOLDEN_PLANS = {
+    0: (
+        [(106, ("b0",)), (108, ("b0",)), (105, ("b1", "b2")), (103, ("b0", "b1")),
+         (102, ("d0",)), (109, ("d1",)), (100, ("d1",))],
+        [], 101, 132.8891544844219,
+    ),
+    1: (
+        [(100, ("b0",)), (101, ("b0",)), (102, ("b0", "b1")), (104, ("d0",)),
+         (103, ("d1",)), (105, ("d1",))],
+        [], None, None,
+    ),
+    2: (
+        [(100, ("b0",)), (103, ("b0", "b1")), (102, ("d0",)), (101, ("d1",))],
+        [], None, None,
+    ),
+    3: (
+        [(103, ("b0",)), (105, ("b0",)), (100, ("b1", "b2")), (106, ("d0",)),
+         (101, ("d1",)), (102, ("d1",))],
+        [], 104, 185.02156799942207,
+    ),
+    4: (
+        [(101, ("b0",)), (106, ("d0", "d1"))],
+        [], 104, 81.75941392475241,
+    ),
+    5: (
+        [(104, ("b0",)), (106, ("b0",)), (101, ("b0",)), (102, ("b1",)), (105, ("b1",)),
+         (103, ("b2", "b3")), (107, ("d0",)), (100, ("d1",))],
+        [], None, None,
+    ),
+    6: (
+        [(104, ("b0",)), (102, ("b0",)), (100, ("d0",)), (103, ("d0",)), (101, ("d1",))],
+        [], None, None,
+    ),
+    7: (
+        [(102, ("b1",)), (107, ("b1",)), (100, ("b2",)), (101, ("b2",)), (104, ("b3",)),
+         (105, ("b3",)), (106, ("d0", "d1"))],
+        [], 108, 129.8402798759511,
+    ),
+}
+
+
 class TestClusterPlanEquivalence:
     @pytest.mark.parametrize("seed", range(8))
-    def test_legacy_adapter_plans_identically(self, seed):
+    def test_plan_matches_golden_record(self, seed):
         pending, running, partitions, licenses = _random_cluster(seed)
-        legacy = Scheduler().plan(pending, running, partitions, licenses, now=10.0)
-        adapted = AlgorithmScheduler().plan(
-            pending, running, partitions, licenses, now=10.0
-        )
-        assert [
-            (p.job_id, p.node_names) for p in adapted.starts
-        ] == [(p.job_id, p.node_names) for p in legacy.starts]
-        assert adapted.backfilled == legacy.backfilled
-        assert adapted.head_blocked == legacy.head_blocked
-        assert adapted.shadow_time == legacy.shadow_time
+        decision = Scheduler().plan(pending, running, partitions, licenses, now=10.0)
+        starts, backfilled, head, shadow = GOLDEN_PLANS[seed]
+        assert [(p.job_id, p.node_names) for p in decision.starts] == starts
+        assert decision.backfilled == backfilled
+        assert decision.head_blocked == head
+        assert decision.shadow_time == shadow
 
 
 class TestBrokerRoutingEquivalence:

@@ -33,7 +33,6 @@ class TestRegistry:
             "easy-backfill",
             "agreement-elastic",
             "policy-routing",
-            "cluster-legacy",
         ):
             assert expected in names
 
@@ -269,8 +268,6 @@ class TestSweepSimulator:
 
     def test_every_registered_algorithm_completes_the_trace(self):
         for name in available():
-            if name == "cluster-legacy":
-                continue  # needs native cluster state, not sim-able
             report = simulate(get_algorithm(name), self._trace(), {"r0": 4})
             assert report.completed == 3, name
 
