@@ -32,6 +32,7 @@ from repro.federation import (
 )
 from repro.qpu import QPUDevice, ShotClock
 from repro.qrmi import OnPremQPUResource
+from repro.scheduling import TransitionCollector
 from repro.simkernel import RngRegistry, Simulator
 from repro.spec import JobSpec
 from repro.workloads import StreamConfig, multi_site_trace
@@ -114,19 +115,11 @@ def drive_trace(sim, client, trace):
     return ids
 
 
-def federation_makespan(sites):
-    """Last completed task_end minus first task_enqueued, over all sites."""
-    starts, ends = [], []
-    for site in sites.values():
-        trace = site.daemon.trace
-        starts += [
-            r.time for r in trace.records(component="daemon", event="task_enqueued")
-        ]
-        ends += [
-            r.time
-            for r in trace.records(component="daemon", event="task_end")
-            if r.fields.get("state") == "completed"
-        ]
+def federation_makespan(transitions):
+    """Last completed task minus first queued task, over the sites
+    whose :class:`~repro.scheduling.TransitionCollector` is given."""
+    starts = [t.first_queued for t in transitions if t.first_queued is not None]
+    ends = [t.last_completed for t in transitions if t.last_completed is not None]
     return (max(ends) - min(starts)) if starts and ends else float("inf")
 
 
@@ -134,6 +127,7 @@ def run_policy(policy_name, n_sites=3, degraded_site=None, kill=None):
     sim, registry, broker, sites = build_federation(
         n_sites=n_sites, degraded_site=degraded_site, policy=POLICIES[policy_name]()
     )
+    transitions = [TransitionCollector(site.daemon) for site in sites.values()]
     client = FederatedClient(broker, user="bench")
     ids = drive_trace(sim, client, TRACE)
     if kill is not None:
@@ -147,7 +141,7 @@ def run_policy(policy_name, n_sites=3, degraded_site=None, kill=None):
         "sites": sites,
         "ids": ids,
         "completed": sum(1 for j in jobs if j.state is JobState.COMPLETED),
-        "makespan": federation_makespan(sites),
+        "makespan": federation_makespan(transitions),
         "reroutes": broker.stats()["reroutes"],
     }
 

@@ -5,7 +5,8 @@ in the parameter under study.  Conventions:
 
 * all randomness flows from one ``RngRegistry(seed)``,
 * metrics come from :mod:`repro.scheduling.metrics` (uniform
-  definitions),
+  definitions), folded from the daemon's task transitions by the
+  collector :func:`build_stack` attaches,
 * each bench prints paper-style rows via
   :func:`repro.analysis.tables.format_table` and asserts the *shape*
   claims from DESIGN.md's experiment index (who wins, monotonicity),
@@ -21,7 +22,7 @@ from repro.daemon.queue import ShotCapPolicy
 from repro.qpu import QPUDevice, ShotClock
 from repro.qrmi import LocalEmulatorResource, OnPremQPUResource
 from repro.runtime import DaemonClient
-from repro.scheduling import SchedulingMetrics
+from repro.scheduling import SchedulingMetrics, TransitionCollector
 from repro.scheduling.interleave import InterleavePlan
 from repro.simkernel import RngRegistry, Simulator
 from repro.workloads.generator import SyntheticHybridJob
@@ -37,6 +38,8 @@ class Stack:
     daemon: MiddlewareDaemon
     device: QPUDevice
     router: object
+    #: the daemon's task transitions, collected from the first submit
+    transitions: TransitionCollector
 
     def client_for(self, user: str, priority_class: str = "production") -> DaemonClient:
         client = DaemonClient(self.router)
@@ -44,10 +47,8 @@ class Stack:
         return client
 
     def metrics(self, classical_utilization: float | None = None) -> SchedulingMetrics:
-        return SchedulingMetrics.from_traces(
-            self.device.trace,
-            self.daemon.trace,
-            classical_utilization=classical_utilization,
+        return SchedulingMetrics.from_transitions(
+            self.transitions, resource="onprem", classical_utilization=classical_utilization
         )
 
 
@@ -86,7 +87,10 @@ def build_stack(
         selection_policy=selection_policy,
         scrape_interval=scrape_interval,
     )
-    return Stack(sim=sim, daemon=daemon, device=device, router=build_router(daemon))
+    return Stack(
+        sim=sim, daemon=daemon, device=device, router=build_router(daemon),
+        transitions=TransitionCollector(daemon),
+    )
 
 
 def build_federation_stack(

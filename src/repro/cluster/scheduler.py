@@ -282,19 +282,25 @@ class Scheduler:
         """Pick victims so that ``head`` could start after their removal.
 
         Victims must be in strictly lower-tier partitions with a
-        preemption mode other than OFF.  Preference: lowest tier first,
-        then most recently started (minimizing lost work).  Returns the
-        victim list, or None if no sufficient victim set exists.
+        preemption mode other than OFF, and hold something the head
+        needs: a node of its partition or a license it requests.  A
+        victim's nodes outside the partition free only its licenses.
+        Preference: lowest tier first, then most recently started
+        (minimizing lost work).  Returns the victim list, or None if no
+        sufficient victim set exists.
         """
         head_tier = partition.priority_tier
         head_nodes = set(partition.node_names())
+        head_licenses = {name for name, _ in head.spec.licenses}
         candidates = [
             job
             for job in running
             if partitions[job.spec.partition].priority_tier < head_tier
             and partitions[job.spec.partition].preempt_mode is not PreemptMode.OFF
-            # Victim must share at least one node with the head's partition
-            and not head_nodes.isdisjoint(job.allocated_nodes)
+            and (
+                not head_nodes.isdisjoint(job.allocated_nodes)
+                or any(name in head_licenses for name, _ in job.spec.licenses)
+            )
         ]
         if not candidates:
             return None

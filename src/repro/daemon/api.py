@@ -129,13 +129,15 @@ def build_router(daemon: MiddlewareDaemon) -> Router:
         task = daemon.finished_task(request.token, request.params["id"])
         result = task.result
         # the digest of the program that ran and the queue timestamps
-        # ride along: a client builds its whole result from this one read
+        # ride along: a client builds its whole result from this one read.
+        # The metadata goes out as a copy: job metadata is read from the
+        # daemon's own, so a client's edit must not reach it
         return Response(
             body={
                 "counts": result.counts,
                 "shots": result.shots,
                 "backend": result.backend,
-                "metadata": result.metadata,
+                "metadata": dict(result.metadata),
                 "program_hash": task.program.content_hash(),
                 "enqueued_at": task.enqueued_at,
                 "started_at": task.started_at,

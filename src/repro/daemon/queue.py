@@ -94,10 +94,12 @@ class QueuedTask:
     preempt_count: int = 0
     batched: bool = True
     metadata: dict[str, Any] = field(default_factory=dict)
-    #: heap sequence of the task's latest (re)queueing — the FIFO
-    #: tiebreak scheduling algorithms sort on; a requeued task gets a
-    #: fresh number, sending it to the back of its priority class
-    _heap_seq: int = field(default=0, init=False, repr=False, compare=False)
+    #: while the task is queued, the heap sequence of its latest
+    #: (re)queueing — the FIFO tiebreak scheduling algorithms sort on; a
+    #: requeued task gets a fresh number, sending it to the back of its
+    #: priority class.  Once it has completed, its place in completion
+    #: order (see :meth:`MiddlewareQueue.completed_tasks`)
+    _seq: int = field(default=0, init=False, repr=False, compare=False)
     #: the task's scheduling view at that sequence number, kept by
     #: :func:`~repro.scheduling.algorithms.daemon_views` while the task
     #: is queued; dropped when it leaves the queue
@@ -140,6 +142,7 @@ class MiddlewareQueue:
         self._heap: list[tuple[int, int, str]] = []
         self._tasks: dict[str, QueuedTask] = {}
         self._seq = itertools.count(1)
+        self._completions = itertools.count(1)
         self._id_counter = itertools.count(1)
         self.shot_cap = shot_cap
         # queued tasks per class, maintained on every state transition:
@@ -168,7 +171,8 @@ class MiddlewareQueue:
         """The one place a task's state changes.  It stamps the
         transition's time first — ``started_at`` on RUNNING, cleared on
         a return to QUEUED, ``finished_at`` on COMPLETED/FAILED (a
-        cancel keeps it unset) — then files the task in the queued
+        cancel keeps it unset) and a completed task's place in
+        completion order — then files the task in the queued
         index and fires the transition listeners, so every listener
         reads a task whose timestamps match its new state.  A task
         leaving the queue drops its scheduling view: a requeue gets a
@@ -183,6 +187,8 @@ class MiddlewareQueue:
             task.started_at = None
         elif state is TaskState.COMPLETED or state is TaskState.FAILED:
             task.finished_at = now
+            if state is TaskState.COMPLETED:
+                task._seq = next(self._completions)
         task.state = state
         if old is TaskState.QUEUED:
             self._queued_counts[task.priority] -= 1
@@ -236,7 +242,7 @@ class MiddlewareQueue:
 
     def _push(self, task: QueuedTask) -> None:
         seq = next(self._seq)
-        task._heap_seq = seq
+        task._seq = seq
         heapq.heappush(self._heap, (int(task.priority), seq, task.task_id))
 
     # -- consumption -----------------------------------------------------------
@@ -288,6 +294,11 @@ class MiddlewareQueue:
 
     def all_tasks(self) -> list[QueuedTask]:
         return list(self._tasks.values())
+
+    def completed_tasks(self) -> list[QueuedTask]:
+        """Completed tasks in the order they completed."""
+        done = (t for t in self._tasks.values() if t.state is TaskState.COMPLETED)
+        return sorted(done, key=lambda t: t._seq)
 
     def queued_tasks(self) -> list[QueuedTask]:
         """Live queued tasks, O(queued) — the eligible set scheduling

@@ -31,7 +31,7 @@ from ..errors import DaemonError
 from ..observability.profiling import scoped
 from ..qrmi.interface import QuantumResource
 from ..scheduling.algorithms import SchedulingAlgorithm, daemon_views, resolve
-from ..simkernel import Interrupt, Simulator, Store, TraceRecorder
+from ..simkernel import Interrupt, Simulator, Store
 from .queue import MiddlewareQueue, PriorityClass, QueuedTask, TaskState
 
 __all__ = ["SecondLevelScheduler", "SharingMode"]
@@ -51,7 +51,6 @@ class SecondLevelScheduler:
         queue: MiddlewareQueue,
         resources: dict[str, QuantumResource],
         mode: SharingMode = SharingMode.SHOT_CAP,
-        trace: TraceRecorder | None = None,
         selection_policy: Callable[[list[QueuedTask], float], QueuedTask | None] | None = None,
         on_task_done: Callable[[QueuedTask], None] | None = None,
         algorithm: SchedulingAlgorithm | str | None = None,
@@ -60,12 +59,15 @@ class SecondLevelScheduler:
         self.queue = queue
         self.resources = resources
         self.mode = mode
-        self.trace = trace if trace is not None else TraceRecorder()
         self.selection_policy = selection_policy
         self.on_task_done = on_task_done
         self.algorithm: SchedulingAlgorithm
         self.use_algorithm(algorithm)
         self.current: QueuedTask | None = None
+        #: the id of the task whose arrival preempted the last preempted
+        #: run, set before its PREEMPTED transition is published (the
+        #: daemon's publisher puts it on the ``preempted`` event)
+        self.preempted_by: str | None = None
         #: the site label of the daemon's lifecycle events (kept equal by
         #: ``MiddlewareDaemon.attach_bus``); with a tracer on the
         #: simulator, each execution runs under a "dispatch" span
@@ -87,13 +89,6 @@ class SecondLevelScheduler:
 
     def notify_submit(self, task: QueuedTask) -> None:
         """Called by the daemon after each queue submission."""
-        self.trace.emit(
-            self.sim.now,
-            "daemon",
-            "task_enqueued",
-            task_id=task.task_id,
-            priority=task.priority.label,
-        )
         if (
             self.mode is SharingMode.PREEMPT
             and self.current is not None
@@ -151,14 +146,6 @@ class SecondLevelScheduler:
         # started_at was stamped by the RUNNING transition in _select,
         # before the queue listeners heard it
         self.current = task
-        self.trace.emit(
-            self.sim.now,
-            "daemon",
-            "task_start",
-            task_id=task.task_id,
-            priority=task.priority.label,
-            wait=task.wait_time(),
-        )
         span = None
         tracer = self.sim.tracer
         if tracer is not None:
@@ -181,15 +168,9 @@ class SecondLevelScheduler:
             cause = intr.cause if isinstance(intr.cause, tuple) else (intr.cause,)
             if cause and cause[0] == "mw-preempt":
                 task.preempt_count += 1
+                self.preempted_by = cause[1]
                 self.queue.set_state(task, TaskState.PREEMPTED, self.sim.now)
                 self.tasks_preempted += 1
-                self.trace.emit(
-                    self.sim.now,
-                    "daemon",
-                    "task_preempted",
-                    task_id=task.task_id,
-                    by=cause[1],
-                )
                 self._end_span(span, "preempted")
                 self.queue.requeue(task, self.sim.now)
                 self.current = None
@@ -225,14 +206,6 @@ class SecondLevelScheduler:
         return {}
 
     def _finish(self, task: QueuedTask) -> None:
-        self.trace.emit(
-            self.sim.now,
-            "daemon",
-            "task_end",
-            task_id=task.task_id,
-            state=task.state.value,
-            priority=task.priority.label,
-        )
         if self.on_task_done is not None:
             self.on_task_done(task)
 

@@ -3,8 +3,13 @@
 Owns every subsystem of the paper's quantum-access-node service
 (Figure 2): sessions, the priority queue, the second-level scheduler,
 the QRMI resource table, observability (metrics registry + TSDB +
-scraper + alerts + per-job metadata), admin operations and guarded
-low-level controls.
+scraper + alerts), admin operations and guarded low-level controls.
+
+Per job it keeps the queue's task with its result.  Per-job metadata
+(paper §2.5) is a view of the completed task
+(:attr:`MiddlewareDaemon.jobmeta`), and no trace rows are written:
+scheduling metrics fold the lifecycle bus
+(:class:`~repro.scheduling.metrics.TransitionCollector`).
 
 The REST router (:func:`repro.daemon.api.build_router`) maps paths onto
 the public methods here; the runtime client
@@ -19,7 +24,7 @@ from typing import Any
 from ..errors import DaemonError, SessionError, ValidationError
 from ..observability import (
     AlertManager,
-    JobMetadataStore,
+    JobMetadataView,
     MetricRegistry,
     ProfileStore,
     Scraper,
@@ -31,7 +36,7 @@ from ..qpu.device import QPUDevice
 from ..qrmi.interface import QuantumResource
 from ..sdk.ir import AnalogProgram, DecodedParts
 from ..sdk.registry import SDKRegistry, default_registry
-from ..simkernel import Simulator, TraceRecorder
+from ..simkernel import Simulator
 from .admin import AdminOperations
 from .auth import Role, TokenStore
 from .lowlevel import LowLevelControl
@@ -52,7 +57,6 @@ class MiddlewareDaemon:
         mode: SharingMode = SharingMode.SHOT_CAP,
         shot_cap: ShotCapPolicy | None = None,
         sdk_registry: SDKRegistry | None = None,
-        trace: TraceRecorder | None = None,
         scrape_interval: float = 15.0,
         session_idle_timeout: float = 3600.0,
         selection_policy=None,
@@ -62,7 +66,6 @@ class MiddlewareDaemon:
             raise DaemonError("daemon needs at least one QRMI resource")
         self.sim = sim
         self.resources = dict(resources)
-        self.trace = trace if trace is not None else TraceRecorder()
         self.tokens = TokenStore()
         self.sessions = SessionManager(self.tokens, idle_timeout=session_idle_timeout)
         self.queue = MiddlewareQueue(
@@ -72,15 +75,15 @@ class MiddlewareDaemon:
         #: registers and segments decoded from REST bodies: a recurring
         #: program content is decoded, and its JSON encoded, once
         self.decoded_parts = DecodedParts()
-        self.jobmeta = JobMetadataStore()
+        #: per-job metadata of the completed tasks, built on read
+        self.jobmeta = JobMetadataView(self.queue)
         self.scheduler = SecondLevelScheduler(
             sim,
             self.queue,
             self.resources,
             mode=mode,
-            trace=self.trace,
             selection_policy=selection_policy,
-            on_task_done=self._record_task_metadata,
+            on_task_done=self._count_finished,
             algorithm=algorithm,
         )
         # observability stack
@@ -100,11 +103,6 @@ class MiddlewareDaemon:
             label_names=("class",),
         )
         self._m_sessions = self.metrics.gauge("daemon_active_sessions", "Live sessions")
-        self._m_jobmeta_errors = self.metrics.counter(
-            "daemon_jobmeta_errors_total",
-            "Completed tasks whose metadata record failed, by exception type",
-            label_names=("error",),
-        )
         #: per-workload phase signatures of the stage records at this
         #: daemon's site (served raw by ``GET /profiles``)
         self.profiles = ProfileStore()
@@ -122,7 +120,9 @@ class MiddlewareDaemon:
         def publish(task: QueuedTask, old: TaskState | None, new: TaskState) -> None:
             now = self.sim.now
             self.sessions.task_transition(task.session_id, old, new, now)
-            publish_task_transition(self.events, now, self.site, task, new)
+            publish_task_transition(
+                self.events, now, self.site, task, new, by=self.scheduler.preempted_by
+            )
 
         self.queue.add_transition_listener(publish)
         #: optional :class:`~repro.observability.slo.SLOTracker` — when a
@@ -193,18 +193,7 @@ class MiddlewareDaemon:
             priority = PriorityClass.parse(priority_class)
         else:
             priority = priority_class
-        session = self.sessions.create(
-            user, priority, now=self.now, slurm_job_id=slurm_job_id
-        )
-        self.trace.emit(
-            self.now,
-            "daemon",
-            "session_create",
-            session_id=session.session_id,
-            user=user,
-            priority=priority.label,
-        )
-        return session
+        return self.sessions.create(user, priority, now=self.now, slurm_job_id=slurm_job_id)
 
     def resolve_session(self, token: str) -> Session:
         return self.sessions.resolve(token, self.now)
@@ -381,7 +370,6 @@ class MiddlewareDaemon:
             "scrape_targets": len(self.scraper.targets()),
             "firing_alerts": firing,
             "queue_depth": self.queue.queued_count(),
-            "jobmeta_errors": int(sum(v for _, _, v in self._m_jobmeta_errors.samples())),
             # swallowed observer errors and unwaited process deaths
             "bus_dropped": self.events.dropped,
             "process_failures": self.sim.unobserved_failures,
@@ -401,29 +389,15 @@ class MiddlewareDaemon:
             for a in firing
         ]
 
-    def _record_task_metadata(self, task: QueuedTask) -> None:
-        state = task.state.value
-        self._m_tasks.inc(labels={"state": state})
+    def _count_finished(self, task: QueuedTask) -> None:
+        self._m_tasks.inc(labels={"state": task.state.value})
         wait = task.wait_time()
         if wait is not None:
             self._m_wait.observe(wait, labels={"class": task.priority.label})
-        if task.state is TaskState.COMPLETED and task.result is not None:
-            try:
-                self.jobmeta.record_from_result(
-                    task.task_id,
-                    self.now,
-                    task.result,
-                    user=task.user,
-                    priority_class=task.priority.label,
-                    queue_wait_s=wait or 0.0,
-                )
-            except Exception as exc:
-                # a task never fails for its metadata, but a lost record
-                # (the emulator's discarded weight and fidelity go with
-                # it) is counted and shows in healthz
-                self._m_jobmeta_errors.inc(labels={"error": type(exc).__name__})
 
     def job_metadata(self, token: str, task_id: str) -> dict[str, Any]:
+        """The ``GET /tasks/{id}/metadata`` body of the session's
+        completed task, read from the task and its result."""
         self._owned_task(token, task_id)
         record = self.jobmeta.get(task_id)
         return {
@@ -432,7 +406,7 @@ class MiddlewareDaemon:
             "shots": record.shots,
             "queue_wait_s": record.queue_wait_s,
             "calibration": dict(record.calibration),
-            "diagnostics": dict(record.diagnostics),
+            "diagnostics": record.diagnostics,
         }
 
     # -- internals used by admin/lowlevel --------------------------------------------

@@ -85,7 +85,7 @@ EVENT_SCHEMAS: dict[str, tuple[str, ...]] = {
     "completed": _TASK_PAYLOAD,
     "failed": _TASK_PAYLOAD,
     "cancelled": _TASK_PAYLOAD,
-    "preempted": _TASK_PAYLOAD,
+    "preempted": _TASK_PAYLOAD + ("by",),
     # -- broker job lifecycle ------------------------------------------
     "job_submitted": ("tenant", "program", "qubits"),
     "job_held": ("tenant", "program", "qubits"),
@@ -279,19 +279,22 @@ class LifecycleBus:
 
 
 def publish_task_transition(
-    bus: LifecycleBus, now: float, site: str, task: Any, new_state: Any
+    bus: LifecycleBus, now: float, site: str, task: Any, new_state: Any, by: str | None = None
 ) -> None:
     """The one way a middleware-queue task transition becomes a
     :class:`JobEvent` (kind = the state's value), called by each
     daemon's one queue publisher.  ``queued`` also carries the task's
     tenant (its spec's, else its session user) and program signature:
-    a task no broker placement claims is its own job."""
+    a task no broker placement claims is its own job.  ``preempted``
+    also carries ``by``, the id of the task whose arrival preempted it."""
     state = new_state.value
     payload = {"state": state, "started_at": task.started_at, "finished_at": task.finished_at,
                "priority": task.priority.label}
     if state == "queued":
         payload["tenant"] = task.metadata.get("tenant", task.user)
         payload["signature"] = program_signature(task.program)
+    elif state == "preempted":
+        payload["by"] = by
     bus.publish(
         JobEvent(
             time=now, kind=state, job_id=task.task_id, site=site, task_id=task.task_id, payload=payload

@@ -20,7 +20,8 @@ The stack is rebuilt from scratch with the same division of labour:
 * :mod:`drift`     — QPU calibration drift detectors (EWMA + CUSUM)
   for the paper's "automated drift detection" future-work item,
 * :mod:`jobmeta`   — per-job metadata ("per-job metadata on qubit
-  performance can assist in interpreting noisy results"),
+  performance can assist in interpreting noisy results"), a view built
+  on read from the daemon's completed tasks,
 * :mod:`tracing`   — distributed tracing: job-scoped span trees with
   explicit context propagation from Session to shot,
 * :mod:`profiling` — continuous hot-path scope profiler (call-path
@@ -39,7 +40,7 @@ from .alerts import Alert, AlertManager, AlertRule, AlertState
 from .dashboard import Dashboard, Panel, render_trace_timeline
 from .drift import CusumDetector, DriftDetector, EwmaDetector
 from .exporter import render_exposition
-from .jobmeta import JobMetadataStore
+from .jobmeta import JobMetadataRecord, JobMetadataView
 from .metrics import Counter, Gauge, Histogram, MetricRegistry
 from .profiles import PhaseProfile, ProfileStore, program_signature
 from .profiling import Profiler, scoped
@@ -61,7 +62,8 @@ __all__ = [
     "EwmaDetector",
     "Gauge",
     "Histogram",
-    "JobMetadataStore",
+    "JobMetadataRecord",
+    "JobMetadataView",
     "LatencyObjective",
     "MetricRegistry",
     "Panel",

@@ -33,7 +33,7 @@ from ..errors import DeviceError
 from ..emulators.base import EmulationResult
 from ..emulators.mps import MPSEmulator
 from ..emulators.statevector import StateVectorEmulator
-from ..simkernel import Simulator, Timeout, TraceRecorder
+from ..simkernel import Simulator, Timeout
 from .calibration import CalibrationState
 from .geometry import Register
 from .hamiltonian import RydbergHamiltonian, program_hash
@@ -57,7 +57,6 @@ class QPUDevice:
         calibration: CalibrationState | None = None,
         clock: ShotClock | None = None,
         rng: np.random.Generator | None = None,
-        trace: TraceRecorder | None = None,
         dt: float = 0.01,
         sv_cutoff_qubits: int = 12,
         twin_bond_dim: int = 16,
@@ -66,7 +65,6 @@ class QPUDevice:
         self.calibration = calibration or CalibrationState()
         self.clock = clock or ShotClock(shot_rate_hz=self.specs.shot_rate_hz)
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.trace = trace if trace is not None else TraceRecorder()
         self.dt = dt
         self._sv = StateVectorEmulator(max_qubits=sv_cutoff_qubits)
         self._mps = MPSEmulator(max_bond_dim=twin_bond_dim, max_qubits=self.specs.max_qubits)
@@ -155,7 +153,6 @@ class QPUDevice:
         segments: list[DriveSegment],
         shots: int,
         batched: bool = True,
-        task_id: str = "",
         key: str | None = None,
     ) -> EmulationResult:
         """Execute immediately (no simulated waiting); still validates,
@@ -167,7 +164,7 @@ class QPUDevice:
         self.specs.admit(register, segments, shots, key)
         result = self._compute_counts(register, segments, shots, key)
         elapsed = self.estimate_execution_time(segments, shots, batched)
-        self._account(result, elapsed, task_id)
+        self._account(result, elapsed)
         return result
 
     def execute_process(
@@ -193,21 +190,15 @@ class QPUDevice:
         self.specs.admit(register, segments, shots, key)
         elapsed = self.estimate_execution_time(segments, shots, batched)
         self.current_task = task_id or "anonymous"
-        self.trace.emit(
-            sim.now, "qpu", "busy_start", task_id=self.current_task, shots=shots
-        )
         try:
             yield Timeout(elapsed)
         finally:
-            self.trace.emit(sim.now, "qpu", "busy_end", task_id=self.current_task)
             self.current_task = None
         result = self._compute_counts(register, segments, shots, key)
-        self._account(result, elapsed, task_id, emit_trace=False)
+        self._account(result, elapsed)
         return result
 
-    def _account(
-        self, result: EmulationResult, elapsed: float, task_id: str, emit_trace: bool = True
-    ) -> None:
+    def _account(self, result: EmulationResult, elapsed: float) -> None:
         self.shots_served += result.shots
         self.tasks_completed += 1
         self.busy_seconds += elapsed

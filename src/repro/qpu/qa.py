@@ -63,9 +63,7 @@ class QAJob:
         ]
 
     def run(self, device: QPUDevice, now: float) -> QAResult:
-        result = device.run_now(
-            self.register, self.segments, self.shots, task_id="qa-check"
-        )
+        result = device.run_now(self.register, self.segments, self.shots)
         probs = result.probabilities()
         p01 = probs.get("01", 0.0)
         p10 = probs.get("10", 0.0)

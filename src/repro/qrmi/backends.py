@@ -125,8 +125,7 @@ class OnPremQPUResource(QuantumResource):
 
     def _execute(self, program: AnalogProgram) -> EmulationResult:
         result = self.device.run_now(
-            program.register, list(program.segments), program.shots,
-            task_id=program.name, key=program.content_hash(),
+            program.register, list(program.segments), program.shots, key=program.content_hash()
         )
         result.metadata["resource"] = self.name
         return result

@@ -11,12 +11,13 @@ The paper's Table 1 taxonomy and the mechanisms built around it:
   behind cross-site malleable placements,
 * :mod:`timeshare`  — fractional QPU shares in 10% increments via
   licenses/GRES (§3.5) with a deficit-weighted fair queue,
-* :mod:`metrics`    — utilization/wait/makespan extraction from traces.
+* :mod:`metrics`    — utilization/wait/makespan folded from a daemon's
+  task transitions.
 """
 
 from .interleave import InterleavePlan, PatternAwarePlanner, SequentialPlanner
 from .malleable import MalleablePool, MalleableTask, ShareLedger, SiteShare
-from .metrics import SchedulingMetrics, qpu_busy_fraction
+from .metrics import SchedulingMetrics, TransitionCollector, qpu_busy_fraction
 from .patterns import SchedulerHint, WorkloadPattern, classify_pattern, hint_for_pattern
 from .timeshare import TimeshareAllocator, WeightedFairPolicy
 
@@ -31,6 +32,7 @@ __all__ = [
     "ShareLedger",
     "SiteShare",
     "TimeshareAllocator",
+    "TransitionCollector",
     "WeightedFairPolicy",
     "WorkloadPattern",
     "classify_pattern",

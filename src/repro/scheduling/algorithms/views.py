@@ -42,11 +42,11 @@ def daemon_views(
 
 def _daemon_view(task: Any) -> PendingJob:
     view = task._pending_view
-    if view is None or view.submit_seq != task._heap_seq:
+    if view is None or view.submit_seq != task._seq:
         view = task._pending_view = PendingJob(
             job_id=task.task_id,
             priority=int(task.priority),
-            submit_seq=task._heap_seq,
+            submit_seq=task._seq,
             units=1,
             tenant=task.user,
             native=task,

@@ -71,7 +71,7 @@ def _fresh(kind: type[Register] | type[DriveSegment], data: dict) -> Register | 
     return kind.from_dict(data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalogProgram:
     """Device-independent analog task description."""
 
@@ -81,6 +81,10 @@ class AnalogProgram:
     name: str = "program"
     sdk: str = "unknown"
     metadata: dict[str, Any] = field(default_factory=dict)
+    #: memos of :meth:`content_hash` and :meth:`wire`, filled on first
+    #: use; never compared, printed, copied by ``replace`` or serialized
+    _content_hash: str | None = field(default=None, init=False, compare=False, repr=False)
+    _wire: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -101,9 +105,8 @@ class AnalogProgram:
         may touch — e.g. the daemon capping dev-queue shots).  Shots are
         not physics content, so the copy keeps the content-hash memo."""
         program = replace(self, shots=shots)
-        cached = getattr(self, "_content_hash", None)
-        if cached is not None:
-            object.__setattr__(program, "_content_hash", cached)
+        if self._content_hash is not None:
+            object.__setattr__(program, "_content_hash", self._content_hash)
         return program
 
     # -- serialization ------------------------------------------------------
@@ -125,7 +128,7 @@ class AnalogProgram:
         edits.  Like the content hash, the memo never appears in
         ``to_dict``, ``==`` or ``replace``; callers that edit the dict
         they get take :meth:`to_dict`."""
-        cached = getattr(self, "_wire", None)
+        cached = self._wire
         if cached is None:
             cached = self.to_dict()
             object.__setattr__(self, "_wire", cached)
@@ -156,7 +159,7 @@ class AnalogProgram:
         device's per-program checks and Hamiltonians.  Computed once per
         (frozen) instance; the memo never appears in ``to_dict``, ``==``
         or ``replace``."""
-        cached = getattr(self, "_content_hash", None)
+        cached = self._content_hash
         if cached is None:
             cached = program_hash(self.register, self.segments)
             object.__setattr__(self, "_content_hash", cached)

@@ -1,15 +1,14 @@
 """Structured trace recording for simulations.
 
-Every layer can emit :class:`TraceRecord` rows (time, component, event,
-fields).  The recorder is the raw-data backbone of the benchmark
-harness: utilization, wait-time and idle-time metrics are computed from
-traces after the run rather than accumulated ad hoc inside components,
-so one simulation can be analyzed under many metrics.
+A component can emit :class:`TraceRecord` rows (time, component,
+event, fields) into a recorder it owns, as the Slurm controller does.
+The middleware daemon and its QPUs keep none: their task transitions
+travel on the lifecycle bus.
 
-A long-running stack emits rows for every job it serves, so the
-recorder stores each row compactly: one flat tuple ``(time, component,
-event, keys, *values)``, where ``keys`` is the row's field names in
-emit order, shared by every row of the same field schema.  Reads build
+A recorder keeps a row per event for as long as it runs, so it stores
+each row compactly: one flat tuple ``(time, component, event,
+keys, *values)``, where ``keys`` is the row's field names in emit
+order, shared by every row of the same field schema.  Reads build
 :class:`TraceRecord` objects from the rows; :meth:`TraceRecorder.pairs`
 reads the rows directly.
 """

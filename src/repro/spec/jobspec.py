@@ -58,7 +58,7 @@ def parse_site_leg(leg: str) -> tuple[str, str | None]:
     return site, (resource or None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     """One declarative description of a hybrid job.
 
@@ -111,6 +111,10 @@ class JobSpec:
     budget_hint: float | None = None
     algorithm: str | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
+    #: set on a spec :meth:`validate` produced; it short-circuits
+    #: re-validation and is never compared, printed, copied by
+    #: ``replace`` or serialized
+    _validated: bool = field(default=False, init=False, compare=False, repr=False)
 
     # -- derived views --------------------------------------------------------
 
@@ -139,7 +143,7 @@ class JobSpec:
         crosses the daemon's REST boundary is validated there, once:
         ``Session.submit`` leaves a daemon-bound spec to ``POST /jobs``.
         """
-        if getattr(self, "_validated", False):
+        if self._validated:
             return self
         from ..sdk.translate import to_ir
 
@@ -226,10 +230,7 @@ class JobSpec:
             sites=sites,
             iterations=iterations,
         )
-        # frozen dataclass: mark through object.__setattr__ — the flag
-        # only short-circuits re-validation, it never travels through
-        # to_dict/replace, so equality and round-trips are unaffected
-        object.__setattr__(validated, "_validated", True)
+        object.__setattr__(validated, "_validated", True)  # frozen
         return validated
 
     # -- serialization --------------------------------------------------------

@@ -168,6 +168,40 @@ class TestEasyRegressions:
         assert (when, reserved) == (100.0, frozenset({"n0"}))
 
 
+class TestPreemptionRegressions:
+    @staticmethod
+    def _site():
+        """A tier-2 ``prod`` partition on p0 and a tier-0 REQUEUE ``dev``
+        partition on d0, sharing no node, and 4 ``qpu_share`` licenses,
+        all held by a ``dev`` job on d0."""
+        nodes = {name: Node(name, cpus=8) for name in ("p0", "d0")}
+        partitions = {
+            "prod": Partition("prod", [nodes["p0"]], priority_tier=2),
+            "dev": Partition("dev", [nodes["d0"]], preempt_mode=PreemptMode.REQUEUE),
+        }
+        licenses = LicensePool({"qpu_share": 4})
+        holder = _job(1, partition="dev", cpus=8, licenses=(("qpu_share", 4),))
+        _run(holder, ["d0"], 0.0, nodes, licenses)
+        return nodes, partitions, licenses, holder
+
+    def test_license_only_blocker_is_preempted(self):
+        nodes, partitions, licenses, holder = self._site()
+        head = _job(2, partition="prod", cpus=8, licenses=(("qpu_share", 4),))
+        victims = Scheduler().plan_preemption(head, partitions["prod"], partitions, [holder], licenses)
+        assert victims == [holder]
+
+    def test_victim_outside_the_partition_frees_only_its_licenses(self):
+        """p0 is also full, held by a job nothing may preempt: the license
+        holder's node d0 is no room for the head, so no victim set helps."""
+        nodes, partitions, licenses, holder = self._site()
+        partitions["ops"] = Partition("ops", [nodes["p0"]], priority_tier=1, preempt_mode=PreemptMode.OFF)
+        blocker = _job(3, partition="ops", cpus=8)
+        _run(blocker, ["p0"], 0.0, nodes, licenses)
+        head = _job(2, partition="prod", cpus=8, licenses=(("qpu_share", 4),))
+        running = [holder, blocker]
+        assert Scheduler().plan_preemption(head, partitions["prod"], partitions, running, licenses) is None
+
+
 # -- properties -----------------------------------------------------------------
 
 
@@ -263,13 +297,21 @@ class TestPlannerProperties:
         assert start(decision.backfilled) <= decision.shadow_time
 
     @settings(max_examples=150, deadline=None)
-    @given(cluster=clusters(), pick=st.integers(min_value=0))
-    def test_preemption_victims_are_enough_and_minimal(self, cluster, pick):
+    @given(cluster=clusters(), pick=st.integers(min_value=0), license_bound=st.booleans())
+    def test_preemption_victims_are_enough_and_minimal(self, cluster, pick, license_bound):
         """The victims free enough for the head and the list without its
         last victim does not; None means even every eligible victim
-        would not."""
+        would not.  Eligible: a lower-tier preemptable job holding a node
+        of the head's partition or a license the head requests."""
         nodes, partitions, licenses, running, pending, now = cluster
         head = pending[pick % len(pending)]
+        if license_bound:
+            # a one-node head in a new top tier, asking for every license
+            # of the pool: whoever holds them, on any node, is in its way
+            node = nodes[sorted(nodes)[pick % len(nodes)]]
+            partitions = {**partitions, "top": Partition("top", [node], priority_tier=3)}
+            whole = (("qpu_share", licenses.total("qpu_share")),)
+            head = _job(head.job_id, **{**vars(head.spec), "partition": "top", "num_nodes": 1, "licenses": whole})
         partition = partitions[head.spec.partition]
         if earliest_start(head, partition, nodes, licenses, [], now) == now:
             return  # the head fits without preempting anyone
@@ -282,12 +324,16 @@ class TestPlannerProperties:
             return _head_fits(head, partition, cap, lic)
 
         if victims is None:
+            wanted = {name for name, _ in head.spec.licenses}
             eligible = [
                 job
                 for job in running
                 if partitions[job.spec.partition].priority_tier < partition.priority_tier
                 and partitions[job.spec.partition].preempt_mode is not PreemptMode.OFF
-                and set(job.allocated_nodes) & set(partition.node_names())
+                and (
+                    set(job.allocated_nodes) & set(partition.node_names())
+                    or wanted & {name for name, _ in job.spec.licenses}
+                )
             ]
             assert not fits_without(eligible)
             return

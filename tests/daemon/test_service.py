@@ -317,6 +317,16 @@ class TestObservabilityIntegration:
         firing = daemon.evaluate_alerts()
         assert any("degraded" in a["name"] for a in firing)
 
+    def test_editing_a_result_body_leaves_the_job_metadata(self):
+        sim, daemon, _ = build_daemon()
+        client = DaemonClient(build_router(daemon))
+        client.open_session("alice", priority_class="production")
+        task_id = client.submit(JobSpec(program=make_program(shots=10), resource="onprem"))
+        sim.run()
+        client.result(task_id)["metadata"]["edited"] = True
+        assert "edited" not in client.job_metadata(task_id)["diagnostics"]
+        assert "edited" not in client.result(task_id)["metadata"]
+
     def test_jobmeta_recorded_on_completion(self):
         sim, daemon, _ = build_daemon()
         session = daemon.create_session("alice", "production")

@@ -12,7 +12,7 @@ from repro.observability import (
     CusumDetector,
     Dashboard,
     EwmaDetector,
-    JobMetadataStore,
+    JobMetadataView,
     MetricRegistry,
     Panel,
     Scraper,
@@ -289,39 +289,67 @@ class TestDriftDetectors:
             EwmaDetector(alpha=0.0)
 
 
-class TestJobMetadata:
-    def test_record_and_get(self):
-        from repro.emulators.base import EmulationResult
+def _complete(queue, user, now, result, priority=None):
+    """Submit a task of ``user`` to ``queue`` at t=0, run it from t=0
+    and complete it with ``result`` at ``now``."""
+    from repro.daemon.queue import PriorityClass, TaskState
+    from repro.qpu import ConstantWaveform, DriveSegment, Register
+    from repro.sdk.ir import AnalogProgram
 
-        store = JobMetadataStore()
-        result = EmulationResult(
-            counts={"00": 10},
-            shots=10,
-            backend="emu-sv",
-            duration_us=1.0,
-            metadata={"calibration": {"t2_us": 50.0}, "resource": "qpu", "execution_seconds": 12.0},
-        )
-        record = store.record_from_result("t1", 5.0, result, user="alice", priority_class="production")
+    program = AnalogProgram(
+        Register.chain(2, spacing=6.0),
+        (DriveSegment(ConstantWaveform(1.0, np.pi), ConstantWaveform(1.0, 0.0)),),
+    )
+    task = queue.submit("s", user, program, priority or PriorityClass.PRODUCTION, "qpu", now=0.0)
+    queue.set_state(task, TaskState.RUNNING, 0.0)
+    task.result = result
+    queue.set_state(task, TaskState.COMPLETED, now)
+    return task
+
+
+def _result(**metadata):
+    from repro.emulators.base import EmulationResult
+
+    return EmulationResult(counts={"00": 10}, shots=10, backend="emu-sv", duration_us=1.0, metadata=metadata)
+
+
+class TestJobMetadata:
+    """The metadata view reads each record from the completed task."""
+
+    def test_record_and_get(self):
+        from repro.daemon.queue import MiddlewareQueue
+
+        queue = MiddlewareQueue()
+        view = JobMetadataView(queue)
+        result = _result(calibration={"t2_us": 50.0}, resource="qpu", execution_seconds=12.0, engine="emu-sv")
+        task = _complete(queue, "alice", 5.0, result)
+        record = view.get(task.task_id)
         assert record.calibration["t2_us"] == 50.0
         assert record.execution_s == 12.0
-        assert store.get("t1").user == "alice"
+        assert (record.user, record.time, record.resource) == ("alice", 5.0, "qpu")
+        assert (record.priority_class, record.queue_wait_s) == ("production", 0.0)
+        assert record.diagnostics == {"engine": "emu-sv"}
 
-    def test_duplicate_rejected(self):
-        from repro.observability.jobmeta import JobMetadataRecord
+    def test_unfinished_and_unknown_tasks_have_no_record(self):
+        from repro.daemon.queue import MiddlewareQueue, PriorityClass
 
-        store = JobMetadataStore()
-        store.record(JobMetadataRecord(task_id="t", time=0.0))
-        with pytest.raises(ObservabilityError):
-            store.record(JobMetadataRecord(task_id="t", time=1.0))
+        queue = MiddlewareQueue()
+        view = JobMetadataView(queue)
+        done = _complete(queue, "u", 1.0, _result())
+        pending = queue.submit("s", "u", done.program, PriorityClass.TEST, "qpu", now=2.0)
+        for task_id in (pending.task_id, "mw-task-99"):
+            with pytest.raises(ObservabilityError):
+                view.get(task_id)
+        assert len(view) == 1
 
     def test_queries(self):
-        from repro.observability.jobmeta import JobMetadataRecord
+        from repro.daemon.queue import MiddlewareQueue
 
-        store = JobMetadataStore()
-        for i in range(5):
-            store.record(
-                JobMetadataRecord(task_id=f"t{i}", time=float(i), user="u" if i < 3 else "v")
-            )
-        assert len(store.for_user("u")) == 3
-        assert len(store.in_window(1.0, 3.0)) == 3
-        assert len(store) == 5
+        queue = MiddlewareQueue()
+        view = JobMetadataView(queue)
+        # completion order differs from submission order
+        for i in (4, 0, 3, 1, 2):
+            _complete(queue, "u" if i < 3 else "v", float(i), _result())
+        assert len(view.for_user("u")) == 3
+        assert [r.time for r in view.in_window(1.0, 3.0)] == [3.0, 1.0, 2.0]
+        assert len(view) == 5

@@ -1,18 +1,21 @@
 """One read-only calibration snapshot per calibration version.
 
-Every QPU result carries the calibration it ran under, and its job
-metadata record keeps it.  Results of one calibration version share one
-read-only mapping (``CalibrationState.snapshot_view``), memoised like
+Every QPU result carries the calibration it ran under, and the job
+metadata record read from it shares it.  Results of one calibration
+version share one read-only mapping (``CalibrationState.snapshot_view``), memoised like
 ``fidelity_proxy``: any versioned change — a drift step, a jump, a
 recalibration, a direct assignment — makes the next result carry a new
 one, and the old one keeps its values.  ``snapshot()`` still returns a
 dict the caller owns.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.observability import JobMetadataStore
+from repro.daemon.queue import PriorityClass
+from repro.observability.jobmeta import job_metadata_record
 from repro.qpu import CalibrationState, ConstantWaveform, DriftModel, DriveSegment, QPUDevice, Register
 
 
@@ -20,6 +23,15 @@ def run(device, shots=10):
     register = Register.chain(2, spacing=6.0)
     segments = [DriveSegment(ConstantWaveform(1.0, np.pi), ConstantWaveform(1.0, 0.0))]
     return device.run_now(register, segments, shots=shots)
+
+
+def record_of(result):
+    """The job metadata record of a completed task holding ``result``."""
+    task = SimpleNamespace(
+        task_id="t", result=result, finished_at=0.0, user="u",
+        priority=PriorityClass.TEST, wait_time=lambda: 0.0,
+    )
+    return job_metadata_record(task)
 
 
 class TestSharedView:
@@ -34,8 +46,7 @@ class TestSharedView:
 
     def test_job_metadata_keeps_the_shared_mapping(self):
         device = QPUDevice(rng=np.random.default_rng(0))
-        store = JobMetadataStore()
-        records = [store.record_from_result(f"t{i}", 0.0, run(device)) for i in range(2)]
+        records = [record_of(run(device)) for _ in range(2)]
         assert records[0].calibration is records[1].calibration
         assert records[0].calibration is device.calibration.snapshot_view()
 
@@ -44,7 +55,7 @@ class TestSharedView:
             shots, backend = 1, "stub"
             metadata = {"calibration": {"t2_us": 50.0}}
 
-        record = JobMetadataStore().record_from_result("t", 0.0, Result())
+        record = record_of(Result())
         Result.metadata["calibration"]["t2_us"] = 1.0
         assert record.calibration["t2_us"] == 50.0
         with pytest.raises(TypeError):

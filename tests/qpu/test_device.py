@@ -251,17 +251,23 @@ class TestQPUDevice:
         assert sum(result.counts.values()) == 10
 
     def test_busy_trace_emitted(self):
+        """The device's busy interval is the daemon task's run: one pair
+        from ``running`` to ``completed``, as long as the execution."""
+        from repro.daemon import MiddlewareDaemon
+        from repro.qrmi import OnPremQPUResource
+        from repro.scheduling import TransitionCollector
+        from repro.sdk.ir import AnalogProgram
+
         sim = Simulator()
         device = QPUDevice(rng=np.random.default_rng(0))
+        daemon = MiddlewareDaemon(sim, {"onprem": OnPremQPUResource("onprem", device)})
+        transitions = TransitionCollector(daemon)
         reg, segs = simple_program(n=1)
-
-        def runner():
-            yield from device.execute_process(sim, reg, segs, shots=5, task_id="t2")
-
-        sim.spawn(runner())
-        sim.run()
-        pairs = device.trace.pairs("busy_start", "busy_end", key="task_id", component="qpu")
-        assert len(pairs) == 1
+        session = daemon.create_session("u", "production")
+        daemon.submit_task(session.token, AnalogProgram(reg, tuple(segs), shots=5), "onprem")
+        sim.run(until=100.0)
+        (start, end, _), = transitions.busy["onprem"]
+        assert device.busy_seconds == pytest.approx(end - start) and end > start
 
     def test_large_register_uses_mps_engine(self):
         device = QPUDevice(rng=np.random.default_rng(0), sv_cutoff_qubits=4)

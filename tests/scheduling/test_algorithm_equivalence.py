@@ -112,7 +112,7 @@ class TestDaemonPopOrderEquivalence:
         by_id = {view.job_id: view for view in after}
         assert by_id[second.task_id] is before[1]
         assert by_id[first.task_id] is not before[0]
-        assert by_id[first.task_id].submit_seq == first._heap_seq > second._heap_seq
+        assert by_id[first.task_id].submit_seq == first._seq > second._seq
 
 
 def _random_cluster(seed):

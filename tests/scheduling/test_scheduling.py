@@ -199,29 +199,58 @@ class TestTimeshare:
 
 
 class TestMetrics:
+    @staticmethod
+    def _transitions(events):
+        """A :class:`TransitionCollector` on a daemon whose queue makes the
+        ``(time, task id, state)`` transitions; a production task on
+        ``onprem`` is submitted at its first time."""
+        from repro.daemon import MiddlewareDaemon
+        from repro.daemon.queue import PriorityClass, TaskState
+        from repro.qpu import ConstantWaveform, DriveSegment, Register
+        from repro.qrmi import LocalEmulatorResource
+        from repro.scheduling import TransitionCollector
+        from repro.sdk.ir import AnalogProgram
+        from repro.simkernel import Simulator
+
+        sim = Simulator()
+        daemon = MiddlewareDaemon(sim, {"onprem": LocalEmulatorResource("onprem")})
+        collector = TransitionCollector(daemon)
+        program = AnalogProgram(
+            Register.chain(2, spacing=6.0),
+            (DriveSegment(ConstantWaveform(1.0, 1.0), ConstantWaveform(1.0, 0.0)),),
+        )
+        tasks = {}
+
+        def step(task_id, state):
+            if task_id in tasks:
+                daemon.queue.set_state(tasks[task_id], TaskState(state), sim.now)
+            else:
+                tasks[task_id] = daemon.queue.submit(
+                    "s", "u", program, PriorityClass.PRODUCTION, "onprem", now=sim.now
+                )
+
+        for now, task_id, state in events:
+            sim.call_in(now, lambda t=task_id, s=state: step(t, s))
+        sim.run(until=1000.0)
+        return collector
+
     def test_qpu_busy_fraction(self):
         from repro.scheduling import qpu_busy_fraction
-        from repro.simkernel import TraceRecorder
 
-        trace = TraceRecorder()
-        trace.emit(0.0, "qpu", "busy_start", task_id="a")
-        trace.emit(30.0, "qpu", "busy_end", task_id="a")
-        trace.emit(50.0, "qpu", "busy_start", task_id="b")
-        trace.emit(100.0, "qpu", "busy_end", task_id="b")
-        assert qpu_busy_fraction(trace, horizon=100.0) == pytest.approx(0.8)
+        transitions = self._transitions([
+            (0.0, "a", "queued"), (0.0, "a", "running"), (30.0, "a", "completed"),
+            (50.0, "b", "queued"), (50.0, "b", "running"), (100.0, "b", "completed"),
+        ])
+        assert qpu_busy_fraction(transitions, "onprem", horizon=100.0) == pytest.approx(0.8)
+        assert qpu_busy_fraction(transitions, "emu", horizon=100.0) == 0.0
 
     def test_scheduling_metrics_from_traces(self):
         from repro.scheduling import SchedulingMetrics
-        from repro.simkernel import TraceRecorder
 
-        qpu = TraceRecorder()
-        daemon = TraceRecorder()
-        daemon.emit(0.0, "daemon", "task_enqueued", task_id="t1", priority="production")
-        daemon.emit(5.0, "daemon", "task_start", task_id="t1", priority="production", wait=5.0)
-        qpu.emit(5.0, "qpu", "busy_start", task_id="t1")
-        qpu.emit(25.0, "qpu", "busy_end", task_id="t1")
-        daemon.emit(25.0, "daemon", "task_end", task_id="t1", state="completed", priority="production")
-        metrics = SchedulingMetrics.from_traces(qpu, daemon)
+        transitions = self._transitions([
+            (0.0, "t1", "queued"), (5.0, "t1", "running"), (25.0, "t1", "completed"),
+        ])
+        metrics = SchedulingMetrics.from_transitions(transitions, "onprem")
         assert metrics.tasks_completed == 1
         assert metrics.makespan == pytest.approx(25.0)
         assert metrics.qpu_utilization == pytest.approx(0.8)
