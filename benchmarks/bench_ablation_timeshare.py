@@ -6,7 +6,7 @@ increments of 10 percentage points."
 
 Experiment: two tenants with a grant sweep (9:1 ... 1:9 units) submit
 identical steady workloads through the daemon; the weighted-fair
-selection policy should deliver observed QPU-time shares proportional
+scheduling algorithm should deliver observed QPU-time shares proportional
 to granted units.  Plus the Slurm-side mechanism: licenses gate how
 many QPU-share units a job can hold concurrently.
 """
@@ -43,7 +43,7 @@ def run_share_split(alice_units: int, tasks_each: int = 12, shots: int = 60):
     allocator.grant("alice", alice_units)
     allocator.grant("bob", 10 - alice_units)
     policy = WeightedFairPolicy(allocator, estimate_seconds=lambda t: float(t.program.shots))
-    stack = build_stack(shot_rate_hz=1.0, selection_policy=policy)
+    stack = build_stack(shot_rate_hz=1.0, algorithm=policy)
     for user in ("alice", "bob"):
         client = stack.client_for(user, "production")
         for _ in range(tasks_each):

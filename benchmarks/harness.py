@@ -56,7 +56,7 @@ def build_stack(
     shot_rate_hz: float = 1.0,
     mode: SharingMode = SharingMode.SHOT_CAP,
     shot_cap: ShotCapPolicy | None = None,
-    selection_policy=None,
+    algorithm=None,
     seed: int = 0,
     setup_overhead_s: float = 0.0,
     scrape_interval: float = 60.0,
@@ -84,7 +84,7 @@ def build_stack(
             test_max_shots=10**9, dev_max_shots=10**9,
             disable_batching_below_production=False,
         ),
-        selection_policy=selection_policy,
+        algorithm=algorithm,
         scrape_interval=scrape_interval,
     )
     return Stack(

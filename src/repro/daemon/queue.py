@@ -7,16 +7,17 @@ envision several classes of user jobs:
     (2) test runs / scalability tests (medium priority)
     (3) development runs (low priority)"
 
-Pops follow (class, FIFO) order.  The queue also implements the
-initial-implementation sharing policy from the same section:
-non-production tasks get their shot counts capped and their batching
-disabled so "the waiting time for production jobs will be low".
+The queue files tasks; the second-level scheduler's algorithm picks
+the next one (by default in (class, FIFO) order).  The queue also
+implements the initial-implementation sharing policy from the same
+section: non-production tasks get their shot counts capped and their
+batching disabled so "the waiting time for production jobs will be
+low".
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ __all__ = ["MiddlewareQueue", "PriorityClass", "QueuedTask", "TaskState"]
 
 
 class PriorityClass(enum.IntEnum):
-    """Lower value = higher priority (heap order)."""
+    """Lower value = higher priority."""
 
     PRODUCTION = 0
     TEST = 1
@@ -94,7 +95,7 @@ class QueuedTask:
     preempt_count: int = 0
     batched: bool = True
     metadata: dict[str, Any] = field(default_factory=dict)
-    #: while the task is queued, the heap sequence of its latest
+    #: while the task is queued, the queue sequence of its latest
     #: (re)queueing — the FIFO tiebreak scheduling algorithms sort on; a
     #: requeued task gets a fresh number, sending it to the back of its
     #: priority class.  Once it has completed, its place in completion
@@ -136,10 +137,9 @@ class ShotCapPolicy:
 
 
 class MiddlewareQueue:
-    """Priority queue over :class:`QueuedTask`."""
+    """The task table and its live queued set over :class:`QueuedTask`."""
 
     def __init__(self, shot_cap: ShotCapPolicy | None = None) -> None:
-        self._heap: list[tuple[int, int, str]] = []
         self._tasks: dict[str, QueuedTask] = {}
         self._seq = itertools.count(1)
         self._completions = itertools.count(1)
@@ -237,31 +237,10 @@ class MiddlewareQueue:
             task.metadata.update(metadata)
         self._tasks[task.task_id] = task
         self._entered(task, None, TaskState.QUEUED)
-        self._push(task)
+        task._seq = next(self._seq)
         return task
 
-    def _push(self, task: QueuedTask) -> None:
-        seq = next(self._seq)
-        task._seq = seq
-        heapq.heappush(self._heap, (int(task.priority), seq, task.task_id))
-
-    # -- consumption -----------------------------------------------------------
-
-    def pop(self) -> QueuedTask | None:
-        """Highest-priority queued task, or None."""
-        while self._heap:
-            _, _, task_id = heapq.heappop(self._heap)
-            task = self._tasks[task_id]
-            if task.state is TaskState.QUEUED:
-                return task
-        return None
-
-    def prune(self) -> None:
-        """Drop stale heap heads (tasks consumed out-of-band by a
-        scheduling algorithm rather than :meth:`pop`), keeping the heap
-        bounded by the live queued count instead of total history."""
-        while self._heap and self._tasks[self._heap[0][2]].state is not TaskState.QUEUED:
-            heapq.heappop(self._heap)
+    # -- preemption and cancellation ------------------------------------------
 
     def requeue(self, task: QueuedTask, now: float) -> None:
         """Return a preempted task to the queue (keeps original class)."""
@@ -270,7 +249,7 @@ class MiddlewareQueue:
                 f"only preempted tasks can be requeued, {task.task_id} is {task.state.value}"
             )
         self.set_state(task, TaskState.QUEUED, now)
-        self._push(task)
+        task._seq = next(self._seq)
 
     def cancel(self, task_id: str) -> None:
         task = self.get(task_id)

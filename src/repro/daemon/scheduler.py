@@ -3,8 +3,9 @@
 This is the layer the paper inserts *between* Slurm and the QPU
 (abstract: "a second layer of scheduling after the main HPC resource
 manager in order to improve the utilization of the QPU").  One worker
-process drains the :class:`~repro.daemon.queue.MiddlewareQueue` in
-priority order into a QRMI resource.
+process drains the :class:`~repro.daemon.queue.MiddlewareQueue` into a
+QRMI resource, in the order its scheduling algorithm picks (by default
+``fifo-priority``: class, then FIFO).
 
 Two sharing modes, both from §3.3:
 
@@ -17,9 +18,10 @@ Two sharing modes, both from §3.3:
   arriving production task interrupts a running test/dev task, which is
   requeued and restarted later.
 
-An optional *selection policy* hook lets the pattern-aware interleaving
-experiments (Table 1) reorder eligible tasks without forking the
-scheduler.
+Any :class:`~repro.scheduling.algorithms.SchedulingAlgorithm`, by
+registry name or as an instance, picks the next task: the §3.5
+weighted-fair timeshare
+(:class:`~repro.scheduling.timeshare.WeightedFairPolicy`) is one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 
+from ..emulators.base import ReadOnlyMetadata
 from ..errors import DaemonError
 from ..observability.profiling import scoped
 from ..qrmi.interface import QuantumResource
@@ -51,7 +54,6 @@ class SecondLevelScheduler:
         queue: MiddlewareQueue,
         resources: dict[str, QuantumResource],
         mode: SharingMode = SharingMode.SHOT_CAP,
-        selection_policy: Callable[[list[QueuedTask], float], QueuedTask | None] | None = None,
         on_task_done: Callable[[QueuedTask], None] | None = None,
         algorithm: SchedulingAlgorithm | str | None = None,
     ) -> None:
@@ -59,7 +61,6 @@ class SecondLevelScheduler:
         self.queue = queue
         self.resources = resources
         self.mode = mode
-        self.selection_policy = selection_policy
         self.on_task_done = on_task_done
         self.algorithm: SchedulingAlgorithm
         self.use_algorithm(algorithm)
@@ -102,20 +103,6 @@ class SecondLevelScheduler:
 
     @scoped("scheduler.select")
     def _select(self) -> QueuedTask | None:
-        if self.selection_policy is not None:
-            eligible = [
-                t for t in self.queue.all_tasks() if t.state is TaskState.QUEUED
-            ]
-            if not eligible:
-                return None
-            chosen = self.selection_policy(eligible, self.sim.now)
-            if chosen is None:
-                return None
-            if chosen.state is not TaskState.QUEUED:
-                raise DaemonError("selection policy returned a non-queued task")
-            # consume it from the heap lazily by marking then popping equals
-            self.queue.set_state(chosen, TaskState.RUNNING, self.sim.now)
-            return chosen
         eligible = self.queue.queued_tasks()
         if not eligible:
             return None
@@ -130,7 +117,6 @@ class SecondLevelScheduler:
         if chosen.state is not TaskState.QUEUED:
             raise DaemonError("scheduling algorithm returned a non-queued task")
         self.queue.set_state(chosen, TaskState.RUNNING, self.sim.now)
-        self.queue.prune()
         return chosen
 
     def _run(self):
@@ -189,6 +175,9 @@ class SecondLevelScheduler:
             self._finish(task)
             return
         self._end_span(span, "ok")
+        # every in-process reader gets this one object, and job metadata
+        # is read from it: from here on its metadata is read-only
+        result.metadata = ReadOnlyMetadata(result.metadata)
         task.result = result
         self.queue.set_state(task, TaskState.COMPLETED, self.sim.now)
         self.current = None

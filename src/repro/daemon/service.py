@@ -59,7 +59,6 @@ class MiddlewareDaemon:
         sdk_registry: SDKRegistry | None = None,
         scrape_interval: float = 15.0,
         session_idle_timeout: float = 3600.0,
-        selection_policy=None,
         algorithm=None,
     ) -> None:
         if not resources:
@@ -82,7 +81,6 @@ class MiddlewareDaemon:
             self.queue,
             self.resources,
             mode=mode,
-            selection_policy=selection_policy,
             on_task_done=self._count_finished,
             algorithm=algorithm,
         )

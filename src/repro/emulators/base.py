@@ -14,7 +14,21 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, breaks a cycle
     from ..qpu.hamiltonian import RydbergHamiltonian
 from .noise import NoiseModel
 
-__all__ = ["EmulationResult", "EmulatorBackend"]
+__all__ = ["EmulationResult", "EmulatorBackend", "ReadOnlyMetadata"]
+
+
+class ReadOnlyMetadata(dict):
+    """A finished result's metadata: a dict that refuses edits.  The
+    daemon keeps one result per job and hands that same object to
+    every in-process reader, and job metadata is read from it, so an
+    edit must go to a copy (``dict(metadata)``)."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a finished result's metadata is read-only; edit a copy")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 
 
 @dataclass(slots=True)

@@ -148,7 +148,7 @@ class LifecycleBus:
     it, not to everyone.
     """
 
-    def __init__(self, history: int = 0) -> None:
+    def __init__(self) -> None:
         self._handles = itertools.count(1)
         #: wildcard subscribers (no job filter)
         self._wildcard: list[_Subscription] = []
@@ -166,9 +166,6 @@ class LifecycleBus:
         #: site label -> the daemon publishing task transitions under it
         #: (one per label; see ``MiddlewareDaemon.attach_bus``)
         self.publishers: dict[str, Any] = {}
-        #: optional bounded ring of recent events (observability aid)
-        self._history_cap = history
-        self._history: list[JobEvent] = []
         #: published events not yet delivered (non-empty only mid-drain)
         self._pending: deque[JobEvent] = deque()
         self._draining = False
@@ -227,10 +224,6 @@ class LifecycleBus:
         or after the events ahead of it when a subscriber publishes
         from inside a running drain."""
         self.published += 1
-        if self._history_cap:
-            self._history.append(event)
-            if len(self._history) > self._history_cap:
-                del self._history[: -self._history_cap]
         self._pending.append(event)
         self.flush()
 
@@ -272,10 +265,6 @@ class LifecycleBus:
                 callback(value)
             except Exception:
                 self.dropped += 1
-
-    def recent(self) -> list[JobEvent]:
-        """The retained event tail (empty unless ``history`` was set)."""
-        return list(self._history)
 
 
 def publish_task_transition(

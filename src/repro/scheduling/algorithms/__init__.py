@@ -19,7 +19,10 @@ folded away: ``fifo-priority`` (daemon) and ``policy-routing``
 (broker; ``makespan_c7_policy_routing_rigid_s`` pins it) are defaults,
 ``easy-backfill`` and ``agreement-elastic`` win C7 classes.  Every
 name runs through ``simulate``; the C7 bench keys its
-``makespan_c7_*`` values by name.
+``makespan_c7_*`` values by name.  The daemon's §3.5 weighted-fair
+timeshare (:class:`repro.scheduling.timeshare.WeightedFairPolicy`) is
+an algorithm too but is not registered: it needs a unit allocator, so
+it is passed as an instance.
 
 Module map
 ==========
@@ -34,8 +37,8 @@ Module map
     site snapshots in the common vocabulary.  Nothing here imports the
     adapted packages.
 ``fifo_priority``
-    ``"fifo-priority"`` — the daemon queue's legacy (class, FIFO)
-    discipline; bit-identical to ``MiddlewareQueue.pop``.
+    ``"fifo-priority"`` — the daemon queue's default (class, FIFO)
+    discipline.
 ``policy_routing``
     ``"policy-routing"`` — wraps any federation routing policy's
     ``choose``; bit-identical broker placements.

@@ -1,10 +1,9 @@
-"""FIFO-within-priority-class: the daemon queue's legacy discipline.
+"""FIFO-within-priority-class: the daemon queue's default discipline.
 
-Reproduces :meth:`repro.daemon.queue.MiddlewareQueue.pop` exactly: the
-next job is the queued one with the lowest ``(priority, submit_seq)``
-key — priority classes strictly ordered, FIFO inside a class, and a
-requeued (preempted) task goes to the *back* of its class because the
-queue assigns it a fresh heap sequence number on requeue.
+The next job is the queued one with the lowest ``(priority,
+submit_seq)`` key — priority classes strictly ordered, FIFO inside a
+class, and a requeued (preempted) task goes to the *back* of its class
+because the queue assigns it a fresh sequence number on requeue.
 
 Generalized to many resources for the sweep simulator: strict
 non-skipping FCFS — fill resources in order until the first job that

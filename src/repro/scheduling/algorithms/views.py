@@ -29,11 +29,10 @@ def daemon_views(
 ) -> tuple[tuple[PendingJob, ...], tuple[ResourceView, ...], SystemView]:
     """Queued daemon tasks in front of one free worker slot.
 
-    ``submit_seq`` is the queue's heap sequence number, so FIFO order —
-    including requeued preempted tasks going to the back of their
-    class — matches :meth:`MiddlewareQueue.pop` exactly.  A task keeps
-    its view (``task._pending_view``) across calls until a requeue
-    gives it a new sequence number.
+    ``submit_seq`` is the queue's sequence number of the task's latest
+    (re)queueing, so FIFO order sends a requeued preempted task to the
+    back of its class.  A task keeps its view (``task._pending_view``)
+    across calls until a requeue gives it a new sequence number.
     """
     pending = tuple(map(_daemon_view, tasks))
     resources = (ResourceView(name=DAEMON_WORKER, total_units=1, free_units=1),)

@@ -9,27 +9,18 @@ Two cooperating pieces:
 * :class:`TimeshareAllocator` — the bookkeeping of the 10-unit pool:
   tenants hold integer unit counts; maps directly onto Slurm licenses
   (:class:`~repro.cluster.licenses.LicensePool`) or a GRES pool.
-* :class:`WeightedFairPolicy` — a deficit-round-robin selection policy
+* :class:`WeightedFairPolicy` — a deficit-weighted scheduling algorithm
   for the daemon's second-level scheduler: tenants receive QPU time in
-  proportion to their held units.  Plugs into
-  :class:`~repro.daemon.scheduler.SecondLevelScheduler` via
-  ``selection_policy``.
+  proportion to their held units.  It needs an allocator, so it is
+  not in the registry; pass an instance as ``algorithm=`` to
+  :class:`~repro.daemon.service.MiddlewareDaemon` (or
+  :class:`~repro.daemon.scheduler.SecondLevelScheduler`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ..errors import SchedulerError
-
-if TYPE_CHECKING:
-    from ..daemon.queue import QueuedTask
-
-#: the one task-state value this policy inspects — matched by string so
-#: ``scheduling`` stays below ``daemon`` in the import graph (daemon
-#: imports scheduling.algorithms; a module-scope import here closed a
-#: package cycle that archlint's layering rule now forbids)
-_QUEUED = "queued"
+from .algorithms.base import Decision, PendingJob, ResourceView, SchedulingAlgorithm, SystemView
 
 __all__ = ["TimeshareAllocator", "WeightedFairPolicy"]
 
@@ -75,7 +66,7 @@ class TimeshareAllocator:
         return {name: self.total_units}
 
 
-class WeightedFairPolicy:
+class WeightedFairPolicy(SchedulingAlgorithm):
     """Deficit-weighted task selection over tenants (users).
 
     Each tenant accrues credit proportional to its share; selecting a
@@ -83,8 +74,14 @@ class WeightedFairPolicy:
     seconds.  The eligible tenant with the largest credit balance goes
     next, so long-run QPU time converges to the granted shares — the
     fairness property tested in ``tests/scheduling`` and measured by
-    the C5 bench.
+    the C5 bench.  Priority classes play no part.
+
+    ``estimate_seconds`` takes the queued task (``PendingJob.native``);
+    the default is its shot count.
     """
+
+    name = "weighted-fair"
+    handles_placement = False
 
     def __init__(
         self,
@@ -110,29 +107,45 @@ class WeightedFairPolicy:
                 self._credit.get(tenant, 0.0) + elapsed * self.allocator.share(tenant)
             )
 
-    def __call__(self, eligible: list[QueuedTask], now: float) -> QueuedTask | None:
-        """Selection-policy signature for SecondLevelScheduler."""
-        self._accrue(now)
-        eligible = [t for t in eligible if t.state.value == _QUEUED]
-        if not eligible:
-            return None
-        by_tenant: dict[str, list[QueuedTask]] = {}
-        for task in eligible:
-            by_tenant.setdefault(task.user, []).append(task)
+    def _credit_of(self, tenant: str) -> float:
         # only tenants holding shares compete on credit; others are
-        # best-effort and go last (zero credit).
-        def credit_of(tenant: str) -> float:
-            return self._credit.get(tenant, 0.0) + 1e-9 * self.allocator.share(tenant)
+        # best-effort and go last (zero credit)
+        return self._credit.get(tenant, 0.0) + 1e-9 * self.allocator.share(tenant)
 
-        tenant = max(sorted(by_tenant), key=credit_of)
-        task = min(by_tenant[tenant], key=lambda t: t.enqueued_at)
-        cost = self.estimate_seconds(task)
+    def schedule(
+        self,
+        pending: tuple[PendingJob, ...],
+        resources: tuple[ResourceView, ...],
+        system: SystemView,
+    ) -> list[Decision]:
+        """Start the richest tenant's oldest task on the first free
+        resource; nothing when no task waits or no unit is free."""
+        self._accrue(system.now)
+        slot = next((r.name for r in resources if r.free_units > 0), None)
+        if not pending or slot is None:
+            return []
+        by_tenant: dict[str, list[PendingJob]] = {}
+        for job in pending:
+            by_tenant.setdefault(job.tenant, []).append(job)
+        tenant = max(sorted(by_tenant), key=self._credit_of)
+        job = min(by_tenant[tenant], key=_submission_order)
+        cost = self.estimate_seconds(job.native)
         self._credit[tenant] = self._credit.get(tenant, 0.0) - cost
         self.served_seconds[tenant] = self.served_seconds.get(tenant, 0.0) + cost
-        return task
+        return [Decision(kind="start", job_id=job.job_id, resource=slot)]
 
     def observed_shares(self) -> dict[str, float]:
         total = sum(self.served_seconds.values())
         if total == 0:
             return {}
         return {tenant: s / total for tenant, s in self.served_seconds.items()}
+
+
+def _submission_order(job: PendingJob) -> tuple[float, bool, int]:
+    """A tenant's oldest task first; ties on ``enqueued_at`` go to the
+    task submitted first.  A requeued task (``preempt_count > 0``)
+    precedes every unstarted task it ties with: this order picked it
+    while they waited, or before they arrived.  Unstarted tasks keep
+    their submission sequence (``submit_seq``)."""
+    task = job.native
+    return (task.enqueued_at, task.preempt_count == 0, job.submit_seq)

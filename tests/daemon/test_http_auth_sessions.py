@@ -17,6 +17,8 @@ from repro.daemon.queue import MiddlewareQueue, ShotCapPolicy
 from repro.qpu import ConstantWaveform, Register
 from repro.sdk import Pulse, Sequence
 
+from tests.daemon.queueutil import take_next
+
 
 def make_program(shots=100):
     seq = Sequence(Register.chain(2, spacing=6.0))
@@ -147,7 +149,7 @@ class TestQueue:
         q.submit("s1", "u", make_program(), PriorityClass.DEVELOPMENT, "qpu", now=0.0)
         q.submit("s2", "u", make_program(), PriorityClass.PRODUCTION, "qpu", now=1.0)
         q.submit("s3", "u", make_program(), PriorityClass.TEST, "qpu", now=2.0)
-        order = [q.pop().priority for _ in range(3)]
+        order = [take_next(q).priority for _ in range(3)]
         assert order == [
             PriorityClass.PRODUCTION,
             PriorityClass.TEST,
@@ -158,11 +160,11 @@ class TestQueue:
         q = MiddlewareQueue()
         t1 = q.submit("s", "u", make_program(), PriorityClass.TEST, "qpu", now=0.0)
         t2 = q.submit("s", "u", make_program(), PriorityClass.TEST, "qpu", now=1.0)
-        assert q.pop().task_id == t1.task_id
-        assert q.pop().task_id == t2.task_id
+        assert take_next(q).task_id == t1.task_id
+        assert take_next(q).task_id == t2.task_id
 
     def test_pop_empty_returns_none(self):
-        assert MiddlewareQueue().pop() is None
+        assert take_next(MiddlewareQueue()) is None
 
     def test_shot_cap_policy(self):
         q = MiddlewareQueue(shot_cap=ShotCapPolicy(dev_max_shots=50))
@@ -181,7 +183,7 @@ class TestQueue:
         q = MiddlewareQueue()
         task = q.submit("s", "u", make_program(), PriorityClass.TEST, "qpu", now=0.0)
         q.cancel(task.task_id)
-        assert q.pop() is None
+        assert take_next(q) is None
         assert task.state is TaskState.CANCELLED
 
     def test_requeue_requires_preempted(self):
@@ -191,7 +193,7 @@ class TestQueue:
             q.requeue(task, now=1.0)
         q.set_state(task, TaskState.PREEMPTED, 1.0)
         q.requeue(task, now=1.0)
-        assert q.pop().task_id == task.task_id
+        assert take_next(q).task_id == task.task_id
 
     def test_depth_by_class(self):
         q = MiddlewareQueue()

@@ -15,6 +15,8 @@ from repro.daemon.queue import (
 from repro.sdk import AnalogCircuit
 from repro.qpu import Register
 
+from tests.daemon.queueutil import take_next
+
 
 def make_program(shots=10):
     return (
@@ -61,8 +63,7 @@ class TestQueuedCounters:
         assert_counts_match(q)
         assert q.queued_count() == 4
 
-        running = q.pop()
-        q.set_state(running, TaskState.RUNNING, 5.0)
+        running = take_next(q, now=5.0)
         assert_counts_match(q)
 
         q.cancel(tasks[1].task_id)
@@ -73,8 +74,7 @@ class TestQueuedCounters:
         q.requeue(running, now=10.0)
         assert_counts_match(q)
 
-        running2 = q.pop()
-        q.set_state(running2, TaskState.RUNNING, 11.0)
+        running2 = take_next(q, now=11.0)
         q.set_state(running2, TaskState.COMPLETED, 12.0)
         assert_counts_match(q)
 

@@ -7,6 +7,8 @@ from repro.daemon.queue import MiddlewareQueue, PriorityClass, TaskState
 from repro.daemon.scheduler import SecondLevelScheduler, SharingMode
 from repro.qpu import ConstantWaveform, QPUDevice, Register, ShotClock
 from repro.qrmi import LocalEmulatorResource, OnPremQPUResource
+from repro.scheduling import TimeshareAllocator, WeightedFairPolicy
+from repro.scheduling.algorithms import Decision, SchedulingAlgorithm
 from repro.sdk import Pulse, Sequence
 from repro.simkernel import Simulator
 
@@ -19,7 +21,7 @@ def make_program(shots=20):
     return seq.build(shots=shots)
 
 
-def build(mode=SharingMode.SHOT_CAP, selection_policy=None, shot_rate=10.0):
+def build(mode=SharingMode.SHOT_CAP, algorithm=None, shot_rate=10.0):
     sim = Simulator()
     device = QPUDevice(
         clock=ShotClock(shot_rate_hz=shot_rate, setup_overhead_s=0.0, batch_overhead_s=0.0),
@@ -31,7 +33,7 @@ def build(mode=SharingMode.SHOT_CAP, selection_policy=None, shot_rate=10.0):
         "emu": LocalEmulatorResource("emu", emulator="emu-sv"),
     }
     scheduler = SecondLevelScheduler(
-        sim, queue, resources, mode=mode, selection_policy=selection_policy
+        sim, queue, resources, mode=mode, algorithm=algorithm
     )
     return sim, queue, scheduler, device
 
@@ -148,14 +150,34 @@ class TestSchedulingViews:
         assert all(t._pending_view is None for t in queue.all_tasks())
 
 
+class _EnqueueOrder(SchedulingAlgorithm):
+    """Start the earliest-enqueued task, whatever its class."""
+
+    name = "enqueue-order"
+
+    def schedule(self, pending, resources, system):
+        job = min(pending, key=lambda j: j.native.enqueued_at)
+        return [Decision(kind="start", job_id=job.job_id, resource=resources[0].name)]
+
+
+class _Idle(SchedulingAlgorithm):
+    """Start nothing, noting each time it is asked."""
+
+    name = "idle"
+
+    def __init__(self):
+        self.calls = []
+
+    def schedule(self, pending, resources, system):
+        self.calls.append(system.now)
+        return []
+
+
 class TestSelectionPolicy:
     def test_custom_policy_overrides_class_order(self):
-        """A policy selecting strictly by enqueue order ignores classes."""
-
-        def fifo_policy(eligible, now):
-            return min(eligible, key=lambda t: t.enqueued_at)
-
-        sim, queue, scheduler, _ = build(selection_policy=fifo_policy, shot_rate=1.0)
+        """An algorithm instance selecting strictly by enqueue order
+        ignores classes."""
+        sim, queue, scheduler, _ = build(algorithm=_EnqueueOrder(), shot_rate=1.0)
         # occupy the QPU so ordering matters
         hold = submit(queue, scheduler, priority=PriorityClass.DEVELOPMENT, shots=30)
         dev = queue.submit("s", "u", make_program(10), PriorityClass.DEVELOPMENT, "qpu", 0.0)
@@ -166,18 +188,52 @@ class TestSelectionPolicy:
         assert dev.started_at < prod.started_at  # FIFO beat the class order
 
     def test_policy_returning_none_idles(self):
-        calls = []
-
-        def lazy_policy(eligible, now):
-            calls.append(now)
-            return None
-
-        sim, queue, scheduler, _ = build(selection_policy=lazy_policy)
+        idle = _Idle()
+        sim, queue, scheduler, _ = build(algorithm=idle)
         task = queue.submit("s", "u", make_program(5), PriorityClass.TEST, "qpu", 0.0)
         scheduler.notify_submit(task)
         sim.run()
         assert task.state is TaskState.QUEUED
-        assert calls  # policy was consulted
+        assert idle.calls  # the algorithm was consulted
+
+    def test_weighted_fair_never_scans_the_task_table(self, monkeypatch):
+        """The timeshare algorithm picks from the live queued set: a
+        long-running daemon's pick does not grow with its history."""
+        allocator = TimeshareAllocator()
+        allocator.grant("alice", 7)
+        allocator.grant("bob", 3)
+        sim, queue, scheduler, _ = build(algorithm=WeightedFairPolicy(allocator))
+
+        def all_tasks():
+            raise AssertionError("the pick scanned every task ever held")
+
+        monkeypatch.setattr(queue, "all_tasks", all_tasks)
+        tasks = [submit(queue, scheduler, user=user) for user in ("alice", "bob") * 3]
+        sim.run()
+        assert all(t.state is TaskState.COMPLETED for t in tasks)
+
+    def test_weighted_fair_restarts_the_requeued_task_on_a_tie(self):
+        """Under PREEMPT, a requeued task and an unstarted task of one
+        tenant with equal ``enqueued_at``: the requeued task, submitted
+        first, goes first (the order recorded before the timeshare
+        became a scheduling algorithm, when ties went by task table)."""
+        allocator = TimeshareAllocator()
+        allocator.grant("alice", 5)
+        allocator.grant("bob", 5)
+        sim, queue, scheduler, _ = build(
+            mode=SharingMode.PREEMPT, algorithm=WeightedFairPolicy(allocator), shot_rate=1.0
+        )
+        dev = submit(queue, scheduler, priority=PriorityClass.DEVELOPMENT, shots=30, user="alice")
+        sim.run(until=5.0)
+        assert dev.state is TaskState.RUNNING
+        unstarted = submit(queue, scheduler, priority=PriorityClass.DEVELOPMENT, shots=10, user="alice")
+        prod = submit(queue, scheduler, priority=PriorityClass.PRODUCTION, shots=10, user="alice")
+        sim.run()
+        assert dev.preempt_count == 1
+        # restarted at the preemption instant, ahead of the unstarted
+        # task that the queue lists before it
+        assert dev.started_at == 5.0
+        assert dev.finished_at <= unstarted.started_at < prod.started_at
 
     def test_wait_times_by_class_shape(self):
         sim, queue, scheduler, _ = build(shot_rate=10.0)

@@ -327,6 +327,23 @@ class TestObservabilityIntegration:
         assert "edited" not in client.job_metadata(task_id)["diagnostics"]
         assert "edited" not in client.result(task_id)["metadata"]
 
+    def test_the_in_process_result_refuses_edits(self):
+        """``task_result`` hands out the stored result itself; its
+        metadata is read-only, so job metadata cannot pick up an edit."""
+        sim, daemon, _ = build_daemon()
+        session = daemon.create_session("alice", "production")
+        task = daemon.submit_task(session.token, make_program(shots=10), "onprem")
+        sim.run()
+        result = daemon.task_result(session.token, task.task_id)
+        with pytest.raises(TypeError):
+            result.metadata["edited"] = True
+        with pytest.raises(TypeError):
+            result.metadata.update(edited=True)
+        assert "edited" not in daemon.job_metadata(session.token, task.task_id)["diagnostics"]
+        copy = dict(result.metadata)
+        copy["edited"] = True  # a copy is the caller's to edit
+        assert "edited" not in result.metadata
+
     def test_jobmeta_recorded_on_completion(self):
         sim, daemon, _ = build_daemon()
         session = daemon.create_session("alice", "production")

@@ -27,6 +27,21 @@ class TestFederatedClient:
         assert result.metadata["federation_attempts"] == 1
         assert result.shots == 25
 
+    def test_broker_result_refuses_edits(self):
+        """The broker holds the site daemon's own result object; its
+        metadata is read-only, so the site's job metadata cannot pick
+        up an edit made through ``broker.result``."""
+        sim, registry, broker, sites = build_federation(n_sites=2)
+        job_id = broker.submit_spec(JobSpec(program=make_program(), shots=25))
+        sim.run(until=120.0)
+        result = broker.result(job_id)
+        with pytest.raises(TypeError):
+            result.metadata["edited"] = True
+        placement = broker.job(job_id).current
+        record = sites[placement.site].daemon.jobmeta.get(placement.task_id)
+        assert "edited" not in record.diagnostics
+        assert "edited" not in FederatedClient(broker, user="alice").result(job_id).metadata
+
     def test_resources_aggregates_sites(self):
         sim, registry, broker, sites = build_federation(n_sites=2)
         client = FederatedClient(broker)

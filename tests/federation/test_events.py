@@ -47,12 +47,6 @@ class TestBusUnit:
         assert bus.dropped == 1
         bus_drops(bus, 1)
 
-    def test_history_ring(self):
-        bus = LifecycleBus(history=2)
-        for i in range(4):
-            bus.publish(self._event(job_id=f"j{i}"))
-        assert [e.job_id for e in bus.recent()] == ["j2", "j3"]
-
 
 class TestSitePublishing:
     def test_task_transitions_flow_onto_bus(self):

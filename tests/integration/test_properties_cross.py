@@ -13,6 +13,7 @@ from repro.observability import TimeSeriesDB
 from repro.qpu import ConstantWaveform, DriveSegment, RampWaveform, Register
 from repro.sdk import AnalogProgram, Pulse, Sequence
 from repro.simkernel import Simulator
+from tests.daemon.queueutil import take_next
 
 
 def make_program(shots=10, n=2):
@@ -98,7 +99,7 @@ class TestQueueInvariants:
             submitted.append(task)
         popped = []
         while True:
-            task = queue.pop()
+            task = take_next(queue)
             if task is None:
                 break
             popped.append(task)

@@ -3,8 +3,8 @@
 Three equivalence proofs, one per scheduling loop:
 
 * daemon — ``FifoPriority`` over ``daemon_views`` consumes the queue in
-  exactly ``MiddlewareQueue.pop`` order, including requeued preempted
-  tasks going to the back of their class,
+  a golden order recorded from the queue's former heap pops, including
+  requeued preempted tasks going to the back of their class,
 * cluster — the one planner, ``Scheduler.plan``, reproduces a golden
   record of its decisions (starts with node lists, backfilled ids, head
   and shadow time) on eight randomized clusters,
@@ -25,8 +25,9 @@ from repro.cluster import Job, LicensePool, Node, Partition
 from repro.cluster import JobSpec as ClusterJobSpec
 from repro.cluster.scheduler import Scheduler
 from repro.daemon.queue import MiddlewareQueue, PriorityClass, TaskState
-from repro.scheduling.algorithms import FifoPriority, daemon_views
+from repro.scheduling.algorithms import daemon_views
 from repro.spec import JobSpec
+from tests.daemon.queueutil import take_next
 
 
 def _mk_program():
@@ -42,9 +43,9 @@ def _mk_program():
 
 def _fill_queue(queue, spec, now=0.0, preempt=3):
     """Submit per the priority script, then preempt + requeue the first
-    ``preempt`` tasks in pop order — mirroring the real daemon flow
-    (only a popped/running task can be preempted), so requeued tasks
-    must fall to the back of their priority class in both disciplines."""
+    ``preempt`` tasks in (class, FIFO) order — mirroring the real daemon
+    flow (only a running task can be preempted), so requeued tasks
+    must fall to the back of their priority class."""
     tasks = []
     for i, priority in enumerate(spec):
         task = queue.submit(
@@ -52,49 +53,35 @@ def _fill_queue(queue, spec, now=0.0, preempt=3):
         )
         tasks.append(task)
     for _ in range(min(preempt, len(tasks))):
-        task = queue.pop()
-        queue.set_state(task, TaskState.RUNNING, 49.0)
+        task = take_next(queue, now=49.0)
         task.preempt_count += 1
         queue.set_state(task, TaskState.PREEMPTED, 50.0)
         queue.requeue(task, now=50.0)
     return tasks
 
 
+#: the order ``MiddlewareQueue.pop`` drained ``_fill_queue`` in, per
+#: seed, recorded when the queue still kept its heap
+POP_ORDER_GOLDEN = {
+    0: [12, 3, 1, 2, 4, 6, 7, 8, 9, 10, 5, 11],
+    1: [11, 12, 1, 3, 5, 4, 6, 7, 8, 10, 2, 9],
+    2: [5, 11, 1, 2, 3, 4, 8, 9, 6, 7, 10, 12],
+    3: [12, 1, 4, 10, 5, 7, 2, 3, 6, 8, 9, 11],
+    4: [8, 9, 10, 1, 3, 7, 2, 5, 6, 11, 4, 12],
+}
+
+
 class TestDaemonPopOrderEquivalence:
-    def _drain_by_pop(self, queue):
-        order = []
-        while True:
-            task = queue.pop()
-            if task is None:
-                return order
-            order.append(task.task_id)
-            queue.set_state(task, TaskState.RUNNING, 0.0)
-
-    def _drain_by_algorithm(self, queue):
-        algorithm = FifoPriority()
-        order = []
-        while True:
-            eligible = queue.queued_tasks()
-            if not eligible:
-                return order
-            pending, resources, system = daemon_views(eligible, now=0.0)
-            decisions = algorithm.schedule(pending, resources, system)
-            starts = [d for d in decisions if d.kind in ("start", "backfill")]
-            if not starts:
-                return order
-            chosen = queue.get(starts[0].job_id)
-            order.append(chosen.task_id)
-            queue.set_state(chosen, TaskState.RUNNING, 0.0)
-            queue.prune()
-
     @pytest.mark.parametrize("seed", range(5))
     def test_algorithm_order_equals_pop_order(self, seed):
         rng = random.Random(seed)
         spec = [rng.choice(list(PriorityClass)) for _ in range(12)]
-        q1, q2 = MiddlewareQueue(), MiddlewareQueue()
-        _fill_queue(q1, spec)
-        _fill_queue(q2, spec)
-        assert self._drain_by_pop(q1) == self._drain_by_algorithm(q2)
+        queue = MiddlewareQueue()
+        _fill_queue(queue, spec)
+        order = []
+        while (task := take_next(queue)) is not None:
+            order.append(task.task_id)
+        assert order == [f"mw-task-{n}" for n in POP_ORDER_GOLDEN[seed]]
 
     def test_views_are_kept_until_a_requeue(self):
         queue = MiddlewareQueue()

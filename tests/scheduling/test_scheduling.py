@@ -172,7 +172,8 @@ class TestTimeshare:
 
     def test_weighted_fair_converges_to_shares(self):
         """70/30 grant -> long-run served time ~70/30."""
-        from repro.daemon.queue import MiddlewareQueue, PriorityClass
+        from repro.daemon.queue import MiddlewareQueue, PriorityClass, TaskState
+        from repro.scheduling.algorithms import daemon_views
 
         alloc = TimeshareAllocator(total_units=10)
         alloc.grant("alice", 7)
@@ -189,9 +190,9 @@ class TestTimeshare:
                 queue.submit("s", user, make_program(), PriorityClass.TEST, "qpu", now)
         # drain 30 selections, 10 simulated seconds apart
         for _ in range(30):
-            task = policy([t for t in queue.all_tasks() if t.state.value == "queued"], now)
-            assert task is not None
-            queue.set_state(task, task.state.__class__.COMPLETED, now)
+            (start,) = policy.schedule(*daemon_views(queue.queued_tasks(), now))
+            task = queue.get(start.job_id)
+            queue.set_state(task, TaskState.COMPLETED, now)
             now += 10.0
         shares = policy.observed_shares()
         assert shares["alice"] == pytest.approx(0.7, abs=0.12)

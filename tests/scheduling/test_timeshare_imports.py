@@ -2,11 +2,10 @@
 
 archlint's layering rule caught a module-import-time cycle
 ``scheduling -> daemon -> scheduling``: ``scheduling/timeshare.py``
-imported ``daemon.queue`` at the top level just to read a state enum it
-only compares by value.  The import is now deferred to TYPE_CHECKING
-and the comparison uses the enum's string value, so a scheduling
-algorithm (and, per the ROADMAP's sharded-broker arc, a shard that
-only schedules) loads without dragging the daemon in.
+imported ``daemon.queue`` at the top level.  The timeshare algorithm
+now reads only the common scheduling vocabulary (``PendingJob`` and the
+queued task in its ``native`` slot), so a scheduling algorithm loads
+without dragging the daemon in.
 """
 
 import os
@@ -33,11 +32,3 @@ def test_timeshare_import_does_not_pull_daemon(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
-
-def test_timeshare_queued_value_matches_daemon_enum():
-    from repro.daemon.queue import TaskState
-    from repro.scheduling.timeshare import _QUEUED
-
-    # the deferred import trades the enum identity for its value; this
-    # pins the two from drifting apart
-    assert TaskState.QUEUED.value == _QUEUED
