@@ -101,6 +101,7 @@ class MiddlewareDaemon:
             label_names=("class",),
         )
         self._m_sessions = self.metrics.gauge("daemon_active_sessions", "Live sessions")
+        self.metrics.add_read_hook(self._read_gauges)
         #: per-workload phase signatures of the stage records at this
         #: daemon's site (served raw by ``GET /profiles``)
         self.profiles = ProfileStore()
@@ -113,7 +114,7 @@ class MiddlewareDaemon:
         self.events = self.home_events = LifecycleBus()
         self.site = "local"
         self.events.publishers[self.site] = self
-        self.events.stages.add_sink(self.profiles.on_closed, site=self.site)
+        self.profiles.attach_bus(self.events, site=self.site)
 
         def publish(task: QueuedTask, old: TaskState | None, new: TaskState) -> None:
             now = self.sim.now
@@ -162,10 +163,9 @@ class MiddlewareDaemon:
         if (bus, site) == (self.events, self.site):
             return
         del self.events.publishers[self.site]
-        self.events.stages.remove_sink(self.profiles.on_closed)
         self.events, self.site = bus, site
         self.scheduler.site = site
-        bus.stages.add_sink(self.profiles.on_closed, site=site)
+        self.profiles.attach_bus(bus, site=site)
 
     # -- time -----------------------------------------------------------------
 
@@ -339,12 +339,14 @@ class MiddlewareDaemon:
     # -- observability -------------------------------------------------------------
 
     def metrics_text(self) -> str:
-        # the queue-depth and session gauges have no other reader: they
-        # are read from the queue and the sessions here, and nowhere else
+        return render_exposition(self.metrics, alerts=self.alerts, slo=self.slo)
+
+    def _read_gauges(self) -> None:
+        """Registry read hook: the queue-depth and session gauges are
+        read from the queue and the sessions here, and nowhere else."""
         for cls, depth in self.queue.depth_by_class().items():
             self._m_queue.set(float(depth), labels={"class": cls})
         self._m_sessions.set(float(len(self.sessions.active())))
-        return render_exposition(self.metrics, alerts=self.alerts, slo=self.slo)
 
     def healthz(self) -> dict[str, Any]:
         """Liveness/readiness summary for ``GET /healthz``.
@@ -368,7 +370,7 @@ class MiddlewareDaemon:
             "scrape_targets": len(self.scraper.targets()),
             "firing_alerts": firing,
             "queue_depth": self.queue.queued_count(),
-            # swallowed observer errors and unwaited process deaths
+            # swallowed observer errors (stage log drained first) and unwaited process deaths
             "bus_dropped": self.events.dropped,
             "process_failures": self.sim.unobserved_failures,
         }

@@ -1207,8 +1207,8 @@ class FederationBroker:
             # a housekeeping sweep that raised ends its process; say so
             # instead of letting reconcile stop without a trace
             "housekeeping_error": repr(dead[0]) if dead else None,
-            # bus subscriber and stage-sink callbacks that raised
-            # (isolated, counted)
+            # bus subscriber calls and stage-view folds that raised
+            # (isolated, counted; reading the count drains the stage log)
             "bus_dropped": self.events.dropped,
             # simulated processes that died with nothing waiting on them
             "process_failures": self.sim.unobserved_failures,

@@ -28,12 +28,13 @@ running, drains it at once; an event published from inside a
 subscriber joins the running drain, so it is delivered after the event
 being handled has reached all of its subscribers, never in between.
 Per event, the bus's one :class:`~repro.observability.stages.StageTracker`
-(:attr:`LifecycleBus.stages`) folds it first, and the tracker's sinks
-(the stage histogram, the tracer, the profiles, the SLOs) hear each
-record it opens or closes at once; then the subscribers run in
-subscription order (wildcards first, then job-filtered), so runs replay
-bit-for-bit.
-Subscriber and stage-sink exceptions are isolated and counted in
+(:attr:`LifecycleBus.stages`) folds it first and logs the stage records
+it closes or opens; then the subscribers run in subscription order
+(wildcards first, then job-filtered), so runs replay bit-for-bit.  The
+stage views (histogram, tracer, profiles, SLOs) fold that log when one
+of them is read, when it is full or no job is in flight, never late
+enough to change what a read returns.
+Subscriber and stage-view exceptions are isolated and counted in
 :attr:`LifecycleBus.dropped`: a broken observer must never break the
 scheduler hot path.
 """
@@ -160,24 +161,26 @@ class LifecycleBus:
         self._by_kind: dict[str, list[_Subscription]] = {}
         #: events published so far
         self.published = 0
-        #: subscriber and stage-sink callbacks that raised (isolated,
-        #: never re-raised)
-        self.dropped = 0
+        #: subscriber callbacks that raised (isolated, never re-raised)
+        self._subscriber_drops = 0
         #: site label -> the daemon publishing task transitions under it
         #: (one per label; see ``MiddlewareDaemon.attach_bus``)
         self.publishers: dict[str, Any] = {}
         #: published events not yet delivered (non-empty only mid-drain)
         self._pending: deque[JobEvent] = deque()
         self._draining = False
-        self._stages: StageTracker | None = None
+        #: this bus's one stage tracker; it hears every event before any
+        #: subscriber does
+        self.stages = StageTracker()
 
     @property
-    def stages(self) -> StageTracker:
-        """This bus's one stage tracker, built on first use; it hears
-        every event before any subscriber does."""
-        if self._stages is None:
-            self._stages = StageTracker(self.deliver)
-        return self._stages
+    def dropped(self) -> int:
+        """Observer errors, isolated and never re-raised: one per
+        subscriber call that raised, and one per stage-view fold that
+        raised in a drain of the stage log, which reading this runs
+        first (one fold covers every record logged since the last)."""
+        self.stages.drain()
+        return self._subscriber_drops + self.stages.dropped
 
     # -- subscription ---------------------------------------------------------
 
@@ -245,26 +248,20 @@ class LifecycleBus:
                     wildcard = self._by_kind[kind] = [
                         sub for sub in self._wildcard if sub.kinds is None or kind in sub.kinds
                     ]
-                targets = [] if self._stages is None else [self._stages.on_event]
+                targets = [self.stages.on_event]
                 for sub in wildcard:
                     if sub.site is None or sub.site == event.site:
                         targets.append(sub.callback)
                 for sub in self._by_job.get(event.job_id, ()):
                     if sub.matches(event):
                         targets.append(sub.callback)
-                self.deliver(targets, event)
+                for callback in targets:
+                    try:
+                        callback(event)
+                    except Exception:
+                        self._subscriber_drops += 1
         finally:
             self._draining = False
-
-    def deliver(self, callbacks: list[Callable[[Any], None]], value: Any) -> None:
-        """Run ``callbacks`` on ``value`` in order: the subscribers of
-        an event, or the stage sinks of a record.  Each exception is
-        isolated and counted in :attr:`dropped`, never re-raised."""
-        for callback in callbacks:
-            try:
-                callback(value)
-            except Exception:
-                self.dropped += 1
 
 
 def publish_task_transition(

@@ -15,9 +15,10 @@ increment is derived from the published event stream — placements from
 ``job_completed`` / ``job_failed``, resizes from ``resize``, and so on.
 There are no scattered ``record_*`` call sites left in the broker or the
 resize loop: anything the metrics plane can see, any other subscriber
-can see too.  The per-stage latency histogram is a sink of the bus's
+can see too.  The per-stage latency histogram is a view of the bus's
 stage tracker: one observation per closed
-:class:`~repro.observability.stages.StageInterval`.
+:class:`~repro.observability.stages.StageInterval`, folded from the
+tracker's log whenever the registry is read.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ class FederationMetrics:
     def attach_bus(self, bus) -> None:
         """Derive every counter from the event stream of ``bus``, and
         the stage histogram from its stage tracker."""
-        bus.stages.add_sink(self._on_interval)
+        bus.stages.attach(self)
+        self.registry.add_read_hook(bus.stages.drain)
         bus.subscribe(
             self._on_event,
             kinds=(
@@ -167,8 +169,10 @@ class FederationMetrics:
             ),
         )
 
-    def _on_interval(self, record) -> None:
-        self.stage_latency.observe(record.end - record.start, labels=_STAGE_LABELS[record.stage])
+    def fold(self, entries) -> None:
+        for record, opened in entries:
+            if not opened:
+                self.stage_latency.observe(record.end - record.start, labels=_STAGE_LABELS[record.stage])
 
     def _on_event(self, event) -> None:
         kind = event.kind

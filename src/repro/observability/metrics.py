@@ -9,7 +9,7 @@ Three instrument types with label support:
 
 A :class:`MetricRegistry` owns instruments; the exporter renders it in
 the Prometheus text exposition format; the scraper snapshots it into
-the TSDB.
+the TSDB.  Read hooks bring instruments kept elsewhere up to date first.
 
 A series is keyed by its sorted ``(label, value)`` pairs.  Each
 instrument memoises that key per label-items tuple as the caller passed
@@ -24,7 +24,7 @@ same series.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -200,6 +200,12 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
+        self._read_hooks: list[Callable[[], None]] = []
+
+    def add_read_hook(self, hook: Callable[[], None]) -> None:
+        """Run ``hook()`` before every read of the instruments
+        (exposition and :meth:`snapshot`), in the order added."""
+        self._read_hooks.append(hook)
 
     def counter(self, name: str, help_text: str = "", label_names: Iterable[str] = ()) -> Counter:
         return self._register(Counter(name, help_text, label_names))
@@ -231,6 +237,9 @@ class MetricRegistry:
         return sorted(self._instruments)
 
     def instruments(self) -> list[_Instrument]:
+        """Every instrument, by name, after the read hooks ran."""
+        for hook in self._read_hooks:
+            hook()
         return [self._instruments[n] for n in self.names()]
 
     def snapshot(self) -> dict[str, float]:

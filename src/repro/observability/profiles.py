@@ -1,16 +1,13 @@
 """Per-workload phase profiles: what does this *kind* of job look like?
 
-The profile-guided co-scheduling arc (ROADMAP, after Uberun) needs a
-measured signature per workload class before any packing algorithm can
-use one: how long does this tenant's VQE wait in queue, how much
-classical time passes between submit and placement, how long does the
-QPU hold it, how often does the resize loop churn it.  A
-:class:`ProfileStore` is a sink of a lifecycle bus's stage tracker
-(:mod:`repro.observability.stages`): every closed
-:class:`~repro.observability.stages.StageInterval` is one phase
-observation, so the profiles read the same records as the stage
-histogram, the tracer and the SLOs, and profiling adds no
-instrumentation points to the schedulers.
+An operator of a shared QPU asks, per workload class rather than per
+job, how long a tenant's VQE waits in queue, how much classical time
+passes between submit and placement, how long the QPU holds it and how
+often the resize loop churns it.  A :class:`ProfileStore` is a view of a
+lifecycle bus's stage tracker (:mod:`repro.observability.stages`): every
+closed :class:`~repro.observability.stages.StageInterval` it folds is
+one phase observation, the same records the stage histogram, the
+tracer and the SLOs fold, so profiling adds no instrumentation points.
 
 A :class:`ProfileStore` keys profiles by ``(tenant, program signature)``
 where the signature is ``<program name>/q<qubit count>`` — distinct
@@ -84,10 +81,10 @@ class PhaseProfile:
 class ProfileStore:
     """Phase-signature registry fed by stage records.
 
-    :meth:`attach_bus` registers the store on a lifecycle bus's stage
-    tracker; a site daemon registers its own store for the records at
-    its site.  Records without a tenant (no publisher named one) are
-    not profiled.
+    :meth:`attach_bus` makes the store a view of a lifecycle bus's stage
+    tracker; a site daemon's store profiles only the records at its
+    site.  Records without a tenant (no publisher named one) are not
+    profiled.  Every query folds its tracker's log first.
     """
 
     def __init__(self, alpha: float = 0.3) -> None:
@@ -95,44 +92,58 @@ class ProfileStore:
             raise ObservabilityError("EWMA alpha must be in (0, 1]")
         self.alpha = alpha
         self._profiles: dict[tuple[str, str], PhaseProfile] = {}
-        #: stage trackers of the buses this store is attached to
-        self._trackers: list[Any] = []
+        #: the stage tracker of the bus this store is a view of
+        self._stages: Any = None
+        #: the one site whose records this store profiles (None: all)
+        self._site: str | None = None
+
+    @property
+    def _folded(self) -> dict[tuple[str, str], PhaseProfile]:
+        """The profiles, once every record logged so far is folded in."""
+        if self._stages is not None:
+            self._stages.drain()
+        return self._profiles
 
     # -- core -------------------------------------------------------------
 
     def observe(self, tenant: str, signature: str, phase: str, value: float) -> None:
         """One phase observation (also the synthetic-test entry point)."""
         key = (tenant, signature)
-        profile = self._profiles.get(key) or self._new_profile(key)
+        profile = self._folded.get(key) or self._new_profile(key)
         profile.observe(phase, float(value), self.alpha)
 
     def _new_profile(self, key: tuple[str, str]) -> PhaseProfile:
         profile = self._profiles[key] = PhaseProfile(*key)
         return profile
 
-    # -- stage-tracker sink -----------------------------------------------
+    # -- stage-tracker view -----------------------------------------------
 
-    def attach_bus(self, bus: Any) -> None:
-        """Profile every stage record of a lifecycle bus (subscribe
-        once per store and bus)."""
-        bus.stages.add_sink(self.on_closed)
-        self._trackers.append(bus.stages)
+    def attach_bus(self, bus: Any, site: str | None = None) -> None:
+        """Profile every stage record of a lifecycle bus, or only those
+        at ``site``.  A store on another bus first profiles what that
+        bus logged, then leaves it."""
+        if self._stages is not None:
+            self._stages.detach(self)
+        self._stages, self._site = bus.stages, site
+        bus.stages.attach(self)
 
-    def on_closed(self, record: Any) -> None:
-        if record.tenant is None:
-            return
-        key = (record.tenant, record.signature)
-        profile = self._profiles.get(key) or self._new_profile(key)
-        profile.observe(_PHASE_OF[record.stage], record.end - record.start, self.alpha)
-        if record.stage == "job":
-            profile.observe("resize_churn", float(record.resizes), self.alpha)
-            profile.samples += 1
+    def fold(self, entries: Any) -> None:
+        site = self._site
+        for record, opened in entries:
+            if opened or record.tenant is None or site not in (None, record.site):
+                continue
+            key = (record.tenant, record.signature)
+            profile = self._profiles.get(key) or self._new_profile(key)
+            profile.observe(_PHASE_OF[record.stage], record.end - record.start, self.alpha)
+            if record.stage == "job":
+                profile.observe("resize_churn", float(record.resizes), self.alpha)
+                profile.samples += 1
 
     # -- queries -----------------------------------------------------------
 
     def get(self, tenant: str, signature: str) -> PhaseProfile:
         key = (tenant, signature)
-        if key not in self._profiles:
+        if key not in self._folded:
             raise ObservabilityError(
                 f"no profile for tenant {tenant!r} signature {signature!r}"
             )
@@ -140,24 +151,24 @@ class ProfileStore:
 
     def signatures(self) -> list[str]:
         """Distinct program signatures seen (across all tenants)."""
-        return sorted({sig for _, sig in self._profiles})
+        return sorted({sig for _, sig in self._folded})
 
     def keys(self) -> list[tuple[str, str]]:
-        return sorted(self._profiles)
+        return sorted(self._folded)
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """JSON-able view keyed ``tenant|signature`` (the ``GET
         /profiles`` payload)."""
         return {
             f"{tenant}|{signature}": profile.to_dict()
-            for (tenant, signature), profile in sorted(self._profiles.items())
+            for (tenant, signature), profile in sorted(self._folded.items())
         }
 
     def summary(self) -> dict[str, int]:
         """O(profiles) roll-up for ``broker.stats()``."""
         return {
-            "keys": len(self._profiles),
+            "keys": len(self._folded),
             "signatures": len(self.signatures()),
             "jobs_profiled": sum(p.samples for p in self._profiles.values()),
-            "live_jobs": sum(tracker.open_jobs() for tracker in self._trackers),
+            "live_jobs": 0 if self._stages is None else self._stages.open_jobs(),
         }

@@ -8,7 +8,8 @@ events for <tenant> finish within ``threshold_s``"; the
 :class:`SLOTracker` classifies every stage latency sample as good/bad —
 on a lifecycle bus, one sample per closed
 :class:`~repro.observability.stages.StageInterval` of the bus's stage
-tracker — and evaluates Google-SRE-style multi-window burn rates:
+tracker, folded from the tracker's log when it evaluates — and
+evaluates Google-SRE-style multi-window burn rates:
 
     ``burn = error_rate / (1 - objective)``
 
@@ -91,8 +92,8 @@ class SLOTracker:
     production path — the stage records ``FederationMetrics``, the
     tracer and the profiles read, with their tenants) or directly via
     :meth:`observe` (the synthetic-test path).  :meth:`evaluate`
-    recomputes burn rates, writes the ``slo_*`` series, and caches
-    results for the exporter.
+    folds the buses' stage logs, recomputes burn rates, writes the
+    ``slo_*`` series, and caches results for the exporter.
     """
 
     def __init__(self, objectives=DEFAULT_OBJECTIVES, tsdb: Any = None) -> None:
@@ -105,7 +106,8 @@ class SLOTracker:
         self._events: dict[str, deque] = {o.name: deque() for o in self.objectives}
         #: objective name -> last evaluate() results (exporter cache)
         self.last_results: dict[str, dict[str, float]] = {}
-        self._last_eval_at: float | None = None
+        #: stage trackers of the buses this tracker samples
+        self._trackers: list[Any] = []
 
     # -- sample intake -----------------------------------------------------
 
@@ -124,10 +126,13 @@ class SLOTracker:
 
     def attach_bus(self, bus: Any) -> None:
         """Sample every closed stage record of a lifecycle bus."""
-        bus.stages.add_sink(self._on_closed)
+        bus.stages.attach(self)
+        self._trackers.append(bus.stages)
 
-    def _on_closed(self, record: Any) -> None:
-        self.observe(record.stage, record.end - record.start, record.end, record.tenant)
+    def fold(self, entries: Any) -> None:
+        for record, opened in entries:
+            if not opened:
+                self.observe(record.stage, record.end - record.start, record.end, record.tenant)
 
     # -- evaluation --------------------------------------------------------
 
@@ -135,6 +140,8 @@ class SLOTracker:
         """Recompute burn rates at ``now`` and publish the ``slo_*``
         series (call at nondecreasing ``now`` — TSDB appends are
         monotone per series)."""
+        for tracker in self._trackers:
+            tracker.drain()
         results: dict[str, dict[str, float]] = {}
         for objective in self.objectives:
             events = self._events[objective.name]
@@ -162,7 +169,6 @@ class SLOTracker:
                     labels={"slo": objective.name},
                 )
         self.last_results = results
-        self._last_eval_at = now
         return results
 
     @staticmethod

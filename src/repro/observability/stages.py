@@ -1,10 +1,13 @@
 """One lifecycle record: stage intervals folded from the lifecycle bus.
 
 The stage-latency histogram, the tracer's stage spans, the phase
-profiles and the SLO samples are *sinks* of the one :class:`StageTracker`
+profiles and the SLO samples are *views* of the one :class:`StageTracker`
 each :class:`~repro.federation.events.LifecycleBus` folds its events
-into: they all read the same :class:`StageInterval` records, each when
-it opens and when it closes.
+into.  The tracker logs each :class:`StageInterval` record as it closes
+(and as it opens, while a view folds opens), and
+:meth:`StageTracker.drain` folds the log into every view: at each read
+point of a view, when the log reaches :data:`LOG_BOUND` entries, when no
+job is left in flight, and before a view is attached or detached.
 
 Records are keyed by ``(job, unit)``.  A broker job announces itself
 with ``job_submitted``/``job_held`` and claims each site task with one
@@ -18,14 +21,16 @@ terminal transition.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["STAGES", "StageInterval", "StageTracker", "program_signature"]
+__all__ = ["LOG_BOUND", "STAGES", "StageInterval", "StageTracker", "program_signature"]
 
 #: the stages a record can measure
 STAGES = ("queue-wait", "execute", "classical-pre", "job")
+
+#: log entries that trigger a drain, so a log nobody reads stays bounded
+LOG_BOUND = 1024
 
 #: site-task transition kinds (the daemon queue's states)
 _TASK_KINDS = frozenset(("queued", "running", "preempted", "completed", "failed", "cancelled"))
@@ -89,24 +94,23 @@ class StageInterval:
 
 class StageTracker:
     """Folds one bus's events into :class:`StageInterval` records and
-    hands every record to the sinks when it opens and when it closes.
+    logs them for its views.
 
-    ``deliver(callbacks, record)`` runs the sink callbacks of a record;
-    the bus passes its own, so a sink that raises is isolated and
-    counted in the bus's ``dropped`` like any subscriber.  A task's
-    first queue-wait record opens for the sinks once its job is known:
-    when a placement claims the task, or when the task moves on
-    unclaimed as its own job.
+    A view has ``fold(entries)``, each entry a ``(record, opened)`` pair
+    in log order; opens are logged only while a view with a true
+    ``folds_opens`` is attached, and a record logged as opened may have
+    closed since.  A task's first queue-wait record opens once its job
+    is known: when a placement claims the task, or when the task moves
+    on unclaimed as its own job.
     """
 
-    def __init__(self, deliver: Callable[[list[Callable], StageInterval], None]) -> None:
-        self._deliver = deliver
-        #: (site filter or None for every site, closed callback, opened callback or None)
-        self._sinks: list[tuple[str | None, Callable, Callable | None]] = []
-        #: site -> the callbacks its records go to when they open / close
-        #: (memoized; any sink change clears them)
-        self._opened_to: dict[str, list[Callable]] = {}
-        self._closed_to: dict[str, list[Callable]] = {}
+    def __init__(self) -> None:
+        self._views: list[Any] = []
+        #: ``(record, opened)`` entries not yet folded into the views
+        self._log: list[tuple[StageInterval, bool]] = []
+        self._log_opens = False
+        #: view folds that raised (isolated: the drain goes on)
+        self.dropped = 0
         #: broker job id -> (its open job record, units dispatched so far)
         self._jobs: dict[str, tuple[StageInterval, set[int]]] = {}
         #: (site, task) -> the task's open queue-wait or execute record
@@ -114,20 +118,33 @@ class StageTracker:
         #: (site, task) -> the open job record of a task that is its own job
         self._own_jobs: dict[tuple[str, str], StageInterval] = {}
 
-    # -- sinks ------------------------------------------------------------
+    # -- views ------------------------------------------------------------
 
-    def add_sink(self, closed: Callable, opened: Callable | None = None, site: str | None = None) -> None:
-        """Hand ``closed`` every record as it closes (and ``opened``
-        every record as it opens), only those of ``site`` when given."""
-        self._sinks.append((site, closed, opened))
-        self._opened_to.clear()
-        self._closed_to.clear()
+    def attach(self, view: Any) -> None:
+        """Fold every record logged from now on into ``view``."""
+        self.drain()
+        self._views.append(view)
+        self._log_opens = self._log_opens or getattr(view, "folds_opens", False)
 
-    def remove_sink(self, closed: Callable[[StageInterval], None]) -> None:
-        """Drop the sink registered with ``closed``."""
-        self._sinks = [sink for sink in self._sinks if sink[1] != closed]
-        self._opened_to.clear()
-        self._closed_to.clear()
+    def detach(self, view: Any) -> None:
+        """Fold what is logged into ``view``, then stop folding into it."""
+        self.drain()
+        self._views.remove(view)
+        self._log_opens = any(getattr(v, "folds_opens", False) for v in self._views)
+
+    def drain(self) -> None:
+        """Fold the log into every view, in log order, and clear it.  A
+        view whose fold raises is counted in :attr:`dropped`, once per
+        drain, and the views after it still fold."""
+        log = self._log
+        if not log:
+            return
+        self._log = []
+        for view in self._views:
+            try:
+                view.fold(log)
+            except Exception:
+                self.dropped += 1
 
     def open_records(self, site: str, task: str) -> list[StageInterval]:
         """The open records of one site task: its own job record, if it
@@ -139,18 +156,20 @@ class StageTracker:
         """Job records open on this bus."""
         return len(self._jobs) + len(self._own_jobs)
 
-    def _notify(self, record: StageInterval, opened: bool) -> None:
-        routes = self._opened_to if opened else self._closed_to
-        route = routes.get(record.site)
-        if route is None:
-            callbacks = (sink[2 if opened else 1] for sink in self._sinks if sink[0] in (None, record.site))
-            route = routes[record.site] = [callback for callback in callbacks if callback is not None]
-        if route:
-            self._deliver(route, record)
+    def _append(self, record: StageInterval, opened: bool) -> None:
+        self._log.append((record, opened))
+        if len(self._log) >= LOG_BOUND:
+            self.drain()
+
+    def _open(self, record: StageInterval) -> None:
+        if self._log_opens:
+            self._append(record, True)
 
     def _close(self, record: StageInterval, now: float, status: str) -> None:
         record.end, record.status = now, status
-        self._notify(record, False)
+        self._append(record, False)
+        if not (self._jobs or self._own_jobs):
+            self.drain()  # no job in flight: keep no finished job's records
 
     # -- the fold ---------------------------------------------------------
 
@@ -166,7 +185,7 @@ class StageTracker:
                 signature = f"{payload.get('program', 'program')}/q{int(payload.get('qubits', 0))}"
                 job = StageInterval(event.job_id, 0, payload.get("tenant"), signature, "", "", "job", now)
                 self._jobs[event.job_id] = (job, set())
-                self._notify(job, True)
+                self._open(job)
         elif kind == "job_completed" or kind == "job_failed":
             entry = self._jobs.pop(event.job_id, None)
             if entry is not None:
@@ -187,7 +206,7 @@ class StageTracker:
             if unit not in dispatched:
                 dispatched.add(unit)
                 pre = StageInterval(job.job, unit, job.tenant, job.signature, "", "", "classical-pre", job.start)
-                self._notify(pre, True)
+                self._open(pre)
                 self._close(pre, now, "ok")
         if not event.task_id:
             return
@@ -200,7 +219,7 @@ class StageTracker:
         record.job, record.unit = event.job_id, unit
         if job is not None:
             record.tenant, record.signature = job.tenant, job.signature
-        self._notify(record, True)
+        self._open(record)
 
     def _on_task(self, event: Any, kind: str, now: float) -> None:
         key = (event.site, event.task_id)
@@ -220,15 +239,15 @@ class StageTracker:
             own = self._own_jobs[key] = StageInterval(
                 record.job, 0, record.tenant, record.signature, *key, "job", record.start
             )
-            self._notify(own, True)
-            self._notify(record, True)
+            self._open(own)
+            self._open(record)
         if kind == "running" or kind == "preempted":
             running = kind == "running"
             nxt = self._tasks[key] = StageInterval(
                 record.job, record.unit, record.tenant, record.signature, *key, "execute" if running else "queue-wait", now
             )
             self._close(record, now, "ok" if running else "preempted")
-            self._notify(nxt, True)
+            self._open(nxt)
         else:
             del self._tasks[key]
             status = "ok" if kind == "completed" else kind

@@ -17,10 +17,14 @@ This module supplies that plane:
   start/end, a status, and free-form attributes,
 * :class:`Tracer` — the registry: explicit ``now`` arguments (no clock
   coupling), deterministic ``trace-N``/``span-N`` ids (replayable runs
-  produce identical trees), a sink of the bus's stage tracker that turns
+  produce identical trees), a view of the bus's stage tracker that turns
   each :class:`~repro.observability.stages.StageInterval` into a span
   (the ``job`` record is the trace root), TSDB persistence, JSON export,
   and critical-path extraction.
+
+Every :class:`Tracer` method that makes or reads spans folds the stage
+log first, so spans are numbered and closed in the order records and
+calls happened; a stage span's wall clock is read when it is folded.
 
 Everything here is passive bookkeeping: the tracer never schedules
 simulator events and never mutates scheduling state, so an instrumented
@@ -57,6 +61,7 @@ class TraceContext:
             raise ObservabilityError(f"bad trace context {data!r}") from exc
 
 
+@dataclass(slots=True, eq=False)
 class Span:
     """One timed stage of a job, on two clocks.
 
@@ -66,39 +71,16 @@ class Span:
     None`` is still open.
     """
 
-    __slots__ = (
-        "trace_id",
-        "span_id",
-        "parent_id",
-        "name",
-        "start",
-        "end",
-        "wall_start",
-        "wall_end",
-        "status",
-        "attributes",
-    )
-
-    def __init__(
-        self,
-        trace_id: str,
-        span_id: str,
-        parent_id: str | None,
-        name: str,
-        start: float,
-        wall_start: float,
-        attributes: dict[str, Any],
-    ) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start = start
-        self.end: float | None = None
-        self.wall_start = wall_start
-        self.wall_end: float | None = None
-        self.status = "ok"
-        self.attributes = attributes
+    trace_id: str
+    span_id: str
+    parent_id: str | None
+    name: str
+    start: float
+    wall_start: float
+    attributes: dict[str, Any]
+    end: float | None = None
+    wall_end: float | None = None
+    status: str = "ok"
 
     @property
     def open(self) -> bool:
@@ -107,15 +89,11 @@ class Span:
     @property
     def duration(self) -> float | None:
         """Simulated duration, or None while the span is open."""
-        if self.end is None:
-            return None
-        return self.end - self.start
+        return None if self.end is None else self.end - self.start
 
     @property
     def wall_duration_s(self) -> float | None:
-        if self.wall_end is None:
-            return None
-        return self.wall_end - self.wall_start
+        return None if self.wall_end is None else self.wall_end - self.wall_start
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -131,10 +109,6 @@ class Span:
             "attributes": dict(self.attributes),
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "open" if self.open else f"{self.duration:.3f}s"
-        return f"Span({self.name!r}, {self.span_id}, {state})"
-
 
 class Tracer:
     """Span registry + LifecycleBus adapter.
@@ -145,6 +119,9 @@ class Tracer:
     export identical traces — a property the bench harness relies on to
     diff trace exports across commits.
     """
+
+    #: a stage's span opens when its record opens
+    folds_opens = True
 
     def __init__(self) -> None:
         self._trace_seq = 0
@@ -164,53 +141,40 @@ class Tracer:
         self._record_spans: dict[Any, Span] = {}
         self._attached_buses: list[Any] = []
 
+    def _drain(self) -> None:
+        for bus in self._attached_buses:
+            bus.stages.drain()
+
     # -- span lifecycle ---------------------------------------------------
 
     def start_trace(self, name: str, now: float, **attributes: Any) -> Span:
         """Open a new root span (and with it a new trace)."""
+        self._drain()
         self._trace_seq += 1
-        trace_id = f"trace-{self._trace_seq}"
-        return self._new_span(trace_id, None, name, now, None, attributes)
+        return self._new_span(f"trace-{self._trace_seq}", None, name, now, None, attributes)
 
     def start_span(
-        self,
-        name: str,
-        parent: "Span | TraceContext",
-        now: float,
-        wall_start: float | None = None,
-        **attributes: Any,
+        self, name: str, parent: "Span | TraceContext", now: float, wall_start: float | None = None, **attributes: Any
     ) -> Span:
         """Open a child span under ``parent`` (a Span or a TraceContext)."""
-        return self._new_span(
-            parent.trace_id, parent.span_id, name, now, wall_start, attributes
-        )
+        self._drain()
+        return self._new_span(parent.trace_id, parent.span_id, name, now, wall_start, attributes)
 
     def _new_span(
-        self,
-        trace_id: str,
-        parent_id: str | None,
-        name: str,
-        now: float,
-        wall_start: float | None,
-        attributes: dict[str, Any],
+        self, trace_id: str, parent_id: str | None, name: str, now: float, wall_start: float | None, attributes: dict
     ) -> Span:
         self._span_seq += 1
-        span = Span(
-            trace_id=trace_id,
-            span_id=f"span-{self._span_seq}",
-            parent_id=parent_id,
-            name=name,
-            start=now,
-            wall_start=wall_start if wall_start is not None else _time.perf_counter(),
-            attributes=attributes,
-        )
+        wall_start = wall_start if wall_start is not None else _time.perf_counter()
+        span = Span(trace_id, f"span-{self._span_seq}", parent_id, name, now, wall_start, attributes)
         self._spans[span.span_id] = span
         self._by_trace.setdefault(trace_id, []).append(span)
         return span
 
-    def end_span(
-        self, span: Span, now: float, status: str = "ok", **attributes: Any
-    ) -> Span:
+    def end_span(self, span: Span, now: float, status: str = "ok", **attributes: Any) -> Span:
+        self._drain()
+        return self._end_span(span, now, status, attributes)
+
+    def _end_span(self, span: Span, now: float, status: str, attributes: dict[str, Any]) -> Span:
         if span.end is not None:
             raise ObservabilityError(f"span {span.span_id} already ended")
         span.end = now
@@ -235,27 +199,15 @@ class Tracer:
         tracer is adopted: a local root is opened that continues the
         foreign trace id.
         """
+        self._drain()
         if isinstance(parent, Span):
             root = parent
         else:
-            found = self._spans.get(parent.span_id)
-            if found is None:
+            root = self._spans.get(parent.span_id)
+            if root is None:
                 # foreign context (spec round-tripped through REST/dict):
                 # continue the trace with a local root under it
-                self._span_seq += 1
-                root = Span(
-                    trace_id=parent.trace_id,
-                    span_id=f"span-{self._span_seq}",
-                    parent_id=parent.span_id,
-                    name="job",
-                    start=0.0,
-                    wall_start=_time.perf_counter(),
-                    attributes={"adopted": True},
-                )
-                self._spans[root.span_id] = root
-                self._by_trace.setdefault(root.trace_id, []).append(root)
-            else:
-                root = found
+                root = self._new_span(parent.trace_id, parent.span_id, "job", 0.0, None, {"adopted": True})
         self._job_roots[job_id] = root
         root.attributes.setdefault("job_id", job_id)
         return root
@@ -264,35 +216,28 @@ class Tracer:
         return self._job_roots.get(job_id)
 
     def start_job_span(
-        self,
-        job_id: str,
-        name: str,
-        now: float,
-        wall_start: float | None = None,
-        **attributes: Any,
+        self, job_id: str, name: str, now: float, wall_start: float | None = None, **attributes: Any
     ) -> Span | None:
         """Child span under a job's root; None when the job is unbound."""
         root = self._job_roots.get(job_id)
-        if root is None:
-            return None
-        return self.start_span(name, root, now, wall_start=wall_start, **attributes)
+        return None if root is None else self.start_span(name, root, now, wall_start=wall_start, **attributes)
 
     def bind_task(self, site: str, task_id: str, root: Span) -> None:
         """Trace a site task that is its own job (daemon backend) under
         ``root``: the task's stage spans hang under it and its job record
         closes it.  Called right after submit, while the task is still
         queued — its open queue-wait becomes a span at once."""
+        self._drain()
         self._dispatch_parents[(site, task_id)] = root
         for bus in self._attached_buses:
             for record in bus.stages.open_records(site, task_id):
                 self._on_opened(record)
 
-    def start_task_span(
-        self, site: str, task_id: str, name: str, now: float, **attributes: Any
-    ) -> Span | None:
+    def start_task_span(self, site: str, task_id: str, name: str, now: float, **attributes: Any) -> Span | None:
         """Child span under a traced task (scheduler dispatch hook): under
         its open execute span, else under the task's placement or root.
         Returns None for a task outside any trace."""
+        self._drain()
         parent = self._dispatch_parents.get((site, task_id))
         if parent is None:
             return None
@@ -319,8 +264,17 @@ class Tracer:
         if any(existing is bus for existing in self._attached_buses):
             return
         self._attached_buses.append(bus)
-        bus.stages.add_sink(self._on_closed, self._on_opened)
+        bus.stages.attach(self)
         bus.subscribe(self._on_event, kinds=("resize", "job_rerouted"))
+
+    def fold(self, entries: Any) -> None:
+        for record, opened in entries:
+            if opened:
+                self._on_opened(record)
+            else:
+                span = self._record_spans.pop(record, None)
+                if span is not None and span.open:
+                    self._end_span(span, record.end, record.status, {})
 
     def _on_opened(self, record: Any) -> None:
         """Open the span of a stage record whose job is traced.  A
@@ -343,19 +297,14 @@ class Tracer:
             root = None if own_job else self._job_roots.get(record.job)
             if root is None:
                 return
-            parent = self._dispatch_parents[key] = self.start_span(
-                "placement", root, record.start, site=record.site, task_id=record.task, unit=record.unit
-            )
-            self.end_span(parent, record.start)
+            parent = self._dispatch_parents[key] = self._child_span(root, "placement", record)
+            self._end_span(parent, record.start, "ok", {})
         if parent is not None:
-            self._record_spans[record] = self.start_span(
-                stage, parent, record.start, site=record.site, task_id=record.task, unit=record.unit
-            )
+            self._record_spans[record] = self._child_span(parent, stage, record)
 
-    def _on_closed(self, record: Any) -> None:
-        span = self._record_spans.pop(record, None)
-        if span is not None and span.open:
-            self.end_span(span, record.end, status=record.status)
+    def _child_span(self, parent: Span, name: str, record: Any) -> Span:
+        attributes = {"site": record.site, "task_id": record.task, "unit": record.unit}
+        return self._new_span(parent.trace_id, parent.span_id, name, record.start, None, attributes)
 
     def _on_event(self, event: Any) -> None:
         payload = event.payload
@@ -370,18 +319,18 @@ class Tracer:
     # -- queries ----------------------------------------------------------
 
     def trace_ids(self) -> list[str]:
+        self._drain()
         return list(self._by_trace)
 
     def spans(self, trace_id: str) -> list[Span]:
         """All spans of a trace in creation order."""
+        self._drain()
         return list(self._by_trace.get(trace_id, ()))
 
     def job_spans(self, job_id: str) -> list[Span]:
         """The full span tree of a job, looked up by job id."""
         root = self._job_roots.get(job_id)
-        if root is None:
-            return []
-        return self.spans(root.trace_id)
+        return [] if root is None else self.spans(root.trace_id)
 
     def span_tree(self, trace_id: str) -> dict[str, Any]:
         """Nested view: ``{"span": Span, "children": [...]}`` from the root."""
@@ -408,14 +357,8 @@ class Tracer:
         node = self.span_tree(trace_id)
         path = [node["span"]]
         while node["children"]:
-            node = max(
-                node["children"],
-                key=lambda child: (
-                    child["span"].end
-                    if child["span"].end is not None
-                    else float("inf")
-                ),
-            )
+            children = node["children"]
+            node = max(children, key=lambda c: c["span"].end if c["span"].end is not None else float("inf"))
             path.append(node["span"])
         return path
 
@@ -451,17 +394,11 @@ class Tracer:
         simulated duration, labeled by stage name and site.  Spans close
         in simulated-time order, so appends stay monotone per series.
         """
+        self._drain()
         flushed = 0
         for span in self._closed:
-            tsdb.write(
-                measurement,
-                span.end,
-                span.duration or 0.0,
-                labels={
-                    "name": span.name,
-                    "site": str(span.attributes.get("site", "")),
-                },
-            )
+            labels = {"name": span.name, "site": str(span.attributes.get("site", ""))}
+            tsdb.write(measurement, span.end, span.duration or 0.0, labels=labels)
             flushed += 1
         self._closed.clear()
         return flushed

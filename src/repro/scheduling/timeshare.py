@@ -74,7 +74,8 @@ class WeightedFairPolicy(SchedulingAlgorithm):
     seconds.  The eligible tenant with the largest credit balance goes
     next, so long-run QPU time converges to the granted shares — the
     fairness property tested in ``tests/scheduling`` and measured by
-    the C5 bench.  Priority classes play no part.
+    the C5 bench.  Only the most urgent priority class waiting competes,
+    so a pick never undoes the preemption a production arrival made.
 
     ``estimate_seconds`` takes the queued task (``PendingJob.native``);
     the default is its shot count.
@@ -118,15 +119,18 @@ class WeightedFairPolicy(SchedulingAlgorithm):
         resources: tuple[ResourceView, ...],
         system: SystemView,
     ) -> list[Decision]:
-        """Start the richest tenant's oldest task on the first free
-        resource; nothing when no task waits or no unit is free."""
+        """Start the richest tenant's oldest task of the most urgent class
+        on the first free resource; nothing when no task waits or no
+        unit is free."""
         self._accrue(system.now)
         slot = next((r.name for r in resources if r.free_units > 0), None)
         if not pending or slot is None:
             return []
+        urgent = min(job.priority for job in pending)
         by_tenant: dict[str, list[PendingJob]] = {}
         for job in pending:
-            by_tenant.setdefault(job.tenant, []).append(job)
+            if job.priority == urgent:
+                by_tenant.setdefault(job.tenant, []).append(job)
         tenant = max(sorted(by_tenant), key=self._credit_of)
         job = min(by_tenant[tenant], key=_submission_order)
         cost = self.estimate_seconds(job.native)

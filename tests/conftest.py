@@ -1,10 +1,12 @@
 """Suite-wide guards: a swallowed error never goes unseen.
 
 :class:`~repro.federation.events.LifecycleBus` isolates a raising
-subscriber and counts it in ``dropped`` instead of re-raising, so a
-broken observer would otherwise pass every test silently.  Every bus a
-test builds is tracked; the test fails if one ends with drops it did not
-acknowledge through the ``bus_drops`` fixture.
+subscriber or stage view and counts it in ``dropped`` instead of
+re-raising, so a broken observer would otherwise pass every test
+silently.  Every bus a test builds is tracked; the test fails if one
+ends with drops it did not acknowledge through the ``bus_drops``
+fixture.  Reading ``dropped`` drains the bus's stage log first, so a
+view that no test read still has its folds counted.
 
 A simulated process that raises with nothing waiting on it stores its
 error and dies quietly; the :class:`~repro.simkernel.Simulator` counts

@@ -186,6 +186,13 @@ class TestActiveSessionsGauge:
         assert self.gauge(router) == 0.0 == len(daemon.sessions.active())
 
 
+class BrokenView:
+    """A stage view whose fold always raises."""
+
+    def fold(self, entries):
+        raise RuntimeError("view bug")
+
+
 class TestObservabilityFailuresInHealthz:
     def test_bus_drops_and_unobserved_process_deaths_are_reported(self, bus_drops, process_failures):
         sim, daemon = build_daemon()
@@ -193,10 +200,7 @@ class TestObservabilityFailuresInHealthz:
         body = router.dispatch(Request("GET", "/healthz")).body
         assert body["bus_dropped"] == 0 and body["process_failures"] == 0
 
-        def broken(record):
-            raise RuntimeError("sink bug")
-
-        daemon.events.stages.add_sink(broken)
+        daemon.events.stages.attach(BrokenView())
 
         def dies():
             yield from ()
@@ -206,8 +210,27 @@ class TestObservabilityFailuresInHealthz:
         submit(router, open_session(router), make_program())
         sim.run(until=100.0)
         body = router.dispatch(Request("GET", "/healthz")).body
-        # the task's queue-wait, execute and job records each hit the sink
-        assert body["bus_dropped"] == 3
+        # the task's queue-wait, execute and job records reach the view
+        # in the one drain /healthz runs: one drop
+        assert body["bus_dropped"] == 1
         assert body["process_failures"] == 1
-        bus_drops(daemon.events, 3)
+        bus_drops(daemon.events, 1)
         process_failures(sim, 1)
+
+    def test_a_broken_view_shows_in_the_first_healthz(self, bus_drops):
+        """Mid-run, the task's closed queue wait sits in the stage log
+        and no view has been read: the drain ``GET /healthz`` runs
+        before it reports is the one that meets the broken view.  The
+        profile store after it still folds every record."""
+        sim, daemon = build_daemon()
+        router = build_router(daemon)
+        daemon.events.stages.attach(BrokenView())
+        submit(router, open_session(router), make_program())
+        sim.run(until=10.0)  # 20 shots at 1 Hz: still executing
+        assert router.dispatch(Request("GET", "/healthz")).body["bus_dropped"] == 1
+        sim.run(until=100.0)
+        (profile,) = router.dispatch(Request("GET", "/profiles")).body["profiles"].values()
+        assert profile["samples"] == 1
+        # the job's execute and job records closed in one more drain
+        assert router.dispatch(Request("GET", "/healthz")).body["bus_dropped"] == 2
+        bus_drops(daemon.events, 2)

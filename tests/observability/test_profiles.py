@@ -181,7 +181,7 @@ class TestQueueListener:
         from repro.federation.events import publish_task_transition
 
         bus = LifecycleBus()
-        bus.stages.add_sink(store.on_closed, site="local")
+        store.attach_bus(bus, site="local")
         for now, state in steps:
             publish_task_transition(bus, now, "local", task, TaskState(state))
 

@@ -1,11 +1,13 @@
 """One lifecycle record: every view reads the same stage intervals.
 
 The stage-latency histogram, the tracer, the phase profiles and the SLO
-samples are sinks of one stage tracker per lifecycle bus.  These tests
-hold them to that: every dispatch of a multi-unit job is attributed to
-its job and tenant in every view, and on a preempted run all four views
-observe the same intervals, a preempted run included, with each queue
-wait measured from the task's latest return to the queue.
+samples are views of one stage tracker per lifecycle bus, and fold its
+one log.  These tests hold them to that: every dispatch of a multi-unit
+job is attributed to its job and tenant in every view, and on a
+preempted run all four views observe the same intervals, a preempted
+run included, with each queue wait measured from the task's latest
+return to the queue.  The log drains at every read and stays bounded
+when nothing reads it.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.federation import FederatedSite, FederationBroker, SiteRegistry
 from repro.federation.events import JobEvent, LifecycleBus
 from repro.federation.metrics import FederationMetrics
 from repro.observability import LatencyObjective, PhaseProfile, ProfileStore, SLOTracker
+from repro.observability.stages import LOG_BOUND
 from repro.qpu import QPUDevice, Register, ShotClock
 from repro.qrmi import OnPremQPUResource
 from repro.sdk import AnalogCircuit
@@ -172,7 +175,7 @@ def observed(monkeypatch, tracer, metrics, profiles, slo):
 
     def profile_observations():
         # only this store's profiles: a site daemon keeps its own
-        mine = {id(profile) for profile in profiles._profiles.values()}
+        mine = {id(profiles.get(*key)) for key in profiles.keys()}
         return [
             (PHASE_STAGE[phase], value)
             for profile, phase, value in phase_observations
@@ -266,15 +269,38 @@ def ev(time, kind, job_id="", site="", task_id="", **payload):
     return JobEvent(time=time, kind=kind, job_id=job_id, site=site, task_id=task_id, payload=payload)
 
 
+class Recorder:
+    """A stage view that keeps what it folds, and each fold's length."""
+
+    def __init__(self, folds_opens=False):
+        self.folds_opens = folds_opens
+        self.entries = []
+        self.folds = []
+
+    def fold(self, entries):
+        self.folds.append(len(entries))
+        self.entries.extend(entries)
+
+    @property
+    def closed(self):
+        return [record for record, opened in self.entries if not opened]
+
+
+class BrokenView:
+    def fold(self, entries):
+        raise RuntimeError("view bug")
+
+
 class TestStageTracker:
     def test_unclaimed_task_is_its_own_job(self):
         bus = LifecycleBus()
-        closed = []
-        bus.stages.add_sink(closed.append)
+        view = Recorder()
+        bus.stages.attach(view)
         bus.publish(ev(0.0, "queued", "t1", site="s", task_id="t1", tenant="bob", signature="vqe/q2"))
         bus.publish(ev(3.0, "running", "t1", site="s", task_id="t1"))
         bus.publish(ev(5.0, "completed", "t1", site="s", task_id="t1"))
-        assert [(r.stage, r.job, r.tenant, r.signature, r.start, r.end, r.status) for r in closed] == [
+        bus.stages.drain()
+        assert [(r.stage, r.job, r.tenant, r.signature, r.start, r.end, r.status) for r in view.closed] == [
             ("queue-wait", "t1", "bob", "vqe/q2", 0.0, 3.0, "ok"),
             ("execute", "t1", "bob", "vqe/q2", 3.0, 5.0, "ok"),
             ("job", "t1", "bob", "vqe/q2", 0.0, 5.0, "ok"),
@@ -282,59 +308,120 @@ class TestStageTracker:
 
     def test_placement_claims_the_task_for_its_job(self):
         bus = LifecycleBus()
-        closed = []
-        bus.stages.add_sink(closed.append)
+        view = Recorder()
+        bus.stages.attach(view)
         bus.publish(ev(0.0, "job_submitted", "j1", tenant="acme", program="vqe", qubits=4))
         bus.publish(ev(2.0, "queued", "t1", site="s", task_id="t1", tenant="fed:acme", signature="x/q4"))
         bus.publish(ev(2.0, "job_placed", "j1", site="s", task_id="t1", unit=3))
         bus.publish(ev(4.0, "running", "t1", site="s", task_id="t1"))
         bus.publish(ev(9.0, "failed", "t1", site="s", task_id="t1"))
         bus.publish(ev(9.0, "job_failed", "j1"))
-        assert [(r.stage, r.job, r.unit, r.tenant, r.signature, r.end - r.start, r.status) for r in closed] == [
+        bus.stages.drain()
+        assert [(r.stage, r.job, r.unit, r.tenant, r.signature, r.end - r.start, r.status) for r in view.closed] == [
             ("classical-pre", "j1", 3, "acme", "vqe/q4", 2.0, "ok"),
             ("queue-wait", "j1", 3, "acme", "vqe/q4", 2.0, "ok"),
             ("execute", "j1", 3, "acme", "vqe/q4", 5.0, "failed"),
             ("job", "j1", 0, "acme", "vqe/q4", 9.0, "failed"),
         ]
 
-    def test_site_filtered_sink_hears_only_its_site(self):
+    def test_opens_are_logged_only_for_a_view_that_folds_them(self):
+        """Records are logged as they open, in order with the closes,
+        only while a view folds opens; every view folds the same log."""
         bus = LifecycleBus()
-        here, everywhere = [], []
-        bus.stages.add_sink(here.append, site="s0")
-        bus.stages.add_sink(everywhere.append)
-        for site in ("s0", "s1"):
-            bus.publish(ev(0.0, "queued", "t1", site=site, task_id="t1", tenant="u"))
+        closes, everything = Recorder(), Recorder(folds_opens=True)
+        bus.stages.attach(closes)
+        bus.publish(ev(0.0, "queued", "t1", site="s", task_id="t1", tenant="u"))
+        bus.publish(ev(1.0, "running", "t1", site="s", task_id="t1"))
+        bus.stages.attach(everything)
+        bus.publish(ev(2.0, "preempted", "t1", site="s", task_id="t1"))
+        bus.publish(ev(3.0, "completed", "t1", site="s", task_id="t1"))
+        bus.stages.drain()
+        assert [(r.stage, opened) for r, opened in everything.entries] == [
+            ("execute", False), ("queue-wait", True), ("queue-wait", False), ("job", False),
+        ]
+        assert [(r.stage, opened) for r, opened in closes.entries] == [
+            ("queue-wait", False), ("execute", False), ("queue-wait", True),
+            ("queue-wait", False), ("job", False),
+        ]
+
+    def test_site_filtered_profiles_hear_only_their_site(self):
+        bus = LifecycleBus()
+        here, everywhere = ProfileStore(alpha=1.0), ProfileStore(alpha=1.0)
+        here.attach_bus(bus, site="s0")
+        everywhere.attach_bus(bus)
+        for site, tenant in (("s0", "u0"), ("s1", "u1")):
+            bus.publish(ev(0.0, "queued", "t1", site=site, task_id="t1", tenant=tenant))
             bus.publish(ev(1.0, "cancelled", "t1", site=site, task_id="t1"))
-        assert {r.site for r in here} == {"s0"}
-        assert len(everywhere) == 2 * len(here) == 4
+        assert [tenant for tenant, _ in here.keys()] == ["u0"]
+        assert [tenant for tenant, _ in everywhere.keys()] == ["u0", "u1"]
 
-    def test_a_raising_sink_is_counted_in_dropped(self, bus_drops):
+    def test_a_raising_view_is_counted_in_dropped(self, bus_drops):
         """A broken view neither breaks the fold nor starves the views
-        after it; the bus counts it like a raising subscriber."""
+        after it; the bus counts it once per drain, like a raising
+        subscriber."""
         bus = LifecycleBus()
-
-        def broken(record):
-            raise RuntimeError("sink bug")
-
-        closed = []
-        bus.stages.add_sink(broken)
-        bus.stages.add_sink(closed.append)
+        view = Recorder()
+        bus.stages.attach(BrokenView())
+        bus.stages.attach(view)
         bus.publish(ev(0.0, "queued", "t1", site="s", task_id="t1", tenant="u"))
         bus.publish(ev(1.0, "running", "t1", site="s", task_id="t1"))
         bus.publish(ev(2.0, "completed", "t1", site="s", task_id="t1"))
-        assert [r.stage for r in closed] == ["queue-wait", "execute", "job"]
-        assert bus.dropped == 3
-        bus_drops(bus, 3)
+        assert bus.dropped == 1
+        assert [r.stage for r in view.closed] == ["queue-wait", "execute", "job"]
+        assert bus.dropped == 1
+        bus_drops(bus, 1)
 
-    def test_removed_sink_hears_nothing_more(self):
-        bus = LifecycleBus()
+    def test_a_moved_store_hears_nothing_more(self):
+        """Moving a store to another bus first folds what the old bus
+        logged (a running task's queue wait, which no read and no idle
+        drain folded yet), then nothing the old bus logs later."""
+        old, new = LifecycleBus(), LifecycleBus()
         store = ProfileStore()
-        bus.stages.add_sink(store.on_closed)
-        bus.stages.remove_sink(store.on_closed)
-        bus.publish(ev(0.0, "queued", "t1", site="s", task_id="t1", tenant="u"))
-        bus.publish(ev(1.0, "completed", "t1", site="s", task_id="t1"))
-        assert store.snapshot() == {}
+        store.attach_bus(old)
+        old.publish(ev(0.0, "queued", "t1", site="s", task_id="t1", tenant="u"))
+        old.publish(ev(1.0, "running", "t1", site="s", task_id="t1"))
+        store.attach_bus(new)
+        old.publish(ev(2.0, "completed", "t1", site="s", task_id="t1"))
+        assert store.get("u", "program/q0").counts == {"queue_wait_s": 1}
         assert store.summary()["live_jobs"] == 0
+
+    def test_the_log_never_exceeds_its_bound(self):
+        """Nothing reads the views and every task stays in flight until
+        all have run: the log drains each time it fills, never holds
+        more than its bound, and every record reaches the view in
+        order."""
+        bus = LifecycleBus()
+        view = Recorder(folds_opens=True)
+        bus.stages.attach(view)
+        tasks = [f"t{i}" for i in range(LOG_BOUND // 2)]  # six entries each
+        for kind, at in (("queued", 0.0), ("running", 1.0), ("completed", 2.0)):
+            for task in tasks:
+                bus.publish(ev(at, kind, task, site="s", task_id=task, tenant="u"))
+                assert len(bus.stages._log) < LOG_BOUND
+        assert len(view.folds) >= 3 and max(view.folds) <= LOG_BOUND
+        assert sum(view.folds) == 6 * len(tasks)
+        assert [r.task for r in view.closed[: len(tasks)]] == tasks
+        assert [r.stage for r in view.closed[len(tasks) :: 2]] == ["execute"] * len(tasks)
+
+    @pytest.mark.parametrize("read", ["registry", "profiles", "slo"])
+    def test_each_read_point_folds_the_log(self, read):
+        """Mid-job, the task's closed queue wait sits in the log and no
+        view has been read: the read point alone folds it in."""
+        bus = LifecycleBus()
+        metrics, profiles = FederationMetrics(), ProfileStore()
+        slo = SLOTracker([LatencyObjective("wait", "queue-wait", threshold_s=10.0)])
+        metrics.attach_bus(bus)
+        profiles.attach_bus(bus)
+        slo.attach_bus(bus)
+        bus.publish(ev(0.0, "queued", "t1", site="s", task_id="t1", tenant="u"))
+        bus.publish(ev(1.0, "running", "t1", site="s", task_id="t1"))
+        if read == "registry":
+            snapshot = metrics.registry.snapshot()
+            assert snapshot["federation_stage_latency_seconds_count{stage=queue-wait}"] == 1.0
+        elif read == "profiles":
+            assert profiles.get("u", "program/q0").counts == {"queue_wait_s": 1}
+        else:
+            assert slo.evaluate(1.0)["wait"]["events"] == 1.0
 
 
 class TestSiteProfilesFollowTheBus:
@@ -365,8 +452,8 @@ class TestDaemonSpecTenant:
         samples."""
         sim = Simulator()
         daemon = make_daemon(sim)
-        records = []
-        daemon.events.stages.add_sink(records.append)
+        view = Recorder()
+        daemon.events.stages.attach(view)
         slo = SLOTracker(objectives(("acme", "alice")))
         slo.attach_bus(daemon.events)
         handle = Session(daemon=daemon, user="alice").submit(
@@ -374,8 +461,9 @@ class TestDaemonSpecTenant:
         )
         sim.run(until=300.0)
         assert daemon.queue.get(handle.job_id).metadata["tenant"] == "acme"
-        assert {r.stage for r in records} == {"queue-wait", "execute", "job"}
-        assert {r.tenant for r in records} == {"acme"}
+        daemon.events.stages.drain()
+        assert {r.stage for r in view.closed} == {"queue-wait", "execute", "job"}
+        assert {r.tenant for r in view.closed} == {"acme"}
         profiles = build_router(daemon).dispatch(Request("GET", "/profiles")).body["profiles"]
         assert list(profiles) == ["acme|stage-prog/q2"]
         events = {name: result["events"] for name, result in slo.evaluate(sim.now).items()}
