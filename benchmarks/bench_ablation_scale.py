@@ -16,7 +16,7 @@ drives a 10,000-job arrival sweep (plus a malleable mix) over an
   wall cost of a fixed pure-python probe loop measured on the same
   machine.  The ratios survive a runner-hardware change, so CI can gate
   them where raw milliseconds would be weather,
-* **per-phase tick profile** — the held/fixed/malleable/observe wall
+* **per-phase tick profile** — the held/fixed/malleable wall
   split from ``broker.last_reconcile`` and the per-step cost of the
   simulation kernel itself (``sim.enable_profiling``),
 * **instrumentation overhead** — the sweep runs in three flavors:
@@ -155,8 +155,7 @@ def run_c6(traced: str = "plain", _capture: dict | None = None) -> dict:
                 sim.now,
                 wall,
                 last["jobs_scanned"] + last["malleable_scanned"],
-                (last["held_s"], last["fixed_s"],
-                 last["malleable_s"], last["observe_s"]),
+                (last["held_s"], last["fixed_s"], last["malleable_s"]),
             ))
 
     sim.spawn(housekeeping(), name="c6-housekeeping", background=True)
@@ -219,7 +218,6 @@ def run_c6(traced: str = "plain", _capture: dict | None = None) -> dict:
         "phase_held_ms_mean": float(phases_ms[:, 0].mean()),
         "phase_fixed_ms_mean": float(phases_ms[:, 1].mean()),
         "phase_malleable_ms_mean": float(phases_ms[:, 2].mean()),
-        "phase_observe_ms_mean": float(phases_ms[:, 3].mean()),
         "sim_steps": float(step_profile["steps"]),
         "sim_step_us_mean": step_profile["wall_s"] / step_profile["steps"] * 1e6,
     }

@@ -28,7 +28,6 @@ from ..observability import (
     MetricRegistry,
     ProfileStore,
     Scraper,
-    SLOTracker,
     TimeSeriesDB,
     render_exposition,
 )
@@ -124,10 +123,6 @@ class MiddlewareDaemon:
             )
 
         self.queue.add_transition_listener(publish)
-        #: optional :class:`~repro.observability.slo.SLOTracker` — when a
-        #: deployment declares objectives (``daemon.slo = SLOTracker(...)``),
-        #: its burn rates render in ``/metrics``
-        self.slo: SLOTracker | None = None
         self.alerts: AlertManager | None = None
         self._lowlevel: dict[str, LowLevelControl] = {}
         for name, resource in self.resources.items():
@@ -138,6 +133,7 @@ class MiddlewareDaemon:
                 if self.alerts is None:
                     self.alerts = AlertManager.with_default_qpu_rules(self.tsdb, name)
         if self.alerts is not None:
+            self.alerts.attach_registry(self.metrics)
             # evaluate alert rules on the scrape cadence so for_seconds
             # windows progress without an external ticker
             manager = self.alerts
@@ -339,7 +335,7 @@ class MiddlewareDaemon:
     # -- observability -------------------------------------------------------------
 
     def metrics_text(self) -> str:
-        return render_exposition(self.metrics, alerts=self.alerts, slo=self.slo)
+        return render_exposition(self.metrics)
 
     def _read_gauges(self) -> None:
         """Registry read hook: the queue-depth and session gauges are

@@ -296,7 +296,7 @@ class FederationBroker:
         #: optional :class:`~repro.observability.profiles.ProfileStore`
         #: (see :meth:`attach_profiles`)
         self.profiles: ProfileStore | None = None
-        self.metrics.attach_bus(self.events)
+        self.metrics.attach_broker(self)
         self.events.subscribe(self._on_site_event, kinds=("running",) + TERMINAL_TASK_KINDS)
         for name in registry.names():
             registry.site(name).attach_bus(self.events)
@@ -314,7 +314,7 @@ class FederationBroker:
         #: summary of the last reconcile sweep — ``jobs_scanned`` counts
         #: the fixed-size jobs the sweep actually touched (live + held),
         #: ``duration_s`` its wall-clock cost; the C6 scale bench and
-        #: the metrics collector read this
+        #: the metrics read hook read this
         self.last_reconcile: dict[str, float] = {}
         from .malleable import MalleableManager
 
@@ -958,9 +958,9 @@ class FederationBroker:
     @scoped("broker.reconcile")
     def reconcile(self) -> None:
         """One failover sweep over the *live* jobs (held-job release,
-        fixed-size refresh, the malleable resize loop) + a metrics
-        snapshot.  Terminal jobs are archived out of the sweep tables,
-        so tick cost tracks in-flight work, not completed history."""
+        fixed-size refresh, the malleable resize loop).  Terminal jobs
+        are archived out of the sweep tables, so tick cost tracks
+        in-flight work, not completed history."""
         started = time.perf_counter()
         scanned = self.table.count(JobState.HELD)
         if self.accounting is not None:
@@ -974,11 +974,6 @@ class FederationBroker:
         # the malleable pass builds its own admission memo: the refresh
         # loop above may have moved tenants' budgets
         malleable_scanned = self.malleable.tick()
-        malleable_done = time.perf_counter()
-        self.metrics.observe_sites(self.registry.snapshots(self.sim.now))
-        self.metrics.observe_snapshot_cache(self.registry.snapshot_cache_hits)
-        if self.accounting is not None:
-            self.metrics.observe_accounting(self.accounting)
         ended = time.perf_counter()
         # per-stage wall profile of the tick — the C6 bench turns these
         # into the self-calibrated latency ratios the CI gate watches
@@ -988,12 +983,8 @@ class FederationBroker:
             "duration_s": ended - started,
             "held_s": held_done - started,
             "fixed_s": fixed_done - held_done,
-            "malleable_s": malleable_done - fixed_done,
-            "observe_s": ended - malleable_done,
+            "malleable_s": ended - fixed_done,
         }
-        self.metrics.observe_reconcile(
-            scanned + malleable_scanned, self.last_reconcile["duration_s"]
-        )
 
     # -- terminal-record eviction ----------------------------------------------
 

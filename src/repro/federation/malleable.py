@@ -203,7 +203,6 @@ class MalleableManager:
             for snap in ranked:
                 ledger.add_site(snap.name, 1.0)
             ledger.freeze()
-        self.broker.metrics.observe_share_weights(job.resize.weights())
 
     # -- the resize loop -------------------------------------------------------
 
@@ -549,7 +548,6 @@ class MalleableManager:
             changed = True
         if changed:
             self.broker._publish("rebalance", job.job_id)
-            self.broker.metrics.observe_share_weights(job.resize.weights())
 
     def _dispatch(
         self,

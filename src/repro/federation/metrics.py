@@ -19,6 +19,11 @@ can see too.  The per-stage latency histogram is a view of the bus's
 stage tracker: one observation per closed
 :class:`~repro.observability.stages.StageInterval`, folded from the
 tracker's log whenever the registry is read.
+
+Every gauge, and the snapshot-cache counter, copies state the broker
+already keeps: one registry read hook (:meth:`attach_broker`) sets them
+all from the broker at each read, so a scrape between housekeeping
+ticks sees that moment, not the last tick.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from collections.abc import Mapping
 
 from ..observability import MetricRegistry, render_exposition
 from ..observability.stages import STAGES
-from .registry import SiteHealth, SiteSnapshot
+from .registry import SiteHealth
 
 __all__ = ["FederationMetrics"]
 
@@ -152,7 +157,6 @@ class FederationMetrics:
             label_names=("stage",),
             buckets=_STAGE_BUCKETS,
         )
-        self._cache_hits_seen = 0
 
     # -- bus-driven recording -------------------------------------------------
 
@@ -198,42 +202,49 @@ class FederationMetrics:
         elif kind == "jobs_evicted":
             self.evictions.inc(int(event.payload.get("count", 0)))
 
-    def observe_share_weights(self, weights: Mapping[str, float]) -> None:
-        for site, weight in weights.items():
-            self.share_weight.set(float(weight), labels={"site": site})
+    # -- read at exposition ---------------------------------------------------
 
-    def observe_snapshot_cache(self, hits_total: int) -> None:
-        """Sync the cache-hit counter to the registry's cumulative count."""
-        delta = hits_total - self._cache_hits_seen
-        if delta > 0:
-            self.snapshot_cache_hits.inc(delta)
-            self._cache_hits_seen = hits_total
+    def attach_broker(self, broker) -> None:
+        """Derive the counters from ``broker``'s bus, and set every
+        gauge that mirrors its state from the broker at each read."""
+        self.attach_bus(broker.events)
+        self.registry.add_read_hook(lambda: self._read(broker))
 
-    def observe_reconcile(self, scanned: int, duration_s: float) -> None:
-        self.reconcile_scanned.set(float(scanned))
-        self.reconcile_duration.set(duration_s * 1e3)
+    def _read(self, broker) -> None:
+        """Registry read hook: every value that copies broker state is
+        read from the broker here, and nowhere else."""
+        # deferred: the broker module imports this one at import time
+        from .broker import JobState
 
-    def observe_accounting(self, accounting) -> None:
-        """Refresh the per-tenant spend / remaining-budget gauges from a
-        :class:`~repro.accounting.FederationAccounting`."""
-        tenants = set(accounting.ledger.tenants()) | set(
-            accounting.budgets.budgets()
-        )
-        for tenant in tenants:
-            labels = {"tenant": tenant}
-            self.tenant_spend.set(accounting.spend(tenant), labels=labels)
-            self.tenant_remaining.set(accounting.remaining(tenant), labels=labels)
-
-    def observe_sites(self, snapshots: list[SiteSnapshot]) -> None:
         healthy = 0
-        for snap in snapshots:
+        for snap in broker.registry.snapshots(broker.sim.now):
             labels = {"site": snap.name}
             self.site_depth.set(float(snap.queue_depth), labels=labels)
             self.site_health.set(_HEALTH_VALUE[snap.health], labels=labels)
             self.site_fidelity.set(snap.fidelity_proxy, labels=labels)
-            if snap.is_healthy:
-                healthy += 1
+            healthy += snap.is_healthy
         self.sites_healthy.set(float(healthy))
+        # after the snapshots above, so the read's own hits are counted
+        behind = broker.registry.snapshot_cache_hits - self.snapshot_cache_hits.value()
+        if behind > 0:
+            self.snapshot_cache_hits.inc(behind)
+        accounting = broker.accounting
+        if accounting is not None:
+            for tenant in set(accounting.ledger.tenants()) | set(accounting.budgets.budgets()):
+                labels = {"tenant": tenant}
+                self.tenant_spend.set(accounting.spend(tenant), labels=labels)
+                self.tenant_remaining.set(accounting.remaining(tenant), labels=labels)
+        weights = dict.fromkeys(broker.registry.names(), 0.0)
+        # a held job has no shares yet: the placed jobs are every live share
+        for job in broker.malleable.table.in_state(JobState.PLACED):
+            for site, weight in job.resize.weights().items():
+                weights[site] = weights.get(site, 0.0) + weight
+        for site, weight in weights.items():
+            self.share_weight.set(weight, labels={"site": site})
+        last = broker.last_reconcile  # empty until the first sweep
+        self.reconcile_scanned.set(last.get("jobs_scanned", 0.0) + last.get("malleable_scanned", 0.0))
+        if last:
+            self.reconcile_duration.set(last["duration_s"] * 1e3)
 
     # -- export ----------------------------------------------------------------
 
@@ -247,11 +258,10 @@ class FederationMetrics:
         """
 
         def collect(now: float) -> Mapping[str, float]:
+            self.registry.instruments()  # the read hooks set the gauges below
             out: dict[str, float] = {
-                "federation_sites_healthy": self._gauge_or(self.sites_healthy, 0.0),
-                "federation_reconcile_scanned_jobs": self._gauge_or(
-                    self.reconcile_scanned, 0.0
-                ),
+                "federation_sites_healthy": self.sites_healthy.value(),
+                "federation_reconcile_scanned_jobs": self.reconcile_scanned.value(),
             }
             for _, labels, value in self.site_depth.samples():
                 out[f"federation_queue_depth_{labels['site']}"] = value
@@ -267,8 +277,3 @@ class FederationMetrics:
             return out
 
         return collect
-
-    @staticmethod
-    def _gauge_or(gauge, default: float) -> float:
-        samples = gauge.samples()
-        return samples[0][2] if samples else default

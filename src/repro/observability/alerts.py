@@ -14,6 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..errors import AlertError, TSDBError
+from .metrics import MetricRegistry
 from .tsdb import TimeSeriesDB
 
 __all__ = ["Alert", "AlertManager", "AlertRule", "AlertState"]
@@ -23,6 +24,10 @@ class AlertState(enum.Enum):
     INACTIVE = "inactive"
     PENDING = "pending"
     FIRING = "firing"
+
+
+#: gauge encoding of alert states in the exposition output
+_STATE_VALUES = {AlertState.INACTIVE: 0.0, AlertState.PENDING: 1.0, AlertState.FIRING: 2.0}
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,19 @@ class AlertManager:
 
     def names(self) -> list[str]:
         return sorted(self._alerts)
+
+    def attach_registry(self, registry: MetricRegistry) -> None:
+        """Serve an ``alert_state`` gauge per rule in ``registry``, set
+        from the rules' states at each read."""
+        gauge = registry.gauge(
+            "alert_state", "Alert rule state (0=inactive, 1=pending, 2=firing)", label_names=("rule", "severity")
+        )
+
+        def read() -> None:
+            for name, alert in self._alerts.items():
+                gauge.set(_STATE_VALUES[alert.state], labels={"rule": name, "severity": alert.rule.severity})
+
+        registry.add_read_hook(read)
 
     @classmethod
     def with_default_qpu_rules(cls, tsdb: TimeSeriesDB, device_label: str) -> "AlertManager":

@@ -39,19 +39,10 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-#: gauge encoding of alert states in the exposition output
-_ALERT_STATE_VALUES = {"inactive": 0, "pending": 1, "firing": 2}
-
-
-def render_exposition(registry: MetricRegistry, alerts=None, slo=None) -> str:
-    """Render the whole registry in exposition format.
-
-    ``alerts`` (an :class:`~repro.observability.alerts.AlertManager`)
-    adds an ``alert_state`` gauge per rule (0=inactive, 1=pending,
-    2=firing); ``slo`` (an :class:`~repro.observability.slo.SLOTracker`)
-    adds ``slo_burn_rate`` / ``slo_error_budget_remaining`` gauges from
-    its last evaluation.
-    """
+def render_exposition(registry: MetricRegistry) -> str:
+    """Render the whole registry in exposition format, after its read
+    hooks ran: derived gauges — queue depth, alert states, SLO burn
+    rates — are set by the hooks of whatever keeps their state."""
     lines: list[str] = []
     for instrument in registry.instruments():
         if instrument.help_text:
@@ -60,31 +51,5 @@ def render_exposition(registry: MetricRegistry, alerts=None, slo=None) -> str:
         for suffix, labels, value in instrument.samples():
             lines.append(
                 f"{instrument.name}{suffix}{_format_labels(labels)} {_format_value(value)}"
-            )
-    if alerts is not None:
-        lines.append("# HELP alert_state Alert rule state (0=inactive, 1=pending, 2=firing)")
-        lines.append("# TYPE alert_state gauge")
-        for name in alerts.names():
-            alert = alerts.get(name)
-            labels = {"rule": name, "severity": alert.rule.severity}
-            value = _ALERT_STATE_VALUES[alert.state.value]
-            lines.append(f"alert_state{_format_labels(labels)} {_format_value(value)}")
-    if slo is not None and slo.last_results:
-        lines.append("# HELP slo_burn_rate Min multi-window error-budget burn rate")
-        lines.append("# TYPE slo_burn_rate gauge")
-        for name in sorted(slo.last_results):
-            value = slo.last_results[name]["burn_rate"]
-            lines.append(
-                f"slo_burn_rate{_format_labels({'slo': name})} {_format_value(value)}"
-            )
-        lines.append(
-            "# HELP slo_error_budget_remaining Long-window error budget left (1=untouched, <0=overdrawn)"
-        )
-        lines.append("# TYPE slo_error_budget_remaining gauge")
-        for name in sorted(slo.last_results):
-            value = slo.last_results[name]["error_budget_remaining"]
-            lines.append(
-                f"slo_error_budget_remaining{_format_labels({'slo': name})} "
-                f"{_format_value(value)}"
             )
     return "\n".join(lines) + "\n"

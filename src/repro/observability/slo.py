@@ -31,6 +31,7 @@ from typing import Any
 
 from ..errors import ObservabilityError
 from .alerts import AlertManager, AlertRule
+from .metrics import MetricRegistry
 from .stages import STAGES
 
 __all__ = ["LatencyObjective", "SLOTracker", "DEFAULT_OBJECTIVES"]
@@ -93,7 +94,7 @@ class SLOTracker:
     tracer and the profiles read, with their tenants) or directly via
     :meth:`observe` (the synthetic-test path).  :meth:`evaluate`
     folds the buses' stage logs, recomputes burn rates, writes the
-    ``slo_*`` series, and caches results for the exporter.
+    ``slo_*`` series, and caches results for :meth:`attach_registry`.
     """
 
     def __init__(self, objectives=DEFAULT_OBJECTIVES, tsdb: Any = None) -> None:
@@ -104,7 +105,7 @@ class SLOTracker:
         self.tsdb = tsdb
         #: per objective: deque of (time, is_bad) pruned to long_window
         self._events: dict[str, deque] = {o.name: deque() for o in self.objectives}
-        #: objective name -> last evaluate() results (exporter cache)
+        #: objective name -> last evaluate() results (the gauges' source)
         self.last_results: dict[str, dict[str, float]] = {}
         #: stage trackers of the buses this tracker samples
         self._trackers: list[Any] = []
@@ -180,6 +181,26 @@ class SLOTracker:
             total += 1
             bad += is_bad
         return bad / total if total else 0.0
+
+    def attach_registry(self, registry: MetricRegistry) -> None:
+        """Serve ``slo_burn_rate`` and ``slo_error_budget_remaining`` per
+        objective in ``registry``, set from the last :meth:`evaluate` at
+        each read; both join the registry at the first read after one."""
+        helps = {
+            "burn_rate": "Min multi-window error-budget burn rate",
+            "error_budget_remaining": "Long-window error budget left (1=untouched, <0=overdrawn)",
+        }
+        gauges: dict[str, Any] = {}
+
+        def read() -> None:
+            if self.last_results and not gauges:
+                for key, text in helps.items():
+                    gauges[key] = registry.gauge(f"slo_{key}", text, label_names=("slo",))
+            for name, results in self.last_results.items():
+                for key, gauge in gauges.items():
+                    gauge.set(results[key], labels={"slo": name})
+
+        registry.add_read_hook(read)
 
     # -- alert integration -------------------------------------------------
 

@@ -266,6 +266,27 @@ class TestNoDirectMetrics:
         assert len(found) == 1
         assert "record_placement" in found[0].message
 
+    def test_bad_observe_refresh(self, lint):
+        report = lint(
+            {
+                "repro/federation/malleable.py": """
+                    def rebalance(self, job):
+                        self.broker.metrics.observe_share_weights(job.weights())
+                """,
+                # a pushed refresh is banned outside the federation too
+                "repro/daemon/service.py": """
+                    def tick(self):
+                        self.metrics.observe_queue(self.queue)
+                """,
+            },
+            [NoDirectMetricsRule()],
+        )
+        found = rules_of(report, "no-direct-metrics")
+        assert sorted(f.message.split("(")[0] for f in found) == [
+            "direct metrics call self.broker.metrics.observe_share_weights",
+            "direct metrics call self.metrics.observe_queue",
+        ]
+
     def test_good_inside_metrics_module_and_non_metrics(self, lint):
         report = lint(
             {
@@ -278,6 +299,13 @@ class TestNoDirectMetrics:
                 "repro/daemon/jobmeta.py": """
                     def fold(self, meta, result):
                         meta.record_from_result(result)
+                """,
+                # observe_usage feeds the arbiter, and a histogram's own
+                # observe() is how a fold records a sample
+                "repro/accounting/service.py": """
+                    def meter(self, tenant, cost, now):
+                        self.arbiter.observe_usage(tenant, cost, now)
+                        self.metrics.stage_latency.observe(cost)
                 """,
             },
             [NoDirectMetricsRule()],

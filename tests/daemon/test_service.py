@@ -367,8 +367,8 @@ class _EagerGaugeDaemon(MiddlewareDaemon):
         self._refresh_queue_gauge()
         return task
 
-    def _record_task_metadata(self, task):
-        super()._record_task_metadata(task)
+    def _count_finished(self, task):
+        super()._count_finished(task)
         self._refresh_queue_gauge()
 
 
@@ -414,5 +414,5 @@ class TestQueueDepthGauge:
         assert texts == reference
         depths = {line for text in texts for line in text.splitlines() if line.startswith("daemon_queue_depth{")}
         # the gauge moved: queued work showed, and the drained queue too
-        assert any(not line.endswith(" 0.0") for line in depths)
+        assert any(not line.endswith(" 0") for line in depths)
         assert texts[-1].count("daemon_queue_depth{") == 3

@@ -118,26 +118,78 @@ class TestCounterEquivalence:
 
 
 class TestSnapshotCacheCounter:
+    """The counter is synced at each registry read, after the read's own
+    snapshots: it always equals the registry's count."""
+
     def test_cache_hits_surface_in_the_exposition(self):
         sim, registry, broker, sites = build_federation(n_sites=2)
         broker.submit_spec(make_spec(shots=50))
         sim.run(until=300.0)
-        assert registry.snapshot_cache_hits > 0
-        assert (
-            broker.metrics.snapshot_cache_hits.value()
-            == registry.snapshot_cache_hits
-        )
         text = broker.metrics.text()
-        assert "federation_snapshot_cache_hits_total" in text
+        assert registry.snapshot_cache_hits > 0
+        line = f"federation_snapshot_cache_hits_total {registry.snapshot_cache_hits}\n"
+        assert line in text
+        for read in (broker.metrics.registry.snapshot, lambda: broker.metrics.collector()(sim.now)):
+            read()
+            assert broker.metrics.snapshot_cache_hits.value() == registry.snapshot_cache_hits
 
     def test_quiet_ticks_hit_the_cache(self):
-        """Housekeeping sweeps over an idle undrifted federation serve
-        snapshots from cache instead of rebuilding them."""
+        """On an idle undrifted federation, neither housekeeping sweeps
+        nor repeated reads rebuild a snapshot, and each read is served
+        from the cache."""
         sim, registry, broker, sites = build_federation(n_sites=3)
         sim.run(until=20.0)  # past the first housekeeping tick
+        broker.metrics.text()  # the first read builds each site's snapshot
         misses_before = registry.snapshot_cache_misses
-        hits_before = registry.snapshot_cache_hits
-        # two more ticks (and their heartbeats): no drift, no queue churn
-        sim.run(until=50.0)
+        sim.run(until=50.0)  # two more ticks (and their heartbeats)
+        broker.metrics.text()
+        hits = registry.snapshot_cache_hits
+        broker.metrics.text()
         assert registry.snapshot_cache_misses == misses_before
-        assert registry.snapshot_cache_hits > hits_before
+        assert registry.snapshot_cache_hits == hits + 3
+        assert broker.metrics.snapshot_cache_hits.value() == hits + 3
+
+
+class TestGaugesReadAtExposition:
+    """Every gauge that copies broker state is set when the registry is
+    read, so a scrape between housekeeping ticks sees the moment."""
+
+    def test_a_site_killed_between_ticks_reads_unhealthy(self):
+        sim, registry, broker, sites = build_federation(n_sites=3)
+        assert broker.metrics.collector()(0.0)["federation_sites_healthy"] == 3.0
+        sim.run(until=20.0)
+        sites["site-2"].kill()
+        sim.run(until=25.0)  # the next housekeeping tick is at 30 s
+        assert registry.health_of("site-2", sim.now).value == "unhealthy"
+        sample = broker.metrics.collector()(sim.now)
+        assert sample["federation_health_site-2"] == 0.0
+        assert sample["federation_sites_healthy"] == 2.0
+        text = broker.metrics.text()
+        assert 'federation_site_health{site="site-2"} 0\n' in text
+        assert "federation_sites_healthy 2\n" in text
+
+    def test_share_weight_is_the_live_sum_per_site(self):
+        sim, registry, broker, sites = build_federation(n_sites=3)
+        every = ("site-0", "site-1", "site-2")
+        jobs = [
+            broker.submit_spec(make_spec(shots=30, iterations=6, sites=every)),
+            broker.submit_spec(make_spec(shots=30, iterations=6, sites=every[:2])),
+        ]
+        sim.run(until=2.0)
+        records = [broker.job(j) for j in jobs]
+        assert all(job.state is JobState.PLACED for job in records)
+        truth = dict.fromkeys(every, 0.0)
+        for job in records:
+            for site, weight in job.resize.weights().items():
+                truth[site] += weight
+        assert len(set(truth.values())) > 1  # the two jobs' shares differ
+        gauge = broker.metrics.share_weight
+        text = broker.metrics.text()
+        for site, weight in truth.items():
+            assert gauge.value(labels={"site": site}) == weight
+            assert f'federation_share_weight{{site="{site}"}} {weight:g}\n' in text
+        sim.run(until=600.0)
+        assert all(job.state is JobState.COMPLETED for job in records)
+        broker.metrics.text()
+        for site in every:
+            assert gauge.value(labels={"site": site}) == 0.0

@@ -213,7 +213,10 @@ class TestExposition:
         tracker.observe("job", 99.0, now=5.0)
         tracker.evaluate(now=10.0)
         manager.evaluate(now=10.0)
-        text = render_exposition(MetricRegistry(), alerts=manager, slo=tracker)
+        registry = MetricRegistry()
+        manager.attach_registry(registry)
+        tracker.attach_registry(registry)
+        text = render_exposition(registry)
         assert 'alert_state{rule="slo-burn:fast-jobs",severity="page"} 1' in text
         assert 'slo_burn_rate{slo="fast-jobs"} 10' in text
         assert 'slo_error_budget_remaining{slo="fast-jobs"} -9' in text
@@ -221,5 +224,9 @@ class TestExposition:
 
     def test_exposition_without_evaluation_omits_slo_block(self):
         tracker = SLOTracker([make_objective()])
-        text = render_exposition(MetricRegistry(), slo=tracker)
-        assert "slo_burn_rate" not in text
+        registry = MetricRegistry()
+        tracker.attach_registry(registry)
+        text = render_exposition(registry)
+        assert "slo_" not in text
+        tracker.evaluate(now=10.0)
+        assert 'slo_burn_rate{slo="fast-jobs"} 0\n' in render_exposition(registry)

@@ -11,6 +11,11 @@ without the wall-clock reconcile gauge), each site's ``GET /profiles``
 body, the broker's profiles, the SLO results at fixed instants and the instant each burn-rate alert first
 fired, every trace export without its wall-clock fields, and the
 ``trace_span_seconds`` series.  Every value must come out the same.
+
+The broker's site, spend, share-weight and cache-hit values, and the
+place of the ``alert_state`` block in the daemon's ``/metrics`` body,
+were re-recorded when those gauges moved to registry read hooks: they
+now read the state at the read, not at the last housekeeping tick.
 """
 
 import json
