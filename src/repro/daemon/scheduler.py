@@ -18,8 +18,9 @@ Two sharing modes, both from §3.3:
   arriving production task interrupts a running test/dev task, which is
   requeued and restarted later.
 
-Any :class:`~repro.scheduling.algorithms.SchedulingAlgorithm`, by
-registry name or as an instance, picks the next task: the §3.5
+Any :class:`~repro.scheduling.algorithms.SchedulingAlgorithm` that
+makes start decisions (``handles_dispatch``), by registry name or as an
+instance, picks the next task: the §3.5
 weighted-fair timeshare
 (:class:`~repro.scheduling.timeshare.WeightedFairPolicy`) is one.
 """
@@ -84,7 +85,13 @@ class SecondLevelScheduler:
     def use_algorithm(self, algorithm: SchedulingAlgorithm | str | None) -> None:
         """Swap the queue discipline by registry name (or instance);
         ``None`` restores ``fifo-priority``."""
-        self.algorithm = resolve(algorithm, "fifo-priority")
+        algorithm = resolve(algorithm, "fifo-priority")
+        if not algorithm.handles_dispatch:
+            raise DaemonError(
+                f"algorithm {algorithm.name!r} makes no start decisions "
+                "and cannot drive the daemon queue"
+            )
+        self.algorithm = algorithm
 
     # -- notification -----------------------------------------------------------
 

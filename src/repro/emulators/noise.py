@@ -97,21 +97,28 @@ class NoiseModel:
 
     def spam_masks(
         self, rng: np.random.Generator, shots: int, n: int
-    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-        """The SPAM error masks of ``shots`` readouts of n atoms: lost
-        (state preparation), up (false positive), down (false negative),
-        in that draw order.  Each is a (shots, n) bool array from one
-        ``rng.random((shots, n))`` call, or None without a draw when its
-        rate is zero.  Every SPAM path draws here, so bit rows and
-        packed states consume the RNG stream identically."""
-        return tuple(
-            rng.random((shots, n)) < rate if rate > 0 else None
-            for rate in (
-                self.state_prep_error,
-                self.detection_epsilon,
-                self.detection_epsilon_prime,
+    ) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The SPAM error masks of ``shots`` readouts of n atoms and the
+        bit each sets: lost (state preparation) 0, up (false positive)
+        1, down (false negative) 0, in that draw order, skipping a zero
+        rate.  The k masks are one (k, shots, n) bool block from one
+        ``rng.random((k, shots, n))`` call, which yields the values of k
+        sequential ``(shots, n)`` draws.  Every SPAM path draws here, so
+        bit rows and packed states consume the RNG stream identically."""
+        live = [
+            (rate, bit)
+            for rate, bit in (
+                (self.state_prep_error, 0),
+                (self.detection_epsilon, 1),
+                (self.detection_epsilon_prime, 0),
             )
-        )
+            if rate > 0
+        ]
+        if not live:
+            return np.zeros((0, shots, n), dtype=bool), ()
+        rates, bits = zip(*live, strict=True)
+        masks = rng.random((len(rates), shots, n)) < np.array(rates)[:, None, None]
+        return masks, bits
 
     def apply_spam(self, samples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Apply SPAM errors to an (shots, n) 0/1 sample array, vectorized.
@@ -124,28 +131,23 @@ class NoiseModel:
         if samples.size == 0:
             return samples
         out = samples.astype(np.uint8, copy=True)
-        lost, up, down = self.spam_masks(rng, *out.shape)
-        for mask, bit in ((lost, 0), (up, 1), (down, 0)):
-            if mask is not None:
-                out[mask] = bit
+        masks, bits = self.spam_masks(rng, *out.shape)
+        for mask, bit in zip(masks, bits, strict=True):
+            out[mask] = bit
         return out
 
     def apply_spam_packed(
         self, states: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
         """:meth:`apply_spam` on packed (shots,) n-bit basis indices
-        (qubit 0 = MSB): the same draws, each mask packed to one integer
-        per shot and applied as ``&= ~lost``, ``|= up``, ``&= ~down``."""
+        (qubit 0 = MSB): the same draws, the masks packed to one integer
+        per shot in one matmul and applied as ``&= ~lost``, ``|= up``,
+        ``&= ~down``."""
         if states.size == 0:
             return states
-        lost, up, down = self.spam_masks(rng, states.shape[0], n)
-        weights = pack_weights(n)
-        if lost is not None:
-            states = states & ~(lost @ weights)
-        if up is not None:
-            states = states | (up @ weights)
-        if down is not None:
-            states = states & ~(down @ weights)
+        masks, bits = self.spam_masks(rng, states.shape[0], n)
+        for packed, bit in zip(masks @ pack_weights(n), bits, strict=True):
+            states = states | packed if bit else states & ~packed
         return states
 
     def scaled(self, factor: float) -> "NoiseModel":

@@ -9,6 +9,7 @@ import numpy as np
 from ..errors import EmulatorError
 
 __all__ = [
+    "basis_states",
     "bits_to_strings",
     "counts_from_samples",
     "counts_from_states",
@@ -48,7 +49,7 @@ def sample_states(
     if shots == 0:
         return np.zeros(0, dtype=np.int64)
     counts = rng.multinomial(shots, p)
-    states = np.repeat(np.arange(dim, dtype=np.int64), counts)
+    states = np.repeat(basis_states(num_qubits), counts)
     rng.shuffle(states)
     return states
 
@@ -61,6 +62,14 @@ def sample_bitstrings(
     states = sample_states(probabilities, shots, rng, num_qubits)
     shifts = np.arange(num_qubits - 1, -1, -1, dtype=np.int64)
     return ((states[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+@functools.cache
+def basis_states(n: int) -> np.ndarray:
+    """Read-only (2^n,) int64 basis indices 0 .. 2^n - 1."""
+    states = np.arange(1 << n, dtype=np.int64)
+    states.flags.writeable = False
+    return states
 
 
 @functools.cache

@@ -13,7 +13,8 @@ interval k:
   ceil(n/``_GROUP``) groups of g <= ``_GROUP`` qubits; the Kronecker
   power ``⊗^g`` acts on each in one batched matmul that also cycles
   the group to the back of the register, so the qubit order is
-  restored after the last group.
+  restored after the last group.  Registers of ``_GROUP`` + 1 to
+  ``_HADAMARD_MAX`` qubits step in the Hadamard basis instead (below).
 
 **Fused diagonals.**  Adjacent half-diagonals of consecutive steps
 merge, so the evolution is
@@ -56,10 +57,28 @@ distance, column) index, from the (m+1, 2^m) table of those products:
 
 * a single-group register (n <= ``_GROUP``) folds the whole of ``F_k``,
   the interaction phase too, into its matrix: a step is one batched
-  matmul;
-* a larger register rotates its groups and then multiplies by the
-  shared interaction phase row: g matmuls and one multiply per step,
-  and no table that grows with 2^n per step.
+  matmul, and the first step's result is row 0 of its operator;
+* a register beyond ``_HADAMARD_MAX`` rotates its groups and then
+  multiplies by the shared interaction phase row: g matmuls and one
+  multiply per step, and no table that grows with 2^n per step.
+
+**Hadamard basis.**  Registers of ``_GROUP`` + 1 to ``_HADAMARD_MAX``
+qubits (5 and 6) skip the group rotations.  v has eigenvalues
+e^{-it} on |+> and e^{+it} on |->, so
+
+    ⊗^n v = H diag(λ) H / 2^n,   λ_y = exp(-i t (n - 2 pop(y))),
+
+with H the ±1 Sylvester Hadamard matrix and t the half-angle.  A step
+is then ``H psi``, ``*= λ_k``, ``(H / 2^n) psi``, ``*= F_k``: two GEMMs
+against one cached real H and two multiplies, with λ and the F_k
+columns each one popcount ``take`` per chunk.  The state is held as
+(2^n, R), so its float view (2^n, 2R) carries the real and imaginary
+parts of every realization through one real GEMM.  The step costs
+O(4^n) against the groups' O(2^n 2^g), so it wins only while NumPy
+call overhead dominates: measured per call (R=4, 32 steps, 2-vCPU
+Xeon, one BLAS thread), 5 atoms ~460 -> ~200 µs and 6 atoms ~460 ->
+~310 µs; 7 atoms tie and 8 lose by 2x.  On one-group registers it
+loses to the fold.
 
 One kernel evolves every coherent-noise realization at once; the only
 Python loops are over time steps and qubit groups (no per-amplitude
@@ -68,11 +87,12 @@ Python work).
 **Shots in count space.**  ``run`` never expands shots into bit rows.
 The multinomial counts become a (shots,) array of packed basis indices
 (qubit 0 = MSB), shuffled where the shots are drawn from one
-distribution.  SPAM errors draw the same ``rng.random((shots, n))``
-masks in the order ``NoiseModel.spam_masks`` fixes; each mask is packed
-to one integer per shot and applied as ``&= ~lost``, ``|= up``,
-``&= ~down``.  One ``bincount`` then builds the counts.  The RNG
-stream is that of the bit-row path, so the counts are too.
+distribution.  SPAM errors draw the masks ``NoiseModel.spam_masks``
+fixes: one ``rng.random((k, shots, n))`` block for the k nonzero
+rates, the values of k sequential ``(shots, n)`` draws.  One matmul
+packs the masks to one integer per shot each, applied as ``&= ~lost``,
+``|= up``, ``&= ~down``.  One ``bincount`` then builds the counts.
+The RNG stream is that of the bit-row path, so the counts are too.
 """
 
 from __future__ import annotations
@@ -85,16 +105,19 @@ from ..errors import EmulatorError
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, breaks a cycle
-    from ..qpu.hamiltonian import RydbergHamiltonian
+    from ..qpu.hamiltonian import FusedDiagonals, RydbergHamiltonian
 from .base import EmulationResult, EmulatorBackend
 from .noise import NoiseModel
-from .sampling import counts_from_states, popcounts, sample_states
+from .sampling import basis_states, counts_from_states, popcounts, sample_states
 
 __all__ = ["StateVectorEmulator"]
 
 #: qubits per drive-rotation group: one (2^g x 2^g) matmul per group
 #: replaces g single-qubit ones
 _GROUP = 4
+#: largest register that steps in the Hadamard basis; larger ones
+#: rotate their drive groups (one-group registers always fold)
+_HADAMARD_MAX = 6
 #: complex values the per-chunk step tables may hold
 _TABLE_BUDGET = 1 << 22
 
@@ -141,10 +164,10 @@ class StateVectorEmulator(EmulatorBackend):
         single batched pass; returns an (R, 2^n) array of final states.
 
         All realizations share the time grid, so every Strang step is
-        one to four batched matmuls and at most one multiply over the
-        whole (R, 2^n) batch.  The step tables are built per chunk of
-        steps, so they stay within ``_TABLE_BUDGET`` complex values
-        however many realizations and steps there are.
+        one to four matmuls and at most two multiplies over the whole
+        (R, 2^n) batch.  The step tables are built per chunk of steps,
+        so they stay within ``_TABLE_BUDGET`` complex values however
+        many realizations and steps there are.
         """
         self.check_size(ham)
         scales = np.atleast_1d(np.asarray(rabi_scales, dtype=np.float64))
@@ -155,49 +178,16 @@ class StateVectorEmulator(EmulatorBackend):
                 f"{offsets.shape} must align"
             )
         n = ham.num_qubits
-        dim = 1 << n
-        reals = scales.shape[0]
         fused = ham.fused_diagonals()
-        sizes = _group_sizes(n)
-        half_angle = np.outer(fused.half_angle, scales)                              # (K, R)
-        weight = fused.popcount_phase[:, None] + np.outer(fused.half_sums, offsets)  # (K, R)
-        levels = np.arange(sizes[0] + 1)
-        # a quarter of the budget per chunk: the previous chunk's tables
-        # are still alive while the next chunk's are built
-        chunk = max(1, _TABLE_BUDGET // (4 * reals * 4 ** sizes[0]))
-
-        interaction = fused.interaction.reshape(-1, dim >> sizes[-1], 1 << sizes[-1])
-        psi = np.zeros((reals, 1, dim), dtype=np.complex128)
-        psi[..., 0] = 1.0
-        for start in range(0, ham.num_steps, chunk):
-            window = slice(start, start + chunk)
-            # exp(+i weight c) for popcounts c = 0..g: (steps, R, g+1)
-            detuning = _cis(weight[window, :, None] * levels)
-            amplitudes = _drive_amplitudes(half_angle[window], sizes)
-            if len(sizes) == 1:
-                # fold all of F_k into the columns of (⊗u)^T: a step is one matmul
-                columns = detuning.take(popcounts(n), axis=-1)
-                columns *= fused.interaction[fused.index[window], None, :]
-                for op in _step_operators(amplitudes[n], columns):
-                    psi = np.matmul(psi, op)
-            else:
-                # the detuning phase factors over the groups: fold each
-                # group's share into its matrix, leaving the shared
-                # interaction phase as the one multiply per step
-                ops = {
-                    size: _step_operators(amp, detuning.take(popcounts(size), axis=-1))
-                    for size, amp in amplitudes.items()
-                }
-                for j, row in enumerate(fused.index[window]):
-                    for size in sizes:
-                        # (R, M, 2^size) @ (⊗^size u)^T: rotates the leading
-                        # group and cycles it to the back in one matmul
-                        lead = psi.reshape(reals, 1 << size, -1).transpose(0, 2, 1)
-                        psi = np.matmul(lead, ops[size][j])
-                    # the last matmul restored the qubit order: psi is
-                    # (R, 2^(n - last), 2^last), like ``interaction``'s rows
-                    psi *= interaction[row]
-        return psi.reshape(reals, dim)
+        half_angle = fused.half_angle[:, None] * scales                              # (K, R)
+        weight = fused.popcount_phase[:, None] + fused.half_sums[:, None] * offsets  # (K, R)
+        if n <= _GROUP:
+            kernel = _evolve_folded
+        elif n <= _HADAMARD_MAX:
+            kernel = _evolve_hadamard
+        else:
+            kernel = _evolve_grouped
+        return kernel(fused, n, half_angle, weight)
 
     def probabilities_many(
         self,
@@ -232,16 +222,15 @@ class StateVectorEmulator(EmulatorBackend):
             # so no per-chunk shuffle is needed.
             reals = min(noise.noise_realizations, shots)
             base, extra = divmod(shots, reals)
-            chunk_shots = np.full(reals, base, dtype=np.int64)
-            chunk_shots[:extra] += 1
+            chunk_shots = [base + 1] * extra + [base] * (reals - extra)
             scales, offsets = noise.draw_realizations(rng, reals)
             probs = self.probabilities_many(ham, scales, offsets)
-            probs = np.clip(probs, 0.0, None)
             totals = probs.sum(axis=1, keepdims=True)
-            if np.any(totals <= 0):
+            if totals.min() <= 0:
                 raise EmulatorError("probability vector sums to zero")
-            counts = rng.multinomial(chunk_shots, probs / totals)
-            states = np.repeat(np.arange(1 << n), counts.sum(axis=0))
+            probs /= totals
+            counts = rng.multinomial(chunk_shots, probs)
+            states = np.repeat(basis_states(n), counts.sum(axis=0))
         if noise is not None:
             states = noise.apply_spam_packed(states, n, rng)
         self._last_fidelity = 1.0
@@ -264,6 +253,117 @@ def _cis(x: np.ndarray) -> np.ndarray:
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out
+
+
+def _chunk(reals: int, entries: int) -> int:
+    """Steps per table chunk when each step's tables hold ``entries``
+    complex values per realization: a quarter of the budget, since the
+    previous chunk's tables are still alive while the next are built."""
+    return max(1, _TABLE_BUDGET // (4 * reals * entries))
+
+
+def _evolve_folded(
+    fused: "FusedDiagonals", n: int, half_angle: np.ndarray, weight: np.ndarray
+) -> np.ndarray:
+    """One drive group (n <= ``_GROUP``): all of F_k folds into the
+    columns of (⊗u)^T, so a step is one batched matmul."""
+    steps, reals = half_angle.shape
+    levels = np.arange(n + 1)
+    chunk = _chunk(reals, 4**n)
+    psi = None
+    for start in range(0, steps, chunk):
+        window = slice(start, start + chunk)
+        # exp(+i weight c) for popcounts c = 0..n: (steps, R, n+1)
+        columns = _cis(weight[window, :, None] * levels).take(popcounts(n), axis=-1)
+        columns *= fused.interaction[fused.index[window], None, :]
+        amplitudes = _drive_amplitudes(half_angle[window], (n,))[n]
+        for op in _step_operators(amplitudes, columns):
+            # the first step acts on |0...0>: its result is row 0 of op
+            psi = op[:, :1] if psi is None else np.matmul(psi, op)
+    return psi.reshape(reals, 1 << n)
+
+
+def _evolve_hadamard(
+    fused: "FusedDiagonals", n: int, half_angle: np.ndarray, weight: np.ndarray
+) -> np.ndarray:
+    """Steps in the Hadamard basis: ``⊗^n v = H diag(λ) H / 2^n`` with
+    λ_y = exp(-i t (n - 2 pop(y))), so a step is ``H psi``, ``*= λ_k``,
+    ``H / 2^n``, ``*= F_k``: two real GEMMs and two multiplies.  The
+    state is held as (2^n, R), so its float view (2^n, 2R) carries every
+    realization's real and imaginary parts through one GEMM with the
+    real H."""
+    steps, reals = half_angle.shape
+    forward, back = _hadamard(n)
+    counts = popcounts(n)
+    # 2c - n and c for popcounts c = 0..n: λ = exp(+i t (2c - n))
+    turns = np.arange(-n, n + 1, 2)[:, None]
+    levels = np.arange(n + 1)[:, None]
+    psi = np.zeros((1 << n, reals), dtype=np.complex128)
+    psi[0] = 1.0
+    rotated = np.empty_like(psi)
+    psi_parts, rotated_parts = psi.view(np.float64), rotated.view(np.float64)
+    chunk = _chunk(reals, 2 << n)
+    for start in range(0, steps, chunk):
+        window = slice(start, start + chunk)
+        # (steps, 2^n, R) drive eigenphases and F_k columns
+        rotations = _cis(half_angle[window, None, :] * turns).take(counts, axis=1)
+        columns = _cis(weight[window, None, :] * levels).take(counts, axis=1)
+        columns *= fused.interaction[fused.index[window], :, None]
+        for rotation, column in zip(rotations, columns, strict=True):
+            np.matmul(forward, psi_parts, out=rotated_parts)
+            rotated *= rotation
+            np.matmul(back, rotated_parts, out=psi_parts)
+            psi *= column
+    return psi.T.copy()
+
+
+def _evolve_grouped(
+    fused: "FusedDiagonals", n: int, half_angle: np.ndarray, weight: np.ndarray
+) -> np.ndarray:
+    """Drive groups of at most ``_GROUP`` qubits: the detuning phase
+    factors over the groups, so each group's share folds into its
+    matrix and the shared interaction phase is the one multiply per
+    step."""
+    steps, reals = half_angle.shape
+    dim = 1 << n
+    sizes = _group_sizes(n)
+    levels = np.arange(sizes[0] + 1)
+    chunk = _chunk(reals, 4 ** sizes[0])
+    interaction = fused.interaction.reshape(-1, dim >> sizes[-1], 1 << sizes[-1])
+    psi = np.zeros((reals, 1, dim), dtype=np.complex128)
+    psi[..., 0] = 1.0
+    for start in range(0, steps, chunk):
+        window = slice(start, start + chunk)
+        # exp(+i weight c) for popcounts c = 0..g: (steps, R, g+1)
+        detuning = _cis(weight[window, :, None] * levels)
+        ops = {
+            size: _step_operators(amp, detuning.take(popcounts(size), axis=-1))
+            for size, amp in _drive_amplitudes(half_angle[window], sizes).items()
+        }
+        for j, row in enumerate(fused.index[window]):
+            for size in sizes:
+                # (R, M, 2^size) @ (⊗^size u)^T: rotates the leading
+                # group and cycles it to the back in one matmul
+                lead = psi.reshape(reals, 1 << size, -1).transpose(0, 2, 1)
+                psi = np.matmul(lead, ops[size][j])
+            # the last matmul restored the qubit order: psi is
+            # (R, 2^(n - last), 2^last), like ``interaction``'s rows
+            psi *= interaction[row]
+    return psi.reshape(reals, dim)
+
+
+@functools.cache
+def _hadamard(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ±1 Sylvester Hadamard matrix ``H = ⊗^n [[1, 1],
+    [1, -1]]``, entry (a, b) = (-1)^pop(a & b), and ``H / 2^n`` (a
+    power-of-two scale, so exact)."""
+    index = np.arange(1 << n)
+    parity = popcounts(n)[np.bitwise_and.outer(index, index)] & 1
+    forward = (1.0 - 2.0 * parity)
+    back = forward / (1 << n)
+    forward.flags.writeable = False
+    back.flags.writeable = False
+    return forward, back
 
 
 @functools.cache

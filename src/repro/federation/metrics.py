@@ -238,9 +238,15 @@ class FederationMetrics:
         # a held job has no shares yet: the placed jobs are every live share
         for job in broker.malleable.table.in_state(JobState.PLACED):
             for site, weight in job.resize.weights().items():
-                weights[site] = weights.get(site, 0.0) + weight
+                if site in weights:
+                    weights[site] += weight
         for site, weight in weights.items():
             self.share_weight.set(weight, labels={"site": site})
+        # a deregistered site's series leave the exposition
+        for _, labels, _ in self.site_health.samples():
+            if labels["site"] not in weights:
+                for gauge in (self.site_depth, self.site_health, self.site_fidelity, self.share_weight):
+                    gauge.remove(labels)
         last = broker.last_reconcile  # empty until the first sweep
         self.reconcile_scanned.set(last.get("jobs_scanned", 0.0) + last.get("malleable_scanned", 0.0))
         if last:

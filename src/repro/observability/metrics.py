@@ -104,6 +104,11 @@ class Gauge(_Instrument):
     def dec(self, value: float = 1.0, labels: Mapping[str, str] | None = None) -> None:
         self.inc(-value, labels)
 
+    def remove(self, labels: Mapping[str, str] | None = None) -> None:
+        """Drop one label set's series, so it leaves the exposition (a
+        no-op when it has none): for a gauge whose subject is gone."""
+        self._values.pop(self._key(labels), None)
+
     def value(self, labels: Mapping[str, str] | None = None) -> float:
         key = self._key(labels)
         if key not in self._values:

@@ -126,12 +126,14 @@ class Decision:
 class SchedulingAlgorithm:
     """Base class every registered algorithm extends.
 
-    Subclasses set ``name`` and implement :meth:`schedule`.  The two
+    Subclasses set ``name`` and implement :meth:`schedule`.  The
     capability flags let callers route around algorithms that only
     cover part of the vocabulary:
 
     * ``handles_placement`` — usable for single-job routing decisions
       (the broker's per-job placement step),
+    * ``handles_dispatch`` — emits ``start``/``backfill`` decisions, so
+      it can pick the daemon queue's next task,
     * ``convert_when_saturated`` — the fixed→malleable knob: when the
       algorithm owns a placement and every candidate is saturated, the
       broker may convert a convertible fixed spec into malleable units.
@@ -139,6 +141,7 @@ class SchedulingAlgorithm:
 
     name: ClassVar[str] = ""
     handles_placement: ClassVar[bool] = True
+    handles_dispatch: ClassVar[bool] = True
     convert_when_saturated: bool = False
 
     def schedule(

@@ -27,6 +27,7 @@ __all__ = ["PolicyRouting"]
 class PolicyRouting(SchedulingAlgorithm):
 
     name = "policy-routing"
+    handles_dispatch = False
 
     def __init__(
         self, policy: Any = None, convert_when_saturated: bool = False

@@ -8,7 +8,8 @@ from repro.daemon.scheduler import SecondLevelScheduler, SharingMode
 from repro.qpu import ConstantWaveform, QPUDevice, Register, ShotClock
 from repro.qrmi import LocalEmulatorResource, OnPremQPUResource
 from repro.scheduling import TimeshareAllocator, WeightedFairPolicy
-from repro.scheduling.algorithms import Decision, SchedulingAlgorithm
+from repro.errors import DaemonError
+from repro.scheduling.algorithms import Decision, SchedulingAlgorithm, available, get_algorithm
 from repro.sdk import Pulse, Sequence
 from repro.simkernel import Simulator
 
@@ -171,6 +172,33 @@ class _Idle(SchedulingAlgorithm):
     def schedule(self, pending, resources, system):
         self.calls.append(system.now)
         return []
+
+
+class TestAlgorithmCapability:
+    """The daemon drives an algorithm only through its ``start`` and
+    ``backfill`` decisions, so it refuses one that makes neither rather
+    than leave every task queued for good."""
+
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_refuses_an_algorithm_that_cannot_dispatch(self, mode):
+        with pytest.raises(DaemonError, match="policy-routing"):
+            build(mode=mode, algorithm="policy-routing")
+        _, _, scheduler, _ = build(mode=mode, algorithm="easy-backfill")
+        with pytest.raises(DaemonError, match="policy-routing"):
+            scheduler.use_algorithm("policy-routing")
+        assert scheduler.algorithm.name == "easy-backfill"  # the refusal kept it
+
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("name", available())
+    def test_every_accepted_name_completes_a_task(self, mode, name):
+        try:
+            sim, queue, scheduler, _ = build(mode=mode, algorithm=name)
+        except DaemonError:
+            assert not get_algorithm(name).handles_dispatch
+            return
+        task = submit(queue, scheduler)
+        sim.run(until=1000.0)
+        assert task.state is TaskState.COMPLETED
 
 
 class TestSelectionPolicy:

@@ -1,5 +1,7 @@
 """Unit + property tests for sampling utilities and the noise model."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,29 @@ class TestSpamDrawOrder:
         assert list(packed.items()) == list(rows.items()) == list(reference.items())
         tails = [rng.random(4).tolist() for rng in rngs]
         assert tails[0] == tails[1] == tails[2]
+
+    @pytest.mark.parametrize("live", list(itertools.product((False, True), repeat=3)))
+    def test_block_equals_sequential_draws(self, live):
+        """``spam_masks`` draws the k nonzero rates' masks as one
+        (k, shots, n) block: the values of k sequential ``(shots, n)``
+        draws in the order lost, up, down, and the same RNG tail."""
+        rates = [rate if on else 0.0 for rate, on in zip((0.1, 0.25, 0.4), live, strict=True)]
+        noise = NoiseModel(
+            state_prep_error=rates[0], detection_epsilon=rates[1], detection_epsilon_prime=rates[2]
+        )
+        shots, n = 37, 5
+        block_rng, sequential_rng = np.random.default_rng(11), np.random.default_rng(11)
+        masks, bits = noise.spam_masks(block_rng, shots, n)
+        expected = [
+            (sequential_rng.random((shots, n)) < rate, bit)
+            for rate, bit in zip(rates, (0, 1, 0), strict=True)
+            if rate > 0
+        ]
+        assert masks.shape == (len(expected), shots, n)
+        assert bits == tuple(bit for _, bit in expected)
+        for mask, (want, _) in zip(masks, expected, strict=True):
+            assert np.array_equal(mask, want)
+        assert block_rng.random(4).tolist() == sequential_rng.random(4).tolist()
 
 
 class TestNoiseModel:

@@ -9,12 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.emulators import NoiseModel, StateVectorEmulator
+from repro.emulators import NoiseModel, StateVectorEmulator, statevector
 from repro.emulators.sampling import popcounts
 from repro.emulators.statevector import (
+    _GROUP,
+    _HADAMARD_MAX,
     _TABLE_BUDGET,
     _cis,
     _drive_amplitudes,
+    _evolve_grouped,
+    _evolve_hadamard,
     _group_sizes,
     _step_operators,
 )
@@ -142,11 +146,84 @@ class TestStepOperators:
             assert np.array_equal(ops, _two_pass_operators(amplitudes, columns))
 
 
+@st.composite
+def _hadamard_cases(draw):
+    """A 5..``_HADAMARD_MAX``-atom chain or random register, 1-3 drive
+    segments with their own phases, R = 1-4 realizations, detuning
+    offsets zero or drawn."""
+    n = draw(st.integers(_GROUP + 1, _HADAMARD_MAX))
+    if draw(st.booleans()):
+        register = Register.chain(n, spacing=draw(st.floats(5.0, 8.0)))
+    else:
+        gaps = draw(st.lists(st.floats(4.5, 9.0), min_size=n - 1, max_size=n - 1))
+        ys = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        register = Register.from_coordinates(list(zip(np.cumsum([0.0, *gaps]), ys, strict=True)))
+    segments = [
+        DriveSegment(
+            RampWaveform(duration, draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 10.0))),
+            RampWaveform(duration, draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0))),
+            phase=draw(st.floats(-np.pi, np.pi)),
+        )
+        for duration in draw(st.lists(st.floats(0.02, 0.12), min_size=1, max_size=3))
+    ]
+    ham = RydbergHamiltonian(register, segments, dt=0.01)
+    reals = draw(st.integers(1, 4))
+    scales = np.array(draw(st.lists(st.floats(0.8, 1.2), min_size=reals, max_size=reals)))
+    if draw(st.booleans()):
+        offsets = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=reals, max_size=reals)))
+    else:
+        offsets = np.zeros(reals)
+    return ham, scales, offsets
+
+
+class TestHadamardStep:
+    @settings(max_examples=60, deadline=None)
+    @given(_hadamard_cases())
+    def test_hadamard_step_equals_grouped_step(self, drawn):
+        ham, scales, offsets = drawn
+        fused = ham.fused_diagonals()
+        half_angle = fused.half_angle[:, None] * scales
+        weight = fused.popcount_phase[:, None] + fused.half_sums[:, None] * offsets
+        n = ham.num_qubits
+        hadamard = _evolve_hadamard(fused, n, half_angle, weight)
+        grouped = _evolve_grouped(fused, n, half_angle, weight)
+        assert hadamard.shape == grouped.shape == (len(scales), 1 << n)
+        np.testing.assert_allclose(hadamard, grouped, rtol=0, atol=1e-12)
+
+    def test_register_sizes_take_their_step(self, monkeypatch):
+        # one group folds, 5..bound atoms step in the Hadamard basis,
+        # larger registers rotate their groups
+        taken = []
+
+        def spy(name):
+            kernel = getattr(statevector, name)
+
+            def call(*args):
+                taken.append(name)
+                return kernel(*args)
+
+            return call
+
+        for name in ("_evolve_folded", "_evolve_hadamard", "_evolve_grouped"):
+            monkeypatch.setattr(statevector, name, spy(name))
+        seg = DriveSegment(ConstantWaveform(0.02, 6.0), ConstantWaveform(0.02, 1.0))
+        for n in (_GROUP, _GROUP + 1, _HADAMARD_MAX, _HADAMARD_MAX + 1):
+            StateVectorEmulator().evolve(RydbergHamiltonian(_zigzag(n), [seg]), 1.0, 0.0)
+        assert taken == ["_evolve_folded", "_evolve_hadamard", "_evolve_hadamard", "_evolve_grouped"]
+
+
 class TestStepTableBudget:
     def test_peak_memory_within_budget(self):
         # R=300 realizations x K=1000 steps: the whole drive Kronecker
         # tensor would be R*K*4^4 complex values (~1.2 GB)
-        reg = Register.chain(4, spacing=6.0)
+        self._check_budget(4)
+
+    def test_hadamard_tables_within_budget(self):
+        # the Hadamard-basis tables would be 2*R*K*2^5 values (~0.3 GB)
+        self._check_budget(5)
+
+    def _check_budget(self, n):
+        reg = Register.chain(n, spacing=6.0)
         seg = DriveSegment(
             ConstantWaveform(1.0, 6.0), RampWaveform(1.0, -4.0, 4.0), phase=0.3
         )

@@ -193,3 +193,20 @@ class TestGaugesReadAtExposition:
         broker.metrics.text()
         for site in every:
             assert gauge.value(labels={"site": site}) == 0.0
+
+    def test_a_deregistered_site_leaves_the_exposition(self):
+        sim, registry, broker, sites = build_federation(n_sites=3)
+        sim.run(until=10.0)
+        text = broker.metrics.text()
+        assert 'federation_site_health{site="site-2"} 2\n' in text
+        sites["site-2"].kill()
+        registry.deregister("site-2")
+        sim.run(until=100.0)
+        text = broker.metrics.text()
+        assert 'site="site-2"' not in text
+        assert "federation_sites_healthy 2\n" in text
+        for site in ("site-0", "site-1"):
+            assert f'federation_site_health{{site="{site}"}} 2\n' in text
+            assert f'federation_share_weight{{site="{site}"}} 0\n' in text
+        sample = broker.metrics.collector()(sim.now)
+        assert not [key for key in sample if key.endswith("site-2")]
